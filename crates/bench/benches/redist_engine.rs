@@ -5,7 +5,7 @@
 //! measures the full data movement, which is O(n) by nature but moves
 //! block-level runs, not elements.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hpfc::mapping::{testing::mapping_1d as mk, DimFormat};
 use hpfc::runtime::{
     plan_by_enumeration, plan_redistribution, ArrayRt, CommSchedule, CopyProgram, ExecMode,
@@ -85,6 +85,44 @@ fn bench_data_movement(c: &mut Criterion) {
                 })
             });
         }
+    }
+    g.finish();
+}
+
+/// Serial replay against the memcpy roofline: the `cyclic(1)` gather
+/// (`block → cyclic`) and scatter (`cyclic → block`) legs at P = 16,
+/// as bytes/s beside a plain `copy_from_slice` of the same payload.
+/// At these extents every version (16 / 32 MiB) is several times L2, so
+/// the gap to `memcpy` is the access pattern, not the instruction count.
+fn bench_roofline(c: &mut Criterion) {
+    let mut g = c.benchmark_group("redist/roofline");
+    for n in [2097152u64, 4194304] {
+        g.throughput(Throughput::Bytes(n * 8));
+        let block = mk(n, 16, DimFormat::Block(None));
+        let cyclic = mk(n, 16, DimFormat::Cyclic(None));
+        for (name, src, dst) in
+            [("block_to_cyclic", &block, &cyclic), ("cyclic_to_block", &cyclic, &block)]
+        {
+            let plan = plan_redistribution(src, dst, 8);
+            let schedule = CommSchedule::from_plan(&plan);
+            let program = CopyProgram::try_compile(&plan, &schedule).expect("compiles");
+            let mut a = VersionData::new(src.clone(), 8);
+            a.fill(|p| p[0] as f64);
+            let mut t = VersionData::new(dst.clone(), 8);
+            g.bench_function(BenchmarkId::new(name, n), |b| {
+                b.iter(|| {
+                    t.copy_values_from_program(&a, &program, ExecMode::Serial);
+                    std::hint::black_box(&t);
+                })
+            });
+        }
+        let (from, mut to) = (vec![1.0f64; n as usize], vec![0.0f64; n as usize]);
+        g.bench_function(BenchmarkId::new("memcpy", n), |b| {
+            b.iter(|| {
+                to.copy_from_slice(std::hint::black_box(&from));
+                std::hint::black_box(&to);
+            })
+        });
     }
     g.finish();
 }
@@ -521,6 +559,7 @@ criterion_group!(
     bench_plan_hyperperiod,
     bench_plan_oracle,
     bench_data_movement,
+    bench_roofline,
     bench_kernel_dispatch,
     bench_copy_program_compile,
     bench_procs_sweep,

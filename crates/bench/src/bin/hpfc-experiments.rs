@@ -1,5 +1,6 @@
 //! `hpfc-experiments` — regenerate every experiment table of the
-//! reproduction (DESIGN.md §4, results recorded in EXPERIMENTS.md).
+//! reproduction (figure index in `ARCHITECTURE.md`; measured
+//! end-to-end results in `benchmark/README.md`).
 //!
 //! Usage: `cargo run -p hpfc-bench --release --bin hpfc-experiments`
 //! (optionally pass a single experiment id such as `e04` or `adi`).

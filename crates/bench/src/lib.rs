@@ -1,6 +1,7 @@
 //! Experiment harness: regenerates every figure/claim of the paper
-//! (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-//! recorded results).
+//! (see `ARCHITECTURE.md`, "Where the paper's figures live", for the
+//! figure index and `benchmark/README.md` for the recorded end-to-end
+//! results).
 //!
 //! The `hpfc-experiments` binary prints the tables; the criterion
 //! benches under `benches/` measure compiler-phase wall time and the

@@ -3,12 +3,14 @@
 //! The build environment has no registry access, so this vendored shim
 //! provides the slice of the criterion API the benches use: `Criterion`,
 //! `benchmark_group` / `bench_with_input` / `bench_function`, `Bencher`
-//! with `iter` / `iter_batched`, `BenchmarkId`, `BatchSize`, and the
-//! `criterion_group!` / `criterion_main!` macros.
+//! with `iter` / `iter_batched`, `BenchmarkId`, `BatchSize`,
+//! `Throughput::Bytes`, and the `criterion_group!` / `criterion_main!`
+//! macros.
 //!
 //! Measurement is deliberately simple: a short warmup, then timed
 //! batches until a wall-clock budget is reached; the median per-iteration
-//! time is printed as `group/id ... <time>`. `--test` runs every bench
+//! time is printed as `group/id ... <time>` (followed by GB/s when the
+//! group declared a [`Throughput`]). `--test` runs every bench
 //! exactly once (the CI smoke mode); a positional argument filters
 //! benchmarks by substring, as with real criterion.
 
@@ -23,6 +25,13 @@ pub enum BatchSize {
     LargeInput,
     /// One input per iteration.
     PerIteration,
+}
+
+/// Work done per iteration, so a group reports a rate beside its time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Throughput {
+    /// Bytes processed per iteration.
+    Bytes(u64),
 }
 
 /// Identifies one benchmark within a group.
@@ -93,7 +102,7 @@ impl Criterion {
 
     /// Open a named benchmark group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { criterion: self, name: name.into() }
+        BenchmarkGroup { criterion: self, name: name.into(), throughput: None }
     }
 
     /// Run a single ungrouped benchmark.
@@ -102,7 +111,7 @@ impl Criterion {
         F: FnMut(&mut Bencher),
     {
         let name = name.to_string();
-        self.run_one(&name, &mut f);
+        self.run_one(&name, None, &mut f);
         self
     }
 
@@ -110,7 +119,7 @@ impl Criterion {
         self.filter.as_deref().is_none_or(|f| id.contains(f))
     }
 
-    fn run_one<F>(&mut self, id: &str, f: &mut F)
+    fn run_one<F>(&mut self, id: &str, throughput: Option<Throughput>, f: &mut F)
     where
         F: FnMut(&mut Bencher),
     {
@@ -127,7 +136,13 @@ impl Criterion {
             println!("test {id} ... ok");
         } else {
             let t = b.median_ns();
-            println!("{id:<48} {}", fmt_ns(t));
+            match throughput {
+                // bytes per nanosecond == GB/s
+                Some(Throughput::Bytes(bytes)) if t > 0 => {
+                    println!("{id:<48} {}  {:.2} GB/s", fmt_ns(t), bytes as f64 / t as f64)
+                }
+                _ => println!("{id:<48} {}", fmt_ns(t)),
+            }
         }
     }
 }
@@ -136,11 +151,18 @@ impl Criterion {
 pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
     /// Accepted for API compatibility; sampling is budget-driven here.
     pub fn sample_size(&mut self, _n: usize) -> &mut Self {
+        self
+    }
+
+    /// Declare the work of one iteration for the benchmarks that follow.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
         self
     }
 
@@ -156,7 +178,7 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &I),
     {
         let full = format!("{}/{}", self.name, id.into_benchmark_id().id);
-        self.criterion.run_one(&full, &mut |b: &mut Bencher| f(b, input));
+        self.criterion.run_one(&full, self.throughput, &mut |b: &mut Bencher| f(b, input));
         self
     }
 
@@ -166,7 +188,7 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let full = format!("{}/{}", self.name, id.into_benchmark_id().id);
-        self.criterion.run_one(&full, &mut f);
+        self.criterion.run_one(&full, self.throughput, &mut f);
         self
     }
 

@@ -265,9 +265,10 @@ impl<'a> Executor<'a> {
                             rt.invalidate_others();
                             let v = rt.status.expect("current() set status");
                             let copy = rt.copies[v as usize].as_mut().unwrap();
-                            for (i, pt) in extents.points().enumerate() {
-                                copy.set(&pt, values[i]);
-                            }
+                            // Block-order walk: `values` is row-major
+                            // over `extents`, so each point indexes it
+                            // by its linearisation.
+                            copy.fill(|pt| values[extents.linearize(pt) as usize]);
                         } else {
                             let (point, value) = {
                                 let ctx = EvalCtx {
@@ -451,6 +452,11 @@ impl<'a> Executor<'a> {
             }
             SStmt::Return => Ok(Flow::Return),
             SStmt::ExitCleanup => {
+                // No version is re-requested past this point: parked
+                // host storage goes before the snapshots below allocate,
+                // and again once the last copies are freed, so it never
+                // adds to the process high-water.
+                frame.arrays.iter_mut().for_each(ArrayRt::release_parked);
                 for decl in &p.arrays {
                     let rt = &mut frame.arrays[decl.id.0 as usize];
                     // Snapshot final contents before freeing anything.
@@ -465,6 +471,7 @@ impl<'a> Executor<'a> {
                             rt.free_copy(&mut self.machine, v);
                         }
                     }
+                    rt.release_parked();
                 }
                 Ok(Flow::Normal)
             }

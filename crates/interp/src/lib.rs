@@ -2,7 +2,7 @@
 //! distributed machine, driving the Sec. 5 runtime (status descriptors,
 //! live flags, guarded copies) exactly as the generated code would.
 //!
-//! Scope note (see DESIGN.md): the paper's measurements are about
+//! Scope note (see `ARCHITECTURE.md`): the paper's measurements are about
 //! **remapping communication**; computational statements execute with
 //! correct *values* but without modelling compute-side communication.
 //! Every remapping, argument copy, status save/restore, liveness clean

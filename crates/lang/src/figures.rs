@@ -3,8 +3,8 @@
 //! Each constant reproduces one example of Coelho's PPoPP'97 paper (the
 //! degraded archive scan loses some distribution parameters; where a
 //! parameter is unreadable we chose values that preserve the property
-//! the figure demonstrates — see DESIGN.md §4 for the per-figure
-//! rationale). Extents are kept small (16, grids of 4) so the simulator
+//! the figure demonstrates — see `ARCHITECTURE.md`, "Where the paper's
+//! figures live"). Extents are kept small (16, grids of 4) so the simulator
 //! runs fast in tests; the experiment harness re-generates the same
 //! programs at larger sizes via [`scaled`].
 

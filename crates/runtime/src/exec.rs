@@ -43,6 +43,12 @@
 //! variable picks the default mode ([`ExecMode::from_env`]); serial
 //! replay stays available so both engines are continuously tested.
 //!
+//! Serial unguarded replay needs neither the wire order nor disjoint
+//! `&mut`s — every destination element is written by exactly one run —
+//! so it walks a cache-blocked order threaded through the units at
+//! compile time instead ([`CopyProgram::serial_order`]; see
+//! `ARCHITECTURE.md`, "Replay order is not schedule order").
+//!
 //! [`PeriodicSet::count_below`]: hpfc_mapping::PeriodicSet::count_below
 
 use std::collections::BTreeMap;
@@ -190,7 +196,19 @@ pub struct CopyUnit {
     pub kernel: Kernel,
     /// Total elements this unit moves (the load-balancing weight).
     pub elements: u64,
+    /// The unit [`CopyProgram::serial_order`] visits after this one:
+    /// group 0 is `local`, group `r + 1` is `rounds[r]`, and
+    /// [`SERIAL_END`] ends the walk.
+    pub next_group: u16,
+    /// Index of the next unit within `next_group`.
+    pub next_index: u32,
 }
+
+/// The `next_group` that ends the serial walk.
+pub const SERIAL_END: u16 = u16::MAX;
+
+// The links fit the padding behind `kernel`: the order costs no bytes.
+const _: () = assert!(std::mem::size_of::<CopyUnit>() == 48);
 
 /// A compiled copy program: the executable form of one redistribution's
 /// data movement. Built once per (source, destination) version pair and
@@ -223,6 +241,12 @@ pub struct CopyProgram {
     /// Total elements delivered (local + remote, replicas counted) —
     /// equals `plan.local_elements + plan.remote_elements()`.
     pub total_elements: u64,
+    /// `(group, index)` of the serial walk's first unit, encoded like
+    /// [`CopyUnit::next_group`].
+    pub serial_head: (u16, u32),
+    /// Whether the serial walk is blocked by receiver (the destination
+    /// is the strided side) rather than by provider.
+    pub receiver_major: bool,
     /// Integrity fingerprint over the triples and units, computed at
     /// compile time. The guarded replay path recomputes it before
     /// trusting a cached program ([`CopyProgram::integrity_ok`]): a
@@ -315,14 +339,47 @@ impl CopyProgram {
     /// contents — the cheap integrity check the guarded replay path
     /// applies before trusting a cached program.
     pub fn integrity_ok(&self) -> bool {
-        self.fingerprint
-            == program_fingerprint(
-                &self.fams,
-                &self.runs,
-                &self.local,
-                &self.rounds,
-                self.total_elements,
-            )
+        self.fingerprint == self.content_fingerprint()
+    }
+
+    /// Stamp the fingerprint of a freshly assembled program.
+    fn sealed(mut self) -> CopyProgram {
+        self.fingerprint = self.content_fingerprint();
+        self
+    }
+
+    /// Fingerprint of the program's executable content: every stride
+    /// family, every residual triple, every unit boundary (family and
+    /// run ranges, kernel tag, serial link), and the totals. Any
+    /// single-field corruption of a cached program changes the value,
+    /// and memory corruption cannot keep the stored fingerprint
+    /// consistent with recomputation.
+    fn content_fingerprint(&self) -> u64 {
+        let link = |(group, index): (u16, u32)| ((group as u64) << 32) | index as u64;
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        h = mix64(h ^ self.total_elements);
+        h = mix64(h ^ link(self.serial_head) ^ ((self.receiver_major as u64) << 63));
+        h = mix64(h ^ self.fams.len() as u64);
+        for f in &self.fams {
+            h = mix64(h ^ (((f.src_base as u64) << 32) | f.dst_base as u64));
+            h = mix64(h ^ (((f.src_step as u64) << 32) | f.dst_step as u64));
+            h = mix64(h ^ (((f.count as u64) << 32) | f.len as u64));
+        }
+        h = mix64(h ^ self.runs.len() as u64);
+        for r in &self.runs {
+            h = mix64(h ^ (((r.src_pos as u64) << 32) | r.dst_pos as u64));
+            h = mix64(h ^ r.len as u64);
+        }
+        h = mix64(h ^ self.rounds.len() as u64);
+        for u in self.local.iter().chain(self.rounds.iter().flatten()) {
+            h = mix64(h ^ (u.provider.rotate_left(32) ^ u.receiver));
+            h = mix64(h ^ (((u.fams.0 as u64) << 32) | u.fams.1 as u64));
+            h = mix64(h ^ (((u.runs.0 as u64) << 32) | u.runs.1 as u64));
+            h = mix64(h ^ u.elements);
+            h = mix64(h ^ u.kernel as u64);
+            h = mix64(h ^ link((u.next_group, u.next_index)));
+        }
+        h
     }
 
     /// [`CopyProgram::try_compile`], parameterized over whether empty
@@ -352,7 +409,6 @@ impl CopyProgram {
             } else {
                 Vec::new()
             };
-            let fingerprint = program_fingerprint(&[], &[], &[], &rounds, 0);
             return Ok(CopyProgram {
                 mappings,
                 fams: Vec::new(),
@@ -360,8 +416,11 @@ impl CopyProgram {
                 local: Vec::new(),
                 rounds,
                 total_elements: 0,
-                fingerprint,
-            });
+                serial_head: (SERIAL_END, 0),
+                receiver_major: false,
+                fingerprint: 0,
+            }
+            .sealed());
         }
         let per_dim = &plan.dims;
 
@@ -473,6 +532,8 @@ impl CopyProgram {
                 runs: (r_start, r_end),
                 kernel,
                 elements,
+                next_group: SERIAL_END,
+                next_index: 0,
             };
             if provider == receiver {
                 local.push(unit);
@@ -494,8 +555,19 @@ impl CopyProgram {
             plan.local_elements + plan.remote_elements(),
             "compiled program delivers exactly the planned volume"
         );
-        let fingerprint = program_fingerprint(&fams, &runs, &local, &rounds, total_elements);
-        Ok(CopyProgram { mappings, fams, runs, local, rounds, total_elements, fingerprint })
+        let (serial_head, receiver_major) = thread_serial_order(&fams, &mut local, &mut rounds)?;
+        Ok(CopyProgram {
+            mappings,
+            fams,
+            runs,
+            local,
+            rounds,
+            total_elements,
+            serial_head,
+            receiver_major,
+            fingerprint: 0,
+        }
+        .sealed())
     }
 
     /// Expand the stride families back into flat triples — the
@@ -516,14 +588,8 @@ impl CopyProgram {
                 }
             }
             runs.extend_from_slice(&p.runs[u.runs.0 as usize..u.runs.1 as usize]);
-            CopyUnit {
-                provider: u.provider,
-                receiver: u.receiver,
-                fams: (0, 0),
-                runs: (start, runs.len() as u32),
-                kernel: Kernel::Triples,
-                elements: u.elements,
-            }
+            // Same (group, index) slot, so the serial links carry over.
+            CopyUnit { fams: (0, 0), runs: (start, runs.len() as u32), kernel: Kernel::Triples, ..*u }
         }
         let mut runs = Vec::with_capacity(self.n_runs() as usize);
         let local: Vec<CopyUnit> =
@@ -533,7 +599,6 @@ impl CopyProgram {
             .iter()
             .map(|r| r.iter().map(|u| expand_unit(self, u, &mut runs)).collect())
             .collect();
-        let fingerprint = program_fingerprint(&[], &runs, &local, &rounds, self.total_elements);
         CopyProgram {
             mappings: std::sync::Arc::clone(&self.mappings),
             fams: Vec::new(),
@@ -541,8 +606,11 @@ impl CopyProgram {
             local,
             rounds,
             total_elements: self.total_elements,
-            fingerprint,
+            serial_head: self.serial_head,
+            receiver_major: self.receiver_major,
+            fingerprint: 0,
         }
+        .sealed()
     }
 
     /// Whether this program was compiled for exactly the
@@ -565,15 +633,53 @@ impl CopyProgram {
         }
     }
 
-    /// Serial replay — the allocation-free steady-state path.
+    /// Every unit exactly once — a permutation of `local ∪ rounds` — in
+    /// the cache-blocked order threaded at compile time.
+    pub fn serial_order(&self) -> impl Iterator<Item = &CopyUnit> + '_ {
+        std::iter::successors(self.unit_at(self.serial_head), |u| {
+            self.unit_at((u.next_group, u.next_index))
+        })
+    }
+
+    /// The unit a serial link points at (`None` for the end mark).
+    fn unit_at(&self, (group, index): (u16, u32)) -> Option<&CopyUnit> {
+        match group {
+            SERIAL_END => None,
+            0 => Some(&self.local[index as usize]),
+            g => Some(&self.rounds[g as usize - 1][index as usize]),
+        }
+    }
+
+    /// Serial replay — the allocation-free steady-state path. Walks the
+    /// blocked order one block of the strided side at a time and sweeps
+    /// that block tile by tile: every unit touching it replays its runs
+    /// inside the tile before the walk moves on, so the tile stays
+    /// cache-resident however large the block is.
     fn execute_serial(&self, dst: &mut VersionData, src: &VersionData) {
-        for unit in self.local.iter().chain(self.rounds.iter().flatten()) {
-            let src_block =
-                src.blocks[unit.provider as usize].as_ref().expect("provider holds the data");
-            let dst_block = dst.blocks[unit.receiver as usize]
-                .as_mut()
-                .expect("receiver allocates the data");
-            replay_unit(&self.fams, &self.runs, *unit, src_block, dst_block);
+        let major = |u: &CopyUnit| if self.receiver_major { u.receiver } else { u.provider };
+        let mut next = self.unit_at(self.serial_head);
+        while let Some(first) = next {
+            let (p, r) = (first.provider as usize, first.receiver as usize);
+            let block = if self.receiver_major { &dst.blocks[r] } else { &src.blocks[p] };
+            let span = block.as_ref().map_or(0, |b| b.data.len());
+            for lo in (0..span.max(1)).step_by(SERIAL_TILE) {
+                next = Some(first); // every tile re-walks the block's units
+                while let Some(unit) = next.filter(|u| major(u) == major(first)) {
+                    let src_block = src.blocks[unit.provider as usize]
+                        .as_ref()
+                        .expect("provider holds the data");
+                    let dst_block = dst.blocks[unit.receiver as usize]
+                        .as_mut()
+                        .expect("receiver allocates the data");
+                    if span <= SERIAL_TILE {
+                        replay_unit(&self.fams, &self.runs, *unit, src_block, dst_block);
+                    } else {
+                        let window = (self.receiver_major, lo, lo + SERIAL_TILE);
+                        replay_unit_window(&self.fams, &self.runs, *unit, src_block, dst_block, window);
+                    }
+                    next = self.unit_at((unit.next_group, unit.next_index));
+                }
+            }
         }
     }
 
@@ -605,7 +711,7 @@ impl CopyProgram {
             }
             let mut paired: Vec<PairedUnit<'_>> = Vec::with_capacity(round.len());
             pair_round_units(round, &self.fams, &self.runs, src, dst, &mut paired);
-            replay_chunked(paired, total, threads);
+            replay_chunked(paired, total, threads, None);
         }
     }
 }
@@ -645,32 +751,6 @@ pub(crate) fn pair_round_units<'a>(
         }
     }
     debug_assert!(it.next().is_none(), "round receivers are sorted and distinct");
-}
-
-/// Split paired units into contiguous chunks balanced by element count
-/// (`total` elements across `threads` workers) and replay each chunk
-/// on a scoped worker thread. Receivers are pairwise distinct across
-/// the whole `paired` list by construction, so no locks are needed.
-pub(crate) fn replay_chunked(paired: Vec<PairedUnit<'_>>, total: u64, threads: usize) {
-    let target = total.div_ceil(threads as u64).max(1);
-    std::thread::scope(|scope| {
-        let mut rest = paired;
-        while !rest.is_empty() {
-            let mut weight = 0u64;
-            let mut take = 0usize;
-            while take < rest.len() && (take == 0 || weight < target) {
-                weight += rest[take].2.elements;
-                take += 1;
-            }
-            let tail = rest.split_off(take);
-            let chunk = std::mem::replace(&mut rest, tail);
-            scope.spawn(move || {
-                for (db, sb, unit, fams, runs) in chunk {
-                    replay_unit(fams, runs, unit, sb, db);
-                }
-            });
-        }
-    });
 }
 
 /// The compiled data movement of a whole remap group: one round-aligned
@@ -818,6 +898,48 @@ fn encode_runs(
     Ok(())
 }
 
+/// Thread the serial replay order through the units' `next_*` links;
+/// returns its head and whether it is receiver-major. The order is
+/// major in the rank of the side whose families sweep the wider span —
+/// provider-major for a strided source (gather), receiver-major for a
+/// strided destination (scatter) — so all units of one sparsely swept
+/// block are adjacent. Contiguous units sweep equal spans and take
+/// provider-major, the order of the family and run tables.
+/// O(units log units), independent of the extent.
+fn thread_serial_order(
+    fams: &[StrideFamily],
+    local: &mut [CopyUnit],
+    rounds: &mut [Vec<CopyUnit>],
+) -> Result<((u16, u32), bool), CompileDecline> {
+    let span = |step: fn(&StrideFamily) -> u32| -> u64 {
+        fams.iter().map(|f| f.count as u64 * step(f) as u64).sum()
+    };
+    let receiver_major = span(|f| f.dst_step) > span(|f| f.src_step);
+    let mut order: Vec<((u64, u64), u16, u32)> = Vec::new();
+    let groups = std::iter::once(&*local).chain(rounds.iter().map(Vec::as_slice));
+    for (g, units) in groups.enumerate() {
+        // Group ids stay below the end mark.
+        let g = u16::try_from(g + 1).map_err(|_| CompileDecline::PositionOverflow)? - 1;
+        for (i, u) in units.iter().enumerate() {
+            let key =
+                if receiver_major { (u.receiver, u.provider) } else { (u.provider, u.receiver) };
+            order.push((key, g, fit_u32(i as u64)?));
+        }
+    }
+    // (provider, receiver) pairs are unique, so the order is total.
+    order.sort_unstable();
+    let mut next = (SERIAL_END, 0);
+    for &(_, g, i) in order.iter().rev() {
+        let unit = match g {
+            0 => &mut local[i as usize],
+            g => &mut rounds[g as usize - 1][i as usize],
+        };
+        (unit.next_group, unit.next_index) = next;
+        next = (g, i);
+    }
+    Ok((next, receiver_major))
+}
+
 /// Pick the replay kernel for one unit's encoded runs — decided once
 /// at compile time so replay pays zero per-run classification.
 fn choose_kernel(fams: &[StrideFamily], runs: &[CopyRun]) -> Kernel {
@@ -866,6 +988,41 @@ fn replay_triples(runs: &[CopyRun], unit: CopyUnit, src: &LocalBlock, dst: &mut 
     }
 }
 
+/// Elements of the strided side one pass of the serial walk sweeps:
+/// 256 KiB of `f64`, a tile any L2 holds beside the contiguous streams.
+const SERIAL_TILE: usize = 32768;
+
+/// Replay the part of one unit that falls into a window of the serial
+/// walk: of every family, the runs whose position on the windowed side
+/// (`by_dst`) lies in `lo..hi`; the residual triples — contiguous runs,
+/// which gain nothing from tiling — ride with the first window.
+#[inline]
+fn replay_unit_window(
+    fams: &[StrideFamily],
+    runs: &[CopyRun],
+    unit: CopyUnit,
+    src: &LocalBlock,
+    dst: &mut LocalBlock,
+    (by_dst, lo, hi): (bool, usize, usize),
+) {
+    for f in &fams[unit.fams.0 as usize..unit.fams.1 as usize] {
+        let (base, step) = if by_dst { (f.dst_base, f.dst_step) } else { (f.src_base, f.src_step) };
+        // Runs `k0..k1` start inside the window.
+        let runs_below = |pos: usize| {
+            pos.saturating_sub(base as usize).div_ceil(step.max(1) as usize).min(f.count as usize)
+                as u32
+        };
+        let (k0, k1) = (runs_below(lo), runs_below(hi));
+        if k0 < k1 {
+            let (src_base, dst_base) = (f.src_base + k0 * f.src_step, f.dst_base + k0 * f.dst_step);
+            replay_family(&StrideFamily { src_base, dst_base, count: k1 - k0, ..*f }, src, dst);
+        }
+    }
+    if lo == 0 {
+        replay_triples(runs, unit, src, dst);
+    }
+}
+
 /// Replay one unit by dispatching to the kernel chosen at compile
 /// time: unit-stride → one `copy_from_slice` (memcpy), single-element
 /// families → a tight scalar gather/scatter loop, general families →
@@ -879,29 +1036,10 @@ pub(crate) fn replay_unit(
     dst: &mut LocalBlock,
 ) {
     match unit.kernel {
-        Kernel::Memcpy => {
-            let r = runs[unit.runs.0 as usize];
-            let (s, d, len) = (r.src_pos as usize, r.dst_pos as usize, r.len as usize);
-            dst.data[d..d + len].copy_from_slice(&src.data[s..s + len]);
-        }
-        Kernel::Gather => {
-            for f in &fams[unit.fams.0 as usize..unit.fams.1 as usize] {
-                let (mut s, mut d) = (f.src_base as usize, f.dst_base as usize);
-                let (ss, ds) = (f.src_step as usize, f.dst_step as usize);
-                for _ in 0..f.count {
-                    dst.data[d] = src.data[s];
-                    s += ss;
-                    d += ds;
-                }
-            }
-        }
-        Kernel::Strided => {
-            for f in &fams[unit.fams.0 as usize..unit.fams.1 as usize] {
-                replay_family(f, src, dst);
-            }
-        }
-        Kernel::Triples => replay_triples(runs, unit, src, dst),
-        Kernel::Mixed => {
+        // `Memcpy`: one residual run, one `copy_from_slice`.
+        Kernel::Memcpy | Kernel::Triples => replay_triples(runs, unit, src, dst),
+        // Families, then the residue (empty unless `Mixed`).
+        Kernel::Gather | Kernel::Strided | Kernel::Mixed => {
             for f in &fams[unit.fams.0 as usize..unit.fams.1 as usize] {
                 replay_family(f, src, dst);
             }
@@ -982,42 +1120,6 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Fingerprint of a program's executable content: every stride family,
-/// every residual triple, every unit boundary (family and run ranges,
-/// kernel tag), and the totals. Any single-field corruption of a
-/// cached program changes the value, and memory corruption cannot keep
-/// the stored fingerprint consistent with recomputation.
-fn program_fingerprint(
-    fams: &[StrideFamily],
-    runs: &[CopyRun],
-    local: &[CopyUnit],
-    rounds: &[Vec<CopyUnit>],
-    total_elements: u64,
-) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    h = mix64(h ^ total_elements);
-    h = mix64(h ^ fams.len() as u64);
-    for f in fams {
-        h = mix64(h ^ (((f.src_base as u64) << 32) | f.dst_base as u64));
-        h = mix64(h ^ (((f.src_step as u64) << 32) | f.dst_step as u64));
-        h = mix64(h ^ (((f.count as u64) << 32) | f.len as u64));
-    }
-    h = mix64(h ^ runs.len() as u64);
-    for r in runs {
-        h = mix64(h ^ (((r.src_pos as u64) << 32) | r.dst_pos as u64));
-        h = mix64(h ^ r.len as u64);
-    }
-    h = mix64(h ^ rounds.len() as u64);
-    for u in local.iter().chain(rounds.iter().flatten()) {
-        h = mix64(h ^ (u.provider.rotate_left(32) ^ u.receiver));
-        h = mix64(h ^ (((u.fams.0 as u64) << 32) | u.fams.1 as u64));
-        h = mix64(h ^ (((u.runs.0 as u64) << 32) | u.runs.1 as u64));
-        h = mix64(h ^ u.elements);
-        h = mix64(h ^ u.kernel as u64);
-    }
-    h
-}
-
 /// Number of logical copy runs one unit performs: every run its
 /// stride families encode plus its residual triples — the per-unit
 /// slice of [`CopyProgram::n_runs`], used by the guarded replay's
@@ -1028,59 +1130,32 @@ pub(crate) fn unit_n_runs(fams: &[StrideFamily], unit: CopyUnit) -> u64 {
         + (unit.runs.1 - unit.runs.0) as u64
 }
 
-/// Sum of the *source* words one unit reads, as raw `f64` bits
-/// (wrapping). Together with [`unit_dst_sum`] this is the per-unit
-/// checksum of `HPFC_VALIDATE=checksums`: after a clean replay the two
-/// sums are equal; any scribbled destination word breaks the equality.
-pub(crate) fn unit_src_sum(
+/// Sum of the words one unit reads from its provider block
+/// (`dst_side == false`) or wrote into its receiver block (`true`), as
+/// raw `f64` bits (wrapping) — the per-unit checksum of
+/// `HPFC_VALIDATE=checksums`: after a clean replay the two sides are
+/// equal; any scribbled destination word breaks the equality.
+pub(crate) fn unit_sum(
     fams: &[StrideFamily],
     runs: &[CopyRun],
     unit: CopyUnit,
-    src: &LocalBlock,
+    block: &LocalBlock,
+    dst_side: bool,
 ) -> u64 {
     let mut sum = 0u64;
-    for f in &fams[unit.fams.0 as usize..unit.fams.1 as usize] {
-        let (mut s, ss, len) = (f.src_base as usize, f.src_step as usize, f.len as usize);
-        for _ in 0..f.count {
-            for w in &src.data[s..s + len] {
-                sum = sum.wrapping_add(w.to_bits());
-            }
-            s += ss;
-        }
-    }
-    let (lo, hi) = unit.runs;
-    for r in &runs[lo as usize..hi as usize] {
-        let (s, len) = (r.src_pos as usize, r.len as usize);
-        for w in &src.data[s..s + len] {
+    let mut add = |at: usize, len: usize| {
+        for w in &block.data[at..at + len] {
             sum = sum.wrapping_add(w.to_bits());
         }
-    }
-    sum
-}
-
-/// Sum of the *destination* words one unit wrote (see [`unit_src_sum`]).
-pub(crate) fn unit_dst_sum(
-    fams: &[StrideFamily],
-    runs: &[CopyRun],
-    unit: CopyUnit,
-    dst: &LocalBlock,
-) -> u64 {
-    let mut sum = 0u64;
+    };
     for f in &fams[unit.fams.0 as usize..unit.fams.1 as usize] {
-        let (mut d, ds, len) = (f.dst_base as usize, f.dst_step as usize, f.len as usize);
-        for _ in 0..f.count {
-            for w in &dst.data[d..d + len] {
-                sum = sum.wrapping_add(w.to_bits());
-            }
-            d += ds;
+        let (base, step) = if dst_side { (f.dst_base, f.dst_step) } else { (f.src_base, f.src_step) };
+        for k in 0..f.count as usize {
+            add(base as usize + k * step as usize, f.len as usize);
         }
     }
-    let (lo, hi) = unit.runs;
-    for r in &runs[lo as usize..hi as usize] {
-        let (d, len) = (r.dst_pos as usize, r.len as usize);
-        for w in &dst.data[d..d + len] {
-            sum = sum.wrapping_add(w.to_bits());
-        }
+    for r in &runs[unit.runs.0 as usize..unit.runs.1 as usize] {
+        add(if dst_side { r.dst_pos } else { r.src_pos } as usize, r.len as usize);
     }
     sum
 }
@@ -1113,12 +1188,16 @@ pub(crate) fn flip_unit_word(
     false
 }
 
-/// [`replay_chunked`], with fault-injection hooks: when `panic_chunk`
-/// is `Some(i)`, the worker running chunk `i` panics halfway through
-/// its units (the `WorkerPanic` fault) — `std::thread::scope`
-/// propagates that panic to the caller at join, where the guarded
-/// replay catches it with `catch_unwind` and degrades the round.
-pub(crate) fn replay_chunked_guarded(
+/// Split paired units into contiguous chunks balanced by element count
+/// (`total` elements across `threads` workers) and replay each chunk
+/// on a scoped worker thread. Receivers are pairwise distinct across
+/// the whole `paired` list by construction, so no locks are needed.
+/// The fault-injection hook: when `panic_chunk` is `Some(i)`, the
+/// worker running chunk `i` panics halfway through its units (the
+/// `WorkerPanic` fault) — `std::thread::scope` propagates that panic to
+/// the caller at join, where the guarded replay catches it with
+/// `catch_unwind` and degrades the round.
+pub(crate) fn replay_chunked(
     paired: Vec<PairedUnit<'_>>,
     total: u64,
     threads: usize,
@@ -1201,6 +1280,43 @@ mod tests {
         let mut local: Vec<u64> = prog.local.iter().map(|u| u.receiver).collect();
         local.dedup();
         assert_eq!(local.len(), prog.local.len());
+    }
+
+    #[test]
+    fn serial_order_is_blocked_by_the_strided_side() {
+        let block = mk(4096, 8, DimFormat::Block(None));
+        let cyclic = mk(4096, 8, DimFormat::Cyclic(None));
+        // Gather (strided source): all units of one provider in a row.
+        let (_, gather) = compiled(&block, &cyclic);
+        let walk: Vec<(u64, u64)> =
+            gather.serial_order().map(|u| (u.provider, u.receiver)).collect();
+        assert_eq!(walk.len(), 8 * 8, "every unit exactly once");
+        assert!(walk.windows(2).all(|w| w[0] < w[1]), "provider-major");
+        // Scatter (strided destination): all units of one receiver.
+        let (_, scatter) = compiled(&cyclic, &block);
+        let walk: Vec<(u64, u64)> =
+            scatter.serial_order().map(|u| (u.receiver, u.provider)).collect();
+        assert_eq!(walk.len(), 8 * 8);
+        assert!(walk.windows(2).all(|w| w[0] < w[1]), "receiver-major");
+        // The order rides in the unit descriptors: same artifact size,
+        // same walk after re-encoding, and covered by the fingerprint.
+        let units = gather.local.len() + gather.rounds.iter().map(Vec::len).sum::<usize>();
+        assert_eq!(
+            gather.artifact_bytes(),
+            gather.fams.len() * 24 + gather.runs.len() * 12 + units * 48
+        );
+        let flat = gather.expand_to_triples();
+        assert!(flat.integrity_ok());
+        assert!(flat
+            .serial_order()
+            .map(|u| (u.provider, u.receiver))
+            .eq(gather.serial_order().map(|u| (u.provider, u.receiver))));
+        let mut bad = gather.clone();
+        bad.local[0].next_index ^= 1;
+        assert!(!bad.integrity_ok(), "a scribbled serial link must be detected");
+        let mut bad = gather;
+        bad.serial_head.1 ^= 1;
+        assert!(!bad.integrity_ok(), "a scribbled serial head must be detected");
     }
 
     #[test]

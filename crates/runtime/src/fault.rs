@@ -39,8 +39,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::exec::{
-    flip_unit_word, mix64, pair_round_units, replay_chunked_guarded, replay_unit, unit_dst_sum,
-    unit_src_sum, CopyProgram, CopyRun, CopyUnit, ExecMode,
+    flip_unit_word, mix64, pair_round_units, replay_chunked, replay_unit, unit_sum,
+    CopyProgram, CopyRun, CopyUnit, ExecMode,
 };
 use crate::machine::Machine;
 use crate::status::PlannedRemap;
@@ -525,7 +525,7 @@ pub(crate) fn replay_round_guarded(
             let mut paired = Vec::with_capacity(effective.len());
             pair_round_units(effective, fams, runs, src, dst, &mut paired);
             let boom = matches!(fault, Some((FaultKind::WorkerPanic, _))).then_some(0);
-            replay_chunked_guarded(paired, weight, mode.threads(), boom);
+            replay_chunked(paired, weight, mode.threads(), boom);
         } else {
             for unit in effective {
                 let sb = src.blocks[unit.provider as usize]
@@ -558,8 +558,8 @@ pub(crate) fn replay_round_guarded(
                 src.blocks[unit.provider as usize].as_ref().expect("provider holds the data");
             let db =
                 dst.blocks[unit.receiver as usize].as_ref().expect("receiver allocates the data");
-            read = read.wrapping_add(unit_src_sum(fams, runs, *unit, sb));
-            written = written.wrapping_add(unit_dst_sum(fams, runs, *unit, db));
+            read = read.wrapping_add(unit_sum(fams, runs, *unit, sb, false));
+            written = written.wrapping_add(unit_sum(fams, runs, *unit, db, true));
         }
         if read != written {
             return Err(RoundFailure::Mismatch);

@@ -31,9 +31,9 @@ use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use crate::exec::{flip_unit_word, pair_round_units, replay_chunked, replay_chunked_guarded,
-                  replay_unit, unit_dst_sum, unit_src_sum, CopyProgram, CopyUnit, ExecMode,
-                  round_goes_inline, unit_n_runs, GroupCopyProgram, PairedUnit};
+use crate::exec::{flip_unit_word, pair_round_units, replay_chunked, replay_unit,
+                  round_goes_inline, unit_n_runs, unit_sum, CopyProgram, CopyUnit, ExecMode,
+                  GroupCopyProgram, PairedUnit};
 use crate::fault::{poison_program, run_round_ladder, ExecError, FaultKind, RoundCtx,
                    RoundFailure, ValidationLevel};
 use crate::machine::Machine;
@@ -287,7 +287,8 @@ fn remap_group_body(
     // restricted to the movers, replay the group program.
     for (i, m) in members.iter_mut().enumerate() {
         if mask & (1 << i) != 0 {
-            m.rt.ensure_allocated(machine, m.target);
+            let claim = planned.program.as_ref().map(|g| &g.members[i]);
+            m.rt.allocate_for(machine, m.target, claim);
         }
     }
     for r in 0..planned.schedule.rounds.len() {
@@ -434,7 +435,7 @@ fn replay_parallel(
             let (src, dst) = member_pair(m.rt, m.src, m.target);
             pair_round_units(units, &mp.fams, &mp.runs, src, dst, &mut paired);
         }
-        replay_chunked(paired, total, threads);
+        replay_chunked(paired, total, threads, None);
     }
 }
 
@@ -643,7 +644,7 @@ fn replay_group_round_guarded(
                 pair_round_units(units, &mp.fams, &mp.runs, src, dst, &mut paired);
             }
             let boom = matches!(fault, Some((FaultKind::WorkerPanic, _))).then_some(0);
-            replay_chunked_guarded(paired, weight, mode.threads(), boom);
+            replay_chunked(paired, weight, mode.threads(), boom);
         } else {
             for (i, m) in members.iter_mut().enumerate() {
                 if taken[i] == 0 {
@@ -712,8 +713,8 @@ fn replay_group_round_guarded(
                 let db = dst.blocks[unit.receiver as usize]
                     .as_ref()
                     .expect("receiver allocates the data");
-                read = read.wrapping_add(unit_src_sum(&mp.fams, &mp.runs, *unit, sb));
-                written = written.wrapping_add(unit_dst_sum(&mp.fams, &mp.runs, *unit, db));
+                read = read.wrapping_add(unit_sum(&mp.fams, &mp.runs, *unit, sb, false));
+                written = written.wrapping_add(unit_sum(&mp.fams, &mp.runs, *unit, db, true));
             }
         }
         per_member[i].0 += mruns;

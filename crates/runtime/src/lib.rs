@@ -5,7 +5,7 @@
 //! communications happen** (message and byte counts, who talks to
 //! whom), not wire-level timing. This crate provides a deterministic
 //! substitute for that environment (Rust MPI bindings being thin — see
-//! DESIGN.md §2):
+//! `ARCHITECTURE.md`, "Crate map"):
 //!
 //! * [`machine::Machine`] — `P` logical processors, a latency/bandwidth
 //!   cost model, exact message/byte/time accounting, and per-processor

@@ -12,6 +12,10 @@
 //! copy outside the may-live set. [`ArrayRt::evict`] models the
 //! memory-pressure path: a live non-current copy may be dropped at any
 //! time and is regenerated (with communication) if needed again.
+//!
+//! *Modeled* memory (`Machine::mem`) follows Fig. 20 to the byte; *host*
+//! storage does not: a freed copy is parked for the next allocation of
+//! the same version (remap loops free and re-request the same shapes).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -57,6 +61,17 @@ impl PlannedRemap {
     }
 }
 
+/// Host buffers of freed versions (index = version subscript). A clone
+/// starts with none: parked storage is not array state.
+#[derive(Debug)]
+struct Parked(Vec<Option<VersionData>>);
+
+impl Clone for Parked {
+    fn clone(&self) -> Self {
+        Parked(vec![None; self.0.len()])
+    }
+}
+
 /// Runtime state of one dynamic array.
 #[derive(Debug, Clone)]
 pub struct ArrayRt {
@@ -78,6 +93,8 @@ pub struct ArrayRt {
     /// its mapping. Shared by reference: cloning the descriptor does
     /// not replan.
     pub plan_cache: BTreeMap<(u32, u32), Arc<PlannedRemap>>,
+    /// Freed-but-kept host storage, see [`ArrayRt::free_copy`].
+    parked: Parked,
 }
 
 impl ArrayRt {
@@ -92,6 +109,7 @@ impl ArrayRt {
             status: None,
             elem_size,
             plan_cache: BTreeMap::new(),
+            parked: Parked(vec![None; n]),
         }
     }
 
@@ -272,36 +290,77 @@ impl ArrayRt {
         self.plan_cache.insert((src, dst), canonical);
     }
 
-    /// Ensure version `v` has storage (lazy allocation, with memory
-    /// accounting).
+    /// Ensure version `v` has zero-filled storage (lazy allocation,
+    /// with memory accounting).
     pub fn ensure_allocated(&mut self, machine: &mut Machine, v: u32) {
-        if self.copies[v as usize].is_none() {
-            let data = VersionData::new(self.mappings[v as usize].clone(), self.elem_size);
-            for r in 0..machine.nprocs {
-                machine.mem.alloc(r as usize, data.bytes_on(r));
-            }
-            self.copies[v as usize] = Some(data);
-        }
+        self.allocate_for(machine, v, None);
     }
 
-    /// Free version `v`'s storage and clear its live flag.
+    /// [`ArrayRt::ensure_allocated`] for the destination of a remap
+    /// that replays `claim`: a parked buffer of version `v` is taken
+    /// back, zeroed like a fresh one unless the program provably
+    /// overwrites every element.
+    pub(crate) fn allocate_for(
+        &mut self,
+        machine: &mut Machine,
+        v: u32,
+        claim: Option<&CopyProgram>,
+    ) {
+        if self.copies[v as usize].is_some() {
+            return;
+        }
+        let data = match self.parked.0[v as usize].take() {
+            Some(mut data) => {
+                let overwritten = claim
+                    .is_some_and(|p| p.total_elements * data.elem_size == data.total_bytes());
+                if !overwritten {
+                    data.clear();
+                }
+                data
+            }
+            None => {
+                // Only a fresh buffer grows allocated + parked, so
+                // dropping the parked ones here keeps that sum under
+                // the high-water of `allocated_bytes()` alone.
+                self.release_parked();
+                VersionData::new(self.mappings[v as usize].clone(), self.elem_size)
+            }
+        };
+        for r in 0..machine.nprocs {
+            machine.mem.alloc(r as usize, data.bytes_on(r));
+        }
+        self.copies[v as usize] = Some(data);
+    }
+
+    /// Free version `v`'s storage and clear its live flag: the modeled
+    /// memory is billed as freed, the host buffer is parked for the
+    /// next allocation of `v`.
     pub fn free_copy(&mut self, machine: &mut Machine, v: u32) {
         if let Some(data) = self.copies[v as usize].take() {
             for r in 0..machine.nprocs {
                 machine.mem.free(r as usize, data.bytes_on(r));
             }
+            self.parked.0[v as usize] = Some(data);
         }
         self.live[v as usize] = false;
     }
 
+    /// Drop every parked buffer — for callers that know no version will
+    /// be re-requested (routine exit).
+    pub fn release_parked(&mut self) {
+        self.parked.0.fill(None);
+    }
+
     /// Memory-pressure eviction (Sec. 5.2 end): drop a live, non-current
-    /// copy; it will be regenerated with communication if needed later.
-    /// Returns whether anything was evicted.
+    /// copy — its host storage really goes, nothing is parked; it will
+    /// be regenerated with communication if needed later. Returns
+    /// whether anything was evicted.
     pub fn evict(&mut self, machine: &mut Machine, v: u32) -> bool {
         if Some(v) == self.status || self.copies[v as usize].is_none() {
             return false;
         }
         self.free_copy(machine, v);
+        self.parked.0[v as usize] = None;
         true
     }
 
@@ -406,7 +465,15 @@ impl ArrayRt {
             machine.stats.remaps_skipped_noop += 1;
         } else {
             let target_preallocated = self.copies[target as usize].is_some();
-            self.ensure_allocated(machine, target);
+            // The program about to run decides whether a recycled
+            // target needs zeroing.
+            let claim = match self.status {
+                Some(src) if !values_dead && !target_preallocated => {
+                    self.plan_cache.get(&(src, target)).cloned()
+                }
+                _ => None,
+            };
+            self.allocate_for(machine, target, claim.as_deref().and_then(|p| p.program.as_ref()));
             if self.live[target as usize] {
                 // Live-copy reuse: no communication at all (App. D).
                 machine.stats.remaps_reused_live += 1;
@@ -797,6 +864,44 @@ mod tests {
         // Memory accounting went down to one copy.
         let one_copy: u64 = a.allocated_bytes();
         assert_eq!(one_copy, 16 * 8);
+        // The modeled books are those of a plain free (one 32-byte
+        // block per rank now, two at the peak); only the host buffer
+        // is kept back.
+        assert_eq!(m.mem.current, vec![32; 4]);
+        assert_eq!(m.mem.peak, vec![64; 4]);
+        assert!(a.parked.0[0].is_some());
+    }
+
+    #[test]
+    fn parked_storage_is_recycled_zeroed_and_never_cloned() {
+        let (mut m, mut a) = rt();
+        a.current(&mut m, 0).fill(|p| 1.0 + p[0] as f64);
+        a.remap(&mut m, 1, &[1u32].into_iter().collect(), false);
+        let parked_at = a.parked.0[0].as_ref().expect("cleaning parked v0").blocks[0]
+            .as_ref()
+            .unwrap()
+            .data
+            .as_ptr();
+        // A clone shares nothing with the parked buffers.
+        let twin = a.clone();
+        assert!(twin.parked.0.iter().all(Option::is_none));
+        assert_eq!(twin.allocated_bytes(), a.allocated_bytes());
+        // A dead-values remap claims the parked buffer — the very same
+        // allocation — and must read zeros, like a fresh one.
+        a.remap(&mut m, 0, &[0u32].into_iter().collect(), true);
+        let v0 = a.copies[0].as_ref().unwrap();
+        assert_eq!(v0.blocks[0].as_ref().unwrap().data.as_ptr(), parked_at);
+        assert!(v0.to_dense().iter().all(|&x| x == 0.0));
+        assert!(a.parked.0[0].is_none() && a.parked.0[1].is_some());
+        // A fresh allocation of a third version releases what is parked:
+        // allocated + parked never exceeds what was once allocated alone.
+        a.remap(&mut m, 2, &[0u32, 2].into_iter().collect(), false);
+        assert!(a.parked.0.iter().all(Option::is_none));
+        assert_eq!(m.mem.current, vec![64; 4]);
+        assert_eq!(m.mem.peak, vec![64; 4]);
+        a.free_copy(&mut m, 0);
+        a.release_parked();
+        assert!(a.parked.0.iter().all(Option::is_none));
     }
 
     #[test]
@@ -805,9 +910,12 @@ mod tests {
         a.current(&mut m, 0).fill(|p| 2.0 * p[0] as f64);
         let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
         a.remap(&mut m, 1, &keep, false);
-        // Pressure: drop the live copy 0.
+        // Pressure: drop the live copy 0 — allocated and parked alike.
         assert!(a.evict(&mut m, 0));
         assert!(!a.live[0]);
+        assert!(a.copies[0].is_none() && a.parked.0[0].is_none());
+        assert_eq!(a.allocated_bytes(), 16 * 8);
+        assert_eq!(m.mem.current, vec![32; 4]);
         // Status copy cannot be evicted.
         assert!(!a.evict(&mut m, 1));
         // Going back to 0 regenerates it with communication.
@@ -815,6 +923,9 @@ mod tests {
         a.remap(&mut m, 0, &keep, false);
         assert_eq!(m.stats.remaps_performed, performed + 1);
         assert_eq!(a.get(&[7]), 14.0);
+        assert_eq!(a.allocated_bytes(), 2 * 16 * 8);
+        assert_eq!(m.mem.current, vec![64; 4]);
+        assert_eq!(m.mem.peak, vec![64; 4]);
     }
 
     #[test]

@@ -74,6 +74,14 @@ impl VersionData {
         VersionData { mapping, blocks, elem_size }
     }
 
+    /// Zero every element — what [`VersionData::new`] hands out, for
+    /// storage that is being reused.
+    pub(crate) fn clear(&mut self) {
+        for block in self.blocks.iter_mut().flatten() {
+            block.data.fill(0.0);
+        }
+    }
+
     /// Bytes allocated on processor `rank`.
     pub fn bytes_on(&self, rank: u64) -> u64 {
         self.blocks[rank as usize]

@@ -476,4 +476,36 @@ fn steady_state_remap_allocates_nothing() {
     assert_eq!(machine.stats.registry_misses, 2);
     assert_eq!(machine.stats.symbolic_instantiations, 0, "no new instantiation points");
     assert_eq!(machine.stats.symbolic_declines, 0, "the shape is symbolic");
+
+    // --- 9. A bounce whose cleaning frees the source recycles storage. -
+    // Fig. 20 with `M = {target}`: every remap allocates its target and
+    // cleaning frees the source right after — the shape of every
+    // in-program remap loop. The freed copy is parked and the next
+    // remap in that direction takes it back, so after one warm-up round
+    // trip `remap -> clean -> remap` never reaches the allocator:
+    // neither for the data, nor for the owned-index lists, nor for the
+    // block table. (Both cached programs overwrite every destination
+    // element, so the recycled buffers are not even re-zeroed.)
+    let src = mk(n, 4, DimFormat::Block(None));
+    let dst = mk(n, 4, DimFormat::Cyclic(None));
+    let mut machine = Machine::new(4).with_exec_mode(ExecMode::Serial).without_registry();
+    let mut rt = ArrayRt::new("a", vec![src, dst], 8);
+    rt.current(&mut machine, 0).fill(|p| p[0] as f64);
+    let (only0, only1): (BTreeSet<u32>, BTreeSet<u32>) = ([0u32].into(), [1u32].into());
+    rt.remap(&mut machine, 1, &only1, false);
+    rt.remap(&mut machine, 0, &only0, false);
+    let performed = machine.stats.remaps_performed;
+    let peak = machine.mem.peak.clone();
+    for i in 0..10u64 {
+        rt.set(&[i], -1.0);
+        let before = allocations();
+        rt.remap(&mut machine, 1, &only1, false);
+        assert!(rt.copies[0].is_none(), "cleaning freed the source");
+        rt.remap(&mut machine, 0, &only0, false);
+        assert!(rt.copies[1].is_none(), "cleaning freed the source");
+        assert_eq!(allocations(), before, "recycling bounce {i} allocated");
+    }
+    assert_eq!(machine.stats.remaps_performed, performed + 20, "every remap moved data");
+    assert_eq!(machine.mem.peak, peak, "modeled memory is billed exactly as before");
+    assert!((0..n).all(|i| rt.get(&[i]) == if i < 10 { -1.0 } else { i as f64 }));
 }

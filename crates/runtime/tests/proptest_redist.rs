@@ -303,6 +303,18 @@ proptest! {
         }
         let n_remote: usize = program.rounds.iter().map(Vec::len).sum();
         prop_assert_eq!(n_remote, schedule.messages.len());
+        // The serial replay order is a permutation of the same units
+        // ((provider, receiver) pairs are unique within a program).
+        let pairs = |units: &mut dyn Iterator<Item = &hpfc_runtime::CopyUnit>| {
+            let mut v: Vec<(u64, u64)> = units.map(|u| (u.provider, u.receiver)).collect();
+            v.sort_unstable();
+            v
+        };
+        prop_assert_eq!(
+            pairs(&mut program.serial_order()),
+            pairs(&mut program.local.iter().chain(program.rounds.iter().flatten())),
+            "serial order is not a permutation of local ∪ rounds"
+        );
     }
 
     /// The message-level schedule agrees with its plan message for
