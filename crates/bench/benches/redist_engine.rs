@@ -303,7 +303,7 @@ fn bench_registry_sessions(c: &mut Criterion) {
     g.finish();
 }
 
-/// Symbolic plans in P (`HPFC_SYMBOLIC`): launch-time instantiation vs
+/// Symbolic plans in P: launch-time instantiation vs
 /// re-running the planner. `replan` is the concrete cost a re-provision
 /// pays per mapping pair without the symbolic layer (closed-form plan +
 /// caterpillar schedule + program compile from the concrete mappings);
@@ -516,15 +516,12 @@ fn bench_fault_overhead(c: &mut Criterion) {
 }
 
 /// What the transaction costs. `txn_on_default` is the default machine
-/// (`HPFC_TXN=on`, no faults, no validation): the snapshot is armed
-/// only on the guarded path, so this must be indistinguishable from
-/// the plain cached bounce — the transactional machinery is one branch
-/// here. `txn_on_counts` runs guarded AND armed: every bounce captures
-/// a rollback record (destination runs into the machine's reused
-/// scratch arena) and commits it — the true price of all-or-nothing
-/// remaps. `txn_off_counts` is the same guarded bounce with the
-/// transaction disabled, isolating the snapshot cost from the
-/// validation cost.
+/// (no faults, no validation): the snapshot is armed only on the
+/// guarded path, so this must be indistinguishable from the plain
+/// cached bounce — the transactional machinery is one branch here.
+/// `txn_on_counts` runs guarded AND armed: every bounce captures a
+/// rollback record (destination runs into the machine's reused scratch
+/// arena) and commits it — the true price of all-or-nothing remaps.
 fn bench_txn_overhead(c: &mut Criterion) {
     use hpfc::runtime::ValidationLevel;
 
@@ -534,8 +531,8 @@ fn bench_txn_overhead(c: &mut Criterion) {
     let dst = mk(n, 16, DimFormat::Cyclic(Some(4)));
     let keep: std::collections::BTreeSet<u32> = [0u32, 1].into_iter().collect();
 
-    let bounce = |txn: bool, validation: ValidationLevel, b: &mut criterion::Bencher| {
-        let mut m = Machine::new(16).with_txn(txn).with_validation(validation);
+    let bounce = |validation: ValidationLevel, b: &mut criterion::Bencher| {
+        let mut m = Machine::new(16).with_validation(validation);
         let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
         rt.current(&mut m, 0).fill(|p| p[0] as f64);
         b.iter(|| {
@@ -547,9 +544,8 @@ fn bench_txn_overhead(c: &mut Criterion) {
         })
     };
 
-    g.bench_function("txn_on_default", |b| bounce(true, ValidationLevel::Off, b));
-    g.bench_function("txn_on_counts", |b| bounce(true, ValidationLevel::Counts, b));
-    g.bench_function("txn_off_counts", |b| bounce(false, ValidationLevel::Counts, b));
+    g.bench_function("txn_on_default", |b| bounce(ValidationLevel::Off, b));
+    g.bench_function("txn_on_counts", |b| bounce(ValidationLevel::Counts, b));
     g.finish();
 }
 

@@ -226,18 +226,16 @@ impl<'a> Lowerer<'a> {
             .map(|&r| {
                 let src = self.rg.versions.mapping_of(VersionId { array: a, index: r });
                 let planned = match PlanRegistry::global() {
-                    // Symbolic keying first (`HPFC_SYMBOLIC`, default
-                    // on): a registered concrete artifact (seeded or
-                    // installed) is always honored, then the
-                    // format-pair table instantiates at this pair's
-                    // `(P, extent)` point; shapes it declines compile
-                    // on the concrete keys as before.
-                    Some(reg) if hpfc_runtime::symbolic::enabled_from_env() => reg
+                    // Symbolic keying first: a registered concrete
+                    // artifact (seeded or installed) is always honored,
+                    // then the format-pair table instantiates at this
+                    // pair's `(P, extent)` point; shapes it declines
+                    // compile on the concrete keys.
+                    Some(reg) => reg
                         .probe(src, dst, elem)
                         .0
                         .or_else(|| reg.get_or_instantiate(src, dst, elem).map(|(p, _)| p))
                         .unwrap_or_else(|| reg.get_or_compile(src, dst, elem).0),
-                    Some(reg) => reg.get_or_compile(src, dst, elem).0,
                     None => Arc::new(PlannedRemap::compile(plan_redistribution(src, dst, elem))),
                 };
                 SpmdCopy { src: r, planned }
@@ -325,9 +323,10 @@ impl<'a> Lowerer<'a> {
                 solos.push(op);
             }
         }
-        // The runtime's mover mask is a u64, so a group coalesces at
-        // most 64 members; a larger directive (65+ aligned arrays) is
-        // emitted as several groups, each coalescing internally.
+        // A group is emitted with at most 64 members (a bound of this
+        // lowering, not of the runtime, which coalesces any number); a
+        // larger directive (65+ aligned arrays) is emitted as several
+        // groups, each coalescing internally.
         const MAX_GROUP_MEMBERS: usize = 64;
         for (_, mut members) in buckets {
             while !members.is_empty() {

@@ -2,9 +2,11 @@
 //! once at plan time into stride-encoded run families
 //! ([`StrideFamily`]) plus an irregular residue of flat
 //! `(src_pos, dst_pos, len)` triples, each unit tagged with the replay
-//! [`Kernel`] its shape compiles to — then replayed allocation-free
-//! ever after, optionally with the caterpillar rounds executed across
-//! `std::thread::scope` workers.
+//! [`Kernel`] its shape compiles to. This module is the *artifact* —
+//! its encoding, its compilation, its fingerprint; the one interpreter
+//! that replays it (allocation-free, optionally with the caterpillar
+//! rounds split across `std::thread::scope` workers) is the crate's
+//! `replay` module.
 //!
 //! # Before / after
 //!
@@ -57,7 +59,7 @@ use hpfc_mapping::intervals::intersect_runs;
 
 use crate::redist::{DimContribution, RedistPlan};
 use crate::schedule::CommSchedule;
-use crate::store::{LocalBlock, VersionData};
+use crate::store::VersionData;
 
 /// How a [`CopyProgram`] replay runs the rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -621,18 +623,6 @@ impl CopyProgram {
         self.mappings.0 == src.mapping && self.mappings.1 == dst.mapping
     }
 
-    /// Replay the program: move every precompiled run from `src`'s
-    /// blocks into `dst`'s. The caller guarantees `dst`/`src` are the
-    /// version pair the program was compiled for (checked by
-    /// [`CopyProgram::compiled_for`] in the public entry point).
-    pub(crate) fn execute(&self, dst: &mut VersionData, src: &VersionData, mode: ExecMode) {
-        debug_assert_eq!(dst.mapping.array_extents, src.mapping.array_extents);
-        match mode {
-            ExecMode::Parallel(t) if t > 1 => self.execute_parallel(dst, src, t),
-            _ => self.execute_serial(dst, src),
-        }
-    }
-
     /// Every unit exactly once — a permutation of `local ∪ rounds` — in
     /// the cache-blocked order threaded at compile time.
     pub fn serial_order(&self) -> impl Iterator<Item = &CopyUnit> + '_ {
@@ -642,126 +632,23 @@ impl CopyProgram {
     }
 
     /// The unit a serial link points at (`None` for the end mark).
-    fn unit_at(&self, (group, index): (u16, u32)) -> Option<&CopyUnit> {
+    pub(crate) fn unit_at(&self, (group, index): (u16, u32)) -> Option<&CopyUnit> {
         match group {
             SERIAL_END => None,
             0 => Some(&self.local[index as usize]),
             g => Some(&self.rounds[g as usize - 1][index as usize]),
         }
     }
-
-    /// Serial replay — the allocation-free steady-state path. Walks the
-    /// blocked order one block of the strided side at a time and sweeps
-    /// that block tile by tile: every unit touching it replays its runs
-    /// inside the tile before the walk moves on, so the tile stays
-    /// cache-resident however large the block is.
-    fn execute_serial(&self, dst: &mut VersionData, src: &VersionData) {
-        let major = |u: &CopyUnit| if self.receiver_major { u.receiver } else { u.provider };
-        let mut next = self.unit_at(self.serial_head);
-        while let Some(first) = next {
-            let (p, r) = (first.provider as usize, first.receiver as usize);
-            let block = if self.receiver_major { &dst.blocks[r] } else { &src.blocks[p] };
-            let span = block.as_ref().map_or(0, |b| b.data.len());
-            for lo in (0..span.max(1)).step_by(SERIAL_TILE) {
-                next = Some(first); // every tile re-walks the block's units
-                while let Some(unit) = next.filter(|u| major(u) == major(first)) {
-                    let src_block = src.blocks[unit.provider as usize]
-                        .as_ref()
-                        .expect("provider holds the data");
-                    let dst_block = dst.blocks[unit.receiver as usize]
-                        .as_mut()
-                        .expect("receiver allocates the data");
-                    if span <= SERIAL_TILE {
-                        replay_unit(&self.fams, &self.runs, *unit, src_block, dst_block);
-                    } else {
-                        let window = (self.receiver_major, lo, lo + SERIAL_TILE);
-                        replay_unit_window(&self.fams, &self.runs, *unit, src_block, dst_block, window);
-                    }
-                    next = self.unit_at((unit.next_group, unit.next_index));
-                }
-            }
-        }
-    }
-
-    /// Parallel replay: per round (local group first), pair each unit
-    /// with its receiver's block in one pass over the block table —
-    /// receivers within a round are pairwise distinct, so every `&mut`
-    /// handed to a worker is unique — then split the units into
-    /// `threads` contiguous chunks balanced by element count. Rounds
-    /// below [`PARALLEL_THRESHOLD`] elements replay inline
-    /// ([`round_goes_inline`]): a thread spawn costs tens of
-    /// microseconds, which only a round with real volume can amortize.
-    fn execute_parallel(&self, dst: &mut VersionData, src: &VersionData, threads: usize) {
-        for round in std::iter::once(&self.local).chain(self.rounds.iter()) {
-            if round.is_empty() {
-                continue;
-            }
-            let total: u64 = round.iter().map(|u| u.elements).sum();
-            if round_goes_inline(total) {
-                for unit in round {
-                    let src_block = src.blocks[unit.provider as usize]
-                        .as_ref()
-                        .expect("provider holds the data");
-                    let dst_block = dst.blocks[unit.receiver as usize]
-                        .as_mut()
-                        .expect("receiver allocates the data");
-                    replay_unit(&self.fams, &self.runs, *unit, src_block, dst_block);
-                }
-                continue;
-            }
-            let mut paired: Vec<PairedUnit<'_>> = Vec::with_capacity(round.len());
-            pair_round_units(round, &self.fams, &self.runs, src, dst, &mut paired);
-            replay_chunked(paired, total, threads, None);
-        }
-    }
-}
-
-/// One parallel-replay work item: the receiving block, the providing
-/// block, the unit, and the family/run tables its ranges index.
-pub(crate) type PairedUnit<'a> =
-    (&'a mut LocalBlock, &'a LocalBlock, CopyUnit, &'a [StrideFamily], &'a [CopyRun]);
-
-/// Pair one program's round units with their receiving blocks in a
-/// single pass over the destination block table — valid because units
-/// are sorted by receiver and receivers within a round are distinct
-/// (the caterpillar contention-freedom), so every `&mut` handed out is
-/// unique. Appends to `out` so callers can pool several programs'
-/// units (the group replay) before spawning.
-pub(crate) fn pair_round_units<'a>(
-    units: &'a [CopyUnit],
-    fams: &'a [StrideFamily],
-    runs: &'a [CopyRun],
-    src: &'a VersionData,
-    dst: &'a mut VersionData,
-    out: &mut Vec<PairedUnit<'a>>,
-) {
-    let mut it = units.iter().peekable();
-    for (rank, slot) in dst.blocks.iter_mut().enumerate() {
-        match it.peek() {
-            Some(u) if u.receiver == rank as u64 => {
-                let db = slot.as_mut().expect("receiver allocates the data");
-                let sb = src.blocks[u.provider as usize]
-                    .as_ref()
-                    .expect("provider holds the data");
-                out.push((db, sb, **u, fams, runs));
-                it.next();
-            }
-            Some(_) => {}
-            None => break,
-        }
-    }
-    debug_assert!(it.next().is_none(), "round receivers are sorted and distinct");
 }
 
 /// The compiled data movement of a whole remap group: one round-aligned
 /// member [`CopyProgram`] per member plan of the group's merged
 /// [`CommSchedule`]. Every member's `rounds[r]` holds its units of
-/// merged wire round `r` (empty rounds kept), so the group replay
-/// ([`crate::group::remap_group`]) can walk the rounds once and move
-/// every member array's units of that round together — serially in
-/// member order (receiving *blocks* are distinct across members: each
-/// member writes its own array's storage) or split across scoped worker
-/// threads in [`ExecMode::Parallel`].
+/// merged wire round `r` (empty rounds kept), so a parallel or guarded
+/// group replay ([`crate::group::remap_group`]) can walk the rounds
+/// once and move every member array's units of that round together
+/// (receiving *blocks* are distinct across members: each member writes
+/// its own array's storage).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupCopyProgram {
     /// One round-aligned program per member plan, in group order; every
@@ -786,12 +673,6 @@ impl GroupCopyProgram {
         debug_assert!(members.iter().all(|m| m.rounds.len() == merged.rounds.len()));
         let total_elements = members.iter().map(|m| m.total_elements).sum();
         Some(GroupCopyProgram { members, n_rounds: merged.rounds.len(), total_elements })
-    }
-
-    /// Whether every member program's fingerprint still matches its
-    /// contents (see [`CopyProgram::integrity_ok`]).
-    pub fn integrity_ok(&self) -> bool {
-        self.members.iter().all(CopyProgram::integrity_ok)
     }
 }
 
@@ -954,100 +835,6 @@ fn choose_kernel(fams: &[StrideFamily], runs: &[CopyRun]) -> Kernel {
     }
 }
 
-/// Replay every run of one stride family.
-#[inline]
-fn replay_family(f: &StrideFamily, src: &LocalBlock, dst: &mut LocalBlock) {
-    let (mut s, mut d) = (f.src_base as usize, f.dst_base as usize);
-    let (ss, ds, len) = (f.src_step as usize, f.dst_step as usize, f.len as usize);
-    if len == 1 {
-        for _ in 0..f.count {
-            dst.data[d] = src.data[s];
-            s += ss;
-            d += ds;
-        }
-    } else {
-        for _ in 0..f.count {
-            dst.data[d..d + len].copy_from_slice(&src.data[s..s + len]);
-            s += ss;
-            d += ds;
-        }
-    }
-}
-
-/// Replay one unit's residual triples (the pre-stride flat loop).
-#[inline]
-fn replay_triples(runs: &[CopyRun], unit: CopyUnit, src: &LocalBlock, dst: &mut LocalBlock) {
-    let (lo, hi) = unit.runs;
-    for r in &runs[lo as usize..hi as usize] {
-        let (s, d, len) = (r.src_pos as usize, r.dst_pos as usize, r.len as usize);
-        if len == 1 {
-            dst.data[d] = src.data[s];
-        } else {
-            dst.data[d..d + len].copy_from_slice(&src.data[s..s + len]);
-        }
-    }
-}
-
-/// Elements of the strided side one pass of the serial walk sweeps:
-/// 256 KiB of `f64`, a tile any L2 holds beside the contiguous streams.
-const SERIAL_TILE: usize = 32768;
-
-/// Replay the part of one unit that falls into a window of the serial
-/// walk: of every family, the runs whose position on the windowed side
-/// (`by_dst`) lies in `lo..hi`; the residual triples — contiguous runs,
-/// which gain nothing from tiling — ride with the first window.
-#[inline]
-fn replay_unit_window(
-    fams: &[StrideFamily],
-    runs: &[CopyRun],
-    unit: CopyUnit,
-    src: &LocalBlock,
-    dst: &mut LocalBlock,
-    (by_dst, lo, hi): (bool, usize, usize),
-) {
-    for f in &fams[unit.fams.0 as usize..unit.fams.1 as usize] {
-        let (base, step) = if by_dst { (f.dst_base, f.dst_step) } else { (f.src_base, f.src_step) };
-        // Runs `k0..k1` start inside the window.
-        let runs_below = |pos: usize| {
-            pos.saturating_sub(base as usize).div_ceil(step.max(1) as usize).min(f.count as usize)
-                as u32
-        };
-        let (k0, k1) = (runs_below(lo), runs_below(hi));
-        if k0 < k1 {
-            let (src_base, dst_base) = (f.src_base + k0 * f.src_step, f.dst_base + k0 * f.dst_step);
-            replay_family(&StrideFamily { src_base, dst_base, count: k1 - k0, ..*f }, src, dst);
-        }
-    }
-    if lo == 0 {
-        replay_triples(runs, unit, src, dst);
-    }
-}
-
-/// Replay one unit by dispatching to the kernel chosen at compile
-/// time: unit-stride → one `copy_from_slice` (memcpy), single-element
-/// families → a tight scalar gather/scatter loop, general families →
-/// a blocked strided loop, irregular residue → the flat triple loop.
-#[inline]
-pub(crate) fn replay_unit(
-    fams: &[StrideFamily],
-    runs: &[CopyRun],
-    unit: CopyUnit,
-    src: &LocalBlock,
-    dst: &mut LocalBlock,
-) {
-    match unit.kernel {
-        // `Memcpy`: one residual run, one `copy_from_slice`.
-        Kernel::Memcpy | Kernel::Triples => replay_triples(runs, unit, src, dst),
-        // Families, then the residue (empty unless `Mixed`).
-        Kernel::Gather | Kernel::Strided | Kernel::Mixed => {
-            for f in &fams[unit.fams.0 as usize..unit.fams.1 as usize] {
-                replay_family(f, src, dst);
-            }
-            replay_triples(runs, unit, src, dst);
-        }
-    }
-}
-
 /// Record the `(src_pos, dst_pos, len)` triples of one descriptor
 /// combination — the position arithmetic of the table engine's
 /// `copy_runs`, evaluated once at compile time. `s_len`/`d_len` are the
@@ -1118,117 +905,6 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// Number of logical copy runs one unit performs: every run its
-/// stride families encode plus its residual triples — the per-unit
-/// slice of [`CopyProgram::n_runs`], used by the guarded replay's
-/// accounting.
-pub(crate) fn unit_n_runs(fams: &[StrideFamily], unit: CopyUnit) -> u64 {
-    let (flo, fhi) = unit.fams;
-    fams[flo as usize..fhi as usize].iter().map(|f| f.count as u64).sum::<u64>()
-        + (unit.runs.1 - unit.runs.0) as u64
-}
-
-/// Sum of the words one unit reads from its provider block
-/// (`dst_side == false`) or wrote into its receiver block (`true`), as
-/// raw `f64` bits (wrapping) — the per-unit checksum of
-/// `HPFC_VALIDATE=checksums`: after a clean replay the two sides are
-/// equal; any scribbled destination word breaks the equality.
-pub(crate) fn unit_sum(
-    fams: &[StrideFamily],
-    runs: &[CopyRun],
-    unit: CopyUnit,
-    block: &LocalBlock,
-    dst_side: bool,
-) -> u64 {
-    let mut sum = 0u64;
-    let mut add = |at: usize, len: usize| {
-        for w in &block.data[at..at + len] {
-            sum = sum.wrapping_add(w.to_bits());
-        }
-    };
-    for f in &fams[unit.fams.0 as usize..unit.fams.1 as usize] {
-        let (base, step) = if dst_side { (f.dst_base, f.dst_step) } else { (f.src_base, f.src_step) };
-        for k in 0..f.count as usize {
-            add(base as usize + k * step as usize, f.len as usize);
-        }
-    }
-    for r in &runs[unit.runs.0 as usize..unit.runs.1 as usize] {
-        add(if dst_side { r.dst_pos } else { r.src_pos } as usize, r.len as usize);
-    }
-    sum
-}
-
-/// Flip one bit of the first word a unit delivered — the
-/// `CorruptRound` fault's scribble. Returns `false` when the unit has
-/// no runs to corrupt.
-pub(crate) fn flip_unit_word(
-    fams: &[StrideFamily],
-    runs: &[CopyRun],
-    unit: CopyUnit,
-    dst: &mut LocalBlock,
-) -> bool {
-    if let Some(f) = fams[unit.fams.0 as usize..unit.fams.1 as usize]
-        .iter()
-        .find(|f| f.count > 0 && f.len > 0)
-    {
-        let d = f.dst_base as usize;
-        dst.data[d] = f64::from_bits(dst.data[d].to_bits() ^ 1);
-        return true;
-    }
-    let (lo, hi) = unit.runs;
-    for r in &runs[lo as usize..hi as usize] {
-        if r.len > 0 {
-            let d = r.dst_pos as usize;
-            dst.data[d] = f64::from_bits(dst.data[d].to_bits() ^ 1);
-            return true;
-        }
-    }
-    false
-}
-
-/// Split paired units into contiguous chunks balanced by element count
-/// (`total` elements across `threads` workers) and replay each chunk
-/// on a scoped worker thread. Receivers are pairwise distinct across
-/// the whole `paired` list by construction, so no locks are needed.
-/// The fault-injection hook: when `panic_chunk` is `Some(i)`, the
-/// worker running chunk `i` panics halfway through its units (the
-/// `WorkerPanic` fault) — `std::thread::scope` propagates that panic to
-/// the caller at join, where the guarded replay catches it with
-/// `catch_unwind` and degrades the round.
-pub(crate) fn replay_chunked(
-    paired: Vec<PairedUnit<'_>>,
-    total: u64,
-    threads: usize,
-    panic_chunk: Option<usize>,
-) {
-    let target = total.div_ceil(threads as u64).max(1);
-    std::thread::scope(|scope| {
-        let mut rest = paired;
-        let mut idx = 0usize;
-        while !rest.is_empty() {
-            let mut weight = 0u64;
-            let mut take = 0usize;
-            while take < rest.len() && (take == 0 || weight < target) {
-                weight += rest[take].2.elements;
-                take += 1;
-            }
-            let tail = rest.split_off(take);
-            let chunk = std::mem::replace(&mut rest, tail);
-            let boom = panic_chunk == Some(idx);
-            scope.spawn(move || {
-                let half = chunk.len() / 2;
-                for (i, (db, sb, unit, fams, runs)) in chunk.into_iter().enumerate() {
-                    if boom && i == half {
-                        std::panic::panic_any(crate::fault::InjectedPanic);
-                    }
-                    replay_unit(fams, runs, unit, sb, db);
-                }
-            });
-            idx += 1;
-        }
-    });
 }
 
 #[cfg(test)]

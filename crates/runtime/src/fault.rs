@@ -1,5 +1,7 @@
-//! Fault injection, detection, and the self-healing recovery ladder of
-//! the remap engine.
+//! The fault *model* of the remap engine: what can be injected, what is
+//! detected, what a failure is called, and the per-round retry policy.
+//! The recovery ladder that acts on it lives with the replay core (the
+//! crate's `replay` module), shared by every remap.
 //!
 //! The engine trusts artifacts it compiled earlier: cached
 //! [`crate::CopyProgram`]s are replayed with no integrity check, and a
@@ -23,12 +25,13 @@
 //!   words ([`ValidationLevel::Checksums`]), and a compile-time
 //!   fingerprint over every cached program's triples
 //!   ([`crate::CopyProgram::integrity_ok`]).
-//! * **Recovery** — the ladder in `remap_guarded` / `remap_group`:
-//!   bounded retry of the failed round → recompile the program from the
-//!   cached plan (and repair the cache entry) → fall back to the table
-//!   engine → a typed [`ExecError`]. Worker panics are caught with
-//!   `catch_unwind` and degrade `Parallel(t)` → `Serial` for that round
-//!   only.
+//! * **Recovery** — one ladder behind `remap_guarded` and
+//!   `remap_group`: bounded retry of the failed round
+//!   (`run_round_ladder`, below) → recompile the program from the
+//!   cached plan (a solo remap also repairs its cache entry) → fall
+//!   back to the table engine → a typed [`ExecError`]. Worker panics
+//!   are caught with `catch_unwind` and degrade `Parallel(t)` →
+//!   `Serial` for that round only.
 //!
 //! When no faults are configured and validation is
 //! [`ValidationLevel::Off`], none of this is on the remap path: the
@@ -36,15 +39,8 @@
 //! (allocation-free, pinned by `alloc_free.rs` and the
 //! `redist/fault_overhead` bench).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use crate::exec::{
-    flip_unit_word, mix64, pair_round_units, replay_chunked, replay_unit, unit_sum,
-    CopyProgram, CopyRun, CopyUnit, ExecMode,
-};
+use crate::exec::{mix64, CopyProgram, ExecMode};
 use crate::machine::Machine;
-use crate::status::PlannedRemap;
-use crate::store::VersionData;
 
 /// One injectable fault class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -447,19 +443,19 @@ fn applicable(kind: FaultKind, mode: ExecMode, ctx: &RoundCtx) -> bool {
     }
 }
 
-/// The per-round rungs of the recovery ladder, shared by the solo and
-/// group replays: decide an injected fault, run the round through
-/// `replay`, validate counts, and on failure degrade a panicked
-/// parallel round to serial or retry (bounded). Returns the round's
-/// `(runs, elements)` on success, `Err(())` when the round is stuck
-/// (the caller escalates: recompile, then the table engine).
+/// The per-round rungs of the recovery ladder: decide an injected
+/// fault, run the round through `replay` (which reports the elements it
+/// replayed), validate counts, and on failure degrade a panicked
+/// parallel round to serial or retry (bounded). `Err(())` means the
+/// round is stuck (the caller escalates: recompile, then the table
+/// engine).
 pub(crate) fn run_round_ladder(
     machine: &mut Machine,
     ctx: &RoundCtx,
     epoch: u64,
     stream: u32,
-    mut replay: impl FnMut(ExecMode, bool, Option<(FaultKind, u64)>) -> Result<(u64, u64), RoundFailure>,
-) -> Result<(u64, u64), ()> {
+    mut replay: impl FnMut(ExecMode, bool, Option<(FaultKind, u64)>) -> Result<u64, RoundFailure>,
+) -> Result<(), ()> {
     let mut mode = machine.exec_mode;
     let checksums = machine.validation == ValidationLevel::Checksums;
     let counts = machine.validation >= ValidationLevel::Counts;
@@ -477,11 +473,10 @@ pub(crate) fn run_round_ladder(
         if fault.is_some() {
             machine.stats.faults_injected += 1;
         }
-        let outcome = replay(mode, checksums, fault);
-        let failure = match outcome {
-            Ok((runs, elements)) => {
+        let failure = match replay(mode, checksums, fault) {
+            Ok(elements) => {
                 if !exhaust && (!counts || elements == ctx.expected) {
-                    return Ok((runs, elements));
+                    return Ok(());
                 }
                 None // short round (or forced exhaustion): rejected
             }
@@ -498,227 +493,6 @@ pub(crate) fn run_round_ladder(
         }
         attempt += 1;
     }
-}
-
-/// Replay one round of a solo program under the guarded regime:
-/// apply wire-loss faults to the unit list, catch panics from the copy
-/// phase, scribble the corruption victim, and verify checksums.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-pub(crate) fn replay_round_guarded(
-    fams: &[crate::exec::StrideFamily],
-    runs: &[CopyRun],
-    units: &[CopyUnit],
-    src: &VersionData,
-    dst: &mut VersionData,
-    mode: ExecMode,
-    checksums: bool,
-    fault: Option<(FaultKind, u64)>,
-) -> Result<(u64, u64), RoundFailure> {
-    let effective: &[CopyUnit] = match fault {
-        Some((FaultKind::DropRound, _)) => &[],
-        Some((FaultKind::TruncateRound, _)) => &units[..units.len() / 2],
-        _ => units,
-    };
-    let weight: u64 = effective.iter().map(|u| u.elements).sum();
-    let copied = catch_unwind(AssertUnwindSafe(|| {
-        if mode.threads() > 1 && !crate::exec::round_goes_inline(weight) {
-            let mut paired = Vec::with_capacity(effective.len());
-            pair_round_units(effective, fams, runs, src, dst, &mut paired);
-            let boom = matches!(fault, Some((FaultKind::WorkerPanic, _))).then_some(0);
-            replay_chunked(paired, weight, mode.threads(), boom);
-        } else {
-            for unit in effective {
-                let sb = src.blocks[unit.provider as usize]
-                    .as_ref()
-                    .expect("provider holds the data");
-                let db = dst.blocks[unit.receiver as usize]
-                    .as_mut()
-                    .expect("receiver allocates the data");
-                replay_unit(fams, runs, *unit, sb, db);
-            }
-        }
-    }));
-    if copied.is_err() {
-        return Err(RoundFailure::Panicked);
-    }
-    if let Some((FaultKind::CorruptRound, salt)) = fault {
-        if !effective.is_empty() {
-            let victim = effective[(salt % effective.len() as u64) as usize];
-            let db = dst.blocks[victim.receiver as usize]
-                .as_mut()
-                .expect("receiver allocates the data");
-            flip_unit_word(fams, runs, victim, db);
-        }
-    }
-    if checksums {
-        let mut read = 0u64;
-        let mut written = 0u64;
-        for unit in effective {
-            let sb =
-                src.blocks[unit.provider as usize].as_ref().expect("provider holds the data");
-            let db =
-                dst.blocks[unit.receiver as usize].as_ref().expect("receiver allocates the data");
-            read = read.wrapping_add(unit_sum(fams, runs, *unit, sb, false));
-            written = written.wrapping_add(unit_sum(fams, runs, *unit, db, true));
-        }
-        if read != written {
-            return Err(RoundFailure::Mismatch);
-        }
-    }
-    let n_runs: u64 =
-        effective.iter().map(|u| crate::exec::unit_n_runs(fams, *u)).sum();
-    Ok((n_runs, weight))
-}
-
-/// All rounds of one solo program under the guarded regime. `stream`
-/// separates the fault-decision stream of the original program from a
-/// recompiled one's (so a full re-replay after recompilation rolls
-/// fresh decisions).
-fn replay_rounds_guarded(
-    machine: &mut Machine,
-    prog: &CopyProgram,
-    src: &VersionData,
-    dst: &mut VersionData,
-    epoch: u64,
-    stream: u32,
-) -> Result<(u64, u64), ()> {
-    let mut total_runs = 0u64;
-    let mut total_elements = 0u64;
-    for (ri, units) in
-        std::iter::once(&prog.local).chain(prog.rounds.iter()).enumerate()
-    {
-        if units.is_empty() {
-            continue;
-        }
-        let ctx = RoundCtx {
-            expected: units.iter().map(|u| u.elements).sum(),
-            units: units.len(),
-            round_no: ri as u32,
-        };
-        let (r, e) = run_round_ladder(machine, &ctx, epoch, stream, |mode, checksums, fault| {
-            replay_round_guarded(&prog.fams, &prog.runs, units, src, dst, mode, checksums, fault)
-        })?;
-        total_runs += r;
-        total_elements += e;
-    }
-    Ok((total_runs, total_elements))
-}
-
-/// Every block a program references must exist before the replay
-/// starts — the promoted form of the replay's `expect`s, returned as a
-/// typed error instead of a panic.
-fn validate_blocks(
-    prog: &CopyProgram,
-    src: &VersionData,
-    dst: &mut VersionData,
-) -> Result<(), ExecError> {
-    for unit in prog.local.iter().chain(prog.rounds.iter().flatten()) {
-        if src.blocks[unit.provider as usize].is_none() {
-            return Err(ExecError::MissingBlock { rank: unit.provider, side: "provider" });
-        }
-        if dst.blocks[unit.receiver as usize].is_none() {
-            return Err(ExecError::MissingBlock { rank: unit.receiver, side: "receiver" });
-        }
-    }
-    Ok(())
-}
-
-/// What a recovered solo replay hands back to `remap_guarded`.
-pub(crate) struct ReplayOutcome {
-    /// Runs the authoritative copy replayed.
-    pub runs: u64,
-    /// Elements the authoritative copy delivered.
-    pub elements: u64,
-    /// A freshly compiled program, when the ladder recompiled — the
-    /// caller repairs the plan-cache entry with it.
-    pub repaired: Option<CopyProgram>,
-}
-
-/// The solo recovery ladder: replay `planned`'s data movement from
-/// `src` into `dst`, healing injected or real faults.
-///
-/// Rungs: (1) bounded retry of a failed round (worker panics degrade
-/// the round to serial first); (2) recompile the program from the
-/// cached plan and re-replay (idempotent: every destination position is
-/// rewritten); (3) fall back to the table engine, which shares no state
-/// with the compiled program. When no faults are configured and
-/// validation is off, this is exactly the pre-existing unguarded replay
-/// (the allocation-free fast path).
-pub(crate) fn replay_with_recovery(
-    machine: &mut Machine,
-    planned: &PlannedRemap,
-    src: &VersionData,
-    dst: &mut VersionData,
-    epoch: u64,
-) -> Result<ReplayOutcome, ExecError> {
-    let guarded = machine.faults.is_some() || machine.validation != ValidationLevel::Off;
-    if !guarded {
-        let (runs, elements) = match &planned.program {
-            Some(p) => dst.copy_values_from_program(src, p, machine.exec_mode),
-            None => {
-                machine.stats.fallbacks_to_tables += 1;
-                dst.copy_values_from_plan(src, &planned.plan)
-            }
-        };
-        return Ok(ReplayOutcome { runs, elements, repaired: None });
-    }
-    if src.mapping.array_extents != dst.mapping.array_extents {
-        return Err(ExecError::ShapeMismatch {
-            src: format!("{:?}", src.mapping.array_extents),
-            dst: format!("{:?}", dst.mapping.array_extents),
-        });
-    }
-    let exhaust = machine.faults.as_ref().is_some_and(|f| f.exhaust_fires(epoch));
-    if exhaust {
-        machine.stats.faults_injected += 1;
-    }
-    let mut repaired: Option<CopyProgram> = None;
-    let mut active: Option<&CopyProgram> = planned.program.as_ref();
-    if let Some(p) = active {
-        if !p.compiled_for(src, dst) || !p.integrity_ok() {
-            // Poisoned (or foreign) cached program: recompile from the
-            // cached plan — rung 2 entered straight away.
-            machine.stats.programs_recompiled += 1;
-            repaired = CopyProgram::try_compile(&planned.plan, &planned.schedule)
-                .filter(|f| f.compiled_for(src, dst));
-            active = repaired.as_ref();
-        }
-    }
-    let mut replayed: Option<(u64, u64)> = None;
-    if let Some(prog) = active {
-        validate_blocks(prog, src, dst)?;
-        replayed = replay_rounds_guarded(machine, prog, src, dst, epoch, 0).ok();
-    }
-    if replayed.is_none() && planned.program.is_some() && repaired.is_none() {
-        // Rung 2: recompile once and re-replay everything (idempotent).
-        machine.stats.programs_recompiled += 1;
-        if let Some(fresh) = CopyProgram::try_compile(&planned.plan, &planned.schedule)
-            .filter(|f| f.compiled_for(src, dst))
-        {
-            replayed = replay_rounds_guarded(machine, &fresh, src, dst, epoch, 1).ok();
-            repaired = Some(fresh);
-        }
-    }
-    let (runs, elements) = match replayed {
-        Some(t) => t,
-        None => {
-            if exhaust {
-                // Forced exhaustion blocks the table rung too: the
-                // remap surfaces a terminal typed error with the
-                // destination partially written — the caller's
-                // transactional rollback restores it.
-                return Err(ExecError::Unrecovered {
-                    context: format!("remap epoch {epoch}: injected ladder exhaustion"),
-                });
-            }
-            // Rung 3: the table engine — re-derives every position from
-            // the plan's descriptors, shares nothing with the compiled
-            // program, and is never fault-injected.
-            machine.stats.fallbacks_to_tables += 1;
-            dst.copy_values_from_plan(src, &planned.plan)
-        }
-    };
-    Ok(ReplayOutcome { runs, elements, repaired })
 }
 
 #[cfg(test)]

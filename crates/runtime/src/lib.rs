@@ -44,7 +44,7 @@
 //!   are thin views that seed from and publish to it;
 //! * [`symbolic::SymbolicPlan`] — plans symbolic in the processor
 //!   count: one parametric entry per interned `(format, format)` pair
-//!   (`HPFC_SYMBOLIC`, default on), instantiated in closed form at any
+//!   (the default keying), instantiated in closed form at any
 //!   `P` at launch time, shrinking the registry to O(format pairs) and
 //!   turning a fleet re-provision (P=16 → P=64) into cheap
 //!   instantiations instead of a recompile;
@@ -52,10 +52,13 @@
 //!   (`HPFC_FAULTS`), per-round validation (`HPFC_VALIDATE`), and the
 //!   self-healing recovery ladder behind [`status::ArrayRt::remap_guarded`]
 //!   and [`group::remap_group`]: retry → recompile → table-engine
-//!   fallback → typed [`fault::ExecError`]. Remaps are transactional
-//!   (`HPFC_TXN`, default on): a terminal error rolls the destination
-//!   back to its exact pre-remap state — bytes, status, and live flags
-//!   — and a group commits all members or none. Pairs that keep
+//!   fallback → typed [`fault::ExecError`]. One replay core
+//!   interprets every compiled program — a solo remap is its one-lane
+//!   case, a coalesced group its movers' lanes — so both share one
+//!   round loop and one ladder. Guarded remaps are transactional: a
+//!   terminal error rolls the destination back to its exact pre-remap
+//!   state — bytes, status, and live flags — and a group commits all
+//!   members or none. Pairs that keep
 //!   failing repair are quarantined by the registry
 //!   ([`registry::PlanRegistry::note_repair`]) so later sessions skip
 //!   straight to the table engine, and poisoned shard locks recover
@@ -70,6 +73,7 @@ pub mod group;
 pub mod machine;
 pub mod redist;
 pub mod registry;
+mod replay;
 pub mod schedule;
 pub mod status;
 pub mod store;

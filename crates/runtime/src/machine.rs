@@ -239,30 +239,6 @@ impl NetStats {
     }
 }
 
-/// The `HPFC_TXN` knob: transactional remaps are **on** unless the
-/// variable opts out (`off` / `0` / `false` / `no`). Anything else —
-/// including unset, empty, or garbage — selects the default (on):
-/// misconfiguration must never silently drop the rollback guarantee.
-fn txn_from_env() -> bool {
-    !matches!(
-        std::env::var("HPFC_TXN").as_deref().map(str::trim),
-        Ok("off") | Ok("0") | Ok("false") | Ok("no")
-    )
-}
-
-/// The `HPFC_SYMBOLIC` knob: symbolic (P-free) plan keying is **on**
-/// unless the variable opts out (`off` / `0` / `false` / `no`).
-/// Anything else — including unset, empty, or garbage — selects the
-/// default (on), mirroring `HPFC_TXN`: declines always fall back to
-/// concrete keys, so the symbolic path is never less correct, only
-/// smaller-keyed.
-pub(crate) fn symbolic_from_env() -> bool {
-    !matches!(
-        std::env::var("HPFC_SYMBOLIC").as_deref().map(str::trim),
-        Ok("off") | Ok("0") | Ok("false") | Ok("no")
-    )
-}
-
 /// Reusable per-phase tallies for [`Machine::account_phase`] — grown
 /// once to the processor count, then zero-filled per phase instead of
 /// reallocated.
@@ -353,21 +329,13 @@ pub struct Machine {
     /// instance ([`crate::PlanRegistry::global`], `HPFC_REGISTRY`);
     /// `None` plans solo — the pre-registry behavior, kept for A/B.
     pub registry: Option<std::sync::Arc<crate::registry::PlanRegistry>>,
-    /// Whether remaps are transactional: before a guarded data-moving
-    /// replay the destination's rollback record is captured, and any
-    /// terminal [`crate::ExecError`] restores the array (and every
-    /// group sibling) byte-identical to its pre-remap state. On by
-    /// default (`HPFC_TXN=off` or [`Machine::with_txn`] disables it for
-    /// A/B runs). The snapshot only arms on the *guarded* path — the
-    /// default fault-free cached bounce is untouched.
-    pub txn: bool,
     /// Whether plan lookups go through the symbolic (P-free) layer:
     /// registry entries are keyed by interned `(format, format)` pairs
     /// and re-provisioning to a new processor count instantiates the
-    /// parametric plan instead of recompiling. On by default
-    /// (`HPFC_SYMBOLIC=off` or [`Machine::with_symbolic`] restores the
-    /// concrete per-mapping-pair keying for A/B). Shapes the symbolic
-    /// normalizer declines always fall back to concrete keys.
+    /// parametric plan instead of recompiling. On by default;
+    /// [`Machine::with_symbolic`] selects the concrete
+    /// per-mapping-pair keying instead. Shapes the symbolic normalizer
+    /// declines always fall back to concrete keys.
     pub symbolic: bool,
     /// Reusable per-phase accounting buffers.
     scratch: PhaseScratch,
@@ -394,8 +362,7 @@ impl Machine {
             faults: crate::fault::FaultPlan::from_env(),
             validation: crate::fault::ValidationLevel::from_env(),
             registry: crate::registry::PlanRegistry::global().cloned(),
-            txn: txn_from_env(),
-            symbolic: symbolic_from_env(),
+            symbolic: true,
             scratch: PhaseScratch::default(),
             txn_scratch: crate::store::TxnScratch::default(),
             group_txn_scratch: Vec::new(),
@@ -426,18 +393,10 @@ impl Machine {
         self
     }
 
-    /// Builder-style override of transactional remaps (`HPFC_TXN`).
-    /// `false` restores the pre-transactional behavior: a terminal
-    /// error leaves the destination partially written (A/B baseline).
-    pub fn with_txn(mut self, txn: bool) -> Self {
-        self.txn = txn;
-        self
-    }
-
-    /// Builder-style override of symbolic plan keying
-    /// (`HPFC_SYMBOLIC`). `false` restores concrete per-mapping-pair
-    /// registry keys — the O(mapping pairs) baseline the symbolic
-    /// layer's O(format pairs) registry is pinned against.
+    /// Builder-style override of symbolic plan keying. `false` selects
+    /// concrete per-mapping-pair registry keys — the O(mapping pairs)
+    /// baseline the symbolic layer's O(format pairs) registry is pinned
+    /// against.
     pub fn with_symbolic(mut self, symbolic: bool) -> Self {
         self.symbolic = symbolic;
         self
@@ -460,6 +419,15 @@ impl Machine {
     pub fn without_registry(mut self) -> Self {
         self.registry = None;
         self
+    }
+
+    /// Whether remaps run guarded: a fault plan or a validation level
+    /// puts every data-moving replay behind the recovery ladder and a
+    /// transactional rollback record. Otherwise a replay cannot fail
+    /// after its writes begin, and the remap path is the unguarded
+    /// allocation-free one.
+    pub(crate) fn guarded(&self) -> bool {
+        self.faults.is_some() || self.validation != crate::fault::ValidationLevel::Off
     }
 
     /// The next fault epoch — bumped once per data-moving remap so the

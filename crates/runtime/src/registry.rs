@@ -235,7 +235,7 @@ pub struct PlanRegistry {
     /// Pairs whose artifacts keep failing repair (off the hot path:
     /// only consulted when the quarantine table is non-empty).
     quarantine: Mutex<HashMap<PlanKey, QuarantineEntry>>,
-    /// Parametric plans keyed by interned format pair (`HPFC_SYMBOLIC`
+    /// Parametric plans keyed by interned format pair (symbolic
     /// keying). Deliberately unbounded and un-evicted: the table is
     /// O(format pairs) *by design* — that bound is the whole point of
     /// the symbolic layer, and each entry amortizes over every `P` a

@@ -1,0 +1,751 @@
+//! The replay core: the one place that moves elements under a compiled
+//! [`CopyProgram`].
+//!
+//! The paper's runtime has a single data operation — copy version *s*
+//! into version *t* under a statically compiled schedule (Fig. 19/20) —
+//! and this module is its single interpreter. It is written over a set
+//! of **lanes**: one [`Lane`] per array being moved, naming the version
+//! read, the version written, and which program of the replay's program
+//! set moves it. A solo remap ([`crate::ArrayRt::try_remap_guarded`])
+//! and a bare [`VersionData::copy_values_from_program`] are the one-lane
+//! case; a coalesced remap group ([`crate::try_remap_group`]) is its
+//! movers' lanes, in member order.
+//!
+//! Three layers, each written once: [`replay`] (unguarded), one
+//! guarded round, and [`run`], the recovery ladder, whose callers
+//! differ only in how they recompile.
+//!
+//! **Fault-site contract.** Every injected fault is decided at a site
+//! `(epoch, stream, round_no, attempt)`: the caller draws one `epoch`
+//! per data-moving remap ([`Machine::next_fault_epoch`]) before calling
+//! [`run`]; `stream` is 0 for the served programs and 1 for the
+//! re-replay after a recompile; `round_no` 0 is the local group and
+//! `r + 1` wire round `r`, rounds without units are skipped and draw
+//! nothing; `attempt` counts retries of one round. For a fixed
+//! [`crate::FaultPlan`] the recovery counters in [`crate::NetStats`]
+//! are therefore a pure function of the remap sequence.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+
+use crate::exec::{
+    round_goes_inline, CopyProgram, CopyRun, CopyUnit, ExecMode, Kernel, StrideFamily,
+};
+use crate::fault::{run_round_ladder, ExecError, FaultKind, RoundCtx, RoundFailure};
+use crate::machine::Machine;
+use crate::status::PlannedRemap;
+use crate::store::{LocalBlock, VersionData};
+
+/// One array's share of a replay: version `src` is copied into version
+/// `dst` by program `at` of the replay's program set (the member index
+/// in a group, 0 for a solo remap).
+pub(crate) struct Lane<'a> {
+    /// Index of this lane's program (and plan) in the replay's tables.
+    pub at: usize,
+    /// The version read.
+    pub src: &'a VersionData,
+    /// The version written.
+    pub dst: &'a mut VersionData,
+}
+
+/// How the core reaches its lanes: the caller's closure hands `visit`
+/// an iterator over them, in lane order. The core asks again for every
+/// pass it makes, so a caller lends its storage afresh each time — a
+/// group straight from `members.iter_mut()` — and collects nothing.
+pub(crate) type Lanes<'h> = dyn FnMut(&mut dyn FnMut(&mut dyn Iterator<Item = Lane<'_>>)) + 'h;
+
+/// A program's units of one round: 0 is the local, never-on-the-wire
+/// group, `r + 1` is wire round `r`.
+fn units_of(prog: &CopyProgram, round: usize) -> &[CopyUnit] {
+    match round {
+        0 => &prog.local,
+        r => &prog.rounds[r - 1],
+    }
+}
+
+/// Rounds to walk: the local group plus the wire rounds (the programs
+/// of one replay are round-aligned, so the longest list is everyone's).
+fn n_rounds(progs: &[CopyProgram]) -> usize {
+    1 + progs.iter().map(|p| p.rounds.len()).max().unwrap_or(0)
+}
+
+/// The next lane's share of a prefix of the round's concatenated unit
+/// list: up to `left` of `units`, with `left` reduced by what was taken.
+fn head<'u>(units: &'u [CopyUnit], left: &mut usize) -> &'u [CopyUnit] {
+    let take = units.len().min(*left);
+    *left -= take;
+    &units[..take]
+}
+
+/// `(units, elements)` of the first `cut` units of one round's
+/// concatenated unit list.
+fn weigh(progs: &[CopyProgram], lanes: &mut Lanes<'_>, round: usize, cut: usize) -> (usize, u64) {
+    let (mut left, mut elements) = (cut, 0u64);
+    lanes(&mut |each| {
+        for lane in each {
+            let taken = head(units_of(&progs[lane.at], round), &mut left);
+            elements += taken.iter().map(|u| u.elements).sum::<u64>();
+        }
+    });
+    (cut - left, elements)
+}
+
+/// The unguarded replay: move every run of every lane's program.
+/// [`ExecMode::Serial`] walks each lane's cache-blocked order and is
+/// allocation-free — the steady-state path of the cached solo bounce
+/// and of the coalesced group bounce alike. [`ExecMode::Parallel`]
+/// walks the wire rounds, every lane's units of a round together
+/// (receiving blocks are distinct within a lane by the caterpillar's
+/// contention-freedom, across lanes because each writes its own array).
+pub(crate) fn replay(progs: &[CopyProgram], lanes: &mut Lanes<'_>, mode: ExecMode) {
+    match mode {
+        ExecMode::Parallel(threads) if threads > 1 => {
+            for round in 0..n_rounds(progs) {
+                let (units, weight) = weigh(progs, lanes, round, usize::MAX);
+                if units > 0 {
+                    copy_round(progs, lanes, round, units, weight, threads, false);
+                }
+            }
+        }
+        _ => lanes(&mut |each| {
+            for lane in each {
+                serial_walk(&progs[lane.at], lane.src, lane.dst);
+            }
+        }),
+    }
+}
+
+/// Replay the first `cut` units (`weight` elements) of one round's
+/// concatenated unit list. With `threads > 1` and enough volume to
+/// amortize the spawns (a thread spawn costs tens of microseconds) the
+/// units of all lanes are pooled and split across scoped workers;
+/// otherwise they replay inline, lane by lane. `boom` makes the first
+/// worker panic halfway through its chunk (the `WorkerPanic` fault).
+fn copy_round(
+    progs: &[CopyProgram],
+    lanes: &mut Lanes<'_>,
+    round: usize,
+    cut: usize,
+    weight: u64,
+    threads: usize,
+    boom: bool,
+) {
+    let pooled = threads > 1 && !round_goes_inline(weight);
+    lanes(&mut |each| {
+        let mut paired: Vec<PairedUnit<'_>> = Vec::with_capacity(if pooled { cut } else { 0 });
+        let mut left = cut;
+        for lane in each {
+            let prog = &progs[lane.at];
+            let units = head(units_of(prog, round), &mut left);
+            if pooled {
+                pair_round_units(units, prog, lane.src, lane.dst, &mut paired);
+                continue;
+            }
+            for unit in units {
+                let src_block = lane.src.blocks[unit.provider as usize]
+                    .as_ref()
+                    .expect("provider holds the data");
+                let dst_block = lane.dst.blocks[unit.receiver as usize]
+                    .as_mut()
+                    .expect("receiver allocates the data");
+                replay_unit(prog, *unit, src_block, dst_block);
+            }
+        }
+        if pooled {
+            replay_chunked(paired, weight, threads, boom);
+        }
+    });
+}
+
+/// One attempt at one round under the guarded regime. Wire-loss faults
+/// apply to the round's **concatenated** unit list (lanes in order,
+/// units in program order): a drop replays none of it, a truncation its
+/// first half, and corruption picks its victim by global index — so a
+/// fault can land on any lane, exactly like a fault on the shared wire
+/// buffer. Panics from the copy are caught. Returns the elements
+/// replayed; `delivered` receives the attempt's `(runs, bytes)`.
+fn replay_round(
+    progs: &[CopyProgram],
+    lanes: &mut Lanes<'_>,
+    ctx: &RoundCtx,
+    mode: ExecMode,
+    checksums: bool,
+    fault: Option<(FaultKind, u64)>,
+    delivered: &mut (u64, u64),
+) -> Result<u64, RoundFailure> {
+    let round = ctx.round_no as usize;
+    let cut = match fault {
+        Some((FaultKind::DropRound, _)) => 0,
+        Some((FaultKind::TruncateRound, _)) => ctx.units / 2,
+        _ => ctx.units,
+    };
+    let weight = if cut == ctx.units { ctx.expected } else { weigh(progs, lanes, round, cut).1 };
+    let boom = matches!(fault, Some((FaultKind::WorkerPanic, _)));
+    catch_unwind(AssertUnwindSafe(|| {
+        copy_round(progs, lanes, round, cut, weight, mode.threads(), boom)
+    }))
+    .map_err(|_| RoundFailure::Panicked)?;
+    let victim = match fault {
+        Some((FaultKind::CorruptRound, salt)) => Some((salt % ctx.units as u64) as usize),
+        _ => None,
+    };
+    // One pass over what was replayed: scribble the victim, sum the
+    // words read and written, tally what each lane received. (Units of
+    // a round write disjoint words, so scribbling on the way is the
+    // same as scribbling before any checksum is taken.)
+    let (mut read, mut written) = (0u64, 0u64);
+    *delivered = (0, 0);
+    lanes(&mut |each| {
+        let (mut left, mut seen) = (cut, 0usize);
+        for lane in each {
+            let prog = &progs[lane.at];
+            let mut elements = 0u64;
+            for unit in head(units_of(prog, round), &mut left) {
+                let dst_block = lane.dst.blocks[unit.receiver as usize]
+                    .as_mut()
+                    .expect("receiver allocates the data");
+                if victim == Some(seen) {
+                    flip_unit_word(prog, *unit, dst_block);
+                }
+                seen += 1;
+                delivered.0 += unit_n_runs(prog, *unit);
+                elements += unit.elements;
+                if checksums {
+                    let src_block = lane.src.blocks[unit.provider as usize]
+                        .as_ref()
+                        .expect("provider holds the data");
+                    read = read.wrapping_add(unit_sum(prog, *unit, src_block, false));
+                    written = written.wrapping_add(unit_sum(prog, *unit, dst_block, true));
+                }
+            }
+            delivered.1 += elements * lane.dst.elem_size;
+        }
+    });
+    if read != written {
+        return Err(RoundFailure::Mismatch);
+    }
+    Ok(weight)
+}
+
+/// Every round of the program set under the guarded regime, each
+/// through the shared retry ladder. `stream` separates the
+/// fault-decision stream of the served programs from a recompiled
+/// set's, so a full re-replay rolls fresh decisions. The returned
+/// `(runs, bytes)` count only the authoritative (final successful)
+/// attempt of every round; `Err(())` means some round is stuck.
+fn replay_rounds(
+    machine: &mut Machine,
+    progs: &[CopyProgram],
+    lanes: &mut Lanes<'_>,
+    epoch: u64,
+    stream: u32,
+) -> Result<(u64, u64), ()> {
+    let mut total = (0u64, 0u64);
+    for round in 0..n_rounds(progs) {
+        let (units, expected) = weigh(progs, lanes, round, usize::MAX);
+        if units == 0 {
+            continue;
+        }
+        let ctx = RoundCtx { expected, units, round_no: round as u32 };
+        let mut delivered = (0u64, 0u64);
+        run_round_ladder(machine, &ctx, epoch, stream, |mode, checksums, fault| {
+            replay_round(progs, lanes, &ctx, mode, checksums, fault, &mut delivered)
+        })?;
+        total.0 += delivered.0;
+        total.1 += delivered.1;
+    }
+    Ok(total)
+}
+
+/// What replaying `progs` over the lanes delivers — `(runs, bytes)` —
+/// or `None` when some lane has no program that can be trusted with its
+/// storage: none was compiled, or only for another mapping pair (its
+/// positions are meaningless against these block layouts), or, with
+/// `fingerprints`, it no longer matches its compile-time fingerprint.
+fn vet(progs: &[CopyProgram], lanes: &mut Lanes<'_>, fingerprints: bool) -> Option<(u64, u64)> {
+    let mut planned = None;
+    lanes(&mut |mut each| {
+        planned = Iterator::try_fold(&mut each, (0u64, 0u64), |(runs, bytes), lane| {
+            let prog = progs.get(lane.at)?;
+            let trusted =
+                prog.compiled_for(lane.src, lane.dst) && (!fingerprints || prog.integrity_ok());
+            trusted.then(|| (runs + prog.n_runs(), bytes + prog.n_elements() * lane.dst.elem_size))
+        })
+    });
+    planned
+}
+
+/// The guarded replay's storage checks, as typed errors instead of the
+/// unguarded replay's panics: every lane's two versions have the same
+/// extents, and every block a lane's program references is allocated.
+fn check_storage(progs: &[CopyProgram], lanes: &mut Lanes<'_>) -> Result<(), ExecError> {
+    let mut checked = Ok(());
+    lanes(&mut |mut each| {
+        checked = Iterator::try_for_each(&mut each, |lane| {
+            let (s, d) = (&lane.src.mapping.array_extents, &lane.dst.mapping.array_extents);
+            if s != d {
+                let (src, dst) = (format!("{s:?}"), format!("{d:?}"));
+                return Err(ExecError::ShapeMismatch { src, dst });
+            }
+            let prog = progs.get(lane.at);
+            for unit in prog.iter().flat_map(|p| p.local.iter().chain(p.rounds.iter().flatten())) {
+                if lane.src.blocks[unit.provider as usize].is_none() {
+                    return Err(ExecError::MissingBlock { rank: unit.provider, side: "provider" });
+                }
+                if lane.dst.blocks[unit.receiver as usize].is_none() {
+                    return Err(ExecError::MissingBlock { rank: unit.receiver, side: "receiver" });
+                }
+            }
+            Ok(())
+        })
+    });
+    checked
+}
+
+/// The last rung: an independent table-engine copy per lane — it
+/// re-derives every position from the plan's descriptors, shares
+/// nothing with the compiled programs, and is never fault-injected.
+fn tables(machine: &mut Machine, plans: &[Arc<PlannedRemap>], lanes: &mut Lanes<'_>) -> (u64, u64) {
+    let mut total = (0u64, 0u64);
+    lanes(&mut |each| {
+        for lane in each {
+            machine.stats.fallbacks_to_tables += 1;
+            let (runs, elements) = lane.dst.copy_values_from_plan(lane.src, &plans[lane.at].plan);
+            total.0 += runs;
+            total.1 += elements * lane.dst.elem_size;
+        }
+    });
+    total
+}
+
+/// Move the lanes' data, healing injected or real faults: the recovery
+/// ladder every remap shares. `progs[lane.at]` is the program served
+/// for a lane (`progs` is empty when the plans cannot drive compiled
+/// programs — the table engine then does the work), `planned[lane.at]`
+/// the plan behind it, `epoch` the remap's fault epoch, and `recompile`
+/// rebuilds the whole program set from the cached plans. Bills what
+/// the authoritative copy delivered (`runs_copied`, `bytes_moved`: each
+/// lane's elements at its element size) and returns the freshly
+/// compiled program set when the ladder recompiled — a caller that
+/// owns a cache repairs its entry with it.
+///
+/// Unguarded this is the plain [`replay`]. Guarded, the rungs are:
+/// (1) bounded retry of a failed round, worker panics degrading the
+/// round to serial first; (2) recompile — at once when a served program
+/// is not to be trusted, else after a round got stuck — and re-replay
+/// everything on fault stream 1 (idempotent: every destination position
+/// is rewritten); (3) the table engine. An injected
+/// [`FaultKind::Exhaust`] rejects every round and blocks rung 3, so the
+/// remap ends in [`ExecError::Unrecovered`] with the destinations
+/// partially written — what the callers' rollback exists for.
+pub(crate) fn run(
+    machine: &mut Machine,
+    planned: &[Arc<PlannedRemap>],
+    progs: &[CopyProgram],
+    lanes: &mut Lanes<'_>,
+    epoch: u64,
+    recompile: &dyn Fn() -> Option<Vec<CopyProgram>>,
+) -> Result<Option<Vec<CopyProgram>>, ExecError> {
+    let exhaust = machine.faults.as_ref().is_some_and(|f| f.exhaust_fires(epoch));
+    if exhaust {
+        machine.stats.faults_injected += 1;
+    }
+    let mut repaired: Option<Vec<CopyProgram>> = None;
+    let mut done: Option<(u64, u64)> = None;
+    if !machine.guarded() {
+        done = vet(progs, lanes, false);
+        if done.is_some() {
+            replay(progs, lanes, machine.exec_mode);
+        }
+    } else {
+        let fresh = |machine: &mut Machine, lanes: &mut Lanes<'_>| {
+            machine.stats.programs_recompiled += 1;
+            recompile().filter(|f| vet(f, lanes, true).is_some())
+        };
+        let mut active = progs;
+        if !progs.is_empty() && vet(progs, lanes, true).is_none() {
+            // Poisoned (or foreign) served programs: rung 2 straight away.
+            repaired = fresh(machine, lanes);
+            active = repaired.as_deref().unwrap_or(&[]);
+        }
+        check_storage(active, lanes)?;
+        if !active.is_empty() {
+            done = replay_rounds(machine, active, lanes, epoch, 0).ok();
+        }
+        if done.is_none() && !progs.is_empty() && repaired.is_none() {
+            if let Some(f) = fresh(machine, lanes) {
+                done = replay_rounds(machine, &f, lanes, epoch, 1).ok();
+                repaired = Some(f);
+            }
+        }
+    }
+    let (runs, bytes) = match done {
+        Some(totals) => totals,
+        None if exhaust => {
+            return Err(ExecError::Unrecovered {
+                context: format!("remap epoch {epoch}: injected ladder exhaustion"),
+            })
+        }
+        None => tables(machine, planned, lanes),
+    };
+    machine.stats.runs_copied += runs;
+    machine.stats.bytes_moved += bytes;
+    Ok(repaired)
+}
+
+/// Elements of the strided side one pass of the serial walk sweeps:
+/// 256 KiB of `f64`, a tile any L2 holds beside the contiguous streams.
+const SERIAL_TILE: usize = 32768;
+
+/// One lane's serial replay — the allocation-free steady-state path.
+/// Walks the program's blocked order one block of the strided side at a
+/// time and sweeps that block tile by tile: every unit touching it
+/// replays its runs inside the tile before the walk moves on, so the
+/// tile stays cache-resident however large the block is.
+fn serial_walk(prog: &CopyProgram, src: &VersionData, dst: &mut VersionData) {
+    debug_assert_eq!(dst.mapping.array_extents, src.mapping.array_extents);
+    let major = |u: &CopyUnit| if prog.receiver_major { u.receiver } else { u.provider };
+    let mut next = prog.unit_at(prog.serial_head);
+    while let Some(first) = next {
+        let (p, r) = (first.provider as usize, first.receiver as usize);
+        let block = if prog.receiver_major { &dst.blocks[r] } else { &src.blocks[p] };
+        let span = block.as_ref().map_or(0, |b| b.data.len());
+        for lo in (0..span.max(1)).step_by(SERIAL_TILE) {
+            next = Some(first); // every tile re-walks the block's units
+            while let Some(unit) = next.filter(|u| major(u) == major(first)) {
+                let src_block = src.blocks[unit.provider as usize]
+                    .as_ref()
+                    .expect("provider holds the data");
+                let dst_block = dst.blocks[unit.receiver as usize]
+                    .as_mut()
+                    .expect("receiver allocates the data");
+                if span <= SERIAL_TILE {
+                    replay_unit(prog, *unit, src_block, dst_block);
+                } else {
+                    let window = (prog.receiver_major, lo, lo + SERIAL_TILE);
+                    replay_unit_window(prog, *unit, src_block, dst_block, window);
+                }
+                next = prog.unit_at((unit.next_group, unit.next_index));
+            }
+        }
+    }
+}
+
+/// One parallel-replay work item: the receiving block, the providing
+/// block, the unit, and the program whose tables its ranges index.
+type PairedUnit<'a> = (&'a mut LocalBlock, &'a LocalBlock, CopyUnit, &'a CopyProgram);
+
+/// Pair one program's round units with their receiving blocks in a
+/// single pass over the destination block table — valid because units
+/// are sorted by receiver and receivers within a round are distinct
+/// (the caterpillar contention-freedom), so every `&mut` handed out is
+/// unique. Appends to `out`, so the units of several lanes pool into
+/// one list before any worker is spawned.
+fn pair_round_units<'a>(
+    units: &'a [CopyUnit],
+    prog: &'a CopyProgram,
+    src: &'a VersionData,
+    dst: &'a mut VersionData,
+    out: &mut Vec<PairedUnit<'a>>,
+) {
+    let mut it = units.iter().peekable();
+    for (rank, slot) in dst.blocks.iter_mut().enumerate() {
+        match it.peek() {
+            Some(u) if u.receiver == rank as u64 => {
+                let db = slot.as_mut().expect("receiver allocates the data");
+                let sb = src.blocks[u.provider as usize]
+                    .as_ref()
+                    .expect("provider holds the data");
+                out.push((db, sb, **u, prog));
+                it.next();
+            }
+            Some(_) => {}
+            None => break,
+        }
+    }
+    debug_assert!(it.next().is_none(), "round receivers are sorted and distinct");
+}
+
+/// Split paired units into contiguous chunks balanced by element count
+/// (`total` elements across `threads` workers) and replay each chunk
+/// on a scoped worker thread. Receivers are pairwise distinct across
+/// the whole `paired` list by construction, so no locks are needed.
+/// The fault-injection hook: with `boom`, the worker running the first
+/// chunk panics halfway through its units (the `WorkerPanic` fault) —
+/// `std::thread::scope` propagates that panic to the caller at join,
+/// where [`replay_round`] catches it and the ladder degrades the round.
+fn replay_chunked(paired: Vec<PairedUnit<'_>>, total: u64, threads: usize, boom: bool) {
+    let target = total.div_ceil(threads as u64).max(1);
+    std::thread::scope(|scope| {
+        let mut rest = paired;
+        let mut boom = boom;
+        while !rest.is_empty() {
+            let mut weight = 0u64;
+            let mut take = 0usize;
+            while take < rest.len() && (take == 0 || weight < target) {
+                weight += rest[take].2.elements;
+                take += 1;
+            }
+            let tail = rest.split_off(take);
+            let chunk = std::mem::replace(&mut rest, tail);
+            let panics = std::mem::take(&mut boom);
+            scope.spawn(move || {
+                let half = chunk.len() / 2;
+                for (i, (db, sb, unit, prog)) in chunk.into_iter().enumerate() {
+                    if panics && i == half {
+                        std::panic::panic_any(crate::fault::InjectedPanic);
+                    }
+                    replay_unit(prog, unit, sb, db);
+                }
+            });
+        }
+    });
+}
+
+/// Replay every run of one stride family.
+#[inline]
+fn replay_family(f: &StrideFamily, src: &LocalBlock, dst: &mut LocalBlock) {
+    let (mut s, mut d) = (f.src_base as usize, f.dst_base as usize);
+    let (ss, ds, len) = (f.src_step as usize, f.dst_step as usize, f.len as usize);
+    if len == 1 {
+        for _ in 0..f.count {
+            dst.data[d] = src.data[s];
+            s += ss;
+            d += ds;
+        }
+    } else {
+        for _ in 0..f.count {
+            dst.data[d..d + len].copy_from_slice(&src.data[s..s + len]);
+            s += ss;
+            d += ds;
+        }
+    }
+}
+
+/// Replay one unit's residual triples (the pre-stride flat loop).
+#[inline]
+fn replay_triples(runs: &[CopyRun], unit: CopyUnit, src: &LocalBlock, dst: &mut LocalBlock) {
+    let (lo, hi) = unit.runs;
+    for r in &runs[lo as usize..hi as usize] {
+        let (s, d, len) = (r.src_pos as usize, r.dst_pos as usize, r.len as usize);
+        if len == 1 {
+            dst.data[d] = src.data[s];
+        } else {
+            dst.data[d..d + len].copy_from_slice(&src.data[s..s + len]);
+        }
+    }
+}
+
+/// Replay the part of one unit that falls into a window of the serial
+/// walk: of every family, the runs whose position on the windowed side
+/// (`by_dst`) lies in `lo..hi`; the residual triples — contiguous runs,
+/// which gain nothing from tiling — ride with the first window.
+#[inline]
+fn replay_unit_window(
+    prog: &CopyProgram,
+    unit: CopyUnit,
+    src: &LocalBlock,
+    dst: &mut LocalBlock,
+    (by_dst, lo, hi): (bool, usize, usize),
+) {
+    for f in &prog.fams[unit.fams.0 as usize..unit.fams.1 as usize] {
+        let (base, step) = if by_dst { (f.dst_base, f.dst_step) } else { (f.src_base, f.src_step) };
+        // Runs `k0..k1` start inside the window.
+        let runs_below = |pos: usize| {
+            pos.saturating_sub(base as usize).div_ceil(step.max(1) as usize).min(f.count as usize)
+                as u32
+        };
+        let (k0, k1) = (runs_below(lo), runs_below(hi));
+        if k0 < k1 {
+            let (src_base, dst_base) = (f.src_base + k0 * f.src_step, f.dst_base + k0 * f.dst_step);
+            replay_family(&StrideFamily { src_base, dst_base, count: k1 - k0, ..*f }, src, dst);
+        }
+    }
+    if lo == 0 {
+        replay_triples(&prog.runs, unit, src, dst);
+    }
+}
+
+/// Replay one unit by dispatching to the kernel chosen at compile
+/// time: unit-stride → one `copy_from_slice` (memcpy), single-element
+/// families → a tight scalar gather/scatter loop, general families →
+/// a blocked strided loop, irregular residue → the flat triple loop.
+#[inline]
+fn replay_unit(prog: &CopyProgram, unit: CopyUnit, src: &LocalBlock, dst: &mut LocalBlock) {
+    match unit.kernel {
+        // `Memcpy`: one residual run, one `copy_from_slice`.
+        Kernel::Memcpy | Kernel::Triples => replay_triples(&prog.runs, unit, src, dst),
+        // Families, then the residue (empty unless `Mixed`).
+        Kernel::Gather | Kernel::Strided | Kernel::Mixed => {
+            for f in &prog.fams[unit.fams.0 as usize..unit.fams.1 as usize] {
+                replay_family(f, src, dst);
+            }
+            replay_triples(&prog.runs, unit, src, dst);
+        }
+    }
+}
+
+/// Number of logical copy runs one unit performs: every run its
+/// stride families encode plus its residual triples — the per-unit
+/// slice of [`CopyProgram::n_runs`], used by the guarded replay's
+/// accounting.
+fn unit_n_runs(prog: &CopyProgram, unit: CopyUnit) -> u64 {
+    let (flo, fhi) = unit.fams;
+    prog.fams[flo as usize..fhi as usize].iter().map(|f| f.count as u64).sum::<u64>()
+        + (unit.runs.1 - unit.runs.0) as u64
+}
+
+/// Sum of the words one unit reads from its provider block
+/// (`dst_side == false`) or wrote into its receiver block (`true`), as
+/// raw `f64` bits (wrapping) — the per-unit checksum of
+/// `HPFC_VALIDATE=checksums`: after a clean replay the two sides are
+/// equal; any scribbled destination word breaks the equality.
+fn unit_sum(prog: &CopyProgram, unit: CopyUnit, block: &LocalBlock, dst_side: bool) -> u64 {
+    let mut sum = 0u64;
+    let mut add = |at: usize, len: usize| {
+        for w in &block.data[at..at + len] {
+            sum = sum.wrapping_add(w.to_bits());
+        }
+    };
+    for f in &prog.fams[unit.fams.0 as usize..unit.fams.1 as usize] {
+        let (base, step) = if dst_side { (f.dst_base, f.dst_step) } else { (f.src_base, f.src_step) };
+        for k in 0..f.count as usize {
+            add(base as usize + k * step as usize, f.len as usize);
+        }
+    }
+    for r in &prog.runs[unit.runs.0 as usize..unit.runs.1 as usize] {
+        add(if dst_side { r.dst_pos } else { r.src_pos } as usize, r.len as usize);
+    }
+    sum
+}
+
+/// Flip one bit of the first word a unit delivered — the
+/// `CorruptRound` fault's scribble (a unit without runs is left alone).
+fn flip_unit_word(prog: &CopyProgram, unit: CopyUnit, dst: &mut LocalBlock) {
+    let first_family = prog.fams[unit.fams.0 as usize..unit.fams.1 as usize]
+        .iter()
+        .find(|f| f.count > 0 && f.len > 0)
+        .map(|f| f.dst_base);
+    let first_run = prog.runs[unit.runs.0 as usize..unit.runs.1 as usize]
+        .iter()
+        .find(|r| r.len > 0)
+        .map(|r| r.dst_pos);
+    if let Some(d) = first_family.or(first_run) {
+        dst.data[d as usize] = f64::from_bits(dst.data[d as usize].to_bits() ^ 1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use super::*;
+    use crate::group::tests::two_array_group;
+    use crate::group::{remap_group, GroupMember};
+    use crate::redist::plan_redistribution;
+    use crate::schedule::CommSchedule;
+    use hpfc_mapping::{testing::mapping_1d as mk, DimFormat};
+
+    #[test]
+    fn threshold_boundary_round_takes_the_same_engine_solo_and_group() {
+        use crate::exec::PARALLEL_THRESHOLD;
+        // Solo: Block → Cyclic(n/4) on 2 ranks puts the local group AND
+        // the single caterpillar round at exactly PARALLEL_THRESHOLD
+        // elements — the boundary the shared predicate pins.
+        let n = 2 * PARALLEL_THRESHOLD;
+        let src = mk(n, 2, DimFormat::Block(None));
+        let dst = mk(n, 2, DimFormat::Cyclic(Some(n / 4)));
+        let plan = plan_redistribution(&src, &dst, 8);
+        let schedule = CommSchedule::from_plan(&plan);
+        let prog = crate::CopyProgram::try_compile(&plan, &schedule).expect("compiles");
+        for round in std::iter::once(&prog.local).chain(prog.rounds.iter()) {
+            let w: u64 = round.iter().map(|u| u.elements).sum();
+            assert_eq!(w, PARALLEL_THRESHOLD, "round sits exactly at the boundary");
+            assert!(
+                !crate::exec::round_goes_inline(w),
+                "a boundary round takes the parallel engine everywhere"
+            );
+        }
+        let mut a = VersionData::new(src, 8);
+        a.fill(|p| (p[0] % 8191) as f64);
+        let mut serial = VersionData::new(dst.clone(), 8);
+        serial.copy_values_from_program(&a, &prog, ExecMode::Serial);
+        let mut par = VersionData::new(dst, 8);
+        par.copy_values_from_program(&a, &prog, ExecMode::Parallel(4));
+        assert_eq!(serial, par);
+
+        // Group: two members at half the extent, so every *merged*
+        // round (local group and the wire round) also totals exactly
+        // PARALLEL_THRESHOLD — the group dispatcher must agree with
+        // the solo one at the boundary.
+        let gn = PARALLEL_THRESHOLD;
+        let run = |mode: ExecMode| {
+            let (machine, mut a, mut b, fwd, _back) = two_array_group(
+                gn,
+                2,
+                DimFormat::Block(None),
+                DimFormat::Cyclic(Some(gn / 4)),
+            );
+            let gp = fwd.program.as_ref().expect("members compile");
+            for round in 0..=gp.n_rounds {
+                let w: u64 = gp
+                    .members
+                    .iter()
+                    .map(|mp| units_of(mp, round).iter().map(|u| u.elements).sum::<u64>())
+                    .sum();
+                assert_eq!(w, PARALLEL_THRESHOLD, "merged round sits exactly at the boundary");
+            }
+            let mut machine = machine.with_exec_mode(mode);
+            let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+            let skip = BTreeSet::new();
+            {
+                let mut members = [
+                    GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+                    GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+                ];
+                assert_eq!(remap_group(&mut machine, &mut members, &fwd), 2);
+            }
+            let av = a.copies[1].as_ref().unwrap().to_dense();
+            let bv = b.copies[1].as_ref().unwrap().to_dense();
+            (av, bv)
+        };
+        assert_eq!(run(ExecMode::Serial), run(ExecMode::Parallel(4)));
+    }
+
+    #[test]
+    fn serial_and_parallel_group_replay_agree() {
+        // Large enough that parallel rounds cross the inline threshold
+        // and really spawn scoped workers across both arrays' units.
+        let run = |mode: ExecMode| {
+            let (machine, mut a, mut b, fwd, back) =
+                two_array_group(1 << 18, 4, DimFormat::Block(None), DimFormat::Cyclic(Some(3)));
+            let mut machine = machine.with_exec_mode(mode);
+            let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+            let skip = BTreeSet::new();
+            for round in 0..3 {
+                {
+                    let mut members = [
+                        GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+                        GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+                    ];
+                    assert_eq!(remap_group(&mut machine, &mut members, &fwd), 2);
+                }
+                a.set(&[0], round as f64);
+                b.set(&[1], round as f64);
+                {
+                    let mut members = [
+                        GroupMember { rt: &mut a, src: 1, target: 0, may_live: &keep, skip_if_current: &skip },
+                        GroupMember { rt: &mut b, src: 1, target: 0, may_live: &keep, skip_if_current: &skip },
+                    ];
+                    assert_eq!(remap_group(&mut machine, &mut members, &back), 2);
+                }
+                a.set(&[2], round as f64);
+                b.set(&[3], round as f64);
+            }
+            let av = a.copies[a.status.unwrap() as usize].as_ref().unwrap().to_dense();
+            let bv = b.copies[b.status.unwrap() as usize].as_ref().unwrap().to_dense();
+            (av, bv, machine.stats.bytes, machine.stats.messages)
+        };
+        assert_eq!(run(ExecMode::Serial), run(ExecMode::Parallel(4)));
+    }
+}

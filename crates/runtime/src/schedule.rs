@@ -194,18 +194,20 @@ impl CommSchedule {
     /// the wire carries one packed buffer per (sender, receiver) pair
     /// per round, whatever mix of arrays is inside.
     pub fn round_triples(&self, round: usize) -> RoundTriples<'_> {
-        self.round_triples_masked(round, u64::MAX)
+        self.round_triples_of(round, (|_| true) as fn(usize) -> bool)
     }
 
     /// [`CommSchedule::round_triples`] restricted to the member plans
-    /// whose bit is set in `mask` (member `i` participates iff
-    /// `mask & (1 << i) != 0`; members beyond bit 63 are always
-    /// included — callers cap group sizes well below that). This is how
-    /// a partially applicable remap group is costed: members that turn
-    /// out not to move data at run time (status noop, live-copy reuse)
-    /// simply drop out of every round's coalesced buffers.
-    pub fn round_triples_masked(&self, round: usize, mask: u64) -> RoundTriples<'_> {
-        RoundTriples { sched: self, idxs: &self.rounds[round], at: 0, mask }
+    /// `included` selects (by member index). This is how a partially
+    /// applicable remap group is costed: members that turn out not to
+    /// move data at run time (status noop, live-copy reuse) simply drop
+    /// out of every round's coalesced buffers.
+    pub fn round_triples_of<F: Fn(usize) -> bool>(
+        &self,
+        round: usize,
+        included: F,
+    ) -> RoundTriples<'_, F> {
+        RoundTriples { sched: self, idxs: &self.rounds[round], at: 0, included }
     }
 
     /// Each message's (sender, receiver) pair with its caterpillar
@@ -227,20 +229,14 @@ impl CommSchedule {
 /// triples (see [`CommSchedule::round_triples`]). Allocation-free: it
 /// walks the round's `(from, to, member)`-sorted message indices and
 /// merges adjacent same-pair entries on the fly.
-pub struct RoundTriples<'a> {
+pub struct RoundTriples<'a, F = fn(usize) -> bool> {
     sched: &'a CommSchedule,
     idxs: &'a [usize],
     at: usize,
-    mask: u64,
+    included: F,
 }
 
-impl<'a> RoundTriples<'a> {
-    fn included(&self, member: usize) -> bool {
-        member >= 64 || self.mask & (1u64 << member) != 0
-    }
-}
-
-impl<'a> Iterator for RoundTriples<'a> {
+impl<F: Fn(usize) -> bool> Iterator for RoundTriples<'_, F> {
     type Item = (u64, u64, u64);
 
     fn next(&mut self) -> Option<(u64, u64, u64)> {
@@ -248,7 +244,7 @@ impl<'a> Iterator for RoundTriples<'a> {
             let &i = self.idxs.get(self.at)?;
             self.at += 1;
             let m = &self.sched.messages[i];
-            if !self.included(m.member) {
+            if !(self.included)(m.member) {
                 continue;
             }
             let (from, to) = (m.from, m.to);
@@ -259,7 +255,7 @@ impl<'a> Iterator for RoundTriples<'a> {
                     break;
                 }
                 self.at += 1;
-                if self.included(n.member) {
+                if (self.included)(n.member) {
                     bytes += n.bytes(self.sched.elem_size);
                 }
             }

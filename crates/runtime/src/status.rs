@@ -23,8 +23,10 @@ use std::sync::Arc;
 use hpfc_mapping::NormalizedMapping;
 
 use crate::exec::CopyProgram;
+use crate::fault::ExecError;
 use crate::machine::Machine;
 use crate::redist::{plan_redistribution, RedistPlan};
+use crate::replay::Lane;
 use crate::schedule::CommSchedule;
 use crate::store::VersionData;
 
@@ -144,7 +146,7 @@ impl ArrayRt {
         }
         let entry = match machine.registry.clone() {
             Some(reg) => {
-                // Symbolic keying (`HPFC_SYMBOLIC`, default on): probe
+                // Symbolic keying (the default): probe
                 // the concrete tables first — a seeded, adopted,
                 // installed, or quarantined artifact is always served
                 // as-is — then resolve through the per-format-pair
@@ -388,7 +390,7 @@ impl ArrayRt {
         target: u32,
         may_live: &BTreeSet<u32>,
         values_dead: bool,
-    ) -> Result<(), crate::fault::ExecError> {
+    ) -> Result<(), ExecError> {
         self.try_remap_guarded(machine, target, may_live, values_dead, &BTreeSet::new())
     }
 
@@ -422,13 +424,13 @@ impl ArrayRt {
     /// neither configured this is exactly the unguarded
     /// allocation-free path.
     ///
-    /// **Transactional** (`HPFC_TXN`, default on): on the guarded path
-    /// a rollback record is captured before the replay writes anything,
-    /// and any terminal error restores the destination version —
-    /// status, live flags, allocation, and bytes — to its exact
-    /// pre-remap state (`NetStats::txn_rollbacks`). The unguarded fast
-    /// path needs no snapshot: with no faults injected and no
-    /// validation demanded, its replay cannot fail after writes begin.
+    /// **Transactional**: on the guarded path a rollback record is
+    /// captured before the replay writes anything, and any terminal
+    /// error restores the destination version — status, live flags,
+    /// allocation, and bytes — to its exact pre-remap state
+    /// (`NetStats::txn_rollbacks`). The unguarded fast path needs no
+    /// snapshot: with no faults injected and no validation demanded,
+    /// its replay cannot fail after writes begin.
     pub fn try_remap_guarded(
         &mut self,
         machine: &mut Machine,
@@ -436,17 +438,43 @@ impl ArrayRt {
         may_live: &BTreeSet<u32>,
         values_dead: bool,
         skip_if_current: &BTreeSet<u32>,
-    ) -> Result<(), crate::fault::ExecError> {
-        self.try_remap_inner(machine, target, may_live, values_dead, skip_if_current, true, true)
+    ) -> Result<(), ExecError> {
+        self.try_remap_inner(machine, target, may_live, values_dead, skip_if_current, false)
+    }
+
+    /// The version a remap to `target` would copy out of, given the
+    /// array's state right now — `None` when it would move no data
+    /// (partial-impact skip, status noop, live-copy reuse, dead values,
+    /// first instantiation). That copy must be allocated: this is the
+    /// entry check of every data-moving remap, solo or grouped, made
+    /// before the target is allocated or anything is billed, so the
+    /// error leaves the array and the machine's books untouched.
+    pub(crate) fn copy_source(
+        &self,
+        target: u32,
+        values_dead: bool,
+        skip_if_current: &BTreeSet<u32>,
+    ) -> Result<Option<u32>, ExecError> {
+        let moving = |s: &u32| {
+            *s != target
+                && !values_dead
+                && !self.live[target as usize]
+                && !skip_if_current.contains(s)
+        };
+        match self.status.filter(moving) {
+            Some(src) if self.copies[src as usize].is_none() => {
+                Err(ExecError::MissingCopy { array: self.name.clone(), version: src })
+            }
+            source => Ok(source),
+        }
     }
 
     /// Body of [`ArrayRt::try_remap_guarded`], parameterized for the
-    /// group path: `clean` defers the liveness cleaning (a group cleans
-    /// only after *every* member committed — cleaning frees copies a
-    /// group rollback could not restore), and `txn` arms the solo
-    /// rollback (the group captures its own per-member records
-    /// instead).
-    #[allow(clippy::too_many_arguments)]
+    /// group path. A `grouped` remap leaves two things to its group:
+    /// the liveness cleaning (a group cleans only after *every* member
+    /// committed — cleaning frees copies a group rollback could not
+    /// restore) and the rollback record (the group captures its own
+    /// per-member records instead).
     pub(crate) fn try_remap_inner(
         &mut self,
         machine: &mut Machine,
@@ -454,9 +482,9 @@ impl ArrayRt {
         may_live: &BTreeSet<u32>,
         values_dead: bool,
         skip_if_current: &BTreeSet<u32>,
-        clean: bool,
-        txn: bool,
-    ) -> Result<(), crate::fault::ExecError> {
+        grouped: bool,
+    ) -> Result<(), ExecError> {
+        let moving = self.copy_source(target, values_dead, skip_if_current)?;
         if self.status.is_some_and(|c| skip_if_current.contains(&c)) {
             machine.stats.remaps_skipped_noop += 1;
         } else if self.status == Some(target) {
@@ -467,149 +495,118 @@ impl ArrayRt {
             let target_preallocated = self.copies[target as usize].is_some();
             // The program about to run decides whether a recycled
             // target needs zeroing.
-            let claim = match self.status {
-                Some(src) if !values_dead && !target_preallocated => {
-                    self.plan_cache.get(&(src, target)).cloned()
-                }
-                _ => None,
-            };
+            let claim = moving
+                .filter(|_| !target_preallocated)
+                .and_then(|src| self.plan_cache.get(&(src, target)).cloned());
             self.allocate_for(machine, target, claim.as_deref().and_then(|p| p.program.as_ref()));
             if self.live[target as usize] {
                 // Live-copy reuse: no communication at all (App. D).
                 machine.stats.remaps_reused_live += 1;
             } else {
-                match (self.status, values_dead) {
-                    (Some(src), false) => {
-                        // The actual remapping communication: the
-                        // cached compiled program drives the copy, its
-                        // caterpillar schedule the time accounting.
-                        let epoch = machine.next_fault_epoch();
-                        if machine.faults.is_some_and(|f| f.poison_fires(epoch)) {
-                            // PoisonProgram: corrupt the cached entry's
-                            // compiled program before it is served. The
-                            // corrupt artifact is installed into the
-                            // shared registry too — exactly what a
-                            // damaged plan registry would hand out to
-                            // every session.
-                            if let Some(entry) = self.plan_cache.get_mut(&(src, target)) {
-                                let mut bad = PlannedRemap::clone(entry);
-                                if let Some(p) = bad.program.as_mut() {
-                                    crate::fault::poison_program(p);
-                                    machine.stats.faults_injected += 1;
-                                    let bad = Arc::new(bad);
-                                    if let Some(reg) = &machine.registry {
-                                        reg.install(Arc::clone(&bad));
-                                    }
-                                    *entry = bad;
-                                }
-                            }
-                        }
-                        let inject_compile_panic = machine
-                            .faults
-                            .is_some_and(|f| f.compile_panic_fires(epoch))
-                            && !self.plan_cache.contains_key(&(src, target));
-                        if inject_compile_panic {
-                            machine.stats.faults_injected += 1;
-                        }
-                        let planned =
-                            self.planned_with(machine, src, target, inject_compile_panic);
-                        machine.account_schedule(&planned.schedule);
-                        machine.stats.remaps_performed += 1;
-                        // Take the source copy out instead of cloning
-                        // it (src != target here: the status==target
-                        // case was handled above), then put it back.
-                        let src_data = self.copies[src as usize].take().ok_or_else(|| {
-                            crate::fault::ExecError::MissingCopy {
-                                array: self.name.clone(),
-                                version: src,
-                            }
-                        })?;
-                        // Arm the rollback record only on the guarded
-                        // path: the unguarded replay cannot fail after
-                        // writes begin, so the default cached bounce
-                        // never pays for a snapshot.
-                        let armed = txn
-                            && machine.txn
-                            && (machine.faults.is_some()
-                                || machine.validation != crate::ValidationLevel::Off);
-                        let mut snap = std::mem::take(&mut machine.txn_scratch);
-                        if armed {
-                            snap.capture(
-                                self.status,
-                                &self.live,
-                                target_preallocated,
-                                Some(&src_data),
-                                self.copies[target as usize].as_ref(),
-                                planned.program.as_ref(),
-                            );
-                        }
-                        let dst_data = self.copies[target as usize].as_mut().unwrap();
-                        // Replay through the recovery ladder (which is
-                        // the plain unguarded program replay — or table
-                        // fallback — when no faults/validation are
-                        // configured). The source copy goes back in
-                        // before any error propagates.
-                        let replayed = crate::fault::replay_with_recovery(
-                            machine, &planned, &src_data, dst_data, epoch,
-                        );
-                        self.copies[src as usize] = Some(src_data);
-                        let outcome = match replayed {
-                            Ok(o) => {
-                                // Commit: drop the capture, keep the
-                                // scratch capacity for the next remap.
-                                snap.captured = false;
-                                machine.txn_scratch = snap;
-                                o
-                            }
-                            Err(e) => {
-                                if armed {
-                                    self.rollback_remap(machine, target, &mut snap);
-                                    machine.stats.txn_rollbacks += 1;
-                                }
-                                machine.txn_scratch = snap;
-                                return Err(e);
-                            }
-                        };
-                        machine.stats.runs_copied += outcome.runs;
-                        machine.stats.bytes_moved += outcome.elements * self.elem_size;
-                        drop(planned);
-                        if let Some(fresh) = outcome.repaired {
-                            // Cache repair, once registry-wide: the
-                            // recompiled program replaces the
-                            // poisoned/stale one locally *and* in the
-                            // shared registry, so the next bounce is
-                            // healthy again and no later session is
-                            // ever served the corrupt artifact.
-                            if let Some(entry) = self.plan_cache.get_mut(&(src, target)) {
-                                let mut healthy = PlannedRemap::clone(entry);
-                                healthy.program = Some(fresh);
-                                let healthy = Arc::new(healthy);
+                if let Some(src) = moving {
+                    // The actual remapping communication: the cached compiled
+                    // program drives the copy, its caterpillar schedule the
+                    // time accounting.
+                    let epoch = machine.next_fault_epoch();
+                    if machine.faults.is_some_and(|f| f.poison_fires(epoch)) {
+                        // PoisonProgram: corrupt the cached entry's compiled
+                        // program before it is served. The corrupt artifact is
+                        // installed into the shared registry too — exactly what
+                        // a damaged plan registry would hand out to every
+                        // session.
+                        if let Some(entry) = self.plan_cache.get_mut(&(src, target)) {
+                            let mut bad = PlannedRemap::clone(entry);
+                            if let Some(p) = bad.program.as_mut() {
+                                crate::fault::poison_program(p);
+                                machine.stats.faults_injected += 1;
+                                let bad = Arc::new(bad);
                                 if let Some(reg) = &machine.registry {
-                                    reg.install(Arc::clone(&healthy));
-                                    // Strike one against the pair: a
-                                    // pair that keeps needing repair is
-                                    // quarantined (served table-only).
-                                    if reg.note_repair(&healthy) {
-                                        machine.stats.quarantined_pairs += 1;
-                                    }
+                                    reg.install(Arc::clone(&bad));
                                 }
-                                *entry = healthy;
+                                *entry = bad;
                             }
                         }
                     }
-                    (Some(_), true) => {
-                        // KILL: copy allocated, values dead — no data.
-                        machine.stats.remaps_dead_values += 1;
+                    let inject_compile_panic = machine.faults.is_some_and(|f| f.compile_panic_fires(epoch))
+                        && !self.plan_cache.contains_key(&(src, target));
+                    if inject_compile_panic {
+                        machine.stats.faults_injected += 1;
                     }
-                    (None, _) => {
-                        // First instantiation: nothing to copy from.
+                    let planned = self.planned_with(machine, src, target, inject_compile_panic);
+                    machine.account_schedule(&planned.schedule);
+                    machine.stats.remaps_performed += 1;
+                    // Arm the rollback record only on the guarded path: the
+                    // unguarded replay cannot fail after writes begin, so the
+                    // default cached bounce never pays for a snapshot.
+                    let armed = !grouped && machine.guarded();
+                    let mut snap = std::mem::take(&mut machine.txn_scratch);
+                    if armed {
+                        snap.capture(
+                            self.status,
+                            &self.live,
+                            target_preallocated,
+                            self.copies[src as usize].as_ref(),
+                            self.copies[target as usize].as_ref(),
+                            planned.program.as_ref(),
+                        );
                     }
+                    // One lane through the replay core.
+                    let (src_data, dst_data) = version_pair(&mut self.copies, src, target);
+                    let replayed = crate::replay::run(
+                        machine,
+                        std::slice::from_ref(&planned),
+                        planned.program.as_slice(),
+                        &mut |visit| {
+                            let lane = Lane { at: 0, src: src_data, dst: &mut *dst_data };
+                            visit(&mut std::iter::once(lane))
+                        },
+                        epoch,
+                        &|| {
+                            CopyProgram::try_compile(&planned.plan, &planned.schedule)
+                                .map(|fresh| vec![fresh])
+                        },
+                    );
+                    if replayed.is_err() && armed {
+                        self.rollback_remap(machine, target, &mut snap);
+                        machine.stats.txn_rollbacks += 1;
+                    }
+                    // Committed or rolled back: drop the capture, keep the
+                    // scratch capacity for the next remap.
+                    snap.captured = false;
+                    machine.txn_scratch = snap;
+                    if let Some(fresh) = replayed?.and_then(|mut set| set.pop()) {
+                        // Cache repair, once registry-wide: the recompiled
+                        // program replaces the poisoned/stale one locally *and*
+                        // in the shared registry, so the next bounce is healthy
+                        // again and no later session is ever served the corrupt
+                        // artifact.
+                        if let Some(entry) = self.plan_cache.get_mut(&(src, target)) {
+                            let mut healthy = PlannedRemap::clone(entry);
+                            healthy.program = Some(fresh);
+                            let healthy = Arc::new(healthy);
+                            if let Some(reg) = &machine.registry {
+                                reg.install(Arc::clone(&healthy));
+                                // Strike one against the pair: a pair that
+                                // keeps needing repair is quarantined (served
+                                // table-only).
+                                if reg.note_repair(&healthy) {
+                                    machine.stats.quarantined_pairs += 1;
+                                }
+                            }
+                            *entry = healthy;
+                        }
+                    }
+                } else if self.status.is_some() {
+                    // KILL: copy allocated, values dead — no data. (With no
+                    // status at all this is the first instantiation:
+                    // nothing to copy from.)
+                    machine.stats.remaps_dead_values += 1;
                 }
                 self.live[target as usize] = true;
             }
             self.status = Some(target);
         }
-        if clean {
+        if !grouped {
             self.clean_copies(machine, target, may_live);
         }
         Ok(())
@@ -695,7 +692,7 @@ impl ArrayRt {
         saved: u32,
         may_live: &BTreeSet<u32>,
         values_dead: bool,
-    ) -> Result<(), crate::fault::ExecError> {
+    ) -> Result<(), ExecError> {
         machine.stats.restores_replayed += 1;
         self.try_remap(machine, saved, may_live, values_dead)
     }
@@ -753,6 +750,24 @@ impl ArrayRt {
     pub fn allocated_bytes(&self) -> u64 {
         self.copies.iter().flatten().map(|c| c.total_bytes()).sum()
     }
+}
+
+/// Version `src` for reading and version `dst` for writing, borrowed
+/// from one copies table at once. Both are allocated by the time a
+/// replay starts: the source was checked by [`ArrayRt::copy_source`],
+/// the target allocated by [`ArrayRt::allocate_for`].
+pub(crate) fn version_pair(
+    copies: &mut [Option<VersionData>],
+    src: u32,
+    dst: u32,
+) -> (&VersionData, &mut VersionData) {
+    let [read, write] = copies
+        .get_disjoint_mut([src as usize, dst as usize])
+        .expect("a copy moves between two distinct versions of the array");
+    (
+        read.as_ref().expect("source copy is allocated"),
+        write.as_mut().expect("target copy is allocated"),
+    )
 }
 
 #[cfg(test)]
@@ -930,37 +945,39 @@ mod tests {
 
     #[test]
     fn remap_loop_plans_once_per_direction() {
-        // An isolated registry: the process-wide one is shared with
-        // every other test in this binary, which would make the
-        // computed/hit split here nondeterministic.
-        let registry = Arc::new(crate::PlanRegistry::new(2, 64));
-        let (m, mut a) = rt();
-        let mut m = m.with_registry(Arc::clone(&registry));
-        a.current(&mut m, 0).fill(|p| p[0] as f64);
-        let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-        for i in 0..10 {
-            a.remap(&mut m, 1, &keep, false);
-            a.set(&[0], i as f64); // stale the other copy: every remap moves data
-            a.remap(&mut m, 0, &keep, false);
-            a.set(&[1], i as f64);
-        }
-        assert_eq!(m.stats.remaps_performed, 20);
-        // The loop planned exactly once per direction; all later
-        // remaps reused the cached plan + schedule. The two computes
-        // registered registry-wide (misses); the local first-level
-        // cache answered everything after, so the registry was never
-        // consulted again.
-        assert_eq!(m.stats.plans_computed, 2);
-        assert_eq!(m.stats.plan_cache_hits, 18);
-        assert_eq!(m.stats.registry_misses, 2);
-        assert_eq!(m.stats.registry_hits, 0);
-        // Same compile-once accounting under both keying schemes; only
-        // where the two entries live differs (concrete shards vs the
-        // symbolic format-pair table).
-        if m.symbolic {
-            assert_eq!((registry.len(), registry.sym_len()), (0, 2));
-        } else {
-            assert_eq!((registry.len(), registry.sym_len()), (2, 0));
+        for symbolic in [true, false] {
+            // An isolated registry: the process-wide one is shared with
+            // every other test in this binary, which would make the
+            // computed/hit split here nondeterministic.
+            let registry = Arc::new(crate::PlanRegistry::new(2, 64));
+            let (m, mut a) = rt();
+            let mut m = m.with_registry(Arc::clone(&registry)).with_symbolic(symbolic);
+            a.current(&mut m, 0).fill(|p| p[0] as f64);
+            let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+            for i in 0..10 {
+                a.remap(&mut m, 1, &keep, false);
+                a.set(&[0], i as f64); // stale the other copy: every remap moves data
+                a.remap(&mut m, 0, &keep, false);
+                a.set(&[1], i as f64);
+            }
+            assert_eq!(m.stats.remaps_performed, 20);
+            // The loop planned exactly once per direction; all later
+            // remaps reused the cached plan + schedule. The two computes
+            // registered registry-wide (misses); the local first-level
+            // cache answered everything after, so the registry was never
+            // consulted again.
+            assert_eq!(m.stats.plans_computed, 2);
+            assert_eq!(m.stats.plan_cache_hits, 18);
+            assert_eq!(m.stats.registry_misses, 2);
+            assert_eq!(m.stats.registry_hits, 0);
+            // Same compile-once accounting under both keying schemes; only
+            // where the two entries live differs (concrete shards vs the
+            // symbolic format-pair table).
+            if symbolic {
+                assert_eq!((registry.len(), registry.sym_len()), (0, 2));
+            } else {
+                assert_eq!((registry.len(), registry.sym_len()), (2, 0));
+            }
         }
     }
 

@@ -17,11 +17,14 @@
 //! [`VersionData::copy_values_from_program`] replays a compiled
 //! [`crate::CopyProgram`] whose positions were all resolved at plan
 //! time — zero allocations per copy, optionally parallel per
-//! caterpillar round (see [`crate::exec`]).
+//! caterpillar round (see [`crate::exec`] for the artifact; the one
+//! replay core interprets it).
 //! Result extraction ([`VersionData::to_dense`]) walks canonical blocks
 //! the same run-level way — no per-element owner computation.
 
 use hpfc_mapping::{intervals::intersect_runs, NormalizedMapping};
+
+use crate::replay::Lane;
 
 /// One processor's slice of a version.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,7 +221,10 @@ impl VersionData {
         if !program.compiled_for(other, self) {
             return self.copy_values_from(other);
         }
-        program.execute(self, other, mode);
+        let lane = &mut |visit: &mut dyn FnMut(&mut dyn Iterator<Item = Lane<'_>>)| {
+            visit(&mut std::iter::once(Lane { at: 0, src: other, dst: &mut *self }))
+        };
+        crate::replay::replay(std::slice::from_ref(program), lane, mode);
         (program.n_runs(), program.n_elements())
     }
 

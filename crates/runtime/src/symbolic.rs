@@ -25,8 +25,9 @@
 //! one closed-form instantiation per new `P`, billed to
 //! `NetStats::symbolic_instantiations` instead.
 //!
-//! The layer is opt-out (`HPFC_SYMBOLIC=off`, or
-//! [`crate::Machine::with_symbolic`]) and partial by design: shapes the
+//! The layer is on by default (a machine built
+//! [`crate::Machine::with_symbolic`]`(false)` keeps the concrete
+//! keying) and partial by design: shapes the
 //! symbolic normalizer declines (replication, constant alignments,
 //! multi-dimensional grids) fall back to the concrete per-mapping-pair
 //! keys, counted in `NetStats::symbolic_declines`.
@@ -39,14 +40,6 @@ use hpfc_mapping::Extents;
 
 use crate::redist::{plan_redistribution, RedistPlan};
 use crate::status::PlannedRemap;
-
-/// Whether symbolic plan keying is enabled by the environment
-/// (`HPFC_SYMBOLIC`, default **on**; only an explicit `off` / `0` /
-/// `false` / `no` disables it). Read per call — lowering consults it
-/// once per compiled program, and tests toggle it per process.
-pub fn enabled_from_env() -> bool {
-    crate::machine::symbolic_from_env()
-}
 
 /// What one symbolic registry lookup did, for the caller's
 /// [`crate::NetStats`] bookkeeping. Mirrors

@@ -197,9 +197,10 @@ fn steady_state_remap_allocates_nothing() {
 
     // --- 4. A cached remap GROUP bounce is allocation-free too, under
     // both engines. Two arrays remapped by one directive share merged
-    // caterpillar rounds: the coalesced path is eligibility checks
-    // (mask bits), masked accounting in the machine scratch arena, and
-    // a round-by-round replay of the precompiled group program. At
+    // caterpillar rounds: the coalesced path is eligibility checks,
+    // accounting restricted to the movers in the machine scratch
+    // arena, and a replay of the precompiled group program with the
+    // movers lent to the core as lanes (nothing collected). At
     // n = 4096 every merged round is below the parallel inline
     // threshold, so ExecMode::Parallel(4) replays inline — the
     // steady-state contract holds for both engines.
@@ -338,8 +339,7 @@ fn steady_state_remap_allocates_nothing() {
     let mut machine = Machine::new(4)
         .with_exec_mode(ExecMode::Serial)
         .without_registry()
-        .with_validation(hpfc_runtime::ValidationLevel::Counts)
-        .with_txn(true);
+        .with_validation(hpfc_runtime::ValidationLevel::Counts);
     let mut rt = ArrayRt::new("a", vec![src, dst], 8);
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
@@ -377,8 +377,7 @@ fn steady_state_remap_allocates_nothing() {
     let mut machine = Machine::new(4)
         .with_exec_mode(ExecMode::Serial)
         .without_registry()
-        .with_validation(hpfc_runtime::ValidationLevel::Counts)
-        .with_txn(true);
+        .with_validation(hpfc_runtime::ValidationLevel::Counts);
     let mut rt = ArrayRt::new("a", vec![src, dst], 8);
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
@@ -420,7 +419,7 @@ fn steady_state_remap_allocates_nothing() {
     assert_eq!(machine.stats.plans_computed, 2, "planned once per direction");
 
     // --- 8. A SYMBOLIC registry-hit bounce is allocation-free too. ----
-    // Section 5 with `HPFC_SYMBOLIC` keying pinned on: the local view
+    // Section 5 with symbolic keying pinned on: the local view
     // is evicted before every measured remap, so each takes the full
     // symbolic flow — probe the concrete tables (miss: under symbolic
     // keying nothing was ever registered there), reduce both mappings

@@ -164,52 +164,56 @@ fn poisoned_cache_entries_are_recompiled_and_repaired() {
 #[test]
 fn a_poisoned_registry_entry_heals_once_and_never_reaches_a_second_session() {
     let n = 4096u64;
-    let registry = Arc::new(hpfc_runtime::PlanRegistry::new(2, 64));
-    let src = mk1d(n, 4, DimFormat::Block(None));
-    let dst = mk1d(n, 4, DimFormat::Cyclic(Some(3)));
-    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    for symbolic in [true, false] {
+        let registry = Arc::new(hpfc_runtime::PlanRegistry::new(2, 64));
+        let src = mk1d(n, 4, DimFormat::Block(None));
+        let dst = mk1d(n, 4, DimFormat::Cyclic(Some(3)));
+        let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
 
-    // Session A, fault-free: registers both directions in the registry.
-    let mut ma = Machine::new(4)
-        .with_exec_mode(ExecMode::Serial)
-        .with_registry(Arc::clone(&registry));
-    let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
-    let shadow_a = bounce_and_oracle(&mut ma, &mut a, n, 2);
-    assert_eq!(ma.stats.plans_computed, 2, "A planned both directions");
-    // Where the two entries live depends on the keying scheme
-    // (`HPFC_SYMBOLIC`): concrete per-mapping-pair shards, or the
-    // symbolic per-format-pair table. Either way: two entries.
-    if ma.symbolic {
-        assert_eq!((registry.len(), registry.sym_len()), (0, 2));
-    } else {
-        assert_eq!((registry.len(), registry.sym_len()), (2, 0));
+        // Session A, fault-free: registers both directions in the registry.
+        let mut ma = Machine::new(4)
+            .with_exec_mode(ExecMode::Serial)
+            .with_registry(Arc::clone(&registry))
+            .with_symbolic(symbolic);
+        let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
+        let shadow_a = bounce_and_oracle(&mut ma, &mut a, n, 2);
+        assert_eq!(ma.stats.plans_computed, 2, "A planned both directions");
+        // Where the two entries live depends on the keying scheme:
+        // concrete per-mapping-pair shards, or the symbolic
+        // per-format-pair table. Either way: two entries.
+        if symbolic {
+            assert_eq!((registry.len(), registry.sym_len()), (0, 2));
+        } else {
+            assert_eq!((registry.len(), registry.sym_len()), (2, 0));
+        }
+
+        // One poisoned remap: the corrupt artifact transits the registry
+        // (installed so corruption is visible registry-wide, like a real
+        // shared-cache fault), is caught by the fingerprint, and the
+        // repaired program is reinstalled over it.
+        ma = ma.with_faults(FaultPlan::new(41, 100, &[FaultKind::PoisonProgram]));
+        a.remap(&mut ma, 1, &keep, false);
+        assert_matches_oracle(&a, &shadow_a, "session A after poison");
+        assert_eq!(ma.stats.faults_injected, 1, "exactly one poisoning");
+        assert_eq!(ma.stats.programs_recompiled, 1, "repaired exactly once");
+
+        // Session B: fresh machine + fresh array, same registry, no faults.
+        let mut mb = Machine::new(4)
+            .with_exec_mode(ExecMode::Serial)
+            .with_registry(Arc::clone(&registry))
+            .with_symbolic(symbolic);
+        let mut b = ArrayRt::new("b", vec![src, dst], 8);
+        let shadow_b = bounce_and_oracle(&mut mb, &mut b, n, 4);
+        assert_matches_oracle(&b, &shadow_b, "session B over the repaired registry");
+        assert_eq!(mb.stats.plans_computed, 0, "B is served by the registry");
+        assert_eq!((mb.stats.registry_misses, mb.stats.registry_hits), (0, 2), "{:?}", mb.stats);
+        assert_eq!(mb.stats.faults_injected, 0);
+        assert_eq!(
+            ma.stats.programs_recompiled + mb.stats.programs_recompiled,
+            1,
+            "one poisoning, one repair, process-wide — B never saw the corrupt program"
+        );
     }
-
-    // One poisoned remap: the corrupt artifact transits the registry
-    // (installed so corruption is visible registry-wide, like a real
-    // shared-cache fault), is caught by the fingerprint, and the
-    // repaired program is reinstalled over it.
-    ma = ma.with_faults(FaultPlan::new(41, 100, &[FaultKind::PoisonProgram]));
-    a.remap(&mut ma, 1, &keep, false);
-    assert_matches_oracle(&a, &shadow_a, "session A after poison");
-    assert_eq!(ma.stats.faults_injected, 1, "exactly one poisoning");
-    assert_eq!(ma.stats.programs_recompiled, 1, "repaired exactly once");
-
-    // Session B: fresh machine + fresh array, same registry, no faults.
-    let mut mb = Machine::new(4)
-        .with_exec_mode(ExecMode::Serial)
-        .with_registry(Arc::clone(&registry));
-    let mut b = ArrayRt::new("b", vec![src, dst], 8);
-    let shadow_b = bounce_and_oracle(&mut mb, &mut b, n, 4);
-    assert_matches_oracle(&b, &shadow_b, "session B over the repaired registry");
-    assert_eq!(mb.stats.plans_computed, 0, "B is served by the registry");
-    assert_eq!((mb.stats.registry_misses, mb.stats.registry_hits), (0, 2), "{:?}", mb.stats);
-    assert_eq!(mb.stats.faults_injected, 0);
-    assert_eq!(
-        ma.stats.programs_recompiled + mb.stats.programs_recompiled,
-        1,
-        "one poisoning, one repair, process-wide — B never saw the corrupt program"
-    );
 }
 
 /// Drop/Truncate under both engines: conservation counts catch the
@@ -364,6 +368,145 @@ fn unrecoverable_paths_return_typed_errors() {
     assert_eq!(err, ExecError::GroupMismatch { planned: 2, got: 1 });
 }
 
+/// A missing source copy is found by the entry check — before the
+/// target is allocated, the schedule accounted or the remap counted —
+/// so the typed error leaves the machine's books and the array exactly
+/// as they were, on the solo path and on the group path alike (where
+/// the same state used to panic out of a `try_` function).
+#[test]
+fn a_missing_source_copy_fails_before_anything_is_billed() {
+    let n = 256u64;
+    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    let skip = BTreeSet::new();
+    let src = mk1d(n, 4, DimFormat::Block(None));
+    let dst = mk1d(n, 4, DimFormat::Cyclic(Some(3)));
+    let solo = Arc::new(PlannedRemap::compile(plan_redistribution(&src, &dst, 8)));
+    let planned = PlannedGroup::compile(vec![Arc::clone(&solo), solo]);
+    for validation in [ValidationLevel::Off, ValidationLevel::Counts] {
+        let mut machine = Machine::new(4)
+            .without_registry()
+            .with_exec_mode(ExecMode::Serial)
+            .with_validation(validation);
+        let mut a = seeded_array(n, 4);
+        let mut b = seeded_array(n, 4);
+        a.current(&mut machine, 0).fill(|p| p[0] as f64);
+        b.current(&mut machine, 0).fill(|p| p[0] as f64);
+        // Sabotage through the public field: the status still says 0.
+        a.copies[0] = None;
+        let (stats, mem) = (machine.stats, machine.mem.current.clone());
+        let missing = ExecError::MissingCopy { array: "a".into(), version: 0 };
+
+        assert_eq!(a.try_remap(&mut machine, 1, &keep, false), Err(missing.clone()));
+        assert_eq!(machine.stats, stats, "solo: nothing was billed ({validation:?})");
+        assert_eq!(machine.mem.current, mem, "solo: nothing was allocated ({validation:?})");
+        assert!(a.copies[1].is_none() && a.status == Some(0) && !a.live[1]);
+
+        let mut members = [
+            GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+            GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+        ];
+        assert_eq!(try_remap_group(&mut machine, &mut members, &planned), Err(missing));
+        assert_eq!(machine.stats, stats, "group: nothing was billed ({validation:?})");
+        assert_eq!(machine.mem.current, mem, "group: nothing was allocated ({validation:?})");
+        assert!(a.copies[1].is_none() && b.copies[1].is_none());
+        assert_eq!((a.status, b.status), (Some(0), Some(0)));
+    }
+}
+
+/// The fault-site contract, pinned: a fault is decided at
+/// `(epoch, stream, round_no, attempt)` and nowhere else, so for a
+/// fixed `FaultPlan` the recovery counters are a pure function of the
+/// remap sequence — the same through the one-lane (solo) and the
+/// two-lane (group) replay, whose epochs and round structure coincide
+/// here; only the table rung counts per lane. The tuples were captured
+/// at the commit before solo, guarded and group replays were folded
+/// into one core.
+#[test]
+fn fault_sites_are_pinned_for_solo_and_group_bounces() {
+    let counters = |m: &Machine| {
+        let s = &m.stats;
+        [
+            s.faults_injected,
+            s.rounds_retried,
+            s.programs_recompiled,
+            s.fallbacks_to_tables,
+            s.parallel_degradations,
+        ]
+    };
+    let wire = [
+        FaultKind::CorruptRound,
+        FaultKind::TruncateRound,
+        FaultKind::DropRound,
+        FaultKind::WorkerPanic,
+    ];
+    // (plan, validation, [solo serial, group serial, solo parallel, group parallel])
+    let pins = [
+        (
+            FaultPlan::new(101, 45, &wire),
+            ValidationLevel::Checksums,
+            [[12, 12, 0, 0, 0], [12, 12, 0, 0, 0], [16, 13, 0, 0, 3], [16, 13, 0, 0, 3]],
+        ),
+        (
+            FaultPlan::new(202, 50, &[FaultKind::PoisonProgram, FaultKind::DropRound]),
+            ValidationLevel::Counts,
+            [[34, 29, 4, 1, 0], [34, 29, 4, 2, 0], [34, 29, 4, 1, 0], [34, 29, 4, 2, 0]],
+        ),
+        (
+            FaultPlan::new(303, 100, &[FaultKind::CorruptRound]),
+            ValidationLevel::Checksums,
+            [[48, 36, 6, 6, 0], [48, 36, 6, 12, 0], [48, 36, 6, 6, 0], [48, 36, 6, 12, 0]],
+        ),
+    ];
+    let n = 1u64 << 18; // rounds above PARALLEL_THRESHOLD: workers really spawn
+    let src = mk1d(n, 4, DimFormat::Block(None));
+    let dst = mk1d(n, 4, DimFormat::Cyclic(Some(3)));
+    let solo = |s: &NormalizedMapping, d: &NormalizedMapping| {
+        Arc::new(PlannedRemap::compile(plan_redistribution(s, d, 8)))
+    };
+    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    let skip = BTreeSet::new();
+    for (faults, validation, want) in pins {
+        for (m, mode) in [ExecMode::Serial, ExecMode::Parallel(4)].into_iter().enumerate() {
+            let machine = || {
+                Machine::new(4)
+                    .without_registry()
+                    .with_exec_mode(mode)
+                    .with_faults(faults)
+                    .with_validation(validation)
+            };
+            let mut one = machine();
+            let mut rt = seeded_array(n, 4);
+            let shadow = bounce_and_oracle(&mut one, &mut rt, n, 6);
+            assert_matches_oracle(&rt, &shadow, "pinned solo bounce");
+            assert_eq!(counters(&one), want[2 * m], "solo {faults:?} {mode:?}");
+
+            let mut two = machine();
+            let fwd = PlannedGroup::compile(vec![solo(&src, &dst), solo(&src, &dst)]);
+            let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
+            let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
+            let mut b = ArrayRt::new("b", vec![src.clone(), dst.clone()], 8);
+            a.current(&mut two, 0).fill(|p| p[0] as f64);
+            b.current(&mut two, 0).fill(|p| 2.0 * p[0] as f64);
+            for bounce in 0..6u32 {
+                let (s, t) = if bounce % 2 == 0 { (0u32, 1u32) } else { (1, 0) };
+                let mut members = [
+                    GroupMember { rt: &mut a, src: s, target: t, may_live: &keep, skip_if_current: &skip },
+                    GroupMember { rt: &mut b, src: s, target: t, may_live: &keep, skip_if_current: &skip },
+                ];
+                let planned = if s == 0 { &fwd } else { &back };
+                assert_eq!(remap_group(&mut two, &mut members, planned), 2);
+                a.set(&[0], 50.0 + bounce as f64);
+                b.set(&[1], 70.0 + bounce as f64);
+            }
+            for i in 0..n {
+                assert_eq!(a.get(&[i]), if i == 0 { 55.0 } else { i as f64 }, "a[{i}]");
+                assert_eq!(b.get(&[i]), if i == 1 { 75.0 } else { 2.0 * i as f64 }, "b[{i}]");
+            }
+            assert_eq!(counters(&two), want[2 * m + 1], "group {faults:?} {mode:?}");
+        }
+    }
+}
+
 /// Injected ladder exhaustion is terminal by design — and transactional:
 /// the typed error surfaces only after the destination version was
 /// rolled back to its exact pre-remap state (bytes, status, live flags,
@@ -374,9 +517,7 @@ fn exhaustion_rolls_a_solo_remap_back_to_its_pre_remap_state() {
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
         for use_registry in [false, true] {
-            // Explicit `with_txn(true)`: this test pins rollback, so it
-            // must hold whatever `HPFC_TXN` the suite runs under.
-            let mut machine = Machine::new(4).with_exec_mode(mode).with_txn(true);
+            let mut machine = Machine::new(4).with_exec_mode(mode);
             machine = if use_registry {
                 machine.with_registry(Arc::new(hpfc_runtime::PlanRegistry::new(2, 64)))
             } else {
@@ -452,7 +593,7 @@ fn exhaustion_rolls_back_strided_kernel_destinations_byte_identically() {
         assert!(prog.runs.is_empty(), "no residual triples for cyclic(1)");
     }
     for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
-        let mut machine = Machine::new(4).without_registry().with_exec_mode(mode).with_txn(true);
+        let mut machine = Machine::new(4).without_registry().with_exec_mode(mode);
         let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
         rt.seed_plan(0, 1, Arc::clone(&fwd));
         rt.seed_plan(1, 0, Arc::clone(&back));
@@ -479,41 +620,31 @@ fn exhaustion_rolls_back_strided_kernel_destinations_byte_identically() {
     }
 }
 
-/// The A/B contrast pinning what the transaction buys: with
-/// `with_txn(false)` the same forced exhaustion leaves the
-/// partially-written destination behind (the ladder writes, then
-/// rejects), while the default rolls it back byte-identically.
+/// What the transaction buys: a forced exhaustion writes, then rejects
+/// — every executed round changes destination bytes — and the rollback
+/// restores the stale destination byte-identically. (Rollback on the
+/// guarded path is a safety property, not an option: the "off"
+/// behaviour this test once contrasted it with no longer exists.)
 #[test]
 fn transactions_off_leaves_the_partial_write_behind() {
     let n = 4096u64;
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-    for txn in [true, false] {
-        let mut machine =
-            Machine::new(4).without_registry().with_exec_mode(ExecMode::Serial).with_txn(txn);
-        let mut rt = seeded_array(n, 4);
-        bounce_and_oracle(&mut machine, &mut rt, n, 2);
-        // Refresh every element of the current copy so the stale v1
-        // differs everywhere — any executed round must change bytes.
-        rt.current(&mut machine, 0).fill(|p| 5000.0 + p[0] as f64);
-        let shadow: Vec<f64> = (0..n).map(|i| 5000.0 + i as f64).collect();
-        let pre_copies = rt.copies.clone();
-        machine = machine.with_faults(FaultPlan::new(97, 100, &[FaultKind::Exhaust]));
-        let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
-        assert!(matches!(err, ExecError::Unrecovered { .. }));
-        if txn {
-            assert_eq!(machine.stats.txn_rollbacks, 1);
-            assert_eq!(rt.copies, pre_copies, "transaction restored the stale destination");
-        } else {
-            assert_eq!(machine.stats.txn_rollbacks, 0);
-            assert_ne!(
-                rt.copies[1], pre_copies[1],
-                "without the transaction the rejected replay's writes stay behind"
-            );
-        }
-        // Status never moved in either case, so reads stay correct.
-        assert_eq!(rt.status, Some(0));
-        assert_matches_oracle(&rt, &shadow, "reads via the unchanged status");
-    }
+    let mut machine = Machine::new(4).without_registry().with_exec_mode(ExecMode::Serial);
+    let mut rt = seeded_array(n, 4);
+    bounce_and_oracle(&mut machine, &mut rt, n, 2);
+    // Refresh every element of the current copy so the stale v1
+    // differs everywhere — any executed round must change bytes.
+    rt.current(&mut machine, 0).fill(|p| 5000.0 + p[0] as f64);
+    let shadow: Vec<f64> = (0..n).map(|i| 5000.0 + i as f64).collect();
+    let pre_copies = rt.copies.clone();
+    machine = machine.with_faults(FaultPlan::new(97, 100, &[FaultKind::Exhaust]));
+    let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
+    assert!(matches!(err, ExecError::Unrecovered { .. }));
+    assert_eq!(machine.stats.txn_rollbacks, 1);
+    assert_eq!(rt.copies, pre_copies, "transaction restored the stale destination");
+    // Status never moved, so reads stay correct.
+    assert_eq!(rt.status, Some(0));
+    assert_matches_oracle(&rt, &shadow, "reads via the unchanged status");
 }
 
 /// Group atomicity on the coalesced path: forced exhaustion of the
@@ -532,8 +663,7 @@ fn exhaustion_rolls_a_coalesced_group_back_atomically() {
     for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
         let fwd = PlannedGroup::compile(vec![solo(&src, &dst), solo(&src, &dst)]);
         let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
-        let mut machine =
-            Machine::new(4).without_registry().with_exec_mode(mode).with_txn(true);
+        let mut machine = Machine::new(4).without_registry().with_exec_mode(mode);
         let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
         let mut b = ArrayRt::new("b", vec![src.clone(), dst.clone()], 8);
         a.current(&mut machine, 0).fill(|p| p[0] as f64);
@@ -595,8 +725,7 @@ fn a_failing_member_uncommits_its_already_replayed_sibling() {
     let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     let skip = BTreeSet::new();
-    let mut machine =
-        Machine::new(4).without_registry().with_exec_mode(ExecMode::Serial).with_txn(true);
+    let mut machine = Machine::new(4).without_registry().with_exec_mode(ExecMode::Serial);
     let mut a = seeded_array(n, 4);
     let mut b = seeded_array(n, 4);
     a.current(&mut machine, 0).fill(|p| p[0] as f64);
@@ -787,7 +916,6 @@ proptest! {
             let mut machine = Machine::new(nprocs)
                 .without_registry()
                 .with_exec_mode(mode)
-                .with_txn(true)
                 .with_faults(FaultPlan::all(seed, rate))
                 .with_validation(ValidationLevel::Checksums);
             let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
@@ -858,7 +986,6 @@ proptest! {
         let mut machine = Machine::new(nprocs)
             .without_registry()
             .with_exec_mode(ExecMode::Serial)
-            .with_txn(true)
             .with_faults(FaultPlan::new(seed, 100, &[FaultKind::Exhaust]));
         let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
         rt.seed_plan(0, 1, Arc::new(PlannedRemap::compile(

@@ -69,7 +69,7 @@ struct Session {
 impl Session {
     fn new(versions: &[NormalizedMapping], mode: ExecMode, recycle: bool) -> Session {
         let p = versions[0].grid_shape.volume();
-        let machine = Machine::new(p).without_registry().with_exec_mode(mode).with_txn(true);
+        let machine = Machine::new(p).without_registry().with_exec_mode(mode);
         let mut arrays = ["a", "b"].map(|name| ArrayRt::new(name, versions.to_vec(), 8));
         for rt in &mut arrays {
             for (s, src) in versions.iter().enumerate() {

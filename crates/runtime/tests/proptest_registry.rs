@@ -36,19 +36,9 @@ fn pool(k: usize) -> Vec<(NormalizedMapping, NormalizedMapping)> {
 /// Returns the session's stats for merging. The fresh local plan cache
 /// means exactly the first hop in each direction consults the
 /// registry; every later hop is a local cache hit.
+/// `symbolic` pins the registry keying scheme (`true`: symbolic
+/// format-pair keys, the default; `false`: concrete mapping-pair keys).
 fn run_session(
-    registry: &Arc<PlanRegistry>,
-    src: &NormalizedMapping,
-    dst: &NormalizedMapping,
-    bounces: u32,
-) -> (NetStats, ArrayRt) {
-    run_session_cfg(registry, src, dst, bounces, hpfc_runtime::symbolic::enabled_from_env())
-}
-
-/// [`run_session`] with the registry keying scheme pinned explicitly
-/// (`true`: symbolic format-pair keys; `false`: concrete mapping-pair
-/// keys) instead of following `HPFC_SYMBOLIC`.
-fn run_session_cfg(
     registry: &Arc<PlanRegistry>,
     src: &NormalizedMapping,
     dst: &NormalizedMapping,
@@ -87,48 +77,50 @@ fn many_sessions_compile_once_per_distinct_pair() {
     const THREADS: usize = 4;
     const SESSIONS: usize = 3;
     const PAIRS: usize = 5;
-    let registry = Arc::new(PlanRegistry::new(4, 1024));
-    let pairs = Arc::new(pool(PAIRS));
-    let handles: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let registry = Arc::clone(&registry);
-            let pairs = Arc::clone(&pairs);
-            std::thread::spawn(move || {
-                let mut stats = NetStats::default();
-                for s in 0..SESSIONS {
-                    // Staggered: thread t's first session starts on
-                    // pair t, so cold pairs are hammered concurrently.
-                    let (src, dst) = &pairs[(t + s) % PAIRS];
-                    let (session, _) = run_session(&registry, src, dst, 4);
-                    stats.merge(&session);
-                }
-                stats
+    for symbolic in [true, false] {
+        let registry = Arc::new(PlanRegistry::new(4, 1024));
+        let pairs = Arc::new(pool(PAIRS));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let registry = Arc::clone(&registry);
+                let pairs = Arc::clone(&pairs);
+                std::thread::spawn(move || {
+                    let mut stats = NetStats::default();
+                    for s in 0..SESSIONS {
+                        // Staggered: thread t's first session starts on
+                        // pair t, so cold pairs are hammered concurrently.
+                        let (src, dst) = &pairs[(t + s) % PAIRS];
+                        let (session, _) = run_session(&registry, src, dst, 4, symbolic);
+                        stats.merge(&session);
+                    }
+                    stats
+                })
             })
-        })
-        .collect();
-    let mut total = NetStats::default();
-    for h in handles {
-        total.merge(&h.join().expect("session thread panicked"));
+            .collect();
+        let mut total = NetStats::default();
+        for h in handles {
+            total.merge(&h.join().expect("session thread panicked"));
+        }
+        // One compile per distinct direction, ever — concurrent cold
+        // requests for one pair must collapse onto a single compilation.
+        assert_eq!(total.plans_computed, 2 * PAIRS as u64, "{total:?}");
+        assert_eq!(total.registry_misses, 2 * PAIRS as u64, "{total:?}");
+        // Every other registry consultation was a hit: each of the 12
+        // sessions consults the registry once per direction.
+        let consultations = (THREADS * SESSIONS * 2) as u64;
+        assert_eq!(total.registry_hits, consultations - 2 * PAIRS as u64, "{total:?}");
+        assert_eq!(total.registry_evictions, 0, "a generous cap never evicts");
+        // The compile-once books above hold under BOTH keying schemes; only
+        // where the 2×PAIRS entries live differs. The pool's pairs stay
+        // distinct symbolically too: each extent gives `BLOCK` a different
+        // block size and the templates different extents.
+        if symbolic {
+            assert_eq!((registry.len(), registry.sym_len()), (0, 2 * PAIRS));
+        } else {
+            assert_eq!((registry.len(), registry.sym_len()), (2 * PAIRS, 0));
+        }
+        assert_eq!((registry.hits(), registry.misses()), (total.registry_hits, total.registry_misses));
     }
-    // One compile per distinct direction, ever — concurrent cold
-    // requests for one pair must collapse onto a single compilation.
-    assert_eq!(total.plans_computed, 2 * PAIRS as u64, "{total:?}");
-    assert_eq!(total.registry_misses, 2 * PAIRS as u64, "{total:?}");
-    // Every other registry consultation was a hit: each of the 12
-    // sessions consults the registry once per direction.
-    let consultations = (THREADS * SESSIONS * 2) as u64;
-    assert_eq!(total.registry_hits, consultations - 2 * PAIRS as u64, "{total:?}");
-    assert_eq!(total.registry_evictions, 0, "a generous cap never evicts");
-    // The compile-once books above hold under BOTH keying schemes; only
-    // where the 2×PAIRS entries live differs. The pool's pairs stay
-    // distinct symbolically too: each extent gives `BLOCK` a different
-    // block size and the templates different extents.
-    if hpfc_runtime::symbolic::enabled_from_env() {
-        assert_eq!((registry.len(), registry.sym_len()), (0, 2 * PAIRS));
-    } else {
-        assert_eq!((registry.len(), registry.sym_len()), (2 * PAIRS, 0));
-    }
-    assert_eq!((registry.hits(), registry.misses()), (total.registry_hits, total.registry_misses));
 }
 
 /// The acceptance-criterion pin at the runtime layer: a second session
@@ -137,20 +129,22 @@ fn many_sessions_compile_once_per_distinct_pair() {
 /// same `Arc`s as the first session's.
 #[test]
 fn a_second_session_is_served_entirely_by_the_registry() {
-    let registry = Arc::new(PlanRegistry::new(2, 64));
-    let pairs = pool(1);
-    let (src, dst) = &pairs[0];
-    let (s1, rt1) = run_session(&registry, src, dst, 4);
-    assert_eq!((s1.plans_computed, s1.registry_misses, s1.registry_hits), (2, 2, 0), "{s1:?}");
-    let (s2, rt2) = run_session(&registry, src, dst, 4);
-    assert_eq!(s2.plans_computed, 0, "{s2:?}");
-    assert_eq!((s2.registry_misses, s2.registry_hits), (0, 2), "{s2:?}");
-    // Not equal artifacts — pointer-identical ones.
-    for key in [(0u32, 1u32), (1, 0)] {
-        assert!(
-            Arc::ptr_eq(&rt1.plan_cache[&key], &rt2.plan_cache[&key]),
-            "sessions must share one artifact for {key:?}"
-        );
+    for symbolic in [true, false] {
+        let registry = Arc::new(PlanRegistry::new(2, 64));
+        let pairs = pool(1);
+        let (src, dst) = &pairs[0];
+        let (s1, rt1) = run_session(&registry, src, dst, 4, symbolic);
+        assert_eq!((s1.plans_computed, s1.registry_misses, s1.registry_hits), (2, 2, 0), "{s1:?}");
+        let (s2, rt2) = run_session(&registry, src, dst, 4, symbolic);
+        assert_eq!(s2.plans_computed, 0, "{s2:?}");
+        assert_eq!((s2.registry_misses, s2.registry_hits), (0, 2), "{s2:?}");
+        // Not equal artifacts — pointer-identical ones.
+        for key in [(0u32, 1u32), (1, 0)] {
+            assert!(
+                Arc::ptr_eq(&rt1.plan_cache[&key], &rt2.plan_cache[&key]),
+                "sessions must share one artifact for {key:?}"
+            );
+        }
     }
 }
 
@@ -174,7 +168,7 @@ fn eviction_counters_are_exact_under_a_tiny_cap() {
                 // format-pair table is unbounded by design — under it
                 // the later rounds would be served without ever
                 // touching the eviction path being measured.
-                let (stats, _) = run_session_cfg(&registry, src, dst, 4, false);
+                let (stats, _) = run_session(&registry, src, dst, 4, false);
                 total.merge(&stats);
             }
             sessions += 1;
@@ -200,24 +194,26 @@ fn eviction_counters_are_exact_under_a_tiny_cap() {
 /// sessions cross it without recovering again.
 #[test]
 fn a_poisoned_shard_lock_never_reaches_a_later_session() {
-    // One shard: every registry access crosses the poisoned lock.
-    let registry = Arc::new(PlanRegistry::new(1, 64));
-    let pairs = pool(1);
-    let (src, dst) = &pairs[0];
-    let poisoner = std::thread::spawn({
-        let registry = Arc::clone(&registry);
-        let (src, dst) = (src.clone(), dst.clone());
-        move || registry.poison_shard_lock_for_tests(&src, &dst, 8)
-    });
-    assert!(poisoner.join().is_err(), "the hook panics while holding the shard lock");
+    for symbolic in [true, false] {
+        // One shard: every registry access crosses the poisoned lock.
+        let registry = Arc::new(PlanRegistry::new(1, 64));
+        let pairs = pool(1);
+        let (src, dst) = &pairs[0];
+        let poisoner = std::thread::spawn({
+            let registry = Arc::clone(&registry);
+            let (src, dst) = (src.clone(), dst.clone());
+            move || registry.poison_shard_lock_for_tests(&src, &dst, 8)
+        });
+        assert!(poisoner.join().is_err(), "the hook panics while holding the shard lock");
 
-    let (s1, _) = run_session(&registry, src, dst, 4);
-    assert_eq!((s1.plans_computed, s1.registry_misses, s1.registry_hits), (2, 2, 0), "{s1:?}");
-    assert_eq!(s1.lock_poison_recoveries, 1, "the first access recovered the guard");
-    assert_eq!(registry.lock_recoveries(), 1);
+        let (s1, _) = run_session(&registry, src, dst, 4, symbolic);
+        assert_eq!((s1.plans_computed, s1.registry_misses, s1.registry_hits), (2, 2, 0), "{s1:?}");
+        assert_eq!(s1.lock_poison_recoveries, 1, "the first access recovered the guard");
+        assert_eq!(registry.lock_recoveries(), 1);
 
-    let (s2, _) = run_session(&registry, src, dst, 4);
-    assert_eq!(s2.plans_computed, 0, "{s2:?}");
-    assert_eq!(s2.lock_poison_recoveries, 0, "the recovery healed the lock for good");
-    assert_eq!(registry.lock_recoveries(), 1);
+        let (s2, _) = run_session(&registry, src, dst, 4, symbolic);
+        assert_eq!(s2.plans_computed, 0, "{s2:?}");
+        assert_eq!(s2.lock_poison_recoveries, 0, "the recovery healed the lock for good");
+        assert_eq!(registry.lock_recoveries(), 1);
+    }
 }

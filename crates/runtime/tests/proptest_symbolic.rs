@@ -1,4 +1,4 @@
-//! Differential conformance harness for symbolic plans (`HPFC_SYMBOLIC`).
+//! Differential conformance harness for symbolic plans.
 //!
 //! The symbolic layer's whole contract is *identity*: an artifact
 //! materialized by [`SymbolicPlan::instantiate`] must be byte-for-byte
@@ -11,9 +11,8 @@
 //! oracle, and pins the economics: a fleet re-provisioned from P = 16
 //! to P = 64 re-launches with `plans_computed == 0` while the registry
 //! holds O(format pairs) entries. CI runs this file under
-//! `HPFC_THREADS` ∈ {1, 4} × `HPFC_SYMBOLIC` ∈ {on, off}; the machines
-//! here pin the keying scheme explicitly (`with_symbolic`), so the
-//! pins hold regardless of the ambient scheme.
+//! `HPFC_THREADS` ∈ {1, 4}; the machines here pin the keying scheme
+//! explicitly (`with_symbolic`).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

@@ -20,11 +20,20 @@
 //! 5. the ungrouped baseline (one solo schedule per array) produces
 //!    identical values and payload bytes with at least as many wire
 //!    messages — grouping is a scheduling change, not a semantic one.
+//!
+//! Two fixed shapes ride along at the runtime layer, below what
+//! lowering emits: a 65-member group (the runtime has no member cap)
+//! and a group whose blocks span several tiles of the serial walk.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use hpfc::codegen::ir::{RemapGroupOp, SStmt};
-use hpfc::runtime::ExecMode;
+use hpfc::mapping::{testing::mapping_1d, DimFormat};
+use hpfc::runtime::{
+    plan_redistribution, try_remap_group, ArrayRt, ExecMode, GroupMember, PlannedGroup,
+    PlannedRemap, ValidationLevel,
+};
 use hpfc::{compile, CompileOptions, ExecConfig, ExecResult};
 use proptest::prelude::*;
 
@@ -267,5 +276,71 @@ proptest! {
             );
         }
         prop_assert!(opt_res.stats.bytes <= solo_res.stats.bytes, "opt traffic grew\n{}", src);
+    }
+}
+
+/// Bounce `count` arrays of extent `n` over `p` processors between
+/// BLOCK and `other` as ONE remap group — there and back — and check
+/// every array against its per-point oracle after each hop.
+fn bounce_group(count: usize, n: u64, p: u64, other: DimFormat, machine: &mut hpfc::Machine) {
+    let v0 = mapping_1d(n, p, DimFormat::Block(None));
+    let v1 = mapping_1d(n, p, other);
+    let init = |k: usize| move |pt: &[u64]| (k as u64 * n + pt[0]) as f64 + 0.5;
+    let mut rts: Vec<ArrayRt> = (0..count)
+        .map(|k| ArrayRt::new(format!("a{k}"), vec![v0.clone(), v1.clone()], 8))
+        .collect();
+    for (k, rt) in rts.iter_mut().enumerate() {
+        rt.current(machine, 0).fill(init(k));
+    }
+    let solo = |s, d| Arc::new(PlannedRemap::compile(plan_redistribution(s, d, 8)));
+    let (fwd, back) = (solo(&v0, &v1), solo(&v1, &v0));
+    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    let skip = BTreeSet::new();
+    for (src, target, member) in [(0u32, 1u32, &fwd), (1, 0, &back)] {
+        let planned = PlannedGroup::compile(vec![Arc::clone(member); count]);
+        let mut members: Vec<GroupMember<'_>> = rts
+            .iter_mut()
+            .map(|rt| GroupMember { rt, src, target, may_live: &keep, skip_if_current: &skip })
+            .collect();
+        let moved = try_remap_group(machine, &mut members, &planned);
+        assert_eq!(moved, Ok(count), "all {count} members move coalesced, {src} -> {target}");
+        for (k, rt) in rts.iter_mut().enumerate() {
+            assert_eq!(rt.status, Some(target));
+            let dense = rt.copies[target as usize].as_ref().expect("target is allocated").to_dense();
+            let wrong = (0..n).find(|&i| dense[i as usize] != init(k)(&[i]));
+            assert_eq!(wrong, None, "a{k} diverged from the oracle after {src} -> {target}");
+            // Stale the copy left behind, so the way back moves data.
+            let here = rt.get(&[0]);
+            rt.set(&[0], here);
+        }
+    }
+}
+
+/// More members than the old 64-bit mover mask had bits: the runtime
+/// keeps no mask, so 65 members coalesce — unguarded, and guarded
+/// (where the per-member rollback capture used to shift `1 << 64`).
+#[test]
+fn sixty_five_members_coalesce_guarded_and_unguarded() {
+    for validation in [ValidationLevel::Off, ValidationLevel::Counts] {
+        for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
+            let mut machine =
+                hpfc::Machine::new(4).with_exec_mode(mode).with_validation(validation);
+            bounce_group(65, 16, 4, DimFormat::Cyclic(None), &mut machine);
+            assert_eq!(machine.stats.remap_groups_coalesced, 2, "{validation:?} {mode:?}");
+            assert_eq!(machine.stats.remaps_performed, 2 * 65, "{validation:?} {mode:?}");
+        }
+    }
+}
+
+/// Per-rank blocks of 2^18 elements are eight tiles of the serial walk:
+/// unguarded serial group replay takes each lane's tiled, blocked order
+/// (gather on the way out, scatter on the way back) and must agree with
+/// the round-order parallel replay and the oracle.
+#[test]
+fn multi_tile_blocks_replay_identically_in_a_group() {
+    for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
+        let mut machine = hpfc::Machine::new(4).with_exec_mode(mode);
+        bounce_group(2, 1 << 20, 4, DimFormat::Cyclic(None), &mut machine);
+        assert_eq!(machine.stats.remap_groups_coalesced, 2, "{mode:?}");
     }
 }
