@@ -1,4 +1,5 @@
-//! Hash-consing of `(source, destination)` mapping pairs.
+//! Hash-consing: one weak interner ([`WeakInterner`]), and its use for
+//! `(source, destination)` mapping pairs.
 //!
 //! PR 5 deduplicated mapping storage behind one shared
 //! `Arc<(NormalizedMapping, NormalizedMapping)>` *per plan*: the plan
@@ -9,130 +10,141 @@
 //! interpreter sessions — hold pointer-identical pairs. That pointer
 //! identity is what keys the runtime's shared plan registry
 //! (`hpfc_runtime::registry`): an equality check on two mappings
-//! becomes a pointer compare.
+//! becomes a pointer compare. Symbolic `(format, format)` pairs
+//! ([`crate::symbolic`]) intern through the same table type.
 //!
 //! The interner holds [`Weak`] references only — it never keeps a
-//! mapping pair alive. When the last plan over a pair drops, the pair
+//! value alive. When the last plan over a pair drops, the pair
 //! drops with it and the table slot is pruned on the next insertion
 //! into its bucket. Consumers that need a pair's identity to stay
 //! stable (the plan registry) keep their own strong reference.
 //!
 //! Lookups of an already-interned pair are allocation-free: the pair is
-//! hashed on the stack, the bucket is probed in place, and a hit
+//! hashed by reference, the bucket is probed in place, and a hit
 //! returns an `Arc` clone — part of the zero-allocation cached-remap
 //! contract pinned by the runtime's counting-allocator test.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 use crate::mapping::NormalizedMapping;
+
+/// Interner shard count. Sharded so concurrent sessions interning
+/// unrelated values do not serialize on one lock; the shard is picked
+/// by the value's hash, so equal values always meet in the same shard.
+const SHARDS: usize = 8;
+
+/// Hash → candidates with that hash (collisions are value-checked).
+type Shard<T> = HashMap<u64, Vec<Weak<T>>>;
+
+/// A weak, sharded hash-consing table: equal values intern to one
+/// `Arc`, which the table never keeps alive. The one implementation
+/// behind mapping pairs ([`pair`]) and symbolic format pairs
+/// ([`crate::format_pair`]); separate instances exist only for tests
+/// that need isolation.
+pub struct WeakInterner<T> {
+    shards: [Mutex<Shard<T>>; SHARDS],
+}
+
+impl<T> Default for WeakInterner<T> {
+    fn default() -> Self {
+        WeakInterner { shards: std::array::from_fn(|_| Mutex::default()) }
+    }
+}
+
+impl<T> std::fmt::Debug for WeakInterner<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WeakInterner").field("live", &self.live()).finish()
+    }
+}
+
+impl<T> WeakInterner<T> {
+    /// An empty interner.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The canonical `Arc` of the value `key` describes: a live value
+    /// for which `is` holds is returned as-is (allocation-free — `key`
+    /// may borrow its parts, so a hit clones nothing), otherwise
+    /// `make()` is recorded weakly, pruning the bucket's dead slots on
+    /// the way in so churned values do not accumulate. Every caller of
+    /// one interner must hash the same `key` form, and `is` must hold
+    /// exactly for the value `make` builds.
+    ///
+    /// A shard poisoned by a panicking thread is recovered, not
+    /// propagated: its state is a bag of `Weak`s, valid at every step.
+    pub fn intern<K: Hash>(
+        &self,
+        key: &K,
+        is: impl Fn(&T) -> bool,
+        make: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        let hash = h.finish();
+        let mut shard =
+            self.shards[hash as usize % SHARDS].lock().unwrap_or_else(PoisonError::into_inner);
+        let bucket = shard.entry(hash).or_default();
+        if let Some(live) = bucket.iter().filter_map(Weak::upgrade).find(|v| is(v)) {
+            return live;
+        }
+        let fresh = Arc::new(make());
+        debug_assert!(is(&fresh), "`is` recognizes what `make` builds");
+        bucket.retain(|w| w.strong_count() > 0);
+        bucket.push(Arc::downgrade(&fresh));
+        fresh
+    }
+
+    /// Number of currently live interned values (introspection; takes
+    /// every shard lock).
+    pub fn live(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                let shard = s.lock().unwrap_or_else(PoisonError::into_inner);
+                shard.values().flatten().filter(|w| w.strong_count() > 0).count()
+            })
+            .sum()
+    }
+}
+
+impl<A, B> WeakInterner<(A, B)> {
+    /// [`WeakInterner::live`], under the name pair tables are asked by.
+    pub fn live_pairs(&self) -> usize {
+        self.live()
+    }
+}
 
 /// A hash-consed `(source, destination)` mapping pair: equal pairs
 /// interned through [`pair`] share one allocation, so pointer identity
 /// (`Arc::ptr_eq`) coincides with value equality for live pairs.
 pub type MappingPair = Arc<(NormalizedMapping, NormalizedMapping)>;
 
-/// Interner shard count. Sharded so concurrent sessions interning
-/// unrelated pairs do not serialize on one lock; the shard is picked
-/// by the pair's hash, so equal pairs always meet in the same shard.
-const SHARDS: usize = 8;
-
-type Bucket = Vec<Weak<(NormalizedMapping, NormalizedMapping)>>;
-
-#[derive(Default)]
-struct Shard {
-    /// Hash → candidates with that hash (collisions are value-checked).
-    buckets: HashMap<u64, Bucket>,
-}
-
-/// A weak, sharded hash-consing table for mapping pairs.
-///
-/// Usually used through the process-wide instance behind [`pair`];
-/// separate instances exist only for tests that need isolation.
-pub struct PairInterner {
-    shards: [Mutex<Shard>; SHARDS],
-}
-
-impl Default for PairInterner {
-    fn default() -> Self {
-        PairInterner::new()
-    }
-}
-
-impl std::fmt::Debug for PairInterner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PairInterner").field("live_pairs", &self.live_pairs()).finish()
-    }
-}
-
-impl PairInterner {
-    /// An empty interner.
-    pub fn new() -> Self {
-        PairInterner { shards: std::array::from_fn(|_| Mutex::new(Shard::default())) }
-    }
-
-    fn hash_pair(src: &NormalizedMapping, dst: &NormalizedMapping) -> u64 {
-        let mut h = DefaultHasher::new();
-        src.hash(&mut h);
-        dst.hash(&mut h);
-        h.finish()
-    }
-
-    /// The canonical `Arc` for `(src, dst)`: an existing live pair of
-    /// equal value is returned as-is (allocation-free), otherwise the
-    /// pair is cloned into a fresh `Arc` and recorded weakly.
-    pub fn intern(&self, src: &NormalizedMapping, dst: &NormalizedMapping) -> MappingPair {
-        let key = Self::hash_pair(src, dst);
-        let shard = &self.shards[(key as usize) % SHARDS];
-        let mut s = shard.lock().unwrap();
-        if let Some(bucket) = s.buckets.get_mut(&key) {
-            for w in bucket.iter() {
-                if let Some(live) = w.upgrade() {
-                    if live.0 == *src && live.1 == *dst {
-                        return live;
-                    }
-                }
-            }
-        }
-        // Miss: intern a fresh pair, pruning dead slots on the way in so
-        // churned pairs do not accumulate in the bucket.
-        let fresh: MappingPair = Arc::new((src.clone(), dst.clone()));
-        let bucket = s.buckets.entry(key).or_default();
-        bucket.retain(|w| w.strong_count() > 0);
-        bucket.push(Arc::downgrade(&fresh));
-        fresh
-    }
-
-    /// Number of currently live interned pairs (test introspection;
-    /// takes every shard lock).
-    pub fn live_pairs(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap()
-                    .buckets
-                    .values()
-                    .map(|b| b.iter().filter(|w| w.strong_count() > 0).count())
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-}
-
 /// The process-wide interner behind [`pair`].
-pub fn global() -> &'static PairInterner {
-    static GLOBAL: OnceLock<PairInterner> = OnceLock::new();
-    GLOBAL.get_or_init(PairInterner::new)
+pub fn global() -> &'static WeakInterner<(NormalizedMapping, NormalizedMapping)> {
+    static GLOBAL: OnceLock<WeakInterner<(NormalizedMapping, NormalizedMapping)>> =
+        OnceLock::new();
+    GLOBAL.get_or_init(WeakInterner::new)
+}
+
+/// Intern `(src, dst)` in `table`: by reference, so a hit clones
+/// neither mapping.
+fn pair_in(
+    table: &WeakInterner<(NormalizedMapping, NormalizedMapping)>,
+    src: &NormalizedMapping,
+    dst: &NormalizedMapping,
+) -> MappingPair {
+    table.intern(&(src, dst), |p| p.0 == *src && p.1 == *dst, || (src.clone(), dst.clone()))
 }
 
 /// Intern `(src, dst)` in the process-wide table — the canonical way to
 /// build a shared mapping pair. Equal pairs return pointer-identical
 /// `Arc`s for as long as at least one strong reference is live.
 pub fn pair(src: &NormalizedMapping, dst: &NormalizedMapping) -> MappingPair {
-    global().intern(src, dst)
+    pair_in(global(), src, dst)
 }
 
 #[cfg(test)]
@@ -164,15 +176,15 @@ mod tests {
 
     #[test]
     fn dropped_pairs_are_reclaimed_and_reinterned() {
-        let interner = PairInterner::new();
+        let interner = WeakInterner::new();
         let (a, b) = distinct_pair();
-        let p1 = interner.intern(&a, &b);
+        let p1 = pair_in(&interner, &a, &b);
         assert_eq!(interner.live_pairs(), 1);
         let addr = Arc::as_ptr(&p1) as usize;
         drop(p1);
         assert_eq!(interner.live_pairs(), 0, "weak table must not keep pairs alive");
         // Re-interning after the pair died yields a fresh (live) pair.
-        let p2 = interner.intern(&a, &b);
+        let p2 = pair_in(&interner, &a, &b);
         assert_eq!(interner.live_pairs(), 1);
         let _ = addr; // the new allocation may or may not reuse the address
         assert_eq!(*p2, (a, b));
@@ -180,13 +192,13 @@ mod tests {
 
     #[test]
     fn concurrent_interning_converges_on_one_pair() {
-        let interner = std::sync::Arc::new(PairInterner::new());
+        let interner = std::sync::Arc::new(WeakInterner::new());
         let (a, b) = distinct_pair();
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let interner = std::sync::Arc::clone(&interner);
                 let (a, b) = (a.clone(), b.clone());
-                std::thread::spawn(move || interner.intern(&a, &b))
+                std::thread::spawn(move || pair_in(&interner, &a, &b))
             })
             .collect();
         let pairs: Vec<MappingPair> = handles.into_iter().map(|h| h.join().unwrap()).collect();
@@ -194,5 +206,19 @@ mod tests {
             assert!(Arc::ptr_eq(&pairs[0], p));
         }
         assert_eq!(interner.live_pairs(), 1);
+    }
+
+    #[test]
+    fn poisoned_shard_still_serves() {
+        let interner = WeakInterner::<u32>::new();
+        let kept = interner.intern(&7u32, |v| *v == 7, || 7);
+        // `is` runs under the shard lock: a panic there poisons it.
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            interner.intern(&7u32, |_| panic!("poison the shard"), || 7)
+        }));
+        assert!(poisoned.is_err());
+        let again = interner.intern(&7u32, |v| *v == 7, || 7);
+        assert!(Arc::ptr_eq(&kept, &again));
+        assert_eq!(interner.live(), 1);
     }
 }

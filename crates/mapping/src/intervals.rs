@@ -260,35 +260,26 @@ impl PeriodicSet {
 
     /// Count of `self ∩ other` over the shared window — closed form:
     /// over one hyper-period plus tail when the hyper-period fits the
-    /// window, else by walking the runs of the sparser-run side and
-    /// counting the other side per run. Never enumerates elements.
+    /// window, else over the window, in both cases by walking the runs
+    /// of the sparser-run side and counting the other side per run.
+    /// Never enumerates elements.
     pub fn intersect_count(&self, other: &PeriodicSet) -> u64 {
         let n = self.extent.min(other.extent);
         if n == 0 || self.base.is_empty() || other.base.is_empty() {
             return 0;
         }
         let h = lcm(self.period, other.period);
-        if h > 0 && h <= n {
-            // Periodic path: one hyper-period plus the tail.
-            let c_h = self.runs(0, h).map(|(a, b)| other.count_in(a, b)).sum::<u64>();
-            let tail = n % h;
-            let c_t = if tail == 0 {
-                0
-            } else {
-                self.runs(0, tail).map(|(a, b)| other.count_in(a, b)).sum::<u64>()
-            };
-            (n / h) * c_h + c_t
+        let span = if 0 < h && h <= n { h } else { n };
+        // A BLOCK side has O(1) runs however long the span is.
+        let (walked, counted) = if self.runs_within(span) <= other.runs_within(span) {
+            (self, other)
         } else {
-            // Hyper-period exceeds the window: iterate whichever side
-            // has fewer runs inside it (a BLOCK side has O(1)).
-            let runs_self = self.runs_within(n);
-            let runs_other = other.runs_within(n);
-            if runs_self <= runs_other {
-                self.runs(0, n).map(|(a, b)| other.count_in(a, b)).sum()
-            } else {
-                other.runs(0, n).map(|(a, b)| self.count_in(a, b)).sum()
-            }
-        }
+            (other, self)
+        };
+        let over =
+            |hi: u64| walked.runs(0, hi).map(|(a, b)| counted.count_in(a, b)).sum::<u64>();
+        let tail = n % span;
+        (n / span) * over(span) + if tail == 0 { 0 } else { over(tail) }
     }
 
     /// Upper bound on the number of maximal runs within `[0, x)`.
@@ -504,6 +495,9 @@ mod tests {
             (DimLayout::new(64, 4, 4), DimLayout::new(64, 1, 4), 64u64),
             (DimLayout::new(60, 15, 4), DimLayout::new(60, 2, 3), 60),
             (DimLayout::new(24, 3, 4), DimLayout::new(24, 5, 2), 23),
+            // CYCLIC(1) against BLOCK over the whole extent: the
+            // hyper-period is the window, and only the BLOCK side is sparse.
+            (DimLayout::new(64, 1, 4), DimLayout::new(64, 16, 4), 64),
         ];
         for (ls, ld, n) in cases {
             for cs in 0..ls.nprocs {
@@ -516,6 +510,7 @@ mod tests {
                         naive(1, 0, ld, cd, n).into_iter().collect();
                     let want = na.intersection(&nb).count() as u64;
                     assert_eq!(a.intersect_count(&b), want, "{ls} x {ld} ({cs},{cd})");
+                    assert_eq!(b.intersect_count(&a), want, "{ld} x {ls} ({cd},{cs})");
                     let got: u64 = intersect_runs(&a, &b, 0, n).map(|(x, y)| y - x).sum();
                     assert_eq!(got, want);
                 }

@@ -55,11 +55,11 @@ pub use env::{ArrayInfo, MappingEnv, VersionTable};
 pub use error::MappingError;
 pub use geometry::{Extents, Point};
 pub use grid::{ProcGrid, Template};
-pub use intern::{MappingPair, PairInterner};
+pub use intern::{MappingPair, WeakInterner};
 pub use intervals::{intersect_runs, PeriodicSet};
 pub use layout::{DimLayout, Locus};
 pub use mapping::{DimMap, DimSource, Mapping, NormalizedMapping};
-pub use symbolic::{format_pair, normalize_symbolic, FormatPair, FormatPairInterner, SymbolicFormat};
+pub use symbolic::{format_pair, normalize_symbolic, FormatPair, SymbolicFormat};
 
 /// Identifies an abstract (dynamic) array of the source program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -26,6 +26,7 @@ use crate::dist::Distribution;
 use crate::error::MappingError;
 use crate::geometry::Extents;
 use crate::grid::{ProcGrid, Template};
+use crate::intervals::PeriodicSet;
 use crate::layout::{DimLayout, Locus};
 use crate::GridId;
 
@@ -74,10 +75,11 @@ pub struct DimMap {
 /// it; plus the array extents (local addressing is derived from this).
 ///
 /// Local storage model: on processor `p`, the local copy holds, for each
-/// array dimension, the sorted list of indices it owns along that
-/// dimension (all indices for undistributed dimensions); elements are
-/// stored row-major over those lists. Two structurally equal
-/// `NormalizedMapping`s therefore agree on owners *and* local addresses.
+/// array dimension, the indices it owns along that dimension in
+/// ascending order ([`NormalizedMapping::owned_set_along`]; all indices
+/// for undistributed dimensions); elements are stored row-major over
+/// those sets. Two structurally equal `NormalizedMapping`s therefore
+/// agree on owners *and* local addresses.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NormalizedMapping {
     /// Target grid identity.
@@ -255,56 +257,35 @@ impl NormalizedMapping {
             .all(|(want, &have)| want.is_none_or(|w| w == have))
     }
 
-    /// Sorted array indices owned along array dimension `d` by the
-    /// processor at grid coordinates `coords`.
+    /// The grid axis array dimension `d` drives, if any, with the affine
+    /// alignment and the layout it feeds: `(axis, stride, offset, layout)`.
+    pub fn axis_driven_by(&self, d: usize) -> Option<(usize, i64, i64, DimLayout)> {
+        self.axes.iter().enumerate().find_map(|(axis, ax)| match ax.source {
+            DimSource::ArrayAxis { dim, stride, offset } if dim == d => {
+                Some((axis, stride, offset, ax.layout.expect("axis source has layout")))
+            }
+            _ => None,
+        })
+    }
+
+    /// The array indices owned along array dimension `d` by the
+    /// processor at grid coordinates `coords`, in closed form — the one
+    /// description of a local block's shape that storage, the planner
+    /// and the program compiler all address through.
     ///
     /// For a dimension that does not drive any grid axis this is the
     /// full range `0..extent(d)`. If some grid axis pins the array away
     /// from `coords` entirely (a `FixedCoord` mismatch) the processor
     /// owns nothing; that is a *whole-array* condition handled by
     /// [`NormalizedMapping::holds_anything`], not per-dimension.
-    pub fn owned_indices_along(&self, d: usize, coords: &[u64]) -> Vec<u64> {
+    pub fn owned_set_along(&self, d: usize, coords: &[u64]) -> PeriodicSet {
         let n = self.array_extents.extent(d);
-        for (axis, ax) in self.axes.iter().enumerate() {
-            if let DimSource::ArrayAxis { dim, stride, offset } = ax.source {
-                if dim == d {
-                    let layout = ax.layout.expect("axis source has layout");
-                    // Closed form: expand the periodic owned set's runs
-                    // (O(count)) instead of testing the owner of every
-                    // index (O(extent)).
-                    let set = crate::intervals::PeriodicSet::owned(
-                        stride,
-                        offset,
-                        layout,
-                        coords[axis],
-                        n,
-                    );
-                    let mut out = Vec::with_capacity(set.count() as usize);
-                    // Unrolls the base pattern by hand instead of going
-                    // through `set.runs(0, n)`: this is the hot path of
-                    // version allocation, and the run iterator's
-                    // per-run seek costs ~25% of redistribution wall
-                    // time for CYCLIC(1) layouts (adjacent-run
-                    // coalescing does not matter for list building).
-                    let mut start = 0u64;
-                    while start < n {
-                        for &(a, b) in &set.base {
-                            let lo = start + a;
-                            if lo >= n {
-                                break;
-                            }
-                            out.extend(lo..(start + b).min(n));
-                        }
-                        if set.period >= n {
-                            break;
-                        }
-                        start += set.period;
-                    }
-                    return out;
-                }
+        match self.axis_driven_by(d) {
+            Some((axis, stride, offset, layout)) => {
+                PeriodicSet::owned(stride, offset, layout, coords[axis], n)
             }
+            None => PeriodicSet::full(n),
         }
-        (0..n).collect()
     }
 
     /// Whether the processor at `coords` holds any part of the array
@@ -323,7 +304,7 @@ impl NormalizedMapping {
             return 0;
         }
         (0..self.array_extents.rank())
-            .map(|d| self.owned_indices_along(d, &coords).len() as u64)
+            .map(|d| self.owned_set_along(d, &coords).count())
             .product()
     }
 

@@ -33,12 +33,10 @@
 //! pointer identity doubles as value equality for live pairs — the
 //! property the runtime's plan registry keys on.
 
-use std::collections::HashMap;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 
 use crate::geometry::Extents;
+use crate::intern::WeakInterner;
 use crate::layout::DimLayout;
 use crate::mapping::{DimMap, DimSource, NormalizedMapping};
 use crate::GridId;
@@ -177,89 +175,30 @@ pub fn normalize_symbolic(nm: &NormalizedMapping) -> Option<(SymbolicFormat, u64
 /// the key of the runtime registry's symbolic table.
 pub type FormatPair = Arc<(SymbolicFormat, SymbolicFormat)>;
 
-/// Interner shard count (mirrors [`crate::intern::PairInterner`]).
-const SHARDS: usize = 8;
-
-#[derive(Default)]
-struct Shard {
-    /// Formats are small `Copy` values, so the table maps the pair
-    /// value directly to its weak canonical `Arc` (no hash-bucket
-    /// collision chains needed).
-    table: HashMap<(SymbolicFormat, SymbolicFormat), Weak<(SymbolicFormat, SymbolicFormat)>>,
-}
-
-/// A weak, sharded hash-consing table for format pairs. Usually used
-/// through the process-wide instance behind [`format_pair`]; separate
-/// instances exist only for tests that need isolation. Lookups of a
-/// live pair are allocation-free (the key is built on the stack and a
-/// hit returns an `Arc` clone) — part of the zero-allocation cached
+/// The process-wide interner behind [`format_pair`] — the same weak
+/// table as mapping pairs use ([`crate::intern`]). Lookups of a live
+/// pair are allocation-free (the key is built on the stack and a hit
+/// returns an `Arc` clone) — part of the zero-allocation cached
 /// symbolic bounce pinned by the runtime's counting-allocator test.
-pub struct FormatPairInterner {
-    shards: [Mutex<Shard>; SHARDS],
-}
-
-impl Default for FormatPairInterner {
-    fn default() -> Self {
-        FormatPairInterner::new()
-    }
-}
-
-impl std::fmt::Debug for FormatPairInterner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FormatPairInterner").field("live_pairs", &self.live_pairs()).finish()
-    }
-}
-
-impl FormatPairInterner {
-    /// An empty interner.
-    pub fn new() -> Self {
-        FormatPairInterner { shards: std::array::from_fn(|_| Mutex::new(Shard::default())) }
-    }
-
-    fn shard_of(key: &(SymbolicFormat, SymbolicFormat)) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % SHARDS
-    }
-
-    /// The canonical `Arc` for `(src, dst)`: an existing live pair is
-    /// returned as-is (allocation-free), otherwise a fresh `Arc` is
-    /// recorded weakly — dead slots are reclaimed in place when their
-    /// key is interned again.
-    pub fn intern(&self, src: SymbolicFormat, dst: SymbolicFormat) -> FormatPair {
-        let key = (src, dst);
-        let mut shard = self.shards[Self::shard_of(&key)].lock().unwrap();
-        if let Some(live) = shard.table.get(&key).and_then(Weak::upgrade) {
-            return live;
-        }
-        let fresh: FormatPair = Arc::new(key);
-        shard.table.insert(key, Arc::downgrade(&fresh));
-        fresh
-    }
-
-    /// Number of currently live interned pairs (test introspection;
-    /// takes every shard lock).
-    pub fn live_pairs(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock().unwrap().table.values().filter(|w| w.strong_count() > 0).count()
-            })
-            .sum()
-    }
-}
-
-/// The process-wide interner behind [`format_pair`].
-pub fn global() -> &'static FormatPairInterner {
-    static GLOBAL: OnceLock<FormatPairInterner> = OnceLock::new();
-    GLOBAL.get_or_init(FormatPairInterner::new)
+pub fn global() -> &'static WeakInterner<(SymbolicFormat, SymbolicFormat)> {
+    static GLOBAL: OnceLock<WeakInterner<(SymbolicFormat, SymbolicFormat)>> = OnceLock::new();
+    GLOBAL.get_or_init(WeakInterner::new)
 }
 
 /// Intern `(src, dst)` in the process-wide table — the canonical way
 /// to build a shared format pair. Equal pairs return pointer-identical
 /// `Arc`s for as long as at least one strong reference is live.
 pub fn format_pair(src: SymbolicFormat, dst: SymbolicFormat) -> FormatPair {
-    global().intern(src, dst)
+    format_pair_in(global(), src, dst)
+}
+
+fn format_pair_in(
+    table: &WeakInterner<(SymbolicFormat, SymbolicFormat)>,
+    src: SymbolicFormat,
+    dst: SymbolicFormat,
+) -> FormatPair {
+    let key = (src, dst);
+    table.intern(&key, |p| *p == key, || key)
 }
 
 #[cfg(test)]
@@ -386,7 +325,7 @@ mod tests {
 
     #[test]
     fn dropped_format_pairs_are_reclaimed() {
-        let interner = FormatPairInterner::new();
+        let interner = WeakInterner::new();
         let a = SymbolicFormat {
             grid: GridId(1),
             stride: 1,
@@ -395,11 +334,11 @@ mod tests {
             template_extent: 555,
         };
         let b = SymbolicFormat { block: 2, ..a };
-        let p1 = interner.intern(a, b);
+        let p1 = format_pair_in(&interner, a, b);
         assert_eq!(interner.live_pairs(), 1);
         drop(p1);
         assert_eq!(interner.live_pairs(), 0, "weak table must not keep pairs alive");
-        let p2 = interner.intern(a, b);
+        let p2 = format_pair_in(&interner, a, b);
         assert_eq!(*p2, (a, b));
         assert_eq!(interner.live_pairs(), 1);
     }

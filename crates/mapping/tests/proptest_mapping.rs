@@ -137,15 +137,22 @@ proptest! {
         }
     }
 
-    /// `owned_indices_along` is consistent with ownership: the cartesian
-    /// product of per-dim owned indices is exactly the owned point set.
+    /// `owned_set_along` is consistent with per-point ownership: the
+    /// cartesian product of the per-dim owned sets (expanded through
+    /// their runs) is exactly the owned point set, and `count()` is
+    /// their size.
     #[test]
     fn owned_indices_product_is_owned_set((extents, template, grid, m) in mapping_strategy()) {
         let n = m.normalize(&extents, &template, &grid).unwrap();
         for r in 0..grid.nprocs() {
             let coords = grid.shape.delinearize(r);
-            let d0 = n.owned_indices_along(0, &coords);
-            let d1 = n.owned_indices_along(1, &coords);
+            let expand = |d: usize| -> Vec<u64> {
+                let set = n.owned_set_along(d, &coords);
+                let list: Vec<u64> = set.runs(0, set.extent).flat_map(|(lo, hi)| lo..hi).collect();
+                assert_eq!(set.count(), list.len() as u64);
+                list
+            };
+            let (d0, d1) = (expand(0), expand(1));
             let holds = n.holds_anything(&coords);
             let mut count = 0u64;
             for pt in extents.points() {

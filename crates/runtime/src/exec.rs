@@ -430,8 +430,8 @@ impl CopyProgram {
         let round_of: BTreeMap<(u64, u64), usize> = schedule.round_of_pairs().collect();
 
         // Per entry, the local extent of the owning block along that
-        // dimension on each side (`|src_set|` / `|dst_set|` — identical
-        // to the block dim-list lengths the storage layer allocates).
+        // dimension on each side: `|src_set|` / `|dst_set|`, the same
+        // sets the storage layer's blocks address through.
         let s_lens: Vec<Vec<u64>> =
             per_dim.iter().map(|es| es.iter().map(|e| e.src_set.count()).collect()).collect();
         let d_lens: Vec<Vec<u64>> =
@@ -573,10 +573,10 @@ impl CopyProgram {
     }
 
     /// Expand the stride families back into flat triples — the
-    /// pre-stride encoding, kept as the A/B baseline for the
-    /// `redist/kernel_dispatch` bench and the encoder's equivalence
-    /// tests. Every unit's kernel becomes [`Kernel::Triples`]; the
-    /// replayed bytes are identical by construction.
+    /// pre-stride encoding, kept as the reference the encoder's
+    /// equivalence tests compare against. Every unit's kernel becomes
+    /// [`Kernel::Triples`]; the replayed bytes are identical by
+    /// construction.
     #[doc(hidden)]
     pub fn expand_to_triples(&self) -> CopyProgram {
         fn expand_unit(p: &CopyProgram, u: &CopyUnit, runs: &mut Vec<CopyRun>) -> CopyUnit {

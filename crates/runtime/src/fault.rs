@@ -11,9 +11,9 @@
 //! model: a poisoned cache entry or one bad round must degrade, not
 //! take down every session. This module provides the three pieces:
 //!
-//! * **Injection** — a seedable, deterministic [`FaultPlan`]
-//!   (`Machine::with_faults` or the `HPFC_FAULTS` environment
-//!   variable). Faults are decided by a pure hash of
+//! * **Injection** — a seedable, deterministic [`FaultPlan`], armed
+//!   only by `Machine::with_faults` (no environment variable selects
+//!   one). Faults are decided by a pure hash of
 //!   `(seed, remap epoch, round, attempt)`, so a failing execution
 //!   replays bit-identically, and a *retry* of the same round rolls a
 //!   fresh decision — exactly the recoverable-transient regime the
@@ -107,20 +107,6 @@ impl FaultKind {
         FaultKind::DropRound,
         FaultKind::WorkerPanic,
     ];
-
-    /// Every kind the recovery ladder heals on its own — [`Self::ALL`]
-    /// minus the terminal `Exhaust`, which *forces* a typed failure.
-    /// This is the set the `HPFC_FAULTS` defaults select, so blanket
-    /// chaos runs (`HPFC_FAULTS=7 cargo test`) stay green: terminal
-    /// faults must be asked for by name (`kinds=…+exhaust`).
-    const RECOVERABLE: [FaultKind; 6] = [
-        FaultKind::CorruptRound,
-        FaultKind::TruncateRound,
-        FaultKind::DropRound,
-        FaultKind::WorkerPanic,
-        FaultKind::PoisonProgram,
-        FaultKind::CompilePanic,
-    ];
 }
 
 /// A seedable, deterministic fault-injection plan. Decisions are a pure
@@ -146,70 +132,6 @@ impl FaultPlan {
     /// A plan injecting **every** fault class at `rate` percent.
     pub fn all(seed: u64, rate: u32) -> FaultPlan {
         FaultPlan::new(seed, rate, &FaultKind::ALL)
-    }
-
-    /// The plan selected by the `HPFC_FAULTS` environment variable, if
-    /// set. Accepted forms:
-    ///
-    /// * a bare integer — the seed, with a 10% rate and every
-    ///   *recoverable* kind (the ladder heals them all, so a blanket
-    ///   chaos run stays green);
-    /// * a comma-separated list of `seed=N`, `rate=N` (percent) and
-    ///   `kinds=a+b+c` with kinds among `corrupt`, `truncate`, `drop`,
-    ///   `panic`, `poison`, `compilepanic`, `exhaust`. The terminal
-    ///   `exhaust` — which forces the ladder to fail so the
-    ///   transaction must roll back — is only injected when named
-    ///   here explicitly.
-    ///
-    /// Unrecognized fragments are ignored (chaos configuration must
-    /// never itself crash the engine). Realistic use pairs this with
-    /// `HPFC_VALIDATE=checksums` so injected corruption is detected,
-    /// not silently absorbed.
-    pub fn from_env() -> Option<FaultPlan> {
-        let raw = std::env::var("HPFC_FAULTS").ok()?;
-        let raw = raw.trim();
-        if raw.is_empty() {
-            return None;
-        }
-        if let Ok(seed) = raw.parse::<u64>() {
-            return Some(FaultPlan::new(seed, 10, &FaultKind::RECOVERABLE));
-        }
-        let mut plan = FaultPlan::new(0, 10, &FaultKind::RECOVERABLE);
-        for part in raw.split(',') {
-            let Some((key, value)) = part.split_once('=') else { continue };
-            match key.trim() {
-                "seed" => {
-                    if let Ok(s) = value.trim().parse() {
-                        plan.seed = s;
-                    }
-                }
-                "rate" => {
-                    if let Ok(r) = value.trim().parse::<u32>() {
-                        plan.rate = r.min(100);
-                    }
-                }
-                "kinds" => {
-                    let mut mask = 0u8;
-                    for k in value.split('+') {
-                        mask |= match k.trim() {
-                            "corrupt" => FaultKind::CorruptRound.bit(),
-                            "truncate" => FaultKind::TruncateRound.bit(),
-                            "drop" => FaultKind::DropRound.bit(),
-                            "panic" => FaultKind::WorkerPanic.bit(),
-                            "poison" => FaultKind::PoisonProgram.bit(),
-                            "compilepanic" => FaultKind::CompilePanic.bit(),
-                            "exhaust" => FaultKind::Exhaust.bit(),
-                            _ => 0,
-                        };
-                    }
-                    if mask != 0 {
-                        plan.kinds = mask;
-                    }
-                }
-                _ => {}
-            }
-        }
-        Some(plan)
     }
 
     fn site_hash(&self, epoch: u64, stream: u32, round: u32, attempt: u32) -> u64 {
@@ -290,18 +212,6 @@ pub enum ValidationLevel {
     /// of source words read must equal the sum of destination words
     /// written (catches any single-word corruption).
     Checksums,
-}
-
-impl ValidationLevel {
-    /// The level selected by the `HPFC_VALIDATE` environment variable:
-    /// `counts`, `checksums`, anything else (or unset) is `Off`.
-    pub fn from_env() -> ValidationLevel {
-        match std::env::var("HPFC_VALIDATE").as_deref().map(str::trim) {
-            Ok("counts") => ValidationLevel::Counts,
-            Ok("checksums") => ValidationLevel::Checksums,
-            _ => ValidationLevel::Off,
-        }
-    }
 }
 
 /// A typed execution error — what the remap engine returns when the
@@ -534,21 +444,12 @@ mod tests {
     }
 
     #[test]
-    fn env_forms_parse() {
-        // `from_env` reads the process environment, which is shared
-        // across test threads — exercise the parser through a plan
-        // constructed from the same fragments instead.
+    fn constructors_saturate_rate_and_mask_kinds() {
         let p = FaultPlan::new(9, 120, &[FaultKind::DropRound]);
         assert_eq!(p.rate, 100, "rate saturates at 100");
         assert_eq!(p.kinds, FaultKind::DropRound.bit());
         let all = FaultPlan::all(1, 10);
         assert_eq!(all.kinds, 0b111_1111);
-        let env_default = FaultPlan::new(1, 10, &FaultKind::RECOVERABLE);
-        assert_eq!(
-            env_default.kinds,
-            0b011_1111,
-            "env defaults exclude the terminal Exhaust: blanket chaos runs must stay green"
-        );
     }
 
     #[test]

@@ -49,7 +49,8 @@
 //!   turning a fleet re-provision (P=16 → P=64) into cheap
 //!   instantiations instead of a recompile;
 //! * [`fault::FaultPlan`] — deterministic fault injection
-//!   (`HPFC_FAULTS`), per-round validation (`HPFC_VALIDATE`), and the
+//!   ([`Machine::with_faults`]), per-round validation
+//!   ([`Machine::with_validation`]), and the
 //!   self-healing recovery ladder behind [`status::ArrayRt::remap_guarded`]
 //!   and [`group::remap_group`]: retry → recompile → table-engine
 //!   fallback → typed [`fault::ExecError`]. One replay core

@@ -316,11 +316,11 @@ pub struct Machine {
     /// or scoped worker threads). Defaults to the `HPFC_THREADS`
     /// environment variable via [`ExecMode::from_env`].
     pub exec_mode: ExecMode,
-    /// Deterministic fault injection for chaos testing (`HPFC_FAULTS`
-    /// env or [`Machine::with_faults`]); `None` in production runs.
+    /// Deterministic fault injection for chaos testing
+    /// ([`Machine::with_faults`]); `None` unless a caller asks.
     pub faults: Option<crate::fault::FaultPlan>,
     /// How much the guarded replay verifies per round
-    /// (`HPFC_VALIDATE` env or [`Machine::with_validation`]). With
+    /// ([`Machine::with_validation`]; off by default). With
     /// faults unset and validation [`crate::ValidationLevel::Off`], the
     /// remap path is the unguarded allocation-free fast path.
     pub validation: crate::fault::ValidationLevel,
@@ -359,8 +359,8 @@ impl Machine {
             stats: NetStats::default(),
             mem: MemTracker::default(),
             exec_mode: ExecMode::from_env(),
-            faults: crate::fault::FaultPlan::from_env(),
-            validation: crate::fault::ValidationLevel::from_env(),
+            faults: None,
+            validation: crate::fault::ValidationLevel::Off,
             registry: crate::registry::PlanRegistry::global().cloned(),
             symbolic: true,
             scratch: PhaseScratch::default(),

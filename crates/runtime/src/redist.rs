@@ -177,108 +177,53 @@ pub fn all_owners(nm: &NormalizedMapping, point: &[u64]) -> Vec<u64> {
 
 // --- the planner -------------------------------------------------------
 
-/// Which grid axis (if any) array dimension `d` drives, with the affine
-/// map and layout.
-pub(crate) fn axis_driven_by_dim(
-    nm: &NormalizedMapping,
-    d: usize,
-) -> Option<(usize, i64, i64, hpfc_mapping::DimLayout)> {
-    for (axis, ax) in nm.axes.iter().enumerate() {
-        if let DimSource::ArrayAxis { dim, stride, offset } = ax.source {
-            if dim == d {
-                return Some((axis, stride, offset, ax.layout.expect("axis source has layout")));
-            }
-        }
+/// One side's candidates along array dimension `d`: every coordinate of
+/// the grid axis `d` drives, with the index set it owns — or, when `d`
+/// drives no axis, the one undriven entry holding the whole extent.
+/// The sets are [`NormalizedMapping::owned_set_along`]'s, the ones the
+/// storage layer's blocks address through.
+fn side_sets(nm: &NormalizedMapping, d: usize) -> Vec<(Option<(usize, u64)>, PeriodicSet)> {
+    let mut coords = vec![0u64; nm.grid_shape.rank()];
+    match nm.axis_driven_by(d) {
+        Some((axis, .., layout)) => (0..layout.nprocs)
+            .map(|c| {
+                coords[axis] = c;
+                (Some((axis, c)), nm.owned_set_along(d, &coords))
+            })
+            .collect(),
+        None => vec![(None, nm.owned_set_along(d, &coords))],
     }
-    None
 }
 
 /// Per-dimension contribution tables: for every array dimension, the
 /// non-empty (source coord, destination coord) interval intersections.
-/// The destination side's periodic sets are computed once per
-/// coordinate and shared across all source coordinates.
+/// Each side's periodic sets are computed once per coordinate and
+/// shared across all coordinates of the other side.
 pub fn dim_contributions(
     src: &NormalizedMapping,
     dst: &NormalizedMapping,
 ) -> Vec<Vec<DimContribution>> {
-    let rank = src.array_extents.rank();
-    let mut per_dim = Vec::with_capacity(rank);
-    for d in 0..rank {
-        let n = src.array_extents.extent(d);
-        let s_axis = axis_driven_by_dim(src, d);
-        let d_axis = axis_driven_by_dim(dst, d);
-        let mut entries = Vec::new();
-        match (s_axis, d_axis) {
-            (None, None) => {
-                if n > 0 {
-                    entries.push(DimContribution {
-                        src: None,
-                        dst: None,
-                        count: n,
-                        src_set: PeriodicSet::full(n),
-                        dst_set: PeriodicSet::full(n),
-                    });
-                }
-            }
-            (Some((ax, st, of, lay)), None) => {
-                let full = PeriodicSet::full(n);
-                for c in 0..lay.nprocs {
-                    let set = PeriodicSet::owned(st, of, lay, c, n);
-                    let count = set.count();
+    (0..src.array_extents.rank())
+        .map(|d| {
+            let d_sets = side_sets(dst, d);
+            let mut entries = Vec::new();
+            for (s_coord, s_set) in side_sets(src, d) {
+                for (d_coord, d_set) in &d_sets {
+                    let count = s_set.intersect_count(d_set);
                     if count > 0 {
                         entries.push(DimContribution {
-                            src: Some((ax, c)),
-                            dst: None,
+                            src: s_coord,
+                            dst: *d_coord,
                             count,
-                            src_set: set,
-                            dst_set: full.clone(),
+                            src_set: s_set.clone(),
+                            dst_set: d_set.clone(),
                         });
                     }
                 }
             }
-            (None, Some((ax, st, of, lay))) => {
-                let full = PeriodicSet::full(n);
-                for c in 0..lay.nprocs {
-                    let set = PeriodicSet::owned(st, of, lay, c, n);
-                    let count = set.count();
-                    if count > 0 {
-                        entries.push(DimContribution {
-                            src: None,
-                            dst: Some((ax, c)),
-                            count,
-                            src_set: full.clone(),
-                            dst_set: set,
-                        });
-                    }
-                }
-            }
-            (Some((sax, sst, sof, slay)), Some((dax, dst_, dof, dlay))) => {
-                let s_sets: Vec<PeriodicSet> =
-                    (0..slay.nprocs).map(|c| PeriodicSet::owned(sst, sof, slay, c, n)).collect();
-                let d_sets: Vec<PeriodicSet> =
-                    (0..dlay.nprocs).map(|c| PeriodicSet::owned(dst_, dof, dlay, c, n)).collect();
-                for (cs, s_set) in s_sets.iter().enumerate() {
-                    if s_set.base.is_empty() {
-                        continue;
-                    }
-                    for (cd, d_set) in d_sets.iter().enumerate() {
-                        let count = s_set.intersect_count(d_set);
-                        if count > 0 {
-                            entries.push(DimContribution {
-                                src: Some((sax, cs as u64)),
-                                dst: Some((dax, cd as u64)),
-                                count,
-                                src_set: s_set.clone(),
-                                dst_set: d_set.clone(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        per_dim.push(entries);
-    }
-    per_dim
+            entries
+        })
+        .collect()
 }
 
 /// Row-major strides of a grid shape (rank contribution of coordinate

@@ -598,7 +598,7 @@ fn unit_n_runs(prog: &CopyProgram, unit: CopyUnit) -> u64 {
 /// Sum of the words one unit reads from its provider block
 /// (`dst_side == false`) or wrote into its receiver block (`true`), as
 /// raw `f64` bits (wrapping) — the per-unit checksum of
-/// `HPFC_VALIDATE=checksums`: after a clean replay the two sides are
+/// [`crate::ValidationLevel::Checksums`]: after a clean replay the two sides are
 /// equal; any scribbled destination word breaks the equality.
 fn unit_sum(prog: &CopyProgram, unit: CopyUnit, block: &LocalBlock, dst_side: bool) -> u64 {
     let mut sum = 0u64;

@@ -33,7 +33,7 @@
 use hpfc_mapping::{NormalizedMapping, PeriodicSet};
 
 use crate::machine::Machine;
-use crate::redist::{axis_driven_by_dim, RedistPlan};
+use crate::redist::RedistPlan;
 
 /// One array dimension of a packed message: the periodic index sets
 /// owned by the sender (under the source mapping) and by the receiver
@@ -325,8 +325,8 @@ fn message_dims(
     let rank = src.array_extents.rank();
     let mut dims = Vec::with_capacity(rank);
     for (d, coords) in by_coords.iter().enumerate().take(rank) {
-        let want_src = axis_driven_by_dim(src, d).map(|(ax, ..)| (ax, s_coords[ax]));
-        let want_dst = axis_driven_by_dim(dst, d).map(|(ax, ..)| (ax, d_coords[ax]));
+        let want_src = src.axis_driven_by(d).map(|(ax, ..)| (ax, s_coords[ax]));
+        let want_dst = dst.axis_driven_by(d).map(|(ax, ..)| (ax, d_coords[ax]));
         let entry = &plan.dims[d][*coords
             .get(&(want_src, want_dst))
             .expect("remote transfer implies a non-empty contribution per dimension")];

@@ -1,18 +1,23 @@
 //! Per-processor storage of one array version.
 //!
-//! A version's local block on processor `p` holds, for each array
-//! dimension, the sorted list of global indices `p` owns along it; the
-//! elements are stored row-major over those lists. Replicated mappings
-//! store a full projection on every replica. This matches the local
-//! addressing scheme the mapping layer's structural equality guarantees
-//! (see `hpfc-mapping`), so two equal mappings have byte-identical
-//! local layouts — the property live-copy reuse relies on.
+//! A version's local block on processor `p` holds the elements `p`
+//! owns, row-major over the per-dimension owned index sets. Those sets
+//! are never listed: a block addresses itself through the mapping's
+//! closed-form [`PeriodicSet`] per dimension
+//! ([`NormalizedMapping::owned_set_along`]) — the same descriptor the
+//! planner and the program compiler use — so the local position of
+//! global index `g` is `count_below(g)` and the only O(extent) thing a
+//! version allocates is its `data`. Replicated mappings store a full
+//! projection on every replica. This matches the local addressing
+//! scheme the mapping layer's structural equality guarantees (see
+//! `hpfc-mapping`), so two equal mappings have byte-identical local
+//! layouts — the property live-copy reuse relies on.
 //!
 //! Data movement ([`VersionData::copy_values_from`]) is block-level: it
 //! walks the planner's per-dimension periodic interval descriptors
 //! ([`crate::redist::dim_contributions`]) and copies whole contiguous
 //! runs with `copy_from_slice`, instead of routing every element
-//! through a heap-allocated point and per-dimension binary searches.
+//! through a heap-allocated point and per-dimension position lookups.
 //! The cached remap path goes further:
 //! [`VersionData::copy_values_from_program`] replays a compiled
 //! [`crate::CopyProgram`] whose positions were all resolved at plan
@@ -22,27 +27,80 @@
 //! Result extraction ([`VersionData::to_dense`]) walks canonical blocks
 //! the same run-level way — no per-element owner computation.
 
-use hpfc_mapping::{intervals::intersect_runs, NormalizedMapping};
+use hpfc_mapping::intervals::{intersect_runs, Runs};
+use hpfc_mapping::{NormalizedMapping, PeriodicSet};
 
 use crate::replay::Lane;
 
 /// One processor's slice of a version.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalBlock {
-    /// Owned global indices per dimension (sorted).
-    pub dims: Vec<Vec<u64>>,
+    /// Per dimension, the owned global indices in closed form and their
+    /// count (`set.count()`, cached: every position is a mixed-radix
+    /// number over these).
+    dims: Vec<(PeriodicSet, usize)>,
     /// Row-major element data over `dims`.
     pub data: Vec<f64>,
 }
 
 impl LocalBlock {
+    /// Local position of a global point: per dimension, the number of
+    /// owned indices below the coordinate. `None` if the block does not
+    /// own the point.
     fn position(&self, point: &[u64]) -> Option<usize> {
         let mut idx = 0usize;
-        for (d, list) in self.dims.iter().enumerate() {
-            let k = list.binary_search(&point[d]).ok()?;
-            idx = idx * list.len() + k;
+        for ((set, len), &g) in self.dims.iter().zip(point) {
+            let k = set.count_below(g);
+            if set.count_below(g + 1) == k {
+                return None;
+            }
+            idx = idx * len + k as usize;
         }
         Some(idx)
+    }
+}
+
+/// Call `f` with every combination of the owned indices of `outer` (a
+/// block's dimensions but the last), in row-major order — one call per
+/// local row. Steps through each set run by run; nothing is listed.
+/// Every set must be non-empty.
+fn for_each_row(outer: &[(PeriodicSet, usize)], mut f: impl FnMut(&[u64])) {
+    fn first_run((set, _): &(PeriodicSet, usize)) -> (u64, u64, Runs<'_>) {
+        let mut runs = set.runs(0, set.extent);
+        let (lo, hi) = runs.next().expect("a held block owns indices along every dimension");
+        (lo, hi, runs)
+    }
+    // Per dimension: the current index, and (the end of its run, the runs left).
+    let mut point = Vec::with_capacity(outer.len());
+    let mut cur = Vec::with_capacity(outer.len());
+    for dim in outer {
+        let (lo, hi, rest) = first_run(dim);
+        point.push(lo);
+        cur.push((hi, rest));
+    }
+    loop {
+        f(&point);
+        // Advance, last outer dimension fastest.
+        let mut d = outer.len();
+        loop {
+            if d == 0 {
+                return;
+            }
+            d -= 1;
+            let (hi, rest) = &mut cur[d];
+            point[d] += 1;
+            if point[d] < *hi {
+                break;
+            }
+            if let Some(run) = rest.next() {
+                (point[d], *hi) = run;
+                break;
+            }
+            // Wrapped: rewind this dimension and carry into the next one out.
+            let (lo, hi, rest) = first_run(&outer[d]);
+            point[d] = lo;
+            cur[d] = (hi, rest);
+        }
     }
 }
 
@@ -69,9 +127,14 @@ impl VersionData {
                 blocks.push(None);
                 continue;
             }
-            let dims: Vec<Vec<u64>> =
-                (0..rank).map(|d| mapping.owned_indices_along(d, &coords)).collect();
-            let len: usize = dims.iter().map(|l| l.len()).product();
+            let dims: Vec<(PeriodicSet, usize)> = (0..rank)
+                .map(|d| {
+                    let set = mapping.owned_set_along(d, &coords);
+                    let len = set.count() as usize;
+                    (set, len)
+                })
+                .collect();
+            let len: usize = dims.iter().map(|(_, len)| len).product();
             blocks.push(Some(LocalBlock { dims, data: vec![0.0; len] }));
         }
         VersionData { mapping, blocks, elem_size }
@@ -125,35 +188,24 @@ impl VersionData {
     pub fn fill(&mut self, f: impl Fn(&[u64]) -> f64) {
         let rank = self.mapping.array_extents.rank();
         let mut point = vec![0u64; rank];
-        let mut pos = vec![0usize; rank];
         for block in self.blocks.iter_mut().flatten() {
             if block.data.is_empty() {
                 continue;
             }
-            if rank == 0 {
-                block.data[0] = f(&point);
+            let Some(((inner, _), outer)) = block.dims.split_last() else {
+                block.data[0] = f(&point); // rank 0
                 continue;
-            }
-            pos.iter_mut().for_each(|p| *p = 0);
-            for (p, dim) in point.iter_mut().zip(block.dims.iter()) {
-                *p = dim[0];
-            }
-            let len = block.data.len();
-            for i in 0..len {
-                block.data[i] = f(&point);
-                // Row-major advance, last dimension fastest.
-                let mut d = rank;
-                while d > 0 {
-                    d -= 1;
-                    pos[d] += 1;
-                    if pos[d] < block.dims[d].len() {
-                        point[d] = block.dims[d][pos[d]];
-                        break;
+            };
+            let mut cells = block.data.iter_mut();
+            for_each_row(outer, |row| {
+                point[..row.len()].copy_from_slice(row);
+                for (lo, hi) in inner.runs(0, inner.extent) {
+                    for g in lo..hi {
+                        point[row.len()] = g;
+                        *cells.next().expect("data spans the owned sets") = f(&point);
                     }
-                    pos[d] = 0;
-                    point[d] = block.dims[d][0];
                 }
-            }
+            });
         }
     }
 
@@ -293,10 +345,10 @@ impl VersionData {
     /// helper, and the interpreter's result-extraction path).
     ///
     /// Walks each canonical block's storage directly — outer dimensions
-    /// index by index, the contiguous innermost runs with
+    /// index by index, the innermost owned set run by run with
     /// `copy_from_slice` — instead of routing every element through
-    /// [`VersionData::get`] (per-point owner computation plus a binary
-    /// search per dimension). Extraction is O(runs) per local row and
+    /// [`VersionData::get`] (per-point owner computation plus a position
+    /// lookup per dimension). Extraction is O(runs) per local row and
     /// allocates nothing per element. Replicas beyond the canonical one
     /// (coordinate 0 on replicated axes) hold identical values by the
     /// storage invariants and are skipped.
@@ -315,7 +367,6 @@ impl VersionData {
         for d in (0..rank - 1).rev() {
             stride[d] = stride[d + 1] * ext.extent(d + 1);
         }
-        let last = rank - 1;
         for (r, block) in self.blocks.iter().enumerate() {
             let Some(block) = block else { continue };
             if block.data.is_empty() {
@@ -329,34 +380,16 @@ impl VersionData {
             if !canonical {
                 continue;
             }
-            let rows: usize = block.dims[..last].iter().map(|l| l.len()).product();
-            let row_len = block.dims[last].len();
-            let list = &block.dims[last];
-            let mut pos = vec![0usize; last];
-            for row in 0..rows {
-                let base: u64 =
-                    (0..last).map(|d| block.dims[d][pos[d]] * stride[d]).sum();
-                let data = &block.data[row * row_len..(row + 1) * row_len];
-                // Copy maximal contiguous stretches of the innermost
-                // owned-index list as whole runs.
-                let mut i = 0usize;
-                while i < row_len {
-                    let mut j = i + 1;
-                    while j < row_len && list[j] == list[j - 1] + 1 {
-                        j += 1;
-                    }
-                    let at = (base + list[i]) as usize;
-                    out[at..at + (j - i)].copy_from_slice(&data[i..j]);
-                    i = j;
+            let ((inner, _), outer) = block.dims.split_last().expect("rank >= 1");
+            let mut data = block.data.as_slice();
+            for_each_row(outer, |row| {
+                let base: u64 = row.iter().zip(&stride).map(|(g, s)| g * s).sum();
+                for (lo, hi) in inner.runs(0, inner.extent) {
+                    let (run, rest) = data.split_at((hi - lo) as usize);
+                    out[(base + lo) as usize..(base + hi) as usize].copy_from_slice(run);
+                    data = rest;
                 }
-                for d in (0..last).rev() {
-                    pos[d] += 1;
-                    if pos[d] < block.dims[d].len() {
-                        break;
-                    }
-                    pos[d] = 0;
-                }
-            }
+            });
         }
         out
     }
@@ -519,9 +552,8 @@ impl TxnScratch {
 /// run lies inside one owned interval on either side).
 ///
 /// Local positions come from the periodic descriptors in closed form:
-/// the position of global index `g` in an owned-index list is the
-/// number of owned indices below `g` (`PeriodicSet::count_below`), so
-/// no per-run binary search is needed.
+/// the position of global index `g` in a block is the number of owned
+/// indices below `g` (`PeriodicSet::count_below`).
 fn copy_runs(
     dst_block: &mut LocalBlock,
     src_block: &LocalBlock,
@@ -535,8 +567,8 @@ fn copy_runs(
     let last = rank - 1;
     let LocalBlock { dims: d_dims, data: d_data } = dst_block;
     let (s_dims, s_data) = (&src_block.dims, &src_block.data);
-    let d_last_len = d_dims[last].len();
-    let s_last_len = s_dims[last].len();
+    let d_last_len = d_dims[last].1;
+    let s_last_len = s_dims[last].1;
     let e_last = &per_dim[last][idx[last]];
 
     // Odometer over the outer dimensions, one global index at a time:
@@ -550,8 +582,8 @@ fn copy_runs(
             let (ri, off) = cur[d];
             let g = runs[d][ri].0 + off;
             let e = &per_dim[d][idx[d]];
-            d_pref = d_pref * d_dims[d].len() + e.dst_set.count_below(g) as usize;
-            s_pref = s_pref * s_dims[d].len() + e.src_set.count_below(g) as usize;
+            d_pref = d_pref * d_dims[d].1 + e.dst_set.count_below(g) as usize;
+            s_pref = s_pref * s_dims[d].1 + e.src_set.count_below(g) as usize;
         }
         for &(lo, hi) in runs[last] {
             let dp = e_last.dst_set.count_below(lo) as usize;

@@ -32,6 +32,9 @@ use hpfc_runtime::{
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested by the counted allocations (a `realloc` counts its
+/// whole new size).
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 std::thread_local! {
     /// Set on the test thread only; allocator callbacks on other
@@ -40,26 +43,27 @@ std::thread_local! {
     static COUNTED: Cell<bool> = const { Cell::new(false) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // `try_with`: TLS may be unavailable during thread teardown.
     if COUNTED.try_with(Cell::get).unwrap_or(false) {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -482,8 +486,8 @@ fn steady_state_remap_allocates_nothing() {
     // in-program remap loop. The freed copy is parked and the next
     // remap in that direction takes it back, so after one warm-up round
     // trip `remap -> clean -> remap` never reaches the allocator:
-    // neither for the data, nor for the owned-index lists, nor for the
-    // block table. (Both cached programs overwrite every destination
+    // neither for the data, nor for the owned-set descriptors, nor for
+    // the block table. (Both cached programs overwrite every destination
     // element, so the recycled buffers are not even re-zeroed.)
     let src = mk(n, 4, DimFormat::Block(None));
     let dst = mk(n, 4, DimFormat::Cyclic(None));
@@ -507,4 +511,20 @@ fn steady_state_remap_allocates_nothing() {
     assert_eq!(machine.stats.remaps_performed, performed + 20, "every remap moved data");
     assert_eq!(machine.mem.peak, peak, "modeled memory is billed exactly as before");
     assert!((0..n).all(|i| rt.get(&[i]) == if i < 10 { -1.0 } else { i as f64 }));
+
+    // --- 10. A version's only O(extent) allocation is its data. -------
+    // Blocks address themselves through the mapping's closed-form
+    // periodic sets, so CYCLIC(1) — where every owned index is its own
+    // run — costs the data plus a few descriptors, not a second
+    // extent-sized index list per block.
+    let n = 1u64 << 20;
+    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let v = VersionData::new(mk(n, 4, DimFormat::Cyclic(None)), 8);
+    let allocated = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    assert_eq!(v.total_bytes(), n * 8);
+    assert!(
+        allocated <= n * 8 + (64 << 10),
+        "VersionData::new allocated {allocated} B for {} B of data",
+        n * 8
+    );
 }

@@ -239,6 +239,46 @@ proptest! {
         prop_assert_eq!(dense, per_point);
     }
 
+    /// Local addressing against per-point ownership over the full
+    /// mapping space. The oracle is `NormalizedMapping::owners`, never
+    /// the owned sets the blocks address through: a block stores its
+    /// owned points in global row-major order, so every block — each
+    /// replica included — must read as `f` over exactly the points
+    /// whose owners contain its rank.
+    #[test]
+    fn rich_local_addressing_matches_per_point_owners(m in rich_mapping_strategy(6, 5)) {
+        let points: Vec<Vec<u64>> = m.array_extents.points().collect();
+        let mut v = VersionData::new(m.clone(), 8);
+        let owned_image = |r: u64, f: &dyn Fn(&[u64]) -> f64| -> Vec<f64> {
+            points.iter().filter(|p| m.owners(p).contains(&r)).map(|p| f(p)).collect()
+        };
+        let stored = |v: &VersionData, r: u64| -> Vec<f64> {
+            v.blocks[r as usize].as_ref().map_or(Vec::new(), |b| b.data.clone())
+        };
+        let f = |p: &[u64]| (p[0] * 17 + p[1] * 5 + 3) as f64;
+        v.fill(f);
+        let dense = v.to_dense();
+        for (lin, p) in points.iter().enumerate() {
+            prop_assert_eq!(v.get(p), f(p));
+            prop_assert_eq!(dense[lin], f(p));
+        }
+        for r in 0..m.grid_shape.volume() {
+            let want = owned_image(r, &f);
+            prop_assert_eq!(v.bytes_on(r), m.local_volume(r) * v.elem_size);
+            prop_assert_eq!(m.local_volume(r), want.len() as u64);
+            prop_assert_eq!(stored(&v, r), want, "fill, rank {}", r);
+        }
+        // `set` reaches every replica; `get` reads it back.
+        let g = |p: &[u64]| -(f(p) + 0.5);
+        for p in &points {
+            v.set(p, g(p));
+            prop_assert_eq!(v.get(p), g(p));
+        }
+        for r in 0..m.grid_shape.volume() {
+            prop_assert_eq!(stored(&v, r), owned_image(r, &g), "set, rank {}", r);
+        }
+    }
+
     /// The compiled copy program agrees with every other engine over
     /// the full mapping space: serial replay == parallel replay ==
     /// descriptor-table engine == the per-point oracle (element-by-
