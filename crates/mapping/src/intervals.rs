@@ -13,8 +13,12 @@
 //! * count an intersection of two such sets over one *hyper-period*
 //!   (`lcm` of the two periods) plus tail — never over the extent,
 //! * lazily enumerate maximal runs (for block-level data movement),
+//! * describe those runs — its own ([`PeriodicSet::run_families`]) or
+//!   an intersection's ([`intersect_families`]) — as [`RunFamily`]s:
+//!   one period's runs × a repeat count, never a list of them,
 //!
-//! which is what makes redistribution *planning* O(P_src·P_dst) instead
+//! which is what makes redistribution *planning* O(P_src·P_dst) and the
+//! *compilation* of a copy program O(runs of one hyper-period) instead
 //! of O(extent) (the data movement itself is necessarily O(extent), but
 //! walks whole intervals, not elements).
 //!
@@ -258,6 +262,87 @@ impl PeriodicSet {
         Some((lo, hi))
     }
 
+    /// Whether `x - 1` and `x` both belong to the set continued
+    /// periodically below 0: a run starting at `x` is then the rest of a
+    /// longer run of the pattern, not a phase the pattern repeats from.
+    fn continues_at(&self, x: u64) -> bool {
+        let in_base = |r: u64| self.base.iter().any(|&(a, b)| a <= r && r < b);
+        in_base(x % self.period) && in_base((x % self.period + self.period - 1) % self.period)
+    }
+
+    /// The maximal runs of the set within `[lo, hi)` as [`RunFamily`]s,
+    /// in O(|base|²) however long the window is: the run `lo` cuts into
+    /// (if any), then — from a phase `φ` that is a true run start — one
+    /// family per maximal run of `[φ, φ + period)` repeated
+    /// `⌊(hi − φ) / period⌋` times, then the runs of the last, partial
+    /// period one by one (the last clipped at `hi`).
+    ///
+    /// With one run per period the families expand in ascending order.
+    /// With `m > 1` they expand family by family, and are only emitted
+    /// in closed form when the period repeats at least `m` times —
+    /// below that the `< m²` runs are listed one by one in ascending
+    /// order, which is never the longer description.
+    ///
+    /// ```
+    /// use hpfc_mapping::{DimLayout, PeriodicSet, RunFamily};
+    /// // CYCLIC(2) over 3 processors, coordinate 1: [2,4) + 6k.
+    /// let s = PeriodicSet::owned(1, 0, DimLayout::new(1 << 40, 2, 3), 1, 1 << 40);
+    /// assert_eq!(
+    ///     s.run_families(3, 51),
+    ///     vec![
+    ///         RunFamily { lo: 3, len: 1, count: 1, step: 0 },  // cut by `lo`
+    ///         RunFamily { lo: 8, len: 2, count: 7, step: 6 },  // 8, 14, …, 44
+    ///         RunFamily { lo: 50, len: 1, count: 1, step: 0 }, // clipped at `hi`
+    ///     ],
+    /// );
+    /// ```
+    pub fn run_families(&self, lo: u64, hi: u64) -> Vec<RunFamily> {
+        let mut out = Vec::new();
+        self.push_run_families(lo, hi, &mut out);
+        out
+    }
+
+    /// [`PeriodicSet::run_families`], appending to `out`.
+    fn push_run_families(&self, lo: u64, hi: u64, out: &mut Vec<RunFamily>) {
+        let hi = hi.min(self.extent);
+        if lo >= hi || self.base.is_empty() {
+            return;
+        }
+        let single = |(a, b): (u64, u64)| RunFamily { lo: a, len: b - a, count: 1, step: 0 };
+        if self.is_full() {
+            out.push(single((lo, hi)));
+            return;
+        }
+        // Head: a run that began before `lo` is no phase to repeat from.
+        let mut phase = lo;
+        if self.continues_at(lo) {
+            let (_, end) = self.run_after(lo, hi).expect("lo is in the set");
+            out.push(single((lo, end.min(hi))));
+            phase = end;
+        }
+        // `run_after` of a position outside the set starts a true run.
+        match self.run_after(phase, hi) {
+            Some((start, _)) if start < hi => phase = phase.max(start),
+            _ => return,
+        }
+        // `phase + period` is a true run start too: nothing is cut.
+        let repeats = (hi - phase) / self.period;
+        let body = out.len();
+        out.extend(self.runs(phase, phase + self.period).map(|(a, b)| RunFamily {
+            lo: a,
+            len: b - a,
+            count: repeats,
+            step: self.period,
+        }));
+        let mut tail = phase + repeats * self.period;
+        if repeats < (out.len() - body) as u64 {
+            // Fewer periods than runs per period: listing is shorter.
+            out.truncate(body);
+            tail = phase;
+        }
+        out.extend(self.runs(tail, hi).map(single));
+    }
+
     /// Count of `self ∩ other` over the shared window — closed form:
     /// over one hyper-period plus tail when the hyper-period fits the
     /// window, else over the window, in both cases by walking the runs
@@ -286,6 +371,9 @@ impl PeriodicSet {
     fn runs_within(&self, x: u64) -> u64 {
         if self.base.is_empty() {
             return 0;
+        }
+        if self.is_full() {
+            return 1;
         }
         (x / self.period + 1).saturating_mul(self.base.len() as u64)
     }
@@ -409,6 +497,79 @@ impl Iterator for IntersectRuns<'_> {
     }
 }
 
+/// `count` equal runs in arithmetic progression:
+/// `[lo + k·step, lo + k·step + len)` for `k < count` — the unit in
+/// which a periodic set describes its runs without walking the extent.
+/// A lone run has `count == 1`; its `step` is not read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunFamily {
+    /// Start of the first run.
+    pub lo: u64,
+    /// Length of every run.
+    pub len: u64,
+    /// Number of runs (≥ 1).
+    pub count: u64,
+    /// Distance between consecutive run starts.
+    pub step: u64,
+}
+
+impl RunFamily {
+    /// The runs the family stands for, in order.
+    pub fn runs(self) -> impl Iterator<Item = (u64, u64)> {
+        (0..self.count).map(move |k| (self.lo + k * self.step, self.lo + k * self.step + self.len))
+    }
+}
+
+/// Append the maximal runs of `a ∩ b` over the shared window to `out`,
+/// as [`RunFamily`]s — what [`intersect_runs`] enumerates, described in
+/// O(runs of one hyper-period + runs of the sparser side) instead.
+/// (`out` is the caller's so that a compile over P² entries reuses one
+/// buffer.)
+///
+/// Either the hyper-period (`lcm` of the periods) repeats inside the
+/// window and `a ∩ b` is itself a periodic set of that period
+/// (`cyclic(j) ∩ cyclic(k)`), or one side has few runs over the whole
+/// window and the other is described inside each of them
+/// (`block ∩ cyclic`); whichever walks fewer runs is taken, by the same
+/// `runs_within` bounds [`PeriodicSet::intersect_count`] chooses by. A
+/// step is therefore always a multiple of a side's period, with the
+/// whole family inside one run of the other side when it is not a
+/// multiple of both.
+///
+/// ```
+/// use hpfc_mapping::{intersect_families, DimLayout, PeriodicSet, RunFamily};
+/// let n = 1 << 40;
+/// let block = PeriodicSet::owned(1, 0, DimLayout::new(n, n / 4, 4), 1, n);
+/// let cyclic = PeriodicSet::owned(1, 0, DimLayout::new(n, 1, 4), 2, n);
+/// let mut families = Vec::new();
+/// intersect_families(&block, &cyclic, &mut families);
+/// assert_eq!(
+///     families,
+///     vec![
+///         RunFamily { lo: n / 4 + 2, len: 1, count: n / 16 - 1, step: 4 },
+///         // The block ends two cells into its last period.
+///         RunFamily { lo: n / 2 - 2, len: 1, count: 1, step: 0 },
+///     ],
+/// );
+/// ```
+pub fn intersect_families(a: &PeriodicSet, b: &PeriodicSet, out: &mut Vec<RunFamily>) {
+    let n = a.extent.min(b.extent);
+    if a.is_full() || b.is_full() {
+        let other = if a.is_full() { b } else { a };
+        return other.push_run_families(0, n, out);
+    }
+    let h = lcm(a.period, b.period);
+    let (coarse, fine) = if a.runs_within(n) <= b.runs_within(n) { (a, b) } else { (b, a) };
+    if 0 < h && h <= n / 2 && a.runs_within(h).max(b.runs_within(h)) <= coarse.runs_within(n) {
+        let both = PeriodicSet { period: h, extent: n, base: intersect_runs(a, b, 0, h).collect() };
+        both.push_run_families(0, n, out);
+    } else {
+        for (lo, hi) in coarse.runs(0, n) {
+            fine.push_run_families(lo, hi, out);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,6 +582,12 @@ mod tests {
                 t >= 0 && layout.owner(t as u64) == coord
             })
             .collect()
+    }
+
+    fn families(a: &PeriodicSet, b: &PeriodicSet) -> Vec<RunFamily> {
+        let mut out = Vec::new();
+        intersect_families(a, b, &mut out);
+        out
     }
 
     fn expand(s: &PeriodicSet) -> Vec<u64> {
@@ -491,28 +658,124 @@ mod tests {
 
     #[test]
     fn intersect_count_matches_naive() {
+        // A side is every coordinate's owned set, or the full window —
+        // each with its brute-force members.
+        type Side = Vec<(PeriodicSet, std::collections::BTreeSet<u64>)>;
+        let owned = |l: DimLayout, n: u64| -> Side {
+            (0..l.nprocs)
+                .map(|c| (PeriodicSet::owned(1, 0, l, c, n), naive(1, 0, l, c, n).into_iter().collect()))
+                .collect()
+        };
+        let full = |n: u64| -> Side { vec![(PeriodicSet::full(n), (0..n).collect())] };
         let cases = [
-            (DimLayout::new(64, 4, 4), DimLayout::new(64, 1, 4), 64u64),
-            (DimLayout::new(60, 15, 4), DimLayout::new(60, 2, 3), 60),
-            (DimLayout::new(24, 3, 4), DimLayout::new(24, 5, 2), 23),
+            (owned(DimLayout::new(64, 4, 4), 64), owned(DimLayout::new(64, 1, 4), 64)),
+            (owned(DimLayout::new(60, 15, 4), 60), owned(DimLayout::new(60, 2, 3), 60)),
+            (owned(DimLayout::new(24, 3, 4), 23), owned(DimLayout::new(24, 5, 2), 23)),
             // CYCLIC(1) against BLOCK over the whole extent: the
             // hyper-period is the window, and only the BLOCK side is sparse.
-            (DimLayout::new(64, 1, 4), DimLayout::new(64, 16, 4), 64),
+            (owned(DimLayout::new(64, 1, 4), 64), owned(DimLayout::new(64, 16, 4), 64)),
+            // A full side is one run however long the window is: walked,
+            // it reduces the count to the other side's `count_in`.
+            (full(61), owned(DimLayout::new(64, 3, 4), 61)),
+            (full(64), owned(DimLayout::new(64, 16, 4), 64)),
         ];
-        for (ls, ld, n) in cases {
-            for cs in 0..ls.nprocs {
-                for cd in 0..ld.nprocs {
-                    let a = PeriodicSet::owned(1, 0, ls, cs, n);
-                    let b = PeriodicSet::owned(1, 0, ld, cd, n);
-                    let na: std::collections::BTreeSet<u64> =
-                        naive(1, 0, ls, cs, n).into_iter().collect();
-                    let nb: std::collections::BTreeSet<u64> =
-                        naive(1, 0, ld, cd, n).into_iter().collect();
-                    let want = na.intersection(&nb).count() as u64;
-                    assert_eq!(a.intersect_count(&b), want, "{ls} x {ld} ({cs},{cd})");
-                    assert_eq!(b.intersect_count(&a), want, "{ld} x {ls} ({cd},{cs})");
-                    let got: u64 = intersect_runs(&a, &b, 0, n).map(|(x, y)| y - x).sum();
+        assert_eq!(PeriodicSet::full(64).runs_within(64), 1);
+        for (sa, sb) in &cases {
+            for (a, na) in sa {
+                for (b, nb) in sb {
+                    let want = na.intersection(nb).count() as u64;
+                    assert_eq!(a.intersect_count(b), want, "{a} x {b}");
+                    assert_eq!(b.intersect_count(a), want, "{b} x {a}");
+                    let got: u64 = intersect_runs(a, b, 0, a.extent).map(|(x, y)| y - x).sum();
                     assert_eq!(got, want);
+                    for fams in [families(a, b), families(b, a)] {
+                        let got: u64 = fams.iter().map(|f| f.len * f.count).sum();
+                        assert_eq!(got, want, "{a} x {b}");
+                        if a.is_full() {
+                            assert_eq!(fams, b.run_families(0, b.extent));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `(stride, offset, block, nprocs)` of one side of the family
+    /// sweep; a `block` of 0 stands for BLOCK (`⌈extent / nprocs⌉`).
+    const SIDES: [(i64, i64, u64, u64); 9] = [
+        (1, 0, 0, 4),
+        (1, 0, 0, 3),
+        (1, 0, 1, 4),
+        (1, 0, 2, 3),
+        (1, 0, 3, 4),
+        (1, 0, 4, 4),
+        (2, 1, 3, 4),
+        (3, 0, 2, 5),
+        (-1, -1, 2, 3), // offset -1: the image is mirrored into the template
+    ];
+
+    fn side_sets((stride, offset, block, p): (i64, i64, u64, u64), n: u64) -> Vec<PeriodicSet> {
+        let text = stride.unsigned_abs() * n + offset.unsigned_abs() + 1;
+        let block = if block == 0 { text.div_ceil(p) } else { block };
+        let offset = if stride < 0 { text as i64 - 1 } else { offset };
+        let layout = DimLayout::new(text, block, p);
+        (0..p).map(|c| PeriodicSet::owned(stride, offset, layout, c, n)).collect()
+    }
+
+    #[test]
+    fn intersect_families_match_intersect_runs() {
+        for sa in SIDES {
+            for sb in SIDES {
+                for n in [1u64, 7, 48, 61, 240, 1000] {
+                    for a in &side_sets(sa, n) {
+                        for b in &side_sets(sb, n) {
+                            let fams = families(a, b);
+                            let mut got: Vec<(u64, u64)> =
+                                fams.iter().flat_map(|f| f.runs()).collect();
+                            // One run per period: the families already
+                            // come out in ascending order.
+                            let h = lcm(a.period, b.period);
+                            if a.base.len() <= 1
+                                && b.base.len() <= 1
+                                && (h > n / 2 || intersect_runs(a, b, 0, h).count() <= 1)
+                            {
+                                assert!(
+                                    got.windows(2).all(|w| w[0].1 < w[1].0),
+                                    "{sa:?} {sb:?} {n}"
+                                );
+                            }
+                            got.sort_unstable();
+                            let want: Vec<(u64, u64)> = intersect_runs(a, b, 0, n).collect();
+                            assert_eq!(got, want, "{sa:?} x {sb:?}, n = {n}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn family_count_is_flat_in_the_extent() {
+        // Block-cyclic sides only (a BLOCK side and a mirrored image
+        // change with the extent):
+        // once the window holds more hyper-periods than a hyper-period
+        // holds runs, four times as many (the same tail behind them)
+        // is the same description.
+        for sa in &SIDES[2..8] {
+            for sb in &SIDES[2..8] {
+                let sets = |n| (side_sets(*sa, n), side_sets(*sb, n));
+                let (a0, b0) = sets(1 << 20);
+                let h = lcm(a0[0].period, b0[0].period);
+                let per_h = a0.iter().chain(&b0).map(|s| s.runs_within(h)).max().expect("P >= 1");
+                let whole = h * per_h.max(4);
+                let n = whole + 5;
+                let (small, large) = (sets(n), sets(4 * whole + 5));
+                for (ca, (a, a4)) in small.0.iter().zip(&large.0).enumerate() {
+                    for (cb, (b, b4)) in small.1.iter().zip(&large.1).enumerate() {
+                        let (at_n, at_4n) = (families(a, b), families(a4, b4));
+                        assert_eq!(at_n.len(), at_4n.len(), "{sa:?} x {sb:?} ({ca},{cb}) at {n}");
+                        assert!(at_n.len() as u64 <= 2 * per_h + 2);
+                    }
                 }
             }
         }

@@ -56,7 +56,7 @@ pub use error::MappingError;
 pub use geometry::{Extents, Point};
 pub use grid::{ProcGrid, Template};
 pub use intern::{MappingPair, WeakInterner};
-pub use intervals::{intersect_runs, PeriodicSet};
+pub use intervals::{intersect_families, intersect_runs, PeriodicSet, RunFamily};
 pub use layout::{DimLayout, Locus};
 pub use mapping::{DimMap, DimSource, Mapping, NormalizedMapping};
 pub use symbolic::{format_pair, normalize_symbolic, FormatPair, SymbolicFormat};

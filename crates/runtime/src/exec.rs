@@ -20,12 +20,22 @@
 //! [`CopyProgram`] does all of that exactly once, when the plan enters
 //! the per-array cache:
 //!
-//! * **compile** ([`CopyProgram::try_compile`], `O(total runs)`, once
-//!   per (source, destination) version pair): walk the same descriptor
-//!   odometer the table engine walks, but *record* each run's closed-form
-//!   local positions instead of copying — producing one flat
-//!   [`CopyRun`] list, grouped into per-(provider, receiver)
-//!   [`CopyUnit`]s;
+//! * **compile** ([`CopyProgram::try_compile`], O(descriptor entries ×
+//!   runs per hyper-period) in the innermost dimension — flat in its
+//!   extent; the outer dimensions of a rank ≥ 2 array are stepped index
+//!   by index — once per (source, destination) version pair): walk the
+//!   same descriptor odometer the table engine walks, but *record*
+//!   positions instead of copying, and record them per [`RunFamily`] of
+//!   the innermost dimension
+//!   ([`intersect_families`]: one period's runs × a repeat count, both
+//!   sides' local steps from two `count_below`s), not per run. A
+//!   streaming encoder turns each (provider, receiver) pair's items
+//!   into [`StrideFamily`]s plus residual [`CopyRun`]s — what the
+//!   merge-then-greedy passes over the listed runs would produce, byte
+//!   for byte, wherever a period holds one run; where it holds several,
+//!   one family per base run (after merging what is contiguous on both
+//!   sides), which is the smaller artifact — grouped into
+//!   per-(provider, receiver) [`CopyUnit`]s;
 //! * **replay** ([`crate::VersionData::copy_values_from_program`],
 //!   every later copy): a loop of
 //!   `copy_from_slice` over the precompiled triples. No positions are
@@ -52,10 +62,12 @@
 //! `ARCHITECTURE.md`, "Replay order is not schedule order").
 //!
 //! [`PeriodicSet::count_below`]: hpfc_mapping::PeriodicSet::count_below
+//! [`RunFamily`]: hpfc_mapping::RunFamily
+//! [`intersect_families`]: hpfc_mapping::intersect_families
 
 use std::collections::BTreeMap;
 
-use hpfc_mapping::intervals::intersect_runs;
+use hpfc_mapping::intervals::{intersect_families, intersect_runs};
 
 use crate::redist::{DimContribution, RedistPlan};
 use crate::schedule::CommSchedule;
@@ -437,17 +449,15 @@ impl CopyProgram {
         let d_lens: Vec<Vec<u64>> =
             per_dim.iter().map(|es| es.iter().map(|e| e.dst_set.count()).collect()).collect();
 
-        // Decline closed-form BEFORE materializing any intersection
-        // run: every recorded position is a prefix count into one
-        // rank's local block, bounded by that rank's per-dim count
-        // product — so when any side's largest local volume exceeds
-        // the u32 triple format, some position must overflow, and the
-        // program is refused in O(descriptor entries) instead of after
-        // enumerating gigabytes of runs. This pre-check, the per-push
-        // backstop in `record_combination`, the unit-range assembly,
-        // and the stride-family counts all funnel through the single
-        // [`fit_u32`] gate, so every >4Gi shape declines via the same
-        // `CompileDecline::PositionOverflow` path.
+        // Decline closed-form first: every recorded position is a
+        // prefix count into one rank's local block, bounded by that
+        // rank's per-dim count product — so when any side's largest
+        // local volume exceeds the u32 triple format, some position
+        // must overflow, and the program is refused in O(descriptor
+        // entries). This pre-check, the encoder's emissions, the
+        // unit-range assembly, and the stride-family counts all funnel
+        // through the single [`fit_u32`] gate, so every >4Gi shape
+        // declines via the same `CompileDecline::PositionOverflow` path.
         let max_local = |lens: &[Vec<u64>]| {
             lens.iter()
                 .map(|ls| ls.iter().copied().max().unwrap_or(0))
@@ -456,9 +466,12 @@ impl CopyProgram {
         fit_u32(max_local(&s_lens))?;
         fit_u32(max_local(&d_lens))?;
 
-        // Materialize every entry's intersection runs.
+        // The outer dimensions are stepped index by index, so their
+        // runs are listed; the innermost dimension never is — each of
+        // its entries is described once, as items in local positions.
+        let (inner, outer) = per_dim.split_last().expect("rank >= 1");
         let n_of = |d: usize| src.array_extents.extent(d);
-        let entry_runs: Vec<Vec<Vec<(u64, u64)>>> = per_dim
+        let outer_runs: Vec<Vec<Vec<(u64, u64)>>> = outer
             .iter()
             .enumerate()
             .map(|(d, entries)| {
@@ -468,60 +481,50 @@ impl CopyProgram {
                     .collect()
             })
             .collect();
+        let inner_items = InnerItems::of(inner);
 
-        // Accumulate runs per (provider, receiver) pair — the planner's
-        // shared combination walk (rank assembly, replica fan-out,
-        // receiver self-preference live there exactly once), with the
-        // copy replaced by position recording.
-        let mut acc: BTreeMap<(u64, u64), Vec<CopyRun>> = BTreeMap::new();
-        let mut runs_ref: Vec<&[(u64, u64)]> = vec![&[]; rank];
-        let mut entries_ref: Vec<&DimContribution> = Vec::with_capacity(rank);
-        let mut s_len = vec![0u64; rank];
-        let mut d_len = vec![0u64; rank];
-        let mut fits_u32 = true;
+        // Which combinations feed which (provider, receiver) pair is the
+        // planner's shared combination walk's to say (rank assembly,
+        // replica fan-out, receiver self-preference live there exactly
+        // once); sorted, a pair's combinations are adjacent and still in
+        // walk order, so each pair is encoded in one go, straight into
+        // the program's tables.
+        let mut combos: Vec<((u64, u64), usize)> = Vec::new();
+        let mut picks: Vec<usize> = Vec::new(); // `rank` entry indices per combination
         crate::redist::for_each_pair_combination(src, dst, per_dim, |provider, to, idx| {
-            if !fits_u32 {
-                return;
-            }
-            entries_ref.clear();
-            for d in 0..rank {
-                entries_ref.push(&per_dim[d][idx[d]]);
-                runs_ref[d] = &entry_runs[d][idx[d]];
-                s_len[d] = s_lens[d][idx[d]];
-                d_len[d] = d_lens[d][idx[d]];
-            }
-            if record_combination(
-                &runs_ref,
-                &entries_ref,
-                &s_len,
-                &d_len,
-                acc.entry((provider, to)).or_default(),
-            )
-            .is_none()
-            {
-                fits_u32 = false;
-            }
+            combos.push(((provider, to), picks.len()));
+            picks.extend_from_slice(idx);
         });
-        if !fits_u32 {
-            return Err(CompileDecline::PositionOverflow);
-        }
+        combos.sort_unstable();
 
-        // Assemble: stride-encode each (provider, receiver) pair's
-        // triples into families plus an irregular residual, and
-        // partition units into the local group and the schedule's
-        // rounds. BTreeMap iteration gives (provider, receiver) order;
-        // re-sorting each group by receiver keeps the parallel
-        // executor's block walk a single pass.
+        // Assemble: stride-encode each pair's items — the copy of the
+        // table engine replaced by position recording — into families
+        // plus an irregular residual, and partition units into the local
+        // group and the schedule's rounds. Pairs come in (provider,
+        // receiver) order; re-sorting each group by receiver keeps the
+        // parallel executor's block walk a single pass.
+        let mut walk = CombinationWalk {
+            per_dim,
+            outer_runs: &outer_runs,
+            inner_items: &inner_items,
+            s_lens: &s_lens,
+            d_lens: &d_lens,
+            cur: vec![(0, 0); rank - 1],
+        };
         let mut fams = Vec::new();
         let mut runs = Vec::new();
         let mut local = Vec::new();
         let mut rounds: Vec<Vec<CopyUnit>> = vec![Vec::new(); schedule.rounds.len()];
         let mut total_elements = 0u64;
-        for ((provider, receiver), rs) in acc {
+        for pair in combos.chunk_by(|a, b| a.0 == b.0) {
+            let (provider, receiver) = pair[0].0;
             let f_start = fit_u32(fams.len() as u64)?;
             let r_start = fit_u32(runs.len() as u64)?;
-            let elements: u64 = rs.iter().map(|r| r.len as u64).sum();
-            encode_runs(rs, &mut fams, &mut runs)?;
+            let mut unit = UnitEncoder::new(&mut fams, &mut runs);
+            for &(_, at) in pair {
+                walk.record(&picks[at..at + rank], &mut unit)?;
+            }
+            let elements = unit.finish()?;
             let f_end = fit_u32(fams.len() as u64)?;
             let r_end = fit_u32(runs.len() as u64)?;
             total_elements += elements;
@@ -570,49 +573,6 @@ impl CopyProgram {
             fingerprint: 0,
         }
         .sealed())
-    }
-
-    /// Expand the stride families back into flat triples — the
-    /// pre-stride encoding, kept as the reference the encoder's
-    /// equivalence tests compare against. Every unit's kernel becomes
-    /// [`Kernel::Triples`]; the replayed bytes are identical by
-    /// construction.
-    #[doc(hidden)]
-    pub fn expand_to_triples(&self) -> CopyProgram {
-        fn expand_unit(p: &CopyProgram, u: &CopyUnit, runs: &mut Vec<CopyRun>) -> CopyUnit {
-            let start = runs.len() as u32;
-            for f in &p.fams[u.fams.0 as usize..u.fams.1 as usize] {
-                let (mut s, mut d) = (f.src_base as u64, f.dst_base as u64);
-                for _ in 0..f.count {
-                    runs.push(CopyRun { src_pos: s as u32, dst_pos: d as u32, len: f.len });
-                    s += f.src_step as u64;
-                    d += f.dst_step as u64;
-                }
-            }
-            runs.extend_from_slice(&p.runs[u.runs.0 as usize..u.runs.1 as usize]);
-            // Same (group, index) slot, so the serial links carry over.
-            CopyUnit { fams: (0, 0), runs: (start, runs.len() as u32), kernel: Kernel::Triples, ..*u }
-        }
-        let mut runs = Vec::with_capacity(self.n_runs() as usize);
-        let local: Vec<CopyUnit> =
-            self.local.iter().map(|u| expand_unit(self, u, &mut runs)).collect();
-        let rounds: Vec<Vec<CopyUnit>> = self
-            .rounds
-            .iter()
-            .map(|r| r.iter().map(|u| expand_unit(self, u, &mut runs)).collect())
-            .collect();
-        CopyProgram {
-            mappings: std::sync::Arc::clone(&self.mappings),
-            fams: Vec::new(),
-            runs,
-            local,
-            rounds,
-            total_elements: self.total_elements,
-            serial_head: self.serial_head,
-            receiver_major: self.receiver_major,
-            fingerprint: 0,
-        }
-        .sealed()
     }
 
     /// Whether this program was compiled for exactly the
@@ -707,76 +667,283 @@ fn fit_u32(x: u64) -> Result<u32, CompileDecline> {
     u32::try_from(x).map_err(|_| CompileDecline::PositionOverflow)
 }
 
-/// Stride-encode one (provider, receiver) pair's triples: coalesce
-/// adjacent contiguous-in-both runs, then greedily detect arithmetic
-/// progressions in `(src_pos, dst_pos)` of equal-length runs. Runs of
-/// ≥ [`MIN_FAMILY`] progressions become [`StrideFamily`] descriptors
-/// in `fams`; the genuinely irregular remainder lands in `runs` as
-/// explicit triples. Positions within one pair are produced in
-/// ascending destination order by the combination walk, so steps are
-/// non-negative; combination boundaries (where positions may jump
-/// backward) simply break the progression.
-fn encode_runs(
-    rs: Vec<CopyRun>,
-    fams: &mut Vec<StrideFamily>,
-    runs: &mut Vec<CopyRun>,
-) -> Result<(), CompileDecline> {
-    // Pass 1: merge runs contiguous on BOTH sides — a unit-stride
-    // span is one memcpy at replay, however the walk sliced it.
-    let mut co: Vec<CopyRun> = Vec::with_capacity(rs.len());
-    for r in rs {
-        match co.last_mut() {
-            Some(last)
-                if last.src_pos + last.len == r.src_pos
-                    && last.dst_pos + last.len == r.dst_pos =>
-            {
-                last.len += r.len;
+/// `count` equal runs of one (provider, receiver) pair in arithmetic
+/// progression, in local positions: run `k` copies `len` elements from
+/// `src + k·src_step` to `dst + k·dst_step`. What the compiler records
+/// per innermost [`RunFamily`] and what the encoder consumes; a lone
+/// run has `count == 1` (its steps are not read).
+#[derive(Debug, Clone, Copy)]
+struct Item {
+    src: u64,
+    dst: u64,
+    len: u64,
+    count: u64,
+    src_step: u64,
+    dst_step: u64,
+}
+
+impl Item {
+    fn run(src: u64, dst: u64, len: u64) -> Item {
+        Item { src, dst, len, count: 1, src_step: 0, dst_step: 0 }
+    }
+
+    /// Positions of run `k`.
+    fn at(&self, k: u64) -> (u64, u64) {
+        (self.src + k * self.src_step, self.dst + k * self.dst_step)
+    }
+
+    /// Whether run `k` of `self` ends, on both sides, where `next`
+    /// begins.
+    fn meets(&self, k: u64, next: (u64, u64)) -> bool {
+        let (s, d) = self.at(k);
+        (s + self.len, d + self.len) == next
+    }
+}
+
+/// The innermost dimension's entries as items, each entry's back to
+/// back: computed once, read by every combination the entry is part of.
+struct InnerItems {
+    items: Vec<Item>,
+    /// `ends[i]` is where entry `i`'s items stop (and `i + 1`'s start).
+    ends: Vec<usize>,
+}
+
+impl InnerItems {
+    /// One item per family of every entry's `src_set ∩ dst_set`,
+    /// positions by `count_below`. A family's steps are affine on both
+    /// sides by construction — its global step is a multiple of a
+    /// side's period, or the whole family lies inside one run of that
+    /// side — so two `count_below`s give them.
+    fn of(entries: &[DimContribution]) -> InnerItems {
+        let mut inner = InnerItems {
+            items: Vec::with_capacity(2 * entries.len()),
+            ends: Vec::with_capacity(entries.len()),
+        };
+        let mut families = Vec::new();
+        let mut raw: Vec<Item> = Vec::new();
+        for e in entries {
+            let at = |x: u64| (e.src_set.count_below(x), e.dst_set.count_below(x));
+            families.clear();
+            intersect_families(&e.src_set, &e.dst_set, &mut families);
+            raw.clear();
+            raw.extend(families.iter().map(|f| {
+                let (src, dst) = at(f.lo);
+                let (src_step, dst_step) = if f.count > 1 {
+                    let (s, d) = at(f.lo + f.step);
+                    (s - src, d - dst)
+                } else {
+                    (0, 0)
+                };
+                Item { src, dst, len: f.len, count: f.count, src_step, dst_step }
+            }));
+            regroup_bodies(&raw, &mut inner.items);
+            inner.ends.push(inner.items.len());
+        }
+        inner
+    }
+
+    fn entry(&self, i: usize) -> &[Item] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.items[start..self.ends[i]]
+    }
+}
+
+/// Append one entry's `items` to `out`, regrouped: where a period holds
+/// several runs their families come family by family, so runs the
+/// ascending walk would have found adjacent are not — put back what it
+/// would have merged. Families of one body (same count, same steps)
+/// whose runs are contiguous on both sides pairwise become one family
+/// of longer runs; and when a body's last run meets its first run *of
+/// the next period*, the body is re-phased to start one run later, so
+/// that pair is one run too. A stream that is already ascending never
+/// qualifies (the merged-with run would have to sit before its
+/// predecessor's second run) and passes through unchanged.
+fn regroup_bodies(items: &[Item], out: &mut Vec<Item>) {
+    let same_body = |a: &Item, b: &Item| {
+        a.count > 1 && (a.count, a.src_step, a.dst_step) == (b.count, b.src_step, b.dst_step)
+    };
+    let mut body = out.len(); // where the current body starts in `out`
+    for (i, item) in items.iter().enumerate() {
+        match out[body..].last_mut() {
+            Some(last) if same_body(last, item) && last.meets(0, item.at(0)) => {
+                last.len += item.len
             }
-            _ => co.push(r),
+            Some(last) if same_body(last, item) => out.push(*item),
+            _ => {
+                body = out.len();
+                out.push(*item);
+            }
+        }
+        // At the end of a body of several families: does it wrap?
+        let ends = items.get(i + 1).is_none_or(|next| !same_body(item, next));
+        let (first, last) = (out[body], out[out.len() - 1]);
+        if ends && out.len() - body > 1 && last.meets(0, first.at(1)) {
+            let k = last.count - 1;
+            out[body] = Item::run(first.src, first.dst, first.len);
+            out.pop();
+            out.push(Item { len: last.len + first.len, count: k, ..last });
+            let (s, d) = last.at(k);
+            out.push(Item::run(s, d, last.len));
         }
     }
-    // Pass 2: greedy arithmetic-progression detection.
-    let mut i = 0usize;
-    while i < co.len() {
-        let mut j = i;
-        let mut src_step = 0u32;
-        let mut dst_step = 0u32;
-        if let Some(next) = co.get(i + 1) {
-            if next.len == co[i].len {
-                if let (Some(ss), Some(ds)) = (
-                    next.src_pos.checked_sub(co[i].src_pos),
-                    next.dst_pos.checked_sub(co[i].dst_pos),
-                ) {
-                    src_step = ss;
-                    dst_step = ds;
-                    j = i + 1;
-                    while j + 1 < co.len()
-                        && co[j + 1].len == co[i].len
-                        && co[j + 1].src_pos.checked_sub(co[j].src_pos) == Some(src_step)
-                        && co[j + 1].dst_pos.checked_sub(co[j].dst_pos) == Some(dst_step)
-                    {
-                        j += 1;
-                    }
-                }
-            }
+}
+
+/// The streaming stride encoder of one (provider, receiver) pair: fed
+/// the pair's [`Item`]s in walk order, it emits exactly what the two
+/// passes over the expanded run list would — merge runs contiguous on
+/// BOTH sides (a unit-stride span is one memcpy at replay, however the
+/// walk sliced it), then greedily detect arithmetic progressions in
+/// `(src_pos, dst_pos)` of equal-length runs: ≥ [`MIN_FAMILY`] of them
+/// become a [`StrideFamily`], the genuinely irregular remainder stays
+/// explicit triples — but steps over an item's interior in O(1).
+/// Positions within one pair ascend within a combination, so steps are
+/// non-negative; where they jump backward the progression breaks.
+struct UnitEncoder<'a> {
+    /// Pass 1: the last item pushed, whose last run may yet grow.
+    pending: Option<Item>,
+    /// Pass 2: the progression being extended (steps valid from 2 runs).
+    open: Option<Item>,
+    /// The program's tables, which the unit's encoding is appended to.
+    fams: &'a mut Vec<StrideFamily>,
+    runs: &'a mut Vec<CopyRun>,
+    elements: u64,
+}
+
+impl<'a> UnitEncoder<'a> {
+    fn new(fams: &'a mut Vec<StrideFamily>, runs: &'a mut Vec<CopyRun>) -> Self {
+        UnitEncoder { pending: None, open: None, fams, runs, elements: 0 }
+    }
+
+    /// Pass 1 over the next item of the stream.
+    fn push(&mut self, mut x: Item) -> Result<(), CompileDecline> {
+        self.elements += x.len * x.count;
+        if x.count > 1 && (x.src_step, x.dst_step) == (x.len, x.len) {
+            x = Item::run(x.src, x.dst, x.len * x.count);
         }
-        let count = j - i + 1;
-        if count >= MIN_FAMILY {
-            fams.push(StrideFamily {
-                src_base: co[i].src_pos,
-                dst_base: co[i].dst_pos,
-                count: fit_u32(count as u64)?,
-                src_step,
-                dst_step,
-                len: co[i].len,
-            });
-            i = j + 1;
+        let Some(mut p) = self.pending.take() else {
+            self.pending = Some(x);
+            return Ok(());
+        };
+        if !p.meets(p.count - 1, x.at(0)) {
+            self.feed(p)?;
+            self.pending = Some(x);
+            return Ok(());
+        }
+        // `p`'s last run and `x`'s first are one run; neither interior
+        // can take part (an interior that could was collapsed above).
+        let (s, d) = p.at(p.count - 1);
+        let joint = Item::run(s, d, p.len + x.len);
+        if p.count > 1 {
+            p.count -= 1;
+            self.feed(p)?;
+        }
+        if x.count > 1 {
+            self.feed(joint)?;
+            (x.src, x.dst) = x.at(1);
+            x.count -= 1;
+            self.pending = Some(x);
         } else {
-            runs.push(co[i]);
-            i += 1;
+            self.pending = Some(joint);
         }
+        Ok(())
     }
-    Ok(())
+
+    /// Pass 2 over an item pass 1 is done with: its runs one at a time
+    /// until the open progression runs on the item's own steps, then
+    /// the rest of the item at once.
+    fn feed(&mut self, y: Item) -> Result<(), CompileDecline> {
+        let mut k = 0;
+        while k < y.count {
+            let (s, d) = y.at(k);
+            self.feed_run(s, d, y.len)?;
+            k += 1;
+            let open = self.open.as_mut().expect("a fed run is the open progression's last");
+            if open.count > 1 && (open.src_step, open.dst_step) == (y.src_step, y.dst_step) {
+                open.count += y.count - k;
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// One greedy step: extend the open progression by the run, or
+    /// close it and open the next one.
+    fn feed_run(&mut self, src: u64, dst: u64, len: u64) -> Result<(), CompileDecline> {
+        let Some(mut open) = self.open.take() else {
+            self.open = Some(Item::run(src, dst, len));
+            return Ok(());
+        };
+        let (last_src, last_dst) = open.at(open.count - 1);
+        let step = if len == open.len {
+            src.checked_sub(last_src).zip(dst.checked_sub(last_dst))
+        } else {
+            None
+        };
+        if open.count == 1 {
+            if let Some((src_step, dst_step)) = step {
+                self.open = Some(Item { count: 2, src_step, dst_step, ..open });
+                return Ok(());
+            }
+        } else if step == Some((open.src_step, open.dst_step)) {
+            open.count += 1;
+            self.open = Some(open);
+            return Ok(());
+        } else if (open.count as usize) < MIN_FAMILY {
+            // Too short for a family: all but its last run are
+            // residual, and the last may start a progression with the
+            // new run.
+            for k in 0..open.count - 1 {
+                let (s, d) = open.at(k);
+                self.emit_run(s, d, open.len)?;
+            }
+            self.open = Some(Item::run(last_src, last_dst, open.len));
+            return self.feed_run(src, dst, len);
+        }
+        self.close(open)?;
+        self.open = Some(Item::run(src, dst, len));
+        Ok(())
+    }
+
+    /// Emit a finished progression: a family, or residual triples below
+    /// [`MIN_FAMILY`].
+    fn close(&mut self, p: Item) -> Result<(), CompileDecline> {
+        if (p.count as usize) < MIN_FAMILY {
+            for k in 0..p.count {
+                let (s, d) = p.at(k);
+                self.emit_run(s, d, p.len)?;
+            }
+            return Ok(());
+        }
+        self.fams.push(StrideFamily {
+            src_base: fit_u32(p.src)?,
+            dst_base: fit_u32(p.dst)?,
+            count: fit_u32(p.count)?,
+            src_step: fit_u32(p.src_step)?,
+            dst_step: fit_u32(p.dst_step)?,
+            len: fit_u32(p.len)?,
+        });
+        Ok(())
+    }
+
+    fn emit_run(&mut self, src: u64, dst: u64, len: u64) -> Result<(), CompileDecline> {
+        self.runs.push(CopyRun {
+            src_pos: fit_u32(src)?,
+            dst_pos: fit_u32(dst)?,
+            len: fit_u32(len)?,
+        });
+        Ok(())
+    }
+
+    /// Flush both passes; returns the elements the unit moves.
+    fn finish(mut self) -> Result<u64, CompileDecline> {
+        if let Some(p) = self.pending.take() {
+            self.feed(p)?;
+        }
+        if let Some(open) = self.open.take() {
+            self.close(open)?;
+        }
+        Ok(self.elements)
+    }
 }
 
 /// Thread the serial replay order through the units' `next_*` links;
@@ -835,65 +1002,65 @@ fn choose_kernel(fams: &[StrideFamily], runs: &[CopyRun]) -> Kernel {
     }
 }
 
-/// Record the `(src_pos, dst_pos, len)` triples of one descriptor
-/// combination — the position arithmetic of the table engine's
-/// `copy_runs`, evaluated once at compile time. `s_len`/`d_len` are the
-/// per-dimension local extents of the provider/receiver blocks
-/// (`|src_set|` / `|dst_set|` of the combination's entries). Returns
-/// `None` when a position overflows `u32`.
-fn record_combination(
-    runs_by_dim: &[&[(u64, u64)]],
-    entries: &[&DimContribution],
-    s_len: &[u64],
-    d_len: &[u64],
-    out: &mut Vec<CopyRun>,
-) -> Option<()> {
-    let rank = runs_by_dim.len();
-    let last = rank - 1;
-    let e_last = entries[last];
-    let mut push = |s_at: u64, d_at: u64, len: u64| -> Option<()> {
-        out.push(CopyRun {
-            src_pos: u32::try_from(s_at).ok()?,
-            dst_pos: u32::try_from(d_at).ok()?,
-            len: u32::try_from(len).ok()?,
-        });
-        Some(())
-    };
-    // Odometer over the outer dimensions, one global index at a time:
-    // per dimension, (run index, offset inside the run).
-    let mut cur = vec![(0usize, 0u64); last];
-    loop {
-        let mut d_pref = 0u64;
-        let mut s_pref = 0u64;
-        for d in 0..last {
-            let (ri, off) = cur[d];
-            let g = runs_by_dim[d][ri].0 + off;
-            d_pref = d_pref * d_len[d] + entries[d].dst_set.count_below(g);
-            s_pref = s_pref * s_len[d] + entries[d].src_set.count_below(g);
-        }
-        for &(lo, hi) in runs_by_dim[last] {
-            let dp = e_last.dst_set.count_below(lo);
-            let sp = e_last.src_set.count_below(lo);
-            push(s_pref * s_len[last] + sp, d_pref * d_len[last] + dp, hi - lo)?;
-        }
-        // Advance the outer odometer (innermost outer dim fastest).
-        let mut d = last;
+/// What recording a descriptor combination reads: the plan's entries,
+/// the outer dimensions' run lists, the innermost dimension's items,
+/// and per entry the local extents of the provider/receiver blocks
+/// (`|src_set|` / `|dst_set|`) — plus the outer odometer's scratch.
+struct CombinationWalk<'a> {
+    per_dim: &'a [Vec<DimContribution>],
+    outer_runs: &'a [Vec<Vec<(u64, u64)>>],
+    inner_items: &'a InnerItems,
+    s_lens: &'a [Vec<u64>],
+    d_lens: &'a [Vec<u64>],
+    /// Per outer dimension, (run index, offset inside the run).
+    cur: Vec<(usize, u64)>,
+}
+
+impl CombinationWalk<'_> {
+    /// Record the combination `idx` (one entry per dimension) into its
+    /// pair's encoder — the position arithmetic of the table engine's
+    /// `copy_runs`, evaluated once at compile time: the outer
+    /// dimensions one global index at a time, the innermost as its
+    /// entry's items shifted to the row.
+    fn record(&mut self, idx: &[usize], unit: &mut UnitEncoder<'_>) -> Result<(), CompileDecline> {
+        let last = self.cur.len();
+        let items = self.inner_items.entry(idx[last]);
+        let (s_last, d_last) = (self.s_lens[last][idx[last]], self.d_lens[last][idx[last]]);
+        self.cur.fill((0, 0));
         loop {
-            if d == 0 {
-                return Some(());
+            let mut d_pref = 0u64;
+            let mut s_pref = 0u64;
+            for (d, &i) in idx[..last].iter().enumerate() {
+                let (ri, off) = self.cur[d];
+                let g = self.outer_runs[d][i][ri].0 + off;
+                let e = &self.per_dim[d][i];
+                d_pref = d_pref * self.d_lens[d][i] + e.dst_set.count_below(g);
+                s_pref = s_pref * self.s_lens[d][i] + e.src_set.count_below(g);
             }
-            d -= 1;
-            let (ref mut ri, ref mut off) = cur[d];
-            *off += 1;
-            if runs_by_dim[d][*ri].0 + *off < runs_by_dim[d][*ri].1 {
-                break;
+            for item in items {
+                let (src, dst) = (s_pref * s_last + item.src, d_pref * d_last + item.dst);
+                unit.push(Item { src, dst, ..*item })?;
             }
-            *off = 0;
-            *ri += 1;
-            if *ri < runs_by_dim[d].len() {
-                break;
+            // Advance the outer odometer (innermost outer dim fastest).
+            let mut d = last;
+            loop {
+                if d == 0 {
+                    return Ok(());
+                }
+                d -= 1;
+                let runs = &self.outer_runs[d][idx[d]];
+                let (ref mut ri, ref mut off) = self.cur[d];
+                *off += 1;
+                if runs[*ri].0 + *off < runs[*ri].1 {
+                    break;
+                }
+                *off = 0;
+                *ri += 1;
+                if *ri < runs.len() {
+                    break;
+                }
+                *ri = 0;
             }
-            *ri = 0;
         }
     }
 }
@@ -908,7 +1075,12 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 }
 
 #[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+
+#[cfg(test)]
 mod tests {
+    use super::common::element_moves;
     use super::*;
     use crate::redist::plan_redistribution;
     use hpfc_mapping::{testing::mapping_1d as mk, DimFormat, NormalizedMapping};
@@ -975,18 +1147,18 @@ mod tests {
         assert_eq!(walk.len(), 8 * 8);
         assert!(walk.windows(2).all(|w| w[0] < w[1]), "receiver-major");
         // The order rides in the unit descriptors: same artifact size,
-        // same walk after re-encoding, and covered by the fingerprint.
+        // and covered by the fingerprint.
         let units = gather.local.len() + gather.rounds.iter().map(Vec::len).sum::<usize>();
         assert_eq!(
             gather.artifact_bytes(),
             gather.fams.len() * 24 + gather.runs.len() * 12 + units * 48
         );
-        let flat = gather.expand_to_triples();
-        assert!(flat.integrity_ok());
-        assert!(flat
-            .serial_order()
-            .map(|u| (u.provider, u.receiver))
-            .eq(gather.serial_order().map(|u| (u.provider, u.receiver))));
+        // Whatever the order, the walk moves every element exactly once.
+        let moved: u64 = gather.serial_order().map(|u| u.elements).sum();
+        assert_eq!(moved, 4096);
+        let moves = element_moves(&gather);
+        assert_eq!(moves.len(), 4096);
+        assert!(moves.windows(2).all(|w| w[0] != w[1]));
         let mut bad = gather.clone();
         bad.local[0].next_index ^= 1;
         assert!(!bad.integrity_ok(), "a scribbled serial link must be detected");
@@ -1087,27 +1259,76 @@ mod tests {
         for u in prog.local.iter().chain(prog.rounds.iter().flatten()) {
             assert_eq!(u.kernel, Kernel::Gather);
         }
-        // The acceptance bar: ≥100× smaller than the triple encoding.
-        let flat = prog.expand_to_triples();
-        assert_eq!(flat.runs.len() as u64, n);
+        // The acceptance bar: ≥100× smaller than the triple encoding,
+        // which stores every logical run as a 12-byte triple.
+        let moves = element_moves(&prog);
+        assert_eq!(moves.len() as u64, n);
+        let units = prog.local.len() + prog.rounds.iter().map(Vec::len).sum::<usize>();
+        let flat_bytes = prog.n_runs() as usize * 12 + units * 48;
         assert!(
-            prog.artifact_bytes() * 100 <= flat.artifact_bytes(),
+            prog.artifact_bytes() * 100 <= flat_bytes,
             "strided artifact {}B vs flat {}B",
             prog.artifact_bytes(),
-            flat.artifact_bytes()
+            flat_bytes
         );
-        // Both encodings replay byte-identical data, in both engines.
+        // Replay delivers every element, identically in both engines.
         let mut a = VersionData::new(src, 8);
         a.fill(|p| (p[0] % 1021) as f64);
         let mut b = VersionData::new(dst.clone(), 8);
         b.copy_values_from_program(&a, &prog, ExecMode::Serial);
         assert_eq!(a.to_dense(), b.to_dense());
-        let mut c = VersionData::new(dst.clone(), 8);
-        c.copy_values_from_program(&a, &flat, ExecMode::Serial);
-        assert_eq!(b, c);
         let mut d = VersionData::new(dst, 8);
         d.copy_values_from_program(&a, &prog, ExecMode::Parallel(4));
         assert_eq!(b, d);
+    }
+
+    #[test]
+    fn artifact_is_extent_independent_with_several_runs_per_hyper_period() {
+        // CYCLIC(4) -> CYCLIC(3) over 4: a hyper-period of 48 holds
+        // several runs of alternating length per pair, which no single
+        // progression spans — one family per base run does.
+        let artifact = |n: u64| {
+            let src = mk(n, 4, DimFormat::Cyclic(Some(4)));
+            let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
+            let (plan, prog) = compiled(&src, &dst);
+            assert_eq!(prog.n_elements(), n);
+            let mut a = VersionData::new(src, 8);
+            a.fill(|p| (p[0] % 8191) as f64);
+            let mut tables = VersionData::new(dst.clone(), 8);
+            tables.copy_values_from_plan(&a, &plan);
+            let mut b = VersionData::new(dst, 8);
+            b.copy_values_from_program(&a, &prog, ExecMode::Serial);
+            assert_eq!(b, tables);
+            prog.artifact_bytes()
+        };
+        let (small, large) = (artifact(1 << 16), artifact(1 << 18));
+        assert_eq!(small, large);
+        assert!(small < 64 << 10, "{small} B");
+    }
+
+    #[test]
+    fn compile_never_walks_the_extent() {
+        // 32 Gi elements: listing the runs (8 Gi of them) is out of the
+        // question; the artifact is the one of n = 1 Mi. No version is
+        // allocated — plan, schedule and program are all there is.
+        let compile = |n: u64, to_cyclic: bool| {
+            let block = mk(n, 16, DimFormat::Block(None));
+            let cyclic = mk(n, 16, DimFormat::Cyclic(Some(4)));
+            let (src, dst) = if to_cyclic { (block, cyclic) } else { (cyclic, block) };
+            let (_, prog) = compiled(&src, &dst);
+            assert_eq!(prog.n_elements(), n);
+            assert_eq!(prog.n_runs(), n / 4);
+            prog
+        };
+        for to_cyclic in [true, false] {
+            let (huge, small) = (compile(1 << 35, to_cyclic), compile(1 << 20, to_cyclic));
+            assert_eq!(huge.artifact_bytes(), small.artifact_bytes());
+            assert_eq!(huge.fams.len(), small.fams.len());
+            let kernels = |p: &CopyProgram| -> Vec<Kernel> {
+                p.local.iter().chain(p.rounds.iter().flatten()).map(|u| u.kernel).collect()
+            };
+            assert_eq!(kernels(&huge), kernels(&small));
+        }
     }
 
     #[test]

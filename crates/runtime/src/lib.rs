@@ -68,6 +68,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+// The test-side references (`tests/common`) name the crate from outside.
+#[cfg(test)]
+extern crate self as hpfc_runtime;
+
 pub mod exec;
 pub mod fault;
 pub mod group;

@@ -338,7 +338,7 @@ pub(crate) fn receiver_holds_under_src(
 /// ([`crate::CopyProgram::try_compile`]) all iterate — they cannot
 /// disagree on who provides what to whom, because the pair logic
 /// exists exactly once.
-pub(crate) fn for_each_pair_combination(
+pub fn for_each_pair_combination(
     src: &NormalizedMapping,
     dst: &NormalizedMapping,
     per_dim: &[Vec<DimContribution>],

@@ -599,6 +599,7 @@ impl PlanRegistry {
         // each point exactly once (the instance cache's own lock makes
         // this belt-and-braces, but holding the table lock keeps the
         // hit/miss decision and the artifact atomic).
+        let evicted_before = plan.evictions();
         let (planned, fresh) = match plan.instantiate_planned(p_src, p_dst, extent) {
             Some(r) => r,
             None => {
@@ -610,6 +611,9 @@ impl PlanRegistry {
                 return None;
             }
         };
+        // Points the plan pushed out to stay within its cap (exact: it
+        // only instantiates under the table lock held here).
+        self.evictions.fetch_add(plan.evictions() - evicted_before, Ordering::Relaxed);
         drop(sym);
         if known {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -628,8 +632,10 @@ impl PlanRegistry {
         self.lock_recover(&self.sym).0.len()
     }
 
-    /// Total concrete instantiation points materialized across all
-    /// symbolic entries (each is one cached plan → schedule → program).
+    /// Total concrete instantiation points resident across all symbolic
+    /// entries (each is one cached plan → schedule → program; at most
+    /// [`crate::symbolic::INSTANCE_CAP`] per entry, evictions counted
+    /// in [`PlanRegistry::evictions`]).
     pub fn sym_instances(&self) -> usize {
         self.lock_recover(&self.sym).0.values().map(|p| p.instances()).sum()
     }
@@ -698,7 +704,8 @@ impl PlanRegistry {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Lifetime LRU eviction count, registry-wide.
+    /// Lifetime LRU eviction count, registry-wide (solo entries, groups
+    /// and symbolic instantiation points).
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
@@ -878,6 +885,47 @@ mod tests {
         assert_eq!(o2b.evicted, 1);
         assert_eq!(reg.evictions(), 2);
         assert_eq!(reg.len(), 2);
+    }
+
+    #[test]
+    fn symbolic_instances_are_bounded_and_their_evictions_counted() {
+        use crate::symbolic::INSTANCE_CAP;
+        use hpfc_mapping::{
+            Alignment, Distribution, Extents, GridId, Mapping, ProcGrid, Template, TemplateId,
+        };
+        // One format pair (a fixed template), a stream of array extents.
+        let at = |n: u64, fmt: DimFormat| {
+            let t =
+                Template { id: TemplateId(0), name: "T".into(), shape: Extents::new(&[77_777]) };
+            let g = ProcGrid { id: GridId(0), name: "P".into(), shape: Extents::new(&[4]) };
+            Mapping {
+                align: Alignment::identity(TemplateId(0), 1),
+                dist: Distribution::new(GridId(0), vec![fmt]),
+            }
+            .normalize(&Extents::new(&[n]), &t, &g)
+            .expect("well-formed")
+        };
+        let pair = |i: usize| {
+            let n = 7000 + i as u64;
+            (at(n, DimFormat::Cyclic(Some(3))), at(n, DimFormat::Cyclic(None)))
+        };
+        let reg = PlanRegistry::new(1, 64);
+        let (s0, d0) = pair(0);
+        let (first, _) = reg.get_or_instantiate(&s0, &d0, 8).expect("symbolic shape");
+        for i in 1..10 * INSTANCE_CAP {
+            let (s, d) = pair(i);
+            reg.get_or_instantiate(&s, &d, 8).expect("symbolic shape");
+            assert!(reg.sym_instances() <= INSTANCE_CAP * reg.sym_len());
+        }
+        assert_eq!((reg.sym_len(), reg.sym_instances()), (1, INSTANCE_CAP));
+        assert_eq!(reg.evictions(), (9 * INSTANCE_CAP) as u64);
+        // The evicted first point re-instantiates to an equal artifact;
+        // the Arc handed out before the eviction is untouched.
+        let (again, o) = reg.get_or_instantiate(&s0, &d0, 8).expect("symbolic shape");
+        assert!(o.hit && o.instantiated && !Arc::ptr_eq(&first, &again));
+        assert_eq!(first.program, again.program);
+        assert_eq!((&first.plan, &first.schedule), (&again.plan, &again.schedule));
+        assert!(first.program.as_ref().is_some_and(|p| p.integrity_ok()));
     }
 
     #[test]

@@ -33,6 +33,7 @@
 //! keys, counted in `NetStats::symbolic_declines`.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use hpfc_mapping::symbolic::FormatPair;
@@ -62,6 +63,23 @@ pub struct SymbolicOutcome {
     pub lock_recoveries: u64,
 }
 
+/// Most instantiation points one [`SymbolicPlan`] keeps resident. An
+/// instantiation is closed-form in the extent (sub-millisecond), so a
+/// point pushed out by a long stream of distinct extents costs little
+/// to rebuild — while keeping every one forever costs a plan, a
+/// schedule and a program each. A constant, not an option: 64 covers
+/// every launch shape of one format pair a service plausibly cycles
+/// through at once.
+pub const INSTANCE_CAP: usize = 64;
+
+/// The instance cache: artifacts by instantiation point
+/// `(p_src, p_dst, extent)`, each with the clock stamp of its last use.
+#[derive(Default)]
+struct Instances {
+    map: BTreeMap<(u64, u64, u64), (u64, Arc<PlannedRemap>)>,
+    clock: u64,
+}
+
 /// A parametric remap plan: a `(format, format)` pair with `P` left
 /// free, plus the cache of concrete artifacts it has been instantiated
 /// to. One `SymbolicPlan` serves a whole family of launches — every
@@ -71,10 +89,12 @@ pub struct SymbolicPlan {
     formats: FormatPair,
     /// Element size the artifacts are compiled for.
     elem_size: u64,
-    /// Concrete artifacts by instantiation point
-    /// `(p_src, p_dst, extent)`. Materialization happens under this
-    /// lock, so racing sessions instantiate each point exactly once.
-    instances: Mutex<BTreeMap<(u64, u64, u64), Arc<PlannedRemap>>>,
+    /// At most [`INSTANCE_CAP`] concrete artifacts, least recently used
+    /// evicted first. Materialization happens under this lock, so
+    /// racing sessions instantiate each point exactly once.
+    instances: Mutex<Instances>,
+    /// Points evicted over the plan's lifetime.
+    evictions: AtomicU64,
 }
 
 impl std::fmt::Debug for SymbolicPlan {
@@ -91,7 +111,12 @@ impl SymbolicPlan {
     /// A parametric plan over `formats` at `elem_size`, with no
     /// instantiations yet.
     pub fn new(formats: FormatPair, elem_size: u64) -> SymbolicPlan {
-        SymbolicPlan { formats, elem_size, instances: Mutex::new(BTreeMap::new()) }
+        SymbolicPlan {
+            formats,
+            elem_size,
+            instances: Mutex::default(),
+            evictions: AtomicU64::new(0),
+        }
     }
 
     /// The interned format pair this plan is parametric over.
@@ -104,14 +129,22 @@ impl SymbolicPlan {
         self.elem_size
     }
 
-    /// Concrete instantiation points materialized so far.
+    /// Concrete instantiation points currently resident (at most
+    /// [`INSTANCE_CAP`]).
     pub fn instances(&self) -> usize {
-        self.lock().len()
+        self.lock().map.len()
+    }
+
+    /// Instantiation points evicted to stay within [`INSTANCE_CAP`],
+    /// over the plan's lifetime. Holders of an evicted artifact's `Arc`
+    /// keep it; the point re-instantiates on its next request.
+    pub fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
     }
 
     /// Lock the instance cache, recovering a poisoned lock (state is a
     /// map of immutable `Arc`s — a lost insertion re-materializes).
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<(u64, u64, u64), Arc<PlannedRemap>>> {
+    fn lock(&self) -> MutexGuard<'_, Instances> {
         match self.instances.lock() {
             Ok(g) => g,
             Err(poisoned) => {
@@ -145,7 +178,10 @@ impl SymbolicPlan {
     ) -> Option<(Arc<PlannedRemap>, bool)> {
         let key = (p_src, p_dst, extent);
         let mut cache = self.lock();
-        if let Some(planned) = cache.get(&key) {
+        cache.clock += 1;
+        let now = cache.clock;
+        if let Some((stamp, planned)) = cache.map.get_mut(&key) {
+            *stamp = now;
             return Some((Arc::clone(planned), false));
         }
         let shape = Extents::new(&[extent]);
@@ -153,7 +189,12 @@ impl SymbolicPlan {
         let dst = self.formats.1.instantiate(p_dst, &shape)?;
         let planned =
             Arc::new(PlannedRemap::compile(plan_redistribution(&src, &dst, self.elem_size)));
-        cache.insert(key, Arc::clone(&planned));
+        cache.map.insert(key, (now, Arc::clone(&planned)));
+        if cache.map.len() > INSTANCE_CAP {
+            let lru = cache.map.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| *k);
+            cache.map.remove(&lru.expect("a map over the cap is not empty"));
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
         Some((planned, true))
     }
 }
@@ -202,6 +243,29 @@ mod tests {
         // The ISSUE-shaped plan accessor serves the same cached point.
         let plan = sym.instantiate(ps, pd, 1024).unwrap();
         assert_eq!(plan, a.plan);
+    }
+
+    #[test]
+    fn instance_cache_is_bounded_and_evicts_least_recently_used() {
+        let (sym, ps, pd) = plan_for(1 << 20, 4);
+        let extent = |i: usize| 1024 + 3 * i as u64;
+        let (first, _) = sym.instantiate_planned(ps, pd, extent(0)).unwrap();
+        for i in 1..10 * INSTANCE_CAP {
+            // Point 1 is touched throughout, so it is never the victim.
+            sym.instantiate_planned(ps, pd, extent(1)).unwrap();
+            assert!(sym.instantiate_planned(ps, pd, extent(i)).unwrap().1 || i == 1);
+            assert!(sym.instances() <= INSTANCE_CAP);
+        }
+        assert_eq!(sym.instances(), INSTANCE_CAP);
+        assert_eq!(sym.evictions(), (9 * INSTANCE_CAP) as u64);
+        assert!(!sym.instantiate_planned(ps, pd, extent(1)).unwrap().1, "kept by its use");
+        // The evicted point rebuilds to an equal artifact; the old Arc
+        // was its holder's all along.
+        let (again, fresh) = sym.instantiate_planned(ps, pd, extent(0)).unwrap();
+        assert!(fresh && !Arc::ptr_eq(&first, &again));
+        assert_eq!((&first.plan, &first.schedule), (&again.plan, &again.schedule));
+        assert_eq!(first.program, again.program);
+        assert!(first.program.as_ref().is_some_and(|p| p.integrity_ok()));
     }
 
     #[test]

@@ -8,10 +8,12 @@ use hpfc_mapping::{
     ProcGrid, Template, TemplateId,
 };
 use hpfc_runtime::{
-    plan_by_enumeration, plan_redistribution, CommSchedule, CopyProgram, ExecMode, Machine,
-    MsgDim, VersionData,
+    plan_by_enumeration, plan_redistribution, CommSchedule, CopyProgram, ExecMode, Kernel, Machine,
+    MsgDim, RedistPlan, VersionData,
 };
 use proptest::prelude::*;
+
+mod common;
 
 /// A random well-formed mapping of an `n0 x n1` array.
 fn mapping_strategy(
@@ -322,6 +324,17 @@ proptest! {
         prop_assert_eq!(&serial, &oracle);
     }
 
+    /// The closed-form compile against the materialise-then-encode
+    /// reference over the full mapping space (rows long enough for the
+    /// periods to repeat).
+    #[test]
+    fn rich_program_matches_reference_compile(
+        src in rich_mapping_strategy(4, 40),
+        dst in rich_mapping_strategy(4, 40),
+    ) {
+        check_against_reference(&src, &dst);
+    }
+
     /// The program's structural invariant behind lock-free parallel
     /// execution: within any round (including the local group), no two
     /// units share a receiver block, and remote units correspond
@@ -394,6 +407,104 @@ proptest! {
         prop_assert_eq!(m.stats.bytes, plan.total_bytes());
         prop_assert_eq!(m.stats.messages, plan.total_messages());
         prop_assert_eq!(m.stats.local_elements, plan.local_elements);
+    }
+}
+
+/// Whether every innermost-dimension entry of the plan has at most one
+/// run per period — per side, and of the intersection per hyper-period
+/// where that repeats inside the extent. The closed-form compile then
+/// sees the runs in the reference's ascending order.
+fn one_run_per_period(plan: &RedistPlan) -> bool {
+    let Some(inner) = plan.dims.last() else { return true };
+    inner.iter().all(|e| {
+        let n = e.src_set.extent.min(e.dst_set.extent);
+        let h = hpfc_mapping::intervals::lcm(e.src_set.period, e.dst_set.period);
+        e.src_set.base.len() <= 1
+            && e.dst_set.base.len() <= 1
+            && (h > n / 2
+                || hpfc_mapping::intersect_runs(&e.src_set, &e.dst_set, 0, h).count() <= 1)
+    })
+}
+
+/// The closed-form compile of `src → dst` against the test-side
+/// reference (every run materialised, then stride-encoded): the same
+/// element moves per unit, an artifact no larger, every reference
+/// memcpy still a memcpy, the identical encoding (hence fingerprint
+/// input) wherever the reference's run order is the compile's, and a
+/// replay that equals the table engine in both modes.
+fn check_against_reference(src: &NormalizedMapping, dst: &NormalizedMapping) {
+    let plan = plan_redistribution(src, dst, 8);
+    let schedule = CommSchedule::from_plan(&plan);
+    let prog = CopyProgram::try_compile(&plan, &schedule).expect("rank >= 1 plans compile");
+    let reference = common::reference_units(&plan);
+    let ctx = format!("{src:?} -> {dst:?}");
+    assert!(prog.integrity_ok(), "{ctx}");
+    assert_eq!(common::element_moves(&prog), common::reference_moves(&reference), "{ctx}");
+    assert!(
+        prog.artifact_bytes() <= common::reference_bytes(&reference),
+        "{} B > reference {} B: {ctx}",
+        prog.artifact_bytes(),
+        common::reference_bytes(&reference)
+    );
+    let identical = one_run_per_period(&plan);
+    let mut units = 0;
+    for u in prog.local.iter().chain(prog.rounds.iter().flatten()) {
+        let r = &reference[&(u.provider, u.receiver)];
+        units += 1;
+        if r.is_memcpy() {
+            assert_eq!(u.kernel, Kernel::Memcpy, "unit {}->{}: {ctx}", u.provider, u.receiver);
+        }
+        if identical {
+            assert_eq!(&prog.fams[u.fams.0 as usize..u.fams.1 as usize], &r.fams[..], "{ctx}");
+            assert_eq!(&prog.runs[u.runs.0 as usize..u.runs.1 as usize], &r.runs[..], "{ctx}");
+        }
+    }
+    assert_eq!(units, reference.len(), "{ctx}");
+    let mut a = VersionData::new(src.clone(), 8);
+    a.fill(|p| (p.iter().fold(7, |h, &x| h * 131 + x) % 8191) as f64);
+    let mut tables = VersionData::new(dst.clone(), 8);
+    tables.copy_values_from_plan(&a, &plan);
+    for mode in [ExecMode::Serial, ExecMode::Parallel(3)] {
+        let mut b = VersionData::new(dst.clone(), 8);
+        b.copy_values_from_program(&a, &prog, mode);
+        assert_eq!(b, tables, "{mode:?}: {ctx}");
+    }
+}
+
+/// The reference differential over a fixed sweep (the proptest shim
+/// replays the same 64 cases every run): every 1-D format pair at
+/// process counts and extents that cut periods short, repeat them, and
+/// leave tails — and 2-D pairs whose rows repeat the innermost items.
+#[test]
+fn program_matches_reference_compile_over_a_sweep() {
+    use hpfc_mapping::testing::{mapping_1d, mapping_2d};
+    let fmts = [
+        DimFormat::Block(None),
+        DimFormat::Cyclic(None),
+        DimFormat::Cyclic(Some(2)),
+        DimFormat::Cyclic(Some(3)),
+        DimFormat::Cyclic(Some(4)),
+        DimFormat::Cyclic(Some(7)),
+    ];
+    for fs in &fmts {
+        for fd in &fmts {
+            for (ps, pd) in [(2, 2), (2, 4), (3, 4), (4, 3), (4, 4), (7, 5), (8, 16)] {
+                for n in [1, 5, 60, 61, 257, 1024, 4099] {
+                    check_against_reference(&mapping_1d(n, ps, *fs), &mapping_1d(n, pd, *fd));
+                }
+            }
+        }
+    }
+    let row = |f: DimFormat| vec![f, DimFormat::Collapsed];
+    let col = |f: DimFormat| vec![DimFormat::Collapsed, f];
+    for f in &fmts[1..5] {
+        for g in &fmts[..5] {
+            for (n, p) in [(24, 3), (65, 4)] {
+                check_against_reference(&mapping_2d(n, p, row(*f)), &mapping_2d(n, p, col(*g)));
+                check_against_reference(&mapping_2d(n, p, col(*f)), &mapping_2d(n, p, col(*g)));
+                check_against_reference(&mapping_2d(n, p, col(*f)), &mapping_2d(n, p, row(*g)));
+            }
+        }
     }
 }
 
