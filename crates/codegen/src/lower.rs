@@ -11,7 +11,7 @@ use hpfc_rgraph::build::{Rg, VertexId};
 use hpfc_rgraph::label::{Leaving, UseInfo};
 
 use hpfc_mapping::VersionId;
-use hpfc_runtime::{plan_redistribution, PlanRegistry, PlannedGroup, PlannedRemap};
+use hpfc_runtime::PlanRegistry;
 use std::sync::Arc;
 
 use crate::ir::{
@@ -212,11 +212,12 @@ impl<'a> Lowerer<'a> {
     /// Plan, schedule, and compile the guarded copy arm for every
     /// data-moving source version (`r ∈ reaching`, `r ≠ target`),
     /// ordered by source version — shared by plain remaps and by each
-    /// arm of a flow-dependent restore. Compilation goes through the
-    /// process-wide plan registry when enabled: lowering the same
-    /// mapping pair twice (two programs, or one program recompiled)
-    /// serves the registered artifact instead of replanning, so the
-    /// whole process holds one compiled pipeline per distinct pair.
+    /// arm of a flow-dependent restore. Every pair is resolved by the
+    /// process-wide plan registry, exactly as a run-time miss would be:
+    /// lowering the same mapping pair twice (two programs, or one
+    /// program recompiled) serves the registered artifact instead of
+    /// replanning, so the whole process holds one compiled pipeline per
+    /// distinct pair.
     fn planned_copies(&self, a: ArrayId, reaching: &BTreeSet<u32>, target: u32) -> Vec<SpmdCopy> {
         let elem = self.elem_sizes[&a];
         let dst = self.rg.versions.mapping_of(VersionId { array: a, index: target });
@@ -225,19 +226,7 @@ impl<'a> Lowerer<'a> {
             .filter(|&&r| r != target)
             .map(|&r| {
                 let src = self.rg.versions.mapping_of(VersionId { array: a, index: r });
-                let planned = match PlanRegistry::global() {
-                    // Symbolic keying first: a registered concrete
-                    // artifact (seeded or installed) is always honored,
-                    // then the format-pair table instantiates at this
-                    // pair's `(P, extent)` point; shapes it declines
-                    // compile on the concrete keys.
-                    Some(reg) => reg
-                        .probe(src, dst, elem)
-                        .0
-                        .or_else(|| reg.get_or_instantiate(src, dst, elem).map(|(p, _)| p))
-                        .unwrap_or_else(|| reg.get_or_compile(src, dst, elem).0),
-                    None => Arc::new(PlannedRemap::compile(plan_redistribution(src, dst, elem))),
-                };
+                let (planned, _) = PlanRegistry::shared().resolve(src, dst, elem, false);
                 SpmdCopy { src: r, planned }
             })
             .collect()
@@ -342,10 +331,7 @@ impl<'a> Lowerer<'a> {
                     // keyed by the ordered member pair identities.
                     let member_plans: Vec<_> =
                         members.iter().map(|m| Arc::clone(&m.copies[0].planned)).collect();
-                    let planned = match PlanRegistry::global() {
-                        Some(reg) => reg.get_or_compile_group(member_plans).0,
-                        None => Arc::new(PlannedGroup::compile(member_plans)),
-                    };
+                    let (planned, _) = PlanRegistry::shared().get_or_compile_group(member_plans);
                     self.stats.remap_groups += 1;
                     self.stats.grouped_members += members.len();
                     out.push(SStmt::RemapGroup(RemapGroupOp { members, planned }));

@@ -52,9 +52,7 @@ pub use hpfc_interp::{execute, ExecConfig, ExecResult, Executor};
 pub use hpfc_lang::figures;
 pub use hpfc_lang::{Diagnostic, Severity};
 pub use hpfc_rgraph::{OptConfig, OptStats};
-pub use hpfc_runtime::{
-    CostModel, ExecError, Machine, NetStats, PlanRegistry, RegistryConfig, RegistryOutcome,
-};
+pub use hpfc_runtime::{CostModel, ExecError, Machine, NetStats, PlanRegistry};
 
 /// Compilation options.
 #[derive(Debug, Clone, Copy)]

@@ -284,11 +284,6 @@ pub enum CompileDecline {
     /// 4 Gi elements); the table engine's `u64` arithmetic is the
     /// fallback.
     PositionOverflow,
-    /// The plan → schedule → program compile panicked and was caught
-    /// (`catch_unwind` around the registry's compile-under-lock), so
-    /// the shard lock stays healthy and the caller retries a clean solo
-    /// compile or falls back to the table engine.
-    Panicked,
 }
 
 impl std::fmt::Display for CompileDecline {
@@ -297,7 +292,6 @@ impl std::fmt::Display for CompileDecline {
             CompileDecline::NoDescriptors => write!(f, "plan carries no descriptors"),
             CompileDecline::Rank0 => write!(f, "rank-0 scalar"),
             CompileDecline::PositionOverflow => write!(f, "local position overflows u32"),
-            CompileDecline::Panicked => write!(f, "plan compilation panicked (contained)"),
         }
     }
 }

@@ -64,9 +64,8 @@ pub enum FaultKind {
     /// Panic the plan → schedule → program compile itself (decided once
     /// per remap, fires only on a cold compile). Contained by
     /// `catch_unwind` in the registry's compile-under-lock (the shard
-    /// `Mutex` is **not** poisoned) and recovered by a clean solo
-    /// compile — exercising the typed
-    /// [`crate::CompileDecline::Panicked`] path.
+    /// `Mutex` is **not** poisoned) and recovered by a clean compile
+    /// outside the lock ([`crate::PlanRegistry::resolve`]).
     CompilePanic,
     /// Force the whole recovery ladder to fail: every round attempt is
     /// rejected and the table-engine rung is blocked, so the remap

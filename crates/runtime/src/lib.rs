@@ -40,11 +40,12 @@
 //!   LRU-bounded, process-wide registry of compiled remap artifacts,
 //!   keyed by hash-consed mapping-pair identity
 //!   ([`hpfc_mapping::intern`]) and shared by every array, program,
-//!   and interpreter session (`HPFC_REGISTRY`); per-array plan caches
-//!   are thin views that seed from and publish to it;
+//!   and interpreter session; [`registry::PlanRegistry::resolve`] is
+//!   the one route from a pair to its artifact, and per-array plan
+//!   caches are thin views that seed from and publish to it;
 //! * [`symbolic::SymbolicPlan`] — plans symbolic in the processor
 //!   count: one parametric entry per interned `(format, format)` pair
-//!   (the default keying), instantiated in closed form at any
+//!   (for every shape that admits one), instantiated in closed form at any
 //!   `P` at launch time, shrinking the registry to O(format pairs) and
 //!   turning a fleet re-provision (P=16 → P=64) into cheap
 //!   instantiations instead of a recompile;
@@ -90,8 +91,8 @@ pub use fault::{ExecError, FaultKind, FaultPlan, ValidationLevel};
 pub use group::{remap_group, try_remap_group, GroupMember, PlannedGroup};
 pub use machine::{CostModel, Machine, NetStats};
 pub use redist::{plan_by_enumeration, plan_redistribution, RedistPlan, Transfer};
-pub use registry::{PlanRegistry, RegistryConfig, RegistryOutcome};
+pub use registry::PlanRegistry;
 pub use schedule::{CommSchedule, MsgDim, PackedMessage};
 pub use status::{ArrayRt, PlannedRemap};
 pub use store::VersionData;
-pub use symbolic::{SymbolicOutcome, SymbolicPlan};
+pub use symbolic::SymbolicPlan;

@@ -169,6 +169,23 @@ impl NetStats {
         self.symbolic_declines += o.symbolic_declines;
     }
 
+    /// Book one [`crate::PlanRegistry`] access: a hit or a miss, what
+    /// it evicted and recovered, and what the symbolic layer did. (A
+    /// miss that compiled is also a `plans_computed`; one that only
+    /// published — [`crate::PlanRegistry::adopt`] — is not, so the
+    /// caller adds that.)
+    pub fn bill(&mut self, o: &crate::registry::Outcome) {
+        if o.hit {
+            self.registry_hits += 1;
+        } else {
+            self.registry_misses += 1;
+        }
+        self.registry_evictions += o.evicted;
+        self.lock_poison_recoveries += o.lock_recoveries;
+        self.symbolic_instantiations += u64::from(o.instantiated);
+        self.symbolic_declines += u64::from(o.declined);
+    }
+
     /// One-line human-readable digest (experiment drivers, examples).
     /// The registry segment (`registry ...`) and recovery tail
     /// (`faults ... degraded ...`) are appended only when something
@@ -324,19 +341,11 @@ pub struct Machine {
     /// faults unset and validation [`crate::ValidationLevel::Off`], the
     /// remap path is the unguarded allocation-free fast path.
     pub validation: crate::fault::ValidationLevel,
-    /// The shared plan registry this machine seeds from and publishes
-    /// to on local plan-cache misses. Defaults to the process-wide
-    /// instance ([`crate::PlanRegistry::global`], `HPFC_REGISTRY`);
-    /// `None` plans solo — the pre-registry behavior, kept for A/B.
-    pub registry: Option<std::sync::Arc<crate::registry::PlanRegistry>>,
-    /// Whether plan lookups go through the symbolic (P-free) layer:
-    /// registry entries are keyed by interned `(format, format)` pairs
-    /// and re-provisioning to a new processor count instantiates the
-    /// parametric plan instead of recompiling. On by default;
-    /// [`Machine::with_symbolic`] selects the concrete
-    /// per-mapping-pair keying instead. Shapes the symbolic normalizer
-    /// declines always fall back to concrete keys.
-    pub symbolic: bool,
+    /// The plan registry this machine resolves local plan-cache misses
+    /// through and publishes to: the process-wide instance
+    /// ([`crate::PlanRegistry::shared`]) unless
+    /// [`Machine::with_registry`] hands it a private one.
+    pub registry: std::sync::Arc<crate::registry::PlanRegistry>,
     /// Reusable per-phase accounting buffers.
     scratch: PhaseScratch,
     /// Reusable solo-remap rollback record (capacity persists across
@@ -361,8 +370,7 @@ impl Machine {
             exec_mode: ExecMode::from_env(),
             faults: None,
             validation: crate::fault::ValidationLevel::Off,
-            registry: crate::registry::PlanRegistry::global().cloned(),
-            symbolic: true,
+            registry: std::sync::Arc::clone(crate::registry::PlanRegistry::shared()),
             scratch: PhaseScratch::default(),
             txn_scratch: crate::store::TxnScratch::default(),
             group_txn_scratch: Vec::new(),
@@ -393,31 +401,14 @@ impl Machine {
         self
     }
 
-    /// Builder-style override of symbolic plan keying. `false` selects
-    /// concrete per-mapping-pair registry keys — the O(mapping pairs)
-    /// baseline the symbolic layer's O(format pairs) registry is pinned
-    /// against.
-    pub fn with_symbolic(mut self, symbolic: bool) -> Self {
-        self.symbolic = symbolic;
-        self
-    }
-
-    /// Builder-style shared plan registry — sessions handed the same
-    /// `Arc` share compiled artifacts. Tests use isolated instances so
-    /// their hit/miss/eviction counters are exact.
+    /// Builder-style plan registry — sessions handed the same `Arc`
+    /// share compiled artifacts. Tests and embedders use private
+    /// instances so their hit/miss/eviction counters are exact.
     pub fn with_registry(
         mut self,
         registry: std::sync::Arc<crate::registry::PlanRegistry>,
     ) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// Builder-style opt-out of the shared registry: this machine
-    /// plans solo in its per-array caches (the pre-registry path, the
-    /// A/B baseline for `HPFC_REGISTRY=off`).
-    pub fn without_registry(mut self) -> Self {
-        self.registry = None;
+        self.registry = registry;
         self
     }
 

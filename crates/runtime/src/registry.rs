@@ -10,6 +10,20 @@
 //! [`Arc<PlannedRemap>`]s to every client; per-array caches become thin
 //! first-level views that seed from and publish to it.
 //!
+//! # One way to get a plan
+//!
+//! [`PlanRegistry::resolve`] is the only route from a mapping pair to
+//! its artifact — lowering and [`crate::ArrayRt::planned`] both call
+//! it, and every [`crate::Machine`] has a registry to call it on. It
+//! is total: the quarantine window, a shard hit, symbolic
+//! instantiation when the pair's shape admits it
+//! ([`crate::symbolic`]), otherwise compile-under-lock, with a
+//! panicking compile contained and the clean recompile published. The
+//! [`Outcome`] says which of those happened, and
+//! [`crate::NetStats::bill`] books it. [`PlanRegistry::adopt`]
+//! publishes an artifact compiled elsewhere and
+//! [`PlanRegistry::install`] replaces one (repair).
+//!
 //! # Identity, not equality
 //!
 //! Entries are keyed by **mapping-pair identity**: the pointer of the
@@ -29,7 +43,10 @@
 //! pins `plans_computed == distinct pairs`, not `× sessions`. Lookups
 //! of a warm entry are allocation-free (stack-hashed key, in-place
 //! probe, `Arc` clone out), preserving the zero-allocation cached
-//! bounce pinned by the counting-allocator test.
+//! bounce pinned by the counting-allocator test. Every table — the
+//! shards, the groups, the symbolic format pairs — is bounded by the
+//! registry's cap through one LRU implementation, and every entry it pushes
+//! out is counted in [`PlanRegistry::evictions`].
 //!
 //! # Corruption does not fan out
 //!
@@ -52,10 +69,9 @@
 //!   a map of immutable `Arc`s: a panic mid-update can at worst lose an
 //!   insertion, which the next miss recompiles.
 //! * **Contained compiles** — the compile-under-lock is wrapped in
-//!   `catch_unwind`, so a panicking compile surfaces as a typed
-//!   [`crate::CompileDecline::Panicked`]
-//!   ([`try_get_or_compile`](PlanRegistry::try_get_or_compile)) with
-//!   the shard lock released healthy.
+//!   `catch_unwind`, so a panicking compile leaves the shard lock
+//!   released healthy and [`resolve`](PlanRegistry::resolve) recovers
+//!   with a clean compile outside any lock.
 //! * **Quarantine** — a pair whose artifact keeps failing
 //!   fingerprint/recompile repair (a deterministically-bad entry) is
 //!   quarantined after [`QUARANTINE_THRESHOLD`] strikes: for a backoff
@@ -63,16 +79,10 @@
 //!   whose replay goes straight to the table engine — no ladder, no
 //!   retries — then lets one access probe the normal path again
 //!   (doubling the window if it fails again).
-//!
-//! # Configuration
-//!
-//! The process-wide instance behind [`PlanRegistry::global`] is
-//! configured once from `HPFC_REGISTRY` (see [`RegistryConfig`]):
-//! `HPFC_REGISTRY=shards=S,cap=C` sizes it, `HPFC_REGISTRY=off`
-//! disables it entirely — every `Machine` then plans solo, the exact
-//! pre-registry behavior, kept compilable for A/B runs.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -83,81 +93,36 @@ use hpfc_mapping::NormalizedMapping;
 use crate::group::PlannedGroup;
 use crate::redist::plan_redistribution;
 use crate::status::PlannedRemap;
+use crate::symbolic::SymbolicPlan;
 
-/// Sizing and on/off switch for the process-wide registry, parsed once
-/// from the `HPFC_REGISTRY` environment variable.
-///
-/// Accepted forms (comma-separated fragments; unrecognized fragments
-/// are ignored — configuration must never crash the engine):
-///
-/// * `off` / `0` / `disabled` / `none` — no shared registry; every
-///   machine plans solo (the pre-registry path, kept for A/B).
-/// * `on` — the defaults (8 shards, 4096 entries).
-/// * `shards=S,cap=C` — override either or both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegistryConfig {
-    /// Whether the process-wide registry exists at all.
-    pub enabled: bool,
-    /// Shard count (lock granularity); clamped to at least 1.
-    pub shards: usize,
-    /// Total entry capacity across shards; clamped to at least the
-    /// shard count (each shard holds at least one entry).
-    pub cap: usize,
-}
+/// Lock shards of the process-wide registry.
+const GLOBAL_SHARDS: usize = 8;
+/// Entry cap of the process-wide registry: far beyond any workload in
+/// the repo, so eviction only happens under true pressure (tests force
+/// it with small private instances).
+const GLOBAL_CAP: usize = 4096;
 
-impl Default for RegistryConfig {
-    fn default() -> Self {
-        // Generous by default: 4096 (pair, elem_size) entries is far
-        // beyond any workload in the repo, so eviction only happens
-        // when explicitly forced small (tests) or under true pressure.
-        RegistryConfig { enabled: true, shards: 8, cap: 4096 }
-    }
-}
-
-impl RegistryConfig {
-    /// Parse the `HPFC_REGISTRY` syntax. Unset or empty means the
-    /// defaults (enabled).
-    pub fn parse(s: &str) -> RegistryConfig {
-        let mut cfg = RegistryConfig::default();
-        match s.trim() {
-            "" | "on" | "1" => return cfg,
-            "off" | "0" | "disabled" | "none" => {
-                cfg.enabled = false;
-                return cfg;
-            }
-            _ => {}
-        }
-        for frag in s.split(',') {
-            let Some((key, value)) = frag.split_once('=') else { continue };
-            match (key.trim(), value.trim().parse::<usize>()) {
-                ("shards", Ok(n)) => cfg.shards = n.max(1),
-                ("cap", Ok(n)) => cfg.cap = n.max(1),
-                _ => {}
-            }
-        }
-        cfg
-    }
-
-    /// Read `HPFC_REGISTRY` from the process environment.
-    pub fn from_env() -> RegistryConfig {
-        match std::env::var("HPFC_REGISTRY") {
-            Ok(s) => RegistryConfig::parse(&s),
-            Err(_) => RegistryConfig::default(),
-        }
-    }
-}
-
-/// What one registry access did, for the caller's [`crate::NetStats`]
-/// bookkeeping (`registry_hits` / `registry_misses` /
-/// `registry_evictions`).
+/// What one registry access did — the argument of
+/// [`crate::NetStats::bill`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RegistryOutcome {
-    /// The artifact was served from the registry (no compilation).
+pub struct Outcome {
+    /// The artifact was served from the registry (no compilation): a
+    /// registered concrete entry, a quarantined pair's stripped
+    /// artifact, or a known format pair.
     pub hit: bool,
+    /// A known format pair materialized an instantiation point it had
+    /// not seen before — the cheap re-provisioning path. Never set
+    /// without `hit`: the first materialization of a fresh format pair
+    /// is an ordinary miss, so compile-once accounting reads the same
+    /// wherever the entry lands.
+    pub instantiated: bool,
+    /// [`PlanRegistry::resolve`] asked the symbolic layer and the
+    /// pair's shape declined (replication, constant alignments,
+    /// multi-dimensional grids or arrays): served on concrete keys.
+    pub declined: bool,
     /// How many LRU entries this access pushed out.
     pub evicted: u64,
-    /// How many poisoned locks this access recovered via `into_inner`
-    /// (folded into `NetStats::lock_poison_recoveries`).
+    /// How many poisoned locks this access recovered via `into_inner`.
     pub lock_recoveries: u64,
 }
 
@@ -171,29 +136,60 @@ type PlanKey = (usize, u64);
 /// recycled while the entry lives.
 type SymKey = (usize, u64);
 
-struct Entry {
-    planned: Arc<PlannedRemap>,
-    /// LRU recency stamp from the owning shard's clock.
-    stamp: u64,
-}
-
-struct Shard {
-    map: HashMap<PlanKey, Entry>,
+/// A map with least-recently-used eviction: the one bounded table
+/// behind the solo shards, the groups, the format pairs and each
+/// [`SymbolicPlan`]'s instantiation points. A hit is allocation-free.
+pub(crate) struct Lru<K, V> {
+    map: HashMap<K, (u64, V)>,
     clock: u64,
 }
 
-struct GroupEntry {
-    planned: Arc<PlannedGroup>,
-    stamp: u64,
+impl<K, V> Default for Lru<K, V> {
+    fn default() -> Self {
+        Lru { map: HashMap::new(), clock: 0 }
+    }
 }
 
-/// Group entries are keyed by the ordered member identities — groups
-/// are built cold (lowering), so the boxed key allocation is off the
-/// replay path.
-struct GroupShard {
-    map: HashMap<Box<[PlanKey]>, GroupEntry>,
-    clock: u64,
+impl<K: Hash + Eq + Clone, V> Lru<K, V> {
+    /// The value under `key`, marked most recently used.
+    pub(crate) fn touch<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.clock += 1;
+        let (stamp, value) = self.map.get_mut(key)?;
+        *stamp = self.clock;
+        Some(value)
+    }
+
+    /// Insert (or replace) `key` as most recently used, then drop the
+    /// least recently used entries until at most `cap` remain; returns
+    /// how many were dropped. The entry just inserted carries the
+    /// newest stamp, so it is never the victim.
+    pub(crate) fn insert(&mut self, key: K, value: V, cap: usize) -> u64 {
+        self.clock += 1;
+        self.map.insert(key, (self.clock, value));
+        let mut evicted = 0;
+        while self.map.len() > cap {
+            let victim = self.map.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| k);
+            let victim = victim.expect("a map over its cap is not empty").clone();
+            self.map.remove(&victim);
+            evicted += 1;
+        }
+        evicted
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
+        self.map.values().map(|(_, value)| value)
+    }
 }
+
+type Shard = Lru<PlanKey, Arc<PlannedRemap>>;
 
 /// Failed repairs a pair is allowed before it is quarantined.
 pub const QUARANTINE_THRESHOLD: u32 = 3;
@@ -203,11 +199,11 @@ const QUARANTINE_INITIAL_BACKOFF: u32 = 8;
 const QUARANTINE_MAX_BACKOFF: u32 = 1024;
 
 /// One deterministically-bad pair under quarantine. While `remaining`
-/// is positive, [`PlanRegistry::try_get_or_compile`] serves `stripped`
-/// (program-less: the replay goes straight to the table engine) instead
-/// of the registered artifact; when the window closes, one access
-/// probes the normal path again (probation), and another failed repair
-/// re-arms the window doubled.
+/// is positive, every lookup serves `stripped` (program-less: the
+/// replay goes straight to the table engine) instead of the registered
+/// artifact; when the window closes, one access probes the normal path
+/// again (probation), and another failed repair re-arms the window
+/// doubled.
 struct QuarantineEntry {
     /// Pins the keyed pair alive so its pointer identity can never be
     /// recycled onto a different pair while this entry exists.
@@ -223,25 +219,26 @@ struct QuarantineEntry {
 }
 
 /// The shared, concurrent, LRU-bounded plan registry. See the module
-/// docs for the design; see [`PlanRegistry::global`] for the
+/// docs for the design; see [`PlanRegistry::shared`] for the
 /// process-wide instance every [`crate::Machine`] attaches to by
 /// default.
 pub struct PlanRegistry {
     shards: Box<[Mutex<Shard>]>,
     /// Per-shard entry cap (total cap divided across shards).
     shard_cap: usize,
-    /// Directive-level groups, one unsharded table (cold path only).
-    groups: Mutex<GroupShard>,
+    /// Directive-level groups, keyed by the ordered member identities:
+    /// one unsharded table (groups are built cold, at lowering, so the
+    /// boxed key is off the replay path).
+    groups: Mutex<Lru<Box<[PlanKey]>, Arc<PlannedGroup>>>,
     /// Pairs whose artifacts keep failing repair (off the hot path:
     /// only consulted when the quarantine table is non-empty).
     quarantine: Mutex<HashMap<PlanKey, QuarantineEntry>>,
     /// Parametric plans keyed by interned format pair (symbolic
-    /// keying). Deliberately unbounded and un-evicted: the table is
-    /// O(format pairs) *by design* — that bound is the whole point of
-    /// the symbolic layer, and each entry amortizes over every `P` a
-    /// job is ever launched on. One lock, not shards: entries are few
-    /// and materialization is one-time per instantiation point.
-    sym: Mutex<HashMap<SymKey, Arc<crate::symbolic::SymbolicPlan>>>,
+    /// keying), bounded by the registry's total cap like the shards: a
+    /// format carries its template's extent, so a stream of template
+    /// sizes is a stream of format pairs. One lock, not shards: a
+    /// materialization is sub-millisecond and one-time per point.
+    sym: Mutex<Lru<SymKey, Arc<SymbolicPlan>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -264,18 +261,17 @@ impl std::fmt::Debug for PlanRegistry {
 
 impl PlanRegistry {
     /// A registry with `shards` lock shards and room for `cap` solo
-    /// entries in total (each shard gets at least one slot).
+    /// entries in total (each shard gets at least one slot); the same
+    /// total bounds the format-pair table.
     pub fn new(shards: usize, cap: usize) -> PlanRegistry {
         let shards = shards.max(1);
         let shard_cap = cap.div_ceil(shards).max(1);
         PlanRegistry {
-            shards: (0..shards)
-                .map(|_| Mutex::new(Shard { map: HashMap::new(), clock: 0 }))
-                .collect(),
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
             shard_cap,
-            groups: Mutex::new(GroupShard { map: HashMap::new(), clock: 0 }),
+            groups: Mutex::default(),
             quarantine: Mutex::new(HashMap::new()),
-            sym: Mutex::new(HashMap::new()),
+            sym: Mutex::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -284,23 +280,17 @@ impl PlanRegistry {
         }
     }
 
-    /// A registry sized by a [`RegistryConfig`] (the `enabled` flag is
-    /// the caller's concern).
-    pub fn with_config(cfg: &RegistryConfig) -> PlanRegistry {
-        PlanRegistry::new(cfg.shards, cfg.cap)
+    /// The process-wide registry every [`crate::Machine::new`] attaches
+    /// to and lowering compiles through, created on first use.
+    pub fn shared() -> &'static Arc<PlanRegistry> {
+        static SHARED: OnceLock<Arc<PlanRegistry>> = OnceLock::new();
+        SHARED.get_or_init(|| Arc::new(PlanRegistry::new(GLOBAL_SHARDS, GLOBAL_CAP)))
     }
 
-    /// The process-wide registry, created on first use from
-    /// `HPFC_REGISTRY` (read **once** per process). `None` when the
-    /// variable disables it — callers then plan solo.
+    /// [`PlanRegistry::shared`], always `Some`: the signature the
+    /// benchmark harness still matches on.
     pub fn global() -> Option<&'static Arc<PlanRegistry>> {
-        static GLOBAL: OnceLock<Option<Arc<PlanRegistry>>> = OnceLock::new();
-        GLOBAL
-            .get_or_init(|| {
-                let cfg = RegistryConfig::from_env();
-                cfg.enabled.then(|| Arc::new(PlanRegistry::with_config(&cfg)))
-            })
-            .as_ref()
+        Some(Self::shared())
     }
 
     /// Lock `m`, recovering from poisoning via `into_inner` instead of
@@ -309,7 +299,7 @@ impl PlanRegistry {
     /// panics possible under a lock (compile panics are caught before
     /// they unwind past the guard) leave at worst a missing insertion,
     /// which the next miss recompiles. Returns the recovery count
-    /// (0 or 1) for the caller's [`RegistryOutcome`].
+    /// (0 or 1) for the caller's [`Outcome`].
     fn lock_recover<'a, T>(&self, m: &'a Mutex<T>) -> (MutexGuard<'a, T>, u64) {
         match m.lock() {
             Ok(g) => (g, 0),
@@ -330,127 +320,153 @@ impl PlanRegistry {
         &self.shards[(mixed as usize) % self.shards.len()]
     }
 
+    /// The key of `(src, dst)` at `elem_size`, with the interned pair
+    /// whose pointer it holds: the key means that pair only while the
+    /// pair (or an entry registered under it) is alive.
+    fn key_for(
+        src: &NormalizedMapping,
+        dst: &NormalizedMapping,
+        elem_size: u64,
+    ) -> (MappingPair, PlanKey) {
+        let pair = intern::pair(src, dst);
+        let key = (Arc::as_ptr(&pair) as usize, elem_size);
+        (pair, key)
+    }
+
     fn key_of(planned: &PlannedRemap) -> Option<PlanKey> {
         let pair = planned.plan.mappings.as_ref()?;
         Some((Arc::as_ptr(pair) as usize, planned.plan.elem_size))
     }
 
-    /// Evict least-recently-used entries until the shard fits its cap;
-    /// returns how many were dropped. The entry just touched carries
-    /// the newest stamp, so it is never the victim.
-    fn evict_over_cap(shard: &mut Shard, cap: usize) -> u64 {
-        let mut evicted = 0;
-        while shard.map.len() > cap {
-            let Some(victim) = shard.map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k)
-            else {
-                break;
-            };
-            shard.map.remove(&victim);
-            evicted += 1;
-        }
-        evicted
-    }
-
-    /// The shared plan → schedule → program artifact for `(src, dst)`
-    /// at `elem_size`: served from the registry when present (a *hit*,
-    /// allocation-free), otherwise interned, compiled once under the
-    /// shard lock, and registered (a *miss*). Concurrent requests for
-    /// the same cold pair serialize on the shard and compile exactly
-    /// once.
-    pub fn get_or_compile(
-        &self,
-        src: &NormalizedMapping,
-        dst: &NormalizedMapping,
-        elem_size: u64,
-    ) -> (Arc<PlannedRemap>, RegistryOutcome) {
-        match self.lookup_or_compile(src, dst, elem_size, false) {
-            (Ok(planned), out) => (planned, out),
-            // A genuinely panicking compile: re-raise it *outside* the
-            // shard lock, so the registry stays healthy for everyone
-            // else even on this legacy infallible-signature path.
-            (Err(payload), _) => std::panic::resume_unwind(payload),
-        }
-    }
-
-    /// [`PlanRegistry::get_or_compile`] with compile panics contained:
-    /// a panicking compile (injected via `force_panic`, or real) is
-    /// caught by `catch_unwind` *inside* the critical section, so the
-    /// shard `Mutex` is released healthy — never poisoned — and the
-    /// caller gets a typed [`crate::CompileDecline::Panicked`] to
-    /// recover from (clean solo compile, or the table engine). Nothing
-    /// is registered and no miss is counted for a declined compile.
-    ///
-    /// A quarantined pair short-circuits everything: the
-    /// program-stripped artifact is served as a *hit* (zero retries,
-    /// zero recompiles billed) until its backoff window closes.
-    pub fn try_get_or_compile(
+    /// The artifact for `(src, dst)` at `elem_size` — the one route
+    /// from a mapping pair to the code that moves it, total for every
+    /// shape. In order: a registered concrete artifact (seeded,
+    /// adopted, installed, or a quarantined pair's stripped one) is
+    /// served as-is; a shape the symbolic layer admits is instantiated
+    /// from its format pair's parametric plan; anything else compiles
+    /// once under its shard lock. `force_panic` injects
+    /// [`crate::FaultKind::CompilePanic`] into that compile (and skips
+    /// the symbolic leg: the panic must unwind inside
+    /// compile-under-lock to exercise containment). A panicking
+    /// compile, injected or real, is contained — the shard lock is
+    /// released healthy — and recovered by a clean compile outside any
+    /// lock, published registry-wide.
+    pub fn resolve(
         &self,
         src: &NormalizedMapping,
         dst: &NormalizedMapping,
         elem_size: u64,
         force_panic: bool,
-    ) -> (Result<Arc<PlannedRemap>, crate::CompileDecline>, RegistryOutcome) {
-        let (res, out) = self.lookup_or_compile(src, dst, elem_size, force_panic);
-        (res.map_err(|_| crate::CompileDecline::Panicked), out)
+    ) -> (Arc<PlannedRemap>, Outcome) {
+        let (found, mut out) = self.probe(src, dst, elem_size);
+        if let Some(planned) = found {
+            return (planned, out);
+        }
+        if !force_panic {
+            if let Some((planned, sym)) = self.get_or_instantiate(src, dst, elem_size) {
+                let lock_recoveries = out.lock_recoveries + sym.lock_recoveries;
+                return (planned, Outcome { lock_recoveries, ..sym });
+            }
+            out.declined = true;
+        }
+        let planned = self
+            .lookup_or_compile(src, dst, elem_size, force_panic, &mut out)
+            .unwrap_or_else(|_panic| {
+                let clean =
+                    Arc::new(PlannedRemap::compile(plan_redistribution(src, dst, elem_size)));
+                self.install(Arc::clone(&clean));
+                clean
+            });
+        (planned, out)
     }
 
-    /// Common body of the two lookups; `Err` carries the caught panic
-    /// payload (the shard guard is already dropped, unpoisoned).
-    #[allow(clippy::type_complexity)]
+    /// The concrete leg of [`PlanRegistry::resolve`] on its own: served
+    /// from the shards when present (a *hit*, allocation-free),
+    /// otherwise compiled once under the shard lock and registered (a
+    /// *miss*). Concurrent requests for the same cold pair serialize on
+    /// the shard and compile exactly once. A panicking compile is
+    /// re-raised *outside* the shard lock, so the registry stays
+    /// healthy for everyone else.
+    pub fn get_or_compile(
+        &self,
+        src: &NormalizedMapping,
+        dst: &NormalizedMapping,
+        elem_size: u64,
+    ) -> (Arc<PlannedRemap>, Outcome) {
+        let mut out = Outcome::default();
+        match self.lookup_or_compile(src, dst, elem_size, false, &mut out) {
+            Ok(planned) => (planned, out),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
+
+    /// What is served for `key` without compiling: a quarantined pair's
+    /// program-stripped artifact while its backoff window is open
+    /// (consuming one slot), else the shard's entry, touching LRU
+    /// recency — both counted as hits. On a miss nothing is counted and
+    /// the shard comes back still locked, for the caller to compile
+    /// under or drop.
+    fn lookup(
+        &self,
+        key: PlanKey,
+        out: &mut Outcome,
+    ) -> Result<Arc<PlannedRemap>, MutexGuard<'_, Shard>> {
+        // The quarantine table is consulted only once anything was ever
+        // quarantined (monotone counter): the common hot path stays a
+        // single shard-lock acquisition.
+        let quarantined = if self.quarantined.load(Ordering::Relaxed) != 0 {
+            self.quarantine_probe(key, out)
+        } else {
+            None
+        };
+        let found = match quarantined {
+            Some(stripped) => stripped,
+            None => {
+                let (mut shard, rec) = self.lock_recover(self.shard_of(key));
+                out.lock_recoveries += rec;
+                match shard.touch(&key) {
+                    Some(planned) => Arc::clone(planned),
+                    None => return Err(shard),
+                }
+            }
+        };
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        out.hit = true;
+        Ok(found)
+    }
+
+    /// [`PlanRegistry::lookup`], then compile the whole pipeline under
+    /// the shard lock it left held: a second session asking for this
+    /// pair waits there and then hits. `Err` carries the caught panic
+    /// payload of a panicking compile (injected via `force_panic`, or
+    /// real): the `catch_unwind` stops it before it unwinds past the
+    /// guard, so the lock is never poisoned by a compile, nothing is
+    /// registered and no miss is counted.
     fn lookup_or_compile(
         &self,
         src: &NormalizedMapping,
         dst: &NormalizedMapping,
         elem_size: u64,
         force_panic: bool,
-    ) -> (Result<Arc<PlannedRemap>, Box<dyn std::any::Any + Send>>, RegistryOutcome) {
-        let pair = intern::pair(src, dst);
-        let key: PlanKey = (Arc::as_ptr(&pair) as usize, elem_size);
-        let mut out = RegistryOutcome::default();
-        // The quarantine table is consulted only once anything was ever
-        // quarantined (monotone counter): the common hot path stays a
-        // single shard-lock acquisition.
-        if self.quarantined.load(Ordering::Relaxed) != 0 {
-            if let Some(stripped) = self.quarantine_probe(key, &mut out) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                out.hit = true;
-                return (Ok(stripped), out);
-            }
-        }
-        let (mut shard, rec) = self.lock_recover(self.shard_of(key));
-        out.lock_recoveries += rec;
-        shard.clock += 1;
-        let stamp = shard.clock;
-        if let Some(e) = shard.map.get_mut(&key) {
-            e.stamp = stamp;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            out.hit = true;
-            return (Ok(Arc::clone(&e.planned)), out);
-        }
-        // Compile the whole pipeline under the shard lock: a second
-        // session asking for this pair waits here and then hits.
-        // (`plan_redistribution` re-interns the pair — a pure lookup,
-        // returning the same pointer we key by.) The `catch_unwind`
-        // stops a panicking compile before it unwinds past the guard —
-        // the lock is never poisoned by a compile.
-        let compiled = catch_unwind(AssertUnwindSafe(|| {
+        out: &mut Outcome,
+    ) -> Result<Arc<PlannedRemap>, Box<dyn std::any::Any + Send>> {
+        // Held across the compile: `plan_redistribution` re-interns the
+        // pair — a pure lookup, returning the pointer we key by.
+        let (_pair, key) = Self::key_for(src, dst, elem_size);
+        let mut shard = match self.lookup(key, out) {
+            Ok(planned) => return Ok(planned),
+            Err(shard) => shard,
+        };
+        let planned = catch_unwind(AssertUnwindSafe(|| {
             if force_panic {
                 std::panic::panic_any(crate::fault::InjectedPanic);
             }
             Arc::new(PlannedRemap::compile(plan_redistribution(src, dst, elem_size)))
-        }));
-        let planned = match compiled {
-            Ok(p) => p,
-            Err(payload) => {
-                drop(shard);
-                return (Err(payload), out);
-            }
-        };
-        shard.map.insert(key, Entry { planned: Arc::clone(&planned), stamp });
-        out.evicted = Self::evict_over_cap(&mut shard, self.shard_cap);
+        }))?;
+        out.evicted = shard.insert(key, Arc::clone(&planned), self.shard_cap);
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.evictions.fetch_add(out.evicted, Ordering::Relaxed);
-        (Ok(planned), out)
+        Ok(planned)
     }
 
     /// Publish an artifact compiled elsewhere (lowering, a seeded
@@ -458,22 +474,18 @@ impl PlanRegistry {
     /// artifact wins and is returned — callers must adopt the returned
     /// `Arc` as canonical. Plans without a mapping pair (rank-0
     /// degenerate) cannot be keyed and pass through untouched.
-    pub fn adopt(&self, planned: Arc<PlannedRemap>) -> (Arc<PlannedRemap>, RegistryOutcome) {
+    pub fn adopt(&self, planned: Arc<PlannedRemap>) -> (Arc<PlannedRemap>, Outcome) {
         let Some(key) = Self::key_of(&planned) else {
-            return (planned, RegistryOutcome::default());
+            return (planned, Outcome::default());
         };
         let (mut shard, rec) = self.lock_recover(self.shard_of(key));
-        let mut out = RegistryOutcome { lock_recoveries: rec, ..Default::default() };
-        shard.clock += 1;
-        let stamp = shard.clock;
-        if let Some(e) = shard.map.get_mut(&key) {
-            e.stamp = stamp;
+        let mut out = Outcome { lock_recoveries: rec, ..Default::default() };
+        if let Some(existing) = shard.touch(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             out.hit = true;
-            return (Arc::clone(&e.planned), out);
+            return (Arc::clone(existing), out);
         }
-        shard.map.insert(key, Entry { planned: Arc::clone(&planned), stamp });
-        out.evicted = Self::evict_over_cap(&mut shard, self.shard_cap);
+        out.evicted = shard.insert(key, Arc::clone(&planned), self.shard_cap);
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.evictions.fetch_add(out.evicted, Ordering::Relaxed);
         (planned, out)
@@ -487,95 +499,52 @@ impl PlanRegistry {
     pub fn install(&self, planned: Arc<PlannedRemap>) {
         let Some(key) = Self::key_of(&planned) else { return };
         let (mut shard, _) = self.lock_recover(self.shard_of(key));
-        shard.clock += 1;
-        let stamp = shard.clock;
-        shard.map.insert(key, Entry { planned, stamp });
-        let evicted = Self::evict_over_cap(&mut shard, self.shard_cap);
+        let evicted = shard.insert(key, planned, self.shard_cap);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
-    /// The registered artifact for `(src, dst)` at `elem_size`, if any
-    /// — a read-only probe (touches LRU recency, counts nothing).
-    pub fn get(
-        &self,
-        src: &NormalizedMapping,
-        dst: &NormalizedMapping,
-        elem_size: u64,
-    ) -> Option<Arc<PlannedRemap>> {
-        let pair: MappingPair = intern::pair(src, dst);
-        let key: PlanKey = (Arc::as_ptr(&pair) as usize, elem_size);
-        let (mut shard, _) = self.lock_recover(self.shard_of(key));
-        shard.clock += 1;
-        let stamp = shard.clock;
-        let e = shard.map.get_mut(&key)?;
-        e.stamp = stamp;
-        Some(Arc::clone(&e.planned))
-    }
-
-    /// A counted probe of the concrete tables for `(src, dst)` at
-    /// `elem_size` — the first leg of the symbolic flow. Mirrors
-    /// the internal lookup-or-compile serving order exactly: a
-    /// quarantined pair short-circuits to its program-stripped artifact
-    /// (consuming one backoff-window slot), then the shard is probed,
-    /// touching LRU recency. A hit bills the registry-internal hit
-    /// counter and sets `out.hit`; a miss bills **nothing** — the
-    /// caller decides whether the symbolic table or a concrete compile
-    /// resolves it, and that path does the miss accounting.
+    /// The first leg of [`PlanRegistry::resolve`] on its own: what the
+    /// concrete tables serve for `(src, dst)` at `elem_size` without
+    /// compiling — a quarantined pair's stripped artifact, else the
+    /// shard's entry. A hit is counted; a miss bills **nothing** — the
+    /// leg that resolves it does the miss accounting.
     pub fn probe(
         &self,
         src: &NormalizedMapping,
         dst: &NormalizedMapping,
         elem_size: u64,
-    ) -> (Option<Arc<PlannedRemap>>, RegistryOutcome) {
-        let pair: MappingPair = intern::pair(src, dst);
-        let key: PlanKey = (Arc::as_ptr(&pair) as usize, elem_size);
-        let mut out = RegistryOutcome::default();
-        if self.quarantined.load(Ordering::Relaxed) != 0 {
-            if let Some(stripped) = self.quarantine_probe(key, &mut out) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                out.hit = true;
-                return (Some(stripped), out);
-            }
-        }
-        let (mut shard, rec) = self.lock_recover(self.shard_of(key));
-        out.lock_recoveries += rec;
-        shard.clock += 1;
-        let stamp = shard.clock;
-        if let Some(e) = shard.map.get_mut(&key) {
-            e.stamp = stamp;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            out.hit = true;
-            return (Some(Arc::clone(&e.planned)), out);
-        }
-        (None, out)
+    ) -> (Option<Arc<PlannedRemap>>, Outcome) {
+        let mut out = Outcome::default();
+        let (_pair, key) = Self::key_for(src, dst, elem_size);
+        let found = self.lookup(key, &mut out).ok();
+        (found, out)
     }
 
-    /// The symbolic-keyed artifact for `(src, dst)` at `elem_size`:
-    /// both mappings are reduced to their P-free residues
+    /// The symbolic leg of [`PlanRegistry::resolve`] on its own: both
+    /// mappings are reduced to their P-free residues
     /// ([`hpfc_mapping::normalize_symbolic`]), the residue pair is
-    /// interned, and the per-format-pair [`crate::SymbolicPlan`] — created on
+    /// interned, and the per-format-pair [`SymbolicPlan`] — created on
     /// first sight, served ever after — materializes the concrete
     /// artifact at this exact `(p_src, p_dst, extent)` instantiation
     /// point.
     ///
-    /// `None` (a *decline*, `NetStats::symbolic_declines`) when either
-    /// mapping has no symbolic residue, the extents differ, or the
-    /// formats cannot be realized at the requested point; nothing is
-    /// billed and nothing is cached — the caller falls back to the
-    /// concrete [`PlanRegistry::try_get_or_compile`] path.
+    /// `None` (a *decline*) when either mapping has no symbolic
+    /// residue, the extents differ, or the formats cannot be realized
+    /// at the requested point; nothing is billed and nothing is cached.
     ///
-    /// Billing on success mirrors the concrete scheme so compile-once
-    /// accounting holds under both keyings: a fresh format pair is a
-    /// registry *miss* (the caller additionally bills
-    /// `plans_computed`); a known pair is a *hit*, and if this call
-    /// materialized a new instantiation point, `out.instantiated` marks
-    /// the cheap cross-`P` path (`NetStats::symbolic_instantiations`).
+    /// Billing on success mirrors the concrete leg so compile-once
+    /// accounting holds wherever the entry lands: a fresh format pair
+    /// is a *miss*; a known pair is a *hit*, and if this call
+    /// materialized a new instantiation point, `instantiated` marks the
+    /// cheap cross-`P` path. Format pairs pushed out to keep the table
+    /// within the registry's cap, and points a plan pushed out to stay
+    /// within its own, are `evicted`.
     pub fn get_or_instantiate(
         &self,
         src: &NormalizedMapping,
         dst: &NormalizedMapping,
         elem_size: u64,
-    ) -> Option<(Arc<PlannedRemap>, crate::SymbolicOutcome)> {
+    ) -> Option<(Arc<PlannedRemap>, Outcome)> {
         let (src_fmt, p_src) = hpfc_mapping::normalize_symbolic(src)?;
         let (dst_fmt, p_dst) = hpfc_mapping::normalize_symbolic(dst)?;
         if src.array_extents != dst.array_extents || src.array_extents.rank() != 1 {
@@ -584,50 +553,31 @@ impl PlanRegistry {
         let extent = src.array_extents.extent(0);
         let formats = hpfc_mapping::format_pair(src_fmt, dst_fmt);
         let key: SymKey = (Arc::as_ptr(&formats) as usize, elem_size);
-        let mut out = crate::SymbolicOutcome::default();
         let (mut sym, rec) = self.lock_recover(&self.sym);
-        out.lock_recoveries += rec;
-        let (plan, known) = match sym.get(&key) {
-            Some(plan) => (Arc::clone(plan), true),
-            None => {
-                let plan = Arc::new(crate::SymbolicPlan::new(formats, elem_size));
-                sym.insert(key, Arc::clone(&plan));
-                (plan, false)
-            }
-        };
-        // Materialize under the table lock: racing sessions instantiate
-        // each point exactly once (the instance cache's own lock makes
-        // this belt-and-braces, but holding the table lock keeps the
-        // hit/miss decision and the artifact atomic).
+        let mut out = Outcome { lock_recoveries: rec, ..Default::default() };
+        let known = sym.touch(&key).cloned();
+        out.hit = known.is_some();
+        let plan = known.unwrap_or_else(|| Arc::new(SymbolicPlan::new(formats, elem_size)));
+        // Materialize under the table lock: the hit/miss decision and
+        // the artifact stay atomic, and the plan's eviction count moves
+        // only here. An unrealizable point registers nothing.
         let evicted_before = plan.evictions();
-        let (planned, fresh) = match plan.instantiate_planned(p_src, p_dst, extent) {
-            Some(r) => r,
-            None => {
-                // Unrealizable point: withdraw a pair entry this call
-                // created so a decline leaves no trace.
-                if !known {
-                    sym.remove(&key);
-                }
-                return None;
-            }
-        };
-        // Points the plan pushed out to stay within its cap (exact: it
-        // only instantiates under the table lock held here).
-        self.evictions.fetch_add(plan.evictions() - evicted_before, Ordering::Relaxed);
-        drop(sym);
-        if known {
+        let (planned, fresh) = plan.instantiate_planned(p_src, p_dst, extent)?;
+        out.evicted = plan.evictions() - evicted_before;
+        if out.hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            out.hit = true;
             out.instantiated = fresh;
         } else {
+            out.evicted += sym.insert(key, plan, self.shard_cap * self.shards.len());
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
+        self.evictions.fetch_add(out.evicted, Ordering::Relaxed);
         Some((planned, out))
     }
 
-    /// Registered symbolic (format-pair) entries — O(format pairs) by
-    /// design; compare [`PlanRegistry::len`], which counts concrete
-    /// per-mapping-pair entries.
+    /// Registered symbolic (format-pair) entries; compare
+    /// [`PlanRegistry::len`], which counts concrete per-mapping-pair
+    /// entries.
     pub fn sym_len(&self) -> usize {
         self.lock_recover(&self.sym).0.len()
     }
@@ -649,44 +599,30 @@ impl PlanRegistry {
     pub fn get_or_compile_group(
         &self,
         members: Vec<Arc<PlannedRemap>>,
-    ) -> (Arc<PlannedGroup>, RegistryOutcome) {
+    ) -> (Arc<PlannedGroup>, Outcome) {
         let keys: Option<Box<[PlanKey]>> = members.iter().map(|m| Self::key_of(m)).collect();
         let Some(keys) = keys else {
-            return (Arc::new(PlannedGroup::compile(members)), RegistryOutcome::default());
+            return (Arc::new(PlannedGroup::compile(members)), Outcome::default());
         };
         let (mut groups, rec) = self.lock_recover(&self.groups);
-        let mut out = RegistryOutcome { lock_recoveries: rec, ..Default::default() };
-        groups.clock += 1;
-        let stamp = groups.clock;
-        if let Some(e) = groups.map.get_mut(&keys[..]) {
-            e.stamp = stamp;
+        let mut out = Outcome { lock_recoveries: rec, ..Default::default() };
+        if let Some(planned) = groups.touch(&keys[..]) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             out.hit = true;
-            return (Arc::clone(&e.planned), out);
+            return (Arc::clone(planned), out);
         }
         let planned = Arc::new(PlannedGroup::compile(members));
-        groups.map.insert(keys, GroupEntry { planned: Arc::clone(&planned), stamp });
         // Groups share the per-shard cap: they are few (one per lowered
         // directive shape) and each pins its members' pairs alive.
-        let mut evicted = 0;
-        while groups.map.len() > self.shard_cap {
-            let Some(victim) =
-                groups.map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            groups.map.remove(&victim);
-            evicted += 1;
-        }
+        out.evicted = groups.insert(keys, Arc::clone(&planned), self.shard_cap);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        out.evicted = evicted;
+        self.evictions.fetch_add(out.evicted, Ordering::Relaxed);
         (planned, out)
     }
 
     /// Registered solo entries across all shards (groups not counted).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| self.lock_recover(s).0.map.len()).sum()
+        self.shards.iter().map(|s| self.lock_recover(s).0.len()).sum()
     }
 
     /// Whether no solo entry is registered.
@@ -704,8 +640,8 @@ impl PlanRegistry {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Lifetime LRU eviction count, registry-wide (solo entries, groups
-    /// and symbolic instantiation points).
+    /// Lifetime LRU eviction count, registry-wide (solo entries,
+    /// groups, symbolic format pairs and their instantiation points).
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
@@ -725,7 +661,7 @@ impl PlanRegistry {
     /// (probation) returns `None`: the caller walks the normal path,
     /// and if that fails repair again, [`PlanRegistry::note_repair`]
     /// re-arms the window doubled.
-    fn quarantine_probe(&self, key: PlanKey, out: &mut RegistryOutcome) -> Option<Arc<PlannedRemap>> {
+    fn quarantine_probe(&self, key: PlanKey, out: &mut Outcome) -> Option<Arc<PlannedRemap>> {
         let (mut q, rec) = self.lock_recover(&self.quarantine);
         out.lock_recoveries += rec;
         let e = q.get_mut(&key)?;
@@ -776,8 +712,7 @@ impl PlanRegistry {
     /// Whether `(src, dst, elem_size)` currently has an open quarantine
     /// window (diagnostics and tests).
     pub fn is_quarantined(&self, src: &NormalizedMapping, dst: &NormalizedMapping, elem_size: u64) -> bool {
-        let pair = intern::pair(src, dst);
-        let key: PlanKey = (Arc::as_ptr(&pair) as usize, elem_size);
+        let (_pair, key) = Self::key_for(src, dst, elem_size);
         let (mut q, _) = self.lock_recover(&self.quarantine);
         q.get_mut(&key).is_some_and(|e| e.remaining > 0 && e.stripped.is_some())
     }
@@ -794,8 +729,7 @@ impl PlanRegistry {
         dst: &NormalizedMapping,
         elem_size: u64,
     ) {
-        let pair = intern::pair(src, dst);
-        let key: PlanKey = (Arc::as_ptr(&pair) as usize, elem_size);
+        let (_pair, key) = Self::key_for(src, dst, elem_size);
         let _guard = self.lock_recover(self.shard_of(key)).0;
         panic!("injected shard-lock poison (test hook)");
     }
@@ -811,22 +745,6 @@ mod tests {
     // registry of the unit-test binary never collide with other tests.
     fn pair_for(n: u64) -> (NormalizedMapping, NormalizedMapping) {
         (mapping_1d(n, 4, DimFormat::Block(None)), mapping_1d(n, 4, DimFormat::Cyclic(Some(2))))
-    }
-
-    #[test]
-    fn parse_accepts_the_documented_forms() {
-        assert_eq!(RegistryConfig::parse(""), RegistryConfig::default());
-        assert_eq!(RegistryConfig::parse("on"), RegistryConfig::default());
-        assert!(!RegistryConfig::parse("off").enabled);
-        assert!(!RegistryConfig::parse("0").enabled);
-        let cfg = RegistryConfig::parse("shards=2,cap=16");
-        assert_eq!((cfg.enabled, cfg.shards, cfg.cap), (true, 2, 16));
-        // Tolerant: unknown fragments and garbage values are ignored.
-        let cfg = RegistryConfig::parse("shards=3,bogus=1,cap=zzz");
-        assert_eq!((cfg.shards, cfg.cap), (3, RegistryConfig::default().cap));
-        // Zero sizes are clamped, never panic.
-        let cfg = RegistryConfig::parse("shards=0,cap=0");
-        assert_eq!((cfg.shards, cfg.cap), (1, 1));
     }
 
     #[test]
@@ -887,16 +805,17 @@ mod tests {
         assert_eq!(reg.len(), 2);
     }
 
-    #[test]
-    fn symbolic_instances_are_bounded_and_their_evictions_counted() {
-        use crate::symbolic::INSTANCE_CAP;
+    /// A stream of array extents `7000 + i` over one fixed template
+    /// (one format pair), or — `own_template` — each over a template of
+    /// its own extent (a format pair per extent).
+    fn cyclic3_to_cyclic(i: usize, own_template: bool) -> (NormalizedMapping, NormalizedMapping) {
         use hpfc_mapping::{
             Alignment, Distribution, Extents, GridId, Mapping, ProcGrid, Template, TemplateId,
         };
-        // One format pair (a fixed template), a stream of array extents.
-        let at = |n: u64, fmt: DimFormat| {
-            let t =
-                Template { id: TemplateId(0), name: "T".into(), shape: Extents::new(&[77_777]) };
+        let n = 7000 + i as u64;
+        let at = |fmt: DimFormat| {
+            let shape = Extents::new(&[if own_template { n } else { 77_777 }]);
+            let t = Template { id: TemplateId(0), name: "T".into(), shape };
             let g = ProcGrid { id: GridId(0), name: "P".into(), shape: Extents::new(&[4]) };
             Mapping {
                 align: Alignment::identity(TemplateId(0), 1),
@@ -905,27 +824,93 @@ mod tests {
             .normalize(&Extents::new(&[n]), &t, &g)
             .expect("well-formed")
         };
-        let pair = |i: usize| {
-            let n = 7000 + i as u64;
-            (at(n, DimFormat::Cyclic(Some(3))), at(n, DimFormat::Cyclic(None)))
+        (at(DimFormat::Cyclic(Some(3))), at(DimFormat::Cyclic(None)))
+    }
+
+    #[test]
+    fn symbolic_instances_are_bounded_and_their_evictions_counted() {
+        use crate::symbolic::INSTANCE_CAP;
+        // One format pair, a stream of array extents, each resolved by
+        // a fresh array of one session: the session's books see every
+        // eviction the registry counts.
+        let reg = Arc::new(PlanRegistry::new(1, 64));
+        let mut machine = crate::Machine::new(4).with_registry(Arc::clone(&reg));
+        let mut planned = |i: usize| {
+            let (s, d) = cyclic3_to_cyclic(i, false);
+            crate::ArrayRt::new("a", vec![s, d], 8).planned(&mut machine, 0, 1)
         };
-        let reg = PlanRegistry::new(1, 64);
-        let (s0, d0) = pair(0);
-        let (first, _) = reg.get_or_instantiate(&s0, &d0, 8).expect("symbolic shape");
+        let first = planned(0);
         for i in 1..10 * INSTANCE_CAP {
-            let (s, d) = pair(i);
-            reg.get_or_instantiate(&s, &d, 8).expect("symbolic shape");
+            planned(i);
             assert!(reg.sym_instances() <= INSTANCE_CAP * reg.sym_len());
         }
-        assert_eq!((reg.sym_len(), reg.sym_instances()), (1, INSTANCE_CAP));
+        assert_eq!((reg.len(), reg.sym_len(), reg.sym_instances()), (0, 1, INSTANCE_CAP));
         assert_eq!(reg.evictions(), (9 * INSTANCE_CAP) as u64);
         // The evicted first point re-instantiates to an equal artifact;
         // the Arc handed out before the eviction is untouched.
-        let (again, o) = reg.get_or_instantiate(&s0, &d0, 8).expect("symbolic shape");
-        assert!(o.hit && o.instantiated && !Arc::ptr_eq(&first, &again));
+        let again = planned(0);
+        assert!(!Arc::ptr_eq(&first, &again));
         assert_eq!(first.program, again.program);
         assert_eq!((&first.plan, &first.schedule), (&again.plan, &again.schedule));
         assert!(first.program.as_ref().is_some_and(|p| p.integrity_ok()));
+        let stats = machine.stats;
+        assert_eq!(stats.registry_evictions, reg.evictions(), "{stats:?}");
+        assert_eq!((stats.registry_misses, stats.plans_computed), (1, 1), "{stats:?}");
+        assert_eq!(stats.symbolic_instantiations, (10 * INSTANCE_CAP) as u64, "{stats:?}");
+    }
+
+    #[test]
+    fn resolve_keeps_both_tables_within_the_cap() {
+        // A format carries its template's extent, so every template
+        // size is a new format pair: the cap must bound that table too.
+        const CAP: usize = 4;
+        let reg = PlanRegistry::new(1, CAP);
+        let mut billed = 0;
+        for i in 0..3 * CAP {
+            let (s, d) = cyclic3_to_cyclic(i, true);
+            let (_, out) = reg.resolve(&s, &d, 8, false);
+            assert!(!out.hit && !out.declined, "a fresh symbolic pair: {out:?}");
+            billed += out.evicted;
+            assert!(reg.len() + reg.sym_len() <= CAP, "after {i}: {reg:?}, {}", reg.sym_len());
+        }
+        assert_eq!((reg.len(), reg.sym_len(), reg.sym_instances()), (0, CAP, CAP));
+        assert_eq!((reg.evictions(), billed), (2 * CAP as u64, 2 * CAP as u64));
+        // Least recently used first: the newest CAP pairs are resident.
+        let (s, d) = cyclic3_to_cyclic(3 * CAP - 1, true);
+        assert!(reg.resolve(&s, &d, 8, false).1.hit);
+        let (s, d) = cyclic3_to_cyclic(0, true);
+        assert!(!reg.resolve(&s, &d, 8, false).1.hit);
+    }
+
+    #[test]
+    fn resolve_picks_the_keying_from_the_shape() {
+        use hpfc_mapping::testing::mapping_2d;
+        let reg = PlanRegistry::new(2, 64);
+        let at = |p| {
+            (mapping_1d(5101, p, DimFormat::Cyclic(Some(2))), mapping_1d(5101, p, DimFormat::Cyclic(None)))
+        };
+        // Admitted: a plain miss on the format pair, then a hit; the
+        // same formats at another P are the cheap instantiation path.
+        let (src, dst) = at(4);
+        let (p, o) = reg.resolve(&src, &dst, 8, false);
+        assert_eq!(o, Outcome::default());
+        let (q, o) = reg.resolve(&src, &dst, 8, false);
+        assert_eq!(o, Outcome { hit: true, ..Outcome::default() });
+        assert!(Arc::ptr_eq(&p, &q));
+        let (src, dst) = at(8);
+        let (_, o) = reg.resolve(&src, &dst, 8, false);
+        assert_eq!(o, Outcome { hit: true, instantiated: true, ..Outcome::default() });
+        assert_eq!((reg.len(), reg.sym_len(), reg.sym_instances()), (0, 1, 2));
+        // Declined (a 2-D array): lands in the shards, compiled once.
+        let row = mapping_2d(72, 4, vec![DimFormat::Block(None), DimFormat::Collapsed]);
+        let col = mapping_2d(72, 4, vec![DimFormat::Collapsed, DimFormat::Block(None)]);
+        let (p, o) = reg.resolve(&row, &col, 8, false);
+        assert_eq!(o, Outcome { declined: true, ..Outcome::default() });
+        let (q, o) = reg.resolve(&row, &col, 8, false);
+        assert_eq!(o, Outcome { hit: true, ..Outcome::default() });
+        assert!(Arc::ptr_eq(&p, &q));
+        assert_eq!((reg.len(), reg.sym_len()), (1, 1));
+        assert_eq!((reg.hits(), reg.misses()), (3, 2));
     }
 
     #[test]
@@ -981,16 +966,19 @@ mod tests {
     fn contained_compile_panic_declines_without_poisoning() {
         let reg = PlanRegistry::new(1, 64);
         let (src, dst) = pair_for(5081);
-        let (res, out) = reg.try_get_or_compile(&src, &dst, 8, true);
-        assert_eq!(res.unwrap_err(), crate::CompileDecline::Panicked);
-        assert!(!out.hit);
-        assert_eq!(reg.misses(), 0, "a declined compile is not a miss");
-        assert_eq!(reg.len(), 0, "nothing registered");
-        // The shard lock survived the panicking compile: the clean
-        // retry compiles and registers normally with zero recoveries.
-        let (res2, out2) = reg.try_get_or_compile(&src, &dst, 8, false);
-        assert!(res2.is_ok() && !out2.hit && out2.lock_recoveries == 0);
-        assert_eq!((reg.misses(), reg.len()), (1, 1));
+        // The injected panic unwinds inside compile-under-lock, is
+        // caught there, and the clean recompile is published.
+        let (clean, out) = reg.resolve(&src, &dst, 8, true);
+        assert_eq!(out, Outcome::default(), "a miss, no lock recovered");
+        assert!(clean.program.as_ref().is_some_and(|p| p.integrity_ok()));
+        assert_eq!(reg.misses(), 0, "the panicked compile is not a miss; install counts nothing");
+        assert_eq!((reg.len(), reg.sym_len()), (1, 0), "published on the concrete keys");
+        // The shard lock survived the panicking compile: the next
+        // access is a plain hit on the published artifact.
+        let (served, out2) = reg.resolve(&src, &dst, 8, false);
+        assert_eq!(out2, Outcome { hit: true, ..Outcome::default() });
+        assert!(Arc::ptr_eq(&served, &clean));
+        assert_eq!(reg.lock_recoveries(), 0);
     }
 
     #[test]
@@ -1010,23 +998,22 @@ mod tests {
         // Every access in the window is a hit serving the program-less
         // artifact (replay goes straight to the table engine).
         for _ in 0..QUARANTINE_INITIAL_BACKOFF {
-            let (q, o) = reg.try_get_or_compile(&src, &dst, 8, false);
-            let q = q.unwrap();
+            let (q, o) = reg.resolve(&src, &dst, 8, false);
             assert!(o.hit && q.program.is_none());
             assert_eq!(q.plan.total_messages(), p.plan.total_messages());
         }
         // Window exhausted: probation serves the registered artifact.
         assert!(!reg.is_quarantined(&src, &dst, 8));
-        let (probed, o) = reg.try_get_or_compile(&src, &dst, 8, false);
-        assert!(o.hit && Arc::ptr_eq(&probed.unwrap(), &p));
+        let (probed, o) = reg.resolve(&src, &dst, 8, false);
+        assert!(o.hit && Arc::ptr_eq(&probed, &p));
         // A failed probation re-arms immediately (threshold already
         // met) with the window doubled.
         assert!(reg.note_repair(&p));
         assert_eq!(reg.quarantined(), 2);
         let mut served = 0;
         while reg.is_quarantined(&src, &dst, 8) {
-            let (q, _) = reg.try_get_or_compile(&src, &dst, 8, false);
-            assert!(q.unwrap().program.is_none());
+            let (q, _) = reg.resolve(&src, &dst, 8, false);
+            assert!(q.program.is_none());
             served += 1;
         }
         assert_eq!(served, 2 * QUARANTINE_INITIAL_BACKOFF);

@@ -25,7 +25,7 @@ use hpfc_mapping::NormalizedMapping;
 use crate::exec::CopyProgram;
 use crate::fault::ExecError;
 use crate::machine::Machine;
-use crate::redist::{plan_redistribution, RedistPlan};
+use crate::redist::RedistPlan;
 use crate::replay::Lane;
 use crate::schedule::CommSchedule;
 use crate::store::VersionData;
@@ -117,22 +117,19 @@ impl ArrayRt {
 
     /// The memoized plan + schedule + compiled copy program for
     /// remapping version `src` to version `dst`. The per-array cache is
-    /// the first level (a hit touches no lock); on a local miss the
-    /// machine's shared [`crate::PlanRegistry`] serves the artifact if
-    /// any session has registered it (`registry_hits`), otherwise the
-    /// pipeline is compiled **once registry-wide** and registered
-    /// (`registry_misses` + `plans_computed`). Without a registry the
-    /// miss compiles solo, the pre-registry behavior.
+    /// the first level (a hit touches no lock); a local miss is
+    /// resolved by the machine's [`crate::PlanRegistry`] and booked by
+    /// [`crate::NetStats::bill`]: served if any session registered it
+    /// (`registry_hits`), otherwise compiled **once registry-wide**
+    /// (`registry_misses` + `plans_computed`).
     pub fn planned(&mut self, machine: &mut Machine, src: u32, dst: u32) -> Arc<PlannedRemap> {
         self.planned_with(machine, src, dst, false)
     }
 
     /// [`ArrayRt::planned`] with an injectable compile panic
-    /// ([`crate::FaultKind::CompilePanic`]): the panic unwinds inside
-    /// the registry's compile-under-lock, is contained to a typed
-    /// [`crate::CompileDecline::Panicked`] (the shard lock stays
-    /// healthy), and is recovered here by a clean solo compile that is
-    /// then published registry-wide — so this method stays infallible.
+    /// ([`crate::FaultKind::CompilePanic`]), which
+    /// [`crate::PlanRegistry::resolve`] contains and recovers from — so
+    /// this method stays infallible.
     fn planned_with(
         &mut self,
         machine: &mut Machine,
@@ -144,107 +141,16 @@ impl ArrayRt {
             machine.stats.plan_cache_hits += 1;
             return Arc::clone(p);
         }
-        let entry = match machine.registry.clone() {
-            Some(reg) => {
-                // Symbolic keying (the default): probe
-                // the concrete tables first — a seeded, adopted,
-                // installed, or quarantined artifact is always served
-                // as-is — then resolve through the per-format-pair
-                // symbolic table. Shapes the symbolic normalizer
-                // declines fall through to the concrete compile path
-                // below. Injected compile panics stay on the concrete
-                // path: the panic must unwind inside
-                // compile-under-lock to exercise containment.
-                if machine.symbolic && !inject_compile_panic {
-                    let (found, out) = reg.probe(
-                        &self.mappings[src as usize],
-                        &self.mappings[dst as usize],
-                        self.elem_size,
-                    );
-                    machine.stats.lock_poison_recoveries += out.lock_recoveries;
-                    if let Some(planned) = found {
-                        machine.stats.registry_hits += 1;
-                        self.plan_cache.insert((src, dst), Arc::clone(&planned));
-                        return planned;
-                    }
-                    if let Some((planned, sym)) = reg.get_or_instantiate(
-                        &self.mappings[src as usize],
-                        &self.mappings[dst as usize],
-                        self.elem_size,
-                    ) {
-                        machine.stats.lock_poison_recoveries += sym.lock_recoveries;
-                        if sym.hit {
-                            machine.stats.registry_hits += 1;
-                            if sym.instantiated {
-                                machine.stats.symbolic_instantiations += 1;
-                            }
-                        } else {
-                            // First sight of this format pair: billed
-                            // exactly like a concrete compile, so
-                            // compile-once accounting is identical
-                            // under both keying schemes.
-                            machine.stats.registry_misses += 1;
-                            machine.stats.plans_computed += 1;
-                        }
-                        self.plan_cache.insert((src, dst), Arc::clone(&planned));
-                        return planned;
-                    }
-                    machine.stats.symbolic_declines += 1;
-                }
-                let (res, out) = reg.try_get_or_compile(
-                    &self.mappings[src as usize],
-                    &self.mappings[dst as usize],
-                    self.elem_size,
-                    inject_compile_panic,
-                );
-                machine.stats.registry_evictions += out.evicted;
-                machine.stats.lock_poison_recoveries += out.lock_recoveries;
-                match res {
-                    Ok(planned) => {
-                        if out.hit {
-                            machine.stats.registry_hits += 1;
-                        } else {
-                            machine.stats.registry_misses += 1;
-                            machine.stats.plans_computed += 1;
-                        }
-                        planned
-                    }
-                    Err(_decline) => {
-                        // Contained compile panic: recover with a clean
-                        // solo compile outside any lock and publish it.
-                        let plan = plan_redistribution(
-                            &self.mappings[src as usize],
-                            &self.mappings[dst as usize],
-                            self.elem_size,
-                        );
-                        machine.stats.registry_misses += 1;
-                        machine.stats.plans_computed += 1;
-                        let planned = Arc::new(PlannedRemap::compile(plan));
-                        reg.install(Arc::clone(&planned));
-                        planned
-                    }
-                }
-            }
-            None => {
-                if inject_compile_panic {
-                    // No registry: contain the injected panic the same
-                    // way (a caught unwind, then a clean compile).
-                    let attempt = std::panic::catch_unwind(|| {
-                        std::panic::panic_any(crate::fault::InjectedPanic)
-                    });
-                    debug_assert!(attempt.is_err());
-                }
-                let plan = plan_redistribution(
-                    &self.mappings[src as usize],
-                    &self.mappings[dst as usize],
-                    self.elem_size,
-                );
-                machine.stats.plans_computed += 1;
-                Arc::new(PlannedRemap::compile(plan))
-            }
-        };
-        self.plan_cache.insert((src, dst), Arc::clone(&entry));
-        entry
+        let (planned, out) = machine.registry.resolve(
+            &self.mappings[src as usize],
+            &self.mappings[dst as usize],
+            self.elem_size,
+            inject_compile_panic,
+        );
+        machine.stats.bill(&out);
+        machine.stats.plans_computed += u64::from(!out.hit);
+        self.plan_cache.insert((src, dst), Arc::clone(&planned));
+        planned
     }
 
     /// Seed the plan cache with a remapping planned elsewhere —
@@ -275,20 +181,8 @@ impl ArrayRt {
         if self.plan_cache.contains_key(&(src, dst)) {
             return;
         }
-        let canonical = match machine.registry.clone() {
-            Some(reg) => {
-                let (canon, out) = reg.adopt(planned);
-                if out.hit {
-                    machine.stats.registry_hits += 1;
-                } else {
-                    machine.stats.registry_misses += 1;
-                }
-                machine.stats.registry_evictions += out.evicted;
-                machine.stats.lock_poison_recoveries += out.lock_recoveries;
-                canon
-            }
-            None => planned,
-        };
+        let (canonical, out) = machine.registry.adopt(planned);
+        machine.stats.bill(&out);
         self.plan_cache.insert((src, dst), canonical);
     }
 
@@ -520,9 +414,7 @@ impl ArrayRt {
                                 crate::fault::poison_program(p);
                                 machine.stats.faults_injected += 1;
                                 let bad = Arc::new(bad);
-                                if let Some(reg) = &machine.registry {
-                                    reg.install(Arc::clone(&bad));
-                                }
+                                machine.registry.install(Arc::clone(&bad));
                                 *entry = bad;
                             }
                         }
@@ -584,14 +476,12 @@ impl ArrayRt {
                             let mut healthy = PlannedRemap::clone(entry);
                             healthy.program = Some(fresh);
                             let healthy = Arc::new(healthy);
-                            if let Some(reg) = &machine.registry {
-                                reg.install(Arc::clone(&healthy));
-                                // Strike one against the pair: a pair that
-                                // keeps needing repair is quarantined (served
-                                // table-only).
-                                if reg.note_repair(&healthy) {
-                                    machine.stats.quarantined_pairs += 1;
-                                }
+                            machine.registry.install(Arc::clone(&healthy));
+                            // Strike one against the pair: a pair that
+                            // keeps needing repair is quarantined (served
+                            // table-only).
+                            if machine.registry.note_repair(&healthy) {
+                                machine.stats.quarantined_pairs += 1;
                             }
                             *entry = healthy;
                         }
@@ -773,6 +663,7 @@ pub(crate) fn version_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::redist::plan_redistribution;
     use hpfc_mapping::{
         Alignment, DimFormat, Distribution, Extents, GridId, Mapping, ProcGrid, Template,
         TemplateId,
@@ -945,20 +836,33 @@ mod tests {
 
     #[test]
     fn remap_loop_plans_once_per_direction() {
-        for symbolic in [true, false] {
+        use hpfc_mapping::testing::mapping_2d;
+        let (row, col) = (
+            vec![DimFormat::Block(None), DimFormat::Collapsed],
+            vec![DimFormat::Collapsed, DimFormat::Block(None)],
+        );
+        // One pair the symbolic layer admits, one it declines (a 2-D
+        // array): the books read the same, only where the two entries
+        // land differs — and that is decided by the shape.
+        let shapes = [
+            (vec![mk(16, 4, DimFormat::Block(None)), mk(16, 4, DimFormat::Cyclic(None))], 1, true),
+            (vec![mapping_2d(8, 4, row), mapping_2d(8, 4, col)], 2, false),
+        ];
+        for (mappings, rank, symbolic) in shapes {
             // An isolated registry: the process-wide one is shared with
             // every other test in this binary, which would make the
             // computed/hit split here nondeterministic.
             let registry = Arc::new(crate::PlanRegistry::new(2, 64));
-            let (m, mut a) = rt();
-            let mut m = m.with_registry(Arc::clone(&registry)).with_symbolic(symbolic);
+            let mut m = Machine::new(4).with_registry(Arc::clone(&registry));
+            let mut a = ArrayRt::new("a", mappings, 8);
             a.current(&mut m, 0).fill(|p| p[0] as f64);
             let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+            let (p0, p1) = (vec![0; rank], vec![1; rank]);
             for i in 0..10 {
                 a.remap(&mut m, 1, &keep, false);
-                a.set(&[0], i as f64); // stale the other copy: every remap moves data
+                a.set(&p0, i as f64); // stale the other copy: every remap moves data
                 a.remap(&mut m, 0, &keep, false);
-                a.set(&[1], i as f64);
+                a.set(&p1, i as f64);
             }
             assert_eq!(m.stats.remaps_performed, 20);
             // The loop planned exactly once per direction; all later
@@ -970,14 +874,9 @@ mod tests {
             assert_eq!(m.stats.plan_cache_hits, 18);
             assert_eq!(m.stats.registry_misses, 2);
             assert_eq!(m.stats.registry_hits, 0);
-            // Same compile-once accounting under both keying schemes; only
-            // where the two entries live differs (concrete shards vs the
-            // symbolic format-pair table).
-            if symbolic {
-                assert_eq!((registry.len(), registry.sym_len()), (0, 2));
-            } else {
-                assert_eq!((registry.len(), registry.sym_len()), (2, 0));
-            }
+            assert_eq!(m.stats.symbolic_declines, if symbolic { 0 } else { 2 });
+            let landed = if symbolic { (0, 2) } else { (2, 0) };
+            assert_eq!((registry.len(), registry.sym_len()), landed);
         }
     }
 

@@ -25,14 +25,13 @@
 //! one closed-form instantiation per new `P`, billed to
 //! `NetStats::symbolic_instantiations` instead.
 //!
-//! The layer is on by default (a machine built
-//! [`crate::Machine::with_symbolic`]`(false)` keeps the concrete
-//! keying) and partial by design: shapes the
-//! symbolic normalizer declines (replication, constant alignments,
-//! multi-dimensional grids) fall back to the concrete per-mapping-pair
-//! keys, counted in `NetStats::symbolic_declines`.
+//! The layer is partial by design, and which keying serves a pair is
+//! decided by the pair's shape alone, inside
+//! [`crate::PlanRegistry::resolve`]: shapes the symbolic normalizer
+//! declines (replication, constant alignments, multi-dimensional
+//! grids) compile on the concrete per-mapping-pair keys, counted in
+//! `NetStats::symbolic_declines`.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -40,28 +39,8 @@ use hpfc_mapping::symbolic::FormatPair;
 use hpfc_mapping::Extents;
 
 use crate::redist::{plan_redistribution, RedistPlan};
+use crate::registry::Lru;
 use crate::status::PlannedRemap;
-
-/// What one symbolic registry lookup did, for the caller's
-/// [`crate::NetStats`] bookkeeping. Mirrors
-/// [`crate::registry::RegistryOutcome`] for the format-pair table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SymbolicOutcome {
-    /// The format pair was already registered (the parametric plan was
-    /// served, not created).
-    pub hit: bool,
-    /// A registered parametric plan materialized a concrete artifact at
-    /// an instantiation point it had not seen before — the cheap
-    /// re-provisioning path (`NetStats::symbolic_instantiations`).
-    /// Always `false` when `hit` is `false`: the first materialization
-    /// of a fresh format pair is billed as an ordinary compile
-    /// (`registry_misses` + `plans_computed`), exactly like the
-    /// concrete keying scheme, so compile-once accounting stays
-    /// identical under both schemes.
-    pub instantiated: bool,
-    /// Poisoned locks recovered during this lookup.
-    pub lock_recoveries: u64,
-}
 
 /// Most instantiation points one [`SymbolicPlan`] keeps resident. An
 /// instantiation is closed-form in the extent (sub-millisecond), so a
@@ -73,12 +52,8 @@ pub struct SymbolicOutcome {
 pub const INSTANCE_CAP: usize = 64;
 
 /// The instance cache: artifacts by instantiation point
-/// `(p_src, p_dst, extent)`, each with the clock stamp of its last use.
-#[derive(Default)]
-struct Instances {
-    map: BTreeMap<(u64, u64, u64), (u64, Arc<PlannedRemap>)>,
-    clock: u64,
-}
+/// `(p_src, p_dst, extent)`.
+type Instances = Lru<(u64, u64, u64), Arc<PlannedRemap>>;
 
 /// A parametric remap plan: a `(format, format)` pair with `P` left
 /// free, plus the cache of concrete artifacts it has been instantiated
@@ -132,7 +107,7 @@ impl SymbolicPlan {
     /// Concrete instantiation points currently resident (at most
     /// [`INSTANCE_CAP`]).
     pub fn instances(&self) -> usize {
-        self.lock().map.len()
+        self.lock().len()
     }
 
     /// Instantiation points evicted to stay within [`INSTANCE_CAP`],
@@ -178,10 +153,7 @@ impl SymbolicPlan {
     ) -> Option<(Arc<PlannedRemap>, bool)> {
         let key = (p_src, p_dst, extent);
         let mut cache = self.lock();
-        cache.clock += 1;
-        let now = cache.clock;
-        if let Some((stamp, planned)) = cache.map.get_mut(&key) {
-            *stamp = now;
+        if let Some(planned) = cache.touch(&key) {
             return Some((Arc::clone(planned), false));
         }
         let shape = Extents::new(&[extent]);
@@ -189,12 +161,8 @@ impl SymbolicPlan {
         let dst = self.formats.1.instantiate(p_dst, &shape)?;
         let planned =
             Arc::new(PlannedRemap::compile(plan_redistribution(&src, &dst, self.elem_size)));
-        cache.map.insert(key, (now, Arc::clone(&planned)));
-        if cache.map.len() > INSTANCE_CAP {
-            let lru = cache.map.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| *k);
-            cache.map.remove(&lru.expect("a map over the cap is not empty"));
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        let evicted = cache.insert(key, Arc::clone(&planned), INSTANCE_CAP);
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
         Some((planned, true))
     }
 }

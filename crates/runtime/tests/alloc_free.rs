@@ -22,7 +22,10 @@ use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hpfc_mapping::{testing::mapping_1d as mk, DimFormat};
+use hpfc_mapping::{
+    testing::{mapping_1d as mk, mapping_2d},
+    DimFormat,
+};
 use hpfc_runtime::{
     plan_redistribution, remap_group, ArrayRt, CommSchedule, CopyProgram, ExecMode, GroupMember,
     Machine, PlanRegistry, PlannedGroup, PlannedRemap, VersionData,
@@ -79,6 +82,14 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// A serial machine on a registry of its own, so the exact
+/// `plans_computed` assertions of one section cannot be satisfied by
+/// another section's (or the process-wide registry's) registrations.
+fn isolated() -> Machine {
+    let registry = std::sync::Arc::new(PlanRegistry::new(2, 64));
+    Machine::new(4).with_exec_mode(ExecMode::Serial).with_registry(registry)
+}
+
 #[test]
 fn steady_state_remap_allocates_nothing() {
     COUNTED.with(|c| c.set(true));
@@ -126,12 +137,8 @@ fn steady_state_remap_allocates_nothing() {
 
     // --- 2. The whole cached remap path is allocation-free. -----------
     // remap = status check + cache lookup (Arc clone) + schedule
-    // accounting (machine scratch arena) + program replay. The registry
-    // is isolated per section so the exact plans_computed assertions
-    // cannot be satisfied by another section's registrations.
-    let mut machine = Machine::new(4)
-        .with_exec_mode(ExecMode::Serial)
-        .with_registry(std::sync::Arc::new(PlanRegistry::new(2, 64)));
+    // accounting (machine scratch arena) + program replay.
+    let mut machine = isolated();
     let mut rt = ArrayRt::new("a", vec![src, dst], 8);
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
@@ -168,9 +175,7 @@ fn steady_state_remap_allocates_nothing() {
     // remap bounce.
     let saved: u32 = 0; // the tag SaveStatus recorded before the call
     let dummy: u32 = 1; // the callee's version
-    let mut machine = Machine::new(4)
-        .with_exec_mode(ExecMode::Serial)
-        .with_registry(std::sync::Arc::new(PlanRegistry::new(2, 64)));
+    let mut machine = isolated();
     let src = mk(n, 4, DimFormat::Block(None));
     let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
     let mut rt = ArrayRt::new("a", vec![src, dst], 8);
@@ -276,42 +281,44 @@ fn steady_state_remap_allocates_nothing() {
     // lock the registry shard, touch the LRU stamp, clone the artifact
     // out, and re-seed the local view (BTreeMap leaf reuse — the key
     // was just removed). None of it may heap-allocate, and the data a
-    // registry-served session produces must be byte-identical to the
-    // solo path's.
+    // registry-served session produces must be byte-identical to a
+    // session that never evicts its local view.
+    // A 64 x 64 array: the symbolic layer declines it, so this section
+    // measures the concrete shard path; section 8 measures the
+    // symbolic one.
     let registry = std::sync::Arc::new(PlanRegistry::new(4, 64));
-    let src = mk(n, 4, DimFormat::Block(None));
-    let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
-    // Concrete keys pinned explicitly — this section measures the
-    // concrete shard path; section 8 measures the symbolic one.
+    let src = mapping_2d(64, 4, vec![DimFormat::Block(None), DimFormat::Collapsed]);
+    let dst = mapping_2d(64, 4, vec![DimFormat::Collapsed, DimFormat::Cyclic(Some(3))]);
     let mut machine = Machine::new(4)
         .with_exec_mode(ExecMode::Serial)
-        .with_registry(std::sync::Arc::clone(&registry))
-        .with_symbolic(false);
-    let mut solo_machine = Machine::new(4).with_exec_mode(ExecMode::Serial).without_registry();
+        .with_registry(std::sync::Arc::clone(&registry));
+    let mut solo_machine = isolated();
     let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
     let mut solo = ArrayRt::new("s", vec![src, dst], 8);
-    rt.current(&mut machine, 0).fill(|p| (7 * p[0] + 3) as f64);
-    solo.current(&mut solo_machine, 0).fill(|p| (7 * p[0] + 3) as f64);
+    rt.current(&mut machine, 0).fill(|p| (7 * (64 * p[0] + p[1]) + 3) as f64);
+    solo.current(&mut solo_machine, 0).fill(|p| (7 * (64 * p[0] + p[1]) + 3) as f64);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    let (first, second) = ([0u64, 0], [0u64, 1]);
     // Warm up: registers both directions, grows scratch, seeds locals.
     for _ in 0..2 {
         for (r, m) in [(&mut rt, &mut machine), (&mut solo, &mut solo_machine)] {
             r.remap(m, 1, &keep, false);
-            r.set(&[0], 1.0);
+            r.set(&first, 1.0);
             r.remap(m, 0, &keep, false);
-            r.set(&[1], 1.0);
+            r.set(&second, 1.0);
         }
     }
+    assert_eq!((registry.len(), registry.sym_len()), (2, 0), "the shape lands in the shards");
     let hits = machine.stats.registry_hits;
     for i in 0..10u64 {
-        rt.set(&[0], i as f64); // outside the measured window
-        solo.set(&[0], i as f64);
+        rt.set(&first, i as f64); // outside the measured window
+        solo.set(&first, i as f64);
         rt.plan_cache.remove(&(0, 1)); // evict the local view: the registry serves
         let before = allocations();
         rt.remap(&mut machine, 1, &keep, false);
         assert_eq!(allocations(), before, "registry-hit remap {i} ->1 allocated");
-        rt.set(&[1], i as f64);
-        solo.set(&[1], i as f64);
+        rt.set(&second, i as f64);
+        solo.set(&second, i as f64);
         rt.plan_cache.remove(&(1, 0));
         let before = allocations();
         rt.remap(&mut machine, 0, &keep, false);
@@ -323,11 +330,14 @@ fn steady_state_remap_allocates_nothing() {
     assert_eq!(machine.stats.registry_hits, hits + 20);
     assert_eq!(machine.stats.plans_computed, 2, "compiled once per direction, ever");
     assert_eq!(machine.stats.registry_misses, 2);
-    assert_eq!(solo_machine.stats.plans_computed, 2, "the solo A/B baseline plans itself");
-    // ...and the served artifact moves bytes identically to the solo
-    // path.
-    for i in 0..n {
-        assert_eq!(rt.get(&[i]), solo.get(&[i]), "registry and solo paths diverge at {i}");
+    assert_eq!(machine.stats.symbolic_declines, 2, "asked once per compile, never per hit");
+    assert_eq!(solo_machine.stats.plans_computed, 2, "the baseline session plans itself");
+    // ...and the served artifact moves bytes identically to the
+    // baseline's.
+    for i in 0..64 {
+        for j in 0..64 {
+            assert_eq!(rt.get(&[i, j]), solo.get(&[i, j]), "sessions diverge at ({i}, {j})");
+        }
     }
 
     // --- 6. The transactional happy path is allocation-free too. ------
@@ -340,10 +350,7 @@ fn steady_state_remap_allocates_nothing() {
     // per cached bounce, and the happy path never rolls back.
     let src = mk(n, 4, DimFormat::Block(None));
     let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
-    let mut machine = Machine::new(4)
-        .with_exec_mode(ExecMode::Serial)
-        .without_registry()
-        .with_validation(hpfc_runtime::ValidationLevel::Counts);
+    let mut machine = isolated().with_validation(hpfc_runtime::ValidationLevel::Counts);
     let mut rt = ArrayRt::new("a", vec![src, dst], 8);
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
@@ -378,10 +385,7 @@ fn steady_state_remap_allocates_nothing() {
     // must reuse warm capacity, exactly like the triple path above.
     let src = mk(n, 4, DimFormat::Block(None));
     let dst = mk(n, 4, DimFormat::Cyclic(None));
-    let mut machine = Machine::new(4)
-        .with_exec_mode(ExecMode::Serial)
-        .without_registry()
-        .with_validation(hpfc_runtime::ValidationLevel::Counts);
+    let mut machine = isolated().with_validation(hpfc_runtime::ValidationLevel::Counts);
     let mut rt = ArrayRt::new("a", vec![src, dst], 8);
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
@@ -423,7 +427,7 @@ fn steady_state_remap_allocates_nothing() {
     assert_eq!(machine.stats.plans_computed, 2, "planned once per direction");
 
     // --- 8. A SYMBOLIC registry-hit bounce is allocation-free too. ----
-    // Section 5 with symbolic keying pinned on: the local view
+    // Section 5 for a shape the symbolic layer admits: the local view
     // is evicted before every measured remap, so each takes the full
     // symbolic flow — probe the concrete tables (miss: under symbolic
     // keying nothing was ever registered there), reduce both mappings
@@ -440,8 +444,7 @@ fn steady_state_remap_allocates_nothing() {
     let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
     let mut machine = Machine::new(4)
         .with_exec_mode(ExecMode::Serial)
-        .with_registry(std::sync::Arc::clone(&registry))
-        .with_symbolic(true);
+        .with_registry(std::sync::Arc::clone(&registry));
     let mut rt = ArrayRt::new("a", vec![src, dst], 8);
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
@@ -491,7 +494,7 @@ fn steady_state_remap_allocates_nothing() {
     // element, so the recycled buffers are not even re-zeroed.)
     let src = mk(n, 4, DimFormat::Block(None));
     let dst = mk(n, 4, DimFormat::Cyclic(None));
-    let mut machine = Machine::new(4).with_exec_mode(ExecMode::Serial).without_registry();
+    let mut machine = isolated();
     let mut rt = ArrayRt::new("a", vec![src, dst], 8);
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     let (only0, only1): (BTreeSet<u32>, BTreeSet<u32>) = ([0u32].into(), [1u32].into());

@@ -22,12 +22,36 @@ use hpfc_mapping::{
 };
 use hpfc_runtime::{
     plan_redistribution, remap_group, try_remap_group, ArrayRt, ExecError, ExecMode, FaultKind,
-    FaultPlan, GroupMember, Machine, PlannedGroup, PlannedRemap, ValidationLevel,
+    FaultPlan, GroupMember, Machine, PlanRegistry, PlannedGroup, PlannedRemap, ValidationLevel,
 };
 use proptest::prelude::*;
 
 fn mk1d(n: u64, p: u64, fmt: DimFormat) -> NormalizedMapping {
     hpfc_mapping::testing::mapping_1d(n, p, fmt)
+}
+
+/// A machine on a registry of its own: nothing another test registered,
+/// poisoned or quarantined in the process-wide one can reach it, so its
+/// counters are exact.
+fn isolated(nprocs: u64) -> Machine {
+    Machine::new(nprocs).with_registry(Arc::new(PlanRegistry::new(2, 64)))
+}
+
+/// A 1-D array the symbolic layer declines — replicated along the
+/// second axis of a 2 × 2 grid — so its plans land in the registry's
+/// concrete shards where a plain [`mk1d`] pair lands in the format-pair
+/// table.
+fn mk_replicated(n: u64, fmt: DimFormat) -> NormalizedMapping {
+    let template =
+        Template { id: TemplateId(0), name: "T".into(), shape: Extents::new(&[n, 2]) };
+    let grid = ProcGrid { id: GridId(0), name: "P".into(), shape: Extents::new(&[2, 2]) };
+    let align = Alignment {
+        template: TemplateId(0),
+        targets: vec![AlignTarget::identity(0), AlignTarget::Replicate],
+    };
+    Mapping { align, dist: Distribution::new(GridId(0), vec![fmt, DimFormat::Block(None)]) }
+        .normalize(&Extents::new(&[n]), &template, &grid)
+        .expect("constructed mapping is well-formed")
 }
 
 /// A fresh array bouncing between BLOCK and CYCLIC(3) over `p` procs,
@@ -72,8 +96,7 @@ fn assert_matches_oracle(rt: &ArrayRt, shadow: &[f64], what: &str) {
 #[test]
 fn corruption_at_full_rate_falls_back_to_tables() {
     let n = 4096u64;
-    let mut machine = Machine::new(4)
-        .without_registry()
+    let mut machine = isolated(4)
         .with_exec_mode(ExecMode::Serial)
         .with_faults(FaultPlan::new(11, 100, &[FaultKind::CorruptRound]))
         .with_validation(ValidationLevel::Checksums);
@@ -96,8 +119,7 @@ fn corruption_at_full_rate_falls_back_to_tables() {
 #[test]
 fn corruption_at_moderate_rate_heals_by_retry() {
     let n = 4096u64;
-    let mut machine = Machine::new(4)
-        .without_registry()
+    let mut machine = isolated(4)
         .with_exec_mode(ExecMode::Serial)
         .with_faults(FaultPlan::new(5, 40, &[FaultKind::CorruptRound]))
         .with_validation(ValidationLevel::Checksums);
@@ -115,8 +137,7 @@ fn corruption_at_moderate_rate_heals_by_retry() {
 #[test]
 fn worker_panic_degrades_round_to_serial() {
     let n = 1u64 << 18; // rounds comfortably above PARALLEL_THRESHOLD
-    let mut machine = Machine::new(4)
-        .without_registry()
+    let mut machine = isolated(4)
         .with_exec_mode(ExecMode::Parallel(4))
         .with_faults(FaultPlan::new(3, 100, &[FaultKind::WorkerPanic]));
     let mut rt = seeded_array(n, 4);
@@ -136,8 +157,7 @@ fn worker_panic_degrades_round_to_serial() {
 #[test]
 fn poisoned_cache_entries_are_recompiled_and_repaired() {
     let n = 4096u64;
-    let mut machine = Machine::new(4)
-        .without_registry()
+    let mut machine = isolated(4)
         .with_exec_mode(ExecMode::Serial)
         .with_faults(FaultPlan::new(17, 100, &[FaultKind::PoisonProgram]));
     let mut rt = seeded_array(n, 4);
@@ -164,28 +184,26 @@ fn poisoned_cache_entries_are_recompiled_and_repaired() {
 #[test]
 fn a_poisoned_registry_entry_heals_once_and_never_reaches_a_second_session() {
     let n = 4096u64;
-    for symbolic in [true, false] {
-        let registry = Arc::new(hpfc_runtime::PlanRegistry::new(2, 64));
-        let src = mk1d(n, 4, DimFormat::Block(None));
-        let dst = mk1d(n, 4, DimFormat::Cyclic(Some(3)));
+    let (block, cyclic3) = (DimFormat::Block(None), DimFormat::Cyclic(Some(3)));
+    // Wherever the shape makes the two entries land — the symbolic
+    // per-format-pair table, or the concrete per-mapping-pair shards
+    // for a pair the symbolic layer declines — the repair is the same.
+    let shapes = [
+        (mk1d(n, 4, block), mk1d(n, 4, cyclic3), (0, 2)),
+        (mk_replicated(n, block), mk_replicated(n, cyclic3), (2, 0)),
+    ];
+    for (src, dst, landed) in shapes {
+        let registry = Arc::new(PlanRegistry::new(2, 64));
         let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
 
         // Session A, fault-free: registers both directions in the registry.
         let mut ma = Machine::new(4)
             .with_exec_mode(ExecMode::Serial)
-            .with_registry(Arc::clone(&registry))
-            .with_symbolic(symbolic);
+            .with_registry(Arc::clone(&registry));
         let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
         let shadow_a = bounce_and_oracle(&mut ma, &mut a, n, 2);
         assert_eq!(ma.stats.plans_computed, 2, "A planned both directions");
-        // Where the two entries live depends on the keying scheme:
-        // concrete per-mapping-pair shards, or the symbolic
-        // per-format-pair table. Either way: two entries.
-        if symbolic {
-            assert_eq!((registry.len(), registry.sym_len()), (0, 2));
-        } else {
-            assert_eq!((registry.len(), registry.sym_len()), (2, 0));
-        }
+        assert_eq!((registry.len(), registry.sym_len()), landed);
 
         // One poisoned remap: the corrupt artifact transits the registry
         // (installed so corruption is visible registry-wide, like a real
@@ -200,8 +218,7 @@ fn a_poisoned_registry_entry_heals_once_and_never_reaches_a_second_session() {
         // Session B: fresh machine + fresh array, same registry, no faults.
         let mut mb = Machine::new(4)
             .with_exec_mode(ExecMode::Serial)
-            .with_registry(Arc::clone(&registry))
-            .with_symbolic(symbolic);
+            .with_registry(Arc::clone(&registry));
         let mut b = ArrayRt::new("b", vec![src, dst], 8);
         let shadow_b = bounce_and_oracle(&mut mb, &mut b, n, 4);
         assert_matches_oracle(&b, &shadow_b, "session B over the repaired registry");
@@ -234,8 +251,7 @@ fn wire_loss_heals_and_accounts_each_remap_once() {
         8,
     );
     for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
-        let mut machine = Machine::new(4)
-            .without_registry()
+        let mut machine = isolated(4)
             .with_exec_mode(mode)
             .with_faults(FaultPlan::new(
                 23,
@@ -287,8 +303,7 @@ fn group_remaps_heal_under_chaos() {
     for (faults, validation) in cases {
         let fwd = PlannedGroup::compile(vec![solo(&src, &dst), solo(&src, &dst)]);
         let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
-        let mut machine = Machine::new(4)
-            .without_registry()
+        let mut machine = isolated(4)
             .with_exec_mode(ExecMode::Serial)
             .with_faults(faults)
             .with_validation(validation);
@@ -339,7 +354,7 @@ fn group_remaps_heal_under_chaos() {
 fn unrecoverable_paths_return_typed_errors() {
     let n = 256u64;
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-    let mut machine = Machine::new(4).without_registry().with_exec_mode(ExecMode::Serial);
+    let mut machine = isolated(4).with_exec_mode(ExecMode::Serial);
     let mut rt = seeded_array(n, 4);
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     // Sabotage: drop the source copy behind the status tag.
@@ -383,8 +398,7 @@ fn a_missing_source_copy_fails_before_anything_is_billed() {
     let solo = Arc::new(PlannedRemap::compile(plan_redistribution(&src, &dst, 8)));
     let planned = PlannedGroup::compile(vec![Arc::clone(&solo), solo]);
     for validation in [ValidationLevel::Off, ValidationLevel::Counts] {
-        let mut machine = Machine::new(4)
-            .without_registry()
+        let mut machine = isolated(4)
             .with_exec_mode(ExecMode::Serial)
             .with_validation(validation);
         let mut a = seeded_array(n, 4);
@@ -468,8 +482,7 @@ fn fault_sites_are_pinned_for_solo_and_group_bounces() {
     for (faults, validation, want) in pins {
         for (m, mode) in [ExecMode::Serial, ExecMode::Parallel(4)].into_iter().enumerate() {
             let machine = || {
-                Machine::new(4)
-                    .without_registry()
+                isolated(4)
                     .with_exec_mode(mode)
                     .with_faults(faults)
                     .with_validation(validation)
@@ -510,29 +523,25 @@ fn fault_sites_are_pinned_for_solo_and_group_bounces() {
 /// Injected ladder exhaustion is terminal by design — and transactional:
 /// the typed error surfaces only after the destination version was
 /// rolled back to its exact pre-remap state (bytes, status, live flags,
-/// allocation), under both engines, with and without a shared registry.
+/// allocation), under both engines, planned from seeded caches and
+/// through the registry.
 #[test]
 fn exhaustion_rolls_a_solo_remap_back_to_its_pre_remap_state() {
     let n = 4096u64;
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
-        for use_registry in [false, true] {
-            let mut machine = Machine::new(4).with_exec_mode(mode);
-            machine = if use_registry {
-                machine.with_registry(Arc::new(hpfc_runtime::PlanRegistry::new(2, 64)))
+        for seeded in [true, false] {
+            let mut machine = isolated(4).with_exec_mode(mode);
+            // Plan through pre-seeded per-array caches, or through the
+            // registry (shared artifacts).
+            let mut rt = if seeded {
+                seeded_array(n, 4)
             } else {
-                machine.without_registry()
-            };
-            // With the registry on, plan through it (shared artifacts);
-            // without, through pre-seeded per-array caches.
-            let mut rt = if use_registry {
                 ArrayRt::new(
                     "a",
                     vec![mk1d(n, 4, DimFormat::Block(None)), mk1d(n, 4, DimFormat::Cyclic(Some(3)))],
                     8,
                 )
-            } else {
-                seeded_array(n, 4)
             };
             // Two clean bounces: both versions allocated, v1 stale.
             let shadow = bounce_and_oracle(&mut machine, &mut rt, n, 2);
@@ -544,7 +553,7 @@ fn exhaustion_rolls_a_solo_remap_back_to_its_pre_remap_state() {
             // Preallocated destination: the rollback restores its bytes.
             let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
             assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
-            assert_eq!(machine.stats.txn_rollbacks, 1, "({mode:?}, registry={use_registry})");
+            assert_eq!(machine.stats.txn_rollbacks, 1, "({mode:?}, seeded={seeded})");
             assert_eq!(rt.status, pre.0, "status restored");
             assert_eq!(rt.live, pre.1, "live flags restored");
             assert_eq!(rt.copies, pre.2, "destination bytes are byte-identical to pre-remap");
@@ -593,7 +602,7 @@ fn exhaustion_rolls_back_strided_kernel_destinations_byte_identically() {
         assert!(prog.runs.is_empty(), "no residual triples for cyclic(1)");
     }
     for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
-        let mut machine = Machine::new(4).without_registry().with_exec_mode(mode);
+        let mut machine = isolated(4).with_exec_mode(mode);
         let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
         rt.seed_plan(0, 1, Arc::clone(&fwd));
         rt.seed_plan(1, 0, Arc::clone(&back));
@@ -629,7 +638,7 @@ fn exhaustion_rolls_back_strided_kernel_destinations_byte_identically() {
 fn transactions_off_leaves_the_partial_write_behind() {
     let n = 4096u64;
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-    let mut machine = Machine::new(4).without_registry().with_exec_mode(ExecMode::Serial);
+    let mut machine = isolated(4).with_exec_mode(ExecMode::Serial);
     let mut rt = seeded_array(n, 4);
     bounce_and_oracle(&mut machine, &mut rt, n, 2);
     // Refresh every element of the current copy so the stale v1
@@ -663,7 +672,7 @@ fn exhaustion_rolls_a_coalesced_group_back_atomically() {
     for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
         let fwd = PlannedGroup::compile(vec![solo(&src, &dst), solo(&src, &dst)]);
         let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
-        let mut machine = Machine::new(4).without_registry().with_exec_mode(mode);
+        let mut machine = isolated(4).with_exec_mode(mode);
         let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
         let mut b = ArrayRt::new("b", vec![src.clone(), dst.clone()], 8);
         a.current(&mut machine, 0).fill(|p| p[0] as f64);
@@ -725,7 +734,7 @@ fn a_failing_member_uncommits_its_already_replayed_sibling() {
     let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     let skip = BTreeSet::new();
-    let mut machine = Machine::new(4).without_registry().with_exec_mode(ExecMode::Serial);
+    let mut machine = isolated(4).with_exec_mode(ExecMode::Serial);
     let mut a = seeded_array(n, 4);
     let mut b = seeded_array(n, 4);
     a.current(&mut machine, 0).fill(|p| p[0] as f64);
@@ -770,7 +779,7 @@ fn a_failing_member_uncommits_its_already_replayed_sibling() {
 #[test]
 fn a_contained_compile_panic_still_heals_to_the_oracle() {
     let n = 4096u64;
-    let registry = Arc::new(hpfc_runtime::PlanRegistry::new(2, 64));
+    let registry = Arc::new(PlanRegistry::new(2, 64));
     let mut machine = Machine::new(4)
         .with_exec_mode(ExecMode::Serial)
         .with_registry(Arc::clone(&registry))
@@ -800,7 +809,7 @@ fn a_contained_compile_panic_still_heals_to_the_oracle() {
 #[test]
 fn a_quarantined_pair_serves_the_table_engine_in_the_next_session() {
     let n = 4096u64;
-    let registry = Arc::new(hpfc_runtime::PlanRegistry::new(2, 64));
+    let registry = Arc::new(PlanRegistry::new(2, 64));
     let src = mk1d(n, 4, DimFormat::Block(None));
     let dst = mk1d(n, 4, DimFormat::Cyclic(Some(3)));
 
@@ -913,8 +922,7 @@ proptest! {
         let dst = realize_mapping(6, 5, grid, dst_cfg);
         let nprocs = src.grid_shape.volume();
         for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
-            let mut machine = Machine::new(nprocs)
-                .without_registry()
+            let mut machine = isolated(nprocs)
                 .with_exec_mode(mode)
                 .with_faults(FaultPlan::all(seed, rate))
                 .with_validation(ValidationLevel::Checksums);
@@ -983,8 +991,7 @@ proptest! {
         let src = realize_mapping(6, 5, grid, src_cfg);
         let dst = realize_mapping(6, 5, grid, dst_cfg);
         let nprocs = src.grid_shape.volume();
-        let mut machine = Machine::new(nprocs)
-            .without_registry()
+        let mut machine = isolated(nprocs)
             .with_exec_mode(ExecMode::Serial)
             .with_faults(FaultPlan::new(seed, 100, &[FaultKind::Exhaust]));
         let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);

@@ -24,8 +24,8 @@ use std::sync::Arc;
 use hpfc_mapping::{testing::mapping_1d as mk1d, DimFormat, NormalizedMapping};
 use hpfc_runtime::{
     plan_by_enumeration, plan_redistribution, try_remap_group, ArrayRt, CopyUnit, ExecError,
-    ExecMode, FaultKind, FaultPlan, GroupMember, Machine, NetStats, PlannedGroup, PlannedRemap,
-    VersionData,
+    ExecMode, FaultKind, FaultPlan, GroupMember, Machine, NetStats, PlanRegistry, PlannedGroup,
+    PlannedRemap, VersionData,
 };
 
 const PS: [u64; 6] = [2, 3, 4, 7, 8, 16];
@@ -69,7 +69,8 @@ struct Session {
 impl Session {
     fn new(versions: &[NormalizedMapping], mode: ExecMode, recycle: bool) -> Session {
         let p = versions[0].grid_shape.volume();
-        let machine = Machine::new(p).without_registry().with_exec_mode(mode);
+        let registry = Arc::new(PlanRegistry::new(2, 64));
+        let machine = Machine::new(p).with_registry(registry).with_exec_mode(mode);
         let mut arrays = ["a", "b"].map(|name| ArrayRt::new(name, versions.to_vec(), 8));
         for rt in &mut arrays {
             for (s, src) in versions.iter().enumerate() {

@@ -17,15 +17,46 @@ fn mk1d(n: u64, p: u64, fmt: DimFormat) -> NormalizedMapping {
     hpfc_mapping::testing::mapping_1d(n, p, fmt)
 }
 
+/// The two shapes [`PlanRegistry::resolve`] tells apart: a 1-D pair
+/// the symbolic layer admits (its entries land in the format-pair
+/// table) and a 2-D array it declines (concrete shards). Every
+/// compile-once assertion below holds for both; only where the entries
+/// land differs, and that is decided by the shape.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    Symbolic,
+    Declined,
+}
+
+impl Shape {
+    /// `(len, sym_len)` of a registry holding `entries` of this shape.
+    fn landed(self, entries: usize) -> (usize, usize) {
+        match self {
+            Shape::Symbolic => (0, entries),
+            Shape::Declined => (entries, 0),
+        }
+    }
+}
+
 /// `k` distinct (src, dst) pairs — distinct extents, so each interns to
 /// its own identity and the registry holds `2k` directional artifacts
 /// when warm. Extents are unique to this file so the process-wide
 /// interner never collides with another test's pairs.
-fn pool(k: usize) -> Vec<(NormalizedMapping, NormalizedMapping)> {
+fn pool(shape: Shape, k: usize) -> Vec<(NormalizedMapping, NormalizedMapping)> {
+    use hpfc_mapping::testing::mapping_2d;
     (0..k)
-        .map(|i| {
-            let n = 3072 + 128 * i as u64;
-            (mk1d(n, 4, DimFormat::Block(None)), mk1d(n, 4, DimFormat::Cyclic(Some(3))))
+        .map(|i| match shape {
+            Shape::Symbolic => {
+                let n = 3072 + 128 * i as u64;
+                (mk1d(n, 4, DimFormat::Block(None)), mk1d(n, 4, DimFormat::Cyclic(Some(3))))
+            }
+            Shape::Declined => {
+                let n = 56 + 4 * i as u64;
+                (
+                    mapping_2d(n, 4, vec![DimFormat::Block(None), DimFormat::Collapsed]),
+                    mapping_2d(n, 4, vec![DimFormat::Collapsed, DimFormat::Cyclic(Some(3))]),
+                )
+            }
         })
         .collect()
 }
@@ -36,30 +67,33 @@ fn pool(k: usize) -> Vec<(NormalizedMapping, NormalizedMapping)> {
 /// Returns the session's stats for merging. The fresh local plan cache
 /// means exactly the first hop in each direction consults the
 /// registry; every later hop is a local cache hit.
-/// `symbolic` pins the registry keying scheme (`true`: symbolic
-/// format-pair keys, the default; `false`: concrete mapping-pair keys).
 fn run_session(
     registry: &Arc<PlanRegistry>,
     src: &NormalizedMapping,
     dst: &NormalizedMapping,
     bounces: u32,
-    symbolic: bool,
 ) -> (NetStats, ArrayRt) {
     let n = src.array_extents.volume();
-    let mut machine =
-        Machine::new(4).with_registry(Arc::clone(registry)).with_symbolic(symbolic);
+    // Row-major point of flat index `i`, at the array's rank.
+    let cols = src.array_extents.extent(src.array_extents.rank() - 1);
+    let point = |i: u64| match src.array_extents.rank() {
+        1 => vec![i],
+        _ => vec![i / cols, i % cols],
+    };
+    let flat = |p: &[u64]| p.iter().fold(0, |acc, &x| acc * cols + x);
+    let mut machine = Machine::new(4).with_registry(Arc::clone(registry));
     let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
-    rt.current(&mut machine, 0).fill(|p| (3 * p[0] + 11) as f64);
+    rt.current(&mut machine, 0).fill(|p| (3 * flat(p) + 11) as f64);
     let mut shadow: Vec<f64> = (0..n).map(|i| (3 * i + 11) as f64).collect();
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     for b in 0..bounces {
         rt.remap(&mut machine, 1 - (b % 2), &keep, false);
         let touched = (13 * b as u64 + 5) % n;
-        rt.set(&[touched], 9000.0 + b as f64);
+        rt.set(&point(touched), 9000.0 + b as f64);
         shadow[touched as usize] = 9000.0 + b as f64;
     }
     for (i, want) in shadow.iter().enumerate() {
-        assert_eq!(rt.get(&[i as u64]), *want, "element {i} diverged from the oracle");
+        assert_eq!(rt.get(&point(i as u64)), *want, "element {i} diverged from the oracle");
     }
     (machine.stats, rt)
 }
@@ -77,9 +111,9 @@ fn many_sessions_compile_once_per_distinct_pair() {
     const THREADS: usize = 4;
     const SESSIONS: usize = 3;
     const PAIRS: usize = 5;
-    for symbolic in [true, false] {
+    for shape in [Shape::Symbolic, Shape::Declined] {
         let registry = Arc::new(PlanRegistry::new(4, 1024));
-        let pairs = Arc::new(pool(PAIRS));
+        let pairs = Arc::new(pool(shape, PAIRS));
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let registry = Arc::clone(&registry);
@@ -90,7 +124,7 @@ fn many_sessions_compile_once_per_distinct_pair() {
                         // Staggered: thread t's first session starts on
                         // pair t, so cold pairs are hammered concurrently.
                         let (src, dst) = &pairs[(t + s) % PAIRS];
-                        let (session, _) = run_session(&registry, src, dst, 4, symbolic);
+                        let (session, _) = run_session(&registry, src, dst, 4);
                         stats.merge(&session);
                     }
                     stats
@@ -110,14 +144,16 @@ fn many_sessions_compile_once_per_distinct_pair() {
         let consultations = (THREADS * SESSIONS * 2) as u64;
         assert_eq!(total.registry_hits, consultations - 2 * PAIRS as u64, "{total:?}");
         assert_eq!(total.registry_evictions, 0, "a generous cap never evicts");
-        // The compile-once books above hold under BOTH keying schemes; only
-        // where the 2×PAIRS entries live differs. The pool's pairs stay
+        // The compile-once books above hold for BOTH shapes; only where
+        // the 2×PAIRS entries live differs. The pool's pairs stay
         // distinct symbolically too: each extent gives `BLOCK` a different
         // block size and the templates different extents.
-        if symbolic {
-            assert_eq!((registry.len(), registry.sym_len()), (0, 2 * PAIRS));
-        } else {
-            assert_eq!((registry.len(), registry.sym_len()), (2 * PAIRS, 0));
+        assert_eq!((registry.len(), registry.sym_len()), shape.landed(2 * PAIRS), "{shape:?}");
+        // One decline per compile — and one more for every session that
+        // lost a race: declined, then served the winner's artifact.
+        match shape {
+            Shape::Symbolic => assert_eq!(total.symbolic_declines, 0),
+            Shape::Declined => assert!(total.symbolic_declines >= 2 * PAIRS as u64, "{total:?}"),
         }
         assert_eq!((registry.hits(), registry.misses()), (total.registry_hits, total.registry_misses));
     }
@@ -129,13 +165,13 @@ fn many_sessions_compile_once_per_distinct_pair() {
 /// same `Arc`s as the first session's.
 #[test]
 fn a_second_session_is_served_entirely_by_the_registry() {
-    for symbolic in [true, false] {
+    for shape in [Shape::Symbolic, Shape::Declined] {
         let registry = Arc::new(PlanRegistry::new(2, 64));
-        let pairs = pool(1);
+        let pairs = pool(shape, 1);
         let (src, dst) = &pairs[0];
-        let (s1, rt1) = run_session(&registry, src, dst, 4, symbolic);
+        let (s1, rt1) = run_session(&registry, src, dst, 4);
         assert_eq!((s1.plans_computed, s1.registry_misses, s1.registry_hits), (2, 2, 0), "{s1:?}");
-        let (s2, rt2) = run_session(&registry, src, dst, 4, symbolic);
+        let (s2, rt2) = run_session(&registry, src, dst, 4);
         assert_eq!(s2.plans_computed, 0, "{s2:?}");
         assert_eq!((s2.registry_misses, s2.registry_hits), (0, 2), "{s2:?}");
         // Not equal artifacts — pointer-identical ones.
@@ -152,38 +188,36 @@ fn a_second_session_is_served_entirely_by_the_registry() {
 /// round-robin. Every session runs two back-to-back fresh arrays over
 /// its pair — the first pulls both directions in (two misses, evicting
 /// the coldest resident artifacts), the second re-reads them while
-/// still resident (two hits). Every counter is pinned exactly.
+/// still resident (two hits). Every counter is pinned exactly, and
+/// identically for both tables: the one cap bounds each.
 #[test]
 fn eviction_counters_are_exact_under_a_tiny_cap() {
-    let registry = Arc::new(PlanRegistry::new(1, 2));
-    let pairs = pool(3);
-    const ROUNDS: usize = 3;
-    let mut total = NetStats::default();
-    let mut sessions = 0u64;
-    for _ in 0..ROUNDS {
-        for (src, dst) in &pairs {
-            for _ in 0..2 {
-                // Concrete keys pinned explicitly: this test exercises
-                // the concrete shards' LRU machinery, and the symbolic
-                // format-pair table is unbounded by design — under it
-                // the later rounds would be served without ever
-                // touching the eviction path being measured.
-                let (stats, _) = run_session(&registry, src, dst, 4, false);
-                total.merge(&stats);
+    for shape in [Shape::Symbolic, Shape::Declined] {
+        let registry = Arc::new(PlanRegistry::new(1, 2));
+        let pairs = pool(shape, 3);
+        const ROUNDS: usize = 3;
+        let mut total = NetStats::default();
+        let mut sessions = 0u64;
+        for _ in 0..ROUNDS {
+            for (src, dst) in &pairs {
+                for _ in 0..2 {
+                    let (stats, _) = run_session(&registry, src, dst, 4);
+                    total.merge(&stats);
+                }
+                sessions += 1;
             }
-            sessions += 1;
         }
+        // Per pair-session: 2 misses (fresh array A), 2 hits (fresh array
+        // B, entries still the warmest), and — once the two slots filled —
+        // each miss evicts the coldest resident, so only the very first
+        // session's two inserts land in empty slots.
+        assert_eq!(total.plans_computed, 2 * sessions, "{total:?}");
+        assert_eq!(total.registry_misses, 2 * sessions, "{total:?}");
+        assert_eq!(total.registry_hits, 2 * sessions, "{total:?}");
+        assert_eq!(total.registry_evictions, 2 * sessions - 2, "{total:?}");
+        assert_eq!((registry.len(), registry.sym_len()), shape.landed(2), "the cap bounds residency");
+        assert_eq!(registry.evictions(), total.registry_evictions);
     }
-    // Per pair-session: 2 misses (fresh array A), 2 hits (fresh array
-    // B, entries still the warmest), and — once the two slots filled —
-    // each miss evicts the coldest resident, so only the very first
-    // session's two inserts land in empty slots.
-    assert_eq!(total.plans_computed, 2 * sessions, "{total:?}");
-    assert_eq!(total.registry_misses, 2 * sessions, "{total:?}");
-    assert_eq!(total.registry_hits, 2 * sessions, "{total:?}");
-    assert_eq!(total.registry_evictions, 2 * sessions - 2, "{total:?}");
-    assert_eq!(registry.len(), 2, "the cap bounds residency");
-    assert_eq!(registry.evictions(), total.registry_evictions);
 }
 
 /// Lock-poison recovery at the session layer: a thread panics while
@@ -194,10 +228,10 @@ fn eviction_counters_are_exact_under_a_tiny_cap() {
 /// sessions cross it without recovering again.
 #[test]
 fn a_poisoned_shard_lock_never_reaches_a_later_session() {
-    for symbolic in [true, false] {
+    for shape in [Shape::Symbolic, Shape::Declined] {
         // One shard: every registry access crosses the poisoned lock.
         let registry = Arc::new(PlanRegistry::new(1, 64));
-        let pairs = pool(1);
+        let pairs = pool(shape, 1);
         let (src, dst) = &pairs[0];
         let poisoner = std::thread::spawn({
             let registry = Arc::clone(&registry);
@@ -206,12 +240,12 @@ fn a_poisoned_shard_lock_never_reaches_a_later_session() {
         });
         assert!(poisoner.join().is_err(), "the hook panics while holding the shard lock");
 
-        let (s1, _) = run_session(&registry, src, dst, 4, symbolic);
+        let (s1, _) = run_session(&registry, src, dst, 4);
         assert_eq!((s1.plans_computed, s1.registry_misses, s1.registry_hits), (2, 2, 0), "{s1:?}");
         assert_eq!(s1.lock_poison_recoveries, 1, "the first access recovered the guard");
         assert_eq!(registry.lock_recoveries(), 1);
 
-        let (s2, _) = run_session(&registry, src, dst, 4, symbolic);
+        let (s2, _) = run_session(&registry, src, dst, 4);
         assert_eq!(s2.plans_computed, 0, "{s2:?}");
         assert_eq!(s2.lock_poison_recoveries, 0, "the recovery healed the lock for good");
         assert_eq!(registry.lock_recoveries(), 1);

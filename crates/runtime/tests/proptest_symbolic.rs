@@ -11,8 +11,8 @@
 //! oracle, and pins the economics: a fleet re-provisioned from P = 16
 //! to P = 64 re-launches with `plans_computed == 0` while the registry
 //! holds O(format pairs) entries. CI runs this file under
-//! `HPFC_THREADS` ∈ {1, 4}; the machines here pin the keying scheme
-//! explicitly (`with_symbolic`).
+//! `HPFC_THREADS` ∈ {1, 4}; which keying serves a pair is decided by
+//! its shape, so the last test pins the declined side too.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -156,7 +156,7 @@ fn one_parametric_plan_serves_every_p() {
 }
 
 /// One fleet member: a fresh array on a fresh machine wired to the
-/// shared registry (symbolic keying pinned on), bounced `bounces`
+/// shared registry, bounced `bounces`
 /// times with a write after every hop and checked against a per-point
 /// shadow oracle. Returns the session stats for merging.
 fn fleet_member(
@@ -167,7 +167,7 @@ fn fleet_member(
     bounces: u32,
 ) -> NetStats {
     let n = src.array_extents.volume();
-    let mut machine = Machine::new(p).with_registry(Arc::clone(registry)).with_symbolic(true);
+    let mut machine = Machine::new(p).with_registry(Arc::clone(registry));
     let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
     rt.current(&mut machine, 0).fill(|pt| (3 * pt[0] + 11) as f64);
     let mut shadow: Vec<f64> = (0..n).map(|i| (3 * i + 11) as f64).collect();

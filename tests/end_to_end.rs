@@ -376,3 +376,48 @@ fn executor_reuse_across_runs_accumulates_stats() {
     ex.run("fig1").expect("fig1 executes cleanly");
     assert_eq!(ex.machine.stats.bytes, 2 * after_one);
 }
+
+/// One way to get a plan: lowering and a run-time local miss resolve a
+/// pair through the same registry function, so for every planned copy
+/// of a lowered program — a 1-D pair the symbolic layer admits, a 2-D
+/// one it declines — an array that was never seeded is handed the very
+/// `Arc` the program carries.
+#[test]
+fn lowering_and_the_runtime_resolve_to_the_same_artifact() {
+    const BOUNCE_1D: &str = "\
+subroutine bounce1d
+  real :: v(1936)
+!hpf$ processors p(4)
+!hpf$ dynamic v
+!hpf$ distribute v(block) onto p
+  v = 1.0
+!hpf$ redistribute v(cyclic(3)) onto p
+  v = v + 1.0
+!hpf$ redistribute v(block) onto p
+  x = v(7)
+end subroutine
+";
+    for (src, routine, rank) in [(BOUNCE_1D, "bounce1d", 1), (figures::ADI_KERNEL, "adi", 2)] {
+        let compiled = compile(src, &CompileOptions::default()).unwrap();
+        let program = &compiled.units[routine].program;
+        let mut machine = hpfc::Machine::new(program.nprocs);
+        let mut copies = 0;
+        program.for_each_planned_copy(|array, target, copy| {
+            let decl = program.array(array);
+            assert_eq!(decl.versions[0].array_extents.rank(), rank);
+            let mut rt =
+                hpfc::runtime::ArrayRt::new(&decl.name, decl.versions.clone(), decl.elem_size);
+            let planned = rt.planned(&mut machine, copy.src, target);
+            assert!(
+                std::sync::Arc::ptr_eq(&planned, &copy.planned),
+                "{routine}: {} {} -> {target} resolved to a different artifact",
+                decl.name,
+                copy.src
+            );
+            copies += 1;
+        });
+        assert!(copies >= 2, "{routine}: both directions are planned");
+        assert_eq!(machine.stats.plans_computed, 0, "{routine}: lowering compiled them all");
+        assert_eq!(machine.stats.registry_hits, copies);
+    }
+}
