@@ -1,10 +1,20 @@
 //! The static-program IR: the paper's "standard statically mapped HPF
 //! program with copies between differently mapped arrays" (Sec. 2).
+//!
+//! Two kinds of statement carry a compiled artifact next to their
+//! source form. A remapping carries its planned copies ([`SpmdCopy`]:
+//! plan, schedule and copy program, resolved at lowering time). A
+//! whole-array assignment carries its [`ElementKernel`]: because every
+//! reference is to a statically known version, the statement is an
+//! owner-computes zip over local blocks, and lowering flattens its
+//! right-hand side into the postfix program the interpreter runs tile
+//! by tile. The source expression stays on the statement for the
+//! renderer.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use hpfc_lang::ast::{Expr, Intent, LValue};
+use hpfc_lang::ast::{BinOp, Expr, Intent, LValue, UnOp};
 use hpfc_mapping::{ArrayId, NormalizedMapping};
 use hpfc_runtime::{CommSchedule, PlannedGroup, PlannedRemap};
 
@@ -247,6 +257,160 @@ pub struct RemapGroupOp {
     pub planned: Arc<PlannedGroup>,
 }
 
+/// One step of an [`ElementKernel`]: the right-hand side of a
+/// whole-array assignment in postfix order, evaluated on a stack of
+/// tiles (one value per element of the tile).
+#[derive(Debug, Clone, PartialEq)]
+pub enum KernelOp {
+    /// Push a literal.
+    Const(f64),
+    /// Push a scalar variable (loop indices included; unset reads 0).
+    Scalar(String),
+    /// Push the whole-array operand [`ElementKernel::operands`]`[slot]`,
+    /// element for element.
+    Operand(usize),
+    /// Pop `r`, pop `l`, push `l op r`.
+    Bin(BinOp),
+    /// Pop `e`, push `op e`.
+    Un(UnOp),
+    /// Pop `argc` arguments, push the intrinsic's value.
+    Call {
+        /// Intrinsic name (lower-cased).
+        name: String,
+        /// Number of arguments on the stack.
+        argc: usize,
+    },
+    /// Push a subscripted array reference, evaluated by the
+    /// interpreter's tree walker.
+    Leaf {
+        /// The reference (`name(subs)`).
+        expr: Expr,
+        /// Whether a subscript mentions a whole array (`b(b)`): the
+        /// reference then has one value per point. Otherwise it has one
+        /// value for the whole statement and is read **before** any
+        /// element is written — `a = a + a(8)` adds the old `a(8)`
+        /// everywhere (Fortran evaluates the right-hand side first).
+        per_point: bool,
+    },
+}
+
+impl KernelOp {
+    /// Tiles the op takes off the stack before it pushes its one.
+    pub fn pops(&self) -> usize {
+        match self {
+            KernelOp::Bin(_) => 2,
+            KernelOp::Un(_) => 1,
+            KernelOp::Call { argc, .. } => *argc,
+            _ => 0,
+        }
+    }
+}
+
+/// The compiled form of a whole-array assignment `lhs = rhs`.
+///
+/// ```
+/// use hpfc_codegen::ir::{ElementKernel, KernelOp};
+/// use hpfc_lang::ast::{BinOp, Stmt};
+/// use hpfc_mapping::ArrayId;
+///
+/// let src = "subroutine s\nreal :: a(8), b(8)\na = b * 2.0 + a(k)\nend";
+/// let ast = hpfc_lang::parse_program(src).unwrap();
+/// let Stmt::Assign { rhs, .. } = &ast.routines[0].body[0] else { unreachable!() };
+/// let ids = |n: &str| ["a", "b"].iter().position(|x| *x == n).map(|i| ArrayId(i as u32));
+/// let k = ElementKernel::compile(ArrayId(0), rhs, &ids);
+/// assert_eq!(k.operands, [ArrayId(1)]);
+/// assert_eq!(k.ops[..3], [KernelOp::Operand(0), KernelOp::Const(2.0), KernelOp::Bin(BinOp::Mul)]);
+/// // `a(k)` mentions no whole array: one value, read before the writes.
+/// assert!(matches!(k.ops[3], KernelOp::Leaf { per_point: false, .. }));
+/// assert_eq!(k.ops[4], KernelOp::Bin(BinOp::Add));
+/// assert_eq!((k.depth, k.buffered), (2, false));
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct ElementKernel {
+    /// The postfix program; it leaves exactly one tile on the stack.
+    pub ops: Vec<KernelOp>,
+    /// Every array the right-hand side references as a whole, inside
+    /// per-point leaves included. Each must have the left-hand side's
+    /// shape; which of them can be read as a slice of the same local
+    /// block is decided when the statement runs, by comparing current
+    /// mappings.
+    pub operands: Vec<ArrayId>,
+    /// Tiles the evaluation stack needs.
+    pub depth: usize,
+    /// A per-point leaf references the left-hand side, so it may read
+    /// an element another point already wrote: the statement's values
+    /// are computed into a temporary before any is written.
+    pub buffered: bool,
+}
+
+impl ElementKernel {
+    /// Compile `rhs` for an assignment to the whole of `lhs`;
+    /// `array_of` says which names are arrays.
+    pub fn compile(
+        lhs: ArrayId,
+        rhs: &Expr,
+        array_of: &dyn Fn(&str) -> Option<ArrayId>,
+    ) -> ElementKernel {
+        let mut k =
+            ElementKernel { ops: Vec::new(), operands: Vec::new(), depth: 0, buffered: false };
+        k.emit(rhs, lhs, array_of);
+        let mut sp = 0;
+        for op in &k.ops {
+            sp = sp + 1 - op.pops();
+            k.depth = k.depth.max(sp);
+        }
+        k
+    }
+
+    fn slot(&mut self, a: ArrayId) -> usize {
+        self.operands.iter().position(|x| *x == a).unwrap_or_else(|| {
+            self.operands.push(a);
+            self.operands.len() - 1
+        })
+    }
+
+    fn emit(&mut self, e: &Expr, lhs: ArrayId, array_of: &dyn Fn(&str) -> Option<ArrayId>) {
+        let op = match e {
+            Expr::Int(v, _) => KernelOp::Const(*v as f64),
+            Expr::Real(v, _) => KernelOp::Const(*v),
+            Expr::Var(n, _) => match array_of(n) {
+                Some(a) => KernelOp::Operand(self.slot(a)),
+                None => KernelOp::Scalar(n.clone()),
+            },
+            Expr::Ref { name, subs, .. } if array_of(name).is_none() => {
+                for s in subs {
+                    self.emit(s, lhs, array_of);
+                }
+                KernelOp::Call { name: name.clone(), argc: subs.len() }
+            }
+            Expr::Ref { .. } => {
+                let (mut per_point, mut reads_lhs) = (false, false);
+                e.for_each_ref(|name, subscripted| {
+                    if let Some(a) = array_of(name) {
+                        reads_lhs |= a == lhs;
+                        if !subscripted {
+                            per_point = true;
+                            self.slot(a);
+                        }
+                    }
+                });
+                self.buffered |= per_point && reads_lhs;
+                KernelOp::Leaf { expr: e.clone(), per_point }
+            }
+            Expr::Bin { op, l, r, .. } => {
+                self.emit(l, lhs, array_of);
+                self.emit(r, lhs, array_of);
+                KernelOp::Bin(*op)
+            }
+            Expr::Un { op, e, .. } => {
+                self.emit(e, lhs, array_of);
+                KernelOp::Un(*op)
+            }
+        };
+        self.ops.push(op);
+    }
+}
+
 /// A statement of the static program.
 #[derive(Debug, Clone)]
 pub enum SStmt {
@@ -256,10 +420,14 @@ pub enum SStmt {
     Assign {
         /// Target.
         lhs: LValue,
-        /// Source expression.
+        /// Source expression (what the renderer prints).
         rhs: Expr,
         /// Compiler-predicted (array, version) pairs at this reference.
         expected: Vec<(ArrayId, u32)>,
+        /// The compiled right-hand side when `lhs` is a whole array —
+        /// what the interpreter runs; `None` for scalar and element
+        /// assignments, which walk `rhs`.
+        kernel: Option<ElementKernel>,
     },
     /// Conditional.
     If {

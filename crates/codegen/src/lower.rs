@@ -15,7 +15,8 @@ use hpfc_runtime::PlanRegistry;
 use std::sync::Arc;
 
 use crate::ir::{
-    ArrayDecl, RemapGroupOp, RemapOp, RestoreArm, RestoreOp, SStmt, SpmdCopy, StaticProgram,
+    ArrayDecl, ElementKernel, RemapGroupOp, RemapOp, RestoreArm, RestoreOp, SStmt, SpmdCopy,
+    StaticProgram,
 };
 
 /// Static accounting of what lowering emitted — the compile-time side
@@ -102,6 +103,7 @@ pub fn lower_with(
     let elem_sizes: BTreeMap<ArrayId, u64> =
         unit.env.arrays().iter().map(|info| (info.id, info.elem_size)).collect();
     let mut lowerer = Lowerer {
+        unit,
         rg,
         directive_vertex,
         call_groups,
@@ -190,6 +192,7 @@ struct CallGroup {
 }
 
 struct Lowerer<'a> {
+    unit: &'a RoutineUnit,
     rg: &'a Rg,
     directive_vertex: BTreeMap<(usize, usize), VertexId>,
     call_groups: BTreeMap<(usize, usize), CallGroup>,
@@ -358,7 +361,15 @@ impl<'a> Lowerer<'a> {
                             .collect()
                     })
                     .unwrap_or_default();
-                out.push(SStmt::Assign { lhs: lhs.clone(), rhs: rhs.clone(), expected });
+                // A whole-array assignment is an elementwise zip over
+                // statically known versions: compile its right-hand side.
+                let kernel = match self.unit.array(&lhs.name) {
+                    Some(a) if lhs.subs.is_empty() => {
+                        Some(ElementKernel::compile(a, rhs, &|n| self.unit.array(n)))
+                    }
+                    _ => None,
+                };
+                out.push(SStmt::Assign { lhs: lhs.clone(), rhs: rhs.clone(), expected, kernel });
             }
             Stmt::If { cond, then_body, else_body, .. } => {
                 let then_body = self.lower_body(then_body);

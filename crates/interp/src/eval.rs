@@ -1,4 +1,12 @@
 //! Expression evaluation over scalars and distributed array versions.
+//!
+//! [`EvalCtx::eval`] is the tree walker: one value per call, arrays
+//! read through [`ArrayRt::get`] (owner computation plus a position
+//! lookup per dimension). It runs scalar statements, subscripts, loop
+//! bounds and conditions, and the *leaves* of a whole-array statement
+//! that the tiled engine (the `kernel` module) cannot read as a slice.
+//! The operator semantics (`bin`, `un`, `intrinsic`) are defined
+//! once here and used by both, so the two cannot disagree on a value.
 
 use std::collections::BTreeMap;
 
@@ -53,45 +61,61 @@ impl<'a> EvalCtx<'a> {
                     self.intrinsic(name, subs)
                 }
             }
-            Expr::Bin { op, l, r, .. } => {
-                let (a, b) = (self.eval(l), self.eval(r));
-                match op {
-                    BinOp::Add => a + b,
-                    BinOp::Sub => a - b,
-                    BinOp::Mul => a * b,
-                    BinOp::Div => a / b,
-                    BinOp::Pow => a.powf(b),
-                    BinOp::Lt => bool_f(a < b),
-                    BinOp::Gt => bool_f(a > b),
-                    BinOp::Le => bool_f(a <= b),
-                    BinOp::Ge => bool_f(a >= b),
-                    BinOp::Eq => bool_f(a == b),
-                    BinOp::Ne => bool_f(a != b),
-                    BinOp::And => bool_f(a != 0.0 && b != 0.0),
-                    BinOp::Or => bool_f(a != 0.0 || b != 0.0),
-                }
-            }
-            Expr::Un { op, e, .. } => match op {
-                UnOp::Neg => -self.eval(e),
-                UnOp::Not => bool_f(self.eval(e) == 0.0),
-            },
+            Expr::Bin { op, l, r, .. } => bin(*op, self.eval(l), self.eval(r)),
+            Expr::Un { op, e, .. } => un(*op, self.eval(e)),
         }
     }
 
     fn intrinsic(&self, name: &str, args: &[Expr]) -> f64 {
         let v: Vec<f64> = args.iter().map(|a| self.eval(a)).collect();
-        match (name, v.as_slice()) {
-            ("sqrt", [x]) => x.sqrt(),
-            ("abs", [x]) => x.abs(),
-            ("sin", [x]) => x.sin(),
-            ("cos", [x]) => x.cos(),
-            ("exp", [x]) => x.exp(),
-            ("real", [x]) => *x,
-            ("mod", [x, y]) => x % y,
-            ("min", rest) => rest.iter().copied().fold(f64::INFINITY, f64::min),
-            ("max", rest) => rest.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            _ => panic!("unknown intrinsic `{name}`"),
-        }
+        intrinsic(name, v.len())(&v)
+    }
+}
+
+/// `a op b`. Always inlined, so a caller that passes a constant `op`
+/// gets the bare operation.
+#[inline(always)]
+pub(crate) fn bin(op: BinOp, a: f64, b: f64) -> f64 {
+    match op {
+        BinOp::Add => a + b,
+        BinOp::Sub => a - b,
+        BinOp::Mul => a * b,
+        BinOp::Div => a / b,
+        BinOp::Pow => a.powf(b),
+        BinOp::Lt => bool_f(a < b),
+        BinOp::Gt => bool_f(a > b),
+        BinOp::Le => bool_f(a <= b),
+        BinOp::Ge => bool_f(a >= b),
+        BinOp::Eq => bool_f(a == b),
+        BinOp::Ne => bool_f(a != b),
+        BinOp::And => bool_f(a != 0.0 && b != 0.0),
+        BinOp::Or => bool_f(a != 0.0 || b != 0.0),
+    }
+}
+
+/// `op a`.
+#[inline(always)]
+pub(crate) fn un(op: UnOp, a: f64) -> f64 {
+    match op {
+        UnOp::Neg => -a,
+        UnOp::Not => bool_f(a == 0.0),
+    }
+}
+
+/// The intrinsic `name` called with `argc` arguments, as a function of
+/// their values. Panics on a name or arity the language does not have.
+pub(crate) fn intrinsic(name: &str, argc: usize) -> fn(&[f64]) -> f64 {
+    match (name, argc) {
+        ("sqrt", 1) => |v| v[0].sqrt(),
+        ("abs", 1) => |v| v[0].abs(),
+        ("sin", 1) => |v| v[0].sin(),
+        ("cos", 1) => |v| v[0].cos(),
+        ("exp", 1) => |v| v[0].exp(),
+        ("real", 1) => |v| v[0],
+        ("mod", 2) => |v| v[0] % v[1],
+        ("min", _) => |v| v.iter().copied().fold(f64::INFINITY, f64::min),
+        ("max", _) => |v| v.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        _ => panic!("unknown intrinsic `{name}`"),
     }
 }
 

@@ -1,5 +1,12 @@
 //! The executor: runs a static program frame-by-frame on the shared
 //! simulated machine.
+//!
+//! Statements are dispatched here. Remaps, restores and calls drive
+//! `hpfc-runtime`; scalar and element assignments, conditions and loop
+//! bounds walk their expression tree ([`crate::eval`]); a whole-array
+//! assignment hands its compiled kernel to the tiled engine
+//! (the `kernel` module) and never visits a point unless an operand
+//! forces it to.
 
 use std::collections::BTreeMap;
 
@@ -9,6 +16,7 @@ use hpfc_mapping::ArrayId;
 use hpfc_runtime::{ArrayRt, ExecError, Machine, NetStats};
 
 use crate::eval::EvalCtx;
+use crate::kernel;
 
 /// Execution options.
 #[derive(Debug, Clone)]
@@ -90,6 +98,23 @@ struct Frame {
     results: BTreeMap<ArrayId, Vec<f64>>,
 }
 
+impl Frame {
+    /// The tree walker over this frame, outside any elementwise context.
+    fn ctx(&self) -> EvalCtx<'_> {
+        EvalCtx { scalars: &self.scalars, arrays: &self.arrays, names: &self.names, point: None }
+    }
+
+    /// Assign a scalar; only the first assignment of a name allocates.
+    fn set_scalar(&mut self, name: &str, value: f64) {
+        match self.scalars.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                self.scalars.insert(name.to_string(), value);
+            }
+        }
+    }
+}
+
 impl<'a> Executor<'a> {
     /// Run a routine as the entry point: dummies are initialized with a
     /// deterministic fill (`value = 1 + linear index`). Execution
@@ -106,10 +131,10 @@ impl<'a> Executor<'a> {
                 inputs.insert(a.id, (0..n).map(|i| 1.0 + i as f64).collect());
             }
         }
-        let frame = self.run_frame(p, self.config.scalar_args.clone(), inputs, 0)?;
+        let mut frame = self.run_frame(p, self.config.scalar_args.clone(), inputs, 0)?;
         let mut arrays = BTreeMap::new();
         for decl in &p.arrays {
-            let dense = frame.results.get(&decl.id).cloned().unwrap_or_else(|| {
+            let dense = frame.results.remove(&decl.id).unwrap_or_else(|| {
                 vec![0.0; decl.versions[0].array_extents.volume() as usize]
             });
             arrays.insert(decl.name.clone(), dense);
@@ -200,23 +225,23 @@ impl<'a> Executor<'a> {
     /// Make sure every array referenced by `e` has a current copy
     /// (lazy instantiation for reads of never-touched arrays).
     fn ensure_refs(&mut self, frame: &mut Frame, e: &Expr, expected: &[(ArrayId, u32)]) {
-        let mut refs = Vec::new();
-        e.collect_refs(&mut refs);
-        for (name, _, _) in refs {
-            if let Some(&a) = frame.names.get(&name) {
-                let hint = expected
-                    .iter()
-                    .find(|(x, _)| *x == a)
-                    .map(|(_, v)| *v)
-                    .unwrap_or(0);
-                frame.arrays[a.0 as usize].current(&mut self.machine, hint);
-                debug_assert!(
-                    frame.arrays[a.0 as usize].status == Some(hint)
-                        || !expected.iter().any(|(x, _)| *x == a),
-                    "compiler version prediction violated for `{name}`"
-                );
+        e.for_each_ref(|name, _| {
+            if let Some(&a) = frame.names.get(name) {
+                self.ensure_current(frame, a, expected);
             }
-        }
+        });
+    }
+
+    /// Instantiate `a` in its predicted version if it was never touched.
+    fn ensure_current(&mut self, frame: &mut Frame, a: ArrayId, expected: &[(ArrayId, u32)]) {
+        let predicted = expected.iter().find(|(x, _)| *x == a).map(|(_, v)| *v);
+        let rt = &mut frame.arrays[a.0 as usize];
+        rt.current(&mut self.machine, predicted.unwrap_or(0));
+        debug_assert!(
+            predicted.is_none() || rt.status == predicted,
+            "compiler version prediction violated for `{}`",
+            rt.name
+        );
     }
 
     fn exec_stmt(
@@ -227,56 +252,22 @@ impl<'a> Executor<'a> {
         depth: u32,
     ) -> Result<Flow, ExecError> {
         match s {
-            SStmt::Assign { lhs, rhs, expected } => {
+            SStmt::Assign { lhs, rhs, expected, kernel } => {
                 self.ensure_refs(frame, rhs, expected);
                 for sub in &lhs.subs {
                     self.ensure_refs(frame, sub, expected);
                 }
                 match frame.names.get(&lhs.name).copied() {
                     Some(a) => {
-                        let hint = expected
-                            .iter()
-                            .find(|(x, _)| *x == a)
-                            .map(|(_, v)| *v)
-                            .unwrap_or(0);
-                        frame.arrays[a.0 as usize].current(&mut self.machine, hint);
-                        if lhs.subs.is_empty() {
-                            // Whole-array elementwise assignment:
-                            // evaluate fully, then write (Fortran
-                            // array-expression semantics).
-                            let extents = frame.arrays[a.0 as usize]
-                                .mappings[0]
-                                .array_extents
-                                .clone();
-                            let mut values = Vec::with_capacity(extents.volume() as usize);
-                            {
-                                let ctx = EvalCtx {
-                                    scalars: &frame.scalars,
-                                    arrays: &frame.arrays,
-                                    names: &frame.names,
-                                    point: None,
-                                };
-                                for pt in extents.points() {
-                                    let c = EvalCtx { point: Some(&pt), ..ctx };
-                                    values.push(c.eval(rhs));
-                                }
-                            }
-                            let rt = &mut frame.arrays[a.0 as usize];
-                            rt.invalidate_others();
-                            let v = rt.status.expect("current() set status");
-                            let copy = rt.copies[v as usize].as_mut().unwrap();
-                            // Block-order walk: `values` is row-major
-                            // over `extents`, so each point indexes it
-                            // by its linearisation.
-                            copy.fill(|pt| values[extents.linearize(pt) as usize]);
+                        self.ensure_current(frame, a, expected);
+                        if let Some(kernel) = kernel {
+                            // Whole-array elementwise assignment: the
+                            // owner computes, block by block.
+                            let Frame { arrays, names, scalars, .. } = frame;
+                            kernel::run(arrays, names, scalars, a, kernel)?;
                         } else {
                             let (point, value) = {
-                                let ctx = EvalCtx {
-                                    scalars: &frame.scalars,
-                                    arrays: &frame.arrays,
-                                    names: &frame.names,
-                                    point: None,
-                                };
+                                let ctx = frame.ctx();
                                 let point: Vec<u64> = lhs
                                     .subs
                                     .iter()
@@ -288,32 +279,15 @@ impl<'a> Executor<'a> {
                         }
                     }
                     None => {
-                        let value = {
-                            let ctx = EvalCtx {
-                                scalars: &frame.scalars,
-                                arrays: &frame.arrays,
-                                names: &frame.names,
-                                point: None,
-                            };
-                            ctx.eval(rhs)
-                        };
-                        frame.scalars.insert(lhs.name.clone(), value);
+                        let value = frame.ctx().eval(rhs);
+                        frame.set_scalar(&lhs.name, value);
                     }
                 }
                 Ok(Flow::Normal)
             }
             SStmt::If { cond, then_body, else_body } => {
                 self.ensure_refs(frame, cond, &[]);
-                let c = {
-                    let ctx = EvalCtx {
-                        scalars: &frame.scalars,
-                        arrays: &frame.arrays,
-                        names: &frame.names,
-                        point: None,
-                    };
-                    ctx.eval(cond)
-                };
-                if c != 0.0 {
+                if frame.ctx().eval(cond) != 0.0 {
                     self.exec_body(p, frame, then_body, depth)
                 } else {
                     self.exec_body(p, frame, else_body, depth)
@@ -323,12 +297,7 @@ impl<'a> Executor<'a> {
                 self.ensure_refs(frame, lo, &[]);
                 self.ensure_refs(frame, hi, &[]);
                 let (lo_v, hi_v, step_v) = {
-                    let ctx = EvalCtx {
-                        scalars: &frame.scalars,
-                        arrays: &frame.arrays,
-                        names: &frame.names,
-                        point: None,
-                    };
+                    let ctx = frame.ctx();
                     (ctx.eval(lo), ctx.eval(hi), step.as_ref().map(|e| ctx.eval(e)).unwrap_or(1.0))
                 };
                 if step_v == 0.0 {
@@ -341,7 +310,7 @@ impl<'a> Executor<'a> {
                     if (step_v > 0.0 && i > hi_v) || (step_v < 0.0 && i < hi_v) {
                         break;
                     }
-                    frame.scalars.insert(var.clone(), i);
+                    frame.set_scalar(var, i);
                     if let Flow::Return = self.exec_body(p, frame, body, depth)? {
                         return Ok(Flow::Return);
                     }
@@ -524,24 +493,14 @@ impl<'a> Executor<'a> {
                         }
                     }
                     None => {
-                        let v = {
-                            let ctx = EvalCtx {
-                                scalars: &frame.scalars,
-                                arrays: &frame.arrays,
-                                names: &frame.names,
-                                point: None,
-                            };
-                            ctx.eval(actual)
-                        };
-                        scalars.insert(pname.clone(), v);
+                        scalars.insert(pname.clone(), frame.ctx().eval(actual));
                     }
                 }
             }
-            let callee_frame = self.run_frame(callee, scalars, inputs, depth + 1)?;
+            let mut callee_frame = self.run_frame(callee, scalars, inputs, depth + 1)?;
             // Export inout/out results back through the dummy copy.
             for (ca, cid) in out_args {
-                let dense = callee_frame.results.get(&cid).cloned();
-                if let Some(dense) = dense {
+                if let Some(dense) = callee_frame.results.remove(&cid) {
                     let rt = &mut frame.arrays[ca.0 as usize];
                     rt.invalidate_others();
                     let cur = rt.current(&mut self.machine, 0);

@@ -19,5 +19,6 @@
 
 pub mod eval;
 pub mod exec;
+mod kernel;
 
 pub use exec::{execute, ExecConfig, ExecResult, Executor};

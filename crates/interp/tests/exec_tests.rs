@@ -40,6 +40,33 @@ fn fortran_array_expression_semantics_rhs_before_write() {
     assert_eq!(r.arrays["a"], vec![2.0, 3.0, 4.0, 5.0]);
 }
 
+/// `a = b` with `b` of another shape must come back from `execute` as
+/// a typed error naming both arrays and both shapes.
+fn assert_operand_refused(decl: &str, dist: &str, shapes: [&str; 2]) {
+    let src = format!(
+        "subroutine s\nreal :: {decl}\n!hpf$ processors p(4)\n!hpf$ distribute {dist} onto p\n\
+         !hpf$ distribute b(block) onto p\na = b\nend"
+    );
+    let compiled = hpfc::compile(&src, &CompileOptions::default()).expect("compiles");
+    let err = hpfc::execute(&compiled.programs(), "s", ExecConfig::default())
+        .expect_err("the operand does not conform");
+    let hpfc::ExecError::Interp { what } = &err else { panic!("{err:?}") };
+    assert!(shapes.iter().all(|s| what.contains(s)), "{what}");
+    assert!(what.contains("`a`") && what.contains("`b`"), "{what}");
+}
+
+#[test]
+fn a_shorter_whole_array_operand_is_a_typed_error() {
+    // Used to panic inside the store ("owned element").
+    assert_operand_refused("a(8), b(4)", "a(block)", ["(8)", "(4)"]);
+}
+
+#[test]
+fn a_lower_rank_whole_array_operand_is_not_broadcast() {
+    // Used to repeat `b` along the first dimension, silently.
+    assert_operand_refused("a(4,4), b(4)", "a(block, *)", ["(4,4)", "(4)"]);
+}
+
 #[test]
 fn do_loop_with_step_and_bounds() {
     let r = run(

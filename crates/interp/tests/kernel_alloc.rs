@@ -1,0 +1,92 @@
+//! The allocation contract of the statement engine: an aligned
+//! whole-array assignment allocates O(1) bytes — its tile stack and the
+//! resolved steps — however many elements it computes.
+//!
+//! Pinned with a counting global allocator, in the style of
+//! `crates/runtime/tests/alloc_free.rs`: ONE `#[test]` (the counter is
+//! process-global), and only the test thread's allocations are counted.
+//! A statement cannot be executed on its own, so the pin is a
+//! difference: the same routine with and without the statement, at two
+//! extents. The per-point evaluator this engine replaced allocated a
+//! dense `values` vector plus one point per element — 8 n bytes and n
+//! allocations more.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use hpfc::{CompileOptions, ExecConfig};
+
+/// `System`, with every byte requested on the opted-in thread counted
+/// (a `realloc` counts its whole new size).
+struct CountingAlloc;
+
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+std::thread_local! {
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count(bytes: usize) {
+    // `try_with`: TLS may be unavailable during thread teardown.
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Bytes `hpfc::execute` requests for a routine over two aligned
+/// arrays of `n` elements: two fills, then `statement`.
+fn execute_bytes(n: u64, statement: &str) -> u64 {
+    let src = format!(
+        "subroutine s(k)\ninteger :: k\nreal :: a({n}), b({n})\n!hpf$ processors p(4)\n\
+         !hpf$ distribute a(block) onto p\n!hpf$ align with a :: b\n\
+         a = 1.5\nb = k\n{statement}\nend"
+    );
+    let compiled = hpfc::compile(&src, &CompileOptions::default()).expect("compiles");
+    let programs = compiled.programs();
+    let config = ExecConfig::default().with_scalar("k", 3.0);
+    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    COUNTED.with(|c| c.set(true));
+    let result = hpfc::execute(&programs, "s", config);
+    COUNTED.with(|c| c.set(false));
+    let bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    let result = result.expect("executes");
+    if !statement.is_empty() {
+        assert!(result.arrays["a"].iter().all(|&v| v == 1.5 + 3.0 * 2.0 - 0.5), "wrong values");
+    }
+    bytes
+}
+
+#[test]
+fn an_aligned_whole_array_statement_allocates_o1_bytes() {
+    let statement = "a = a + b * 2.0 - abs(0.5)";
+    let cost = |n: u64| execute_bytes(n, statement) - execute_bytes(n, "");
+    cost(16); // one-time initialisation (the process-wide registry, thread-locals)
+    let (small, large) = (cost(1 << 12), cost(1 << 20));
+    assert!(large < 64 * 1024, "one statement over 2^20 elements allocated {large} B");
+    assert_eq!(small, large, "the statement's allocations depend on the extent");
+}

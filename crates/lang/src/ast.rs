@@ -453,20 +453,35 @@ impl Expr {
     /// All `name`s referenced anywhere in the expression, with whether
     /// each occurrence is subscripted.
     pub fn collect_refs(&self, out: &mut Vec<(String, bool, Span)>) {
+        self.visit_refs(&mut |name, subscripted, span| {
+            out.push((name.to_string(), subscripted, span))
+        });
+    }
+
+    /// Visit every name referenced anywhere in the expression
+    /// (pre-order, a `name(subs)` before its subscripts), with whether
+    /// the occurrence is subscripted. Allocates nothing — what a caller
+    /// that only looks names up wants instead of
+    /// [`Expr::collect_refs`].
+    pub fn for_each_ref(&self, mut f: impl FnMut(&str, bool)) {
+        self.visit_refs(&mut |name, subscripted, _| f(name, subscripted));
+    }
+
+    fn visit_refs(&self, f: &mut dyn FnMut(&str, bool, Span)) {
         match self {
             Expr::Int(..) | Expr::Real(..) => {}
-            Expr::Var(n, s) => out.push((n.clone(), false, *s)),
+            Expr::Var(n, s) => f(n, false, *s),
             Expr::Ref { name, subs, span } => {
-                out.push((name.clone(), true, *span));
+                f(name, true, *span);
                 for e in subs {
-                    e.collect_refs(out);
+                    e.visit_refs(f);
                 }
             }
             Expr::Bin { l, r, .. } => {
-                l.collect_refs(out);
-                r.collect_refs(out);
+                l.visit_refs(f);
+                r.visit_refs(f);
             }
-            Expr::Un { e, .. } => e.collect_refs(out),
+            Expr::Un { e, .. } => e.visit_refs(f),
         }
     }
 }

@@ -27,7 +27,7 @@
 //! Result extraction ([`VersionData::to_dense`]) walks canonical blocks
 //! the same run-level way — no per-element owner computation.
 
-use hpfc_mapping::intervals::{intersect_runs, Runs};
+use hpfc_mapping::intervals::intersect_runs;
 use hpfc_mapping::{NormalizedMapping, PeriodicSet};
 
 use crate::replay::Lane;
@@ -60,46 +60,75 @@ impl LocalBlock {
     }
 }
 
-/// Call `f` with every combination of the owned indices of `outer` (a
-/// block's dimensions but the last), in row-major order — one call per
-/// local row. Steps through each set run by run; nothing is listed.
-/// Every set must be non-empty.
-fn for_each_row(outer: &[(PeriodicSet, usize)], mut f: impl FnMut(&[u64])) {
-    fn first_run((set, _): &(PeriodicSet, usize)) -> (u64, u64, Runs<'_>) {
-        let mut runs = set.runs(0, set.extent);
-        let (lo, hi) = runs.next().expect("a held block owns indices along every dimension");
-        (lo, hi, runs)
+/// A position in a block's storage order: the global point of one
+/// element. It borrows nothing, so a caller can hold it across writes
+/// to the block; [`LocalBlock::next_point`] moves it on.
+#[derive(Debug, Clone)]
+pub struct BlockCursor {
+    point: Vec<u64>,
+    /// Per dimension, the end of the owned run `point[d]` lies in.
+    run_end: Vec<u64>,
+}
+
+impl BlockCursor {
+    /// The first combination of the owned indices of `dims`. Every set
+    /// must be non-empty.
+    fn first(dims: &[(PeriodicSet, usize)]) -> BlockCursor {
+        let (point, run_end) = dims.iter().map(|(set, _)| first_run(set)).unzip();
+        BlockCursor { point, run_end }
     }
-    // Per dimension: the current index, and (the end of its run, the runs left).
-    let mut point = Vec::with_capacity(outer.len());
-    let mut cur = Vec::with_capacity(outer.len());
-    for dim in outer {
-        let (lo, hi, rest) = first_run(dim);
-        point.push(lo);
-        cur.push((hi, rest));
-    }
-    loop {
-        f(&point);
-        // Advance, last outer dimension fastest.
-        let mut d = outer.len();
-        loop {
-            if d == 0 {
-                return;
+
+    /// Step to the next combination, last dimension fastest, each set
+    /// run by run (nothing is listed). `false` once it wrapped around
+    /// to the first.
+    fn step(&mut self, dims: &[(PeriodicSet, usize)]) -> bool {
+        for (d, (set, _)) in dims.iter().enumerate().rev() {
+            self.point[d] += 1;
+            if self.point[d] < self.run_end[d] {
+                return true;
             }
-            d -= 1;
-            let (hi, rest) = &mut cur[d];
-            point[d] += 1;
-            if point[d] < *hi {
-                break;
-            }
-            if let Some(run) = rest.next() {
-                (point[d], *hi) = run;
-                break;
+            if let Some(run) = set.runs(self.run_end[d], set.extent).next() {
+                (self.point[d], self.run_end[d]) = run;
+                return true;
             }
             // Wrapped: rewind this dimension and carry into the next one out.
-            let (lo, hi, rest) = first_run(&outer[d]);
-            point[d] = lo;
-            cur[d] = (hi, rest);
+            (self.point[d], self.run_end[d]) = first_run(set);
+        }
+        false
+    }
+
+    /// The global point the cursor is on.
+    pub fn point(&self) -> &[u64] {
+        &self.point
+    }
+}
+
+fn first_run(set: &PeriodicSet) -> (u64, u64) {
+    set.runs(0, set.extent).next().expect("a held block owns indices along every dimension")
+}
+
+impl LocalBlock {
+    /// A cursor on `data[0]`. The block must hold at least one element.
+    pub fn first_point(&self) -> BlockCursor {
+        BlockCursor::first(&self.dims)
+    }
+
+    /// Move `cursor` to the next element of `data`; `false` once it
+    /// wrapped around to `data[0]`.
+    pub fn next_point(&self, cursor: &mut BlockCursor) -> bool {
+        cursor.step(&self.dims)
+    }
+}
+
+/// Call `f` with every combination of the owned indices of `outer` (a
+/// block's dimensions but the last), in row-major order — one call per
+/// local row. Every set must be non-empty.
+fn for_each_row(outer: &[(PeriodicSet, usize)], mut f: impl FnMut(&[u64])) {
+    let mut row = BlockCursor::first(outer);
+    loop {
+        f(&row.point);
+        if !row.step(outer) {
+            return;
         }
     }
 }
