@@ -1,11 +1,25 @@
-//! A small worklist solver for the may-forward / may-backward dataflow
-//! problems of App. B–D.
+//! The worklist solver and the one lattice of the may-forward /
+//! may-backward dataflow problems of App. B–D.
 //!
 //! All six analyses in the paper are *may* problems over union
-//! semilattices, so the solver only needs: a bottom value, a join that
-//! reports change, and a transfer function. Facts are tracked per node
-//! (the "out" side in the analysis direction); the "in" side is the
-//! join over the neighbours and is recomputed on demand.
+//! semilattices of small sets — mappings that may reach, qualifiers
+//! that may apply, vertices that may come next — tracked per array. So
+//! the solver owns the fact type and the join: [`Facts`] is one sorted
+//! set of `u32` per *slot* (the problem says how many slots it has and
+//! what a slot and a number mean), bottom is "every set empty" and the
+//! join is the slot-wise union. A problem supplies only its direction
+//! and its transfer function.
+//!
+//! A slot's set is shared by reference between the facts of every node
+//! that does not change it, so a fact costs one pointer per slot rather
+//! than a copy of every set: few distinct sets, changed at few nodes.
+//!
+//! Facts are tracked per node (the "out" side in the analysis
+//! direction); the "in" side is the join over the neighbours, and
+//! [`input_of`] is the single way to read it, during the solve and
+//! after it.
+
+use std::rc::Rc;
 
 use crate::graph::{Cfg, NodeId};
 
@@ -18,37 +32,119 @@ pub enum Direction {
     Backward,
 }
 
-/// A may-dataflow problem over the CFG.
-pub trait Dataflow {
-    /// The lattice value attached to each node.
-    type Fact: Clone;
+/// The lattice value attached to each node: per slot, a sorted set of
+/// `u32` (`None` is the empty set, so bottom allocates no set).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Facts {
+    slots: Vec<Option<Rc<[u32]>>>,
+}
 
+impl Facts {
+    /// Bottom: `slots` empty sets.
+    pub fn new(slots: usize) -> Facts {
+        Facts {
+            slots: vec![None; slots],
+        }
+    }
+
+    /// The set at `slot`, ascending.
+    pub fn get(&self, slot: usize) -> &[u32] {
+        self.slots[slot].as_deref().unwrap_or(&[])
+    }
+
+    /// Replace the set at `slot` (sorted and deduplicated here). A set
+    /// equal to the current one keeps the current, shared, storage.
+    pub fn set(&mut self, slot: usize, set: impl IntoIterator<Item = u32>) {
+        let mut set: Vec<u32> = set.into_iter().collect();
+        set.sort_unstable();
+        set.dedup();
+        if set != self.get(slot) {
+            self.slots[slot] = (!set.is_empty()).then(|| set.into());
+        }
+    }
+
+    /// Add `x` to the set at `slot`.
+    pub fn insert(&mut self, slot: usize, x: u32) {
+        if let Err(at) = self.get(slot).binary_search(&x) {
+            let mut set = self.get(slot).to_vec();
+            set.insert(at, x);
+            self.slots[slot] = Some(set.into());
+        }
+    }
+
+    /// Empty the set at `slot`.
+    pub fn clear(&mut self, slot: usize) {
+        self.slots[slot] = None;
+    }
+
+    /// Slot-wise union of `other` into `self`; returns whether `self`
+    /// grew. A slot that is empty here takes `other`'s set by reference.
+    pub fn join(&mut self, other: &Facts) -> bool {
+        let mut grew = false;
+        for (mine, theirs) in self.slots.iter_mut().zip(&other.slots) {
+            let Some(b) = theirs else { continue };
+            match mine {
+                None => *mine = Some(Rc::clone(b)),
+                Some(a) if Rc::ptr_eq(a, b) || b.iter().all(|x| a.binary_search(x).is_ok()) => {
+                    continue
+                }
+                Some(a) => {
+                    let mut union = [&a[..], &b[..]].concat();
+                    union.sort_unstable();
+                    union.dedup();
+                    *mine = Some(union.into());
+                }
+            }
+            grew = true;
+        }
+        grew
+    }
+}
+
+/// A may-dataflow problem over the CFG, on the [`Facts`] lattice.
+pub trait Dataflow {
     /// Which way facts flow.
     fn direction(&self) -> Direction;
 
-    /// Bottom (initial) fact for every node.
-    fn bottom(&self) -> Self::Fact;
+    /// How many slots a fact has.
+    fn slots(&self) -> usize;
 
-    /// Join `b` into `a`; return whether `a` changed. Must be monotone.
-    fn join(&self, a: &mut Self::Fact, b: &Self::Fact) -> bool;
-
-    /// Transfer: compute the node's out-fact from its in-fact (the join
-    /// of neighbour facts in the analysis direction). `outs` exposes the
-    /// current out-fact of every node — needed by transfer functions
-    /// with non-local dependencies (the ArgOut restore vertex reads the
-    /// facts at its paired ArgIn's predecessors); reads must be
-    /// monotone in those facts.
-    fn transfer(&self, node: NodeId, input: &Self::Fact, outs: &[Self::Fact]) -> Self::Fact;
+    /// Transfer: turn the node's in-fact (the join of neighbour facts
+    /// in the analysis direction, then [`Dataflow::seed`]) into its
+    /// out-fact, in place. `outs` exposes the current out-fact of every
+    /// node — needed by transfer functions with non-local dependencies
+    /// (the ArgOut restore vertex reads the facts at its paired ArgIn's
+    /// predecessors); reads must be monotone in those facts.
+    fn transfer(&self, node: NodeId, fact: &mut Facts, outs: &[Facts]);
 
     /// Extra seed applied to the node's *input* before transfer (e.g.
     /// boundary facts at entry/exit). Default: nothing.
-    fn seed(&self, _node: NodeId, _input: &mut Self::Fact) {}
+    fn seed(&self, _node: NodeId, _input: &mut Facts) {}
+}
+
+/// The nodes whose out-facts flow into `node`.
+fn upstream(cfg: &Cfg, direction: Direction, node: NodeId) -> &[NodeId] {
+    match direction {
+        Direction::Forward => &cfg.preds[node.idx()],
+        Direction::Backward => &cfg.succs[node.idx()],
+    }
+}
+
+/// The in-fact of `node` under `outs`: the join of its upstream
+/// neighbours' out-facts, seeded.
+pub fn input_of<D: Dataflow>(cfg: &Cfg, problem: &D, outs: &[Facts], node: NodeId) -> Facts {
+    let mut input = Facts::new(problem.slots());
+    for nb in upstream(cfg, problem.direction(), node) {
+        input.join(&outs[nb.idx()]);
+    }
+    problem.seed(node, &mut input);
+    input
 }
 
 /// Solve to fixpoint; returns the out-fact of every node.
-pub fn solve<D: Dataflow>(cfg: &Cfg, problem: &D) -> Vec<D::Fact> {
+pub fn solve<D: Dataflow>(cfg: &Cfg, problem: &D) -> Vec<Facts> {
     let n = cfg.len();
-    let mut out: Vec<D::Fact> = (0..n).map(|_| problem.bottom()).collect();
+    let mut out = vec![Facts::new(problem.slots()); n];
 
     // Iteration order: RPO for forward, reverse-RPO for backward.
     let mut order = cfg.reverse_postorder();
@@ -61,22 +157,10 @@ pub fn solve<D: Dataflow>(cfg: &Cfg, problem: &D) -> Vec<D::Fact> {
 
     while let Some(v) = worklist.pop_front() {
         in_worklist[v.idx()] = false;
-        // Input = join of neighbour outputs.
-        let mut input = problem.bottom();
-        let neighbours = match problem.direction() {
-            Direction::Forward => &cfg.preds[v.idx()],
-            Direction::Backward => &cfg.succs[v.idx()],
-        };
-        for nb in neighbours {
-            problem.join(&mut input, &out[nb.idx()]);
-        }
-        problem.seed(v, &mut input);
-        let new_out = problem.transfer(v, &input, &out);
+        let mut fact = input_of(cfg, problem, &out, v);
+        problem.transfer(v, &mut fact, &out);
         // Did the out-fact grow?
-        let mut tmp = out[v.idx()].clone();
-        let changed = problem.join(&mut tmp, &new_out);
-        if changed {
-            out[v.idx()] = tmp;
+        if out[v.idx()].join(&fact) {
             let downstream = match problem.direction() {
                 Direction::Forward => &cfg.succs[v.idx()],
                 Direction::Backward => &cfg.preds[v.idx()],
@@ -97,33 +181,84 @@ mod tests {
     use super::*;
     use crate::graph::{build_cfg, NodeKind};
     use hpfc_lang::frontend;
-    use std::collections::BTreeSet;
 
-    /// Forward reachability-from-entry as a trivial may-problem: the
-    /// fact is the set of Cond nodes passed through.
+    fn shared(a: &Facts, b: &Facts, slot: usize) -> bool {
+        match (&a.slots[slot], &b.slots[slot]) {
+            (Some(x), Some(y)) => Rc::ptr_eq(x, y),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn set_sorts_and_dedups() {
+        let mut f = Facts::new(2);
+        f.set(1, [7, 3, 7, 1, 3]);
+        assert_eq!(f.get(1), [1, 3, 7]);
+        assert!(f.get(0).is_empty());
+        f.insert(1, 5);
+        f.insert(1, 5);
+        assert_eq!(f.get(1), [1, 3, 5, 7]);
+        f.set(1, []);
+        assert_eq!(f, Facts::new(2));
+    }
+
+    #[test]
+    fn join_reports_growth_exactly_once_and_is_idempotent() {
+        let (mut a, mut b) = (Facts::new(3), Facts::new(3));
+        a.set(0, [1, 4]);
+        b.set(0, [2, 4]);
+        b.set(2, [9]);
+        assert!(a.join(&b));
+        assert_eq!(
+            (a.get(0), a.get(1), a.get(2)),
+            (&[1, 2, 4][..], &[][..], &[9][..])
+        );
+        assert!(!a.join(&b), "nothing new the second time");
+        assert!(
+            !a.join(&a.clone()),
+            "a fact joined with itself does not grow"
+        );
+        assert!(!b.join(&Facts::new(3)), "bottom is the identity");
+        // A slot that was empty takes the other side's storage.
+        assert!(shared(&a, &b, 2) && !shared(&a, &b, 0));
+    }
+
+    #[test]
+    fn clear_then_join_regrows() {
+        let (mut a, mut b) = (Facts::new(1), Facts::new(1));
+        b.set(0, [3, 5]);
+        assert!(a.join(&b));
+        a.clear(0);
+        assert!(a.get(0).is_empty());
+        assert!(a.join(&b));
+        assert_eq!(a.get(0), [3, 5]);
+        // Setting what is already there keeps the shared storage.
+        a.set(0, [5, 3]);
+        assert!(shared(&a, &b, 0));
+    }
+
+    /// Forward reachability-from-entry as a trivial may-problem: slot 0
+    /// is the set of Cond nodes passed through, slot 1 is never touched.
     struct PassedConds<'a> {
         cfg: &'a crate::graph::Cfg,
     }
 
     impl<'a> Dataflow for PassedConds<'a> {
-        type Fact = BTreeSet<u32>;
         fn direction(&self) -> Direction {
             Direction::Forward
         }
-        fn bottom(&self) -> Self::Fact {
-            BTreeSet::new()
+        fn slots(&self) -> usize {
+            2
         }
-        fn join(&self, a: &mut Self::Fact, b: &Self::Fact) -> bool {
-            let before = a.len();
-            a.extend(b.iter().copied());
-            a.len() != before
-        }
-        fn transfer(&self, node: NodeId, input: &Self::Fact, _outs: &[Self::Fact]) -> Self::Fact {
-            let mut f = input.clone();
-            if matches!(self.cfg.node(node).kind, NodeKind::Cond { .. }) {
-                f.insert(node.0);
+        fn seed(&self, node: NodeId, input: &mut Facts) {
+            if node == self.cfg.call_ctx {
+                input.set(1, [42]);
             }
-            f
+        }
+        fn transfer(&self, node: NodeId, fact: &mut Facts, _outs: &[Facts]) {
+            if matches!(self.cfg.node(node).kind, NodeKind::Cond { .. }) {
+                fact.insert(0, node.0);
+            }
         }
     }
 
@@ -134,15 +269,29 @@ mod tests {
                    do i = 1, 3\nif (a(2) > 0.0) then\na = 2.0\nendif\nenddo\nend";
         let m = frontend(src).unwrap();
         let cfg = build_cfg(m.main()).unwrap();
-        let out = solve(&cfg, &PassedConds { cfg: &cfg });
+        let problem = PassedConds { cfg: &cfg };
+        let out = solve(&cfg, &problem);
         // At exit, both conds have been passed (may).
-        let conds: BTreeSet<u32> = cfg
+        let conds: Vec<u32> = cfg
             .node_ids()
             .filter(|&id| matches!(cfg.node(id).kind, NodeKind::Cond { .. }))
             .map(|id| id.0)
             .collect();
-        assert_eq!(out[cfg.exit.idx()], conds);
+        assert_eq!(out[cfg.exit.idx()].get(0), conds);
         assert_eq!(conds.len(), 2);
+        // A slot no transfer changes is one set: every node's out-fact,
+        // and every in-fact read from its predecessors, share the
+        // storage the root's seed allocated.
+        let seeded = &out[cfg.call_ctx.idx()];
+        for id in cfg.node_ids() {
+            assert!(shared(&out[id.idx()], seeded, 1), "{id:?}");
+            if id != cfg.call_ctx {
+                assert!(
+                    shared(&input_of(&cfg, &problem, &out, id), seeded, 1),
+                    "{id:?}"
+                );
+            }
+        }
     }
 
     /// Backward: set of LoopTest nodes reachable *from* a node.
@@ -151,24 +300,16 @@ mod tests {
     }
 
     impl<'a> Dataflow for ReachesTests<'a> {
-        type Fact = BTreeSet<u32>;
         fn direction(&self) -> Direction {
             Direction::Backward
         }
-        fn bottom(&self) -> Self::Fact {
-            BTreeSet::new()
+        fn slots(&self) -> usize {
+            1
         }
-        fn join(&self, a: &mut Self::Fact, b: &Self::Fact) -> bool {
-            let before = a.len();
-            a.extend(b.iter().copied());
-            a.len() != before
-        }
-        fn transfer(&self, node: NodeId, input: &Self::Fact, _outs: &[Self::Fact]) -> Self::Fact {
-            let mut f = input.clone();
+        fn transfer(&self, node: NodeId, fact: &mut Facts, _outs: &[Facts]) {
             if matches!(self.cfg.node(node).kind, NodeKind::LoopTest { .. }) {
-                f.insert(node.0);
+                fact.insert(0, node.0);
             }
-            f
         }
     }
 
@@ -179,8 +320,8 @@ mod tests {
         let cfg = build_cfg(m.main()).unwrap();
         let out = solve(&cfg, &ReachesTests { cfg: &cfg });
         // From entry, the loop test is reachable.
-        assert_eq!(out[cfg.entry.idx()].len(), 1);
+        assert_eq!(out[cfg.entry.idx()].get(0).len(), 1);
         // From exit, nothing is.
-        assert!(out[cfg.exit.idx()].is_empty());
+        assert!(out[cfg.exit.idx()].get(0).is_empty());
     }
 }

@@ -122,8 +122,8 @@ pub fn lower_with(
         .find(|&v| matches!(rg.cfg.node(rg.node_of(v)).kind, NodeKind::Exit))
         .expect("exit vertex");
     let mut exit_block = Vec::new();
-    for (a, label) in rg.labels[exit_v.idx()].clone() {
-        if let Some(op) = lowerer.remap_op_from_label(a, &label) {
+    for (&a, label) in &rg.labels[exit_v.idx()] {
+        if let Some(op) = lowerer.remap_op_from_label(a, label) {
             exit_block.push(SStmt::Remap(op));
         }
     }
@@ -352,11 +352,10 @@ impl<'a> Lowerer<'a> {
                 let expected = self
                     .assign_nodes
                     .get(&key(*span))
-                    .map(|n| {
+                    .map(|&n| {
                         self.rg
                             .ref_versions
-                            .iter()
-                            .filter(|((node, _), _)| node == n)
+                            .range((n, ArrayId(0))..=(n, ArrayId(u32::MAX)))
                             .map(|((_, a), v)| (*a, v.index))
                             .collect()
                     })
@@ -393,7 +392,7 @@ impl<'a> Lowerer<'a> {
                 // restore is flow-dependent, *before* remapping it.
                 let mut slots: BTreeMap<ArrayId, u32> = BTreeMap::new();
                 for &vo in &group.arg_outs {
-                    let NodeKind::ArgOut { array, .. } = rg_kind(self.rg, vo) else { continue };
+                    let NodeKind::ArgOut { array, .. } = *rg_kind(self.rg, vo) else { continue };
                     let label = &self.rg.labels[vo.idx()][&array];
                     if matches!(label.leaving, Some(Leaving::Restore(_))) {
                         let slot = self.n_slots;
@@ -406,11 +405,11 @@ impl<'a> Lowerer<'a> {
                 // ArgIn remaps.
                 let mut mapped = Vec::new();
                 for &vi in &group.arg_ins {
-                    let NodeKind::ArgIn { array, intent, .. } = rg_kind(self.rg, vi) else {
+                    let NodeKind::ArgIn { array, intent, .. } = *rg_kind(self.rg, vi) else {
                         continue;
                     };
-                    let label = self.rg.labels[vi.idx()][&array].clone();
-                    if let Some(op) = self.remap_op_from_label(array, &label) {
+                    let label = &self.rg.labels[vi.idx()][&array];
+                    if let Some(op) = self.remap_op_from_label(array, label) {
                         mapped.push((array, intent, op.target));
                         out.push(SStmt::Remap(op));
                     } else if let Some(Leaving::One(v)) = &label.original_leaving {
@@ -423,8 +422,8 @@ impl<'a> Lowerer<'a> {
                 out.push(SStmt::Call { name: name.clone(), args: args.clone(), mapped });
                 // ArgOut restores.
                 for &vo in &group.arg_outs {
-                    let NodeKind::ArgOut { array, .. } = rg_kind(self.rg, vo) else { continue };
-                    let label = self.rg.labels[vo.idx()][&array].clone();
+                    let NodeKind::ArgOut { array, .. } = *rg_kind(self.rg, vo) else { continue };
+                    let label = &self.rg.labels[vo.idx()][&array];
                     match &label.leaving {
                         None => {
                             if label.is_removed() {
@@ -432,7 +431,7 @@ impl<'a> Lowerer<'a> {
                             }
                         }
                         Some(Leaving::One(_)) => {
-                            if let Some(op) = self.remap_op_from_label(array, &label) {
+                            if let Some(op) = self.remap_op_from_label(array, label) {
                                 out.push(SStmt::Remap(op));
                             }
                         }
@@ -480,8 +479,8 @@ impl<'a> Lowerer<'a> {
                         return; // unreachable directive (dead code)
                     };
                     let mut ops = Vec::new();
-                    for (a, label) in self.rg.labels[v.idx()].clone() {
-                        if let Some(op) = self.remap_op_from_label(a, &label) {
+                    for (&a, label) in &self.rg.labels[v.idx()] {
+                        if let Some(op) = self.remap_op_from_label(a, label) {
                             ops.push(op);
                         }
                     }
@@ -495,6 +494,6 @@ impl<'a> Lowerer<'a> {
     }
 }
 
-fn rg_kind(rg: &Rg, v: VertexId) -> NodeKind {
-    rg.cfg.node(rg.node_of(v)).kind.clone()
+fn rg_kind(rg: &Rg, v: VertexId) -> &NodeKind {
+    &rg.cfg.node(rg.node_of(v)).kind
 }

@@ -1,18 +1,29 @@
 //! Remapping-graph construction — the dataflow formulation of App. B.
 //!
-//! Four passes over the CFG, each a standard may-problem solved with
-//! the shared worklist solver:
+//! Four passes over the CFG, each a may-problem on the solver's one
+//! lattice ([`Facts`]: per slot a sorted set of `u32`, joined by union),
+//! so a pass is only its slot layout and its transfer function. Every
+//! pass has one slot per array (slot = `ArrayId`); pass 1 adds one per
+//! template after them.
 //!
-//! 1. **Reaching/leaving mappings** (may-forward): per-array sets of raw
-//!    `(alignment, distribution)` pairs, updated by the `impact` of each
-//!    remapping statement. Distribution state is tracked per template so
-//!    a `REALIGN` picks up the target template's current distribution.
+//! 1. **Reaching/leaving mappings** (may-forward). An array's slot holds
+//!    the interned raw `(alignment, distribution)` pairs that may be
+//!    current, updated by the `impact` of each remapping statement; a
+//!    template's slot holds its interned current distributions, so a
+//!    `REALIGN` picks up the target template's. The `ArgOut` vertex
+//!    restores what reached the paired `ArgIn` by reading the out-facts
+//!    of that node's predecessors — a non-local read, sound because it
+//!    is monotone in facts that only grow.
 //! 2. **Use summarization** (may-backward): folds per-node accesses into
-//!    the `N < D < R < W` qualifiers between remapping vertices.
-//! 3. **Remapped-after** (may-backward): which remapping vertex comes
-//!    next for each array — the edges of `G_R`.
-//! 4. **Live values** (may-forward): `KILL` support — whether the
-//!    array's *values* may still be live when they reach a vertex.
+//!    the `N < D < R < W` qualifiers between remapping vertices. A slot
+//!    holds the qualifiers that may apply and is read as its strongest
+//!    member, so the union *is* the paper's join = max; a node with an
+//!    access replaces the set by one sequenced qualifier.
+//! 3. **Remapped-after** (may-backward): a slot holds the CFG nodes of
+//!    the remapping vertices that may come next for the array — the
+//!    edges of `G_R`.
+//! 4. **Live values** (may-forward): `KILL` support — a slot is `{0}`
+//!    when the array's *values* may still be live, else empty.
 //!
 //! Along the way every array reference is re-pointed at its statically
 //! known version (the paper's Sec. 2 translation) and the two
@@ -21,9 +32,10 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::Hash;
 
-use hpfc_cfg::dataflow::{solve, Dataflow, Direction};
-use hpfc_cfg::effects::node_effects;
+use hpfc_cfg::dataflow::{input_of, solve, Dataflow, Direction, Facts};
+use hpfc_cfg::effects::{node_effects, Access};
 use hpfc_cfg::graph::{build_cfg, Cfg, NodeId, NodeKind};
 use hpfc_lang::ast::Intent;
 use hpfc_lang::diag::{codes, Diagnostic};
@@ -69,11 +81,6 @@ pub struct Rg {
 }
 
 impl Rg {
-    /// Vertex index of a CFG node, if it is a remapping vertex.
-    pub fn vertex_of(&self, n: NodeId) -> Option<VertexId> {
-        self.vertices.iter().position(|&x| x == n).map(|i| VertexId(i as u32))
-    }
-
     /// CFG node of a vertex.
     pub fn node_of(&self, v: VertexId) -> NodeId {
         self.vertices[v.idx()]
@@ -133,183 +140,181 @@ pub fn build(unit: &RoutineUnit) -> Result<Rg, Vec<Diagnostic>> {
 }
 
 // ---------------------------------------------------------------------
+// What every pass knows about the routine.
+// ---------------------------------------------------------------------
+
+struct Routine<'a> {
+    unit: &'a RoutineUnit,
+    cfg: &'a Cfg,
+    dummies: BTreeSet<ArrayId>,
+    /// `node_effects` of every node, by node index.
+    effects: Vec<Vec<(ArrayId, Access)>>,
+}
+
+impl Routine<'_> {
+    fn intent(&self, a: ArrayId) -> Intent {
+        let name = &self.unit.env.array(a).name;
+        self.unit.param_intents.get(name).copied().unwrap_or(Intent::InOut)
+    }
+
+    fn kind(&self, node: NodeId) -> &NodeKind {
+        &self.cfg.node(node).kind
+    }
+}
+
+/// The slot of an array, in every pass.
+fn slot(a: ArrayId) -> usize {
+    a.0 as usize
+}
+
+/// Precomputed `S(v)` for remap vertices.
+type SSets = BTreeMap<NodeId, BTreeSet<ArrayId>>;
+
+// ---------------------------------------------------------------------
 // Pass 1: reaching/leaving mapping propagation.
 // ---------------------------------------------------------------------
 
 type Key = u32;
 
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct MapState {
-    arrays: BTreeMap<ArrayId, BTreeSet<Key>>,
-    templates: BTreeMap<TemplateId, BTreeSet<Key>>,
+/// Values numbered in order of first appearance.
+struct Interner<T> {
+    items: Vec<T>,
+    index: HashMap<T, Key>,
 }
 
-#[derive(Default)]
-struct Interners {
-    maps: Vec<Mapping>,
-    map_idx: HashMap<Mapping, Key>,
-    dists: Vec<Distribution>,
-    dist_idx: HashMap<Distribution, Key>,
-}
-
-impl Interners {
-    fn map(&mut self, m: &Mapping) -> Key {
-        if let Some(&k) = self.map_idx.get(m) {
-            return k;
-        }
-        let k = self.maps.len() as Key;
-        self.maps.push(m.clone());
-        self.map_idx.insert(m.clone(), k);
-        k
+impl<T: Clone + Eq + Hash> Interner<T> {
+    fn new() -> Self {
+        Interner { items: Vec::new(), index: HashMap::new() }
     }
-    fn dist(&mut self, d: &Distribution) -> Key {
-        if let Some(&k) = self.dist_idx.get(d) {
+
+    fn intern(&mut self, x: &T) -> Key {
+        if let Some(&k) = self.index.get(x) {
             return k;
         }
-        let k = self.dists.len() as Key;
-        self.dists.push(d.clone());
-        self.dist_idx.insert(d.clone(), k);
+        let k = self.items.len() as Key;
+        self.items.push(x.clone());
+        self.index.insert(x.clone(), k);
         k
     }
 }
 
 struct MapFlow<'a> {
-    unit: &'a RoutineUnit,
-    cfg: &'a Cfg,
-    interners: RefCell<Interners>,
-    dummies: BTreeSet<ArrayId>,
+    r: &'a Routine<'a>,
+    maps: RefCell<Interner<Mapping>>,
+    dists: RefCell<Interner<Distribution>>,
 }
 
-impl<'a> MapFlow<'a> {
-    fn initial_key(&self, a: ArrayId) -> Key {
-        self.interners.borrow_mut().map(&self.unit.initial[&a])
+impl MapFlow<'_> {
+    fn template_slot(&self, t: TemplateId) -> usize {
+        self.r.unit.env.n_arrays() + t.0 as usize
+    }
+
+    fn initial(&self, a: ArrayId) -> [Key; 1] {
+        [self.maps.borrow_mut().intern(&self.r.unit.initial[&a])]
     }
 
     fn template_initial(&self, t: TemplateId) -> Distribution {
-        self.unit.template_dist.get(&t).cloned().unwrap_or_else(|| {
+        let unit = self.r.unit;
+        unit.template_dist.get(&t).cloned().unwrap_or_else(|| {
             Distribution::new(
-                self.unit.default_grid,
-                vec![DimFormat::Collapsed; self.unit.env.template(t).shape.rank()],
+                unit.default_grid,
+                vec![DimFormat::Collapsed; unit.env.template(t).shape.rank()],
             )
         })
     }
+
+    /// The impact of `REDISTRIBUTE template(dist)` on one mapping: a
+    /// mapping aligned with another template is left alone.
+    fn redistributed(&self, k: Key, template: TemplateId, dist: &Distribution) -> Key {
+        let mut maps = self.maps.borrow_mut();
+        let align = &maps.items[k as usize].align;
+        if align.template != template {
+            return k;
+        }
+        let impacted = Mapping { align: align.clone(), dist: dist.clone() };
+        maps.intern(&impacted)
+    }
 }
 
-impl<'a> Dataflow for MapFlow<'a> {
-    type Fact = MapState;
-
+impl Dataflow for MapFlow<'_> {
     fn direction(&self) -> Direction {
         Direction::Forward
     }
 
-    fn bottom(&self) -> MapState {
-        MapState::default()
+    fn slots(&self) -> usize {
+        self.r.unit.env.n_arrays() + self.r.unit.env.templates().len()
     }
 
-    fn join(&self, a: &mut MapState, b: &MapState) -> bool {
-        let mut changed = false;
-        for (k, s) in &b.arrays {
-            let e = a.arrays.entry(*k).or_default();
-            for x in s {
-                changed |= e.insert(*x);
-            }
-        }
-        for (k, s) in &b.templates {
-            let e = a.templates.entry(*k).or_default();
-            for x in s {
-                changed |= e.insert(*x);
-            }
-        }
-        changed
-    }
-
-    fn transfer(&self, node: NodeId, input: &MapState, outs: &[MapState]) -> MapState {
-        let mut st = input.clone();
-        match &self.cfg.node(node).kind {
+    fn transfer(&self, node: NodeId, fact: &mut Facts, outs: &[Facts]) {
+        let Routine { unit, cfg, dummies, .. } = self.r;
+        match self.r.kind(node) {
             NodeKind::CallCtx => {
                 // Seed every template's current distribution and the
                 // dummies' initial mappings.
-                let mut int = self.interners.borrow_mut();
-                for t in self.unit.env.templates() {
-                    let d = self.template_initial(t.id);
-                    st.templates.insert(t.id, [int.dist(&d)].into());
+                for t in unit.env.templates() {
+                    let d = self.dists.borrow_mut().intern(&self.template_initial(t.id));
+                    fact.set(self.template_slot(t.id), [d]);
                 }
-                drop(int);
-                for &a in &self.dummies {
-                    let k = self.initial_key(a);
-                    st.arrays.insert(a, [k].into());
+                for &a in dummies {
+                    fact.set(slot(a), self.initial(a));
                 }
             }
             NodeKind::Entry => {
-                for info in self.unit.env.arrays() {
-                    if !self.dummies.contains(&info.id) {
-                        let k = self.initial_key(info.id);
-                        st.arrays.insert(info.id, [k].into());
+                for info in unit.env.arrays() {
+                    if !dummies.contains(&info.id) {
+                        fact.set(slot(info.id), self.initial(info.id));
                     }
                 }
             }
             NodeKind::Exit => {
                 // Dummies are restored to their declared mapping.
-                for &a in &self.dummies {
-                    let k = self.initial_key(a);
-                    st.arrays.insert(a, [k].into());
+                for &a in dummies {
+                    fact.set(slot(a), self.initial(a));
                 }
             }
             NodeKind::Realign { pairs } => {
-                let mut int = self.interners.borrow_mut();
                 for (a, al) in pairs {
-                    let dists: Vec<Distribution> = st
-                        .templates
-                        .get(&al.template)
-                        .map(|s| s.iter().map(|&k| int.dists[k as usize].clone()).collect())
-                        .unwrap_or_else(|| vec![self.template_initial(al.template)]);
-                    let keys: BTreeSet<Key> = dists
+                    let dists = self.dists.borrow();
+                    let mut current: Vec<Distribution> = fact
+                        .get(self.template_slot(al.template))
                         .iter()
-                        .map(|d| int.map(&Mapping { align: al.clone(), dist: d.clone() }))
+                        .map(|&k| dists.items[k as usize].clone())
                         .collect();
-                    st.arrays.insert(*a, keys);
+                    if current.is_empty() {
+                        current.push(self.template_initial(al.template));
+                    }
+                    let mut maps = self.maps.borrow_mut();
+                    let keys: Vec<Key> = current
+                        .into_iter()
+                        .map(|dist| maps.intern(&Mapping { align: al.clone(), dist }))
+                        .collect();
+                    fact.set(slot(*a), keys);
                 }
             }
             NodeKind::Redistribute { template, dist } => {
-                let mut int = self.interners.borrow_mut();
-                let dk = int.dist(dist);
-                st.templates.insert(*template, [dk].into());
-                let arrays: Vec<ArrayId> = st.arrays.keys().copied().collect();
-                for a in arrays {
-                    let old = st.arrays[&a].clone();
-                    let mut new = BTreeSet::new();
-                    for k in old {
-                        let m = int.maps[k as usize].clone();
-                        if m.align.template == *template {
-                            let nk = int.map(&Mapping { align: m.align, dist: dist.clone() });
-                            new.insert(nk);
-                        } else {
-                            new.insert(k);
-                        }
-                    }
-                    st.arrays.insert(a, new);
+                fact.set(self.template_slot(*template), [self.dists.borrow_mut().intern(dist)]);
+                for a in 0..unit.env.n_arrays() {
+                    let keys: Vec<Key> =
+                        fact.get(a).iter().map(|&k| self.redistributed(k, *template, dist)).collect();
+                    fact.set(a, keys);
                 }
             }
             NodeKind::ArgIn { array, mapping, .. } => {
-                let k = self.interners.borrow_mut().map(mapping);
-                st.arrays.insert(*array, [k].into());
+                fact.set(slot(*array), [self.maps.borrow_mut().intern(mapping)]);
             }
             NodeKind::ArgOut { array, arg_in, .. } => {
                 // Restore the mappings that reached the paired ArgIn:
                 // monotone read of the current out-facts of its preds.
-                let mut restored = BTreeSet::new();
-                for p in &self.cfg.preds[arg_in.idx()] {
-                    if let Some(s) = outs[p.idx()].arrays.get(array) {
-                        restored.extend(s.iter().copied());
-                    }
-                }
+                let restored: Vec<Key> = cfg.preds[arg_in.idx()]
+                    .iter()
+                    .flat_map(|p| outs[p.idx()].get(slot(*array)).iter().copied())
+                    .collect();
                 if !restored.is_empty() {
-                    st.arrays.insert(*array, restored);
+                    fact.set(slot(*array), restored);
                 }
             }
             _ => {}
         }
-        st
     }
 }
 
@@ -318,63 +323,44 @@ impl<'a> Dataflow for MapFlow<'a> {
 // ---------------------------------------------------------------------
 
 struct UseFlow<'a> {
-    unit: &'a RoutineUnit,
-    cfg: &'a Cfg,
-    /// Precomputed `S(v)` for remap vertices.
-    s_sets: &'a BTreeMap<NodeId, BTreeSet<ArrayId>>,
-    dummies: &'a BTreeSet<ArrayId>,
+    r: &'a Routine<'a>,
+    s_sets: &'a SSets,
 }
 
-type UseFact = BTreeMap<ArrayId, UseInfo>;
+/// The qualifier a slot of pass 2 stands for: its strongest member.
+fn strongest(qualifiers: &[u32]) -> UseInfo {
+    const BY_RANK: [UseInfo; 4] = [UseInfo::N, UseInfo::D, UseInfo::R, UseInfo::W];
+    qualifiers.last().map_or(UseInfo::N, |&q| BY_RANK[q as usize])
+}
 
-impl<'a> Dataflow for UseFlow<'a> {
-    type Fact = UseFact;
-
+impl Dataflow for UseFlow<'_> {
     fn direction(&self) -> Direction {
         Direction::Backward
     }
 
-    fn bottom(&self) -> UseFact {
-        UseFact::new()
+    fn slots(&self) -> usize {
+        self.r.unit.env.n_arrays()
     }
 
-    fn join(&self, a: &mut UseFact, b: &UseFact) -> bool {
-        let mut changed = false;
-        for (k, v) in b {
-            let e = a.entry(*k).or_default();
-            let j = e.join(*v);
-            if j != *e {
-                *e = j;
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    fn seed(&self, node: NodeId, input: &mut UseFact) {
-        if matches!(self.cfg.node(node).kind, NodeKind::Exit) {
+    fn seed(&self, node: NodeId, input: &mut Facts) {
+        if matches!(self.r.kind(node), NodeKind::Exit) {
             // Fig. 22: exported values are uses after exit.
-            for &a in self.dummies {
-                let name = &self.unit.env.array(a).name;
-                let intent =
-                    self.unit.param_intents.get(name).copied().unwrap_or(Intent::InOut);
-                let (_, at_exit) = intent_use_labels(intent);
-                let e = input.entry(a).or_default();
-                *e = e.join(at_exit);
+            for &a in &self.r.dummies {
+                let (_, at_exit) = intent_use_labels(self.r.intent(a));
+                input.insert(slot(a), at_exit as u32);
             }
         }
     }
 
-    fn transfer(&self, node: NodeId, input: &UseFact, _outs: &[UseFact]) -> UseFact {
-        let mut out = input.clone();
+    fn transfer(&self, node: NodeId, fact: &mut Facts, _outs: &[Facts]) {
         if let Some(s) = self.s_sets.get(&node) {
             // Remapping vertex: the summarized region ends here.
             for a in s {
-                out.remove(a);
+                fact.clear(slot(*a));
             }
-            return out;
+            return;
         }
-        for (a, acc) in node_effects(self.unit, self.cfg, node) {
+        for &(a, acc) in &self.r.effects[node.idx()] {
             let of = if acc.read && acc.write {
                 Some(UseInfo::W)
             } else if acc.read {
@@ -386,11 +372,9 @@ impl<'a> Dataflow for UseFlow<'a> {
             } else {
                 None
             };
-            let after = out.get(&a).copied().unwrap_or_default();
-            let v = UseInfo::seq(of, after);
-            out.insert(a, v);
+            let after = strongest(fact.get(slot(a)));
+            fact.set(slot(a), [UseInfo::seq(of, after) as u32]);
         }
-        out
     }
 }
 
@@ -399,39 +383,22 @@ impl<'a> Dataflow for UseFlow<'a> {
 // ---------------------------------------------------------------------
 
 struct NextRemapFlow<'a> {
-    s_sets: &'a BTreeMap<NodeId, BTreeSet<ArrayId>>,
+    n_arrays: usize,
+    s_sets: &'a SSets,
 }
 
-type NextFact = BTreeSet<(ArrayId, u32)>;
-
-impl<'a> Dataflow for NextRemapFlow<'a> {
-    type Fact = NextFact;
-
+impl Dataflow for NextRemapFlow<'_> {
     fn direction(&self) -> Direction {
         Direction::Backward
     }
 
-    fn bottom(&self) -> NextFact {
-        NextFact::new()
+    fn slots(&self) -> usize {
+        self.n_arrays
     }
 
-    fn join(&self, a: &mut NextFact, b: &NextFact) -> bool {
-        let before = a.len();
-        a.extend(b.iter().copied());
-        a.len() != before
-    }
-
-    fn transfer(&self, node: NodeId, input: &NextFact, _outs: &[NextFact]) -> NextFact {
-        match self.s_sets.get(&node) {
-            Some(s) => {
-                let mut out: NextFact =
-                    input.iter().filter(|(a, _)| !s.contains(a)).copied().collect();
-                for a in s {
-                    out.insert((*a, node.0));
-                }
-                out
-            }
-            None => input.clone(),
+    fn transfer(&self, node: NodeId, fact: &mut Facts, _outs: &[Facts]) {
+        for a in self.s_sets.get(&node).into_iter().flatten() {
+            fact.set(slot(*a), [node.0]);
         }
     }
 }
@@ -441,59 +408,42 @@ impl<'a> Dataflow for NextRemapFlow<'a> {
 // ---------------------------------------------------------------------
 
 struct LiveValuesFlow<'a> {
-    unit: &'a RoutineUnit,
-    cfg: &'a Cfg,
-    dummies: &'a BTreeSet<ArrayId>,
+    r: &'a Routine<'a>,
 }
 
-type LiveFact = BTreeSet<ArrayId>;
-
-impl<'a> Dataflow for LiveValuesFlow<'a> {
-    type Fact = LiveFact;
-
+impl Dataflow for LiveValuesFlow<'_> {
     fn direction(&self) -> Direction {
         Direction::Forward
     }
 
-    fn bottom(&self) -> LiveFact {
-        LiveFact::new()
+    fn slots(&self) -> usize {
+        self.r.unit.env.n_arrays()
     }
 
-    fn join(&self, a: &mut LiveFact, b: &LiveFact) -> bool {
-        let before = a.len();
-        a.extend(b.iter().copied());
-        a.len() != before
-    }
-
-    fn transfer(&self, node: NodeId, input: &LiveFact, _outs: &[LiveFact]) -> LiveFact {
-        let mut out = input.clone();
-        match &self.cfg.node(node).kind {
+    fn transfer(&self, node: NodeId, fact: &mut Facts, _outs: &[Facts]) {
+        match self.r.kind(node) {
             NodeKind::CallCtx => {
                 // Imported values are live; OUT dummies arrive dead;
                 // locals are uninitialized (dead) until first written.
-                for &a in self.dummies {
-                    let name = &self.unit.env.array(a).name;
-                    let intent =
-                        self.unit.param_intents.get(name).copied().unwrap_or(Intent::InOut);
-                    if intent != Intent::Out {
-                        out.insert(a);
+                for &a in &self.r.dummies {
+                    if self.r.intent(a) != Intent::Out {
+                        fact.insert(slot(a), 0);
                     }
                 }
             }
             NodeKind::Kill { arrays } => {
                 for a in arrays {
-                    out.remove(a);
+                    fact.clear(slot(*a));
                 }
             }
             _ => {
-                for (a, acc) in node_effects(self.unit, self.cfg, node) {
+                for &(a, acc) in &self.r.effects[node.idx()] {
                     if acc.write {
-                        out.insert(a);
+                        fact.insert(slot(a), 0);
                     }
                 }
             }
         }
-        out
     }
 }
 
@@ -505,70 +455,29 @@ impl<'a> Dataflow for LiveValuesFlow<'a> {
 pub fn build_from_cfg(unit: &RoutineUnit, cfg: Cfg) -> Result<Rg, Vec<Diagnostic>> {
     let mut errs: Vec<Diagnostic> = Vec::new();
 
-    let dummies: BTreeSet<ArrayId> =
-        unit.ast.params.iter().filter_map(|p| unit.array(p)).collect();
+    let r = Routine {
+        unit,
+        cfg: &cfg,
+        dummies: unit.ast.params.iter().filter_map(|p| unit.array(p)).collect(),
+        effects: cfg.node_ids().map(|n| node_effects(unit, &cfg, n)).collect(),
+    };
+    let arrays = || unit.env.arrays().iter().map(|info| info.id);
 
     // --- Pass 1: mapping propagation.
-    let flow = MapFlow { unit, cfg: &cfg, interners: RefCell::new(Interners::default()), dummies: dummies.clone() };
-    let outs = solve(&cfg, &flow);
-    let interners = flow.interners.into_inner();
-
-    let input_at = |n: NodeId| -> MapState {
-        let mut st = MapState::default();
-        for p in &cfg.preds[n.idx()] {
-            for (k, s) in &outs[p.idx()].arrays {
-                st.arrays.entry(*k).or_default().extend(s.iter().copied());
-            }
-            for (k, s) in &outs[p.idx()].templates {
-                st.templates.entry(*k).or_default().extend(s.iter().copied());
-            }
-        }
-        st
+    let flow = MapFlow {
+        r: &r,
+        maps: RefCell::new(Interner::new()),
+        dists: RefCell::new(Interner::new()),
     };
+    let outs = solve(&cfg, &flow);
 
-    // --- S(v): which arrays are remapped at each vertex.
-    let rpo = cfg.reverse_postorder();
-    let remap_vertices: Vec<NodeId> =
-        rpo.iter().copied().filter(|&n| cfg.node(n).kind.is_remap_vertex()).collect();
+    let mut remap_vertices = cfg.reverse_postorder();
+    remap_vertices.retain(|&n| cfg.node(n).kind.is_remap_vertex());
 
-    let mut s_sets: BTreeMap<NodeId, BTreeSet<ArrayId>> = BTreeMap::new();
-    for &v in &remap_vertices {
-        let set: BTreeSet<ArrayId> = match &cfg.node(v).kind {
-            NodeKind::CallCtx | NodeKind::Exit => dummies.clone(),
-            NodeKind::Entry => unit
-                .env
-                .arrays()
-                .iter()
-                .map(|i| i.id)
-                .filter(|a| !dummies.contains(a))
-                .collect(),
-            NodeKind::ArgIn { array, .. } | NodeKind::ArgOut { array, .. } => {
-                [*array].into()
-            }
-            NodeKind::Realign { .. } | NodeKind::Redistribute { .. } => {
-                let before = input_at(v);
-                let after = &outs[v.idx()];
-                unit.env
-                    .arrays()
-                    .iter()
-                    .map(|i| i.id)
-                    .filter(|a| {
-                        before.arrays.contains_key(a)
-                            && before.arrays.get(a) != after.arrays.get(a)
-                    })
-                    .collect()
-            }
-            _ => unreachable!("not a remap vertex"),
-        };
-        s_sets.insert(v, set);
-    }
-
-    // --- Version interning, leaving/reaching labels (RPO order gives
-    // the paper's discovery-order subscripts: the entry mapping is 0).
+    // --- Version interning (RPO order gives the paper's discovery-order
+    // subscripts: the entry mapping is 0).
     let mut versions = VersionTable::new();
-    let mut labels_by_node: BTreeMap<NodeId, BTreeMap<ArrayId, Label>> = BTreeMap::new();
-
-    let normalize_keys = |keys: &BTreeSet<Key>,
+    let normalize_keys = |keys: &[Key],
                           a: ArrayId,
                           versions: &mut VersionTable,
                           errs: &mut Vec<Diagnostic>,
@@ -576,7 +485,7 @@ pub fn build_from_cfg(unit: &RoutineUnit, cfg: Cfg) -> Result<Rg, Vec<Diagnostic
      -> BTreeSet<VersionId> {
         let mut out = BTreeSet::new();
         for &k in keys {
-            match unit.env.normalize(a, &interners.maps[k as usize]) {
+            match unit.env.normalize(a, &flow.maps.borrow().items[k as usize]) {
                 Ok(nm) => {
                     out.insert(versions.intern(a, &nm));
                 }
@@ -592,12 +501,29 @@ pub fn build_from_cfg(unit: &RoutineUnit, cfg: Cfg) -> Result<Rg, Vec<Diagnostic
         out
     };
 
+    // --- S(v) — which arrays are remapped at each vertex — and their
+    // leaving/reaching labels, vertex by vertex.
+    let mut s_sets = SSets::new();
+    let mut labels: Vec<BTreeMap<ArrayId, Label>> = Vec::new();
     for &v in &remap_vertices {
         let span = cfg.node(v).span;
-        let before = input_at(v);
+        let kind = &cfg.node(v).kind;
+        let before = input_of(&cfg, &flow, &outs, v);
         let after = &outs[v.idx()];
-        let mut labels: BTreeMap<ArrayId, Label> = BTreeMap::new();
-        for &a in &s_sets[&v] {
+        let set: BTreeSet<ArrayId> = match kind {
+            NodeKind::CallCtx | NodeKind::Exit => r.dummies.clone(),
+            NodeKind::Entry => arrays().filter(|a| !r.dummies.contains(a)).collect(),
+            NodeKind::ArgIn { array, .. } | NodeKind::ArgOut { array, .. } => [*array].into(),
+            NodeKind::Realign { .. } | NodeKind::Redistribute { .. } => arrays()
+                .filter(|&a| {
+                    let reaching = before.get(slot(a));
+                    !reaching.is_empty() && reaching != after.get(slot(a))
+                })
+                .collect(),
+            _ => unreachable!("not a remap vertex"),
+        };
+        let mut labels_at_v: BTreeMap<ArrayId, Label> = BTreeMap::new();
+        for &a in &set {
             // Split the conceptual mappings into *remapped* (the
             // directive's impact changes them) and *pass-through* (a
             // partial-impact redistribution leaves them alone — the
@@ -606,39 +532,32 @@ pub fn build_from_cfg(unit: &RoutineUnit, cfg: Cfg) -> Result<Rg, Vec<Diagnostic
             // REDISTRIBUTE, a key is unaffected iff its alignment does
             // not target the redistributed template; every other vertex
             // kind maps all keys to the full after-set.
-            let before_keys = before.arrays.get(&a).cloned().unwrap_or_default();
-            let after_keys = after.arrays.get(&a).cloned().unwrap_or_default();
-            let mut passthrough_keys: BTreeSet<Key> = BTreeSet::new();
-            let mut affected_before: BTreeSet<Key> = BTreeSet::new();
-            let mut affected_after: BTreeSet<Key> = BTreeSet::new();
-            for &k in &before_keys {
-                let s_k: BTreeSet<Key> = match &cfg.node(v).kind {
+            let (before_keys, after_keys) = (before.get(slot(a)), after.get(slot(a)));
+            let mut passthrough_keys: Vec<Key> = Vec::new();
+            let mut affected_before: Vec<Key> = Vec::new();
+            let mut affected_after: Vec<Key> = Vec::new();
+            for &k in before_keys {
+                let redistributed;
+                let impact: &[Key] = match kind {
                     NodeKind::Redistribute { template, dist } => {
-                        let m = &interners.maps[k as usize];
-                        if m.align.template == *template {
-                            let m2 = Mapping { align: m.align.clone(), dist: dist.clone() };
-                            [*interners
-                                .map_idx
-                                .get(&m2)
-                                .expect("impact result was interned by the flow")]
-                            .into()
-                        } else {
-                            [k].into()
-                        }
+                        redistributed = [flow.redistributed(k, *template, dist)];
+                        &redistributed
                     }
-                    _ => after_keys.clone(),
+                    _ => after_keys,
                 };
-                if s_k.len() == 1 && s_k.contains(&k) {
-                    passthrough_keys.insert(k);
+                if impact == [k] {
+                    passthrough_keys.push(k);
                 } else {
-                    affected_before.insert(k);
-                    affected_after.extend(s_k);
+                    affected_before.push(k);
+                    affected_after.extend(impact);
                 }
             }
             if before_keys.is_empty() {
                 // Entry-side vertices: everything they leave is new.
-                affected_after = after_keys.clone();
+                affected_after.extend(after_keys);
             }
+            affected_after.sort_unstable();
+            affected_after.dedup();
 
             let reaching = normalize_keys(&affected_before, a, &mut versions, &mut errs, span);
             let passthrough =
@@ -648,7 +567,7 @@ pub fn build_from_cfg(unit: &RoutineUnit, cfg: Cfg) -> Result<Rg, Vec<Diagnostic
                 None
             } else if leaving_set.len() == 1 {
                 Some(Leaving::One(*leaving_set.iter().next().unwrap()))
-            } else if matches!(cfg.node(v).kind, NodeKind::ArgOut { .. }) {
+            } else if matches!(kind, NodeKind::ArgOut { .. }) {
                 // Fig. 18: restore whichever mapping reached the call —
                 // legal, realized by a runtime status save/restore.
                 Some(Leaving::Restore(leaving_set.clone()))
@@ -667,32 +586,31 @@ pub fn build_from_cfg(unit: &RoutineUnit, cfg: Cfg) -> Result<Rg, Vec<Diagnostic
             };
             let mut label = Label::new(leaving, reaching);
             label.passthrough = passthrough;
-            labels.insert(a, label);
+            labels_at_v.insert(a, label);
         }
-        labels_by_node.insert(v, labels);
+        s_sets.insert(v, set);
+        labels.push(labels_at_v);
     }
 
     // --- Reference tagging + restriction 1 (ambiguous references).
     let mut ref_versions: BTreeMap<(NodeId, ArrayId), VersionId> = BTreeMap::new();
     for n in cfg.node_ids() {
-        if cfg.node(n).kind.is_remap_vertex() {
-            continue;
-        }
-        let effects = node_effects(unit, &cfg, n);
+        let effects = &r.effects[n.idx()];
         if effects.is_empty() {
             continue;
         }
-        let st = input_at(n);
-        for (a, _acc) in effects {
-            let span = cfg.node(n).span;
-            let Some(keys) = st.arrays.get(&a) else {
+        let span = cfg.node(n).span;
+        let st = input_of(&cfg, &flow, &outs, n);
+        for &(a, _acc) in effects {
+            let keys = st.get(slot(a));
+            if keys.is_empty() {
                 errs.push(Diagnostic::error(
                     codes::AMBIGUOUS_REF,
                     span,
                     format!("`{}` referenced before any mapping", unit.env.array(a).name),
                 ));
                 continue;
-            };
+            }
             let vset = normalize_keys(keys, a, &mut versions, &mut errs, span);
             match vset.len() {
                 1 => {
@@ -717,39 +635,26 @@ pub fn build_from_cfg(unit: &RoutineUnit, cfg: Cfg) -> Result<Rg, Vec<Diagnostic
     }
 
     // --- Pass 2: use qualifiers.
-    let use_flow = UseFlow { unit, cfg: &cfg, s_sets: &s_sets, dummies: &dummies };
+    let use_flow = UseFlow { r: &r, s_sets: &s_sets };
     let use_outs = solve(&cfg, &use_flow);
-    for &v in &remap_vertices {
+    for (&v, labels_at_v) in remap_vertices.iter().zip(&mut labels) {
         // U_A(v) = join of successor facts (+ exit seed).
-        let mut input = UseFact::new();
-        for s_n in &cfg.succs[v.idx()] {
-            use_flow.join(&mut input, &use_outs[s_n.idx()]);
-        }
-        use_flow.seed(v, &mut input);
-        let labels = labels_by_node.get_mut(&v).unwrap();
-        match &cfg.node(v).kind {
-            NodeKind::CallCtx => {
+        let input = input_of(&cfg, &use_flow, &use_outs, v);
+        for (a, l) in labels_at_v {
+            l.use_info = match cfg.node(v).kind {
                 // Fig. 22 import side.
-                for (a, l) in labels.iter_mut() {
-                    let name = &unit.env.array(*a).name;
-                    let intent = unit.param_intents.get(name).copied().unwrap_or(Intent::InOut);
-                    l.use_info = intent_use_labels(intent).0;
-                }
-            }
-            _ => {
+                NodeKind::CallCtx => intent_use_labels(r.intent(*a)).0,
                 // ArgIn vertices need no special case: the callee's
                 // Fig. 25 intent effect is the Call node's proper
                 // effect, which the backward summarization already
                 // folded into `input`.
-                for (a, l) in labels.iter_mut() {
-                    l.use_info = input.get(a).copied().unwrap_or_default();
-                }
-            }
+                _ => strongest(input.get(slot(*a))),
+            };
         }
     }
 
     // --- Pass 3: edges.
-    let next_flow = NextRemapFlow { s_sets: &s_sets };
+    let next_flow = NextRemapFlow { n_arrays: unit.env.n_arrays(), s_sets: &s_sets };
     let next_outs = solve(&cfg, &next_flow);
     let vindex: BTreeMap<NodeId, VertexId> = remap_vertices
         .iter()
@@ -759,13 +664,10 @@ pub fn build_from_cfg(unit: &RoutineUnit, cfg: Cfg) -> Result<Rg, Vec<Diagnostic
     let mut edges: BTreeMap<VertexId, BTreeMap<VertexId, BTreeSet<ArrayId>>> = BTreeMap::new();
     let mut redges: BTreeMap<VertexId, BTreeMap<VertexId, BTreeSet<ArrayId>>> = BTreeMap::new();
     for &v in &remap_vertices {
-        let mut input = NextFact::new();
-        for s_n in &cfg.succs[v.idx()] {
-            next_flow.join(&mut input, &next_outs[s_n.idx()]);
-        }
+        let input = input_of(&cfg, &next_flow, &next_outs, v);
         let from = vindex[&v];
-        for (a, w) in input {
-            if s_sets[&v].contains(&a) {
+        for &a in &s_sets[&v] {
+            for &w in input.get(slot(a)) {
                 let to = vindex[&NodeId(w)];
                 edges.entry(from).or_default().entry(to).or_default().insert(a);
                 redges.entry(to).or_default().entry(from).or_default().insert(a);
@@ -774,27 +676,20 @@ pub fn build_from_cfg(unit: &RoutineUnit, cfg: Cfg) -> Result<Rg, Vec<Diagnostic
     }
 
     // --- Pass 4: live values (KILL).
-    let live_flow = LiveValuesFlow { unit, cfg: &cfg, dummies: &dummies };
+    let live_flow = LiveValuesFlow { r: &r };
     let live_outs = solve(&cfg, &live_flow);
-    for &v in &remap_vertices {
-        let mut input = LiveFact::new();
-        for p in &cfg.preds[v.idx()] {
-            live_flow.join(&mut input, &live_outs[p.idx()]);
-        }
-        let labels = labels_by_node.get_mut(&v).unwrap();
-        for (a, l) in labels.iter_mut() {
-            // Entry-side vertices have no incoming values by definition.
-            let has_preds = !cfg.preds[v.idx()].is_empty();
-            l.values_dead = has_preds && !input.contains(a);
+    for (&v, labels_at_v) in remap_vertices.iter().zip(&mut labels) {
+        let input = input_of(&cfg, &live_flow, &live_outs, v);
+        // Entry-side vertices have no incoming values by definition.
+        let has_preds = !cfg.preds[v.idx()].is_empty();
+        for (a, l) in labels_at_v {
+            l.values_dead = has_preds && input.get(slot(*a)).is_empty();
         }
     }
 
     if !errs.is_empty() {
         return Err(errs);
     }
-
-    let labels: Vec<BTreeMap<ArrayId, Label>> =
-        remap_vertices.iter().map(|n| labels_by_node.remove(n).unwrap()).collect();
 
     Ok(Rg {
         cfg,
