@@ -3,12 +3,14 @@
 //!
 //! All six analyses in the paper are *may* problems over union
 //! semilattices of small sets — mappings that may reach, qualifiers
-//! that may apply, vertices that may come next — tracked per array. So
-//! the solver owns the fact type and the join: [`Facts`] is one sorted
-//! set of `u32` per *slot* (the problem says how many slots it has and
-//! what a slot and a number mean), bottom is "every set empty" and the
-//! join is the slot-wise union. A problem supplies only its direction
-//! and its transfer function.
+//! that may apply, vertices that may come next — tracked per array,
+//! and all six run here (App. B's four in `hpfc_rgraph::build`, App. C
+//! and D's two in `hpfc_rgraph::optimize`). So the solver owns the
+//! fact type and the join: [`Facts`] is one sorted set of `u32` per
+//! *slot* (the problem says how many slots it has and what a slot and
+//! a number mean), bottom is "every set empty" and the join is the
+//! slot-wise union. A problem supplies only its direction and its
+//! transfer function.
 //!
 //! A slot's set is shared by reference between the facts of every node
 //! that does not change it, so a fact costs one pointer per slot rather
@@ -16,8 +18,8 @@
 //!
 //! Facts are tracked per node (the "out" side in the analysis
 //! direction); the "in" side is the join over the neighbours, and
-//! [`input_of`] is the single way to read it, during the solve and
-//! after it.
+//! [`input_of`] is the single way to read it after the solve (during
+//! it, one scratch in-fact per solve is refilled at every visit).
 
 use std::rc::Rc;
 
@@ -122,23 +124,29 @@ pub trait Dataflow {
     fn seed(&self, _node: NodeId, _input: &mut Facts) {}
 }
 
-/// The nodes whose out-facts flow into `node`.
-fn upstream(cfg: &Cfg, direction: Direction, node: NodeId) -> &[NodeId] {
-    match direction {
-        Direction::Forward => &cfg.preds[node.idx()],
-        Direction::Backward => &cfg.succs[node.idx()],
-    }
-}
-
 /// The in-fact of `node` under `outs`: the join of its upstream
 /// neighbours' out-facts, seeded.
 pub fn input_of<D: Dataflow>(cfg: &Cfg, problem: &D, outs: &[Facts], node: NodeId) -> Facts {
     let mut input = Facts::new(problem.slots());
-    for nb in upstream(cfg, problem.direction(), node) {
+    refill(cfg, problem, outs, node, &mut input);
+    input
+}
+
+/// [`input_of`] into `input`'s storage: a copy of the first upstream
+/// out-fact, joined with the rest.
+fn refill<D: Dataflow>(cfg: &Cfg, problem: &D, outs: &[Facts], node: NodeId, input: &mut Facts) {
+    let mut upstream = match problem.direction() {
+        Direction::Forward => cfg.preds[node.idx()].iter(),
+        Direction::Backward => cfg.succs[node.idx()].iter(),
+    };
+    match upstream.next() {
+        Some(first) => input.slots.clone_from(&outs[first.idx()].slots),
+        None => input.slots.fill(None),
+    }
+    for nb in upstream {
         input.join(&outs[nb.idx()]);
     }
-    problem.seed(node, &mut input);
-    input
+    problem.seed(node, input);
 }
 
 /// Solve to fixpoint; returns the out-fact of every node.
@@ -155,9 +163,10 @@ pub fn solve<D: Dataflow>(cfg: &Cfg, problem: &D) -> Vec<Facts> {
     let mut in_worklist = vec![true; n];
     let mut worklist: std::collections::VecDeque<NodeId> = order.iter().copied().collect();
 
+    let mut fact = Facts::new(problem.slots());
     while let Some(v) = worklist.pop_front() {
         in_worklist[v.idx()] = false;
-        let mut fact = input_of(cfg, problem, &out, v);
+        refill(cfg, problem, &out, v, &mut fact);
         problem.transfer(v, &mut fact, &out);
         // Did the out-fact grow?
         if out[v.idx()].join(&fact) {

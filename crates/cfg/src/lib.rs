@@ -1,5 +1,5 @@
 //! Control-flow graph and dataflow machinery for the remapping-graph
-//! construction (paper App. B).
+//! construction and optimization (paper App. B–D).
 //!
 //! The CFG is built from an analyzed routine
 //! ([`hpfc_lang::sema::RoutineUnit`]) with three properties the paper
@@ -16,7 +16,8 @@
 //!    "loop may have no iteration" edges in Fig. 11.
 //!
 //! [`dataflow`] provides the may-forward/may-backward worklist solver
-//! the four construction analyses and the two optimizations share.
+//! that all six analyses share: the four construction passes of App. B
+//! and the two optimizations of App. C/D, which run on this CFG too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

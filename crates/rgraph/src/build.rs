@@ -106,16 +106,6 @@ impl Rg {
             .unwrap_or_default()
     }
 
-    /// Successor vertices of `v` for array `a`.
-    pub fn succs_for(&self, v: VertexId, a: ArrayId) -> Vec<VertexId> {
-        self.edges
-            .get(&v)
-            .map(|m| {
-                m.iter().filter(|(_, arrays)| arrays.contains(&a)).map(|(s, _)| *s).collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// Total number of (vertex, array) remapping slots, before any
     /// optimization (the paper's per-array remapping count).
     pub fn remapping_count(&self) -> usize {

@@ -26,11 +26,6 @@ pub enum UseInfo {
 }
 
 impl UseInfo {
-    /// Join (may): the stronger qualifier wins.
-    pub fn join(self, other: UseInfo) -> UseInfo {
-        self.max(other)
-    }
-
     /// Sequence this node's own access (`of`) before the summarized
     /// later uses (`after`), walking backward:
     ///
@@ -119,7 +114,7 @@ pub struct Label {
     /// `U_A(v)`.
     pub use_info: UseInfo,
     /// `M_A(v)` — copies that may be live after `v` *and* useful later
-    /// (App. D); filled by [`crate::optimize::compute_may_live`].
+    /// (App. D); filled by [`crate::optimize::optimize`].
     pub may_live: BTreeSet<VersionId>,
     /// The array's *values* are dead when they reach this vertex
     /// (downstream of a `KILL`): the copy needs no communication.
@@ -172,8 +167,6 @@ mod tests {
         assert!(UseInfo::N < UseInfo::D);
         assert!(UseInfo::D < UseInfo::R);
         assert!(UseInfo::R < UseInfo::W);
-        assert_eq!(UseInfo::R.join(UseInfo::D), UseInfo::R);
-        assert_eq!(UseInfo::N.join(UseInfo::W), UseInfo::W);
     }
 
     #[test]

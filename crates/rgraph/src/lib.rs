@@ -16,14 +16,15 @@
 //! * after optimization, the **may-live** set `M_A(v)` — which copies
 //!   are worth keeping alive past the vertex (App. D).
 //!
-//! The two optimizations:
+//! The two optimizations, both run by [`optimize::optimize`] as
+//! dataflow problems on the CFG solver the construction uses:
 //!
-//! * [`optimize::remove_useless`] (App. C) deletes every leaving copy
-//!   tagged `N` and recomputes reaching sets by transitive closure; the
-//!   result is proved optimal in the paper (Theorem 1) and checked here
-//!   by [`optimize::verify_reaching_paths`].
-//! * [`optimize::compute_may_live`] (App. D) bounds the copies the
-//!   runtime keeps for communication-free reuse.
+//! * App. C deletes every leaving copy tagged `N` and recomputes
+//!   reaching sets by transitive closure; the result is proved optimal
+//!   in the paper (Theorem 1) and checked here by
+//!   [`optimize::verify_reaching_paths`].
+//! * App. D bounds the copies the runtime keeps for
+//!   communication-free reuse.
 //!
 //! Restriction 1 of the paper (no reference with an ambiguous mapping)
 //! is enforced during construction: Fig. 5 programs are rejected with
@@ -41,4 +42,4 @@ pub mod optimize;
 
 pub use build::{build, build_from_cfg, Rg, VertexId};
 pub use label::{Label, Leaving, UseInfo};
-pub use optimize::{compute_may_live, optimize, remove_useless, OptConfig, OptStats};
+pub use optimize::{optimize, OptConfig, OptStats};

@@ -1,37 +1,37 @@
 //! Dataflow optimizations on the remapping graph (paper Sec. 4,
-//! App. C/D).
+//! App. C/D), both may-problems on the CFG solver App. B's passes use,
+//! with one slot per array (members are version indices). Only a `G_R`
+//! vertex changes a slot, and only the slot of an array it remaps; every
+//! other node and slot is transparent. That makes the CFG flow exactly
+//! the `G_R` flow: pass 3 of the construction makes `v → w` an edge for
+//! array `a` iff `w` is the next `a`-vertex on some CFG path from `v`,
+//! so what transparent nodes carry into `w`'s slot `a` is the union of
+//! the facts of its `G_R` predecessors (forward) or successors
+//! (backward) for `a`, no more and no less.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
+use hpfc_cfg::dataflow::{input_of, solve, Dataflow, Direction, Facts};
+use hpfc_cfg::graph::NodeId;
 use hpfc_mapping::{ArrayId, VersionId};
 
 use crate::build::{Rg, VertexId};
-use crate::label::UseInfo;
+use crate::label::{Label, UseInfo};
 
-/// Which optimizations to run — the ablation switchboard of the
-/// experiment harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which optimizations to run: App. C and App. D (the default), or
+/// neither ([`OptConfig::none`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OptConfig {
-    /// App. C: delete leaving copies tagged `N` and recompute reaching
-    /// sets by transitive closure.
-    pub remove_useless: bool,
-    /// App. D: compute the bounded may-live sets `M_A(v)` enabling
-    /// communication-free reuse of read-only copies. When disabled,
-    /// `M_A(v)` is just `{L_A(v)}` — every other copy is dropped at
+    /// The naive baseline: no slot is removed and `M_A(v)` is just the
+    /// leaving and pass-through copies — every other copy is dropped at
     /// each vertex (no reuse).
-    pub live_copies: bool,
-}
-
-impl Default for OptConfig {
-    fn default() -> Self {
-        OptConfig { remove_useless: true, live_copies: true }
-    }
+    naive: bool,
 }
 
 impl OptConfig {
     /// Everything off — the naive compilation baseline.
     pub fn none() -> Self {
-        OptConfig { remove_useless: false, live_copies: false }
+        OptConfig { naive: true }
     }
 }
 
@@ -56,137 +56,135 @@ pub struct OptStats {
 /// so the runtime has consistent liveness information.
 pub fn optimize(rg: &mut Rg, config: OptConfig) -> OptStats {
     let mut stats = OptStats { total: rg.remapping_count(), ..Default::default() };
-    if config.remove_useless {
-        stats.removed = remove_useless(rg);
-    }
-    compute_may_live(rg, config.live_copies);
-    for v in rg.vertex_ids() {
-        for l in rg.labels[v.idx()].values() {
-            if l.leaving.is_some() && l.is_trivial() {
-                stats.trivial += 1;
-            }
-            if l.leaving.is_some() && l.values_dead {
-                stats.dead_values += 1;
+    if !config.naive {
+        // App. C: delete the leaving copies of unused slots, then
+        // recompute every reaching set.
+        for l in rg.labels.iter_mut().flat_map(|m| m.values_mut()) {
+            if l.use_info == UseInfo::N && l.leaving.is_some() {
+                l.leaving = None;
+                stats.removed += 1;
             }
         }
+        let reaching = solve_per_label(rg, &Reaching(Vertices::of(rg)));
+        for (l, set) in rg.labels.iter_mut().flat_map(|m| m.values_mut()).zip(reaching) {
+            l.reaching = set;
+        }
+    }
+    let may_live =
+        solve_per_label(rg, &MayLive { vertices: Vertices::of(rg), reuse: !config.naive });
+    for (l, set) in rg.labels.iter_mut().flat_map(|m| m.values_mut()).zip(may_live) {
+        l.may_live = set;
+    }
+    for l in rg.labels.iter().flat_map(|m| m.values()).filter(|l| l.leaving.is_some()) {
+        stats.trivial += l.is_trivial() as usize;
+        stats.dead_values += l.values_dead as usize;
     }
     stats
 }
 
-/// App. C — remove useless remappings (`U_A(v) = N`) and recompute the
-/// reaching sets by a may-forward transitive closure over `G_R`.
-/// Returns the number of removed (vertex, array) slots.
-pub fn remove_useless(rg: &mut Rg) -> usize {
-    let mut removed = 0;
-    // Step 1: delete leaving mappings of unused slots.
-    for v in rg.vertex_ids() {
-        for l in rg.labels[v.idx()].values_mut() {
-            if l.use_info == UseInfo::N && l.leaving.is_some() {
-                l.leaving = None;
-                removed += 1;
-            }
-        }
-    }
-    recompute_reaching(rg);
-    removed
+/// `G_R` seen from the CFG: a vertex's labels at its node, `None` at
+/// every other node, and one slot per array.
+struct Vertices<'a> {
+    labels: Vec<Option<&'a BTreeMap<ArrayId, Label>>>,
+    slots: usize,
 }
 
-/// The reaching-set recomputation of App. C: initialize from the
-/// leaving mappings of predecessors that are actually referenced
-/// (`U ≠ N`), then propagate transitively through removed (`U = N`)
-/// vertices.
-pub fn recompute_reaching(rg: &mut Rg) {
-    // Collect per (vertex, array): the contribution each vertex makes to
-    // its successors — either its own leaving versions (if kept) or its
-    // (current) reaching set (if removed). Iterate to fixpoint.
-    let vs: Vec<VertexId> = rg.vertex_ids().collect();
-
-    // Reset reaching sets.
-    for v in &vs {
-        for l in rg.labels[v.idx()].values_mut() {
-            l.reaching.clear();
+impl<'a> Vertices<'a> {
+    fn of(rg: &'a Rg) -> Self {
+        let mut labels = vec![None; rg.cfg.len()];
+        for (node, at_v) in rg.vertices.iter().zip(&rg.labels) {
+            labels[node.idx()] = Some(at_v);
         }
+        let slots = rg.labels.iter().flat_map(|m| m.keys()).map(|a| a.0 as usize + 1).max();
+        Vertices { labels, slots: slots.unwrap_or(0) }
     }
 
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &v in &vs {
-            let arrays: Vec<ArrayId> = rg.labels[v.idx()].keys().copied().collect();
-            for a in arrays {
-                let mut incoming: BTreeSet<VersionId> = BTreeSet::new();
-                for p in rg.preds_for(v, a) {
-                    let pl = &rg.labels[p.idx()][&a];
-                    match &pl.leaving {
-                        // Removed (or never-leaving) vertex: transitive.
-                        None => incoming.extend(pl.reaching.iter().copied()),
-                        // Kept vertex: its leaving copies arrive.
-                        Some(l) => incoming.extend(l.versions()),
-                    }
-                    // A partial-impact vertex forwards whatever *data*
-                    // versions arrive on its unaffected executions —
-                    // conservatively, everything that reaches it.
-                    if !pl.passthrough.is_empty() {
-                        incoming.extend(pl.reaching.iter().copied());
-                    }
-                }
-                let lab = rg.labels[v.idx()].get_mut(&a).unwrap();
-                let before = lab.reaching.len();
-                lab.reaching.extend(incoming);
-                if lab.reaching.len() != before {
-                    changed = true;
-                }
+    /// The labels at `node`, with the slot of each.
+    fn at(&self, node: NodeId) -> impl Iterator<Item = (usize, &'a Label)> {
+        self.labels[node.idx()].into_iter().flatten().map(|(a, l)| (a.0 as usize, l))
+    }
+}
+
+/// The leaving versions of `l`, as slot members.
+fn leaving_indices(l: &Label) -> impl Iterator<Item = u32> + '_ {
+    l.leaving.iter().flat_map(|x| x.versions()).map(|v| v.index)
+}
+
+/// App. C (may-forward): a slot holds the versions that may be current.
+/// A kept slot hands on its leaving copies; a removed (or never-leaving)
+/// slot hands on what reached it — the transitive closure through
+/// removed vertices.
+struct Reaching<'a>(Vertices<'a>);
+
+impl Dataflow for Reaching<'_> {
+    fn direction(&self) -> Direction {
+        Direction::Forward
+    }
+
+    fn slots(&self) -> usize {
+        self.0.slots
+    }
+
+    fn transfer(&self, node: NodeId, fact: &mut Facts, _outs: &[Facts]) {
+        for (slot, l) in self.0.at(node).filter(|(_, l)| l.leaving.is_some()) {
+            let mut leaving: Vec<u32> = leaving_indices(l).collect();
+            // A partial-impact vertex forwards whatever *data* versions
+            // arrive on its unaffected executions — conservatively,
+            // everything that reaches it.
+            if !l.passthrough.is_empty() {
+                leaving.extend(fact.get(slot));
             }
+            fact.set(slot, leaving);
         }
     }
 }
 
-/// App. D — compute the may-live sets `M_A(v)`: the copies worth keeping
-/// past `v` because some later remapping may reuse them without
-/// communication (they are only read in between).
-///
-/// With `enabled = false` the sets collapse to the leaving copy alone —
-/// the runtime then frees every other copy at each vertex (the paper's
-/// unbounded-memory concern, used as an ablation).
-pub fn compute_may_live(rg: &mut Rg, enabled: bool) {
-    let vs: Vec<VertexId> = rg.vertex_ids().collect();
-    // Init: directly useful mappings — the leaving copies, plus
-    // pass-through copies (they may be the current copy on unaffected
-    // executions and must survive the vertex's cleaning).
-    for v in &vs {
-        for l in rg.labels[v.idx()].values_mut() {
-            l.may_live =
-                l.leaving.as_ref().map(|x| x.versions().into_iter().collect()).unwrap_or_default();
-            l.may_live.extend(l.passthrough.iter().copied());
-        }
+/// App. D (may-backward): a slot holds the copies worth keeping because
+/// a later remapping may reuse them without communication. A vertex
+/// keeps its leaving and pass-through copies (the latter may be current
+/// on unaffected executions), plus — under `reuse`, while the array is
+/// only read (`U ∈ {N, R}`) — what its successors keep.
+struct MayLive<'a> {
+    vertices: Vertices<'a>,
+    reuse: bool,
+}
+
+impl Dataflow for MayLive<'_> {
+    fn direction(&self) -> Direction {
+        Direction::Backward
     }
-    if !enabled {
-        return;
+
+    fn slots(&self) -> usize {
+        self.vertices.slots
     }
-    // Propagate backward while the array is only read (U ∈ {N, R}).
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &v in &vs {
-            let arrays: Vec<ArrayId> = rg.labels[v.idx()].keys().copied().collect();
-            for a in arrays {
-                let u = rg.labels[v.idx()][&a].use_info;
-                if !matches!(u, UseInfo::N | UseInfo::R) {
-                    continue;
-                }
-                let mut add: BTreeSet<VersionId> = BTreeSet::new();
-                for s in rg.succs_for(v, a) {
-                    add.extend(rg.labels[s.idx()][&a].may_live.iter().copied());
-                }
-                let lab = rg.labels[v.idx()].get_mut(&a).unwrap();
-                let before = lab.may_live.len();
-                lab.may_live.extend(add);
-                if lab.may_live.len() != before {
-                    changed = true;
-                }
+
+    fn transfer(&self, node: NodeId, fact: &mut Facts, _outs: &[Facts]) {
+        for (slot, l) in self.vertices.at(node) {
+            let mut live: Vec<u32> = leaving_indices(l).collect();
+            live.extend(l.passthrough.iter().map(|v| v.index));
+            if self.reuse && matches!(l.use_info, UseInfo::N | UseInfo::R) {
+                live.extend(fact.get(slot));
             }
+            fact.set(slot, live);
         }
     }
+}
+
+/// Solve `problem` on the CFG and read every label's slot at its vertex,
+/// in label order: the in-fact of a forward problem (what reaches the
+/// vertex), the out-fact of a backward one (what the vertex keeps).
+fn solve_per_label<D: Dataflow>(rg: &Rg, problem: &D) -> Vec<BTreeSet<VersionId>> {
+    let outs = solve(&rg.cfg, problem);
+    let mut sets = Vec::new();
+    for (&node, at_v) in rg.vertices.iter().zip(&rg.labels) {
+        let input = (problem.direction() == Direction::Forward)
+            .then(|| input_of(&rg.cfg, problem, &outs, node));
+        let fact = input.as_ref().unwrap_or(&outs[node.idx()]);
+        sets.extend(at_v.keys().map(|&a| {
+            fact.get(a.0 as usize).iter().map(|&index| VersionId { array: a, index }).collect()
+        }));
+    }
+    sets
 }
 
 /// Theorem 1 sanity-checker (used by tests): every version in a

@@ -2,20 +2,26 @@
 //! hash over everything `build` produces — vertices, labels, edges,
 //! reference versions, the version table, or the diagnostics of a
 //! rejected program — for every figure, the two rejection figures, a
-//! benchmark-shaped routine and 256 generated programs.
+//! benchmark-shaped routine and 256 generated programs; and a second
+//! hash over the labels and `OptStats` that `optimize` leaves on every
+//! accepted one of those programs, under both `OptConfig`s.
 //!
-//! The constant was recorded from the builder this one replaced (four
-//! hand-written fact types, before `hpfc_cfg::dataflow::Facts`); a
-//! change to the builder that is meant to keep the graph must keep it.
-//! A change that is meant to alter the graph re-records it and says so.
+//! `RECORDED` was recorded from the builder that preceded
+//! `hpfc_cfg::dataflow::Facts` (four hand-written fact types);
+//! `RECORDED_OPTIMIZED` from the optimizer that preceded App. C/D's
+//! `Dataflow` problems (two hand-written `while changed` sweeps over
+//! `G_R`). A change that is meant to keep the graph must keep both; a
+//! change that is meant to alter it re-records them and says so.
 
 mod common;
 
 use common::{synth, Lcg};
 use hpfc_lang::{figures, frontend};
 use hpfc_rgraph::build::build;
+use hpfc_rgraph::optimize::{optimize, OptConfig};
 
 const RECORDED: u64 = 0x717d_b057_ff33_41fe;
+const RECORDED_OPTIMIZED: u64 = 0x2318_e48e_d3f2_d9fe;
 
 /// FNV-1a, 64 bit (`DefaultHasher` is not stable across releases).
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
@@ -92,15 +98,19 @@ fn random_program(rng: &mut Lcg) -> String {
     s
 }
 
-#[test]
-fn the_remapping_graph_of_every_pinned_program_is_unchanged() {
+fn pinned_programs() -> Vec<String> {
     let mut rng = Lcg(0x1997_0618);
     let mut programs: Vec<String> = figures::all().into_iter().map(|(_, s)| s.into()).collect();
     programs.push(figures::FIG5_AMBIGUOUS.into());
     programs.push(figures::FIG21_MULTI_LEAVING.into());
     programs.push(synth(128, 16, &mut rng));
     programs.extend((0..256).map(|_| random_program(&mut rng)));
+    programs
+}
 
+#[test]
+fn the_remapping_graph_of_every_pinned_program_is_unchanged() {
+    let programs = pinned_programs();
     let mut hash = 0xcbf2_9ce4_8422_2325;
     let (mut accepted, mut rejected) = (0, 0);
     for src in &programs {
@@ -121,5 +131,29 @@ fn the_remapping_graph_of_every_pinned_program_is_unchanged() {
     assert_eq!(
         hash, RECORDED,
         "the remapping graph changed: {hash:#018x} ({accepted} accepted, {rejected} rejected)"
+    );
+}
+
+#[test]
+fn the_optimized_graph_of_every_pinned_program_is_unchanged() {
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let mut optimized = 0;
+    for src in pinned_programs() {
+        let module = frontend(&src).unwrap();
+        let Ok(rg) = build(module.main()) else {
+            continue;
+        };
+        for config in [OptConfig::default(), OptConfig::none()] {
+            let mut rg = rg.clone();
+            let stats = optimize(&mut rg, config);
+            fnv1a(&mut hash, format!("{:?}", (&rg.labels, &stats)).as_bytes());
+            fnv1a(&mut hash, &[0xff]);
+            optimized += 1;
+        }
+    }
+    assert!(optimized >= 200, "{optimized} optimized graphs");
+    assert_eq!(
+        hash, RECORDED_OPTIMIZED,
+        "the optimized graph changed: {hash:#018x} ({optimized} optimized graphs)"
     );
 }
