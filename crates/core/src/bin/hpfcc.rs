@@ -13,15 +13,25 @@
 //! ```
 //!
 //! `figure-name` may be any of the built-in paper programs
-//! (`fig1`, `fig2`, …, `fig10`, `adi`, `fft`, `lu`, …).
+//! (`fig1`, `fig2`, …, `fig10`, `adi`, `fft`, `lu`, …). An unknown
+//! option or a second input is an error (exit status 2), never
+//! silently ignored.
 
 use hpfc::{compile, execute, CompileOptions, ExecConfig};
+
+/// Print `problem` and the usage line, and exit with status 2.
+fn usage(problem: &str) -> ! {
+    if !problem.is_empty() {
+        eprintln!("hpfcc: {problem}");
+    }
+    eprintln!("usage: hpfcc [--naive] [--loop-motion] [--graph] [--dot] [--emit] [--run] [--scalar k=v] <file.f | figure>");
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: hpfcc [--naive] [--loop-motion] [--graph] [--dot] [--emit] [--run] [--scalar k=v] <file.f | figure>");
-        std::process::exit(2);
+        usage("");
     }
 
     let mut options = CompileOptions::default();
@@ -51,20 +61,20 @@ fn main() {
                         });
                         exec = exec.with_scalar(k, val);
                     }
-                    None => {
-                        eprintln!("--scalar expects k=v");
-                        std::process::exit(2);
-                    }
+                    None => usage("--scalar expects k=v"),
                 }
             }
-            other => input = Some(other.to_string()),
+            other if other.starts_with('-') => usage(&format!("unknown option `{other}`")),
+            other => {
+                if let Some(first) = &input {
+                    usage(&format!("more than one input: `{first}` and `{other}`"));
+                }
+                input = Some(other.to_string());
+            }
         }
     }
 
-    let Some(input) = input else {
-        eprintln!("no input given");
-        std::process::exit(2);
-    };
+    let Some(input) = input else { usage("no input given") };
 
     // Builtin figure or file on disk.
     let src = match hpfc::figures::all().into_iter().find(|(n, _)| *n == input) {

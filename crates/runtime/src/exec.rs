@@ -4,9 +4,8 @@
 //! `(src_pos, dst_pos, len)` triples, each unit tagged with the replay
 //! [`Kernel`] its shape compiles to. This module is the *artifact* —
 //! its encoding, its compilation, its fingerprint; the one interpreter
-//! that replays it (allocation-free, optionally with the caterpillar
-//! rounds split across `std::thread::scope` workers) is the crate's
-//! `replay` module.
+//! that replays it (allocation-free and serial on every `Machine`) is
+//! the crate's `replay` module.
 //!
 //! # Before / after
 //!
@@ -43,17 +42,17 @@
 //!   performs zero heap allocations (pinned by the counting-allocator
 //!   test `alloc_free.rs`).
 //!
-//! # Parallel rounds
+//! # Rounds
 //!
 //! Units are grouped exactly like the [`crate::CommSchedule`]'s
 //! caterpillar rounds (plus one round-like group for the local,
 //! never-on-the-wire copies). Within a round every processor has at
 //! most one partner, so the round's receivers are pairwise distinct —
-//! each destination block is written by exactly one unit, and the round
-//! can be split across `std::thread::scope` workers without locks or
-//! aliasing ([`ExecMode::Parallel`]). The `HPFC_THREADS` environment
-//! variable picks the default mode ([`ExecMode::from_env`]); serial
-//! replay stays available so both engines are continuously tested.
+//! each destination block is written by exactly one unit. The guarded
+//! replay walks these rounds (they are its fault sites), and an
+//! explicit [`ExecMode::Parallel`] copy splits each round across scoped
+//! worker threads without locks or aliasing. A `Machine` never does:
+//! every remap it runs replays on one thread.
 //!
 //! Serial unguarded replay needs neither the wire order nor disjoint
 //! `&mut`s — every destination element is written by exactly one run —
@@ -73,7 +72,9 @@ use crate::redist::{DimContribution, RedistPlan};
 use crate::schedule::CommSchedule;
 use crate::store::VersionData;
 
-/// How a [`CopyProgram`] replay runs the rounds.
+/// How a bare [`crate::VersionData::copy_values_from_program`] replay
+/// runs. Every remap a `Machine` runs is serial; this chooses only for
+/// the direct copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// One thread replays every unit in order (allocation-free).
@@ -82,51 +83,6 @@ pub enum ExecMode {
     /// threads (receivers within a round are disjoint, so no locks).
     /// `Parallel(0 | 1)` degrades to [`ExecMode::Serial`].
     Parallel(usize),
-}
-
-impl ExecMode {
-    /// Parse an `HPFC_THREADS`-style value: `0` or `1` mean
-    /// [`ExecMode::Serial`], any larger value means that many workers
-    /// per round, and anything unparsable is `None` (the caller decides
-    /// the fallback).
-    pub fn parse(s: &str) -> Option<ExecMode> {
-        match s.trim().parse::<usize>() {
-            Ok(t) if t > 1 => Some(ExecMode::Parallel(t)),
-            Ok(_) => Some(ExecMode::Serial),
-            Err(_) => None,
-        }
-    }
-
-    /// The mode selected by the `HPFC_THREADS` environment variable:
-    /// unset, `0` or `1` mean [`ExecMode::Serial`]; any larger value
-    /// means that many workers per round. An **unparsable** value also
-    /// falls back to [`ExecMode::Serial`], but emits a one-time warning
-    /// on stderr — a typo in `HPFC_THREADS` silently serializing every
-    /// replay is exactly the kind of quiet misconfiguration the fault
-    /// model exists to surface.
-    pub fn from_env() -> ExecMode {
-        match std::env::var("HPFC_THREADS") {
-            Ok(s) => ExecMode::parse(&s).unwrap_or_else(|| {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "hpfc: unparsable HPFC_THREADS value {s:?}; \
-                         falling back to serial replay"
-                    );
-                });
-                ExecMode::Serial
-            }),
-            Err(_) => ExecMode::Serial,
-        }
-    }
-
-    /// Worker count this mode uses.
-    pub fn threads(self) -> usize {
-        match self {
-            ExecMode::Serial => 1,
-            ExecMode::Parallel(t) => t.max(1),
-        }
-    }
 }
 
 /// One precompiled contiguous copy: `len` elements from local position
@@ -628,21 +584,6 @@ impl GroupCopyProgram {
         let total_elements = members.iter().map(|m| m.total_elements).sum();
         Some(GroupCopyProgram { members, n_rounds: merged.rounds.len(), total_elements })
     }
-}
-
-/// Below this many elements a round is replayed inline even in
-/// [`ExecMode::Parallel`] — the scoped-thread spawns would cost more
-/// than the copy itself.
-pub(crate) const PARALLEL_THRESHOLD: u64 = 1 << 15;
-
-/// The one inline-vs-parallel decision: a round of `total` elements
-/// replays inline iff it is strictly below [`PARALLEL_THRESHOLD`].
-/// Every round dispatcher — the solo and group replays, guarded and
-/// unguarded — routes through this predicate, so a round of exactly
-/// threshold size takes the same engine everywhere.
-#[inline]
-pub(crate) fn round_goes_inline(total: u64) -> bool {
-    total < PARALLEL_THRESHOLD
 }
 
 /// Fewest runs an arithmetic progression must cover before the encoder
@@ -1163,15 +1104,16 @@ mod tests {
 
     #[test]
     fn threaded_replay_above_threshold_matches_serial() {
-        // Rounds of ~65k elements: well above PARALLEL_THRESHOLD, so
-        // Parallel(3) really spawns scoped workers with split blocks.
+        // Rounds of ~65k elements: well above the parallel replay's
+        // inline threshold (2^15 elements), so Parallel(3) really
+        // spawns scoped workers with split blocks.
         let n = 1u64 << 18;
         let src = mk(n, 4, DimFormat::Block(None));
         let dst = mk(n, 4, DimFormat::Cyclic(Some(2)));
         let (plan, prog) = compiled(&src, &dst);
         assert!(
             prog.rounds.iter().any(|r| r.iter().map(|u| u.elements).sum::<u64>()
-                >= PARALLEL_THRESHOLD),
+                >= 1 << 15),
             "test must cross the inline threshold"
         );
         let mut a = VersionData::new(src, 8);
@@ -1195,22 +1137,23 @@ mod tests {
 
     #[test]
     fn exec_mode_threads() {
-        assert_eq!(ExecMode::Serial.threads(), 1);
-        assert_eq!(ExecMode::Parallel(4).threads(), 4);
-        assert_eq!(ExecMode::Parallel(0).threads(), 1);
-    }
-
-    #[test]
-    fn exec_mode_parse_distinguishes_unparsable_values() {
-        assert_eq!(ExecMode::parse("4"), Some(ExecMode::Parallel(4)));
-        assert_eq!(ExecMode::parse(" 2 "), Some(ExecMode::Parallel(2)));
-        assert_eq!(ExecMode::parse("1"), Some(ExecMode::Serial));
-        assert_eq!(ExecMode::parse("0"), Some(ExecMode::Serial));
-        // Unparsable values are `None`, so `from_env` can warn instead
-        // of silently serializing.
-        assert_eq!(ExecMode::parse("four"), None);
-        assert_eq!(ExecMode::parse(""), None);
-        assert_eq!(ExecMode::parse("-3"), None);
+        // `Parallel(0 | 1)` is one thread, i.e. the serial replay; any
+        // larger worker count writes the same bytes.
+        let src = mk(4096, 4, DimFormat::Block(None));
+        let dst = mk(4096, 4, DimFormat::Cyclic(Some(3)));
+        let (_, prog) = compiled(&src, &dst);
+        let mut a = VersionData::new(src, 8);
+        a.fill(|p| p[0] as f64 + 0.5);
+        let copy = |mode: ExecMode| {
+            let mut b = VersionData::new(dst.clone(), 8);
+            b.copy_values_from_program(&a, &prog, mode);
+            b
+        };
+        let serial = copy(ExecMode::Serial);
+        assert_eq!(serial.to_dense(), a.to_dense());
+        for threads in [0, 1, 4] {
+            assert_eq!(copy(ExecMode::Parallel(threads)), serial, "Parallel({threads})");
+        }
     }
 
     #[test]
@@ -1386,16 +1329,6 @@ mod tests {
             CopyProgram::compile_checked(&plan, &schedule),
             Err(CompileDecline::PositionOverflow)
         );
-    }
-
-    #[test]
-    fn inline_threshold_boundary_is_shared() {
-        // The one inline-vs-parallel predicate: strictly below the
-        // threshold is inline, exactly the threshold is not — every
-        // dispatcher (solo, group, guarded, unguarded) uses this.
-        assert!(round_goes_inline(PARALLEL_THRESHOLD - 1));
-        assert!(!round_goes_inline(PARALLEL_THRESHOLD));
-        assert!(!round_goes_inline(PARALLEL_THRESHOLD + 1));
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //!
 //! The engine trusts artifacts it compiled earlier: cached
 //! [`crate::CopyProgram`]s are replayed with no integrity check, and a
-//! worker panic inside a parallel round would unwind through
-//! `thread::scope`. Before the plan cache is shared between sessions
-//! (the ROADMAP's remap-as-a-service leg) the engine needs a failure
-//! model: a poisoned cache entry or one bad round must degrade, not
-//! take down every session. This module provides the three pieces:
+//! panic inside a copy would unwind through the remap. Before the plan
+//! cache is shared between sessions (the ROADMAP's remap-as-a-service
+//! leg) the engine needs a failure model: a poisoned cache entry or one
+//! bad round must degrade, not take down every session. This module
+//! provides the three pieces:
 //!
 //! * **Injection** — a seedable, deterministic [`FaultPlan`], armed
 //!   only by `Machine::with_faults` (no environment variable selects
@@ -29,9 +29,9 @@
 //!   `remap_group`: bounded retry of the failed round
 //!   (`run_round_ladder`, below) → recompile the program from the
 //!   cached plan (a solo remap also repairs its cache entry) → fall
-//!   back to the table engine → a typed [`ExecError`]. Worker panics
-//!   are caught with `catch_unwind` and degrade `Parallel(t)` →
-//!   `Serial` for that round only.
+//!   back to the table engine → a typed [`ExecError`]. A round that
+//!   panics is caught with `catch_unwind` and retried like any other
+//!   failed round. Every round replays on the calling thread.
 //!
 //! When no faults are configured and validation is
 //! [`ValidationLevel::Off`], none of this is on the remap path: the
@@ -39,7 +39,7 @@
 //! (allocation-free, pinned by `alloc_free.rs` and the
 //! `redist/fault_overhead` bench).
 
-use crate::exec::{mix64, CopyProgram, ExecMode};
+use crate::exec::{mix64, CopyProgram};
 use crate::machine::Machine;
 
 /// One injectable fault class.
@@ -54,9 +54,6 @@ pub enum FaultKind {
     /// Replay none of the round's units (a lost message batch).
     /// Detected by conservation counts.
     DropRound,
-    /// Panic a parallel worker halfway through its chunk. Caught with
-    /// `catch_unwind`; the round degrades to serial replay.
-    WorkerPanic,
     /// Corrupt the cached compiled program before the replay starts.
     /// Detected by the program fingerprint; healed by recompiling from
     /// the cached plan.
@@ -76,11 +73,10 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    const ALL: [FaultKind; 7] = [
+    const ALL: [FaultKind; 6] = [
         FaultKind::CorruptRound,
         FaultKind::TruncateRound,
         FaultKind::DropRound,
-        FaultKind::WorkerPanic,
         FaultKind::PoisonProgram,
         FaultKind::CompilePanic,
         FaultKind::Exhaust,
@@ -91,7 +87,6 @@ impl FaultKind {
             FaultKind::CorruptRound => 1,
             FaultKind::TruncateRound => 2,
             FaultKind::DropRound => 4,
-            FaultKind::WorkerPanic => 8,
             FaultKind::PoisonProgram => 16,
             FaultKind::CompilePanic => 32,
             FaultKind::Exhaust => 64,
@@ -100,12 +95,8 @@ impl FaultKind {
 
     /// The wire-level (per-round) kinds; `PoisonProgram` is decided
     /// once per remap instead.
-    const WIRE: [FaultKind; 4] = [
-        FaultKind::CorruptRound,
-        FaultKind::TruncateRound,
-        FaultKind::DropRound,
-        FaultKind::WorkerPanic,
-    ];
+    const WIRE: [FaultKind; 3] =
+        [FaultKind::CorruptRound, FaultKind::TruncateRound, FaultKind::DropRound];
 }
 
 /// A seedable, deterministic fault-injection plan. Decisions are a pure
@@ -122,7 +113,34 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A plan injecting the given kinds at `rate` percent per decision
-    /// point.
+    /// point. A plan is armed on a machine only
+    /// ([`Machine::with_faults`]); pair injected corruption with
+    /// [`ValidationLevel::Checksums`], or it is absorbed silently.
+    ///
+    /// ```
+    /// use std::collections::BTreeSet;
+    ///
+    /// use hpfc_mapping::{testing::mapping_1d, DimFormat};
+    /// use hpfc_runtime::{ArrayRt, FaultKind, FaultPlan, Machine, ValidationLevel};
+    ///
+    /// // Deterministic chaos: seed 7, 25% of decision points, chosen classes.
+    /// let mut machine = Machine::new(4)
+    ///     .with_validation(ValidationLevel::Checksums)
+    ///     .with_faults(FaultPlan::new(7, 25, &[FaultKind::CorruptRound, FaultKind::DropRound]));
+    /// let n = 4096;
+    /// let versions =
+    ///     vec![mapping_1d(n, 4, DimFormat::Block(None)), mapping_1d(n, 4, DimFormat::Cyclic(Some(3)))];
+    /// let mut a = ArrayRt::new("a", versions, 8);
+    /// a.current(&mut machine, 0).fill(|p| p[0] as f64);
+    /// let keep: BTreeSet<u32> = [0, 1].into_iter().collect();
+    /// for hop in 0..8 {
+    ///     a.remap(&mut machine, (hop + 1) % 2, &keep, false);
+    ///     a.set(&[hop as u64], hop as f64); // a write, so the next hop moves data
+    /// }
+    /// // Faults were injected, and every one was healed.
+    /// assert!(machine.stats.faults_injected > 0);
+    /// assert!((0..n).all(|i| a.get(&[i]) == i as f64));
+    /// ```
     pub fn new(seed: u64, rate: u32, kinds: &[FaultKind]) -> FaultPlan {
         let mask = kinds.iter().fold(0u8, |m, k| m | k.bit());
         FaultPlan { seed, rate: rate.min(100), kinds: mask }
@@ -288,7 +306,7 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// The payload of an injected [`FaultKind::WorkerPanic`] — a marker
+/// The payload of an injected [`FaultKind::CompilePanic`] — a marker
 /// type so genuine panics remain distinguishable in captured output.
 #[derive(Debug)]
 pub struct InjectedPanic;
@@ -312,15 +330,6 @@ pub(crate) fn poison_program(p: &mut CopyProgram) {
     }
 }
 
-/// How one guarded round replay failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RoundFailure {
-    /// Checksum mismatch between words read and words written.
-    Mismatch,
-    /// The replay (or one of its workers) panicked.
-    Panicked,
-}
-
 /// Per-round facts the retry ladder needs to pick applicable faults
 /// and validate conservation.
 pub(crate) struct RoundCtx {
@@ -332,18 +341,13 @@ pub(crate) struct RoundCtx {
     pub round_no: u32,
 }
 
-/// Bound on replay attempts per round (1 initial + retries +
-/// potentially one degraded re-run).
+/// Bound on replay attempts per round (1 initial + 3 retries).
 const MAX_ROUND_ATTEMPTS: u32 = 4;
 
-/// Is `kind` a fault that can physically happen to this round under
-/// this mode? (A worker can only panic if workers are actually
-/// spawned; wire loss needs something on the wire.)
-fn applicable(kind: FaultKind, mode: ExecMode, ctx: &RoundCtx) -> bool {
+/// Is `kind` a fault that can physically happen to this round? (Wire
+/// loss needs something on the wire.)
+fn applicable(kind: FaultKind, ctx: &RoundCtx) -> bool {
     match kind {
-        FaultKind::WorkerPanic => {
-            mode.threads() > 1 && !crate::exec::round_goes_inline(ctx.expected) && ctx.units > 0
-        }
         FaultKind::CorruptRound | FaultKind::TruncateRound | FaultKind::DropRound => {
             ctx.expected > 0 && ctx.units > 0
         }
@@ -354,54 +358,41 @@ fn applicable(kind: FaultKind, mode: ExecMode, ctx: &RoundCtx) -> bool {
 
 /// The per-round rungs of the recovery ladder: decide an injected
 /// fault, run the round through `replay` (which reports the elements it
-/// replayed), validate counts, and on failure degrade a panicked
-/// parallel round to serial or retry (bounded). `Err(())` means the
-/// round is stuck (the caller escalates: recompile, then the table
-/// engine).
+/// replayed, or `None` when the round failed its checksums or
+/// panicked), validate counts, and on failure retry (bounded).
+/// `Err(())` means the round is stuck (the caller escalates: recompile,
+/// then the table engine).
 pub(crate) fn run_round_ladder(
     machine: &mut Machine,
     ctx: &RoundCtx,
     epoch: u64,
     stream: u32,
-    mut replay: impl FnMut(ExecMode, bool, Option<(FaultKind, u64)>) -> Result<u64, RoundFailure>,
+    mut replay: impl FnMut(bool, Option<(FaultKind, u64)>) -> Option<u64>,
 ) -> Result<(), ()> {
-    let mut mode = machine.exec_mode;
     let checksums = machine.validation == ValidationLevel::Checksums;
     let counts = machine.validation >= ValidationLevel::Counts;
     // An exhaust fault rejects every attempt of every round — the
     // writes still happen, so the destination is left partially
     // written, which is exactly what transactional rollback must undo.
     let exhaust = machine.faults.as_ref().is_some_and(|f| f.exhaust_fires(epoch));
-    let mut attempt = 0u32;
-    loop {
+    for attempt in 0..MAX_ROUND_ATTEMPTS {
+        if attempt > 0 {
+            machine.stats.rounds_retried += 1;
+        }
         let fault = machine
             .faults
             .as_ref()
             .and_then(|f| f.round_fault(epoch, stream, ctx.round_no, attempt))
-            .filter(|(k, _)| applicable(*k, mode, ctx));
+            .filter(|(k, _)| applicable(*k, ctx));
         if fault.is_some() {
             machine.stats.faults_injected += 1;
         }
-        let failure = match replay(mode, checksums, fault) {
-            Ok(elements) => {
-                if !exhaust && (!counts || elements == ctx.expected) {
-                    return Ok(());
-                }
-                None // short round (or forced exhaustion): rejected
-            }
-            Err(f) => Some(f),
-        };
-        if failure == Some(RoundFailure::Panicked) && mode.threads() > 1 {
-            // A panicked worker: degrade this round to serial replay.
-            machine.stats.parallel_degradations += 1;
-            mode = ExecMode::Serial;
-        } else if attempt + 1 < MAX_ROUND_ATTEMPTS {
-            machine.stats.rounds_retried += 1;
-        } else {
-            return Err(());
+        let replayed = replay(checksums, fault);
+        if !exhaust && replayed.is_some_and(|elements| !counts || elements == ctx.expected) {
+            return Ok(());
         }
-        attempt += 1;
     }
+    Err(())
 }
 
 #[cfg(test)]
@@ -448,7 +439,7 @@ mod tests {
         assert_eq!(p.rate, 100, "rate saturates at 100");
         assert_eq!(p.kinds, FaultKind::DropRound.bit());
         let all = FaultPlan::all(1, 10);
-        assert_eq!(all.kinds, 0b111_1111);
+        assert_eq!(all.kinds, 0b111_0111);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   costs round by round;
 //! * [`exec::CopyProgram`] — the schedule's data movement compiled to
 //!   flat `(src_pos, dst_pos, len)` triples at plan time, replayed
-//!   allocation-free per copy and optionally in parallel per
-//!   caterpillar round (`HPFC_THREADS` / [`exec::ExecMode`]);
+//!   allocation-free and serially by every remap (a bare copy may ask
+//!   for per-round worker threads, [`exec::ExecMode`]);
 //! * [`group::PlannedGroup`] — several arrays remapped by one directive
 //!   (Fig. 3 template impact) merged into one aggregated schedule:
 //!   same-pair messages share rounds and wire buffers

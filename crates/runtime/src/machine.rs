@@ -7,8 +7,6 @@
 //! allocation (part of the zero-allocation remap path pinned by the
 //! runtime's counting-allocator test).
 
-use crate::exec::ExecMode;
-
 /// Latency/bandwidth network model (per message: `latency_us +
 /// bytes / bandwidth_bytes_per_us`), BSP-style per-phase accounting:
 /// a communication phase costs the maximum per-processor time.
@@ -98,8 +96,9 @@ pub struct NetStats {
     /// or because the recovery ladder exhausted the compiled rungs
     /// (rung 3).
     pub fallbacks_to_tables: u64,
-    /// Parallel rounds degraded to serial replay after a worker panic
-    /// was caught.
+    /// Always 0: every remap a machine runs replays serially, so no
+    /// round is ever degraded. Kept for readers of the recovery
+    /// counters.
     pub parallel_degradations: u64,
     /// Compiled artifacts this machine was served by the shared
     /// [`crate::PlanRegistry`] (a local plan-cache miss answered
@@ -329,10 +328,6 @@ pub struct Machine {
     pub stats: NetStats,
     /// Memory accounting.
     pub mem: MemTracker,
-    /// How compiled copy programs execute their rounds (serial replay
-    /// or scoped worker threads). Defaults to the `HPFC_THREADS`
-    /// environment variable via [`ExecMode::from_env`].
-    pub exec_mode: ExecMode,
     /// Deterministic fault injection for chaos testing
     /// ([`Machine::with_faults`]); `None` unless a caller asks.
     pub faults: Option<crate::fault::FaultPlan>,
@@ -354,8 +349,7 @@ pub struct Machine {
     /// Reusable per-member rollback records for group remaps.
     pub(crate) group_txn_scratch: Vec<crate::store::TxnScratch>,
     /// Monotonic counter handed to the fault plan: one epoch per
-    /// data-moving remap, making injection deterministic per operation
-    /// regardless of execution mode.
+    /// data-moving remap, making injection deterministic per operation.
     fault_epoch: u64,
 }
 
@@ -367,7 +361,6 @@ impl Machine {
             cost: CostModel::default(),
             stats: NetStats::default(),
             mem: MemTracker::default(),
-            exec_mode: ExecMode::from_env(),
             faults: None,
             validation: crate::fault::ValidationLevel::Off,
             registry: std::sync::Arc::clone(crate::registry::PlanRegistry::shared()),
@@ -381,12 +374,6 @@ impl Machine {
     /// A machine with a custom cost model.
     pub fn with_cost(nprocs: u64, cost: CostModel) -> Self {
         Machine { cost, ..Machine::new(nprocs) }
-    }
-
-    /// Builder-style override of the copy-engine execution mode.
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
-        self
     }
 
     /// Builder-style fault-injection plan (chaos testing).

@@ -13,7 +13,10 @@
 //!
 //! Three layers, each written once: [`replay`] (unguarded), one
 //! guarded round, and [`run`], the recovery ladder, whose callers
-//! differ only in how they recompile.
+//! differ only in how they recompile. All three run on the calling
+//! thread: every remap a [`Machine`] runs replays serially. The one
+//! multi-threaded replay, [`replay_parallel`], serves an explicit
+//! [`crate::ExecMode::Parallel`] on the bare one-lane copy.
 //!
 //! **Fault-site contract.** Every injected fault is decided at a site
 //! `(epoch, stream, round_no, attempt)`: the caller draws one `epoch`
@@ -28,10 +31,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use crate::exec::{
-    round_goes_inline, CopyProgram, CopyRun, CopyUnit, ExecMode, Kernel, StrideFamily,
-};
-use crate::fault::{run_round_ladder, ExecError, FaultKind, RoundCtx, RoundFailure};
+use crate::exec::{CopyProgram, CopyRun, CopyUnit, Kernel, StrideFamily};
+use crate::fault::{run_round_ladder, ExecError, FaultKind, RoundCtx};
 use crate::machine::Machine;
 use crate::status::PlannedRemap;
 use crate::store::{LocalBlock, VersionData};
@@ -77,154 +78,101 @@ fn head<'u>(units: &'u [CopyUnit], left: &mut usize) -> &'u [CopyUnit] {
     &units[..take]
 }
 
-/// `(units, elements)` of the first `cut` units of one round's
-/// concatenated unit list.
-fn weigh(progs: &[CopyProgram], lanes: &mut Lanes<'_>, round: usize, cut: usize) -> (usize, u64) {
-    let (mut left, mut elements) = (cut, 0u64);
+/// `(units, elements)` of one round's concatenated unit list.
+fn weigh(progs: &[CopyProgram], lanes: &mut Lanes<'_>, round: usize) -> (usize, u64) {
+    let (mut units, mut elements) = (0usize, 0u64);
     lanes(&mut |each| {
         for lane in each {
-            let taken = head(units_of(&progs[lane.at], round), &mut left);
-            elements += taken.iter().map(|u| u.elements).sum::<u64>();
+            let round_units = units_of(&progs[lane.at], round);
+            units += round_units.len();
+            elements += round_units.iter().map(|u| u.elements).sum::<u64>();
         }
     });
-    (cut - left, elements)
+    (units, elements)
 }
 
-/// The unguarded replay: move every run of every lane's program.
-/// [`ExecMode::Serial`] walks each lane's cache-blocked order and is
-/// allocation-free — the steady-state path of the cached solo bounce
-/// and of the coalesced group bounce alike. [`ExecMode::Parallel`]
-/// walks the wire rounds, every lane's units of a round together
-/// (receiving blocks are distinct within a lane by the caterpillar's
-/// contention-freedom, across lanes because each writes its own array).
-pub(crate) fn replay(progs: &[CopyProgram], lanes: &mut Lanes<'_>, mode: ExecMode) {
-    match mode {
-        ExecMode::Parallel(threads) if threads > 1 => {
-            for round in 0..n_rounds(progs) {
-                let (units, weight) = weigh(progs, lanes, round, usize::MAX);
-                if units > 0 {
-                    copy_round(progs, lanes, round, units, weight, threads, false);
-                }
-            }
-        }
-        _ => lanes(&mut |each| {
-            for lane in each {
-                serial_walk(&progs[lane.at], lane.src, lane.dst);
-            }
-        }),
-    }
+/// The blocks one unit reads and writes.
+fn blocks_of<'v>(
+    unit: &CopyUnit,
+    src: &'v VersionData,
+    dst: &'v mut VersionData,
+) -> (&'v LocalBlock, &'v mut LocalBlock) {
+    let src_block = src.blocks[unit.provider as usize].as_ref().expect("provider holds the data");
+    let dst_block =
+        dst.blocks[unit.receiver as usize].as_mut().expect("receiver allocates the data");
+    (src_block, dst_block)
 }
 
-/// Replay the first `cut` units (`weight` elements) of one round's
-/// concatenated unit list. With `threads > 1` and enough volume to
-/// amortize the spawns (a thread spawn costs tens of microseconds) the
-/// units of all lanes are pooled and split across scoped workers;
-/// otherwise they replay inline, lane by lane. `boom` makes the first
-/// worker panic halfway through its chunk (the `WorkerPanic` fault).
-fn copy_round(
-    progs: &[CopyProgram],
-    lanes: &mut Lanes<'_>,
-    round: usize,
-    cut: usize,
-    weight: u64,
-    threads: usize,
-    boom: bool,
-) {
-    let pooled = threads > 1 && !round_goes_inline(weight);
+/// The unguarded replay: every lane's cache-blocked serial walk, lane
+/// by lane. Allocation-free — the steady-state path of the cached solo
+/// bounce and of the coalesced group bounce alike.
+pub(crate) fn replay(progs: &[CopyProgram], lanes: &mut Lanes<'_>) {
     lanes(&mut |each| {
-        let mut paired: Vec<PairedUnit<'_>> = Vec::with_capacity(if pooled { cut } else { 0 });
-        let mut left = cut;
         for lane in each {
-            let prog = &progs[lane.at];
-            let units = head(units_of(prog, round), &mut left);
-            if pooled {
-                pair_round_units(units, prog, lane.src, lane.dst, &mut paired);
-                continue;
-            }
-            for unit in units {
-                let src_block = lane.src.blocks[unit.provider as usize]
-                    .as_ref()
-                    .expect("provider holds the data");
-                let dst_block = lane.dst.blocks[unit.receiver as usize]
-                    .as_mut()
-                    .expect("receiver allocates the data");
-                replay_unit(prog, *unit, src_block, dst_block);
-            }
-        }
-        if pooled {
-            replay_chunked(paired, weight, threads, boom);
+            serial_walk(&progs[lane.at], lane.src, lane.dst);
         }
     });
 }
 
-/// One attempt at one round under the guarded regime. Wire-loss faults
-/// apply to the round's **concatenated** unit list (lanes in order,
-/// units in program order): a drop replays none of it, a truncation its
-/// first half, and corruption picks its victim by global index — so a
-/// fault can land on any lane, exactly like a fault on the shared wire
-/// buffer. Panics from the copy are caught. Returns the elements
-/// replayed; `delivered` receives the attempt's `(runs, bytes)`.
+/// One attempt at one round under the guarded regime, on the calling
+/// thread. Wire-loss faults apply to the round's **concatenated** unit
+/// list (lanes in order, units in program order): a drop replays none
+/// of it, a truncation its first half, and corruption picks its victim
+/// by global index — so a fault can land on any lane, exactly like a
+/// fault on the shared wire buffer. One pass copies each unit, scribbles
+/// the victim, sums the words read and written and tallies what each
+/// lane received (units of a round write disjoint words of versions
+/// they do not read, so checking a unit right after its copy is the
+/// same as checking the whole round after it). Returns the elements
+/// replayed, or `None` when the checksums disagree or the copy
+/// panicked; `delivered` receives the attempt's `(runs, bytes)`.
 fn replay_round(
     progs: &[CopyProgram],
     lanes: &mut Lanes<'_>,
     ctx: &RoundCtx,
-    mode: ExecMode,
     checksums: bool,
     fault: Option<(FaultKind, u64)>,
     delivered: &mut (u64, u64),
-) -> Result<u64, RoundFailure> {
+) -> Option<u64> {
     let round = ctx.round_no as usize;
     let cut = match fault {
         Some((FaultKind::DropRound, _)) => 0,
         Some((FaultKind::TruncateRound, _)) => ctx.units / 2,
         _ => ctx.units,
     };
-    let weight = if cut == ctx.units { ctx.expected } else { weigh(progs, lanes, round, cut).1 };
-    let boom = matches!(fault, Some((FaultKind::WorkerPanic, _)));
-    catch_unwind(AssertUnwindSafe(|| {
-        copy_round(progs, lanes, round, cut, weight, mode.threads(), boom)
-    }))
-    .map_err(|_| RoundFailure::Panicked)?;
     let victim = match fault {
         Some((FaultKind::CorruptRound, salt)) => Some((salt % ctx.units as u64) as usize),
         _ => None,
     };
-    // One pass over what was replayed: scribble the victim, sum the
-    // words read and written, tally what each lane received. (Units of
-    // a round write disjoint words, so scribbling on the way is the
-    // same as scribbling before any checksum is taken.)
-    let (mut read, mut written) = (0u64, 0u64);
+    let (mut read, mut written, mut replayed) = (0u64, 0u64, 0u64);
     *delivered = (0, 0);
-    lanes(&mut |each| {
-        let (mut left, mut seen) = (cut, 0usize);
-        for lane in each {
-            let prog = &progs[lane.at];
-            let mut elements = 0u64;
-            for unit in head(units_of(prog, round), &mut left) {
-                let dst_block = lane.dst.blocks[unit.receiver as usize]
-                    .as_mut()
-                    .expect("receiver allocates the data");
-                if victim == Some(seen) {
-                    flip_unit_word(prog, *unit, dst_block);
+    catch_unwind(AssertUnwindSafe(|| {
+        lanes(&mut |each| {
+            let (mut left, mut seen) = (cut, 0usize);
+            for lane in each {
+                let prog = &progs[lane.at];
+                let mut elements = 0u64;
+                for unit in head(units_of(prog, round), &mut left) {
+                    let (src_block, dst_block) = blocks_of(unit, lane.src, lane.dst);
+                    replay_unit(prog, *unit, src_block, dst_block);
+                    if victim == Some(seen) {
+                        flip_unit_word(prog, *unit, dst_block);
+                    }
+                    seen += 1;
+                    delivered.0 += unit_n_runs(prog, *unit);
+                    elements += unit.elements;
+                    if checksums {
+                        read = read.wrapping_add(unit_sum(prog, *unit, src_block, false));
+                        written = written.wrapping_add(unit_sum(prog, *unit, dst_block, true));
+                    }
                 }
-                seen += 1;
-                delivered.0 += unit_n_runs(prog, *unit);
-                elements += unit.elements;
-                if checksums {
-                    let src_block = lane.src.blocks[unit.provider as usize]
-                        .as_ref()
-                        .expect("provider holds the data");
-                    read = read.wrapping_add(unit_sum(prog, *unit, src_block, false));
-                    written = written.wrapping_add(unit_sum(prog, *unit, dst_block, true));
-                }
+                delivered.1 += elements * lane.dst.elem_size;
+                replayed += elements;
             }
-            delivered.1 += elements * lane.dst.elem_size;
-        }
-    });
-    if read != written {
-        return Err(RoundFailure::Mismatch);
-    }
-    Ok(weight)
+        })
+    }))
+    .ok()?;
+    (read == written).then_some(replayed)
 }
 
 /// Every round of the program set under the guarded regime, each
@@ -242,14 +190,14 @@ fn replay_rounds(
 ) -> Result<(u64, u64), ()> {
     let mut total = (0u64, 0u64);
     for round in 0..n_rounds(progs) {
-        let (units, expected) = weigh(progs, lanes, round, usize::MAX);
+        let (units, expected) = weigh(progs, lanes, round);
         if units == 0 {
             continue;
         }
         let ctx = RoundCtx { expected, units, round_no: round as u32 };
         let mut delivered = (0u64, 0u64);
-        run_round_ladder(machine, &ctx, epoch, stream, |mode, checksums, fault| {
-            replay_round(progs, lanes, &ctx, mode, checksums, fault, &mut delivered)
+        run_round_ladder(machine, &ctx, epoch, stream, |checksums, fault| {
+            replay_round(progs, lanes, &ctx, checksums, fault, &mut delivered)
         })?;
         total.0 += delivered.0;
         total.1 += delivered.1;
@@ -330,11 +278,10 @@ fn tables(machine: &mut Machine, plans: &[Arc<PlannedRemap>], lanes: &mut Lanes<
 /// owns a cache repairs its entry with it.
 ///
 /// Unguarded this is the plain [`replay`]. Guarded, the rungs are:
-/// (1) bounded retry of a failed round, worker panics degrading the
-/// round to serial first; (2) recompile — at once when a served program
-/// is not to be trusted, else after a round got stuck — and re-replay
-/// everything on fault stream 1 (idempotent: every destination position
-/// is rewritten); (3) the table engine. An injected
+/// (1) bounded retry of a failed round; (2) recompile — at once when a
+/// served program is not to be trusted, else after a round got stuck —
+/// and re-replay everything on fault stream 1 (idempotent: every
+/// destination position is rewritten); (3) the table engine. An injected
 /// [`FaultKind::Exhaust`] rejects every round and blocks rung 3, so the
 /// remap ends in [`ExecError::Unrecovered`] with the destinations
 /// partially written — what the callers' rollback exists for.
@@ -355,7 +302,7 @@ pub(crate) fn run(
     if !machine.guarded() {
         done = vet(progs, lanes, false);
         if done.is_some() {
-            replay(progs, lanes, machine.exec_mode);
+            replay(progs, lanes);
         }
     } else {
         let fresh = |machine: &mut Machine, lanes: &mut Lanes<'_>| {
@@ -413,12 +360,7 @@ fn serial_walk(prog: &CopyProgram, src: &VersionData, dst: &mut VersionData) {
         for lo in (0..span.max(1)).step_by(SERIAL_TILE) {
             next = Some(first); // every tile re-walks the block's units
             while let Some(unit) = next.filter(|u| major(u) == major(first)) {
-                let src_block = src.blocks[unit.provider as usize]
-                    .as_ref()
-                    .expect("provider holds the data");
-                let dst_block = dst.blocks[unit.receiver as usize]
-                    .as_mut()
-                    .expect("receiver allocates the data");
+                let (src_block, dst_block) = blocks_of(unit, src, dst);
                 if span <= SERIAL_TILE {
                     replay_unit(prog, *unit, src_block, dst_block);
                 } else {
@@ -431,23 +373,58 @@ fn serial_walk(prog: &CopyProgram, src: &VersionData, dst: &mut VersionData) {
     }
 }
 
-/// One parallel-replay work item: the receiving block, the providing
-/// block, the unit, and the program whose tables its ranges index.
-type PairedUnit<'a> = (&'a mut LocalBlock, &'a LocalBlock, CopyUnit, &'a CopyProgram);
+/// Below this many elements a round of [`replay_parallel`] replays
+/// inline — the scoped-thread spawns would cost more than the copy.
+const PARALLEL_THRESHOLD: u64 = 1 << 15;
 
-/// Pair one program's round units with their receiving blocks in a
-/// single pass over the destination block table — valid because units
-/// are sorted by receiver and receivers within a round are distinct
-/// (the caterpillar contention-freedom), so every `&mut` handed out is
-/// unique. Appends to `out`, so the units of several lanes pool into
-/// one list before any worker is spawned.
+/// Whether a round of `total` elements replays inline: strictly below
+/// [`PARALLEL_THRESHOLD`], so a round of exactly threshold size spawns.
+#[inline]
+fn round_goes_inline(total: u64) -> bool {
+    total < PARALLEL_THRESHOLD
+}
+
+/// The explicit parallel replay of one program — what
+/// [`VersionData::copy_values_from_program`] runs under
+/// [`crate::ExecMode::Parallel`] with more than one thread (no remap a
+/// [`Machine`] runs takes it). Walks the local group, then the wire
+/// rounds in order; a round large enough to amortize the spawns is
+/// split across `threads` scoped workers, any other replays inline.
+pub(crate) fn replay_parallel(
+    prog: &CopyProgram,
+    src: &VersionData,
+    dst: &mut VersionData,
+    threads: usize,
+) {
+    for round in 0..=prog.rounds.len() {
+        let units = units_of(prog, round);
+        let weight: u64 = units.iter().map(|u| u.elements).sum();
+        if round_goes_inline(weight) {
+            for unit in units {
+                let (src_block, dst_block) = blocks_of(unit, src, dst);
+                replay_unit(prog, *unit, src_block, dst_block);
+            }
+        } else {
+            replay_chunked(prog, pair_round_units(units, src, dst), weight, threads);
+        }
+    }
+}
+
+/// One parallel-replay work item: the receiving block, the providing
+/// block and the unit.
+type PairedUnit<'a> = (&'a mut LocalBlock, &'a LocalBlock, CopyUnit);
+
+/// Pair a round's units with their receiving blocks in a single pass
+/// over the destination block table — valid because units are sorted
+/// by receiver and receivers within a round are distinct (the
+/// caterpillar contention-freedom), so every `&mut` handed out is
+/// unique.
 fn pair_round_units<'a>(
-    units: &'a [CopyUnit],
-    prog: &'a CopyProgram,
+    units: &[CopyUnit],
     src: &'a VersionData,
     dst: &'a mut VersionData,
-    out: &mut Vec<PairedUnit<'a>>,
-) {
+) -> Vec<PairedUnit<'a>> {
+    let mut paired = Vec::with_capacity(units.len());
     let mut it = units.iter().peekable();
     for (rank, slot) in dst.blocks.iter_mut().enumerate() {
         match it.peek() {
@@ -456,7 +433,7 @@ fn pair_round_units<'a>(
                 let sb = src.blocks[u.provider as usize]
                     .as_ref()
                     .expect("provider holds the data");
-                out.push((db, sb, **u, prog));
+                paired.push((db, sb, **u));
                 it.next();
             }
             Some(_) => {}
@@ -464,21 +441,17 @@ fn pair_round_units<'a>(
         }
     }
     debug_assert!(it.next().is_none(), "round receivers are sorted and distinct");
+    paired
 }
 
 /// Split paired units into contiguous chunks balanced by element count
 /// (`total` elements across `threads` workers) and replay each chunk
 /// on a scoped worker thread. Receivers are pairwise distinct across
 /// the whole `paired` list by construction, so no locks are needed.
-/// The fault-injection hook: with `boom`, the worker running the first
-/// chunk panics halfway through its units (the `WorkerPanic` fault) —
-/// `std::thread::scope` propagates that panic to the caller at join,
-/// where [`replay_round`] catches it and the ladder degrades the round.
-fn replay_chunked(paired: Vec<PairedUnit<'_>>, total: u64, threads: usize, boom: bool) {
+fn replay_chunked(prog: &CopyProgram, paired: Vec<PairedUnit<'_>>, total: u64, threads: usize) {
     let target = total.div_ceil(threads as u64).max(1);
     std::thread::scope(|scope| {
         let mut rest = paired;
-        let mut boom = boom;
         while !rest.is_empty() {
             let mut weight = 0u64;
             let mut take = 0usize;
@@ -488,13 +461,8 @@ fn replay_chunked(paired: Vec<PairedUnit<'_>>, total: u64, threads: usize, boom:
             }
             let tail = rest.split_off(take);
             let chunk = std::mem::replace(&mut rest, tail);
-            let panics = std::mem::take(&mut boom);
             scope.spawn(move || {
-                let half = chunk.len() / 2;
-                for (i, (db, sb, unit, prog)) in chunk.into_iter().enumerate() {
-                    if panics && i == half {
-                        std::panic::panic_any(crate::fault::InjectedPanic);
-                    }
+                for (db, sb, unit) in chunk {
                     replay_unit(prog, unit, sb, db);
                 }
             });
@@ -644,14 +612,23 @@ mod tests {
     use crate::group::{remap_group, GroupMember};
     use crate::redist::plan_redistribution;
     use crate::schedule::CommSchedule;
+    use crate::ExecMode;
     use hpfc_mapping::{testing::mapping_1d as mk, DimFormat};
 
     #[test]
+    fn inline_threshold_boundary_is_shared() {
+        // The parallel replay's inline-vs-spawn predicate: strictly
+        // below the threshold is inline, exactly the threshold is not.
+        assert!(round_goes_inline(PARALLEL_THRESHOLD - 1));
+        assert!(!round_goes_inline(PARALLEL_THRESHOLD));
+        assert!(!round_goes_inline(PARALLEL_THRESHOLD + 1));
+    }
+
+    #[test]
     fn threshold_boundary_round_takes_the_same_engine_solo_and_group() {
-        use crate::exec::PARALLEL_THRESHOLD;
         // Solo: Block → Cyclic(n/4) on 2 ranks puts the local group AND
         // the single caterpillar round at exactly PARALLEL_THRESHOLD
-        // elements — the boundary the shared predicate pins.
+        // elements — the boundary where the parallel replay spawns.
         let n = 2 * PARALLEL_THRESHOLD;
         let src = mk(n, 2, DimFormat::Block(None));
         let dst = mk(n, 2, DimFormat::Cyclic(Some(n / 4)));
@@ -661,10 +638,7 @@ mod tests {
         for round in std::iter::once(&prog.local).chain(prog.rounds.iter()) {
             let w: u64 = round.iter().map(|u| u.elements).sum();
             assert_eq!(w, PARALLEL_THRESHOLD, "round sits exactly at the boundary");
-            assert!(
-                !crate::exec::round_goes_inline(w),
-                "a boundary round takes the parallel engine everywhere"
-            );
+            assert!(!round_goes_inline(w), "a boundary round takes the parallel engine");
         }
         let mut a = VersionData::new(src, 8);
         a.fill(|p| (p[0] % 8191) as f64);
@@ -676,76 +650,32 @@ mod tests {
 
         // Group: two members at half the extent, so every *merged*
         // round (local group and the wire round) also totals exactly
-        // PARALLEL_THRESHOLD — the group dispatcher must agree with
-        // the solo one at the boundary.
+        // PARALLEL_THRESHOLD — the machine's serial group replay moves
+        // both members exactly.
         let gn = PARALLEL_THRESHOLD;
-        let run = |mode: ExecMode| {
-            let (machine, mut a, mut b, fwd, _back) = two_array_group(
-                gn,
-                2,
-                DimFormat::Block(None),
-                DimFormat::Cyclic(Some(gn / 4)),
-            );
-            let gp = fwd.program.as_ref().expect("members compile");
-            for round in 0..=gp.n_rounds {
-                let w: u64 = gp
-                    .members
-                    .iter()
-                    .map(|mp| units_of(mp, round).iter().map(|u| u.elements).sum::<u64>())
-                    .sum();
-                assert_eq!(w, PARALLEL_THRESHOLD, "merged round sits exactly at the boundary");
-            }
-            let mut machine = machine.with_exec_mode(mode);
-            let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-            let skip = BTreeSet::new();
-            {
-                let mut members = [
-                    GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
-                    GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
-                ];
-                assert_eq!(remap_group(&mut machine, &mut members, &fwd), 2);
-            }
-            let av = a.copies[1].as_ref().unwrap().to_dense();
-            let bv = b.copies[1].as_ref().unwrap().to_dense();
-            (av, bv)
-        };
-        assert_eq!(run(ExecMode::Serial), run(ExecMode::Parallel(4)));
-    }
-
-    #[test]
-    fn serial_and_parallel_group_replay_agree() {
-        // Large enough that parallel rounds cross the inline threshold
-        // and really spawn scoped workers across both arrays' units.
-        let run = |mode: ExecMode| {
-            let (machine, mut a, mut b, fwd, back) =
-                two_array_group(1 << 18, 4, DimFormat::Block(None), DimFormat::Cyclic(Some(3)));
-            let mut machine = machine.with_exec_mode(mode);
-            let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-            let skip = BTreeSet::new();
-            for round in 0..3 {
-                {
-                    let mut members = [
-                        GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
-                        GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
-                    ];
-                    assert_eq!(remap_group(&mut machine, &mut members, &fwd), 2);
-                }
-                a.set(&[0], round as f64);
-                b.set(&[1], round as f64);
-                {
-                    let mut members = [
-                        GroupMember { rt: &mut a, src: 1, target: 0, may_live: &keep, skip_if_current: &skip },
-                        GroupMember { rt: &mut b, src: 1, target: 0, may_live: &keep, skip_if_current: &skip },
-                    ];
-                    assert_eq!(remap_group(&mut machine, &mut members, &back), 2);
-                }
-                a.set(&[2], round as f64);
-                b.set(&[3], round as f64);
-            }
-            let av = a.copies[a.status.unwrap() as usize].as_ref().unwrap().to_dense();
-            let bv = b.copies[b.status.unwrap() as usize].as_ref().unwrap().to_dense();
-            (av, bv, machine.stats.bytes, machine.stats.messages)
-        };
-        assert_eq!(run(ExecMode::Serial), run(ExecMode::Parallel(4)));
+        let (mut machine, mut a, mut b, fwd, _back) =
+            two_array_group(gn, 2, DimFormat::Block(None), DimFormat::Cyclic(Some(gn / 4)));
+        let gp = fwd.program.as_ref().expect("members compile");
+        for round in 0..=gp.n_rounds {
+            let w: u64 = gp
+                .members
+                .iter()
+                .map(|mp| units_of(mp, round).iter().map(|u| u.elements).sum::<u64>())
+                .sum();
+            assert_eq!(w, PARALLEL_THRESHOLD, "merged round sits exactly at the boundary");
+        }
+        let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+        let skip = BTreeSet::new();
+        {
+            let mut members = [
+                GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+                GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+            ];
+            assert_eq!(remap_group(&mut machine, &mut members, &fwd), 2);
+        }
+        let want_a: Vec<f64> = (0..gn).map(|i| i as f64).collect();
+        let want_b: Vec<f64> = (0..gn).map(|i| 1000.0 + i as f64).collect();
+        assert_eq!(a.copies[1].as_ref().unwrap().to_dense(), want_a);
+        assert_eq!(b.copies[1].as_ref().unwrap().to_dense(), want_b);
     }
 }

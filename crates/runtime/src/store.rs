@@ -283,8 +283,10 @@ impl VersionData {
     /// dst_pos, len)` triple was resolved at plan time, so this is a
     /// bare `copy_from_slice` loop — zero heap allocations in
     /// [`crate::ExecMode::Serial`], scoped worker threads per
-    /// caterpillar round in [`crate::ExecMode::Parallel`]. Returns
-    /// `(runs, elements)` copied.
+    /// caterpillar round in [`crate::ExecMode::Parallel`] (the only
+    /// multi-threaded replay in the crate: every remap a
+    /// [`crate::Machine`] runs is serial). Returns `(runs, elements)`
+    /// copied.
     ///
     /// Like [`VersionData::copy_values_from_plan`], this guards
     /// against mismatched inputs: a program compiled for a different
@@ -302,10 +304,17 @@ impl VersionData {
         if !program.compiled_for(other, self) {
             return self.copy_values_from(other);
         }
-        let lane = &mut |visit: &mut dyn FnMut(&mut dyn Iterator<Item = Lane<'_>>)| {
-            visit(&mut std::iter::once(Lane { at: 0, src: other, dst: &mut *self }))
-        };
-        crate::replay::replay(std::slice::from_ref(program), lane, mode);
+        match mode {
+            crate::ExecMode::Parallel(threads) if threads > 1 => {
+                crate::replay::replay_parallel(program, other, self, threads)
+            }
+            _ => {
+                let lane = &mut |visit: &mut dyn FnMut(&mut dyn Iterator<Item = Lane<'_>>)| {
+                    visit(&mut std::iter::once(Lane { at: 0, src: other, dst: &mut *self }))
+                };
+                crate::replay::replay(std::slice::from_ref(program), lane)
+            }
+        }
         (program.n_runs(), program.n_elements())
     }
 

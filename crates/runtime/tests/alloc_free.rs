@@ -82,12 +82,12 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// A serial machine on a registry of its own, so the exact
+/// A machine on a registry of its own, so the exact
 /// `plans_computed` assertions of one section cannot be satisfied by
 /// another section's (or the process-wide registry's) registrations.
 fn isolated() -> Machine {
     let registry = std::sync::Arc::new(PlanRegistry::new(2, 64));
-    Machine::new(4).with_exec_mode(ExecMode::Serial).with_registry(registry)
+    Machine::new(4).with_registry(registry)
 }
 
 #[test]
@@ -204,75 +204,70 @@ fn steady_state_remap_allocates_nothing() {
     assert_eq!(machine.stats.remaps_performed, performed + 20, "every bounce moved data");
     assert_eq!(machine.stats.plans_computed, 2, "restore replays never plan");
 
-    // --- 4. A cached remap GROUP bounce is allocation-free too, under
-    // both engines. Two arrays remapped by one directive share merged
-    // caterpillar rounds: the coalesced path is eligibility checks,
-    // accounting restricted to the movers in the machine scratch
-    // arena, and a replay of the precompiled group program with the
-    // movers lent to the core as lanes (nothing collected). At
-    // n = 4096 every merged round is below the parallel inline
-    // threshold, so ExecMode::Parallel(4) replays inline — the
-    // steady-state contract holds for both engines.
-    for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
-        let src = mk(n, 4, DimFormat::Block(None));
-        let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
-        let mut machine = Machine::new(4).with_exec_mode(mode);
-        let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
-        let mut b = ArrayRt::new("b", vec![src.clone(), dst.clone()], 8);
-        a.current(&mut machine, 0).fill(|p| p[0] as f64);
-        b.current(&mut machine, 0).fill(|p| 2.0 * p[0] as f64);
-        let solo = |s: &_, d: &_| {
-            std::sync::Arc::new(PlannedRemap::compile(plan_redistribution(s, d, 8)))
-        };
-        let fwd = PlannedGroup::compile(vec![solo(&src, &dst), solo(&src, &dst)]);
-        let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
-        let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-        let skip = BTreeSet::new();
-        // Warm up: allocate both versions of both arrays, seed the
-        // caches, grow the accounting scratch.
-        for _ in 0..2 {
-            let mut members = [
-                GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
-                GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
-            ];
-            remap_group(&mut machine, &mut members, &fwd);
-            a.set(&[0], 1.0);
-            b.set(&[0], 1.0);
-            let mut members = [
-                GroupMember { rt: &mut a, src: 1, target: 0, may_live: &keep, skip_if_current: &skip },
-                GroupMember { rt: &mut b, src: 1, target: 0, may_live: &keep, skip_if_current: &skip },
-            ];
-            remap_group(&mut machine, &mut members, &back);
-            a.set(&[1], 1.0);
-            b.set(&[1], 1.0);
-        }
-        let groups = machine.stats.remap_groups_coalesced;
-        let performed = machine.stats.remaps_performed;
-        for i in 0..10u64 {
-            a.set(&[0], i as f64); // outside the measured window
-            b.set(&[0], i as f64);
-            let before = allocations();
-            let mut members = [
-                GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
-                GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
-            ];
-            remap_group(&mut machine, &mut members, &fwd);
-            assert_eq!(allocations(), before, "group bounce {i} ({mode:?}) ->1 allocated");
-            a.set(&[1], i as f64);
-            b.set(&[1], i as f64);
-            let before = allocations();
-            let mut members = [
-                GroupMember { rt: &mut a, src: 1, target: 0, may_live: &keep, skip_if_current: &skip },
-                GroupMember { rt: &mut b, src: 1, target: 0, may_live: &keep, skip_if_current: &skip },
-            ];
-            remap_group(&mut machine, &mut members, &back);
-            assert_eq!(allocations(), before, "group bounce {i} ({mode:?}) ->0 allocated");
-        }
-        // Every measured bounce coalesced both arrays' movement.
-        assert_eq!(machine.stats.remap_groups_coalesced, groups + 20);
-        assert_eq!(machine.stats.remaps_performed, performed + 40);
-        assert_eq!(machine.stats.plans_computed, 0, "group members were precompiled");
+    // --- 4. A cached remap GROUP bounce is allocation-free too. Two
+    // arrays remapped by one directive share merged caterpillar
+    // rounds: the coalesced path is eligibility checks, accounting
+    // restricted to the movers in the machine scratch arena, and a
+    // replay of the precompiled group program with the movers lent to
+    // the core as lanes (nothing collected).
+    let src = mk(n, 4, DimFormat::Block(None));
+    let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
+    let mut machine = Machine::new(4);
+    let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
+    let mut b = ArrayRt::new("b", vec![src.clone(), dst.clone()], 8);
+    a.current(&mut machine, 0).fill(|p| p[0] as f64);
+    b.current(&mut machine, 0).fill(|p| 2.0 * p[0] as f64);
+    let solo = |s: &_, d: &_| {
+        std::sync::Arc::new(PlannedRemap::compile(plan_redistribution(s, d, 8)))
+    };
+    let fwd = PlannedGroup::compile(vec![solo(&src, &dst), solo(&src, &dst)]);
+    let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
+    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    let skip = BTreeSet::new();
+    // Warm up: allocate both versions of both arrays, seed the
+    // caches, grow the accounting scratch.
+    for _ in 0..2 {
+        let mut members = [
+            GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+            GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+        ];
+        remap_group(&mut machine, &mut members, &fwd);
+        a.set(&[0], 1.0);
+        b.set(&[0], 1.0);
+        let mut members = [
+            GroupMember { rt: &mut a, src: 1, target: 0, may_live: &keep, skip_if_current: &skip },
+            GroupMember { rt: &mut b, src: 1, target: 0, may_live: &keep, skip_if_current: &skip },
+        ];
+        remap_group(&mut machine, &mut members, &back);
+        a.set(&[1], 1.0);
+        b.set(&[1], 1.0);
     }
+    let groups = machine.stats.remap_groups_coalesced;
+    let performed = machine.stats.remaps_performed;
+    for i in 0..10u64 {
+        a.set(&[0], i as f64); // outside the measured window
+        b.set(&[0], i as f64);
+        let before = allocations();
+        let mut members = [
+            GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+            GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+        ];
+        remap_group(&mut machine, &mut members, &fwd);
+        assert_eq!(allocations(), before, "group bounce {i} ->1 allocated");
+        a.set(&[1], i as f64);
+        b.set(&[1], i as f64);
+        let before = allocations();
+        let mut members = [
+            GroupMember { rt: &mut a, src: 1, target: 0, may_live: &keep, skip_if_current: &skip },
+            GroupMember { rt: &mut b, src: 1, target: 0, may_live: &keep, skip_if_current: &skip },
+        ];
+        remap_group(&mut machine, &mut members, &back);
+        assert_eq!(allocations(), before, "group bounce {i} ->0 allocated");
+    }
+    // Every measured bounce coalesced both arrays' movement.
+    assert_eq!(machine.stats.remap_groups_coalesced, groups + 20);
+    assert_eq!(machine.stats.remaps_performed, performed + 40);
+    assert_eq!(machine.stats.plans_computed, 0, "group members were precompiled");
 
     // --- 5. A registry-HIT bounce is allocation-free too. -------------
     // The local plan-cache entry is evicted before every measured remap,
@@ -289,9 +284,7 @@ fn steady_state_remap_allocates_nothing() {
     let registry = std::sync::Arc::new(PlanRegistry::new(4, 64));
     let src = mapping_2d(64, 4, vec![DimFormat::Block(None), DimFormat::Collapsed]);
     let dst = mapping_2d(64, 4, vec![DimFormat::Collapsed, DimFormat::Cyclic(Some(3))]);
-    let mut machine = Machine::new(4)
-        .with_exec_mode(ExecMode::Serial)
-        .with_registry(std::sync::Arc::clone(&registry));
+    let mut machine = Machine::new(4).with_registry(std::sync::Arc::clone(&registry));
     let mut solo_machine = isolated();
     let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
     let mut solo = ArrayRt::new("s", vec![src, dst], 8);
@@ -442,9 +435,7 @@ fn steady_state_remap_allocates_nothing() {
     let registry = std::sync::Arc::new(PlanRegistry::new(4, 64));
     let src = mk(n, 4, DimFormat::Block(None));
     let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
-    let mut machine = Machine::new(4)
-        .with_exec_mode(ExecMode::Serial)
-        .with_registry(std::sync::Arc::clone(&registry));
+    let mut machine = Machine::new(4).with_registry(std::sync::Arc::clone(&registry));
     let mut rt = ArrayRt::new("a", vec![src, dst], 8);
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();

@@ -21,7 +21,7 @@ use hpfc_mapping::{
     ProcGrid, Template, TemplateId,
 };
 use hpfc_runtime::{
-    plan_redistribution, remap_group, try_remap_group, ArrayRt, ExecError, ExecMode, FaultKind,
+    plan_redistribution, remap_group, try_remap_group, ArrayRt, ExecError, FaultKind,
     FaultPlan, GroupMember, Machine, PlanRegistry, PlannedGroup, PlannedRemap, ValidationLevel,
 };
 use proptest::prelude::*;
@@ -97,7 +97,6 @@ fn assert_matches_oracle(rt: &ArrayRt, shadow: &[f64], what: &str) {
 fn corruption_at_full_rate_falls_back_to_tables() {
     let n = 4096u64;
     let mut machine = isolated(4)
-        .with_exec_mode(ExecMode::Serial)
         .with_faults(FaultPlan::new(11, 100, &[FaultKind::CorruptRound]))
         .with_validation(ValidationLevel::Checksums);
     let mut rt = seeded_array(n, 4);
@@ -120,7 +119,6 @@ fn corruption_at_full_rate_falls_back_to_tables() {
 fn corruption_at_moderate_rate_heals_by_retry() {
     let n = 4096u64;
     let mut machine = isolated(4)
-        .with_exec_mode(ExecMode::Serial)
         .with_faults(FaultPlan::new(5, 40, &[FaultKind::CorruptRound]))
         .with_validation(ValidationLevel::Checksums);
     let mut rt = seeded_array(n, 4);
@@ -128,25 +126,6 @@ fn corruption_at_moderate_rate_heals_by_retry() {
     assert_matches_oracle(&rt, &shadow, "corrupt@40");
     assert!(machine.stats.faults_injected > 0);
     assert!(machine.stats.rounds_retried > 0);
-    assert_eq!(machine.stats.plans_computed, 0);
-}
-
-/// WorkerPanic at rate 100 under Parallel(4): every big round's first
-/// attempt panics a worker; the panic is caught, the round degrades to
-/// serial, and the replay completes without retries or fallbacks.
-#[test]
-fn worker_panic_degrades_round_to_serial() {
-    let n = 1u64 << 18; // rounds comfortably above PARALLEL_THRESHOLD
-    let mut machine = isolated(4)
-        .with_exec_mode(ExecMode::Parallel(4))
-        .with_faults(FaultPlan::new(3, 100, &[FaultKind::WorkerPanic]));
-    let mut rt = seeded_array(n, 4);
-    let shadow = bounce_and_oracle(&mut machine, &mut rt, n, 2);
-    assert_matches_oracle(&rt, &shadow, "panic@100");
-    assert!(machine.stats.parallel_degradations > 0, "panicked rounds degraded");
-    assert_eq!(machine.stats.faults_injected, machine.stats.parallel_degradations);
-    assert_eq!(machine.stats.fallbacks_to_tables, 0, "degradation alone healed it");
-    assert_eq!(machine.stats.rounds_retried, 0, "serial re-run is not a retry");
     assert_eq!(machine.stats.plans_computed, 0);
 }
 
@@ -158,7 +137,6 @@ fn worker_panic_degrades_round_to_serial() {
 fn poisoned_cache_entries_are_recompiled_and_repaired() {
     let n = 4096u64;
     let mut machine = isolated(4)
-        .with_exec_mode(ExecMode::Serial)
         .with_faults(FaultPlan::new(17, 100, &[FaultKind::PoisonProgram]));
     let mut rt = seeded_array(n, 4);
     let shadow = bounce_and_oracle(&mut machine, &mut rt, n, 4);
@@ -198,7 +176,6 @@ fn a_poisoned_registry_entry_heals_once_and_never_reaches_a_second_session() {
 
         // Session A, fault-free: registers both directions in the registry.
         let mut ma = Machine::new(4)
-            .with_exec_mode(ExecMode::Serial)
             .with_registry(Arc::clone(&registry));
         let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
         let shadow_a = bounce_and_oracle(&mut ma, &mut a, n, 2);
@@ -217,7 +194,6 @@ fn a_poisoned_registry_entry_heals_once_and_never_reaches_a_second_session() {
 
         // Session B: fresh machine + fresh array, same registry, no faults.
         let mut mb = Machine::new(4)
-            .with_exec_mode(ExecMode::Serial)
             .with_registry(Arc::clone(&registry));
         let mut b = ArrayRt::new("b", vec![src, dst], 8);
         let shadow_b = bounce_and_oracle(&mut mb, &mut b, n, 4);
@@ -233,10 +209,9 @@ fn a_poisoned_registry_entry_heals_once_and_never_reaches_a_second_session() {
     }
 }
 
-/// Drop/Truncate under both engines: conservation counts catch the
-/// short rounds, the ladder heals them, and the wire accounting books
-/// each remap's schedule exactly once — a retried round is never
-/// re-billed.
+/// Drop/Truncate: conservation counts catch the short rounds, the
+/// ladder heals them, and the wire accounting books each remap's
+/// schedule exactly once — a retried round is never re-billed.
 #[test]
 fn wire_loss_heals_and_accounts_each_remap_once() {
     let n = 4096u64;
@@ -250,35 +225,28 @@ fn wire_loss_heals_and_accounts_each_remap_once() {
         &mk1d(n, 4, DimFormat::Block(None)),
         8,
     );
-    for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
-        let mut machine = isolated(4)
-            .with_exec_mode(mode)
-            .with_faults(FaultPlan::new(
-                23,
-                40,
-                &[FaultKind::DropRound, FaultKind::TruncateRound],
-            ))
-            .with_validation(ValidationLevel::Counts);
-        let mut rt = seeded_array(n, 4);
-        let shadow = bounce_and_oracle(&mut machine, &mut rt, n, 6);
-        assert_matches_oracle(&rt, &shadow, "wire-loss");
-        assert!(machine.stats.faults_injected > 0, "wire loss was injected ({mode:?})");
-        assert!(machine.stats.rounds_retried > 0, "short rounds were caught ({mode:?})");
-        // 6 bounces: 3 forward, 3 back. The schedule is accounted once
-        // per remap *before* the replay; retries, recompiles and
-        // fallbacks never touch the wire books again.
-        assert_eq!(
-            machine.stats.messages,
-            3 * fwd.total_messages() + 3 * back.total_messages(),
-            "wire messages booked once per remap ({mode:?})"
-        );
-        assert_eq!(
-            machine.stats.bytes,
-            3 * fwd.total_bytes() + 3 * back.total_bytes(),
-            "wire bytes booked once per remap ({mode:?})"
-        );
-        assert_eq!(machine.stats.plans_computed, 0);
-    }
+    let mut machine = isolated(4)
+        .with_faults(FaultPlan::new(23, 40, &[FaultKind::DropRound, FaultKind::TruncateRound]))
+        .with_validation(ValidationLevel::Counts);
+    let mut rt = seeded_array(n, 4);
+    let shadow = bounce_and_oracle(&mut machine, &mut rt, n, 6);
+    assert_matches_oracle(&rt, &shadow, "wire-loss");
+    assert!(machine.stats.faults_injected > 0, "wire loss was injected");
+    assert!(machine.stats.rounds_retried > 0, "short rounds were caught");
+    // 6 bounces: 3 forward, 3 back. The schedule is accounted once
+    // per remap *before* the replay; retries, recompiles and
+    // fallbacks never touch the wire books again.
+    assert_eq!(
+        machine.stats.messages,
+        3 * fwd.total_messages() + 3 * back.total_messages(),
+        "wire messages booked once per remap"
+    );
+    assert_eq!(
+        machine.stats.bytes,
+        3 * fwd.total_bytes() + 3 * back.total_bytes(),
+        "wire bytes booked once per remap"
+    );
+    assert_eq!(machine.stats.plans_computed, 0);
 }
 
 /// Group chaos: the coalesced two-array remap heals per-class like the
@@ -304,7 +272,6 @@ fn group_remaps_heal_under_chaos() {
         let fwd = PlannedGroup::compile(vec![solo(&src, &dst), solo(&src, &dst)]);
         let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
         let mut machine = isolated(4)
-            .with_exec_mode(ExecMode::Serial)
             .with_faults(faults)
             .with_validation(validation);
         let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
@@ -354,7 +321,7 @@ fn group_remaps_heal_under_chaos() {
 fn unrecoverable_paths_return_typed_errors() {
     let n = 256u64;
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-    let mut machine = isolated(4).with_exec_mode(ExecMode::Serial);
+    let mut machine = isolated(4);
     let mut rt = seeded_array(n, 4);
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     // Sabotage: drop the source copy behind the status tag.
@@ -399,7 +366,6 @@ fn a_missing_source_copy_fails_before_anything_is_billed() {
     let planned = PlannedGroup::compile(vec![Arc::clone(&solo), solo]);
     for validation in [ValidationLevel::Off, ValidationLevel::Counts] {
         let mut machine = isolated(4)
-            .with_exec_mode(ExecMode::Serial)
             .with_validation(validation);
         let mut a = seeded_array(n, 4);
         let mut b = seeded_array(n, 4);
@@ -432,9 +398,11 @@ fn a_missing_source_copy_fails_before_anything_is_billed() {
 /// fixed `FaultPlan` the recovery counters are a pure function of the
 /// remap sequence — the same through the one-lane (solo) and the
 /// two-lane (group) replay, whose epochs and round structure coincide
-/// here; only the table rung counts per lane. The tuples were captured
-/// at the commit before solo, guarded and group replays were folded
-/// into one core.
+/// here; only the table rung counts per lane. Rows 2 and 3 were
+/// captured at the commit before solo, guarded and group replays were
+/// folded into one core; row 1 was re-captured, at the commit before
+/// the worker-panic class left the wire set, with that class already
+/// out of the plan (the pick is taken modulo the enabled wire kinds).
 #[test]
 fn fault_sites_are_pinned_for_solo_and_group_bounces() {
     let counters = |m: &Machine| {
@@ -447,31 +415,26 @@ fn fault_sites_are_pinned_for_solo_and_group_bounces() {
             s.parallel_degradations,
         ]
     };
-    let wire = [
-        FaultKind::CorruptRound,
-        FaultKind::TruncateRound,
-        FaultKind::DropRound,
-        FaultKind::WorkerPanic,
-    ];
-    // (plan, validation, [solo serial, group serial, solo parallel, group parallel])
+    let wire = [FaultKind::CorruptRound, FaultKind::TruncateRound, FaultKind::DropRound];
+    // (plan, validation, [solo, group])
     let pins = [
         (
             FaultPlan::new(101, 45, &wire),
             ValidationLevel::Checksums,
-            [[12, 12, 0, 0, 0], [12, 12, 0, 0, 0], [16, 13, 0, 0, 3], [16, 13, 0, 0, 3]],
+            [[20, 19, 1, 0, 0], [20, 19, 1, 0, 0]],
         ),
         (
             FaultPlan::new(202, 50, &[FaultKind::PoisonProgram, FaultKind::DropRound]),
             ValidationLevel::Counts,
-            [[34, 29, 4, 1, 0], [34, 29, 4, 2, 0], [34, 29, 4, 1, 0], [34, 29, 4, 2, 0]],
+            [[34, 29, 4, 1, 0], [34, 29, 4, 2, 0]],
         ),
         (
             FaultPlan::new(303, 100, &[FaultKind::CorruptRound]),
             ValidationLevel::Checksums,
-            [[48, 36, 6, 6, 0], [48, 36, 6, 12, 0], [48, 36, 6, 6, 0], [48, 36, 6, 12, 0]],
+            [[48, 36, 6, 6, 0], [48, 36, 6, 12, 0]],
         ),
     ];
-    let n = 1u64 << 18; // rounds above PARALLEL_THRESHOLD: workers really spawn
+    let n = 1u64 << 18;
     let src = mk1d(n, 4, DimFormat::Block(None));
     let dst = mk1d(n, 4, DimFormat::Cyclic(Some(3)));
     let solo = |s: &NormalizedMapping, d: &NormalizedMapping| {
@@ -480,100 +443,90 @@ fn fault_sites_are_pinned_for_solo_and_group_bounces() {
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     let skip = BTreeSet::new();
     for (faults, validation, want) in pins {
-        for (m, mode) in [ExecMode::Serial, ExecMode::Parallel(4)].into_iter().enumerate() {
-            let machine = || {
-                isolated(4)
-                    .with_exec_mode(mode)
-                    .with_faults(faults)
-                    .with_validation(validation)
-            };
-            let mut one = machine();
-            let mut rt = seeded_array(n, 4);
-            let shadow = bounce_and_oracle(&mut one, &mut rt, n, 6);
-            assert_matches_oracle(&rt, &shadow, "pinned solo bounce");
-            assert_eq!(counters(&one), want[2 * m], "solo {faults:?} {mode:?}");
+        let machine = || isolated(4).with_faults(faults).with_validation(validation);
+        let mut one = machine();
+        let mut rt = seeded_array(n, 4);
+        let shadow = bounce_and_oracle(&mut one, &mut rt, n, 6);
+        assert_matches_oracle(&rt, &shadow, "pinned solo bounce");
+        assert_eq!(counters(&one), want[0], "solo {faults:?}");
 
-            let mut two = machine();
-            let fwd = PlannedGroup::compile(vec![solo(&src, &dst), solo(&src, &dst)]);
-            let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
-            let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
-            let mut b = ArrayRt::new("b", vec![src.clone(), dst.clone()], 8);
-            a.current(&mut two, 0).fill(|p| p[0] as f64);
-            b.current(&mut two, 0).fill(|p| 2.0 * p[0] as f64);
-            for bounce in 0..6u32 {
-                let (s, t) = if bounce % 2 == 0 { (0u32, 1u32) } else { (1, 0) };
-                let mut members = [
-                    GroupMember { rt: &mut a, src: s, target: t, may_live: &keep, skip_if_current: &skip },
-                    GroupMember { rt: &mut b, src: s, target: t, may_live: &keep, skip_if_current: &skip },
-                ];
-                let planned = if s == 0 { &fwd } else { &back };
-                assert_eq!(remap_group(&mut two, &mut members, planned), 2);
-                a.set(&[0], 50.0 + bounce as f64);
-                b.set(&[1], 70.0 + bounce as f64);
-            }
-            for i in 0..n {
-                assert_eq!(a.get(&[i]), if i == 0 { 55.0 } else { i as f64 }, "a[{i}]");
-                assert_eq!(b.get(&[i]), if i == 1 { 75.0 } else { 2.0 * i as f64 }, "b[{i}]");
-            }
-            assert_eq!(counters(&two), want[2 * m + 1], "group {faults:?} {mode:?}");
+        let mut two = machine();
+        let fwd = PlannedGroup::compile(vec![solo(&src, &dst), solo(&src, &dst)]);
+        let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
+        let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
+        let mut b = ArrayRt::new("b", vec![src.clone(), dst.clone()], 8);
+        a.current(&mut two, 0).fill(|p| p[0] as f64);
+        b.current(&mut two, 0).fill(|p| 2.0 * p[0] as f64);
+        for bounce in 0..6u32 {
+            let (s, t) = if bounce % 2 == 0 { (0u32, 1u32) } else { (1, 0) };
+            let mut members = [
+                GroupMember { rt: &mut a, src: s, target: t, may_live: &keep, skip_if_current: &skip },
+                GroupMember { rt: &mut b, src: s, target: t, may_live: &keep, skip_if_current: &skip },
+            ];
+            let planned = if s == 0 { &fwd } else { &back };
+            assert_eq!(remap_group(&mut two, &mut members, planned), 2);
+            a.set(&[0], 50.0 + bounce as f64);
+            b.set(&[1], 70.0 + bounce as f64);
         }
+        for i in 0..n {
+            assert_eq!(a.get(&[i]), if i == 0 { 55.0 } else { i as f64 }, "a[{i}]");
+            assert_eq!(b.get(&[i]), if i == 1 { 75.0 } else { 2.0 * i as f64 }, "b[{i}]");
+        }
+        assert_eq!(counters(&two), want[1], "group {faults:?}");
     }
 }
 
 /// Injected ladder exhaustion is terminal by design — and transactional:
 /// the typed error surfaces only after the destination version was
 /// rolled back to its exact pre-remap state (bytes, status, live flags,
-/// allocation), under both engines, planned from seeded caches and
-/// through the registry.
+/// allocation), planned from seeded caches and through the registry.
 #[test]
 fn exhaustion_rolls_a_solo_remap_back_to_its_pre_remap_state() {
     let n = 4096u64;
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-    for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
-        for seeded in [true, false] {
-            let mut machine = isolated(4).with_exec_mode(mode);
-            // Plan through pre-seeded per-array caches, or through the
-            // registry (shared artifacts).
-            let mut rt = if seeded {
-                seeded_array(n, 4)
-            } else {
-                ArrayRt::new(
-                    "a",
-                    vec![mk1d(n, 4, DimFormat::Block(None)), mk1d(n, 4, DimFormat::Cyclic(Some(3)))],
-                    8,
-                )
-            };
-            // Two clean bounces: both versions allocated, v1 stale.
-            let shadow = bounce_and_oracle(&mut machine, &mut rt, n, 2);
-            assert_eq!(rt.status, Some(0));
-            assert!(rt.copies[1].is_some(), "v1 stays allocated (stale)");
-            let pre = (rt.status, rt.live.clone(), rt.copies.clone());
-            machine = machine.with_faults(FaultPlan::new(97, 100, &[FaultKind::Exhaust]));
+    for seeded in [true, false] {
+        let mut machine = isolated(4);
+        // Plan through pre-seeded per-array caches, or through the
+        // registry (shared artifacts).
+        let mut rt = if seeded {
+            seeded_array(n, 4)
+        } else {
+            ArrayRt::new(
+                "a",
+                vec![mk1d(n, 4, DimFormat::Block(None)), mk1d(n, 4, DimFormat::Cyclic(Some(3)))],
+                8,
+            )
+        };
+        // Two clean bounces: both versions allocated, v1 stale.
+        let shadow = bounce_and_oracle(&mut machine, &mut rt, n, 2);
+        assert_eq!(rt.status, Some(0));
+        assert!(rt.copies[1].is_some(), "v1 stays allocated (stale)");
+        let pre = (rt.status, rt.live.clone(), rt.copies.clone());
+        machine = machine.with_faults(FaultPlan::new(97, 100, &[FaultKind::Exhaust]));
 
-            // Preallocated destination: the rollback restores its bytes.
-            let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
-            assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
-            assert_eq!(machine.stats.txn_rollbacks, 1, "({mode:?}, seeded={seeded})");
-            assert_eq!(rt.status, pre.0, "status restored");
-            assert_eq!(rt.live, pre.1, "live flags restored");
-            assert_eq!(rt.copies, pre.2, "destination bytes are byte-identical to pre-remap");
-            assert_matches_oracle(&rt, &shadow, "contents after rollback");
+        // Preallocated destination: the rollback restores its bytes.
+        let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
+        assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
+        assert_eq!(machine.stats.txn_rollbacks, 1, "seeded={seeded}");
+        assert_eq!(rt.status, pre.0, "status restored");
+        assert_eq!(rt.live, pre.1, "live flags restored");
+        assert_eq!(rt.copies, pre.2, "destination bytes are byte-identical to pre-remap");
+        assert_matches_oracle(&rt, &shadow, "contents after rollback");
 
-            // Fresh destination: the rollback frees the just-allocated copy.
-            rt.free_copy(&mut machine, 1);
-            let pre = (rt.status, rt.live.clone(), rt.copies.clone());
-            let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
-            assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
-            assert_eq!(machine.stats.txn_rollbacks, 2);
-            assert!(rt.copies[1].is_none(), "the fresh destination copy was freed");
-            assert_eq!((rt.status, &rt.live, &rt.copies), (pre.0, &pre.1, &pre.2));
+        // Fresh destination: the rollback frees the just-allocated copy.
+        rt.free_copy(&mut machine, 1);
+        let pre = (rt.status, rt.live.clone(), rt.copies.clone());
+        let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
+        assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
+        assert_eq!(machine.stats.txn_rollbacks, 2);
+        assert!(rt.copies[1].is_none(), "the fresh destination copy was freed");
+        assert_eq!((rt.status, &rt.live, &rt.copies), (pre.0, &pre.1, &pre.2));
 
-            // The array is fully usable afterwards: drop the faults and
-            // the same remap completes to the oracle.
-            machine.faults = None;
-            rt.remap(&mut machine, 1, &keep, false);
-            assert_matches_oracle(&rt, &shadow, "remap after rollback");
-        }
+        // The array is fully usable afterwards: drop the faults and
+        // the same remap completes to the oracle.
+        machine.faults = None;
+        rt.remap(&mut machine, 1, &keep, false);
+        assert_matches_oracle(&rt, &shadow, "remap after rollback");
     }
 }
 
@@ -586,7 +539,7 @@ fn exhaustion_rolls_a_solo_remap_back_to_its_pre_remap_state() {
 /// partial write behind.
 #[test]
 fn exhaustion_rolls_back_strided_kernel_destinations_byte_identically() {
-    let n = 1u64 << 18; // rounds above PARALLEL_THRESHOLD: both engines real
+    let n = 1u64 << 18;
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     let src = mk1d(n, 4, DimFormat::Block(None));
     let dst = mk1d(n, 4, DimFormat::Cyclic(None));
@@ -601,32 +554,30 @@ fn exhaustion_rolls_back_strided_kernel_destinations_byte_identically() {
         assert!(!prog.fams.is_empty(), "stride families drive this shape");
         assert!(prog.runs.is_empty(), "no residual triples for cyclic(1)");
     }
-    for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
-        let mut machine = isolated(4).with_exec_mode(mode);
-        let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
-        rt.seed_plan(0, 1, Arc::clone(&fwd));
-        rt.seed_plan(1, 0, Arc::clone(&back));
-        let shadow = bounce_and_oracle(&mut machine, &mut rt, n, 2);
-        assert_eq!(rt.status, Some(0));
-        assert!(rt.copies[1].is_some(), "v1 stays allocated (stale)");
-        let pre = (rt.status, rt.live.clone(), rt.copies.clone());
-        machine = machine.with_faults(FaultPlan::new(97, 100, &[FaultKind::Exhaust]));
-        let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
-        assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
-        assert_eq!(machine.stats.txn_rollbacks, 1, "({mode:?})");
-        assert_eq!(rt.status, pre.0, "status restored ({mode:?})");
-        assert_eq!(rt.live, pre.1, "live flags restored ({mode:?})");
-        assert_eq!(
-            rt.copies, pre.2,
-            "strided destination bytes are byte-identical to pre-remap ({mode:?})"
-        );
-        assert_matches_oracle(&rt, &shadow, "contents after strided rollback");
-        // And the array heals: without faults the same remap completes.
-        machine.faults = None;
-        rt.remap(&mut machine, 1, &keep, false);
-        assert_matches_oracle(&rt, &shadow, "remap after strided rollback");
-        assert_eq!(machine.stats.plans_computed, 0, "seeded caches: recovery never plans");
-    }
+    let mut machine = isolated(4);
+    let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
+    rt.seed_plan(0, 1, Arc::clone(&fwd));
+    rt.seed_plan(1, 0, Arc::clone(&back));
+    let shadow = bounce_and_oracle(&mut machine, &mut rt, n, 2);
+    assert_eq!(rt.status, Some(0));
+    assert!(rt.copies[1].is_some(), "v1 stays allocated (stale)");
+    let pre = (rt.status, rt.live.clone(), rt.copies.clone());
+    machine = machine.with_faults(FaultPlan::new(97, 100, &[FaultKind::Exhaust]));
+    let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
+    assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
+    assert_eq!(machine.stats.txn_rollbacks, 1);
+    assert_eq!(rt.status, pre.0, "status restored");
+    assert_eq!(rt.live, pre.1, "live flags restored");
+    assert_eq!(
+        rt.copies, pre.2,
+        "strided destination bytes are byte-identical to pre-remap"
+    );
+    assert_matches_oracle(&rt, &shadow, "contents after strided rollback");
+    // And the array heals: without faults the same remap completes.
+    machine.faults = None;
+    rt.remap(&mut machine, 1, &keep, false);
+    assert_matches_oracle(&rt, &shadow, "remap after strided rollback");
+    assert_eq!(machine.stats.plans_computed, 0, "seeded caches: recovery never plans");
 }
 
 /// What the transaction buys: a forced exhaustion writes, then rejects
@@ -638,7 +589,7 @@ fn exhaustion_rolls_back_strided_kernel_destinations_byte_identically() {
 fn transactions_off_leaves_the_partial_write_behind() {
     let n = 4096u64;
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-    let mut machine = isolated(4).with_exec_mode(ExecMode::Serial);
+    let mut machine = isolated(4);
     let mut rt = seeded_array(n, 4);
     bounce_and_oracle(&mut machine, &mut rt, n, 2);
     // Refresh every element of the current copy so the stale v1
@@ -658,7 +609,7 @@ fn transactions_off_leaves_the_partial_write_behind() {
 
 /// Group atomicity on the coalesced path: forced exhaustion of the
 /// merged replay surfaces one typed error and rolls BOTH members back
-/// to their byte-identical pre-directive state, under both engines.
+/// to their byte-identical pre-directive state.
 #[test]
 fn exhaustion_rolls_a_coalesced_group_back_atomically() {
     let n = 4096u64;
@@ -669,53 +620,51 @@ fn exhaustion_rolls_a_coalesced_group_back_atomically() {
     };
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     let skip = BTreeSet::new();
-    for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
-        let fwd = PlannedGroup::compile(vec![solo(&src, &dst), solo(&src, &dst)]);
-        let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
-        let mut machine = isolated(4).with_exec_mode(mode);
-        let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
-        let mut b = ArrayRt::new("b", vec![src.clone(), dst.clone()], 8);
-        a.current(&mut machine, 0).fill(|p| p[0] as f64);
-        b.current(&mut machine, 0).fill(|p| 2.0 * p[0] as f64);
-        // One clean group bounce so both versions are allocated and the
-        // writes leave every non-current copy stale.
-        for (s, t, planned) in [(0u32, 1u32, &fwd), (1, 0, &back)] {
-            let mut members = [
-                GroupMember { rt: &mut a, src: s, target: t, may_live: &keep, skip_if_current: &skip },
-                GroupMember { rt: &mut b, src: s, target: t, may_live: &keep, skip_if_current: &skip },
-            ];
-            assert_eq!(remap_group(&mut machine, &mut members, planned), 2);
-            a.set(&[0], 90.0 + t as f64);
-            b.set(&[1], 80.0 + t as f64);
-        }
-        let pre_a = (a.status, a.live.clone(), a.copies.clone());
-        let pre_b = (b.status, b.live.clone(), b.copies.clone());
-        machine = machine.with_faults(FaultPlan::new(97, 100, &[FaultKind::Exhaust]));
-        let err = {
-            let mut members = [
-                GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
-                GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
-            ];
-            try_remap_group(&mut machine, &mut members, &fwd).unwrap_err()
-        };
-        assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
-        assert_eq!(machine.stats.group_rollbacks, 1, "({mode:?})");
-        assert_eq!((a.status, &a.live, &a.copies), (pre_a.0, &pre_a.1, &pre_a.2), "member a");
-        assert_eq!((b.status, &b.live, &b.copies), (pre_b.0, &pre_b.1, &pre_b.2), "member b");
-        // Both arrays remain fully usable: the same directive completes
-        // once the faults are gone.
-        machine.faults = None;
+    let fwd = PlannedGroup::compile(vec![solo(&src, &dst), solo(&src, &dst)]);
+    let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
+    let mut machine = isolated(4);
+    let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
+    let mut b = ArrayRt::new("b", vec![src.clone(), dst.clone()], 8);
+    a.current(&mut machine, 0).fill(|p| p[0] as f64);
+    b.current(&mut machine, 0).fill(|p| 2.0 * p[0] as f64);
+    // One clean group bounce so both versions are allocated and the
+    // writes leave every non-current copy stale.
+    for (s, t, planned) in [(0u32, 1u32, &fwd), (1, 0, &back)] {
+        let mut members = [
+            GroupMember { rt: &mut a, src: s, target: t, may_live: &keep, skip_if_current: &skip },
+            GroupMember { rt: &mut b, src: s, target: t, may_live: &keep, skip_if_current: &skip },
+        ];
+        assert_eq!(remap_group(&mut machine, &mut members, planned), 2);
+        a.set(&[0], 90.0 + t as f64);
+        b.set(&[1], 80.0 + t as f64);
+    }
+    let pre_a = (a.status, a.live.clone(), a.copies.clone());
+    let pre_b = (b.status, b.live.clone(), b.copies.clone());
+    machine = machine.with_faults(FaultPlan::new(97, 100, &[FaultKind::Exhaust]));
+    let err = {
         let mut members = [
             GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
             GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
         ];
-        assert_eq!(remap_group(&mut machine, &mut members, &fwd), 2);
-        for i in 0..n {
-            let want_a = if i == 0 { 90.0 } else { i as f64 };
-            let want_b = if i == 1 { 80.0 } else { 2.0 * i as f64 };
-            assert_eq!(a.get(&[i]), want_a, "a[{i}] after the group healed");
-            assert_eq!(b.get(&[i]), want_b, "b[{i}] after the group healed");
-        }
+        try_remap_group(&mut machine, &mut members, &fwd).unwrap_err()
+    };
+    assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
+    assert_eq!(machine.stats.group_rollbacks, 1);
+    assert_eq!((a.status, &a.live, &a.copies), (pre_a.0, &pre_a.1, &pre_a.2), "member a");
+    assert_eq!((b.status, &b.live, &b.copies), (pre_b.0, &pre_b.1, &pre_b.2), "member b");
+    // Both arrays remain fully usable: the same directive completes
+    // once the faults are gone.
+    machine.faults = None;
+    let mut members = [
+        GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+        GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+    ];
+    assert_eq!(remap_group(&mut machine, &mut members, &fwd), 2);
+    for i in 0..n {
+        let want_a = if i == 0 { 90.0 } else { i as f64 };
+        let want_b = if i == 1 { 80.0 } else { 2.0 * i as f64 };
+        assert_eq!(a.get(&[i]), want_a, "a[{i}] after the group healed");
+        assert_eq!(b.get(&[i]), want_b, "b[{i}] after the group healed");
     }
 }
 
@@ -734,7 +683,7 @@ fn a_failing_member_uncommits_its_already_replayed_sibling() {
     let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     let skip = BTreeSet::new();
-    let mut machine = isolated(4).with_exec_mode(ExecMode::Serial);
+    let mut machine = isolated(4);
     let mut a = seeded_array(n, 4);
     let mut b = seeded_array(n, 4);
     a.current(&mut machine, 0).fill(|p| p[0] as f64);
@@ -781,7 +730,6 @@ fn a_contained_compile_panic_still_heals_to_the_oracle() {
     let n = 4096u64;
     let registry = Arc::new(PlanRegistry::new(2, 64));
     let mut machine = Machine::new(4)
-        .with_exec_mode(ExecMode::Serial)
         .with_registry(Arc::clone(&registry))
         .with_faults(FaultPlan::new(7, 100, &[FaultKind::CompilePanic]));
     let mut rt = ArrayRt::new(
@@ -818,7 +766,6 @@ fn a_quarantined_pair_serves_the_table_engine_in_the_next_session() {
     // three are poisoned, caught by the fingerprint, and repaired —
     // the third strike crosses QUARANTINE_THRESHOLD.
     let mut ma = Machine::new(4)
-        .with_exec_mode(ExecMode::Serial)
         .with_registry(Arc::clone(&registry))
         .with_faults(FaultPlan::new(41, 100, &[FaultKind::PoisonProgram]));
     let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
@@ -832,7 +779,7 @@ fn a_quarantined_pair_serves_the_table_engine_in_the_next_session() {
 
     // Session B: fresh machine and array, same registry, no faults.
     let mut mb =
-        Machine::new(4).with_exec_mode(ExecMode::Serial).with_registry(Arc::clone(&registry));
+        Machine::new(4).with_registry(Arc::clone(&registry));
     let mut b = ArrayRt::new("b", vec![src, dst], 8);
     let shadow_b = bounce_and_oracle(&mut mb, &mut b, n, 4);
     assert_matches_oracle(&b, &shadow_b, "session B over quarantined pairs");
@@ -905,11 +852,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The engine survives EVERY fault class at random sites over the
-    /// rich mapping space, under both engines: each fault-ridden bounce
-    /// either heals (the ladder absorbs the fault) or surfaces a typed
-    /// error after the transaction rolled the destination back — so in
-    /// both cases every element equals the per-point shadow oracle at
-    /// every step, and recovery never planned.
+    /// rich mapping space: each fault-ridden bounce either heals (the
+    /// ladder absorbs the fault) or surfaces a typed error after the
+    /// transaction rolled the destination back — so in both cases every
+    /// element equals the per-point shadow oracle at every step, and
+    /// recovery never planned.
     #[test]
     fn chaos_over_rich_mappings_heals_to_the_oracle(
         grid in (1u64..4, 1u64..4),
@@ -921,59 +868,56 @@ proptest! {
         let src = realize_mapping(6, 5, grid, src_cfg);
         let dst = realize_mapping(6, 5, grid, dst_cfg);
         let nprocs = src.grid_shape.volume();
-        for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
-            let mut machine = isolated(nprocs)
-                .with_exec_mode(mode)
-                .with_faults(FaultPlan::all(seed, rate))
-                .with_validation(ValidationLevel::Checksums);
-            let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
-            rt.seed_plan(0, 1, Arc::new(PlannedRemap::compile(
-                plan_redistribution(&src, &dst, 8))));
-            rt.seed_plan(1, 0, Arc::new(PlannedRemap::compile(
-                plan_redistribution(&dst, &src, 8))));
-            rt.current(&mut machine, 0).fill(|p| (p[0] * 31 + p[1] * 7 + 1) as f64);
-            let mut shadow = vec![0.0f64; 30];
-            for p0 in 0..6u64 {
-                for p1 in 0..5u64 {
-                    shadow[(p0 * 5 + p1) as usize] = (p0 * 31 + p1 * 7 + 1) as f64;
-                }
+        let mut machine = isolated(nprocs)
+            .with_faults(FaultPlan::all(seed, rate))
+            .with_validation(ValidationLevel::Checksums);
+        let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
+        rt.seed_plan(0, 1, Arc::new(PlannedRemap::compile(
+            plan_redistribution(&src, &dst, 8))));
+        rt.seed_plan(1, 0, Arc::new(PlannedRemap::compile(
+            plan_redistribution(&dst, &src, 8))));
+        rt.current(&mut machine, 0).fill(|p| (p[0] * 31 + p[1] * 7 + 1) as f64);
+        let mut shadow = vec![0.0f64; 30];
+        for p0 in 0..6u64 {
+            for p1 in 0..5u64 {
+                shadow[(p0 * 5 + p1) as usize] = (p0 * 31 + p1 * 7 + 1) as f64;
             }
-            let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-            for b in 0..3u32 {
-                let before = machine.stats.txn_rollbacks;
-                if let Err(e) = rt.try_remap(&mut machine, 1 - (b % 2), &keep, false) {
-                    // Injected ladder exhaustion: the error is typed
-                    // and the transaction rolled the destination back,
-                    // so the array still matches the shadow below.
-                    prop_assert!(
-                        matches!(e, ExecError::Unrecovered { .. }),
-                        "unexpected terminal error under chaos seed {}: {}",
-                        seed,
-                        e
-                    );
-                    prop_assert!(
-                        machine.stats.txn_rollbacks > before,
-                        "terminal error without a rollback (seed {} rate {})",
-                        seed,
-                        rate
-                    );
-                }
-                let (p0, p1) = ((b as u64 * 2 + 1) % 6, (b as u64 * 3 + 2) % 5);
-                rt.set(&[p0, p1], 500.0 + b as f64);
-                shadow[(p0 * 5 + p1) as usize] = 500.0 + b as f64;
-            }
-            for p0 in 0..6u64 {
-                for p1 in 0..5u64 {
-                    prop_assert_eq!(
-                        rt.get(&[p0, p1]),
-                        shadow[(p0 * 5 + p1) as usize],
-                        "({}, {}) diverged under chaos seed {} rate {} ({:?})",
-                        p0, p1, seed, rate, mode
-                    );
-                }
-            }
-            prop_assert_eq!(machine.stats.plans_computed, 0, "recovery never plans");
         }
+        let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+        for b in 0..3u32 {
+            let before = machine.stats.txn_rollbacks;
+            if let Err(e) = rt.try_remap(&mut machine, 1 - (b % 2), &keep, false) {
+                // Injected ladder exhaustion: the error is typed
+                // and the transaction rolled the destination back,
+                // so the array still matches the shadow below.
+                prop_assert!(
+                    matches!(e, ExecError::Unrecovered { .. }),
+                    "unexpected terminal error under chaos seed {}: {}",
+                    seed,
+                    e
+                );
+                prop_assert!(
+                    machine.stats.txn_rollbacks > before,
+                    "terminal error without a rollback (seed {} rate {})",
+                    seed,
+                    rate
+                );
+            }
+            let (p0, p1) = ((b as u64 * 2 + 1) % 6, (b as u64 * 3 + 2) % 5);
+            rt.set(&[p0, p1], 500.0 + b as f64);
+            shadow[(p0 * 5 + p1) as usize] = 500.0 + b as f64;
+        }
+        for p0 in 0..6u64 {
+            for p1 in 0..5u64 {
+                prop_assert_eq!(
+                    rt.get(&[p0, p1]),
+                    shadow[(p0 * 5 + p1) as usize],
+                    "({}, {}) diverged under chaos seed {} rate {}",
+                    p0, p1, seed, rate
+                );
+            }
+        }
+        prop_assert_eq!(machine.stats.plans_computed, 0, "recovery never plans");
     }
 
     /// Forced exhaustion over the whole mapping space: any remap that
@@ -992,7 +936,6 @@ proptest! {
         let dst = realize_mapping(6, 5, grid, dst_cfg);
         let nprocs = src.grid_shape.volume();
         let mut machine = isolated(nprocs)
-            .with_exec_mode(ExecMode::Serial)
             .with_faults(FaultPlan::new(seed, 100, &[FaultKind::Exhaust]));
         let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
         rt.seed_plan(0, 1, Arc::new(PlannedRemap::compile(

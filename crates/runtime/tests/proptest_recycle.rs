@@ -67,10 +67,10 @@ struct Session {
 }
 
 impl Session {
-    fn new(versions: &[NormalizedMapping], mode: ExecMode, recycle: bool) -> Session {
+    fn new(versions: &[NormalizedMapping], recycle: bool) -> Session {
         let p = versions[0].grid_shape.volume();
         let registry = Arc::new(PlanRegistry::new(2, 64));
-        let machine = Machine::new(p).with_registry(registry).with_exec_mode(mode);
+        let machine = Machine::new(p).with_registry(registry);
         let mut arrays = ["a", "b"].map(|name| ArrayRt::new(name, versions.to_vec(), 8));
         for rt in &mut arrays {
             for (s, src) in versions.iter().enumerate() {
@@ -145,97 +145,95 @@ fn group_remap(s: &mut Session, group: &PlannedGroup, src: u32, target: u32) {
 fn recycled_storage_is_indistinguishable_from_fresh() {
     for (f0, f1) in families() {
         for p in PS {
-            for mode in [ExecMode::Serial, ExecMode::Parallel(3)] {
-                let ctx = format!("{f0:?}<->{f1:?} at P={p} ({mode:?})");
-                let versions =
-                    [mk1d(N, p, f0), mk1d(N, p, f1), mk1d(N, p, DimFormat::Cyclic(Some(4)))];
-                let pair = &mut [true, false].map(|r| Session::new(&versions, mode, r));
+            let ctx = format!("{f0:?}<->{f1:?} at P={p}");
+            let versions =
+                [mk1d(N, p, f0), mk1d(N, p, f1), mk1d(N, p, DimFormat::Cyclic(Some(4)))];
+            let pair = &mut [true, false].map(|r| Session::new(&versions, r));
 
-                both(&ctx, "instantiate", pair, |s| {
-                    s.a.current(&mut s.machine, 0).fill(|pt| 1.0 + pt[0] as f64);
-                    s.b.current(&mut s.machine, 0).fill(|pt| -1.0 - pt[0] as f64);
-                });
-                // The bounce whose cleaning frees the source: the second
-                // leg lands in a recycled, un-zeroed buffer.
-                both(&ctx, "remap 0->1, clean 0", pair, |s| {
-                    s.a.remap(&mut s.machine, 1, &set_of(&[1]), false)
-                });
-                both(&ctx, "write", pair, |s| {
-                    s.a.set(&[3], 99.0);
-                    s.a.set(&[N - 1], 77.0);
-                });
-                both(&ctx, "remap 1->0 into recycled v0", pair, |s| {
-                    s.a.remap(&mut s.machine, 0, &set_of(&[0]), false)
-                });
-                // Dead values: nothing is copied, so the recycled buffer
-                // must have been zeroed.
-                both(&ctx, "dead-values remap into recycled v1", pair, |s| {
-                    s.a.remap(&mut s.machine, 1, &set_of(&[1]), true)
-                });
-                assert!(
-                    pair[0].observe().values[0].iter().all(|&x| x == 0.0),
-                    "{ctx}: a recycled copy claimed without a program reads zeros"
-                );
-                both(&ctx, "whole-array write", pair, |s| {
-                    s.a.current(&mut s.machine, 1).fill(|pt| 7.0 * pt[0] as f64);
-                    s.a.invalidate_others();
-                });
-                // A third version: a fresh allocation, which releases
-                // what is parked.
-                both(&ctx, "remap 1->2, clean 1", pair, |s| {
-                    s.a.remap(&mut s.machine, 2, &set_of(&[2]), false)
-                });
-                both(&ctx, "remap 2->0, keep 2", pair, |s| {
-                    s.a.remap(&mut s.machine, 0, &set_of(&[0, 2]), false)
-                });
-                both(&ctx, "restore 2 (live reuse)", pair, |s| {
-                    s.a.restore(&mut s.machine, 2, &set_of(&[0, 2]), false)
-                });
-                both(&ctx, "write, restore 0", pair, |s| {
-                    s.a.set(&[5], -5.0);
-                    s.a.restore(&mut s.machine, 0, &set_of(&[0, 2]), false)
-                });
-                both(&ctx, "evict 2, regenerate", pair, |s| {
-                    assert!(s.a.evict(&mut s.machine, 2));
-                    s.a.remap(&mut s.machine, 2, &set_of(&[2]), false)
-                });
-                // Guarded remaps under forced ladder exhaustion: first
-                // into a fresh destination (the rollback frees it again),
-                // then into a preallocated one (its bytes are restored).
-                both(&ctx, "rollback of a fresh destination", pair, |s| {
-                    s.machine.faults = Some(FaultPlan::new(97, 100, &[FaultKind::Exhaust]));
-                    let err = s.a.try_remap(&mut s.machine, 1, &set_of(&[1]), false);
-                    assert!(matches!(err, Err(ExecError::Unrecovered { .. })));
-                    assert_eq!(s.a.status, Some(2));
-                    s.machine.faults = None;
-                });
-                both(&ctx, "remap 2->1, keep 2", pair, |s| {
-                    s.a.remap(&mut s.machine, 1, &set_of(&[1, 2]), false);
-                    s.a.set(&[11], 11.5);
-                });
-                both(&ctx, "rollback of a preallocated destination", pair, |s| {
-                    s.machine.faults = Some(FaultPlan::new(98, 100, &[FaultKind::Exhaust]));
-                    let err = s.a.try_remap(&mut s.machine, 2, &set_of(&[2]), false);
-                    assert!(matches!(err, Err(ExecError::Unrecovered { .. })));
-                    s.machine.faults = None;
-                });
-                both(&ctx, "remap 1->0, clean all", pair, |s| {
-                    s.a.remap(&mut s.machine, 0, &set_of(&[0]), false)
-                });
-                // Group bounce: both members' targets are claimed from
-                // parked storage by their member programs.
-                let fwd = PlannedGroup::compile(vec![planned(&versions[0], &versions[1]); 2]);
-                let back = PlannedGroup::compile(vec![planned(&versions[1], &versions[0]); 2]);
-                both(&ctx, "group 0->1", pair, |s| group_remap(s, &fwd, 0, 1));
-                both(&ctx, "write both", pair, |s| {
-                    s.a.set(&[1], 0.25);
-                    s.b.set(&[2], 0.5);
-                });
-                both(&ctx, "group 1->0", pair, |s| group_remap(s, &back, 1, 0));
-                both(&ctx, "group 0->1 again", pair, |s| group_remap(s, &fwd, 0, 1));
-                assert_eq!(pair[0].machine.stats.plans_computed, 0, "{ctx}: seeded, never plans");
-                assert_eq!(pair[0].machine.stats.txn_rollbacks, 2, "{ctx}");
-            }
+            both(&ctx, "instantiate", pair, |s| {
+                s.a.current(&mut s.machine, 0).fill(|pt| 1.0 + pt[0] as f64);
+                s.b.current(&mut s.machine, 0).fill(|pt| -1.0 - pt[0] as f64);
+            });
+            // The bounce whose cleaning frees the source: the second
+            // leg lands in a recycled, un-zeroed buffer.
+            both(&ctx, "remap 0->1, clean 0", pair, |s| {
+                s.a.remap(&mut s.machine, 1, &set_of(&[1]), false)
+            });
+            both(&ctx, "write", pair, |s| {
+                s.a.set(&[3], 99.0);
+                s.a.set(&[N - 1], 77.0);
+            });
+            both(&ctx, "remap 1->0 into recycled v0", pair, |s| {
+                s.a.remap(&mut s.machine, 0, &set_of(&[0]), false)
+            });
+            // Dead values: nothing is copied, so the recycled buffer
+            // must have been zeroed.
+            both(&ctx, "dead-values remap into recycled v1", pair, |s| {
+                s.a.remap(&mut s.machine, 1, &set_of(&[1]), true)
+            });
+            assert!(
+                pair[0].observe().values[0].iter().all(|&x| x == 0.0),
+                "{ctx}: a recycled copy claimed without a program reads zeros"
+            );
+            both(&ctx, "whole-array write", pair, |s| {
+                s.a.current(&mut s.machine, 1).fill(|pt| 7.0 * pt[0] as f64);
+                s.a.invalidate_others();
+            });
+            // A third version: a fresh allocation, which releases
+            // what is parked.
+            both(&ctx, "remap 1->2, clean 1", pair, |s| {
+                s.a.remap(&mut s.machine, 2, &set_of(&[2]), false)
+            });
+            both(&ctx, "remap 2->0, keep 2", pair, |s| {
+                s.a.remap(&mut s.machine, 0, &set_of(&[0, 2]), false)
+            });
+            both(&ctx, "restore 2 (live reuse)", pair, |s| {
+                s.a.restore(&mut s.machine, 2, &set_of(&[0, 2]), false)
+            });
+            both(&ctx, "write, restore 0", pair, |s| {
+                s.a.set(&[5], -5.0);
+                s.a.restore(&mut s.machine, 0, &set_of(&[0, 2]), false)
+            });
+            both(&ctx, "evict 2, regenerate", pair, |s| {
+                assert!(s.a.evict(&mut s.machine, 2));
+                s.a.remap(&mut s.machine, 2, &set_of(&[2]), false)
+            });
+            // Guarded remaps under forced ladder exhaustion: first
+            // into a fresh destination (the rollback frees it again),
+            // then into a preallocated one (its bytes are restored).
+            both(&ctx, "rollback of a fresh destination", pair, |s| {
+                s.machine.faults = Some(FaultPlan::new(97, 100, &[FaultKind::Exhaust]));
+                let err = s.a.try_remap(&mut s.machine, 1, &set_of(&[1]), false);
+                assert!(matches!(err, Err(ExecError::Unrecovered { .. })));
+                assert_eq!(s.a.status, Some(2));
+                s.machine.faults = None;
+            });
+            both(&ctx, "remap 2->1, keep 2", pair, |s| {
+                s.a.remap(&mut s.machine, 1, &set_of(&[1, 2]), false);
+                s.a.set(&[11], 11.5);
+            });
+            both(&ctx, "rollback of a preallocated destination", pair, |s| {
+                s.machine.faults = Some(FaultPlan::new(98, 100, &[FaultKind::Exhaust]));
+                let err = s.a.try_remap(&mut s.machine, 2, &set_of(&[2]), false);
+                assert!(matches!(err, Err(ExecError::Unrecovered { .. })));
+                s.machine.faults = None;
+            });
+            both(&ctx, "remap 1->0, clean all", pair, |s| {
+                s.a.remap(&mut s.machine, 0, &set_of(&[0]), false)
+            });
+            // Group bounce: both members' targets are claimed from
+            // parked storage by their member programs.
+            let fwd = PlannedGroup::compile(vec![planned(&versions[0], &versions[1]); 2]);
+            let back = PlannedGroup::compile(vec![planned(&versions[1], &versions[0]); 2]);
+            both(&ctx, "group 0->1", pair, |s| group_remap(s, &fwd, 0, 1));
+            both(&ctx, "write both", pair, |s| {
+                s.a.set(&[1], 0.25);
+                s.b.set(&[2], 0.5);
+            });
+            both(&ctx, "group 1->0", pair, |s| group_remap(s, &back, 1, 0));
+            both(&ctx, "group 0->1 again", pair, |s| group_remap(s, &fwd, 0, 1));
+            assert_eq!(pair[0].machine.stats.plans_computed, 0, "{ctx}: seeded, never plans");
+            assert_eq!(pair[0].machine.stats.txn_rollbacks, 2, "{ctx}");
         }
     }
 }

@@ -4,8 +4,7 @@
 //! oracle, and the registry's accounting is pinned *exactly* — the
 //! whole process compiles one plan per distinct interned direction
 //! (never per session), hit/miss/eviction counters balance under a
-//! forced-eviction cap, and nothing deadlocks under `HPFC_THREADS=1`
-//! or `=4` (CI runs this file under both).
+//! forced-eviction cap, and nothing deadlocks.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -102,10 +101,9 @@ fn run_session(
 /// staggered starts so threads contend on the same cold pairs. The
 /// merged books must show exactly one compile per distinct direction
 /// — `plans_computed == 2 × pairs`, however many sessions raced — and
-/// hits account for every other registry consultation. Runs under
-/// whatever `HPFC_THREADS` selects (CI pins 1 and 4): the registry
-/// shard locks, the interner locks, and the exec engine's worker pool
-/// must compose without deadlock.
+/// hits account for every other registry consultation. The registry
+/// shard locks and the interner locks must compose across the session
+/// threads without deadlock.
 #[test]
 fn many_sessions_compile_once_per_distinct_pair() {
     const THREADS: usize = 4;

@@ -7,12 +7,12 @@
 //! count. This file pins that differentially — plan-for-plan,
 //! schedule-for-schedule, program-fingerprint-for-fingerprint — for
 //! every format family × P ∈ {2, 3, 4, 7, 8, 16, 64}, replays the
-//! instantiated programs under both engines against a per-point value
-//! oracle, and pins the economics: a fleet re-provisioned from P = 16
-//! to P = 64 re-launches with `plans_computed == 0` while the registry
-//! holds O(format pairs) entries. CI runs this file under
-//! `HPFC_THREADS` ∈ {1, 4}; which keying serves a pair is decided by
-//! its shape, so the last test pins the declined side too.
+//! instantiated programs serially and with per-round workers against a
+//! per-point value oracle, and pins the economics: a fleet
+//! re-provisioned from P = 16 to P = 64 re-launches with
+//! `plans_computed == 0` while the registry holds O(format pairs)
+//! entries. Which keying serves a pair is decided by its shape, so the
+//! last test pins the declined side too.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

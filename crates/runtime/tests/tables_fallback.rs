@@ -14,7 +14,7 @@ use hpfc_mapping::{
     ProcGrid, Template, TemplateId,
 };
 use hpfc_runtime::{
-    plan_redistribution, ArrayRt, CommSchedule, CompileDecline, CopyProgram, ExecMode, Machine,
+    plan_redistribution, ArrayRt, CommSchedule, CompileDecline, CopyProgram, Machine,
     PlannedRemap, ValidationLevel,
 };
 
@@ -52,8 +52,7 @@ fn rank0_remap_moves_data_through_the_table_engine() {
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     for validation in [ValidationLevel::Off, ValidationLevel::Counts, ValidationLevel::Checksums]
     {
-        let mut machine =
-            Machine::new(4).with_exec_mode(ExecMode::Serial).with_validation(validation);
+        let mut machine = Machine::new(4).with_validation(validation);
         let mut rt = ArrayRt::new("s", vec![scalar_at(0, 4), scalar_at(7, 4)], 8);
         rt.current(&mut machine, 0).fill(|_| 42.0);
         // Bounce a few times; every data-moving remap is a table

@@ -7,8 +7,7 @@
 //! 1. the directive lowers to ONE `RemapGroupOp` covering every
 //!    data-moving array, and executing it coalesces the members
 //!    (`remap_groups_coalesced == 1`, `plans_computed == 0`);
-//! 2. per-point value oracle per array, under `ExecMode::Serial` and
-//!    `ExecMode::Parallel(4)`;
+//! 2. per-point value oracle per array;
 //! 3. exact wire accounting: coalesced traffic equals the **sum of the
 //!    member plans' bytes** (coalescing shares latency, never drops or
 //!    duplicates payload), engine-written bytes equal the members'
@@ -31,8 +30,8 @@ use std::sync::Arc;
 use hpfc::codegen::ir::{RemapGroupOp, SStmt};
 use hpfc::mapping::{testing::mapping_1d, DimFormat};
 use hpfc::runtime::{
-    plan_redistribution, try_remap_group, ArrayRt, ExecMode, GroupMember, PlannedGroup,
-    PlannedRemap, ValidationLevel,
+    plan_redistribution, try_remap_group, ArrayRt, GroupMember, PlannedGroup, PlannedRemap,
+    ValidationLevel,
 };
 use hpfc::{compile, CompileOptions, ExecConfig, ExecResult};
 use proptest::prelude::*;
@@ -159,12 +158,12 @@ fn find_group(body: &[SStmt]) -> Option<&RemapGroupOp> {
     })
 }
 
-fn run(compiled: &hpfc::Compiled, mode: ExecMode) -> ExecResult {
+fn run(compiled: &hpfc::Compiled) -> ExecResult {
     let programs = compiled.programs();
     let nprocs = programs.values().map(|p| p.nprocs).max().unwrap();
     let mut ex = hpfc::Executor {
         programs: &programs,
-        machine: hpfc::Machine::new(nprocs).with_exec_mode(mode),
+        machine: hpfc::Machine::new(nprocs),
         config: ExecConfig::default(),
     };
     ex.run("pgrp").expect("pgrp executes cleanly")
@@ -228,32 +227,27 @@ proptest! {
             prop_assert!(recvs.values().all(|&c| c <= 1), "round {} receiver contention\n{}", r, src);
         }
 
-        // --- execute under both copy engines.
-        for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
-            let res = run(&naive, mode);
-            for k in 0..g.n_arrays {
-                let want = oracle(&g, k);
-                prop_assert_eq!(
-                    &res.arrays[&format!("a{k}")], &want,
-                    "{:?} values of a{}\n{}", mode, k, src
-                );
-            }
-            prop_assert_eq!(res.stats.plans_computed, 0, "{:?} planned\n{}", mode, src);
-            prop_assert_eq!(res.stats.remap_groups_coalesced, 1, "{:?}\n{}", mode, src);
-            prop_assert_eq!(res.stats.remaps_performed, g.n_arrays as u64, "{:?}\n{}", mode, src);
-            // Exact traffic: coalesced wire bytes == sum of member
-            // plans; engine wrote every member's (local + remote).
-            prop_assert_eq!(res.stats.bytes, member_bytes, "{:?} wire bytes\n{}", mode, src);
-            prop_assert_eq!(res.stats.messages, sched.n_wire_messages(), "{:?}\n{}", mode, src);
-            prop_assert_eq!(res.stats.bytes_moved, moved_bytes, "{:?} moved\n{}", mode, src);
+        // --- execute.
+        let res = run(&naive);
+        for k in 0..g.n_arrays {
+            let want = oracle(&g, k);
+            prop_assert_eq!(&res.arrays[&format!("a{k}")], &want, "values of a{}\n{}", k, src);
         }
+        prop_assert_eq!(res.stats.plans_computed, 0, "planned\n{}", src);
+        prop_assert_eq!(res.stats.remap_groups_coalesced, 1, "{}", src);
+        prop_assert_eq!(res.stats.remaps_performed, g.n_arrays as u64, "{}", src);
+        // Exact traffic: coalesced wire bytes == sum of member
+        // plans; engine wrote every member's (local + remote).
+        prop_assert_eq!(res.stats.bytes, member_bytes, "wire bytes\n{}", src);
+        prop_assert_eq!(res.stats.messages, sched.n_wire_messages(), "{}", src);
+        prop_assert_eq!(res.stats.bytes_moved, moved_bytes, "moved\n{}", src);
 
         // --- the ungrouped baseline: same values, same payload, one
         // solo schedule per array (>= as many wire messages).
         let solo = compile(&src, &CompileOptions::naive().ungrouped())
             .unwrap_or_else(|e| panic!("{e:?}\n{src}"));
         prop_assert!(find_group(&solo.units["pgrp"].program.body).is_none());
-        let solo_res = run(&solo, ExecMode::Serial);
+        let solo_res = run(&solo);
         for k in 0..g.n_arrays {
             prop_assert_eq!(
                 &solo_res.arrays[&format!("a{k}")], &oracle(&g, k),
@@ -262,13 +256,13 @@ proptest! {
         }
         prop_assert_eq!(solo_res.stats.bytes, member_bytes, "{}", src);
         prop_assert_eq!(solo_res.stats.messages, member_msgs, "{}", src);
-        prop_assert!(solo_res.stats.messages >= run(&naive, ExecMode::Serial).stats.messages);
+        prop_assert!(solo_res.stats.messages >= run(&naive).stats.messages);
         prop_assert_eq!(solo_res.stats.plans_computed, 0, "{}", src);
 
         // --- optimized compilation agrees on values.
         let opt = compile(&src, &CompileOptions::default())
             .unwrap_or_else(|e| panic!("{e:?}\n{src}"));
-        let opt_res = run(&opt, ExecMode::Serial);
+        let opt_res = run(&opt);
         for k in 0..g.n_arrays {
             prop_assert_eq!(
                 &opt_res.arrays[&format!("a{k}")], &oracle(&g, k),
@@ -322,25 +316,20 @@ fn bounce_group(count: usize, n: u64, p: u64, other: DimFormat, machine: &mut hp
 #[test]
 fn sixty_five_members_coalesce_guarded_and_unguarded() {
     for validation in [ValidationLevel::Off, ValidationLevel::Counts] {
-        for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
-            let mut machine =
-                hpfc::Machine::new(4).with_exec_mode(mode).with_validation(validation);
-            bounce_group(65, 16, 4, DimFormat::Cyclic(None), &mut machine);
-            assert_eq!(machine.stats.remap_groups_coalesced, 2, "{validation:?} {mode:?}");
-            assert_eq!(machine.stats.remaps_performed, 2 * 65, "{validation:?} {mode:?}");
-        }
+        let mut machine = hpfc::Machine::new(4).with_validation(validation);
+        bounce_group(65, 16, 4, DimFormat::Cyclic(None), &mut machine);
+        assert_eq!(machine.stats.remap_groups_coalesced, 2, "{validation:?}");
+        assert_eq!(machine.stats.remaps_performed, 2 * 65, "{validation:?}");
     }
 }
 
 /// Per-rank blocks of 2^18 elements are eight tiles of the serial walk:
-/// unguarded serial group replay takes each lane's tiled, blocked order
+/// unguarded group replay takes each lane's tiled, blocked order
 /// (gather on the way out, scatter on the way back) and must agree with
-/// the round-order parallel replay and the oracle.
+/// the oracle.
 #[test]
 fn multi_tile_blocks_replay_identically_in_a_group() {
-    for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
-        let mut machine = hpfc::Machine::new(4).with_exec_mode(mode);
-        bounce_group(2, 1 << 20, 4, DimFormat::Cyclic(None), &mut machine);
-        assert_eq!(machine.stats.remap_groups_coalesced, 2, "{mode:?}");
-    }
+    let mut machine = hpfc::Machine::new(4);
+    bounce_group(2, 1 << 20, 4, DimFormat::Cyclic(None), &mut machine);
+    assert_eq!(machine.stats.remap_groups_coalesced, 2);
 }

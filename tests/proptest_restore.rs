@@ -3,7 +3,7 @@
 //! call, so the mapping reaching the call (and therefore the post-call
 //! restore target) is known only at run time — over a rich mapping
 //! space (strides, offsets, replication, 2-D grids), and check on every
-//! one, under both copy engines:
+//! one:
 //!
 //! 1. the restored array values equal the per-point oracle;
 //! 2. `plans_computed == 0` after lowering — the flow-dependent restore
@@ -16,7 +16,6 @@
 //!    own reaching-analysis assertions stay silent.
 
 use hpfc::codegen::ir::{RemapOp, RestoreOp, SStmt, StaticProgram};
-use hpfc::runtime::ExecMode;
 use hpfc::{compile, CompileOptions, ExecConfig, ExecResult};
 use proptest::prelude::*;
 
@@ -175,13 +174,13 @@ fn copy_traffic(copies: &[hpfc::codegen::ir::SpmdCopy], src: u32, target: u32) -
     (c.schedule().messages.len() as u64, c.schedule().total_bytes())
 }
 
-/// Run one compiled module under the given copy engine.
-fn run(compiled: &hpfc::Compiled, taken: bool, mode: ExecMode) -> ExecResult {
+/// Run one compiled module down the taken or the fall-through path.
+fn run(compiled: &hpfc::Compiled, taken: bool) -> ExecResult {
     let programs = compiled.programs();
     let nprocs = programs.values().map(|p| p.nprocs).max().unwrap();
     let mut ex = hpfc::Executor {
         programs: &programs,
-        machine: hpfc::Machine::new(nprocs).with_exec_mode(mode),
+        machine: hpfc::Machine::new(nprocs),
         config: ExecConfig::default().with_scalar("s", if taken { 1.0 } else { -1.0 }),
     };
     ex.run("prest").expect("prest executes cleanly")
@@ -258,32 +257,27 @@ proptest! {
         exp_msgs += m;
         exp_bytes += b;
 
-        // --- execute under both copy engines; everything must agree.
-        let serial = run(&naive, g.taken, ExecMode::Serial);
-        let parallel = run(&naive, g.taken, ExecMode::Parallel(4));
+        // --- execute.
+        let res = run(&naive, g.taken);
         let want = oracle(&g, p);
-        prop_assert_eq!(&serial.arrays["a"], &want, "serial values\n{}", src);
-        prop_assert_eq!(&parallel.arrays["a"], &want, "parallel values\n{}", src);
-
-        for (label, res) in [("serial", &serial), ("parallel", &parallel)] {
-            // (b) nothing planned at run time: the restore arms were
-            // seeded into the cache like every remap copy.
-            prop_assert_eq!(res.stats.plans_computed, 0, "{} planned\n{}", label, src);
-            prop_assert_eq!(res.stats.restores_replayed, 1, "{}\n{}", label, src);
-            // (c) the executed traffic is exactly the taken path's
-            // compiled schedules, restore arm included: a wrong arm
-            // would book a different schedule.
-            prop_assert_eq!(res.stats.messages, exp_msgs, "{} messages\n{}", label, src);
-            prop_assert_eq!(res.stats.bytes, exp_bytes, "{} bytes\n{}", label, src);
-        }
+        prop_assert_eq!(&res.arrays["a"], &want, "values\n{}", src);
+        // (b) nothing planned at run time: the restore arms were
+        // seeded into the cache like every remap copy.
+        prop_assert_eq!(res.stats.plans_computed, 0, "planned\n{}", src);
+        prop_assert_eq!(res.stats.restores_replayed, 1, "{}", src);
+        // (c) the executed traffic is exactly the taken path's
+        // compiled schedules, restore arm included: a wrong arm
+        // would book a different schedule.
+        prop_assert_eq!(res.stats.messages, exp_msgs, "messages\n{}", src);
+        prop_assert_eq!(res.stats.bytes, exp_bytes, "bytes\n{}", src);
 
         // --- the optimized compilation agrees on values and also
         // never plans at run time.
         let opt = compile(&src, &CompileOptions::default())
             .unwrap_or_else(|e| panic!("{e:?}\n{src}"));
-        let opt_res = run(&opt, g.taken, ExecMode::Serial);
+        let opt_res = run(&opt, g.taken);
         prop_assert_eq!(&opt_res.arrays["a"], &want, "optimized values\n{}", src);
         prop_assert_eq!(opt_res.stats.plans_computed, 0, "optimized planned\n{}", src);
-        prop_assert!(opt_res.stats.bytes <= serial.stats.bytes, "opt traffic grew\n{}", src);
+        prop_assert!(opt_res.stats.bytes <= res.stats.bytes, "opt traffic grew\n{}", src);
     }
 }
