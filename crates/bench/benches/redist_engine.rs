@@ -5,9 +5,23 @@
 //! against per-iteration replanning, the save/restore bounce, and what
 //! validation and the armed transaction add to a bounce.
 
+use std::collections::BTreeSet;
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpfc::mapping::{testing::mapping_1d as mk, DimFormat};
 use hpfc::runtime::{plan_redistribution, ArrayRt, Machine, ValidationLevel, VersionData};
+
+/// A remap that must succeed.
+fn remap(
+    rt: &mut ArrayRt,
+    machine: &mut Machine,
+    target: u32,
+    may_live: &BTreeSet<u32>,
+    values_dead: bool,
+) {
+    let skip = BTreeSet::new();
+    rt.try_remap_guarded(machine, target, may_live, values_dead, &skip).expect("remap");
+}
 
 /// The plan-caching payoff: a remap loop that bounces an array between
 /// two mappings. `replan_every_iter` pays the ~tens-of-µs closed-form
@@ -38,11 +52,11 @@ fn bench_remap_loop_caching(c: &mut Criterion) {
         let mut m = Machine::new(16);
         let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
         rt.current(&mut m, 0).fill(|p| p[0] as f64);
-        let keep: std::collections::BTreeSet<u32> = [0u32, 1].into_iter().collect();
+        let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
         b.iter(|| {
-            rt.remap(&mut m, 1, &keep, false);
+            remap(&mut rt, &mut m, 1, &keep, false);
             rt.set(&[0], 1.0); // stale the other copy: data moves every time
-            rt.remap(&mut m, 0, &keep, false);
+            remap(&mut rt, &mut m, 0, &keep, false);
             rt.set(&[1], 1.0);
             std::hint::black_box(&rt);
         })
@@ -67,7 +81,7 @@ fn bench_restore_bounce(c: &mut Criterion) {
     let dummy_m = mk(n, 16, DimFormat::Cyclic(Some(4)));
     let saved: u32 = 0;
     let dummy: u32 = 1;
-    let keep: std::collections::BTreeSet<u32> = [saved, dummy].into_iter().collect();
+    let keep: BTreeSet<u32> = [saved, dummy].into_iter().collect();
 
     let bounce = |evict_restore_plan: bool, b: &mut criterion::Bencher| {
         let mut m = Machine::new(16);
@@ -77,9 +91,9 @@ fn bench_restore_bounce(c: &mut Criterion) {
             if evict_restore_plan {
                 rt.plan_cache.remove(&(dummy, saved));
             }
-            rt.remap(&mut m, dummy, &keep, false);
+            remap(&mut rt, &mut m, dummy, &keep, false);
             rt.set(&[0], 1.0); // the callee writes: the saved copy stales
-            rt.restore(&mut m, saved, &keep, false);
+            rt.try_restore(&mut m, saved, &keep, false).expect("restore");
             std::hint::black_box(&rt);
         })
     };
@@ -95,14 +109,14 @@ fn cached_bounce(validation: ValidationLevel, b: &mut criterion::Bencher) {
     let n = 16384u64;
     let src = mk(n, 16, DimFormat::Block(None));
     let dst = mk(n, 16, DimFormat::Cyclic(Some(4)));
-    let keep: std::collections::BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     let mut m = Machine::new(16).with_validation(validation);
     let mut rt = ArrayRt::new("a", vec![src, dst], 8);
     rt.current(&mut m, 0).fill(|p| p[0] as f64);
     b.iter(|| {
-        rt.remap(&mut m, 1, &keep, false);
+        remap(&mut rt, &mut m, 1, &keep, false);
         rt.set(&[0], 1.0); // stale the other copy: data moves every time
-        rt.remap(&mut m, 0, &keep, false);
+        remap(&mut rt, &mut m, 0, &keep, false);
         rt.set(&[1], 1.0);
         std::hint::black_box(&rt);
     })

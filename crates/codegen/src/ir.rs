@@ -239,11 +239,12 @@ pub struct RemapOp {
 /// text, the costed rounds
 /// ([`hpfc_runtime::Machine::account_schedule`]-style masked
 /// accounting), and the replayed group program
-/// ([`hpfc_runtime::remap_group`]) cannot disagree. Members whose
+/// ([`hpfc_runtime::try_remap_group`]) cannot disagree. Members whose
 /// runtime state turns out not to move data (status noop, live-copy
 /// reuse, partial-impact skip) drop out of the coalesced buffers; each
 /// member's solo [`PlannedRemap`] is still seeded into the runtime
-/// cache, so even a full fallback never plans at run time.
+/// cache, so a mover that runs as a group of one never plans at run
+/// time.
 #[derive(Debug, Clone)]
 pub struct RemapGroupOp {
     /// Member remaps in array order. Every member moves data from

@@ -554,8 +554,8 @@ impl CopyProgram {
 /// The compiled data movement of a whole remap group: one round-aligned
 /// member [`CopyProgram`] per member plan of the group's merged
 /// [`CommSchedule`]. Every member's `rounds[r]` holds its units of
-/// merged wire round `r` (empty rounds kept), so a parallel or guarded
-/// group replay ([`crate::group::remap_group`]) can walk the rounds
+/// merged wire round `r` (empty rounds kept), so a guarded group
+/// replay ([`crate::group::try_remap_group`]) can walk the rounds
 /// once and move every member array's units of that round together
 /// (receiving *blocks* are distinct across members: each member writes
 /// its own array's storage).
@@ -574,7 +574,7 @@ pub struct GroupCopyProgram {
 impl GroupCopyProgram {
     /// Compile every member plan against the group's merged schedule.
     /// Returns `None` if any member cannot drive a compiled program
-    /// (the group then falls back to per-member solo remaps).
+    /// (every mover of the group then runs as a group of one).
     pub fn try_compile(plans: &[&RedistPlan], merged: &CommSchedule) -> Option<GroupCopyProgram> {
         let members: Vec<CopyProgram> = plans
             .iter()

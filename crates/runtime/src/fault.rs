@@ -25,11 +25,11 @@
 //!   words ([`ValidationLevel::Checksums`]), and a compile-time
 //!   fingerprint over every cached program's triples
 //!   ([`crate::CopyProgram::integrity_ok`]).
-//! * **Recovery** — one ladder behind `remap_guarded` and
-//!   `remap_group`: bounded retry of the failed round
-//!   (`run_round_ladder`, below) → recompile the program from the
-//!   cached plan (a solo remap also repairs its cache entry) → fall
-//!   back to the table engine → a typed [`ExecError`]. A round that
+//! * **Recovery** — one ladder behind every remap statement
+//!   (`try_remap_guarded` and `try_remap_group`): bounded retry of the
+//!   failed round (`run_round_ladder`, below) → recompile the program
+//!   from the cached plan, for that replay only → fall back to the
+//!   table engine → a typed [`ExecError`]. A round that
 //!   panics is caught with `catch_unwind` and retried like any other
 //!   failed round. Every round replays on the calling thread.
 //!
@@ -54,9 +54,10 @@ pub enum FaultKind {
     /// Replay none of the round's units (a lost message batch).
     /// Detected by conservation counts.
     DropRound,
-    /// Corrupt the cached compiled program before the replay starts.
-    /// Detected by the program fingerprint; healed by recompiling from
-    /// the cached plan.
+    /// Corrupt a transient copy of the served compiled programs before
+    /// the replay starts (the served artifacts themselves are never
+    /// written). Detected by the program fingerprint; healed by
+    /// recompiling from the cached plan for that replay.
     PoisonProgram,
     /// Panic the plan → schedule → program compile itself (decided once
     /// per remap, fires only on a cold compile). Contained by
@@ -133,8 +134,9 @@ impl FaultPlan {
     /// let mut a = ArrayRt::new("a", versions, 8);
     /// a.current(&mut machine, 0).fill(|p| p[0] as f64);
     /// let keep: BTreeSet<u32> = [0, 1].into_iter().collect();
+    /// let skip = BTreeSet::new();
     /// for hop in 0..8 {
-    ///     a.remap(&mut machine, (hop + 1) % 2, &keep, false);
+    ///     a.try_remap_guarded(&mut machine, (hop + 1) % 2, &keep, false, &skip).expect("healed");
     ///     a.set(&[hop as u64], hop as f64); // a write, so the next hop moves data
     /// }
     /// // Faults were injected, and every one was healed.
@@ -180,7 +182,7 @@ impl FaultPlan {
         Some((enabled[pick], h))
     }
 
-    /// Whether this remap's cached program gets poisoned (decided once
+    /// Whether this remap's served programs get poisoned (decided once
     /// per remap epoch, before the replay starts).
     pub(crate) fn poison_fires(&self, epoch: u64) -> bool {
         if self.kinds & FaultKind::PoisonProgram.bit() == 0 {

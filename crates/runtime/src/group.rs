@@ -1,5 +1,5 @@
-//! Directive-level remap groups: several arrays remapped by **one**
-//! directive, moved over **one** aggregated caterpillar schedule.
+//! Remap statements: the one executor behind every remap, and the
+//! directive-level groups it coalesces.
 //!
 //! When a `distribute`/`align` directive hits a template, *every* array
 //! aligned to it remaps at the same program vertex (the paper's Fig. 3
@@ -11,29 +11,31 @@
 //! sweep — never more rounds than the members' solo sum, and strictly
 //! fewer whenever two members talk over the same pairs.
 //!
-//! [`remap_group`] is the executable form: it checks, per member, that
-//! the exact compile-time-planned copy is the one the runtime would
-//! perform (current status is the planned source, target copy not
-//! live). Members that would not move data (status noop, live-copy
-//! reuse, partial-impact skip, first instantiation) are executed as
-//! ordinary [`ArrayRt::remap_guarded`] no-ops and drop out of the
-//! accounting — the coalesced wire buffers simply shrink — while the
-//! remaining movers are costed over the merged rounds
-//! ([`CommSchedule::round_triples_of`]) and handed to the replay core
-//! as the lanes of the group's compiled [`GroupCopyProgram`]: the same
-//! interpreter, recovery ladder and steady-state allocation-freedom as
-//! a solo cached remap, with one lane per mover instead of one.
+//! Every remap statement runs through one private executor, Fig. 20
+//! applied per member: check each member's source copy, capture one
+//! rollback record per member, settle the members that move no data
+//! (status noop, partial-impact skip, live-copy reuse, dead values,
+//! first instantiation), move the rest as the lanes of one replay over
+//! one artifact, then roll every member back or clean every member. A
+//! solo remap ([`ArrayRt::try_remap_guarded`]) is a group of one whose
+//! artifact is its own [`PlannedRemap`]. [`try_remap_group`] hands over
+//! the directive's [`PlannedGroup`]: its members that copy out of their
+//! planned source are costed over the merged rounds
+//! ([`CommSchedule::round_triples_of`]) and replayed as the lanes of its
+//! [`GroupCopyProgram`]; below two such movers each mover is a group of
+//! one through its seeded solo artifact.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use crate::exec::GroupCopyProgram;
-use crate::fault::{poison_program, ExecError};
+use crate::exec::{CopyProgram, GroupCopyProgram};
+use crate::fault::ExecError;
 use crate::machine::Machine;
 use crate::redist::RedistPlan;
 use crate::replay::Lane;
 use crate::schedule::CommSchedule;
 use crate::status::{version_pair, ArrayRt, PlannedRemap};
+use crate::store::TxnScratch;
 
 /// The compile-time artifact of one directive's remap group: the
 /// members' solo plans (shared `Arc`s with each member's own
@@ -43,14 +45,15 @@ use crate::status::{version_pair, ArrayRt, PlannedRemap};
 #[derive(Debug, Clone)]
 pub struct PlannedGroup {
     /// The member remaps, in group order (one per array, each with its
-    /// own plan + solo schedule + solo program — the fallback path).
+    /// own plan + solo schedule + solo program — what a mover runs
+    /// when it is a group of one).
     pub members: Vec<Arc<PlannedRemap>>,
     /// The merged schedule: all members' same-pair messages share
     /// rounds and wire buffers.
     pub schedule: CommSchedule,
     /// The group replay program, round-aligned to `schedule`. `None`
-    /// when some member cannot drive a compiled program — the group
-    /// then always falls back to solo remaps.
+    /// when some member cannot drive a compiled program — every mover
+    /// then runs as a group of one.
     pub program: Option<GroupCopyProgram>,
 }
 
@@ -74,7 +77,7 @@ impl PlannedGroup {
     }
 }
 
-/// One member's runtime binding for [`remap_group`]: the array's
+/// One member's runtime binding for [`try_remap_group`]: the array's
 /// runtime descriptor plus the compile-time facts of its remap op
 /// (single planned source, target, liveness sets — the fields of
 /// `hpfc-codegen`'s `RemapOp` the runtime needs).
@@ -92,62 +95,35 @@ pub struct GroupMember<'a> {
     pub skip_if_current: &'a BTreeSet<u32>,
 }
 
-impl GroupMember<'_> {
-    /// Would this member, right now, perform exactly its planned copy
-    /// (source → target data movement)? Everything else — status noop,
-    /// live-copy reuse, partial-impact skip, first instantiation, a
-    /// copy from some other version — takes the ordinary remap path.
-    /// The answer depends on this array's state alone and holds from
-    /// before the group executes until the member commits (only the
-    /// commit moves `status`), so no side table of movers is kept.
-    fn moves_data(&self) -> bool {
-        self.rt.copy_source(self.target, false, self.skip_if_current) == Ok(Some(self.src))
-    }
-}
-
 /// Execute one directive's remap group.
 ///
 /// Members whose state matches their compile-time-planned copy are
 /// moved **coalesced**: one accounting sweep over the merged
 /// caterpillar rounds restricted to them (each communicating pair pays
 /// one latency per round, not one per array), one replay of the group
-/// copy program with the movers as its lanes. All other members (and
-/// every member, if fewer than two would move data or the group has no
-/// compiled program) go through [`ArrayRt::remap_guarded`] — with their
-/// solo plan seeded into the array's cache first, so even the fallback
-/// never plans at run time.
+/// copy program with the movers as its lanes. Every other member that
+/// moves data (all of them, if fewer than two would coalesce or the
+/// group has no compiled program) is a group of one through its solo
+/// plan, seeded into the array's cache first, so nothing plans at run
+/// time. With faults or validation configured on the machine, every
+/// replay runs through the recovery ladder (retry failed rounds →
+/// recompile → per-member table-engine fallback).
 ///
 /// `members` must be in group order (matching `planned.members`).
 /// Returns the number of members that moved through the coalesced path
-/// (0 when the group fell back entirely).
-pub fn remap_group(
-    machine: &mut Machine,
-    members: &mut [GroupMember<'_>],
-    planned: &PlannedGroup,
-) -> usize {
-    match try_remap_group(machine, members, planned) {
-        Ok(n) => n,
-        Err(e) => panic!("remap group: {e}"),
-    }
-}
-
-/// [`remap_group`] returning a typed [`ExecError`] instead of
-/// panicking: a member-count mismatch with the planned group, a member
-/// whose source copy is missing (reported before anything is allocated
-/// or billed), and any unrecoverable member remap surface as errors.
-/// With faults or validation configured on the machine, the coalesced
-/// replay runs through the same recovery ladder as a solo remap (retry
-/// failed rounds → recompile the group program → per-member
-/// table-engine fallback), with worker panics degrading the round to
-/// serial.
+/// (0 when there was nothing to coalesce). A member-count mismatch with
+/// the planned group, a member whose source copy is missing (reported
+/// before anything is allocated or billed), and any unrecoverable
+/// replay surface as typed [`ExecError`]s.
 ///
 /// **Atomic**: the group commits all members or none. On the guarded
-/// path a rollback record is captured per member before anything
-/// executes, liveness cleaning is deferred until every member committed
-/// (cleaning frees copies a rollback could not restore), and any
-/// member's terminal error rolls *every* member — already-replayed
-/// siblings included — back to its byte-identical pre-group state
-/// before the error surfaces (`NetStats::group_rollbacks`).
+/// path every member's rollback record is captured before that member
+/// is touched, liveness cleaning is deferred until every member
+/// committed (cleaning frees copies a rollback could not restore), and
+/// a terminal error rolls *every* member — already-replayed siblings
+/// included — back to its byte-identical pre-group state before the
+/// error surfaces (`NetStats::group_rollbacks`; a group of one counts
+/// in `txn_rollbacks`, like the solo remap it is).
 pub fn try_remap_group(
     machine: &mut Machine,
     members: &mut [GroupMember<'_>],
@@ -159,53 +135,53 @@ pub fn try_remap_group(
             got: members.len(),
         });
     }
+    execute(machine, members, false, Some(planned))
+}
+
+/// The one remap executor. Runs `members` as one statement — over
+/// `group`'s artifact when there is one, else each mover as a group of
+/// one — and returns how many members moved coalesced.
+pub(crate) fn execute(
+    machine: &mut Machine,
+    members: &mut [GroupMember<'_>],
+    values_dead: bool,
+    group: Option<&PlannedGroup>,
+) -> Result<usize, ExecError> {
+    // 1. Every member's source copy is there: checked before anything
+    // is allocated or billed, so an error leaves the books untouched.
     for m in members.iter() {
-        m.rt.copy_source(m.target, false, m.skip_if_current)?;
+        m.rt.copy_source(m.target, values_dead, m.skip_if_current)?;
     }
     // Seed every member's solo plan (a no-op when already present),
     // publishing through the machine's shared registry so sessions
-    // executing the same group converge on one artifact per member:
-    // whichever path executes below, nothing plans at run time.
-    for (m, solo) in members.iter_mut().zip(&planned.members) {
-        m.rt.seed_plan_shared(machine, m.src, m.target, Arc::clone(solo));
+    // executing the same group converge on one artifact per member.
+    if let Some(group) = group {
+        for (m, solo) in members.iter_mut().zip(&group.members) {
+            m.rt.seed_plan_shared(machine, m.src, m.target, Arc::clone(solo));
+        }
     }
-    // Below two movers there is nothing to coalesce: every member takes
-    // the solo path, whose write set the group program does not
-    // describe.
-    let movers = members.iter().filter(|m| m.moves_data()).count();
-    let group = planned.program.as_ref().filter(|_| movers >= 2);
+    // Steps 2–4. Rollback records are armed on the guarded path only:
+    // unguarded, a replay cannot fail after its writes begin.
     let armed = machine.guarded();
-    // Phase 1 (guarded path only): capture every member's rollback
-    // record before anything executes. Movers are bounded by their
-    // member program's destination runs; everyone else saves full
-    // destination blocks (their remaps are no-ops or solo fallbacks).
-    let mut snaps = std::mem::take(&mut machine.group_txn_scratch);
-    if armed {
-        if snaps.len() < members.len() {
-            snaps.resize_with(members.len(), Default::default);
-        }
-        for (i, m) in members.iter().enumerate() {
-            snaps[i].capture(
-                m.rt.status,
-                &m.rt.live,
-                m.rt.copies[m.target as usize].is_some(),
-                m.rt.copies[m.src as usize].as_ref(),
-                m.rt.copies[m.target as usize].as_ref(),
-                group.filter(|_| m.moves_data()).map(|g| &g.members[i]),
-            );
-        }
+    let mut snaps = std::mem::take(&mut machine.txn_scratch);
+    if armed && snaps.len() < members.len() {
+        snaps.resize_with(members.len(), Default::default);
     }
-    // Phase 2: execute with cleaning deferred, then commit or roll
-    // back the whole group.
-    let moved = remap_group_body(machine, members, planned, group);
+    let snapped = armed.then_some(&mut snaps[..]);
+    let moved = settle_and_move(machine, members, values_dead, group, snapped);
+    // 5. Roll every member back, or clean every member.
     if moved.is_err() && armed {
-        machine.stats.group_rollbacks += 1;
+        if members.len() == 1 {
+            machine.stats.txn_rollbacks += 1;
+        } else {
+            machine.stats.group_rollbacks += 1;
+        }
         for (m, snap) in members.iter_mut().zip(&mut snaps).rev() {
             m.rt.rollback_remap(machine, m.target, snap);
         }
     }
     snaps.iter_mut().for_each(|s| s.captured = false);
-    machine.group_txn_scratch = snaps;
+    machine.txn_scratch = snaps;
     let moved = moved?;
     // Every member committed: now (and only now) clean — a freed copy
     // cannot be restored by any rollback.
@@ -215,72 +191,133 @@ pub fn try_remap_group(
     Ok(moved)
 }
 
-/// The execution half of [`try_remap_group`], with liveness cleaning
-/// deferred to the caller's commit: solo fallbacks and non-movers run
-/// [`ArrayRt::try_remap_inner`] as `grouped` remaps (un-cleaned, and
-/// un-armed: the group's per-member records already cover them); with
-/// a `group` program to coalesce over, the movers replay as its lanes.
-fn remap_group_body(
+/// Steps 2–4 of [`execute`]: settle or move every member, capturing
+/// each one's rollback record into `snaps` (when armed) right before
+/// the member is first touched.
+fn settle_and_move(
     machine: &mut Machine,
     members: &mut [GroupMember<'_>],
-    planned: &PlannedGroup,
-    group: Option<&GroupCopyProgram>,
+    values_dead: bool,
+    group: Option<&PlannedGroup>,
+    mut snaps: Option<&mut [TxnScratch]>,
 ) -> Result<usize, ExecError> {
-    // Everyone who is not a coalesced mover: a no-op plus cleaning, or
-    // an ordinary guarded remap (a cache hit) — fully independent of
-    // the movers (different arrays).
-    for m in members.iter_mut().filter(|m| group.is_none() || !m.moves_data()) {
-        m.rt.try_remap_inner(machine, m.target, m.may_live, false, m.skip_if_current, true)?;
+    // A member copies out of its status or not at all; the answer
+    // depends on its own array's state, which only its commit moves.
+    let source = |m: &GroupMember<'_>| {
+        m.rt.copy_source(m.target, values_dead, m.skip_if_current).ok().flatten()
+    };
+    let planned_source = |m: &GroupMember<'_>| source(m) == Some(m.src);
+    let coalesced = group
+        .and_then(|g| Some((g, g.program.as_ref()?)))
+        .filter(|_| members.iter().filter(|m| planned_source(m)).count() >= 2);
+    let rides = |m: &GroupMember<'_>| coalesced.is_some() && planned_source(m);
+    for (i, m) in members.iter_mut().enumerate().filter(|(_, m)| !rides(m)) {
+        let snap = snaps.as_deref_mut().map(|s| std::slice::from_mut(&mut s[i]));
+        let Some(src) = source(m) else {
+            if let Some([snap]) = snap {
+                let rt = &m.rt;
+                let allocated = rt.copies[m.target as usize].is_some();
+                snap.capture(rt.status, &rt.live, allocated, None, None, None);
+            }
+            m.rt.settle(machine, m.target, m.skip_if_current);
+            continue;
+        };
+        // A group of one: the lane's program and schedule are the
+        // member's own solo artifact.
+        let epoch = machine.next_fault_epoch();
+        let inject_compile_panic = machine.faults.is_some_and(|f| f.compile_panic_fires(epoch))
+            && !m.rt.plan_cache.contains_key(&(src, m.target));
+        if inject_compile_panic {
+            machine.stats.faults_injected += 1;
+        }
+        let planned = m.rt.planned_with(machine, src, m.target, inject_compile_panic);
+        let artifact = Artifact {
+            plans: std::slice::from_ref(&planned),
+            schedule: &planned.schedule,
+            programs: planned.program.as_slice(),
+            recompile: &|| {
+                CopyProgram::try_compile(&planned.plan, &planned.schedule).map(|p| vec![p])
+            },
+        };
+        move_lanes(machine, std::slice::from_mut(m), snap, &|_| true, artifact, epoch)?;
     }
-    let Some(group) = group else { return Ok(0) };
-    // The coalesced movement: allocate targets, cost the merged rounds
-    // restricted to the movers, replay the group program.
-    for (m, prog) in members.iter_mut().zip(&group.members).filter(|(m, _)| m.moves_data()) {
-        m.rt.allocate_for(machine, m.target, Some(prog));
-    }
-    let movers = members.iter().filter(|m| m.moves_data()).count();
-    let all = movers == members.len();
-    for r in 0..planned.schedule.rounds.len() {
-        let rides = |i: usize| all || members[i].moves_data();
-        machine.account_phase(planned.schedule.round_triples_of(r, rides));
-    }
+    let Some((group, program)) = coalesced else { return Ok(0) };
+    let artifact = Artifact {
+        plans: &group.members,
+        schedule: &group.schedule,
+        programs: &program.members,
+        recompile: &|| {
+            let plans: Vec<&RedistPlan> = group.members.iter().map(|m| &m.plan).collect();
+            GroupCopyProgram::try_compile(&plans, &group.schedule).map(|fresh| fresh.members)
+        },
+    };
     let epoch = machine.next_fault_epoch();
-    // PoisonProgram: replay a corrupted clone of the group program —
-    // what a damaged shared plan registry would serve. (The planned
-    // group itself is borrowed, so unlike the solo cache the poison
-    // cannot persist past this call, and a repaired set is dropped.)
-    let mut poisoned = None;
-    if machine.faults.is_some_and(|f| f.poison_fires(epoch)) {
-        let bad = poisoned.insert(group.members.clone());
-        bad.iter_mut().for_each(poison_program);
-        machine.stats.faults_injected += 1;
+    let movers = members.iter().filter(|m| rides(m)).count();
+    move_lanes(machine, members, snaps, &rides, artifact, epoch)?;
+    machine.stats.remap_groups_coalesced += 1;
+    Ok(movers)
+}
+
+/// What one replay runs: the plans behind its lanes (lane `at` is plan
+/// `at`), the schedule its wire is costed over, the programs served for
+/// them, and how to compile that program set afresh when a served
+/// program cannot be trusted.
+struct Artifact<'p> {
+    plans: &'p [Arc<PlannedRemap>],
+    schedule: &'p CommSchedule,
+    programs: &'p [CopyProgram],
+    recompile: &'p dyn Fn() -> Option<Vec<CopyProgram>>,
+}
+
+/// Move the `members` that `rides` selects as the lanes of one replay
+/// of `artifact` (member `i` is lane `i`), each copying out of its
+/// status: capture its rollback record, allocate its target, book the
+/// wire of the rounds restricted to the lanes, replay, commit.
+fn move_lanes(
+    machine: &mut Machine,
+    members: &mut [GroupMember<'_>],
+    mut snaps: Option<&mut [TxnScratch]>,
+    rides: &dyn Fn(&GroupMember<'_>) -> bool,
+    artifact: Artifact<'_>,
+    epoch: u64,
+) -> Result<(), ExecError> {
+    let Artifact { plans, schedule, programs: progs, recompile } = artifact;
+    for (i, m) in members.iter_mut().enumerate().filter(|(_, m)| rides(m)) {
+        let rt = &mut *m.rt;
+        let src = rt.status.expect("a copy moves out of the current version");
+        if let Some(snap) = snaps.as_deref_mut().map(|s| &mut s[i]) {
+            let from = rt.copies[src as usize].as_ref();
+            let to = rt.copies[m.target as usize].as_ref();
+            snap.capture(rt.status, &rt.live, to.is_some(), from, to, progs.get(i));
+        }
+        rt.allocate_for(machine, m.target, progs.get(i));
+        machine.stats.remaps_performed += 1;
+        machine.stats.local_elements += plans[i].plan.local_elements;
+    }
+    let all = members.iter().all(rides);
+    for r in 0..schedule.rounds.len() {
+        machine.account_phase(schedule.round_triples_of(r, |i| all || rides(&members[i])));
     }
     crate::replay::run(
         machine,
-        &planned.members,
-        poisoned.as_deref().unwrap_or(&group.members),
+        plans,
+        progs,
         &mut |visit| {
-            let movers = members.iter_mut().enumerate().filter(|(_, m)| m.moves_data());
-            visit(&mut movers.map(|(at, m)| {
-                let (src, dst) = version_pair(&mut m.rt.copies, m.src, m.target);
+            let lanes = members.iter_mut().enumerate().filter(|(_, m)| rides(m));
+            visit(&mut lanes.map(|(at, m)| {
+                let src = m.rt.status.expect("a copy moves out of the current version");
+                let (src, dst) = version_pair(&mut m.rt.copies, src, m.target);
                 Lane { at, src, dst }
             }))
         },
         epoch,
-        &|| {
-            let plans: Vec<&RedistPlan> = planned.members.iter().map(|m| &m.plan).collect();
-            GroupCopyProgram::try_compile(&plans, &planned.schedule).map(|fresh| fresh.members)
-        },
+        recompile,
     )?;
-    machine.stats.remap_groups_coalesced += 1;
-    for (m, solo) in members.iter_mut().zip(&planned.members).filter(|(m, _)| m.moves_data()) {
-        machine.stats.remaps_performed += 1;
-        machine.stats.local_elements += solo.plan.local_elements;
+    for m in members.iter_mut().filter(|m| rides(m)) {
         m.rt.live[m.target as usize] = true;
         m.rt.status = Some(m.target);
-        // Cleaning deferred to the caller's group commit.
     }
-    Ok(movers)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -351,7 +388,7 @@ pub(crate) mod tests {
                 GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
                 GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
             ];
-            remap_group(&mut machine, &mut members, &fwd)
+            try_remap_group(&mut machine, &mut members, &fwd).expect("group remap")
         };
         assert_eq!(moved, 2);
         assert_eq!(machine.stats.remap_groups_coalesced, 1);
@@ -386,7 +423,7 @@ pub(crate) mod tests {
                 GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
                 GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
             ];
-            remap_group(&mut machine, &mut members, &fwd);
+            try_remap_group(&mut machine, &mut members, &fwd).expect("group remap");
         }
         // Stale only a's old copy: on the way back, b's version-0 copy
         // is still live — b reuses it and must not be billed.
@@ -397,9 +434,9 @@ pub(crate) mod tests {
                 GroupMember { rt: &mut a, src: 1, target: 0, may_live: &keep, skip_if_current: &skip },
                 GroupMember { rt: &mut b, src: 1, target: 0, may_live: &keep, skip_if_current: &skip },
             ];
-            remap_group(&mut machine, &mut members, &back)
+            try_remap_group(&mut machine, &mut members, &back).expect("group remap")
         };
-        // Only one mover: the group falls back to solo guarded remaps.
+        // Only one mover: it runs as a group of one.
         assert_eq!(moved, 0);
         assert_eq!(machine.stats.remaps_reused_live, 1);
         // a's solo return trip is 12 messages of 8 bytes.

@@ -28,7 +28,7 @@
 //!   (Fig. 3 template impact) merged into one aggregated schedule:
 //!   same-pair messages share rounds and wire buffers
 //!   ([`schedule::CommSchedule::from_plans`]), and
-//!   [`group::remap_group`] replays the whole group round by round;
+//!   [`group::try_remap_group`] replays the whole group round by round;
 //! * [`store::VersionData`] — actual per-processor storage of array
 //!   versions, so kernels can be executed end-to-end and checked for
 //!   distribution-independent results;
@@ -52,19 +52,17 @@
 //! * [`fault::FaultPlan`] — deterministic fault injection
 //!   ([`Machine::with_faults`]), per-round validation
 //!   ([`Machine::with_validation`]), and the
-//!   self-healing recovery ladder behind [`status::ArrayRt::remap_guarded`]
-//!   and [`group::remap_group`]: retry → recompile → table-engine
-//!   fallback → typed [`fault::ExecError`]. One replay core
-//!   interprets every compiled program — a solo remap is its one-lane
-//!   case, a coalesced group its movers' lanes — so both share one
-//!   round loop and one ladder. Guarded remaps are transactional: a
-//!   terminal error rolls the destination back to its exact pre-remap
-//!   state — bytes, status, and live flags — and a group commits all
-//!   members or none. Pairs that keep
-//!   failing repair are quarantined by the registry
-//!   ([`registry::PlanRegistry::note_repair`]) so later sessions skip
-//!   straight to the table engine, and poisoned shard locks recover
-//!   instead of cascading.
+//!   self-healing recovery ladder behind
+//!   [`status::ArrayRt::try_remap_guarded`] and
+//!   [`group::try_remap_group`]: retry → recompile → table-engine
+//!   fallback → typed [`fault::ExecError`]. One executor runs every
+//!   remap statement — a solo remap is a group of one — over one
+//!   replay core, so both share one round loop, one ladder and one
+//!   rollback. Guarded remaps are transactional: a terminal error rolls
+//!   every member back to its exact pre-remap state — bytes, status,
+//!   and live flags. Served artifacts are never rewritten (a poisoned
+//!   program is a transient copy, its recompile serves one replay),
+//!   and poisoned shard locks recover instead of cascading.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -88,7 +86,7 @@ pub mod symbolic;
 pub use exec::{CompileDecline, CopyProgram, CopyRun, CopyUnit, ExecMode, GroupCopyProgram, Kernel,
               StrideFamily};
 pub use fault::{ExecError, FaultKind, FaultPlan, ValidationLevel};
-pub use group::{remap_group, try_remap_group, GroupMember, PlannedGroup};
+pub use group::{try_remap_group, GroupMember, PlannedGroup};
 pub use machine::{CostModel, Machine, NetStats};
 pub use redist::{plan_by_enumeration, plan_redistribution, RedistPlan, Transfer};
 pub use registry::PlanRegistry;

@@ -78,8 +78,8 @@ pub struct NetStats {
     pub restores_replayed: u64,
     /// Directive-level remap groups executed over their merged
     /// caterpillar schedule (≥2 member arrays moved coalesced — each
-    /// member still counts in `remaps_performed`; a group whose members
-    /// fall back to solo remaps does not count here).
+    /// member still counts in `remaps_performed`; a group whose movers
+    /// run as groups of one does not count here).
     pub remap_groups_coalesced: u64,
     /// Faults injected by the configured [`crate::FaultPlan`] (chaos
     /// testing only; zero in production runs).
@@ -109,18 +109,19 @@ pub struct NetStats {
     pub registry_misses: u64,
     /// LRU entries this machine's registry insertions pushed out.
     pub registry_evictions: u64,
-    /// Solo remaps rolled back all-or-nothing: the recovery ladder
-    /// surfaced a terminal [`crate::ExecError`] and the destination
-    /// version was restored byte-identical to its pre-remap state.
+    /// One-member remaps (solo remaps and groups of one) rolled back
+    /// all-or-nothing: the recovery ladder surfaced a terminal
+    /// [`crate::ExecError`] and the destination version was restored
+    /// byte-identical to its pre-remap state.
     pub txn_rollbacks: u64,
-    /// Remap groups un-committed as a whole: one member's failure
-    /// rolled back every member — including siblings that had already
-    /// replayed — before the typed error surfaced.
+    /// Remap groups of two or more members un-committed as a whole:
+    /// one member's failure rolled back every member — including
+    /// siblings that had already replayed — before the typed error
+    /// surfaced.
     pub group_rollbacks: u64,
-    /// Mapping pairs the shared [`crate::PlanRegistry`] quarantined
-    /// after repeated fingerprint/recompile repairs: later requests are
-    /// served a program-stripped artifact that goes straight to the
-    /// table engine instead of re-running the ladder.
+    /// Always 0: served artifacts are never rewritten, so no pair
+    /// accumulates repairs and none is ever quarantined. Kept for
+    /// readers of the recovery counters.
     pub quarantined_pairs: u64,
     /// Registry lock acquisitions that recovered a poisoned shard lock
     /// (`Mutex::into_inner` instead of an `unwrap` panic).
@@ -343,11 +344,10 @@ pub struct Machine {
     pub registry: std::sync::Arc<crate::registry::PlanRegistry>,
     /// Reusable per-phase accounting buffers.
     scratch: PhaseScratch,
-    /// Reusable solo-remap rollback record (capacity persists across
-    /// remaps, keeping the armed snapshot allocation-free).
-    pub(crate) txn_scratch: crate::store::TxnScratch,
-    /// Reusable per-member rollback records for group remaps.
-    pub(crate) group_txn_scratch: Vec<crate::store::TxnScratch>,
+    /// Reusable per-member rollback records of a remap statement
+    /// (capacity persists across remaps, keeping the armed snapshot
+    /// allocation-free).
+    pub(crate) txn_scratch: Vec<crate::store::TxnScratch>,
     /// Monotonic counter handed to the fault plan: one epoch per
     /// data-moving remap, making injection deterministic per operation.
     fault_epoch: u64,
@@ -365,8 +365,7 @@ impl Machine {
             validation: crate::fault::ValidationLevel::Off,
             registry: std::sync::Arc::clone(crate::registry::PlanRegistry::shared()),
             scratch: PhaseScratch::default(),
-            txn_scratch: crate::store::TxnScratch::default(),
-            group_txn_scratch: Vec::new(),
+            txn_scratch: Vec::new(),
             fault_epoch: 0,
         }
     }

@@ -15,14 +15,13 @@
 //! [`PlanRegistry::resolve`] is the only route from a mapping pair to
 //! its artifact — lowering and [`crate::ArrayRt::planned`] both call
 //! it, and every [`crate::Machine`] has a registry to call it on. It
-//! is total: the quarantine window, a shard hit, symbolic
-//! instantiation when the pair's shape admits it
-//! ([`crate::symbolic`]), otherwise compile-under-lock, with a
-//! panicking compile contained and the clean recompile published. The
-//! [`Outcome`] says which of those happened, and
+//! is total: a shard hit, symbolic instantiation when the pair's shape
+//! admits it ([`crate::symbolic`]), otherwise compile-under-lock, with
+//! a panicking compile contained and the clean recompile published.
+//! The [`Outcome`] says which of those happened, and
 //! [`crate::NetStats::bill`] books it. [`PlanRegistry::adopt`]
-//! publishes an artifact compiled elsewhere and
-//! [`PlanRegistry::install`] replaces one (repair).
+//! publishes an artifact compiled elsewhere. A registered artifact is
+//! never replaced.
 //!
 //! # Identity, not equality
 //!
@@ -50,15 +49,16 @@
 //!
 //! # Corruption does not fan out
 //!
-//! PR 6's fingerprinted programs and recovery ladder are what make a
-//! *shared* registry safe: a poisoned entry served to any session is
-//! detected by its fingerprint, recompiled once, and the healthy
-//! artifact is re-[`install`](PlanRegistry::install)ed registry-wide —
-//! later sessions are never handed the corrupt artifact.
+//! Fingerprinted programs and the recovery ladder are what make a
+//! *shared* registry safe: a corrupt program served to any session is
+//! detected by its fingerprint and recompiled for that replay only.
+//! Served artifacts are immutable — nothing a session does to a replay
+//! is written back — so later sessions are handed exactly what was
+//! registered.
 //!
-//! # Neither do panics or deterministic failures
+//! # Neither do panics
 //!
-//! Shared state must also survive *misbehaving clients*. Three layers:
+//! Shared state must also survive *misbehaving clients*. Two layers:
 //!
 //! * **Lock-poison recovery** — a thread that panics while holding a
 //!   shard `Mutex` poisons it; every lock here recovers via
@@ -72,13 +72,6 @@
 //!   `catch_unwind`, so a panicking compile leaves the shard lock
 //!   released healthy and [`resolve`](PlanRegistry::resolve) recovers
 //!   with a clean compile outside any lock.
-//! * **Quarantine** — a pair whose artifact keeps failing
-//!   fingerprint/recompile repair (a deterministically-bad entry) is
-//!   quarantined after [`QUARANTINE_THRESHOLD`] strikes: for a backoff
-//!   window of accesses the registry serves a program-stripped artifact
-//!   whose replay goes straight to the table engine — no ladder, no
-//!   retries — then lets one access probe the normal path again
-//!   (doubling the window if it fails again).
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -107,8 +100,7 @@ const GLOBAL_CAP: usize = 4096;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Outcome {
     /// The artifact was served from the registry (no compilation): a
-    /// registered concrete entry, a quarantined pair's stripped
-    /// artifact, or a known format pair.
+    /// registered concrete entry or a known format pair.
     pub hit: bool,
     /// A known format pair materialized an instantiation point it had
     /// not seen before — the cheap re-provisioning path. Never set
@@ -191,33 +183,6 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
 
 type Shard = Lru<PlanKey, Arc<PlannedRemap>>;
 
-/// Failed repairs a pair is allowed before it is quarantined.
-pub const QUARANTINE_THRESHOLD: u32 = 3;
-/// Accesses served the table-engine artifact on first quarantine.
-const QUARANTINE_INITIAL_BACKOFF: u32 = 8;
-/// Backoff ceiling — the window stops doubling here.
-const QUARANTINE_MAX_BACKOFF: u32 = 1024;
-
-/// One deterministically-bad pair under quarantine. While `remaining`
-/// is positive, every lookup serves `stripped` (program-less: the
-/// replay goes straight to the table engine) instead of the registered
-/// artifact; when the window closes, one access probes the normal path
-/// again (probation), and another failed repair re-arms the window
-/// doubled.
-struct QuarantineEntry {
-    /// Pins the keyed pair alive so its pointer identity can never be
-    /// recycled onto a different pair while this entry exists.
-    _pair: MappingPair,
-    /// Failed fingerprint/recompile repairs recorded for this pair.
-    failures: u32,
-    /// Accesses still to be served the stripped artifact.
-    remaining: u32,
-    /// Window length to arm on the next quarantine (doubles, capped).
-    backoff: u32,
-    /// The program-stripped artifact served while quarantined.
-    stripped: Option<Arc<PlannedRemap>>,
-}
-
 /// The shared, concurrent, LRU-bounded plan registry. See the module
 /// docs for the design; see [`PlanRegistry::shared`] for the
 /// process-wide instance every [`crate::Machine`] attaches to by
@@ -230,9 +195,6 @@ pub struct PlanRegistry {
     /// one unsharded table (groups are built cold, at lowering, so the
     /// boxed key is off the replay path).
     groups: Mutex<Lru<Box<[PlanKey]>, Arc<PlannedGroup>>>,
-    /// Pairs whose artifacts keep failing repair (off the hot path:
-    /// only consulted when the quarantine table is non-empty).
-    quarantine: Mutex<HashMap<PlanKey, QuarantineEntry>>,
     /// Parametric plans keyed by interned format pair (symbolic
     /// keying), bounded by the registry's total cap like the shards: a
     /// format carries its template's extent, so a stream of template
@@ -243,7 +205,6 @@ pub struct PlanRegistry {
     misses: AtomicU64,
     evictions: AtomicU64,
     poison_recoveries: AtomicU64,
-    quarantined: AtomicU64,
 }
 
 impl std::fmt::Debug for PlanRegistry {
@@ -270,13 +231,11 @@ impl PlanRegistry {
             shards: (0..shards).map(|_| Mutex::default()).collect(),
             shard_cap,
             groups: Mutex::default(),
-            quarantine: Mutex::new(HashMap::new()),
             sym: Mutex::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             poison_recoveries: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
         }
     }
 
@@ -341,9 +300,9 @@ impl PlanRegistry {
     /// The artifact for `(src, dst)` at `elem_size` — the one route
     /// from a mapping pair to the code that moves it, total for every
     /// shape. In order: a registered concrete artifact (seeded,
-    /// adopted, installed, or a quarantined pair's stripped one) is
-    /// served as-is; a shape the symbolic layer admits is instantiated
-    /// from its format pair's parametric plan; anything else compiles
+    /// adopted, or compiled earlier) is served as-is; a shape the
+    /// symbolic layer admits is instantiated from its format pair's
+    /// parametric plan; anything else compiles
     /// once under its shard lock. `force_panic` injects
     /// [`crate::FaultKind::CompilePanic`] into that compile (and skips
     /// the symbolic leg: the panic must unwind inside
@@ -400,35 +359,20 @@ impl PlanRegistry {
         }
     }
 
-    /// What is served for `key` without compiling: a quarantined pair's
-    /// program-stripped artifact while its backoff window is open
-    /// (consuming one slot), else the shard's entry, touching LRU
-    /// recency — both counted as hits. On a miss nothing is counted and
-    /// the shard comes back still locked, for the caller to compile
-    /// under or drop.
+    /// What is served for `key` without compiling: the shard's entry,
+    /// touching LRU recency — counted as a hit. On a miss nothing is
+    /// counted and the shard comes back still locked, for the caller to
+    /// compile under or drop.
     fn lookup(
         &self,
         key: PlanKey,
         out: &mut Outcome,
     ) -> Result<Arc<PlannedRemap>, MutexGuard<'_, Shard>> {
-        // The quarantine table is consulted only once anything was ever
-        // quarantined (monotone counter): the common hot path stays a
-        // single shard-lock acquisition.
-        let quarantined = if self.quarantined.load(Ordering::Relaxed) != 0 {
-            self.quarantine_probe(key, out)
-        } else {
-            None
-        };
-        let found = match quarantined {
-            Some(stripped) => stripped,
-            None => {
-                let (mut shard, rec) = self.lock_recover(self.shard_of(key));
-                out.lock_recoveries += rec;
-                match shard.touch(&key) {
-                    Some(planned) => Arc::clone(planned),
-                    None => return Err(shard),
-                }
-            }
+        let (mut shard, rec) = self.lock_recover(self.shard_of(key));
+        out.lock_recoveries += rec;
+        let found = match shard.touch(&key) {
+            Some(planned) => Arc::clone(planned),
+            None => return Err(shard),
         };
         self.hits.fetch_add(1, Ordering::Relaxed);
         out.hit = true;
@@ -491,12 +435,10 @@ impl PlanRegistry {
         (planned, out)
     }
 
-    /// Replace the registered artifact for `planned`'s pair —
-    /// unconditionally. This is the repair (and fault-injection) hook:
-    /// when a session detects a poisoned program and recompiles it, the
-    /// healthy artifact is installed registry-wide so no later session
-    /// is served the corrupt one. Counts neither hit nor miss.
-    pub fn install(&self, planned: Arc<PlannedRemap>) {
+    /// Register `planned` for its pair, replacing whatever is there:
+    /// how [`PlanRegistry::resolve`] publishes the clean recompile of a
+    /// contained compile panic. Counts neither hit nor miss.
+    fn install(&self, planned: Arc<PlannedRemap>) {
         let Some(key) = Self::key_of(&planned) else { return };
         let (mut shard, _) = self.lock_recover(self.shard_of(key));
         let evicted = shard.insert(key, planned, self.shard_cap);
@@ -505,8 +447,7 @@ impl PlanRegistry {
 
     /// The first leg of [`PlanRegistry::resolve`] on its own: what the
     /// concrete tables serve for `(src, dst)` at `elem_size` without
-    /// compiling — a quarantined pair's stripped artifact, else the
-    /// shard's entry. A hit is counted; a miss bills **nothing** — the
+    /// compiling — the shard's entry. A hit is counted; a miss bills **nothing** — the
     /// leg that resolves it does the miss accounting.
     pub fn probe(
         &self,
@@ -649,72 +590,6 @@ impl PlanRegistry {
     /// Lifetime poisoned-lock recoveries, registry-wide.
     pub fn lock_recoveries(&self) -> u64 {
         self.poison_recoveries.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime quarantine events (first arms plus failed probations).
-    pub fn quarantined(&self) -> u64 {
-        self.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Serve the quarantined artifact for `key` while its backoff
-    /// window is open, consuming one window slot. A closed window
-    /// (probation) returns `None`: the caller walks the normal path,
-    /// and if that fails repair again, [`PlanRegistry::note_repair`]
-    /// re-arms the window doubled.
-    fn quarantine_probe(&self, key: PlanKey, out: &mut Outcome) -> Option<Arc<PlannedRemap>> {
-        let (mut q, rec) = self.lock_recover(&self.quarantine);
-        out.lock_recoveries += rec;
-        let e = q.get_mut(&key)?;
-        if e.remaining == 0 {
-            return None;
-        }
-        let stripped = e.stripped.as_ref()?;
-        e.remaining -= 1;
-        Some(Arc::clone(stripped))
-    }
-
-    /// Record one failed fingerprint/recompile repair for `planned`'s
-    /// pair — called by the remap path whenever a served artifact had
-    /// to be healed. At [`QUARANTINE_THRESHOLD`] failures the pair is
-    /// quarantined: a program-stripped artifact (table-engine replay,
-    /// no ladder) is served for a backoff window of accesses, which
-    /// doubles every time a post-window probation fails again. Returns
-    /// whether this call (re-)armed a quarantine window.
-    pub fn note_repair(&self, planned: &Arc<PlannedRemap>) -> bool {
-        let Some(key) = Self::key_of(planned) else { return false };
-        let Some(pair) = planned.plan.mappings.clone() else { return false };
-        let (mut q, _) = self.lock_recover(&self.quarantine);
-        let e = q.entry(key).or_insert_with(|| QuarantineEntry {
-            _pair: pair,
-            failures: 0,
-            remaining: 0,
-            backoff: QUARANTINE_INITIAL_BACKOFF,
-            stripped: None,
-        });
-        e.failures += 1;
-        if e.failures < QUARANTINE_THRESHOLD || e.remaining > 0 {
-            return false;
-        }
-        // Threshold reached with no open window: arm (or re-arm after a
-        // failed probation) the stripped artifact for `backoff`
-        // accesses, then double the next window.
-        e.stripped = Some(Arc::new(PlannedRemap {
-            plan: planned.plan.clone(),
-            schedule: planned.schedule.clone(),
-            program: None,
-        }));
-        e.remaining = e.backoff;
-        e.backoff = (e.backoff * 2).min(QUARANTINE_MAX_BACKOFF);
-        self.quarantined.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Whether `(src, dst, elem_size)` currently has an open quarantine
-    /// window (diagnostics and tests).
-    pub fn is_quarantined(&self, src: &NormalizedMapping, dst: &NormalizedMapping, elem_size: u64) -> bool {
-        let (_pair, key) = Self::key_for(src, dst, elem_size);
-        let (mut q, _) = self.lock_recover(&self.quarantine);
-        q.get_mut(&key).is_some_and(|e| e.remaining > 0 && e.stripped.is_some())
     }
 
     /// Chaos hook: panic while holding the shard lock that owns
@@ -979,43 +854,5 @@ mod tests {
         assert_eq!(out2, Outcome { hit: true, ..Outcome::default() });
         assert!(Arc::ptr_eq(&served, &clean));
         assert_eq!(reg.lock_recoveries(), 0);
-    }
-
-    #[test]
-    fn quarantine_arms_at_threshold_and_serves_stripped_artifacts() {
-        let reg = PlanRegistry::new(2, 64);
-        let (src, dst) = pair_for(5087);
-        let (p, _) = reg.get_or_compile(&src, &dst, 8);
-        assert!(p.program.is_some(), "1-D plan compiles");
-        // Two failed repairs: below threshold, nothing served stripped.
-        assert!(!reg.note_repair(&p));
-        assert!(!reg.note_repair(&p));
-        assert!(!reg.is_quarantined(&src, &dst, 8));
-        // Third strike arms the window.
-        assert!(reg.note_repair(&p));
-        assert_eq!(reg.quarantined(), 1);
-        assert!(reg.is_quarantined(&src, &dst, 8));
-        // Every access in the window is a hit serving the program-less
-        // artifact (replay goes straight to the table engine).
-        for _ in 0..QUARANTINE_INITIAL_BACKOFF {
-            let (q, o) = reg.resolve(&src, &dst, 8, false);
-            assert!(o.hit && q.program.is_none());
-            assert_eq!(q.plan.total_messages(), p.plan.total_messages());
-        }
-        // Window exhausted: probation serves the registered artifact.
-        assert!(!reg.is_quarantined(&src, &dst, 8));
-        let (probed, o) = reg.resolve(&src, &dst, 8, false);
-        assert!(o.hit && Arc::ptr_eq(&probed, &p));
-        // A failed probation re-arms immediately (threshold already
-        // met) with the window doubled.
-        assert!(reg.note_repair(&p));
-        assert_eq!(reg.quarantined(), 2);
-        let mut served = 0;
-        while reg.is_quarantined(&src, &dst, 8) {
-            let (q, _) = reg.resolve(&src, &dst, 8, false);
-            assert!(q.program.is_none());
-            served += 1;
-        }
-        assert_eq!(served, 2 * QUARANTINE_INITIAL_BACKOFF);
     }
 }

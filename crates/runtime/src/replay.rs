@@ -12,11 +12,11 @@
 //! movers' lanes, in member order.
 //!
 //! Three layers, each written once: [`replay`] (unguarded), one
-//! guarded round, and [`run`], the recovery ladder, whose callers
-//! differ only in how they recompile. All three run on the calling
-//! thread: every remap a [`Machine`] runs replays serially. The one
-//! multi-threaded replay, [`replay_parallel`], serves an explicit
-//! [`crate::ExecMode::Parallel`] on the bare one-lane copy.
+//! guarded round, and [`run`], the recovery ladder, which the one
+//! remap executor calls with each artifact's recompile. All three run
+//! on the calling thread: every remap a [`Machine`] runs replays
+//! serially. The one multi-threaded replay, [`replay_parallel`], serves
+//! an explicit [`crate::ExecMode::Parallel`] on the bare one-lane copy.
 //!
 //! **Fault-site contract.** Every injected fault is decided at a site
 //! `(epoch, stream, round_no, attempt)`: the caller draws one `epoch`
@@ -32,7 +32,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::exec::{CopyProgram, CopyRun, CopyUnit, Kernel, StrideFamily};
-use crate::fault::{run_round_ladder, ExecError, FaultKind, RoundCtx};
+use crate::fault::{poison_program, run_round_ladder, ExecError, FaultKind, RoundCtx};
 use crate::machine::Machine;
 use crate::status::PlannedRemap;
 use crate::store::{LocalBlock, VersionData};
@@ -271,11 +271,12 @@ fn tables(machine: &mut Machine, plans: &[Arc<PlannedRemap>], lanes: &mut Lanes<
 /// for a lane (`progs` is empty when the plans cannot drive compiled
 /// programs — the table engine then does the work), `planned[lane.at]`
 /// the plan behind it, `epoch` the remap's fault epoch, and `recompile`
-/// rebuilds the whole program set from the cached plans. Bills what
-/// the authoritative copy delivered (`runs_copied`, `bytes_moved`: each
-/// lane's elements at its element size) and returns the freshly
-/// compiled program set when the ladder recompiled — a caller that
-/// owns a cache repairs its entry with it.
+/// rebuilds the whole program set from the plans. Bills what the
+/// authoritative copy delivered (`runs_copied`, `bytes_moved`: each
+/// lane's elements at its element size). Served programs are never
+/// written: an injected [`FaultKind::PoisonProgram`] corrupts a
+/// transient copy of them for this replay, and a recompiled set serves
+/// this replay only.
 ///
 /// Unguarded this is the plain [`replay`]. Guarded, the rungs are:
 /// (1) bounded retry of a failed round; (2) recompile — at once when a
@@ -292,12 +293,11 @@ pub(crate) fn run(
     lanes: &mut Lanes<'_>,
     epoch: u64,
     recompile: &dyn Fn() -> Option<Vec<CopyProgram>>,
-) -> Result<Option<Vec<CopyProgram>>, ExecError> {
+) -> Result<(), ExecError> {
     let exhaust = machine.faults.as_ref().is_some_and(|f| f.exhaust_fires(epoch));
     if exhaust {
         machine.stats.faults_injected += 1;
     }
-    let mut repaired: Option<Vec<CopyProgram>> = None;
     let mut done: Option<(u64, u64)> = None;
     if !machine.guarded() {
         done = vet(progs, lanes, false);
@@ -305,10 +305,18 @@ pub(crate) fn run(
             replay(progs, lanes);
         }
     } else {
+        let mut poisoned = None;
+        if !progs.is_empty() && machine.faults.is_some_and(|f| f.poison_fires(epoch)) {
+            let bad: &mut Vec<CopyProgram> = poisoned.insert(progs.to_vec());
+            bad.iter_mut().for_each(poison_program);
+            machine.stats.faults_injected += 1;
+        }
+        let progs = poisoned.as_deref().unwrap_or(progs);
         let fresh = |machine: &mut Machine, lanes: &mut Lanes<'_>| {
             machine.stats.programs_recompiled += 1;
             recompile().filter(|f| vet(f, lanes, true).is_some())
         };
+        let mut repaired: Option<Vec<CopyProgram>> = None;
         let mut active = progs;
         if !progs.is_empty() && vet(progs, lanes, true).is_none() {
             // Poisoned (or foreign) served programs: rung 2 straight away.
@@ -322,7 +330,6 @@ pub(crate) fn run(
         if done.is_none() && !progs.is_empty() && repaired.is_none() {
             if let Some(f) = fresh(machine, lanes) {
                 done = replay_rounds(machine, &f, lanes, epoch, 1).ok();
-                repaired = Some(f);
             }
         }
     }
@@ -337,7 +344,7 @@ pub(crate) fn run(
     };
     machine.stats.runs_copied += runs;
     machine.stats.bytes_moved += bytes;
-    Ok(repaired)
+    Ok(())
 }
 
 /// Elements of the strided side one pass of the serial walk sweeps:
@@ -609,7 +616,7 @@ mod tests {
 
     use super::*;
     use crate::group::tests::two_array_group;
-    use crate::group::{remap_group, GroupMember};
+    use crate::group::{try_remap_group, GroupMember};
     use crate::redist::plan_redistribution;
     use crate::schedule::CommSchedule;
     use crate::ExecMode;
@@ -671,7 +678,7 @@ mod tests {
                 GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
                 GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
             ];
-            assert_eq!(remap_group(&mut machine, &mut members, &fwd), 2);
+            assert_eq!(try_remap_group(&mut machine, &mut members, &fwd).expect("group remap"), 2);
         }
         let want_a: Vec<f64> = (0..gn).map(|i| i as f64).collect();
         let want_b: Vec<f64> = (0..gn).map(|i| 1000.0 + i as f64).collect();

@@ -25,8 +25,9 @@
 //! * the code generator (`hpfc-codegen`'s `render`) prints a schedule
 //!   as readable pseudo-SPMD — packed send/recv loops instead of
 //!   whole-array copy statements;
-//! * the runtime ([`crate::ArrayRt::remap`] via
-//!   [`crate::Machine::account_schedule`]) executes and costs exactly
+//! * the runtime ([`crate::ArrayRt::try_remap_guarded`], costing
+//!   [`CommSchedule::round_triples_of`] through
+//!   [`crate::Machine::account_phase`]) executes and costs exactly
 //!   the same rounds, so simulated timings and rendered code can never
 //!   disagree on who sends what to whom.
 

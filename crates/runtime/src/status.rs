@@ -5,11 +5,11 @@
 //! * a **status** — which version is current (may be referenced);
 //! * per-version **live** flags — which copies hold the current values;
 //!
-//! [`ArrayRt::remap`] is Fig. 20 executed: skip if already mapped as
-//! required; allocate the target lazily; if the target copy is not
-//! live, copy from the status copy (real communication, through the
-//! redistribution engine) unless the values are dead; then clean every
-//! copy outside the may-live set. [`ArrayRt::evict`] models the
+//! [`ArrayRt::try_remap_guarded`] is Fig. 20 executed: skip if already
+//! mapped as required; allocate the target lazily; if the target copy
+//! is not live, copy from the status copy (real communication, through
+//! the redistribution engine) unless the values are dead; then clean
+//! every copy outside the may-live set. [`ArrayRt::evict`] models the
 //! memory-pressure path: a live non-current copy may be dropped at any
 //! time and is regenerated (with communication) if needed again.
 //!
@@ -24,9 +24,9 @@ use hpfc_mapping::NormalizedMapping;
 
 use crate::exec::CopyProgram;
 use crate::fault::ExecError;
+use crate::group::GroupMember;
 use crate::machine::Machine;
 use crate::redist::RedistPlan;
-use crate::replay::Lane;
 use crate::schedule::CommSchedule;
 use crate::store::VersionData;
 
@@ -130,7 +130,7 @@ impl ArrayRt {
     /// ([`crate::FaultKind::CompilePanic`]), which
     /// [`crate::PlanRegistry::resolve`] contains and recovers from — so
     /// this method stays infallible.
-    fn planned_with(
+    pub(crate) fn planned_with(
         &mut self,
         machine: &mut Machine,
         src: u32,
@@ -260,63 +260,25 @@ impl ArrayRt {
         true
     }
 
-    /// Fig. 20, executed: remap to `target`.
+    /// Fig. 20, executed: remap to `target`, as a remap statement of
+    /// one member.
     ///
     /// * `may_live` — the compiler's `M_A(v)`: copies to keep; all other
     ///   copies are cleaned afterwards.
     /// * `values_dead` — the compiler proved the values need not move
     ///   (`U = D` downstream, or a `KILL` upstream).
-    pub fn remap(
-        &mut self,
-        machine: &mut Machine,
-        target: u32,
-        may_live: &BTreeSet<u32>,
-        values_dead: bool,
-    ) {
-        self.remap_guarded(machine, target, may_live, values_dead, &BTreeSet::new())
-    }
-
-    /// [`ArrayRt::remap`] returning a typed error instead of panicking
-    /// when the remap cannot complete.
-    pub fn try_remap(
-        &mut self,
-        machine: &mut Machine,
-        target: u32,
-        may_live: &BTreeSet<u32>,
-        values_dead: bool,
-    ) -> Result<(), ExecError> {
-        self.try_remap_guarded(machine, target, may_live, values_dead, &BTreeSet::new())
-    }
-
-    /// [`ArrayRt::remap`] with a partial-impact guard: when the current
-    /// status is in `skip_if_current`, this execution is unaffected by
-    /// the directive (Fig. 5/6 flow-dependent alignment) — only the
-    /// liveness cleaning runs. Panics on an unrecoverable execution
-    /// error; [`ArrayRt::try_remap_guarded`] is the typed-error form.
-    pub fn remap_guarded(
-        &mut self,
-        machine: &mut Machine,
-        target: u32,
-        may_live: &BTreeSet<u32>,
-        values_dead: bool,
-        skip_if_current: &BTreeSet<u32>,
-    ) {
-        if let Err(e) =
-            self.try_remap_guarded(machine, target, may_live, values_dead, skip_if_current)
-        {
-            panic!("remap of `{}` to version {target}: {e}", self.name);
-        }
-    }
-
-    /// The full remap semantics with the recovery ladder and typed
-    /// errors. When the machine carries a [`crate::FaultPlan`] or a
-    /// validation level, the data movement runs guarded: a poisoned
-    /// cached program is detected by its fingerprint and recompiled
-    /// from the cached plan (the cache entry is repaired in place),
-    /// failed rounds are retried then escalated (recompile → table
-    /// engine), and worker panics degrade the round to serial. With
-    /// neither configured this is exactly the unguarded
-    /// allocation-free path.
+    /// * `skip_if_current` — the partial-impact guard: when the current
+    ///   status is in it, this execution is unaffected by the directive
+    ///   (Fig. 5/6 flow-dependent alignment) and only the liveness
+    ///   cleaning runs.
+    ///
+    /// When the machine carries a [`crate::FaultPlan`] or a validation
+    /// level, the data movement runs guarded: a poisoned program is
+    /// detected by its fingerprint and recompiled from the cached plan
+    /// for that replay, and failed rounds are retried then escalated
+    /// (recompile → table engine). Served artifacts are never
+    /// rewritten. With neither configured this is exactly the
+    /// unguarded allocation-free path.
     ///
     /// **Transactional**: on the guarded path a rollback record is
     /// captured before the replay writes anything, and any terminal
@@ -333,14 +295,18 @@ impl ArrayRt {
         values_dead: bool,
         skip_if_current: &BTreeSet<u32>,
     ) -> Result<(), ExecError> {
-        self.try_remap_inner(machine, target, may_live, values_dead, skip_if_current, false)
+        // No group to coalesce in, so the planned source is only
+        // nominal: the copy, if any, comes out of the status.
+        let src = self.status.unwrap_or(target);
+        let member = GroupMember { rt: self, src, target, may_live, skip_if_current };
+        crate::group::execute(machine, &mut [member], values_dead, None).map(drop)
     }
 
     /// The version a remap to `target` would copy out of, given the
     /// array's state right now — `None` when it would move no data
     /// (partial-impact skip, status noop, live-copy reuse, dead values,
     /// first instantiation). That copy must be allocated: this is the
-    /// entry check of every data-moving remap, solo or grouped, made
+    /// entry check of every member of every remap statement, made
     /// before the target is allocated or anything is billed, so the
     /// error leaves the array and the machine's books untouched.
     pub(crate) fn copy_source(
@@ -363,151 +329,41 @@ impl ArrayRt {
         }
     }
 
-    /// Body of [`ArrayRt::try_remap_guarded`], parameterized for the
-    /// group path. A `grouped` remap leaves two things to its group:
-    /// the liveness cleaning (a group cleans only after *every* member
-    /// committed — cleaning frees copies a group rollback could not
-    /// restore) and the rollback record (the group captures its own
-    /// per-member records instead).
-    pub(crate) fn try_remap_inner(
+    /// Settle a remap to `target` that moves no data: the status check
+    /// ("the runtime will notice that the array is already mapped as
+    /// required just by an inexpensive check of its status"), the
+    /// partial-impact skip, live-copy reuse (App. D), dead values
+    /// (`KILL`) and first instantiation. Cleaning is the caller's.
+    pub(crate) fn settle(
         &mut self,
         machine: &mut Machine,
         target: u32,
-        may_live: &BTreeSet<u32>,
-        values_dead: bool,
         skip_if_current: &BTreeSet<u32>,
-        grouped: bool,
-    ) -> Result<(), ExecError> {
-        let moving = self.copy_source(target, values_dead, skip_if_current)?;
-        if self.status.is_some_and(|c| skip_if_current.contains(&c)) {
+    ) {
+        if self.status.is_some_and(|c| c == target || skip_if_current.contains(&c)) {
             machine.stats.remaps_skipped_noop += 1;
-        } else if self.status == Some(target) {
-            // "The runtime will notice that the array is already mapped
-            // as required just by an inexpensive check of its status."
-            machine.stats.remaps_skipped_noop += 1;
+            return;
+        }
+        self.allocate_for(machine, target, None);
+        if self.live[target as usize] {
+            machine.stats.remaps_reused_live += 1;
         } else {
-            let target_preallocated = self.copies[target as usize].is_some();
-            // The program about to run decides whether a recycled
-            // target needs zeroing.
-            let claim = moving
-                .filter(|_| !target_preallocated)
-                .and_then(|src| self.plan_cache.get(&(src, target)).cloned());
-            self.allocate_for(machine, target, claim.as_deref().and_then(|p| p.program.as_ref()));
-            if self.live[target as usize] {
-                // Live-copy reuse: no communication at all (App. D).
-                machine.stats.remaps_reused_live += 1;
-            } else {
-                if let Some(src) = moving {
-                    // The actual remapping communication: the cached compiled
-                    // program drives the copy, its caterpillar schedule the
-                    // time accounting.
-                    let epoch = machine.next_fault_epoch();
-                    if machine.faults.is_some_and(|f| f.poison_fires(epoch)) {
-                        // PoisonProgram: corrupt the cached entry's compiled
-                        // program before it is served. The corrupt artifact is
-                        // installed into the shared registry too — exactly what
-                        // a damaged plan registry would hand out to every
-                        // session.
-                        if let Some(entry) = self.plan_cache.get_mut(&(src, target)) {
-                            let mut bad = PlannedRemap::clone(entry);
-                            if let Some(p) = bad.program.as_mut() {
-                                crate::fault::poison_program(p);
-                                machine.stats.faults_injected += 1;
-                                let bad = Arc::new(bad);
-                                machine.registry.install(Arc::clone(&bad));
-                                *entry = bad;
-                            }
-                        }
-                    }
-                    let inject_compile_panic = machine.faults.is_some_and(|f| f.compile_panic_fires(epoch))
-                        && !self.plan_cache.contains_key(&(src, target));
-                    if inject_compile_panic {
-                        machine.stats.faults_injected += 1;
-                    }
-                    let planned = self.planned_with(machine, src, target, inject_compile_panic);
-                    machine.account_schedule(&planned.schedule);
-                    machine.stats.remaps_performed += 1;
-                    // Arm the rollback record only on the guarded path: the
-                    // unguarded replay cannot fail after writes begin, so the
-                    // default cached bounce never pays for a snapshot.
-                    let armed = !grouped && machine.guarded();
-                    let mut snap = std::mem::take(&mut machine.txn_scratch);
-                    if armed {
-                        snap.capture(
-                            self.status,
-                            &self.live,
-                            target_preallocated,
-                            self.copies[src as usize].as_ref(),
-                            self.copies[target as usize].as_ref(),
-                            planned.program.as_ref(),
-                        );
-                    }
-                    // One lane through the replay core.
-                    let (src_data, dst_data) = version_pair(&mut self.copies, src, target);
-                    let replayed = crate::replay::run(
-                        machine,
-                        std::slice::from_ref(&planned),
-                        planned.program.as_slice(),
-                        &mut |visit| {
-                            let lane = Lane { at: 0, src: src_data, dst: &mut *dst_data };
-                            visit(&mut std::iter::once(lane))
-                        },
-                        epoch,
-                        &|| {
-                            CopyProgram::try_compile(&planned.plan, &planned.schedule)
-                                .map(|fresh| vec![fresh])
-                        },
-                    );
-                    if replayed.is_err() && armed {
-                        self.rollback_remap(machine, target, &mut snap);
-                        machine.stats.txn_rollbacks += 1;
-                    }
-                    // Committed or rolled back: drop the capture, keep the
-                    // scratch capacity for the next remap.
-                    snap.captured = false;
-                    machine.txn_scratch = snap;
-                    if let Some(fresh) = replayed?.and_then(|mut set| set.pop()) {
-                        // Cache repair, once registry-wide: the recompiled
-                        // program replaces the poisoned/stale one locally *and*
-                        // in the shared registry, so the next bounce is healthy
-                        // again and no later session is ever served the corrupt
-                        // artifact.
-                        if let Some(entry) = self.plan_cache.get_mut(&(src, target)) {
-                            let mut healthy = PlannedRemap::clone(entry);
-                            healthy.program = Some(fresh);
-                            let healthy = Arc::new(healthy);
-                            machine.registry.install(Arc::clone(&healthy));
-                            // Strike one against the pair: a pair that
-                            // keeps needing repair is quarantined (served
-                            // table-only).
-                            if machine.registry.note_repair(&healthy) {
-                                machine.stats.quarantined_pairs += 1;
-                            }
-                            *entry = healthy;
-                        }
-                    }
-                } else if self.status.is_some() {
-                    // KILL: copy allocated, values dead — no data. (With no
-                    // status at all this is the first instantiation:
-                    // nothing to copy from.)
-                    machine.stats.remaps_dead_values += 1;
-                }
-                self.live[target as usize] = true;
+            // With no status at all this is the first instantiation:
+            // nothing to copy from.
+            if self.status.is_some() {
+                machine.stats.remaps_dead_values += 1;
             }
-            self.status = Some(target);
+            self.live[target as usize] = true;
         }
-        if !grouped {
-            self.clean_copies(machine, target, may_live);
-        }
-        Ok(())
+        self.status = Some(target);
     }
 
     /// Cleaning (Fig. 20's tail): free copies that are live but not
     /// worth keeping. The status copy is never cleaned — on
     /// pass-through executions of a partial-impact vertex it differs
-    /// from `target` and is still the current data. Group remaps run
-    /// this only after the whole group committed: cleaning frees copies
-    /// a rollback could not restore.
+    /// from `target` and is still the current data. A remap statement
+    /// runs this only after all its members committed: cleaning frees
+    /// copies a rollback could not restore.
     pub(crate) fn clean_copies(
         &mut self,
         machine: &mut Machine,
@@ -554,28 +410,14 @@ impl ArrayRt {
     }
 
     /// Fig. 18's restore, executed: remap back to the `saved` status
-    /// tag. Semantically a [`ArrayRt::remap_guarded`] whose target is
-    /// the run-time tag — with the cache seeded from the statically
+    /// tag. Semantically a [`ArrayRt::try_remap_guarded`] whose target
+    /// is the run-time tag — with the cache seeded from the statically
     /// compiled restore arms, the replay goes straight through the
     /// compiled-program path (the `(current, saved)` pair is a cache
     /// hit), so a restore plans nothing and allocates nothing in steady
     /// state, exactly like a plain cached remap. Every dispatch is
     /// counted in [`crate::NetStats::restores_replayed`], including
     /// ones the status check then skips.
-    pub fn restore(
-        &mut self,
-        machine: &mut Machine,
-        saved: u32,
-        may_live: &BTreeSet<u32>,
-        values_dead: bool,
-    ) {
-        if let Err(e) = self.try_restore(machine, saved, may_live, values_dead) {
-            panic!("restore of `{}` to version {saved}: {e}", self.name);
-        }
-    }
-
-    /// [`ArrayRt::restore`] returning a typed error instead of
-    /// panicking when the underlying remap cannot complete.
     pub fn try_restore(
         &mut self,
         machine: &mut Machine,
@@ -584,7 +426,7 @@ impl ArrayRt {
         values_dead: bool,
     ) -> Result<(), ExecError> {
         machine.stats.restores_replayed += 1;
-        self.try_remap(machine, saved, may_live, values_dead)
+        self.try_remap_guarded(machine, saved, may_live, values_dead, &BTreeSet::new())
     }
 
     /// Current copy for reading, instantiating version `v_default`
@@ -680,6 +522,11 @@ mod tests {
         .unwrap()
     }
 
+    /// A remap that must succeed.
+    fn remap(a: &mut ArrayRt, m: &mut Machine, target: u32, may_live: &BTreeSet<u32>, dead: bool) {
+        a.try_remap_guarded(m, target, may_live, dead, &BTreeSet::new()).expect("remap");
+    }
+
     fn rt() -> (Machine, ArrayRt) {
         let m = Machine::new(4);
         let a = ArrayRt::new(
@@ -698,7 +545,7 @@ mod tests {
     fn lazy_instantiation_and_first_remap_moves_no_data() {
         let (mut m, mut a) = rt();
         // First remapping of a never-touched array: allocation only.
-        a.remap(&mut m, 1, &[1u32].into_iter().collect(), false);
+        remap(&mut a, &mut m, 1, &[1u32].into_iter().collect(), false);
         assert_eq!(a.status, Some(1));
         assert_eq!(m.stats.messages, 0);
         assert_eq!(m.stats.remaps_performed, 0);
@@ -708,7 +555,7 @@ mod tests {
     fn remap_moves_data_and_preserves_values() {
         let (mut m, mut a) = rt();
         a.current(&mut m, 0).fill(|p| p[0] as f64);
-        a.remap(&mut m, 1, &[1u32].into_iter().collect(), false);
+        remap(&mut a, &mut m, 1, &[1u32].into_iter().collect(), false);
         assert_eq!(m.stats.remaps_performed, 1);
         assert!(m.stats.bytes > 0);
         // Values survived the remapping.
@@ -721,9 +568,9 @@ mod tests {
     fn status_check_skips_noop_remaps() {
         let (mut m, mut a) = rt();
         a.current(&mut m, 0);
-        a.remap(&mut m, 1, &[1u32].into_iter().collect(), false);
+        remap(&mut a, &mut m, 1, &[1u32].into_iter().collect(), false);
         let bytes = m.stats.bytes;
-        a.remap(&mut m, 1, &[1u32].into_iter().collect(), false);
+        remap(&mut a, &mut m, 1, &[1u32].into_iter().collect(), false);
         assert_eq!(m.stats.remaps_skipped_noop, 1);
         assert_eq!(m.stats.bytes, bytes, "no extra traffic");
     }
@@ -734,11 +581,11 @@ mod tests {
         a.current(&mut m, 0).fill(|p| p[0] as f64);
         // Keep version 0 alive across the remapping (M = {0, 1}).
         let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-        a.remap(&mut m, 1, &keep, false);
+        remap(&mut a, &mut m, 1, &keep, false);
         let bytes_after_first = m.stats.bytes;
         assert!(a.live[0], "copy 0 kept live");
         // Remap back: version 0 is still live — zero communication.
-        a.remap(&mut m, 0, &keep, false);
+        remap(&mut a, &mut m, 0, &keep, false);
         assert_eq!(m.stats.remaps_reused_live, 1);
         assert_eq!(m.stats.bytes, bytes_after_first);
         assert_eq!(a.get(&[5]), 5.0);
@@ -749,12 +596,12 @@ mod tests {
         let (mut m, mut a) = rt();
         a.current(&mut m, 0).fill(|p| p[0] as f64);
         let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-        a.remap(&mut m, 1, &keep, false);
+        remap(&mut a, &mut m, 1, &keep, false);
         // Writing through the current (cyclic) copy kills copy 0.
         a.set(&[3], 99.0);
         assert!(!a.live[0]);
         // Remapping back now needs real communication again.
-        a.remap(&mut m, 0, &keep, false);
+        remap(&mut a, &mut m, 0, &keep, false);
         assert_eq!(m.stats.remaps_performed, 2);
         assert_eq!(a.get(&[3]), 99.0);
     }
@@ -764,7 +611,7 @@ mod tests {
         let (mut m, mut a) = rt();
         a.current(&mut m, 0);
         // M = {1}: version 0 must be freed by the remapping.
-        a.remap(&mut m, 1, &[1u32].into_iter().collect(), false);
+        remap(&mut a, &mut m, 1, &[1u32].into_iter().collect(), false);
         assert!(a.copies[0].is_none());
         assert!(!a.live[0]);
         // Memory accounting went down to one copy.
@@ -782,7 +629,7 @@ mod tests {
     fn parked_storage_is_recycled_zeroed_and_never_cloned() {
         let (mut m, mut a) = rt();
         a.current(&mut m, 0).fill(|p| 1.0 + p[0] as f64);
-        a.remap(&mut m, 1, &[1u32].into_iter().collect(), false);
+        remap(&mut a, &mut m, 1, &[1u32].into_iter().collect(), false);
         let parked_at = a.parked.0[0].as_ref().expect("cleaning parked v0").blocks[0]
             .as_ref()
             .unwrap()
@@ -794,14 +641,14 @@ mod tests {
         assert_eq!(twin.allocated_bytes(), a.allocated_bytes());
         // A dead-values remap claims the parked buffer — the very same
         // allocation — and must read zeros, like a fresh one.
-        a.remap(&mut m, 0, &[0u32].into_iter().collect(), true);
+        remap(&mut a, &mut m, 0, &[0u32].into_iter().collect(), true);
         let v0 = a.copies[0].as_ref().unwrap();
         assert_eq!(v0.blocks[0].as_ref().unwrap().data.as_ptr(), parked_at);
         assert!(v0.to_dense().iter().all(|&x| x == 0.0));
         assert!(a.parked.0[0].is_none() && a.parked.0[1].is_some());
         // A fresh allocation of a third version releases what is parked:
         // allocated + parked never exceeds what was once allocated alone.
-        a.remap(&mut m, 2, &[0u32, 2].into_iter().collect(), false);
+        remap(&mut a, &mut m, 2, &[0u32, 2].into_iter().collect(), false);
         assert!(a.parked.0.iter().all(Option::is_none));
         assert_eq!(m.mem.current, vec![64; 4]);
         assert_eq!(m.mem.peak, vec![64; 4]);
@@ -815,7 +662,7 @@ mod tests {
         let (mut m, mut a) = rt();
         a.current(&mut m, 0).fill(|p| 2.0 * p[0] as f64);
         let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-        a.remap(&mut m, 1, &keep, false);
+        remap(&mut a, &mut m, 1, &keep, false);
         // Pressure: drop the live copy 0 — allocated and parked alike.
         assert!(a.evict(&mut m, 0));
         assert!(!a.live[0]);
@@ -826,7 +673,7 @@ mod tests {
         assert!(!a.evict(&mut m, 1));
         // Going back to 0 regenerates it with communication.
         let performed = m.stats.remaps_performed;
-        a.remap(&mut m, 0, &keep, false);
+        remap(&mut a, &mut m, 0, &keep, false);
         assert_eq!(m.stats.remaps_performed, performed + 1);
         assert_eq!(a.get(&[7]), 14.0);
         assert_eq!(a.allocated_bytes(), 2 * 16 * 8);
@@ -859,9 +706,9 @@ mod tests {
             let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
             let (p0, p1) = (vec![0; rank], vec![1; rank]);
             for i in 0..10 {
-                a.remap(&mut m, 1, &keep, false);
+                remap(&mut a, &mut m, 1, &keep, false);
                 a.set(&p0, i as f64); // stale the other copy: every remap moves data
-                a.remap(&mut m, 0, &keep, false);
+                remap(&mut a, &mut m, 0, &keep, false);
                 a.set(&p1, i as f64);
             }
             assert_eq!(m.stats.remaps_performed, 20);
@@ -884,7 +731,7 @@ mod tests {
     fn remap_accounts_caterpillar_schedule() {
         let (mut m, mut a) = rt();
         a.current(&mut m, 0).fill(|p| p[0] as f64);
-        a.remap(&mut m, 1, &[1u32].into_iter().collect(), false);
+        remap(&mut a, &mut m, 1, &[1u32].into_iter().collect(), false);
         // block(4) -> cyclic over 4 procs: all-to-all, 12 messages in 3
         // contention-free rounds; totals match the plan exactly.
         let planned = a.planned(&mut m, 0, 1);
@@ -899,7 +746,7 @@ mod tests {
     fn remap_moves_exactly_the_planned_byte_volume() {
         let (mut m, mut a) = rt();
         a.current(&mut m, 0).fill(|p| p[0] as f64);
-        a.remap(&mut m, 1, &[1u32].into_iter().collect(), false);
+        remap(&mut a, &mut m, 1, &[1u32].into_iter().collect(), false);
         let planned = a.planned(&mut m, 0, 1);
         // The engine wrote exactly the plan's deliveries (local +
         // remote), and the compiled program predicted its run count.
@@ -923,11 +770,11 @@ mod tests {
         let (mut m, mut a) = rt();
         a.current(&mut m, 0).fill(|p| (3 * p[0] + 1) as f64);
         let keep: BTreeSet<u32> = [0u32, 1, 2].into_iter().collect();
-        a.remap(&mut m, 1, &keep, false);
+        remap(&mut a, &mut m, 1, &keep, false);
         a.set(&[2], 9.0);
-        a.remap(&mut m, 2, &keep, false);
+        remap(&mut a, &mut m, 2, &keep, false);
         a.set(&[3], 11.0);
-        a.remap(&mut m, 0, &keep, false);
+        remap(&mut a, &mut m, 0, &keep, false);
         let mut want: Vec<f64> = (0..16).map(|i| (3 * i + 1) as f64).collect();
         (want[2], want[3]) = (9.0, 11.0);
         assert_eq!((0..16).map(|i| a.get(&[i])).collect::<Vec<_>>(), want);
@@ -949,7 +796,7 @@ mod tests {
             8,
         );
         a.current(&mut m, 0).fill(|p| p[0] as f64);
-        a.remap(&mut m, 1, &[1u32].into_iter().collect(), false);
+        remap(&mut a, &mut m, 1, &[1u32].into_iter().collect(), false);
         let planned = a.planned(&mut m, 0, 1);
         let plan_pair = planned.plan.mappings.as_ref().expect("closed-form plan");
         let prog_pair = &planned.program.as_ref().expect("1-D plan compiles").mappings;
@@ -986,7 +833,7 @@ mod tests {
     fn dead_values_move_no_data() {
         let (mut m, mut a) = rt();
         a.current(&mut m, 0).fill(|p| p[0] as f64);
-        a.remap(&mut m, 1, &[1u32].into_iter().collect(), true);
+        remap(&mut a, &mut m, 1, &[1u32].into_iter().collect(), true);
         assert_eq!(m.stats.remaps_dead_values, 1);
         assert_eq!(m.stats.bytes, 0);
         assert_eq!(a.status, Some(1));

@@ -27,9 +27,21 @@ use hpfc_mapping::{
     DimFormat,
 };
 use hpfc_runtime::{
-    plan_redistribution, remap_group, ArrayRt, CommSchedule, CopyProgram, ExecMode, GroupMember,
+    plan_redistribution, try_remap_group, ArrayRt, CommSchedule, CopyProgram, ExecMode, GroupMember,
     Machine, PlanRegistry, PlannedGroup, PlannedRemap, VersionData,
 };
+
+/// A remap that must succeed.
+fn remap(
+    rt: &mut ArrayRt,
+    machine: &mut Machine,
+    target: u32,
+    may_live: &BTreeSet<u32>,
+    values_dead: bool,
+) {
+    let skip = BTreeSet::new();
+    rt.try_remap_guarded(machine, target, may_live, values_dead, &skip).expect("remap");
+}
 
 /// `System`, with every allocation on the opted-in thread counted.
 struct CountingAlloc;
@@ -145,20 +157,20 @@ fn steady_state_remap_allocates_nothing() {
     // Warm up: allocate both copies, populate the plan cache both
     // directions, grow the accounting scratch.
     for _ in 0..2 {
-        rt.remap(&mut machine, 1, &keep, false);
+        remap(&mut rt, &mut machine, 1, &keep, false);
         rt.set(&[0], 1.0); // stale the other copy: data moves each bounce
-        rt.remap(&mut machine, 0, &keep, false);
+        remap(&mut rt, &mut machine, 0, &keep, false);
         rt.set(&[1], 1.0);
     }
     let performed = machine.stats.remaps_performed;
     for i in 0..10u64 {
         rt.set(&[0], i as f64); // outside the measured window
         let before = allocations();
-        rt.remap(&mut machine, 1, &keep, false);
+        remap(&mut rt, &mut machine, 1, &keep, false);
         assert_eq!(allocations(), before, "remap {i} ->1 allocated");
         rt.set(&[1], i as f64);
         let before = allocations();
-        rt.remap(&mut machine, 0, &keep, false);
+        remap(&mut rt, &mut machine, 0, &keep, false);
         assert_eq!(allocations(), before, "remap {i} ->0 allocated");
     }
     // All twenty measured remaps really moved data through the engine.
@@ -169,7 +181,7 @@ fn steady_state_remap_allocates_nothing() {
     // A save/restore loop: the array is remapped to the callee's
     // version (the ArgIn copy), written there (so the saved copy goes
     // stale and the restore must move data), then restored to the saved
-    // tag. `ArrayRt::restore` is a tag-dispatched `remap_guarded`: with
+    // tag. `ArrayRt::try_restore` is a tag-dispatched remap: with
     // the plan cache warm it is a status check + Arc clone + compiled
     // program replay — no heap allocation, exactly like a plain cached
     // remap bounce.
@@ -183,9 +195,9 @@ fn steady_state_remap_allocates_nothing() {
     let keep: BTreeSet<u32> = [saved, dummy].into_iter().collect();
     // Warm up: populate the plan cache in both directions.
     for _ in 0..2 {
-        rt.remap(&mut machine, dummy, &keep, false);
+        remap(&mut rt, &mut machine, dummy, &keep, false);
         rt.set(&[0], 2.0); // the callee writes through the dummy copy
-        rt.restore(&mut machine, saved, &keep, false);
+        rt.try_restore(&mut machine, saved, &keep, false).expect("restore");
         rt.set(&[1], 2.0);
     }
     let restored = machine.stats.restores_replayed;
@@ -193,11 +205,11 @@ fn steady_state_remap_allocates_nothing() {
     for i in 0..10u64 {
         rt.set(&[0], i as f64); // outside the measured window
         let before = allocations();
-        rt.remap(&mut machine, dummy, &keep, false);
+        remap(&mut rt, &mut machine, dummy, &keep, false);
         assert_eq!(allocations(), before, "restore bounce {i}: argin remap allocated");
         rt.set(&[1], i as f64);
         let before = allocations();
-        rt.restore(&mut machine, saved, &keep, false);
+        rt.try_restore(&mut machine, saved, &keep, false).expect("restore");
         assert_eq!(allocations(), before, "restore bounce {i}: restore allocated");
     }
     assert_eq!(machine.stats.restores_replayed, restored + 10);
@@ -231,14 +243,14 @@ fn steady_state_remap_allocates_nothing() {
             GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
             GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
         ];
-        remap_group(&mut machine, &mut members, &fwd);
+        try_remap_group(&mut machine, &mut members, &fwd).expect("group remap");
         a.set(&[0], 1.0);
         b.set(&[0], 1.0);
         let mut members = [
             GroupMember { rt: &mut a, src: 1, target: 0, may_live: &keep, skip_if_current: &skip },
             GroupMember { rt: &mut b, src: 1, target: 0, may_live: &keep, skip_if_current: &skip },
         ];
-        remap_group(&mut machine, &mut members, &back);
+        try_remap_group(&mut machine, &mut members, &back).expect("group remap");
         a.set(&[1], 1.0);
         b.set(&[1], 1.0);
     }
@@ -252,7 +264,7 @@ fn steady_state_remap_allocates_nothing() {
             GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
             GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
         ];
-        remap_group(&mut machine, &mut members, &fwd);
+        try_remap_group(&mut machine, &mut members, &fwd).expect("group remap");
         assert_eq!(allocations(), before, "group bounce {i} ->1 allocated");
         a.set(&[1], i as f64);
         b.set(&[1], i as f64);
@@ -261,7 +273,7 @@ fn steady_state_remap_allocates_nothing() {
             GroupMember { rt: &mut a, src: 1, target: 0, may_live: &keep, skip_if_current: &skip },
             GroupMember { rt: &mut b, src: 1, target: 0, may_live: &keep, skip_if_current: &skip },
         ];
-        remap_group(&mut machine, &mut members, &back);
+        try_remap_group(&mut machine, &mut members, &back).expect("group remap");
         assert_eq!(allocations(), before, "group bounce {i} ->0 allocated");
     }
     // Every measured bounce coalesced both arrays' movement.
@@ -295,9 +307,9 @@ fn steady_state_remap_allocates_nothing() {
     // Warm up: registers both directions, grows scratch, seeds locals.
     for _ in 0..2 {
         for (r, m) in [(&mut rt, &mut machine), (&mut solo, &mut solo_machine)] {
-            r.remap(m, 1, &keep, false);
+            remap(r, m, 1, &keep, false);
             r.set(&first, 1.0);
-            r.remap(m, 0, &keep, false);
+            remap(r, m, 0, &keep, false);
             r.set(&second, 1.0);
         }
     }
@@ -308,16 +320,16 @@ fn steady_state_remap_allocates_nothing() {
         solo.set(&first, i as f64);
         rt.plan_cache.remove(&(0, 1)); // evict the local view: the registry serves
         let before = allocations();
-        rt.remap(&mut machine, 1, &keep, false);
+        remap(&mut rt, &mut machine, 1, &keep, false);
         assert_eq!(allocations(), before, "registry-hit remap {i} ->1 allocated");
         rt.set(&second, i as f64);
         solo.set(&second, i as f64);
         rt.plan_cache.remove(&(1, 0));
         let before = allocations();
-        rt.remap(&mut machine, 0, &keep, false);
+        remap(&mut rt, &mut machine, 0, &keep, false);
         assert_eq!(allocations(), before, "registry-hit remap {i} ->0 allocated");
-        solo.remap(&mut solo_machine, 1, &keep, false);
-        solo.remap(&mut solo_machine, 0, &keep, false);
+        remap(&mut solo, &mut solo_machine, 1, &keep, false);
+        remap(&mut solo, &mut solo_machine, 0, &keep, false);
     }
     // Every measured remap was really served by the registry...
     assert_eq!(machine.stats.registry_hits, hits + 20);
@@ -350,20 +362,20 @@ fn steady_state_remap_allocates_nothing() {
     // Warm up: both copies allocated, both directions' programs cached,
     // the snapshot scratch grown to both directions' run counts.
     for _ in 0..2 {
-        rt.remap(&mut machine, 1, &keep, false);
+        remap(&mut rt, &mut machine, 1, &keep, false);
         rt.set(&[0], 1.0);
-        rt.remap(&mut machine, 0, &keep, false);
+        remap(&mut rt, &mut machine, 0, &keep, false);
         rt.set(&[1], 1.0);
     }
     let performed = machine.stats.remaps_performed;
     for i in 0..10u64 {
         rt.set(&[0], i as f64); // outside the measured window
         let before = allocations();
-        rt.remap(&mut machine, 1, &keep, false);
+        remap(&mut rt, &mut machine, 1, &keep, false);
         assert_eq!(allocations(), before, "transactional remap {i} ->1 allocated");
         rt.set(&[1], i as f64);
         let before = allocations();
-        rt.remap(&mut machine, 0, &keep, false);
+        remap(&mut rt, &mut machine, 0, &keep, false);
         assert_eq!(allocations(), before, "transactional remap {i} ->0 allocated");
     }
     assert_eq!(machine.stats.remaps_performed, performed + 20, "every bounce moved data");
@@ -383,9 +395,9 @@ fn steady_state_remap_allocates_nothing() {
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     for _ in 0..2 {
-        rt.remap(&mut machine, 1, &keep, false);
+        remap(&mut rt, &mut machine, 1, &keep, false);
         rt.set(&[0], 1.0);
-        rt.remap(&mut machine, 0, &keep, false);
+        remap(&mut rt, &mut machine, 0, &keep, false);
         rt.set(&[1], 1.0);
     }
     // Pin the premise: the cached forward program really is family-only
@@ -408,11 +420,11 @@ fn steady_state_remap_allocates_nothing() {
     for i in 0..10u64 {
         rt.set(&[0], i as f64); // outside the measured window
         let before = allocations();
-        rt.remap(&mut machine, 1, &keep, false);
+        remap(&mut rt, &mut machine, 1, &keep, false);
         assert_eq!(allocations(), before, "strided-kernel remap {i} ->1 allocated");
         rt.set(&[1], i as f64);
         let before = allocations();
-        rt.remap(&mut machine, 0, &keep, false);
+        remap(&mut rt, &mut machine, 0, &keep, false);
         assert_eq!(allocations(), before, "strided-kernel remap {i} ->0 allocated");
     }
     assert_eq!(machine.stats.remaps_performed, performed + 20, "every bounce moved data");
@@ -442,9 +454,9 @@ fn steady_state_remap_allocates_nothing() {
     // Warm up: registers both format pairs and materializes their
     // instantiation points, grows scratch, seeds locals.
     for _ in 0..2 {
-        rt.remap(&mut machine, 1, &keep, false);
+        remap(&mut rt, &mut machine, 1, &keep, false);
         rt.set(&[0], 1.0);
-        rt.remap(&mut machine, 0, &keep, false);
+        remap(&mut rt, &mut machine, 0, &keep, false);
         rt.set(&[1], 1.0);
     }
     assert_eq!(
@@ -457,12 +469,12 @@ fn steady_state_remap_allocates_nothing() {
         rt.set(&[0], i as f64); // outside the measured window
         rt.plan_cache.remove(&(0, 1)); // evict: the symbolic table serves
         let before = allocations();
-        rt.remap(&mut machine, 1, &keep, false);
+        remap(&mut rt, &mut machine, 1, &keep, false);
         assert_eq!(allocations(), before, "symbolic-hit remap {i} ->1 allocated");
         rt.set(&[1], i as f64);
         rt.plan_cache.remove(&(1, 0));
         let before = allocations();
-        rt.remap(&mut machine, 0, &keep, false);
+        remap(&mut rt, &mut machine, 0, &keep, false);
         assert_eq!(allocations(), before, "symbolic-hit remap {i} ->0 allocated");
     }
     // Every measured remap was served by the symbolic table: a hit on
@@ -489,16 +501,16 @@ fn steady_state_remap_allocates_nothing() {
     let mut rt = ArrayRt::new("a", vec![src, dst], 8);
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     let (only0, only1): (BTreeSet<u32>, BTreeSet<u32>) = ([0u32].into(), [1u32].into());
-    rt.remap(&mut machine, 1, &only1, false);
-    rt.remap(&mut machine, 0, &only0, false);
+    remap(&mut rt, &mut machine, 1, &only1, false);
+    remap(&mut rt, &mut machine, 0, &only0, false);
     let performed = machine.stats.remaps_performed;
     let peak = machine.mem.peak.clone();
     for i in 0..10u64 {
         rt.set(&[i], -1.0);
         let before = allocations();
-        rt.remap(&mut machine, 1, &only1, false);
+        remap(&mut rt, &mut machine, 1, &only1, false);
         assert!(rt.copies[0].is_none(), "cleaning freed the source");
-        rt.remap(&mut machine, 0, &only0, false);
+        remap(&mut rt, &mut machine, 0, &only0, false);
         assert!(rt.copies[1].is_none(), "cleaning freed the source");
         assert_eq!(allocations(), before, "recycling bounce {i} allocated");
     }
@@ -544,4 +556,55 @@ fn steady_state_remap_allocates_nothing() {
             program.artifact_bytes()
         );
     }
+
+    // --- 12. A guarded group snapshots only what it will write. -------
+    // Two 512 KiB arrays under Checksums validation, one remap directive
+    // per hop: `a` is never written, so every hop of its is a live-copy
+    // reuse; `b` is written after every hop, so it moves data — the
+    // group's only mover. The rollback record of a member that moves no
+    // data is its status, live flags and allocation; the mover's is
+    // bounded by its program's destination runs. Neither is a clone of
+    // a destination copy.
+    let n = 1u64 << 16;
+    let src = mk(n, 4, DimFormat::Block(None));
+    let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
+    let mut machine = isolated().with_validation(hpfc_runtime::ValidationLevel::Checksums);
+    let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
+    let mut b = ArrayRt::new("b", vec![src.clone(), dst.clone()], 8);
+    a.current(&mut machine, 0).fill(|p| p[0] as f64);
+    b.current(&mut machine, 0).fill(|p| 2.0 * p[0] as f64);
+    let solo = |s: &_, d: &_| {
+        std::sync::Arc::new(PlannedRemap::compile(plan_redistribution(s, d, 8)))
+    };
+    let fwd = PlannedGroup::compile(vec![solo(&src, &dst), solo(&src, &dst)]);
+    let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
+    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    let skip = BTreeSet::new();
+    let hop = |machine: &mut Machine, a: &mut ArrayRt, b: &mut ArrayRt, i: u64| {
+        for (s, t, planned) in [(0u32, 1u32, &fwd), (1, 0, &back)] {
+            let mut members = [
+                GroupMember { rt: &mut *a, src: s, target: t, may_live: &keep, skip_if_current: &skip },
+                GroupMember { rt: &mut *b, src: s, target: t, may_live: &keep, skip_if_current: &skip },
+            ];
+            try_remap_group(machine, &mut members, planned).expect("a clean group hop");
+            b.set(&[i % n], i as f64);
+        }
+    };
+    for i in 0..2 {
+        hop(&mut machine, &mut a, &mut b, i);
+    }
+    let (reused, performed) = (machine.stats.remaps_reused_live, machine.stats.remaps_performed);
+    for i in 0..4u64 {
+        let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+        hop(&mut machine, &mut a, &mut b, i);
+        let allocated = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+        assert!(
+            allocated < n * 8,
+            "guarded group bounce pair {i} allocated {allocated} B, a destination copy is {} B",
+            n * 8
+        );
+    }
+    assert_eq!(machine.stats.remaps_reused_live, reused + 8, "a reused its live copy every hop");
+    assert_eq!(machine.stats.remaps_performed, performed + 8, "b moved data every hop");
+    assert_eq!(machine.stats.group_rollbacks, 0);
 }

@@ -10,8 +10,7 @@
 //! sequence is terminal (injected ladder exhaustion), the typed error
 //! comes with the destination rolled back — bytes, status, and live
 //! flags equal the pre-remap shadow, for solo and group remaps alike —
-//! and a pair that keeps failing repair is quarantined by the registry
-//! so later sessions skip straight to the table engine.
+//! and no fault ever rewrites an artifact a later session is served.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -21,18 +20,29 @@ use hpfc_mapping::{
     ProcGrid, Template, TemplateId,
 };
 use hpfc_runtime::{
-    plan_redistribution, remap_group, try_remap_group, ArrayRt, ExecError, FaultKind,
+    plan_redistribution, try_remap_group, ArrayRt, ExecError, FaultKind,
     FaultPlan, GroupMember, Machine, PlanRegistry, PlannedGroup, PlannedRemap, ValidationLevel,
 };
 use proptest::prelude::*;
+
+/// A remap that must succeed.
+fn remap(
+    rt: &mut ArrayRt,
+    machine: &mut Machine,
+    target: u32,
+    may_live: &BTreeSet<u32>,
+    values_dead: bool,
+) {
+    let skip = BTreeSet::new();
+    rt.try_remap_guarded(machine, target, may_live, values_dead, &skip).expect("remap");
+}
 
 fn mk1d(n: u64, p: u64, fmt: DimFormat) -> NormalizedMapping {
     hpfc_mapping::testing::mapping_1d(n, p, fmt)
 }
 
-/// A machine on a registry of its own: nothing another test registered,
-/// poisoned or quarantined in the process-wide one can reach it, so its
-/// counters are exact.
+/// A machine on a registry of its own: nothing another test registered
+/// in the process-wide one can reach it, so its counters are exact.
 fn isolated(nprocs: u64) -> Machine {
     Machine::new(nprocs).with_registry(Arc::new(PlanRegistry::new(2, 64)))
 }
@@ -74,7 +84,7 @@ fn bounce_and_oracle(machine: &mut Machine, rt: &mut ArrayRt, n: u64, bounces: u
     rt.current(machine, 0).fill(|p| p[0] as f64 + 1.0);
     let mut shadow: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
     for b in 0..bounces {
-        rt.remap(machine, 1 - (b % 2), &keep, false);
+        remap(rt, machine, 1 - (b % 2), &keep, false);
         let touched = (7 * b as u64 + 3) % n;
         rt.set(&[touched], 1000.0 + b as f64);
         shadow[touched as usize] = 1000.0 + b as f64;
@@ -129,16 +139,19 @@ fn corruption_at_moderate_rate_heals_by_retry() {
     assert_eq!(machine.stats.plans_computed, 0);
 }
 
-/// PoisonProgram at rate 100: every remap serves a corrupted cached
-/// program; the fingerprint catches it before any position is
-/// dereferenced, the program is recompiled from the cached plan, and
-/// the cache entry is repaired in place — all without planning.
+/// PoisonProgram at rate 100: every remap serves a corrupted copy of
+/// its cached program; the fingerprint catches it before any position
+/// is dereferenced and the program is recompiled from the cached plan
+/// for that one replay — all without planning. The cached artifacts
+/// themselves are never written: after the bounce each cache entry is
+/// the very `Arc` that was seeded.
 #[test]
 fn poisoned_cache_entries_are_recompiled_and_repaired() {
     let n = 4096u64;
     let mut machine = isolated(4)
         .with_faults(FaultPlan::new(17, 100, &[FaultKind::PoisonProgram]));
     let mut rt = seeded_array(n, 4);
+    let seeded = rt.plan_cache.clone();
     let shadow = bounce_and_oracle(&mut machine, &mut rt, n, 4);
     assert_matches_oracle(&rt, &shadow, "poison@100");
     assert_eq!(machine.stats.faults_injected, 4, "each remap's entry was poisoned");
@@ -149,23 +162,26 @@ fn poisoned_cache_entries_are_recompiled_and_repaired() {
     assert_eq!(machine.stats.fallbacks_to_tables, 0);
     assert_eq!(machine.stats.rounds_retried, 0, "a fresh program replays cleanly");
     assert_eq!(machine.stats.plans_computed, 0, "repair recompiles, it never re-plans");
+    for (pair, served) in &rt.plan_cache {
+        assert!(Arc::ptr_eq(served, &seeded[pair]), "cache entry {pair:?} was rewritten");
+    }
 }
 
-/// Poison under the shared plan registry: when a registered artifact is
-/// poisoned, the repair is installed registry-wide — exactly once — so
-/// a second session over the same pairs is never served the corrupt
-/// program. Session A registers both directions, takes one poisoned
-/// remap on the chin (fingerprint → recompile → repair → reinstall);
-/// session B, a fresh array and machine on the same registry, then
-/// executes on registry hits alone, recompiles nothing, and heals to
+/// Poison under the shared plan registry: a poisoned artifact is a
+/// transient copy for one replay, so nothing corrupt — and nothing
+/// recompiled — is ever registered. Session A registers both
+/// directions, takes one poisoned remap on the chin (fingerprint →
+/// recompile for that replay); session B, a fresh array and machine on
+/// the same registry, then executes on registry hits alone — served the
+/// very `Arc`s session A registered — recompiles nothing, and heals to
 /// its oracle.
 #[test]
-fn a_poisoned_registry_entry_heals_once_and_never_reaches_a_second_session() {
+fn a_poisoned_replay_leaves_the_registry_untouched_for_a_second_session() {
     let n = 4096u64;
     let (block, cyclic3) = (DimFormat::Block(None), DimFormat::Cyclic(Some(3)));
     // Wherever the shape makes the two entries land — the symbolic
     // per-format-pair table, or the concrete per-mapping-pair shards
-    // for a pair the symbolic layer declines — the repair is the same.
+    // for a pair the symbolic layer declines — the outcome is the same.
     let shapes = [
         (mk1d(n, 4, block), mk1d(n, 4, cyclic3), (0, 2)),
         (mk_replicated(n, block), mk_replicated(n, cyclic3), (2, 0)),
@@ -181,31 +197,29 @@ fn a_poisoned_registry_entry_heals_once_and_never_reaches_a_second_session() {
         let shadow_a = bounce_and_oracle(&mut ma, &mut a, n, 2);
         assert_eq!(ma.stats.plans_computed, 2, "A planned both directions");
         assert_eq!((registry.len(), registry.sym_len()), landed);
+        let registered = a.plan_cache.clone();
 
-        // One poisoned remap: the corrupt artifact transits the registry
-        // (installed so corruption is visible registry-wide, like a real
-        // shared-cache fault), is caught by the fingerprint, and the
-        // repaired program is reinstalled over it.
+        // One poisoned remap: the corrupt copy is caught by the
+        // fingerprint and a recompiled program serves that replay.
         ma = ma.with_faults(FaultPlan::new(41, 100, &[FaultKind::PoisonProgram]));
-        a.remap(&mut ma, 1, &keep, false);
+        a.try_remap_guarded(&mut ma, 1, &keep, false, &BTreeSet::new()).expect("heals");
         assert_matches_oracle(&a, &shadow_a, "session A after poison");
         assert_eq!(ma.stats.faults_injected, 1, "exactly one poisoning");
-        assert_eq!(ma.stats.programs_recompiled, 1, "repaired exactly once");
+        assert_eq!(ma.stats.programs_recompiled, 1, "recompiled exactly once");
 
         // Session B: fresh machine + fresh array, same registry, no faults.
         let mut mb = Machine::new(4)
             .with_registry(Arc::clone(&registry));
         let mut b = ArrayRt::new("b", vec![src, dst], 8);
         let shadow_b = bounce_and_oracle(&mut mb, &mut b, n, 4);
-        assert_matches_oracle(&b, &shadow_b, "session B over the repaired registry");
+        assert_matches_oracle(&b, &shadow_b, "session B over the registry");
         assert_eq!(mb.stats.plans_computed, 0, "B is served by the registry");
         assert_eq!((mb.stats.registry_misses, mb.stats.registry_hits), (0, 2), "{:?}", mb.stats);
         assert_eq!(mb.stats.faults_injected, 0);
-        assert_eq!(
-            ma.stats.programs_recompiled + mb.stats.programs_recompiled,
-            1,
-            "one poisoning, one repair, process-wide — B never saw the corrupt program"
-        );
+        assert_eq!(mb.stats.programs_recompiled, 0, "B never saw the corrupt program");
+        for (pair, served) in &b.plan_cache {
+            assert!(Arc::ptr_eq(served, &registered[pair]), "B was served a rewritten {pair:?}");
+        }
     }
 }
 
@@ -286,7 +300,8 @@ fn group_remaps_heal_under_chaos() {
                 GroupMember { rt: &mut a, src: s, target: t, may_live: &keep, skip_if_current: &skip },
                 GroupMember { rt: &mut b, src: s, target: t, may_live: &keep, skip_if_current: &skip },
             ];
-            let coalesced = remap_group(&mut machine, &mut members, if s == 0 { &fwd } else { &back });
+            let planned = if s == 0 { &fwd } else { &back };
+            let coalesced = try_remap_group(&mut machine, &mut members, planned).expect("group remap");
             assert_eq!(coalesced, 2, "both arrays moved together");
             a.set(&[0], 50.0 + bounce as f64);
             b.set(&[1], 70.0 + bounce as f64);
@@ -326,7 +341,7 @@ fn unrecoverable_paths_return_typed_errors() {
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     // Sabotage: drop the source copy behind the status tag.
     rt.free_copy(&mut machine, 0);
-    let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
+    let err = rt.try_remap_guarded(&mut machine, 1, &keep, false, &BTreeSet::new()).unwrap_err();
     assert_eq!(err, ExecError::MissingCopy { array: "a".into(), version: 0 });
     assert!(err.to_string().contains("version 0"));
 
@@ -376,7 +391,8 @@ fn a_missing_source_copy_fails_before_anything_is_billed() {
         let (stats, mem) = (machine.stats, machine.mem.current.clone());
         let missing = ExecError::MissingCopy { array: "a".into(), version: 0 };
 
-        assert_eq!(a.try_remap(&mut machine, 1, &keep, false), Err(missing.clone()));
+        let solo = a.try_remap_guarded(&mut machine, 1, &keep, false, &skip);
+        assert_eq!(solo, Err(missing.clone()));
         assert_eq!(machine.stats, stats, "solo: nothing was billed ({validation:?})");
         assert_eq!(machine.mem.current, mem, "solo: nothing was allocated ({validation:?})");
         assert!(a.copies[1].is_none() && a.status == Some(0) && !a.live[1]);
@@ -464,7 +480,7 @@ fn fault_sites_are_pinned_for_solo_and_group_bounces() {
                 GroupMember { rt: &mut b, src: s, target: t, may_live: &keep, skip_if_current: &skip },
             ];
             let planned = if s == 0 { &fwd } else { &back };
-            assert_eq!(remap_group(&mut two, &mut members, planned), 2);
+            assert_eq!(try_remap_group(&mut two, &mut members, planned).expect("group remap"), 2);
             a.set(&[0], 50.0 + bounce as f64);
             b.set(&[1], 70.0 + bounce as f64);
         }
@@ -473,6 +489,35 @@ fn fault_sites_are_pinned_for_solo_and_group_bounces() {
             assert_eq!(b.get(&[i]), if i == 1 { 75.0 } else { 2.0 * i as f64 }, "b[{i}]");
         }
         assert_eq!(counters(&two), want[1], "group {faults:?}");
+
+        // A group of one books what a solo remap books: the same bounce
+        // through the group entry, one member per directive.
+        let mut lone = machine();
+        let fwd = PlannedGroup::compile(vec![solo(&src, &dst)]);
+        let back = PlannedGroup::compile(vec![solo(&dst, &src)]);
+        let mut g = ArrayRt::new("g", vec![src.clone(), dst.clone()], 8);
+        g.current(&mut lone, 0).fill(|p| p[0] as f64 + 1.0);
+        let mut shadow_g: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
+        for b in 0..6u32 {
+            let (s, t) = if b % 2 == 0 { (0u32, 1u32) } else { (1, 0) };
+            let mut members =
+                [GroupMember { rt: &mut g, src: s, target: t, may_live: &keep, skip_if_current: &skip }];
+            try_remap_group(&mut lone, &mut members, if s == 0 { &fwd } else { &back })
+                .expect("a group of one heals like a solo remap");
+            let touched = (7 * b as u64 + 3) % n;
+            g.set(&[touched], 1000.0 + b as f64);
+            shadow_g[touched as usize] = 1000.0 + b as f64;
+        }
+        assert_eq!(shadow_g, shadow, "the one-member bounce writes what the solo bounce writes");
+        assert_matches_oracle(&g, &shadow, "pinned group-of-one bounce");
+        assert_eq!(counters(&lone), want[0], "group of one {faults:?}");
+        let books = |m: &Machine| {
+            let s = &m.stats;
+            (s.bytes, s.messages, s.time_us.to_bits(), s.remaps_performed, s.local_elements)
+        };
+        assert_eq!(books(&lone), books(&one), "group of one books the solo wire {faults:?}");
+        assert_eq!((one.stats.bytes, one.stats.messages), (9_437_088, 72), "solo wire {faults:?}");
+        assert_eq!(lone.stats.plans_computed, 0, "the group's artifacts were seeded");
     }
 }
 
@@ -484,6 +529,7 @@ fn fault_sites_are_pinned_for_solo_and_group_bounces() {
 fn exhaustion_rolls_a_solo_remap_back_to_its_pre_remap_state() {
     let n = 4096u64;
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    let skip = BTreeSet::new();
     for seeded in [true, false] {
         let mut machine = isolated(4);
         // Plan through pre-seeded per-array caches, or through the
@@ -505,7 +551,7 @@ fn exhaustion_rolls_a_solo_remap_back_to_its_pre_remap_state() {
         machine = machine.with_faults(FaultPlan::new(97, 100, &[FaultKind::Exhaust]));
 
         // Preallocated destination: the rollback restores its bytes.
-        let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
+        let err = rt.try_remap_guarded(&mut machine, 1, &keep, false, &skip).unwrap_err();
         assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
         assert_eq!(machine.stats.txn_rollbacks, 1, "seeded={seeded}");
         assert_eq!(rt.status, pre.0, "status restored");
@@ -516,7 +562,7 @@ fn exhaustion_rolls_a_solo_remap_back_to_its_pre_remap_state() {
         // Fresh destination: the rollback frees the just-allocated copy.
         rt.free_copy(&mut machine, 1);
         let pre = (rt.status, rt.live.clone(), rt.copies.clone());
-        let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
+        let err = rt.try_remap_guarded(&mut machine, 1, &keep, false, &skip).unwrap_err();
         assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
         assert_eq!(machine.stats.txn_rollbacks, 2);
         assert!(rt.copies[1].is_none(), "the fresh destination copy was freed");
@@ -525,7 +571,7 @@ fn exhaustion_rolls_a_solo_remap_back_to_its_pre_remap_state() {
         // The array is fully usable afterwards: drop the faults and
         // the same remap completes to the oracle.
         machine.faults = None;
-        rt.remap(&mut machine, 1, &keep, false);
+        remap(&mut rt, &mut machine, 1, &keep, false);
         assert_matches_oracle(&rt, &shadow, "remap after rollback");
     }
 }
@@ -563,7 +609,7 @@ fn exhaustion_rolls_back_strided_kernel_destinations_byte_identically() {
     assert!(rt.copies[1].is_some(), "v1 stays allocated (stale)");
     let pre = (rt.status, rt.live.clone(), rt.copies.clone());
     machine = machine.with_faults(FaultPlan::new(97, 100, &[FaultKind::Exhaust]));
-    let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
+    let err = rt.try_remap_guarded(&mut machine, 1, &keep, false, &BTreeSet::new()).unwrap_err();
     assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
     assert_eq!(machine.stats.txn_rollbacks, 1);
     assert_eq!(rt.status, pre.0, "status restored");
@@ -575,7 +621,7 @@ fn exhaustion_rolls_back_strided_kernel_destinations_byte_identically() {
     assert_matches_oracle(&rt, &shadow, "contents after strided rollback");
     // And the array heals: without faults the same remap completes.
     machine.faults = None;
-    rt.remap(&mut machine, 1, &keep, false);
+    remap(&mut rt, &mut machine, 1, &keep, false);
     assert_matches_oracle(&rt, &shadow, "remap after strided rollback");
     assert_eq!(machine.stats.plans_computed, 0, "seeded caches: recovery never plans");
 }
@@ -598,7 +644,7 @@ fn transactions_off_leaves_the_partial_write_behind() {
     let shadow: Vec<f64> = (0..n).map(|i| 5000.0 + i as f64).collect();
     let pre_copies = rt.copies.clone();
     machine = machine.with_faults(FaultPlan::new(97, 100, &[FaultKind::Exhaust]));
-    let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
+    let err = rt.try_remap_guarded(&mut machine, 1, &keep, false, &BTreeSet::new()).unwrap_err();
     assert!(matches!(err, ExecError::Unrecovered { .. }));
     assert_eq!(machine.stats.txn_rollbacks, 1);
     assert_eq!(rt.copies, pre_copies, "transaction restored the stale destination");
@@ -634,7 +680,7 @@ fn exhaustion_rolls_a_coalesced_group_back_atomically() {
             GroupMember { rt: &mut a, src: s, target: t, may_live: &keep, skip_if_current: &skip },
             GroupMember { rt: &mut b, src: s, target: t, may_live: &keep, skip_if_current: &skip },
         ];
-        assert_eq!(remap_group(&mut machine, &mut members, planned), 2);
+        assert_eq!(try_remap_group(&mut machine, &mut members, planned).expect("group remap"), 2);
         a.set(&[0], 90.0 + t as f64);
         b.set(&[1], 80.0 + t as f64);
     }
@@ -659,7 +705,7 @@ fn exhaustion_rolls_a_coalesced_group_back_atomically() {
         GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
         GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
     ];
-    assert_eq!(remap_group(&mut machine, &mut members, &fwd), 2);
+    assert_eq!(try_remap_group(&mut machine, &mut members, &fwd).expect("group remap"), 2);
     for i in 0..n {
         let want_a = if i == 0 { 90.0 } else { i as f64 };
         let want_b = if i == 1 { 80.0 } else { 2.0 * i as f64 };
@@ -668,7 +714,7 @@ fn exhaustion_rolls_a_coalesced_group_back_atomically() {
     }
 }
 
-/// Group atomicity on the solo-fallback path: a member that already
+/// Group atomicity below two movers: a member that already
 /// committed cheaply (live-copy reuse — no replay at all) is
 /// un-committed when a later sibling's ladder exhausts, so the group
 /// still commits all members or none.
@@ -690,16 +736,16 @@ fn a_failing_member_uncommits_its_already_replayed_sibling() {
     b.current(&mut machine, 0).fill(|p| 2.0 * p[0] as f64);
     // a: remap 0->1 with no write afterwards — both copies stay live,
     // so its way back is a live-copy reuse (commits without replaying).
-    a.remap(&mut machine, 1, &keep, false);
+    remap(&mut a, &mut machine, 1, &keep, false);
     assert!(a.live[0] && a.live[1]);
     // b: remap 0->1 then write — its way back must move data.
-    b.remap(&mut machine, 1, &keep, false);
+    remap(&mut b, &mut machine, 1, &keep, false);
     b.set(&[5], 123.0);
     assert!(!b.live[0]);
     let pre_a = (a.status, a.live.clone(), a.copies.clone());
     let pre_b = (b.status, b.live.clone(), b.copies.clone());
     machine = machine.with_faults(FaultPlan::new(97, 100, &[FaultKind::Exhaust]));
-    // One mover (b) => the group takes the solo-fallback path: a
+    // One mover (b) => it runs as a group of one: a
     // commits first by live-copy reuse, then b's ladder exhausts.
     let err = {
         let mut members = [
@@ -747,47 +793,6 @@ fn a_contained_compile_panic_still_heals_to_the_oracle() {
     assert_eq!(registry.len(), 2, "the clean recompiles were published");
     assert_eq!(machine.stats.lock_poison_recoveries, 0, "no lock was ever poisoned");
     assert_eq!(machine.stats.txn_rollbacks, 0, "nothing terminal happened");
-}
-
-/// The quarantine ladder end to end: a pair whose artifact keeps
-/// failing repair (three poisonings) is quarantined registry-wide; a
-/// second session over the same pairs is served program-stripped
-/// artifacts as registry hits and skips straight to the table engine —
-/// zero retries, zero recompiles billed.
-#[test]
-fn a_quarantined_pair_serves_the_table_engine_in_the_next_session() {
-    let n = 4096u64;
-    let registry = Arc::new(PlanRegistry::new(2, 64));
-    let src = mk1d(n, 4, DimFormat::Block(None));
-    let dst = mk1d(n, 4, DimFormat::Cyclic(Some(3)));
-
-    // Session A: every served program is poisoned. Each direction's
-    // first remap compiles (nothing cached to poison yet); the next
-    // three are poisoned, caught by the fingerprint, and repaired —
-    // the third strike crosses QUARANTINE_THRESHOLD.
-    let mut ma = Machine::new(4)
-        .with_registry(Arc::clone(&registry))
-        .with_faults(FaultPlan::new(41, 100, &[FaultKind::PoisonProgram]));
-    let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
-    let shadow_a = bounce_and_oracle(&mut ma, &mut a, n, 8);
-    assert_matches_oracle(&a, &shadow_a, "session A under poison");
-    assert_eq!(ma.stats.programs_recompiled, 6, "3 repairs per direction");
-    assert_eq!(ma.stats.quarantined_pairs, 2, "both directions crossed the threshold");
-    assert_eq!(registry.quarantined(), 2);
-    assert!(registry.is_quarantined(&src, &dst, 8));
-    assert!(registry.is_quarantined(&dst, &src, 8));
-
-    // Session B: fresh machine and array, same registry, no faults.
-    let mut mb =
-        Machine::new(4).with_registry(Arc::clone(&registry));
-    let mut b = ArrayRt::new("b", vec![src, dst], 8);
-    let shadow_b = bounce_and_oracle(&mut mb, &mut b, n, 4);
-    assert_matches_oracle(&b, &shadow_b, "session B over quarantined pairs");
-    assert_eq!(mb.stats.plans_computed, 0, "stripped artifacts are served as hits");
-    assert_eq!(mb.stats.registry_hits, 2);
-    assert_eq!(mb.stats.fallbacks_to_tables, 4, "every data-moving remap on tables");
-    assert_eq!(mb.stats.rounds_retried, 0, "zero retries billed");
-    assert_eq!(mb.stats.programs_recompiled, 0, "no doomed recompiles billed");
 }
 
 /// One drawn mapping configuration (alignment + distribution
@@ -886,7 +891,8 @@ proptest! {
         let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
         for b in 0..3u32 {
             let before = machine.stats.txn_rollbacks;
-            if let Err(e) = rt.try_remap(&mut machine, 1 - (b % 2), &keep, false) {
+            let hop = rt.try_remap_guarded(&mut machine, 1 - (b % 2), &keep, false, &BTreeSet::new());
+            if let Err(e) = hop {
                 // Injected ladder exhaustion: the error is typed
                 // and the transaction rolled the destination back,
                 // so the array still matches the shadow below.
@@ -943,7 +949,7 @@ proptest! {
         rt.current(&mut machine, 0).fill(|p| (p[0] * 31 + p[1] * 7 + 1) as f64);
         let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
         let pre = (rt.status, rt.live.clone(), rt.copies.clone());
-        match rt.try_remap(&mut machine, 1, &keep, false) {
+        match rt.try_remap_guarded(&mut machine, 1, &keep, false, &BTreeSet::new()) {
             Ok(()) => {
                 prop_assert_eq!(machine.stats.txn_rollbacks, 0);
             }

@@ -85,6 +85,13 @@ impl Session {
         Session { machine, a, b, recycle }
     }
 
+    /// Remap array `a`; every remap of the differential must succeed.
+    fn remap_a(&mut self, target: u32, may_live: &BTreeSet<u32>, values_dead: bool) {
+        let skip = BTreeSet::new();
+        let machine = &mut self.machine;
+        self.a.try_remap_guarded(machine, target, may_live, values_dead, &skip).expect("remap");
+    }
+
     /// Everything an observer of the arrays and the machine can see.
     fn observe(&self) -> Observation {
         let values = |rt: &ArrayRt| -> Vec<f64> {
@@ -157,19 +164,19 @@ fn recycled_storage_is_indistinguishable_from_fresh() {
             // The bounce whose cleaning frees the source: the second
             // leg lands in a recycled, un-zeroed buffer.
             both(&ctx, "remap 0->1, clean 0", pair, |s| {
-                s.a.remap(&mut s.machine, 1, &set_of(&[1]), false)
+                s.remap_a(1, &set_of(&[1]), false)
             });
             both(&ctx, "write", pair, |s| {
                 s.a.set(&[3], 99.0);
                 s.a.set(&[N - 1], 77.0);
             });
             both(&ctx, "remap 1->0 into recycled v0", pair, |s| {
-                s.a.remap(&mut s.machine, 0, &set_of(&[0]), false)
+                s.remap_a(0, &set_of(&[0]), false)
             });
             // Dead values: nothing is copied, so the recycled buffer
             // must have been zeroed.
             both(&ctx, "dead-values remap into recycled v1", pair, |s| {
-                s.a.remap(&mut s.machine, 1, &set_of(&[1]), true)
+                s.remap_a(1, &set_of(&[1]), true)
             });
             assert!(
                 pair[0].observe().values[0].iter().all(|&x| x == 0.0),
@@ -182,44 +189,46 @@ fn recycled_storage_is_indistinguishable_from_fresh() {
             // A third version: a fresh allocation, which releases
             // what is parked.
             both(&ctx, "remap 1->2, clean 1", pair, |s| {
-                s.a.remap(&mut s.machine, 2, &set_of(&[2]), false)
+                s.remap_a(2, &set_of(&[2]), false)
             });
             both(&ctx, "remap 2->0, keep 2", pair, |s| {
-                s.a.remap(&mut s.machine, 0, &set_of(&[0, 2]), false)
+                s.remap_a(0, &set_of(&[0, 2]), false)
             });
             both(&ctx, "restore 2 (live reuse)", pair, |s| {
-                s.a.restore(&mut s.machine, 2, &set_of(&[0, 2]), false)
+                s.a.try_restore(&mut s.machine, 2, &set_of(&[0, 2]), false).expect("restore")
             });
             both(&ctx, "write, restore 0", pair, |s| {
                 s.a.set(&[5], -5.0);
-                s.a.restore(&mut s.machine, 0, &set_of(&[0, 2]), false)
+                s.a.try_restore(&mut s.machine, 0, &set_of(&[0, 2]), false).expect("restore")
             });
             both(&ctx, "evict 2, regenerate", pair, |s| {
                 assert!(s.a.evict(&mut s.machine, 2));
-                s.a.remap(&mut s.machine, 2, &set_of(&[2]), false)
+                s.remap_a(2, &set_of(&[2]), false)
             });
             // Guarded remaps under forced ladder exhaustion: first
             // into a fresh destination (the rollback frees it again),
             // then into a preallocated one (its bytes are restored).
             both(&ctx, "rollback of a fresh destination", pair, |s| {
                 s.machine.faults = Some(FaultPlan::new(97, 100, &[FaultKind::Exhaust]));
-                let err = s.a.try_remap(&mut s.machine, 1, &set_of(&[1]), false);
+                let skip = BTreeSet::new();
+                let err = s.a.try_remap_guarded(&mut s.machine, 1, &set_of(&[1]), false, &skip);
                 assert!(matches!(err, Err(ExecError::Unrecovered { .. })));
                 assert_eq!(s.a.status, Some(2));
                 s.machine.faults = None;
             });
             both(&ctx, "remap 2->1, keep 2", pair, |s| {
-                s.a.remap(&mut s.machine, 1, &set_of(&[1, 2]), false);
+                s.remap_a(1, &set_of(&[1, 2]), false);
                 s.a.set(&[11], 11.5);
             });
             both(&ctx, "rollback of a preallocated destination", pair, |s| {
                 s.machine.faults = Some(FaultPlan::new(98, 100, &[FaultKind::Exhaust]));
-                let err = s.a.try_remap(&mut s.machine, 2, &set_of(&[2]), false);
+                let skip = BTreeSet::new();
+                let err = s.a.try_remap_guarded(&mut s.machine, 2, &set_of(&[2]), false, &skip);
                 assert!(matches!(err, Err(ExecError::Unrecovered { .. })));
                 s.machine.faults = None;
             });
             both(&ctx, "remap 1->0, clean all", pair, |s| {
-                s.a.remap(&mut s.machine, 0, &set_of(&[0]), false)
+                s.remap_a(0, &set_of(&[0]), false)
             });
             // Group bounce: both members' targets are claimed from
             // parked storage by their member programs.

@@ -12,6 +12,18 @@ use std::sync::Arc;
 use hpfc_mapping::{DimFormat, NormalizedMapping};
 use hpfc_runtime::{ArrayRt, Machine, NetStats, PlanRegistry};
 
+/// A remap that must succeed.
+fn remap(
+    rt: &mut ArrayRt,
+    machine: &mut Machine,
+    target: u32,
+    may_live: &BTreeSet<u32>,
+    values_dead: bool,
+) {
+    let skip = BTreeSet::new();
+    rt.try_remap_guarded(machine, target, may_live, values_dead, &skip).expect("remap");
+}
+
 fn mk1d(n: u64, p: u64, fmt: DimFormat) -> NormalizedMapping {
     hpfc_mapping::testing::mapping_1d(n, p, fmt)
 }
@@ -86,7 +98,7 @@ fn run_session(
     let mut shadow: Vec<f64> = (0..n).map(|i| (3 * i + 11) as f64).collect();
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     for b in 0..bounces {
-        rt.remap(&mut machine, 1 - (b % 2), &keep, false);
+        remap(&mut rt, &mut machine, 1 - (b % 2), &keep, false);
         let touched = (13 * b as u64 + 5) % n;
         rt.set(&point(touched), 9000.0 + b as f64);
         shadow[touched as usize] = 9000.0 + b as f64;

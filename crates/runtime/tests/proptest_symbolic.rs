@@ -23,6 +23,18 @@ use hpfc_runtime::{
     SymbolicPlan, VersionData,
 };
 
+/// A remap that must succeed.
+fn remap(
+    rt: &mut ArrayRt,
+    machine: &mut Machine,
+    target: u32,
+    may_live: &BTreeSet<u32>,
+    values_dead: bool,
+) {
+    let skip = BTreeSet::new();
+    rt.try_remap_guarded(machine, target, may_live, values_dead, &skip).expect("remap");
+}
+
 /// The conformance grid of processor counts: small primes, powers of
 /// two, composites, and the P = 16 → 64 re-provisioning endpoints.
 const PS: [u64; 7] = [2, 3, 4, 7, 8, 16, 64];
@@ -173,7 +185,7 @@ fn fleet_member(
     let mut shadow: Vec<f64> = (0..n).map(|i| (3 * i + 11) as f64).collect();
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     for b in 0..bounces {
-        rt.remap(&mut machine, 1 - (b % 2), &keep, false);
+        remap(&mut rt, &mut machine, 1 - (b % 2), &keep, false);
         let touched = (13 * b as u64 + 5) % n;
         rt.set(&[touched], 9000.0 + b as f64);
         shadow[touched as usize] = 9000.0 + b as f64;

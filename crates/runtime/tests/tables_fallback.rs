@@ -18,6 +18,18 @@ use hpfc_runtime::{
     PlannedRemap, ValidationLevel,
 };
 
+/// A remap that must succeed.
+fn remap(
+    rt: &mut ArrayRt,
+    machine: &mut Machine,
+    target: u32,
+    may_live: &BTreeSet<u32>,
+    values_dead: bool,
+) {
+    let skip = BTreeSet::new();
+    rt.try_remap_guarded(machine, target, may_live, values_dead, &skip).expect("remap");
+}
+
 /// A rank-0 scalar pinned to template cell `c` of a 1-D template over
 /// `p` processors — different cells land on different owners, so a
 /// remap between two such mappings really moves the value.
@@ -58,10 +70,10 @@ fn rank0_remap_moves_data_through_the_table_engine() {
         // Bounce a few times; every data-moving remap is a table
         // fallback (there is no program to replay), on the fast path
         // (`Off`) and the guarded path (`Counts`/`Checksums`) alike.
-        rt.remap(&mut machine, 1, &keep, false);
+        remap(&mut rt, &mut machine, 1, &keep, false);
         assert_eq!(rt.get(&[]), 42.0, "value survived the hop ({validation:?})");
         rt.set(&[], 7.0);
-        rt.remap(&mut machine, 0, &keep, false);
+        remap(&mut rt, &mut machine, 0, &keep, false);
         assert_eq!(rt.get(&[]), 7.0, "value survived the hop back ({validation:?})");
         assert_eq!(machine.stats.fallbacks_to_tables, 2, "every move fell back ({validation:?})");
         assert_eq!(machine.stats.remaps_performed, 2);
