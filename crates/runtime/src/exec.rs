@@ -1,8 +1,8 @@
 //! Compiled copy programs: the data-movement half of a remap, resolved
 //! once at plan time into stride-encoded run families
 //! ([`StrideFamily`]) plus an irregular residue of flat
-//! `(src_pos, dst_pos, len)` triples, each unit tagged with the replay
-//! [`Kernel`] its shape compiles to. This module is the *artifact* —
+//! `(src_pos, dst_pos, len)` triples, each unit labelled with the
+//! [`Kernel`] shape it compiles to. This module is the *artifact* —
 //! its encoding, its compilation, its fingerprint; the one interpreter
 //! that replays it (allocation-free and serial on every `Machine`) is
 //! the crate's `replay` module.
@@ -36,11 +36,13 @@
 //!   sides), which is the smaller artifact — grouped into
 //!   per-(provider, receiver) [`CopyUnit`]s;
 //! * **replay** ([`crate::VersionData::copy_values_from_program`],
-//!   every later copy): a loop of
-//!   `copy_from_slice` over the precompiled triples. No positions are
-//!   recomputed, nothing is allocated — the steady-state remap path
-//!   performs zero heap allocations (pinned by the counting-allocator
-//!   test `alloc_free.rs`).
+//!   every later copy): every family and residual triple goes through
+//!   one run kernel, whose loop is picked once per family from the run
+//!   width — fixed-size moves for runs of 1, 2, 4 and 8 words,
+//!   `copy_from_slice` for any other. No positions are recomputed,
+//!   nothing is allocated — the steady-state remap path performs zero
+//!   heap allocations (pinned by the counting-allocator test
+//!   `alloc_free.rs`).
 //!
 //! # Rounds
 //!
@@ -125,33 +127,32 @@ pub struct StrideFamily {
     pub len: u32,
 }
 
-/// Which replay loop a [`CopyUnit`] dispatches to — chosen once at
-/// compile time from the shape of the unit's encoded runs, so the
-/// steady-state replay pays zero per-run classification.
+/// The shape of a [`CopyUnit`]'s encoded runs — a label stamped at
+/// compile time, covered by the fingerprint and reported by traces.
+/// Replay does not dispatch on it: every unit's families and residual
+/// triples go through one run kernel, which picks its loop once per
+/// family (or triple) from the run width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// Exactly one contiguous residual run: a single
-    /// `copy_from_slice` (memcpy) moves the whole unit.
+    /// Exactly one contiguous residual run: the whole unit is one copy.
     Memcpy,
     /// Families only, every run one element long (the cyclic(1)
-    /// shape): a tight scalar gather/scatter loop, no slice machinery.
+    /// shape): a gather/scatter of single words.
     Gather,
-    /// Families only, general run length: a blocked strided loop of
-    /// `copy_from_slice` per run.
+    /// Families only, general run length.
     Strided,
-    /// Residual triples only (or an empty unit): the flat triple loop.
+    /// Residual triples only (or an empty unit).
     Triples,
-    /// Both families and residual triples: strided loop then triples.
+    /// Both families and residual triples.
     Mixed,
 }
 
 /// All runs of one (provider, receiver) pair: `fams` and `runs` are
 /// half-open index ranges into [`CopyProgram::fams`] /
-/// [`CopyProgram::runs`], and `kernel` picks the replay loop compiled
-/// for their shape. Local units have `provider == receiver` (the
-/// receiver already holds the elements under the source mapping);
-/// remote units correspond one-to-one to the schedule's packed
-/// messages.
+/// [`CopyProgram::runs`], and `kernel` labels their shape. Local units
+/// have `provider == receiver` (the receiver already holds the elements
+/// under the source mapping); remote units correspond one-to-one to the
+/// schedule's packed messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CopyUnit {
     /// Rank whose *source-version* block is read.
@@ -162,7 +163,7 @@ pub struct CopyUnit {
     pub fams: (u32, u32),
     /// Half-open range into the program's residual flat run list.
     pub runs: (u32, u32),
-    /// Replay kernel chosen at compile time for this unit's shape.
+    /// The shape label chosen at compile time (not read by replay).
     pub kernel: Kernel,
     /// Total elements this unit moves (the load-balancing weight).
     pub elements: u64,
@@ -923,12 +924,11 @@ fn thread_serial_order(
     Ok((next, receiver_major))
 }
 
-/// Pick the replay kernel for one unit's encoded runs — decided once
-/// at compile time so replay pays zero per-run classification.
+/// Label the shape of one unit's encoded runs.
 fn choose_kernel(fams: &[StrideFamily], runs: &[CopyRun]) -> Kernel {
     match (fams.is_empty(), runs.is_empty()) {
         // A unit-stride span coalesces to a single residual triple:
-        // the whole unit is one memcpy.
+        // the whole unit is one copy.
         (true, false) if runs.len() == 1 => Kernel::Memcpy,
         (true, _) => Kernel::Triples,
         (false, true) if fams.iter().all(|f| f.len == 1) => Kernel::Gather,
@@ -1271,7 +1271,7 @@ mod tests {
     #[test]
     fn kernels_match_unit_shapes() {
         // Block-cyclic destination: equal-length runs on a constant
-        // stride — every unit compiles to the blocked strided kernel.
+        // stride — every unit is labelled strided.
         let src = mk(4096, 4, DimFormat::Block(None));
         let dst = mk(4096, 4, DimFormat::Cyclic(Some(8)));
         let (_, prog) = compiled(&src, &dst);

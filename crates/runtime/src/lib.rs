@@ -20,10 +20,12 @@
 //!   per-dimension interval descriptors, ordered into contention-free
 //!   caterpillar rounds that [`machine::Machine::account_schedule`]
 //!   costs round by round;
-//! * [`exec::CopyProgram`] — the schedule's data movement compiled to
-//!   flat `(src_pos, dst_pos, len)` triples at plan time, replayed
-//!   allocation-free and serially by every remap (a bare copy may ask
-//!   for per-round worker threads, [`exec::ExecMode`]);
+//! * [`exec::CopyProgram`] — the schedule's data movement compiled at
+//!   plan time to stride families plus residual `(src_pos, dst_pos,
+//!   len)` triples, replayed allocation-free and serially by every
+//!   remap through one run kernel whose loop is picked per family from
+//!   the run width (a bare copy may ask for per-round worker threads,
+//!   [`exec::ExecMode`]);
 //! * [`group::PlannedGroup`] — several arrays remapped by one directive
 //!   (Fig. 3 template impact) merged into one aggregated schedule:
 //!   same-pair messages share rounds and wire buffers
@@ -78,6 +80,7 @@ pub mod machine;
 pub mod redist;
 pub mod registry;
 mod replay;
+mod runs;
 pub mod schedule;
 pub mod status;
 pub mod store;

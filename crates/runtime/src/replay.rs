@@ -31,9 +31,10 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use crate::exec::{CopyProgram, CopyRun, CopyUnit, Kernel, StrideFamily};
+use crate::exec::{CopyProgram, CopyUnit};
 use crate::fault::{poison_program, run_round_ladder, ExecError, FaultKind, RoundCtx};
 use crate::machine::Machine;
+use crate::runs::{unit_sets, RunSet};
 use crate::status::PlannedRemap;
 use crate::store::{LocalBlock, VersionData};
 
@@ -119,11 +120,13 @@ pub(crate) fn replay(progs: &[CopyProgram], lanes: &mut Lanes<'_>) {
 /// list (lanes in order, units in program order): a drop replays none
 /// of it, a truncation its first half, and corruption picks its victim
 /// by global index — so a fault can land on any lane, exactly like a
-/// fault on the shared wire buffer. One pass copies each unit, scribbles
-/// the victim, sums the words read and written and tallies what each
-/// lane received (units of a round write disjoint words of versions
-/// they do not read, so checking a unit right after its copy is the
-/// same as checking the whole round after it). Returns the elements
+/// fault on the shared wire buffer. One pass copies each unit — under
+/// checksums summing the words it reads as it copies them, the way a
+/// sender sums what it sends — scribbles the victim, sums the words
+/// written back out of destination memory and tallies what each lane
+/// received (units of a round write disjoint words of versions they do
+/// not read, so checking a unit right after its copy is the same as
+/// checking the whole round after it). Returns the elements
 /// replayed, or `None` when the checksums disagree or the copy
 /// panicked; `delivered` receives the attempt's `(runs, bytes)`.
 fn replay_round(
@@ -154,7 +157,12 @@ fn replay_round(
                 let mut elements = 0u64;
                 for unit in head(units_of(prog, round), &mut left) {
                     let (src_block, dst_block) = blocks_of(unit, lane.src, lane.dst);
-                    replay_unit(prog, *unit, src_block, dst_block);
+                    if checksums {
+                        let sent = replay_unit_sum(prog, *unit, src_block, dst_block);
+                        read = read.wrapping_add(sent);
+                    } else {
+                        replay_unit(prog, *unit, src_block, dst_block);
+                    }
                     if victim == Some(seen) {
                         flip_unit_word(prog, *unit, dst_block);
                     }
@@ -162,8 +170,7 @@ fn replay_round(
                     delivered.0 += unit_n_runs(prog, *unit);
                     elements += unit.elements;
                     if checksums {
-                        read = read.wrapping_add(unit_sum(prog, *unit, src_block, false));
-                        written = written.wrapping_add(unit_sum(prog, *unit, dst_block, true));
+                        written = written.wrapping_add(unit_sum(prog, *unit, dst_block));
                     }
                 }
                 delivered.1 += elements * lane.dst.elem_size;
@@ -477,40 +484,6 @@ fn replay_chunked(prog: &CopyProgram, paired: Vec<PairedUnit<'_>>, total: u64, t
     });
 }
 
-/// Replay every run of one stride family.
-#[inline]
-fn replay_family(f: &StrideFamily, src: &LocalBlock, dst: &mut LocalBlock) {
-    let (mut s, mut d) = (f.src_base as usize, f.dst_base as usize);
-    let (ss, ds, len) = (f.src_step as usize, f.dst_step as usize, f.len as usize);
-    if len == 1 {
-        for _ in 0..f.count {
-            dst.data[d] = src.data[s];
-            s += ss;
-            d += ds;
-        }
-    } else {
-        for _ in 0..f.count {
-            dst.data[d..d + len].copy_from_slice(&src.data[s..s + len]);
-            s += ss;
-            d += ds;
-        }
-    }
-}
-
-/// Replay one unit's residual triples (the pre-stride flat loop).
-#[inline]
-fn replay_triples(runs: &[CopyRun], unit: CopyUnit, src: &LocalBlock, dst: &mut LocalBlock) {
-    let (lo, hi) = unit.runs;
-    for r in &runs[lo as usize..hi as usize] {
-        let (s, d, len) = (r.src_pos as usize, r.dst_pos as usize, r.len as usize);
-        if len == 1 {
-            dst.data[d] = src.data[s];
-        } else {
-            dst.data[d..d + len].copy_from_slice(&src.data[s..s + len]);
-        }
-    }
-}
-
 /// Replay the part of one unit that falls into a window of the serial
 /// walk: of every family, the runs whose position on the windowed side
 /// (`by_dst`) lies in `lo..hi`; the residual triples — contiguous runs,
@@ -532,32 +505,43 @@ fn replay_unit_window(
         };
         let (k0, k1) = (runs_below(lo), runs_below(hi));
         if k0 < k1 {
-            let (src_base, dst_base) = (f.src_base + k0 * f.src_step, f.dst_base + k0 * f.dst_step);
-            replay_family(&StrideFamily { src_base, dst_base, count: k1 - k0, ..*f }, src, dst);
+            let (k0, set) = (k0 as usize, RunSet::from(f));
+            let window = RunSet {
+                src: set.src + k0 * set.src_step,
+                dst: set.dst + k0 * set.dst_step,
+                count: k1 as usize - k0,
+                ..set
+            };
+            window.copy(&src.data, &mut dst.data);
         }
     }
     if lo == 0 {
-        replay_triples(&prog.runs, unit, src, dst);
+        for r in &prog.runs[unit.runs.0 as usize..unit.runs.1 as usize] {
+            RunSet::from(r).copy(&src.data, &mut dst.data);
+        }
     }
 }
 
-/// Replay one unit by dispatching to the kernel chosen at compile
-/// time: unit-stride → one `copy_from_slice` (memcpy), single-element
-/// families → a tight scalar gather/scatter loop, general families →
-/// a blocked strided loop, irregular residue → the flat triple loop.
+/// Replay one unit: every run set of it (families, then residual
+/// triples) through the run kernel, which picks its loop once per set
+/// from the run width. The unit's [`crate::Kernel`] label is not read.
 #[inline]
 fn replay_unit(prog: &CopyProgram, unit: CopyUnit, src: &LocalBlock, dst: &mut LocalBlock) {
-    match unit.kernel {
-        // `Memcpy`: one residual run, one `copy_from_slice`.
-        Kernel::Memcpy | Kernel::Triples => replay_triples(&prog.runs, unit, src, dst),
-        // Families, then the residue (empty unless `Mixed`).
-        Kernel::Gather | Kernel::Strided | Kernel::Mixed => {
-            for f in &prog.fams[unit.fams.0 as usize..unit.fams.1 as usize] {
-                replay_family(f, src, dst);
-            }
-            replay_triples(&prog.runs, unit, src, dst);
-        }
-    }
+    unit_sets(prog, unit, |set| set.copy(&src.data, &mut dst.data));
+}
+
+/// [`replay_unit`], returning the wrapping bit sum of every word it
+/// read — the source half of the unit's checksum, summed by the pass
+/// that copies.
+fn replay_unit_sum(
+    prog: &CopyProgram,
+    unit: CopyUnit,
+    src: &LocalBlock,
+    dst: &mut LocalBlock,
+) -> u64 {
+    let mut sum = 0u64;
+    unit_sets(prog, unit, |set| sum = sum.wrapping_add(set.copy_sum(&src.data, &mut dst.data)));
+    sum
 }
 
 /// Number of logical copy runs one unit performs: every run its
@@ -570,27 +554,15 @@ fn unit_n_runs(prog: &CopyProgram, unit: CopyUnit) -> u64 {
         + (unit.runs.1 - unit.runs.0) as u64
 }
 
-/// Sum of the words one unit reads from its provider block
-/// (`dst_side == false`) or wrote into its receiver block (`true`), as
-/// raw `f64` bits (wrapping) — the per-unit checksum of
-/// [`crate::ValidationLevel::Checksums`]: after a clean replay the two sides are
-/// equal; any scribbled destination word breaks the equality.
-fn unit_sum(prog: &CopyProgram, unit: CopyUnit, block: &LocalBlock, dst_side: bool) -> u64 {
+/// Sum of the words one unit wrote into its receiver block, as raw
+/// `f64` bits (wrapping) — the destination half of the per-unit
+/// checksum of [`crate::ValidationLevel::Checksums`], read back from
+/// destination memory: after a clean replay it equals the sum
+/// [`replay_unit_sum`] returned; any scribbled destination word breaks
+/// the equality.
+fn unit_sum(prog: &CopyProgram, unit: CopyUnit, dst: &LocalBlock) -> u64 {
     let mut sum = 0u64;
-    let mut add = |at: usize, len: usize| {
-        for w in &block.data[at..at + len] {
-            sum = sum.wrapping_add(w.to_bits());
-        }
-    };
-    for f in &prog.fams[unit.fams.0 as usize..unit.fams.1 as usize] {
-        let (base, step) = if dst_side { (f.dst_base, f.dst_step) } else { (f.src_base, f.src_step) };
-        for k in 0..f.count as usize {
-            add(base as usize + k * step as usize, f.len as usize);
-        }
-    }
-    for r in &prog.runs[unit.runs.0 as usize..unit.runs.1 as usize] {
-        add(if dst_side { r.dst_pos } else { r.src_pos } as usize, r.len as usize);
-    }
+    unit_sets(prog, unit, |set| sum = sum.wrapping_add(set.sum(&dst.data)));
     sum
 }
 
@@ -619,8 +591,96 @@ mod tests {
     use crate::group::{try_remap_group, GroupMember};
     use crate::redist::plan_redistribution;
     use crate::schedule::CommSchedule;
-    use crate::ExecMode;
+    use crate::{CopyProgram, ExecMode};
     use hpfc_mapping::{testing::mapping_1d as mk, DimFormat};
+
+    /// Run every round of `prog` from `src` into `dst` through the
+    /// round ladder of a Checksums machine, corrupting concatenated unit
+    /// `victim` of round `round_no` on attempt 0. Returns what each
+    /// attempt of that round replayed and the machine's retry count.
+    fn corrupt_once(
+        prog: &CopyProgram,
+        src: &VersionData,
+        dst: &mut VersionData,
+        (round_no, victim): (usize, usize),
+    ) -> (Vec<Option<u64>>, u64) {
+        let mut machine = Machine::new(src.blocks.len() as u64)
+            .with_validation(crate::ValidationLevel::Checksums);
+        let progs = std::slice::from_ref(prog);
+        let lanes = &mut |visit: &mut dyn FnMut(&mut dyn Iterator<Item = Lane<'_>>)| {
+            visit(&mut std::iter::once(Lane { at: 0, src, dst: &mut *dst }))
+        };
+        let mut attempts = Vec::new();
+        for round in 0..n_rounds(progs) {
+            let (units, expected) = weigh(progs, lanes, round);
+            if units == 0 {
+                continue;
+            }
+            let ctx = RoundCtx { expected, units, round_no: round as u32 };
+            let mut delivered = (0, 0);
+            run_round_ladder(&mut machine, &ctx, 0, 0, |checksums, drawn| {
+                assert!(checksums && drawn.is_none(), "validation only, no fault plan");
+                if round != round_no {
+                    return replay_round(progs, lanes, &ctx, checksums, None, &mut delivered);
+                }
+                // The salt selects the victim by index, modulo the units.
+                let fault = attempts.is_empty().then_some((FaultKind::CorruptRound, victim as u64));
+                let got = replay_round(progs, lanes, &ctx, checksums, fault, &mut delivered);
+                attempts.push(got);
+                got
+            })
+            .expect("a retried round heals");
+        }
+        (attempts, machine.stats.rounds_retried)
+    }
+
+    #[test]
+    fn corruption_is_detected_with_the_source_sum_fused_into_the_copy() {
+        // The victim is a unit of 1-word runs, of 4-word runs, and with a
+        // residual triple. The extent cuts a cyclic(4) chunk, so the
+        // 4-word program also carries clipped residual runs.
+        let (n, p) = (4 * 4 * 16 + 6, 4);
+        let src = mk(n, p, DimFormat::Block(None));
+        type Shape = fn(&CopyProgram, &CopyUnit) -> bool;
+        let one_word: Shape = |prog, u| {
+            let fams = &prog.fams[u.fams.0 as usize..u.fams.1 as usize];
+            !fams.is_empty() && fams.iter().all(|f| f.len == 1) && u.runs.0 == u.runs.1
+        };
+        let four_words: Shape = |prog, u| {
+            let fams = &prog.fams[u.fams.0 as usize..u.fams.1 as usize];
+            !fams.is_empty() && fams.iter().all(|f| f.len == 4) && u.runs.0 == u.runs.1
+        };
+        let residual: Shape = |_, u| u.runs.0 < u.runs.1;
+        let cases = [
+            (1, one_word, "1-word runs"),
+            (4, four_words, "4-word runs"),
+            (4, residual, "a residual triple"),
+        ];
+        for (k, shape, what) in cases {
+            let dst = mk(n, p, DimFormat::Cyclic(Some(k)));
+            let plan = plan_redistribution(&src, &dst, 8);
+            let prog = CopyProgram::try_compile(&plan, &CommSchedule::from_plan(&plan)).unwrap();
+            // The first wire round holding a unit of the shape (round 0
+            // is the local group, which the fault model covers too).
+            let site = (0..=prog.rounds.len())
+                .find_map(|r| Some((r, units_of(&prog, r).iter().position(|u| shape(&prog, u))?)))
+                .unwrap_or_else(|| panic!("cyclic({k}) has a unit of {what}"));
+            let mut a = VersionData::new(src.clone(), 8);
+            a.fill(|q| (q[0] * 3 + 1) as f64);
+            let mut b = VersionData::new(dst.clone(), 8);
+            let (attempts, retried) = corrupt_once(&prog, &a, &mut b, site);
+            let planned = units_of(&prog, site.0).iter().map(|u| u.elements).sum();
+            assert_eq!(
+                attempts,
+                vec![None, Some(planned)],
+                "{what}: the corrupted attempt is rejected, the retry accepted"
+            );
+            assert_eq!(retried, 1, "{what}: exactly one retry");
+            let mut oracle = VersionData::new(dst, 8);
+            oracle.copy_values_from(&a);
+            assert!(b == oracle, "{what}: healed to the table engine's copy");
+        }
+    }
 
     #[test]
     fn inline_threshold_boundary_is_shared() {

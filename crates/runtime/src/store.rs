@@ -24,13 +24,24 @@
 //! time — zero allocations per copy, optionally parallel per
 //! caterpillar round (see [`crate::exec`] for the artifact; the one
 //! replay core interprets it).
-//! Result extraction ([`VersionData::to_dense`]) walks canonical blocks
-//! the same run-level way — no per-element owner computation.
+//!
+//! Every walk here over a compiled program's runs, and result
+//! extraction, goes through the crate's one run kernel (the private
+//! `runs` module): a set of equal runs in arithmetic progression, its
+//! loop picked once per set from the run width. Extraction
+//! ([`VersionData::to_dense`]) describes the innermost owned set of a
+//! canonical block as run families once per block and copies every
+//! local row through them — no per-element owner computation, no
+//! per-run seek. The rollback snapshot ([`TxnScratch`]) saves and
+//! restores a program's destination runs the same way. The table
+//! engine keeps its own run loop: it is the oracle replay is checked
+//! against.
 
 use hpfc_mapping::intervals::intersect_runs;
 use hpfc_mapping::{NormalizedMapping, PeriodicSet};
 
 use crate::replay::Lane;
+use crate::runs::{unit_sets, RunSet};
 
 /// One processor's slice of a version.
 #[derive(Debug, Clone, PartialEq)]
@@ -279,9 +290,9 @@ impl VersionData {
         }
     }
 
-    /// Replay a compiled [`crate::CopyProgram`]: every `(src_pos,
-    /// dst_pos, len)` triple was resolved at plan time, so this is a
-    /// bare `copy_from_slice` loop — zero heap allocations in
+    /// Replay a compiled [`crate::CopyProgram`]: every position was
+    /// resolved at plan time, so this is the run kernel over the
+    /// program's families and triples — zero heap allocations in
     /// [`crate::ExecMode::Serial`], scoped worker threads per
     /// caterpillar round in [`crate::ExecMode::Parallel`] (the only
     /// multi-threaded replay in the crate: every remap a
@@ -383,13 +394,16 @@ impl VersionData {
     /// helper, and the interpreter's result-extraction path).
     ///
     /// Walks each canonical block's storage directly — outer dimensions
-    /// index by index, the innermost owned set run by run with
-    /// `copy_from_slice` — instead of routing every element through
+    /// index by index; the innermost owned set is described once per
+    /// block as run families ([`PeriodicSet::run_families`]: one
+    /// period's runs × a repeat count, each with a local and a global
+    /// step), and every local row is copied through them by the run
+    /// kernel — instead of routing every element through
     /// [`VersionData::get`] (per-point owner computation plus a position
-    /// lookup per dimension). Extraction is O(runs) per local row and
-    /// allocates nothing per element. Replicas beyond the canonical one
-    /// (coordinate 0 on replicated axes) hold identical values by the
-    /// storage invariants and are skipped.
+    /// lookup per dimension). Extraction is O(runs) per local row with
+    /// no seek per run, and allocates nothing per element. Replicas
+    /// beyond the canonical one (coordinate 0 on replicated axes) hold
+    /// identical values by the storage invariants and are skipped.
     pub fn to_dense(&self) -> Vec<f64> {
         let ext = &self.mapping.array_extents;
         let rank = ext.rank();
@@ -418,15 +432,34 @@ impl VersionData {
             if !canonical {
                 continue;
             }
-            let ((inner, _), outer) = block.dims.split_last().expect("rank >= 1");
-            let mut data = block.data.as_slice();
+            let ((inner, inner_len), outer) = block.dims.split_last().expect("rank >= 1");
+            // The innermost set's runs once per block, as run sets from
+            // local row position to global column.
+            let sets: Vec<RunSet> = inner
+                .run_families(0, inner.extent)
+                .into_iter()
+                .map(|f| {
+                    let at = inner.count_below(f.lo);
+                    let local_step =
+                        if f.count > 1 { inner.count_below(f.lo + f.step) - at } else { 0 };
+                    RunSet {
+                        src: at as usize,
+                        src_step: local_step as usize,
+                        dst: f.lo as usize,
+                        dst_step: f.step as usize,
+                        len: f.len as usize,
+                        count: f.count as usize,
+                    }
+                })
+                .collect();
+            let mut row_at = 0usize;
             for_each_row(outer, |row| {
-                let base: u64 = row.iter().zip(&stride).map(|(g, s)| g * s).sum();
-                for (lo, hi) in inner.runs(0, inner.extent) {
-                    let (run, rest) = data.split_at((hi - lo) as usize);
-                    out[(base + lo) as usize..(base + hi) as usize].copy_from_slice(run);
-                    data = rest;
+                let base = row.iter().zip(&stride).map(|(g, s)| g * s).sum::<u64>() as usize;
+                for set in &sets {
+                    let set = RunSet { src: set.src + row_at, dst: set.dst + base, ..*set };
+                    set.copy(&block.data, &mut out);
                 }
+                row_at += inner_len;
             });
         }
         out
@@ -459,13 +492,11 @@ pub struct TxnScratch {
     /// Whether the target copy existed before the remap — if not,
     /// rollback frees it instead of restoring bytes.
     pub(crate) target_preallocated: bool,
-    /// Strided capture entries: `(receiver rank, dst_base, count,
-    /// dst_step, len)` — one entry covers `count` destination runs of
-    /// `len` words each, `dst_step` apart (a stride family's write
-    /// set); a residual triple is the degenerate `count = 1, step = 0`
-    /// case. One entry per family keeps the capture metadata O(pairs)
-    /// like the artifact itself.
-    ranges: Vec<(u64, u32, u32, u32, u32)>,
+    /// Strided capture entries: `(receiver rank, run set)` — one entry
+    /// per stride family or residual triple of the program, whose
+    /// written side is what was saved. One entry per family keeps the
+    /// capture metadata O(pairs) like the artifact itself.
+    ranges: Vec<(u64, RunSet)>,
     /// The saved words, concatenated in `ranges` expansion order.
     words: Vec<f64>,
     /// Full-block fallback: `(rank, data)` clones of every destination
@@ -529,27 +560,13 @@ impl TxnScratch {
             let Some(block) = dst.blocks[unit.receiver as usize].as_ref() else {
                 return false;
             };
-            for f in &p.fams[unit.fams.0 as usize..unit.fams.1 as usize] {
-                let mut at = f.dst_base as usize;
-                let (step, len) = (f.dst_step as usize, f.len as usize);
-                let words_start = self.words.len();
-                for _ in 0..f.count {
-                    let Some(words) = block.data.get(at..at + len) else {
-                        self.words.truncate(words_start);
-                        return false;
-                    };
-                    self.words.extend_from_slice(words);
-                    at += step;
-                }
-                self.ranges.push((unit.receiver, f.dst_base, f.count, f.dst_step, f.len));
-            }
-            for run in &p.runs[unit.runs.0 as usize..unit.runs.1 as usize] {
-                let (at, len) = (run.dst_pos as usize, run.len as usize);
-                let Some(words) = block.data.get(at..at + len) else {
-                    return false;
-                };
-                self.ranges.push((unit.receiver, run.dst_pos, 1, 0, run.len));
-                self.words.extend_from_slice(words);
+            let mut fits = true;
+            unit_sets(p, *unit, |set| {
+                fits = fits && set.save(&block.data, &mut self.words);
+                self.ranges.push((unit.receiver, set));
+            });
+            if !fits {
+                return false;
             }
         }
         true
@@ -567,18 +584,11 @@ impl TxnScratch {
             }
         }
         let mut off = 0usize;
-        for &(rank, base, count, step, len) in &self.ranges {
-            let (step, len) = (step as usize, len as usize);
-            let mut at = base as usize;
-            if let Some(b) = dst.blocks[rank as usize].as_mut() {
-                for _ in 0..count {
-                    b.data[at..at + len].copy_from_slice(&self.words[off..off + len]);
-                    at += step;
-                    off += len;
-                }
-            } else {
-                off += count as usize * len;
+        for (rank, set) in &self.ranges {
+            if let Some(b) = dst.blocks[*rank as usize].as_mut() {
+                set.restore(&self.words[off..], &mut b.data);
             }
+            off += set.count * set.len;
         }
     }
 }
@@ -665,8 +675,8 @@ fn copy_runs(
 mod tests {
     use super::*;
     use hpfc_mapping::{
-        Alignment, DimFormat, Distribution, Extents, GridId, Mapping, ProcGrid, Template,
-        TemplateId,
+        AlignTarget, Alignment, DimFormat, Distribution, Extents, GridId, Mapping, ProcGrid,
+        Template, TemplateId,
     };
 
     fn mk2d(n: u64, p: u64, fmts: Vec<DimFormat>) -> NormalizedMapping {
@@ -699,6 +709,49 @@ mod tests {
         a.fill(f);
         b.fill(f);
         assert_eq!(a.to_dense(), b.to_dense());
+    }
+
+    #[test]
+    fn to_dense_follows_owned_sets_with_several_runs_per_period() {
+        // `A(i)` aligned with `T(3i + 1)`, `T` cyclic(4): on 2 ranks each
+        // period of 8 array indices holds several owned runs, so the
+        // innermost set's run families expand family by family and the
+        // local side steps by the words owned per period, not by `len`.
+        // The second dimension of the 2-D case is the same set, under
+        // collapsed rows.
+        for (rank, p) in [(1usize, 2u64), (1, 5), (2, 2)] {
+            let n = 101u64;
+            let shape: Vec<u64> = vec![n; rank];
+            let tshape: Vec<u64> = shape.iter().map(|&e| 3 * e + 1).collect();
+            let t = Template { id: TemplateId(0), name: "T".into(), shape: Extents::new(&tshape) };
+            let g = ProcGrid { id: GridId(0), name: "P".into(), shape: Extents::new(&[p]) };
+            let strided = |d| AlignTarget::Axis { array_dim: d, stride: 3, offset: 1 };
+            let align =
+                Alignment { template: TemplateId(0), targets: (0..rank).map(strided).collect() };
+            let mut fmts = vec![DimFormat::Collapsed; rank - 1];
+            fmts.push(DimFormat::Cyclic(Some(4)));
+            let nm = Mapping { align, dist: Distribution::new(GridId(0), fmts) }
+                .normalize(&Extents::new(&shape), &t, &g)
+                .unwrap();
+            let inner = nm.owned_set_along(rank - 1, &[0]);
+            let fams = inner.run_families(0, inner.extent);
+            assert!(
+                fams.iter().filter(|f| f.count > 1).count() > 1,
+                "P={p}: several families repeat side by side: {fams:?}"
+            );
+            let value = |q: &[u64]| q.iter().fold(0u64, |a, &i| a * n + i) as f64 + 0.5;
+            let mut v = VersionData::new(nm, 8);
+            v.fill(value);
+            let dense = v.to_dense();
+            let mut q = vec![0u64; rank];
+            for (at, got) in dense.iter().enumerate() {
+                let mut rest = at as u64;
+                for d in (0..rank).rev() {
+                    (q[d], rest) = (rest % n, rest / n);
+                }
+                assert_eq!(*got, value(&q), "rank {rank}, P={p}: element {q:?}");
+            }
+        }
     }
 
     #[test]

@@ -400,8 +400,8 @@ fn steady_state_remap_allocates_nothing() {
         remap(&mut rt, &mut machine, 0, &keep, false);
         rt.set(&[1], 1.0);
     }
-    // Pin the premise: the cached forward program really is family-only
-    // with Gather kernels — otherwise this section silently degenerates
+    // Pin the premise: the cached forward program really is family-only,
+    // every unit labelled Gather — otherwise this section silently degenerates
     // into another triple-path measurement.
     {
         let cached = rt.plan_cache.get(&(0, 1)).expect("warmed");
@@ -413,7 +413,7 @@ fn steady_state_remap_allocates_nothing() {
                 u.kernel,
                 hpfc_runtime::Kernel::Gather
             )),
-            "every unit dispatches the gather kernel"
+            "every unit is labelled Gather"
         );
     }
     let performed = machine.stats.remaps_performed;
@@ -607,4 +607,47 @@ fn steady_state_remap_allocates_nothing() {
     assert_eq!(machine.stats.remaps_reused_live, reused + 8, "a reused its live copy every hop");
     assert_eq!(machine.stats.remaps_performed, performed + 8, "b moved data every hop");
     assert_eq!(machine.stats.group_rollbacks, 0);
+
+    // --- 13. A checksummed solo bounce is allocation-free too. --------
+    // Sections 6-7 pin the guarded path under `Counts`. Under
+    // `Checksums` every unit is copied by the run kernel's copy-and-sum
+    // (the source half of the checksum rides the copy) and summed back
+    // out of destination memory: block <-> cyclic(4) replays 4-word
+    // runs, one of the kernel's fixed-width loops. None of it may
+    // allocate once the scratch has grown.
+    let n = 4096u64;
+    let src = mk(n, 4, DimFormat::Block(None));
+    let dst = mk(n, 4, DimFormat::Cyclic(Some(4)));
+    let mut machine = isolated().with_validation(hpfc_runtime::ValidationLevel::Checksums);
+    let mut rt = ArrayRt::new("a", vec![src, dst], 8);
+    rt.current(&mut machine, 0).fill(|p| p[0] as f64);
+    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    for _ in 0..2 {
+        remap(&mut rt, &mut machine, 1, &keep, false);
+        rt.set(&[0], 1.0);
+        remap(&mut rt, &mut machine, 0, &keep, false);
+        rt.set(&[1], 1.0);
+    }
+    {
+        let cached = rt.plan_cache.get(&(0, 1)).expect("warmed");
+        let prog = cached.program.as_ref().expect("cyclic(4) compiles");
+        assert!(
+            !prog.fams.is_empty() && prog.fams.iter().all(|f| f.len == 4),
+            "the forward program replays 4-word stride families"
+        );
+    }
+    let performed = machine.stats.remaps_performed;
+    for i in 0..10u64 {
+        rt.set(&[0], i as f64); // outside the measured window
+        let before = allocations();
+        remap(&mut rt, &mut machine, 1, &keep, false);
+        assert_eq!(allocations(), before, "checksummed remap {i} ->1 allocated");
+        rt.set(&[1], i as f64);
+        let before = allocations();
+        remap(&mut rt, &mut machine, 0, &keep, false);
+        assert_eq!(allocations(), before, "checksummed remap {i} ->0 allocated");
+    }
+    assert_eq!(machine.stats.remaps_performed, performed + 20, "every bounce moved data");
+    assert_eq!(machine.stats.rounds_retried, 0, "every checksum matched first time");
+    assert_eq!(machine.stats.plans_computed, 2, "planned once per direction");
 }
