@@ -1,7 +1,8 @@
 //! The `hpfcc` command line: a mistyped option, a malformed `--scalar`
 //! or a second input is rejected with the usage line and exit status 2
-//! instead of being silently ignored, and a well-formed invocation
-//! still compiles and prints.
+//! instead of being silently ignored, a well-formed invocation still
+//! compiles and prints, and a program that fails at run time exits 1
+//! with the error instead of panicking.
 
 use std::process::{Command, Output};
 
@@ -56,4 +57,19 @@ fn emit_prints_the_program() {
         stdout.contains("! static program for `fig2`"),
         "--emit printed the program: {stdout}"
     );
+}
+
+#[test]
+fn an_out_of_bounds_subscript_exits_1() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("oob_subscript.f");
+    std::fs::write(
+        &path,
+        "subroutine s\nreal :: a(8)\n!hpf$ processors p(4)\n\
+         !hpf$ distribute a(block) onto p\na = 1.0\na(20) = 1.0\nend\n",
+    )
+    .expect("writes the program");
+    let out = hpfcc(&["--run", path.to_str().expect("utf-8 path")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "a typed error, not a panic: {stderr}");
+    assert!(stderr.contains("`a` (rank 1): subscript 1 is 20"), "{stderr}");
 }

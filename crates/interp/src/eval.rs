@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use hpfc_lang::ast::{BinOp, Expr, UnOp};
 use hpfc_mapping::ArrayId;
-use hpfc_runtime::ArrayRt;
+use hpfc_runtime::{ArrayRt, ExecError};
 
 /// Evaluation context: scalar bindings, array runtimes, and an optional
 /// current point for whole-array (elementwise) expressions.
@@ -29,47 +29,72 @@ pub struct EvalCtx<'a> {
 }
 
 impl<'a> EvalCtx<'a> {
-    /// Evaluate an expression to a number.
-    pub fn eval(&self, e: &Expr) -> f64 {
-        match e {
+    /// Evaluate an expression to a number. An element reference whose
+    /// subscripts do not name an element of its array is an
+    /// [`ExecError::Interp`], never a read of some other element.
+    pub fn eval(&self, e: &Expr) -> Result<f64, ExecError> {
+        Ok(match e {
             Expr::Int(v, _) => *v as f64,
             Expr::Real(v, _) => *v,
-            Expr::Var(n, _) => {
-                if let Some(a) = self.names.get(n) {
-                    // Whole-array reference: elementwise value at the
-                    // current point.
-                    let p = self
-                        .point
-                        .unwrap_or_else(|| panic!("whole-array `{n}` outside elementwise context"));
-                    self.arrays[a.0 as usize].get(p)
-                } else {
-                    self.scalars.get(n).copied().unwrap_or(0.0)
+            Expr::Var(n, _) => match (self.names.get(n), self.point) {
+                // Whole-array reference: elementwise value at the
+                // current point.
+                (Some(a), Some(p)) => self.arrays[a.0 as usize].get(p),
+                (Some(_), None) => {
+                    return Err(ExecError::Interp {
+                        what: format!("whole-array `{n}` outside elementwise context"),
+                    })
                 }
-            }
-            Expr::Ref { name, subs, .. } => {
-                if let Some(a) = self.names.get(name) {
-                    let point: Vec<u64> = subs
-                        .iter()
-                        .map(|s| {
-                            let v = self.eval(s);
-                            // Fortran subscripts are 1-based.
-                            (v as i64 - 1).max(0) as u64
-                        })
-                        .collect();
-                    self.arrays[a.0 as usize].get(&point)
-                } else {
-                    self.intrinsic(name, subs)
+                (None, _) => self.scalars.get(n).copied().unwrap_or(0.0),
+            },
+            Expr::Ref { name, subs, .. } => match self.names.get(name) {
+                Some(a) => {
+                    let rt = &self.arrays[a.0 as usize];
+                    rt.get(&self.point_of(rt, subs)?)
                 }
-            }
-            Expr::Bin { op, l, r, .. } => bin(*op, self.eval(l), self.eval(r)),
-            Expr::Un { op, e, .. } => un(*op, self.eval(e)),
-        }
+                None => self.intrinsic(name, subs)?,
+            },
+            Expr::Bin { op, l, r, .. } => bin(*op, self.eval(l)?, self.eval(r)?),
+            Expr::Un { op, e, .. } => un(*op, self.eval(e)?),
+        })
     }
 
-    fn intrinsic(&self, name: &str, args: &[Expr]) -> f64 {
-        let v: Vec<f64> = args.iter().map(|a| self.eval(a)).collect();
-        intrinsic(name, v.len())(&v)
+    /// The zero-based point `rt(subs)` names: one subscript per
+    /// dimension, each within `1..=extent` (Fortran subscripts are
+    /// 1-based) — otherwise an [`ExecError::Interp`] naming the array
+    /// and the subscript.
+    pub(crate) fn point_of(&self, rt: &ArrayRt, subs: &[Expr]) -> Result<Vec<u64>, ExecError> {
+        let extents = &rt.mappings[0].array_extents.0;
+        if subs.len() != extents.len() {
+            return Err(bad_subscripts(rt, format!("referenced with {} subscript(s)", subs.len())));
+        }
+        let mut point = Vec::with_capacity(subs.len());
+        for (d, (s, &extent)) in subs.iter().zip(extents).enumerate() {
+            let v = self.eval(s)?;
+            match v as i64 {
+                i if i >= 1 && i as u64 <= extent => point.push(i as u64 - 1),
+                _ => {
+                    let what = format!("subscript {} is {v}, outside 1..={extent}", d + 1);
+                    return Err(bad_subscripts(rt, what));
+                }
+            }
+        }
+        Ok(point)
     }
+
+    fn intrinsic(&self, name: &str, args: &[Expr]) -> Result<f64, ExecError> {
+        let v: Vec<f64> = args.iter().map(|a| self.eval(a)).collect::<Result<_, _>>()?;
+        Ok(intrinsic(name, v.len())(&v))
+    }
+}
+
+/// The error for a reference to `rt` whose subscripts name no element;
+/// cold, so the checks stay cheap on the statement path.
+#[cold]
+#[inline(never)]
+fn bad_subscripts(rt: &ArrayRt, what: String) -> ExecError {
+    let rank = rt.mappings[0].array_extents.rank();
+    ExecError::Interp { what: format!("`{}` (rank {rank}): {what}", rt.name) }
 }
 
 /// `a op b`. Always inlined, so a caller that passes a constant `op`
@@ -146,7 +171,7 @@ mod tests {
             scalars.iter().map(|(k, v)| (k.to_string(), *v)).collect();
         let names = BTreeMap::new();
         let ctx = EvalCtx { scalars: &map, arrays: &[], names: &names, point: None };
-        ctx.eval(&expr_of(src))
+        ctx.eval(&expr_of(src)).unwrap()
     }
 
     #[test]

@@ -268,18 +268,14 @@ impl<'a> Executor<'a> {
                         } else {
                             let (point, value) = {
                                 let ctx = frame.ctx();
-                                let point: Vec<u64> = lhs
-                                    .subs
-                                    .iter()
-                                    .map(|e| (ctx.eval(e) as i64 - 1).max(0) as u64)
-                                    .collect();
-                                (point, ctx.eval(rhs))
+                                let point = ctx.point_of(&frame.arrays[a.0 as usize], &lhs.subs)?;
+                                (point, ctx.eval(rhs)?)
                             };
                             frame.arrays[a.0 as usize].set(&point, value);
                         }
                     }
                     None => {
-                        let value = frame.ctx().eval(rhs);
+                        let value = frame.ctx().eval(rhs)?;
                         frame.set_scalar(&lhs.name, value);
                     }
                 }
@@ -287,7 +283,7 @@ impl<'a> Executor<'a> {
             }
             SStmt::If { cond, then_body, else_body } => {
                 self.ensure_refs(frame, cond, &[]);
-                if frame.ctx().eval(cond) != 0.0 {
+                if frame.ctx().eval(cond)? != 0.0 {
                     self.exec_body(p, frame, then_body, depth)
                 } else {
                     self.exec_body(p, frame, else_body, depth)
@@ -298,7 +294,11 @@ impl<'a> Executor<'a> {
                 self.ensure_refs(frame, hi, &[]);
                 let (lo_v, hi_v, step_v) = {
                     let ctx = frame.ctx();
-                    (ctx.eval(lo), ctx.eval(hi), step.as_ref().map(|e| ctx.eval(e)).unwrap_or(1.0))
+                    let step = match step {
+                        Some(e) => ctx.eval(e)?,
+                        None => 1.0,
+                    };
+                    (ctx.eval(lo)?, ctx.eval(hi)?, step)
                 };
                 if step_v == 0.0 {
                     return Err(ExecError::Interp {
@@ -493,7 +493,7 @@ impl<'a> Executor<'a> {
                         }
                     }
                     None => {
-                        scalars.insert(pname.clone(), frame.ctx().eval(actual));
+                        scalars.insert(pname.clone(), frame.ctx().eval(actual)?);
                     }
                 }
             }

@@ -86,24 +86,26 @@ pub(crate) fn run(
     let steps: Vec<Step<'_>> = kernel
         .ops
         .iter()
-        .map(|op| match op {
-            KernelOp::Const(v) => Step::Uniform(*v),
-            KernelOp::Scalar(n) => Step::Uniform(scalars.get(n).copied().unwrap_or(0.0)),
-            KernelOp::Operand(slot) => {
-                let a = kernel.operands[*slot].0 as usize;
-                if current(arrays, a).mapping == current(arrays, lhs).mapping {
-                    Step::Aligned(a)
-                } else {
-                    Step::OperandAt(a)
+        .map(|op| {
+            Ok(match op {
+                KernelOp::Const(v) => Step::Uniform(*v),
+                KernelOp::Scalar(n) => Step::Uniform(scalars.get(n).copied().unwrap_or(0.0)),
+                KernelOp::Operand(slot) => {
+                    let a = kernel.operands[*slot].0 as usize;
+                    if current(arrays, a).mapping == current(arrays, lhs).mapping {
+                        Step::Aligned(a)
+                    } else {
+                        Step::OperandAt(a)
+                    }
                 }
-            }
-            KernelOp::Bin(op) => Step::Bin(*op),
-            KernelOp::Un(op) => Step::Un(*op),
-            KernelOp::Call { name, argc } => Step::Call(intrinsic(name, *argc), *argc),
-            KernelOp::Leaf { expr, per_point: true } => Step::LeafAt(expr),
-            KernelOp::Leaf { expr, per_point: false } => Step::Uniform(ctx.eval(expr)),
+                KernelOp::Bin(op) => Step::Bin(*op),
+                KernelOp::Un(op) => Step::Un(*op),
+                KernelOp::Call { name, argc } => Step::Call(intrinsic(name, *argc), *argc),
+                KernelOp::Leaf { expr, per_point: true } => Step::LeafAt(expr),
+                KernelOp::Leaf { expr, per_point: false } => Step::Uniform(ctx.eval(expr)?),
+            })
         })
-        .collect();
+        .collect::<Result<_, ExecError>>()?;
     let walks_points = steps.iter().any(|s| matches!(s, Step::OperandAt(_) | Step::LeafAt(_)));
     let rank = shape(lhs).rank();
 
@@ -128,7 +130,7 @@ pub(crate) fn run(
             }
             let ctx = EvalCtx { scalars, arrays, names, point: None };
             let program = (steps.as_slice(), kernel.ops.as_slice());
-            eval_tile(program, &ctx, (r, at, len), (&points, rank), &mut stack, &mut args);
+            eval_tile(program, &ctx, (r, at, len), (&points, rank), &mut stack, &mut args)?;
             if kernel.buffered {
                 buffer.extend_from_slice(&stack[..len]);
             } else {
@@ -181,7 +183,7 @@ fn eval_tile(
     (points, rank): (&[u64], usize),
     stack: &mut [f64],
     args: &mut [f64],
-) {
+) -> Result<(), ExecError> {
     let point = |i: usize| &points[i * rank..(i + 1) * rank];
     let mut sp = 0;
     for (step, op) in steps.iter().zip(ops) {
@@ -198,7 +200,7 @@ fn eval_tile(
             }
             Step::LeafAt(e) => {
                 for (i, x) in tile(stack, sp, len).iter_mut().enumerate() {
-                    *x = EvalCtx { point: Some(point(i)), ..*ctx }.eval(e);
+                    *x = EvalCtx { point: Some(point(i)), ..*ctx }.eval(e)?;
                 }
             }
             Step::Bin(op) => {
@@ -223,6 +225,7 @@ fn eval_tile(
         sp = sp + 1 - op.pops();
     }
     debug_assert_eq!(sp, 1, "a kernel leaves one tile");
+    Ok(())
 }
 
 /// The first `len` elements of tile `k` of the stack.

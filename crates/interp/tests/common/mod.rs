@@ -38,7 +38,7 @@ pub fn assign_whole_array_per_point(
         let ctx = EvalCtx { scalars, arrays, names, point: None };
         for pt in extents.points() {
             let c = EvalCtx { point: Some(&pt), ..ctx };
-            values.push(c.eval(rhs));
+            values.push(c.eval(rhs).expect("the oracle runs valid programs"));
         }
     }
     let rt = &mut arrays[a.0 as usize];
@@ -90,6 +90,7 @@ impl Oracle {
     fn eval(&self, e: &Expr) -> f64 {
         EvalCtx { scalars: &self.scalars, arrays: &self.arrays, names: &self.names, point: None }
             .eval(e)
+            .expect("the oracle runs valid programs")
     }
 
     /// Returns `false` on `RETURN`.

@@ -482,3 +482,39 @@ fn a_second_interpreter_session_is_served_entirely_by_the_registry() {
     assert_eq!(r1.arrays, r2.arrays, "registry-served sessions agree");
     assert_eq!(r1.stats.bytes, r2.stats.bytes);
 }
+
+/// Run `body` on a block-distributed `a(8)` and demand a typed
+/// interpreter error naming `a` and `what`.
+fn assert_interp_error(body: &str, what: &str) {
+    let src = format!(
+        "subroutine s\nreal :: a(8)\n!hpf$ processors p(4)\n!hpf$ distribute a(block) onto p\n\
+         a = 1.0\n{body}\nend"
+    );
+    let compiled = hpfc::compile(&src, &CompileOptions::default()).expect("compiles");
+    let err = hpfc::execute(&compiled.programs(), "s", ExecConfig::default())
+        .expect_err("the statement is refused");
+    let hpfc::ExecError::Interp { what: msg } = &err else { panic!("{err:?}") };
+    assert!(msg.contains("`a`") && msg.contains(what), "{msg}");
+}
+
+#[test]
+fn a_subscript_below_one_is_a_typed_error() {
+    // Used to alias `a(1)`, on reads and writes alike.
+    assert_interp_error("a(0) = 2.0", "is 0, outside 1..=8");
+    assert_interp_error("x = a(-1)", "is -1, outside 1..=8");
+}
+
+#[test]
+fn a_subscript_beyond_the_extent_is_a_typed_error() {
+    // Used to panic inside the store ("owned element").
+    assert_interp_error("a(20) = 1.0", "is 20, outside 1..=8");
+    assert_interp_error("x = a(30)", "is 30, outside 1..=8");
+    // Computed subscripts are checked the same way.
+    assert_interp_error("do i = 1, 9\n  a(i) = a(i) + 1.0\nenddo", "is 9, outside 1..=8");
+}
+
+#[test]
+fn a_whole_array_read_in_a_scalar_assignment_is_a_typed_error() {
+    // Used to panic in the evaluator.
+    assert_interp_error("x = a", "whole-array `a` outside elementwise context");
+}

@@ -453,9 +453,7 @@ impl Expr {
     /// All `name`s referenced anywhere in the expression, with whether
     /// each occurrence is subscripted.
     pub fn collect_refs(&self, out: &mut Vec<(String, bool, Span)>) {
-        self.visit_refs(&mut |name, subscripted, span| {
-            out.push((name.to_string(), subscripted, span))
-        });
+        self.visit_refs(&mut |name, subs, span| out.push((name.to_string(), subs.is_some(), span)));
     }
 
     /// Visit every name referenced anywhere in the expression
@@ -464,15 +462,17 @@ impl Expr {
     /// that only looks names up wants instead of
     /// [`Expr::collect_refs`].
     pub fn for_each_ref(&self, mut f: impl FnMut(&str, bool)) {
-        self.visit_refs(&mut |name, subscripted, _| f(name, subscripted));
+        self.visit_refs(&mut |name, subs, _| f(name, subs.is_some()));
     }
 
-    fn visit_refs(&self, f: &mut dyn FnMut(&str, bool, Span)) {
+    /// Visit every name referenced anywhere in the expression
+    /// (pre-order), with its subscript count — `None` for a bare name.
+    pub(crate) fn visit_refs(&self, f: &mut dyn FnMut(&str, Option<usize>, Span)) {
         match self {
             Expr::Int(..) | Expr::Real(..) => {}
-            Expr::Var(n, s) => f(n, false, *s),
+            Expr::Var(n, s) => f(n, None, *s),
             Expr::Ref { name, subs, span } => {
-                f(name, true, *span);
+                f(name, Some(subs.len()), *span);
                 for e in subs {
                     e.visit_refs(f);
                 }

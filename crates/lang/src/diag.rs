@@ -58,7 +58,8 @@ pub mod codes {
     pub const UNRESOLVED: &str = "E010";
     /// Duplicate declaration.
     pub const DUPLICATE: &str = "E011";
-    /// Directive shape error (rank mismatch, bad subscript, …).
+    /// Shape error in a directive or an array reference (rank
+    /// mismatch, bad subscript, …).
     pub const BAD_DIRECTIVE: &str = "E012";
     /// `INHERIT`/transcriptive mapping — forbidden by the scheme
     /// (paper restriction 3).

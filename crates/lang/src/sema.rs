@@ -594,7 +594,8 @@ impl Analyzer {
         for s in body {
             match s {
                 Stmt::Assign { lhs, rhs, span } => {
-                    self.check_ref(&lhs.name, !lhs.subs.is_empty(), *span);
+                    let subs = (!lhs.subs.is_empty()).then_some(lhs.subs.len());
+                    self.check_ref(&lhs.name, subs, *span);
                     for e in &lhs.subs {
                         self.check_expr(e);
                     }
@@ -760,23 +761,38 @@ impl Analyzer {
         }
     }
 
-    fn check_ref(&mut self, name: &str, _subscripted: bool, span: Span) {
-        if !self.symbols.contains_key(name) {
+    /// A reference to `name` with `subs` subscripts (`None`: a bare
+    /// name). An element reference must name every dimension of its
+    /// array: a count that differs from the rank is an error.
+    fn check_ref(&mut self, name: &str, subs: Option<usize>, span: Span) {
+        match self.symbols.get(name) {
             // Implicitly declare scalars on first use (Fortran style);
             // arrays must be declared.
-            self.symbols.insert(name.to_string(), Symbol::Scalar(implicit_type(name)));
-            let _ = span;
+            None => {
+                self.symbols.insert(name.to_string(), Symbol::Scalar(implicit_type(name)));
+            }
+            Some(Symbol::Array(a)) => {
+                let rank = self.env.array(*a).extents.rank();
+                if let Some(n) = subs.filter(|&n| n != rank) {
+                    self.err(
+                        codes::BAD_DIRECTIVE,
+                        span,
+                        format!("`{name}` has rank {rank} but is referenced with {n} subscript(s)"),
+                    );
+                }
+            }
+            Some(_) => {}
         }
     }
 
     fn check_expr(&mut self, e: &Expr) {
         let mut refs = Vec::new();
-        e.collect_refs(&mut refs);
-        for (name, subscripted, span) in refs {
-            if is_intrinsic(&name) && subscripted {
+        e.visit_refs(&mut |name, subs, span| refs.push((name.to_string(), subs, span)));
+        for (name, subs, span) in refs {
+            if is_intrinsic(&name) && subs.is_some() {
                 continue;
             }
-            self.check_ref(&name, subscripted, span);
+            self.check_ref(&name, subs, span);
         }
     }
 }

@@ -190,3 +190,19 @@ fn loop_variable_is_implicitly_declared() {
     let m = frontend(src).unwrap();
     assert!(matches!(m.main().symbols["i"], Symbol::Scalar(hpfc_lang::TypeSpec::Integer)));
 }
+
+#[test]
+fn subscript_count_must_match_the_rank() {
+    // A write and a read with two subscripts on a 1-D array, and a read
+    // with one on a 2-D array: each is one diagnostic naming the array.
+    let src = "subroutine s\nreal :: a(8)\nreal :: b(4,4)\na(1,2) = 3.0\nx = a(2,2)\n\
+               y = b(1) + a(3)\nend";
+    let errs = frontend(src).unwrap_err();
+    let bad: Vec<_> = errs.iter().filter(|e| e.code == codes::BAD_DIRECTIVE).collect();
+    assert_eq!(bad.len(), 3, "{errs:?}");
+    assert!(bad[0].message.contains("`a` has rank 1") && bad[0].message.contains("2 subscript"));
+    assert!(bad[2].message.contains("`b` has rank 2") && bad[2].message.contains("1 subscript"));
+    // Whole-array references and full subscripts stay legal.
+    frontend("subroutine s\nreal :: a(8)\nreal :: b(4,4)\na = 1.0\nb(2,3) = a(4)\nend")
+        .expect("rank-matched references pass sema");
+}

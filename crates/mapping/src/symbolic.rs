@@ -2,11 +2,9 @@
 //!
 //! A [`crate::NormalizedMapping`] is concrete in the processor count
 //! `P`: its layout stores `nprocs`, its grid shape stores the grid
-//! extent. Plans keyed by concrete mappings therefore multiply with
-//! every grid size a job is launched on — re-provisioning a fleet from
-//! `P = 16` to `P = 64` recompiles every pair even though nothing about
-//! the *format* (block size, alignment stride/offset, template extent)
-//! changed. This module factors `P` out: a [`SymbolicFormat`] is the
+//! extent, even where nothing about the *format* (block size, alignment
+//! stride/offset, template extent) depends on it. This module factors
+//! `P` out: a [`SymbolicFormat`] is the
 //! P-free residue of a normalized mapping — everything needed to
 //! reconstruct the mapping at **any** processor count in closed form —
 //! and [`normalize_symbolic`] extracts it with a round-trip guarantee:
@@ -23,15 +21,14 @@
 //! axis through an affine alignment onto a block-cyclic layout — and
 //! **declines** everything else (replication, constant alignments,
 //! multi-dimensional grids, degenerate single-owner placements, empty
-//! extents). A decline is never an error: callers fall back to the
-//! concrete per-mapping-pair path, and the runtime counts declines in
-//! `NetStats::symbolic_declines`. Multi-axis formats can land as
-//! follow-ups without changing this contract.
+//! extents). A decline is never an error: the caller keeps the
+//! concrete mapping.
 //!
 //! Like mapping pairs ([`crate::intern`]), `(format, format)` pairs are
 //! hash-consed through a weak process-wide table ([`format_pair`]), so
-//! pointer identity doubles as value equality for live pairs — the
-//! property the runtime's plan registry keys on.
+//! pointer identity doubles as value equality for live pairs. The
+//! runtime's plan registry does not use them: it keys every artifact
+//! by its interned mapping pair.
 
 use std::sync::{Arc, OnceLock};
 

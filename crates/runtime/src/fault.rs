@@ -3,13 +3,10 @@
 //! The recovery ladder that acts on it lives with the replay core (the
 //! crate's `replay` module), shared by every remap.
 //!
-//! The engine trusts artifacts it compiled earlier: cached
-//! [`crate::CopyProgram`]s are replayed with no integrity check, and a
-//! panic inside a copy would unwind through the remap. Before the plan
-//! cache is shared between sessions (the ROADMAP's remap-as-a-service
-//! leg) the engine needs a failure model: a poisoned cache entry or one
-//! bad round must degrade, not take down every session. This module
-//! provides the three pieces:
+//! The plan registry shares one compiled artifact between every
+//! session, so a poisoned cache entry or one bad round must degrade,
+//! not take down every session. This module provides the three pieces
+//! of that failure model:
 //!
 //! * **Injection** — a seedable, deterministic [`FaultPlan`], armed
 //!   only by `Machine::with_faults` (no environment variable selects

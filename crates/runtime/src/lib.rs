@@ -40,17 +40,15 @@
 //!   memory-pressure eviction with later regeneration;
 //! * [`registry::PlanRegistry`] — remap-as-a-service: one sharded,
 //!   LRU-bounded, process-wide registry of compiled remap artifacts,
-//!   keyed by hash-consed mapping-pair identity
+//!   keyed — for every shape — by hash-consed mapping-pair identity
 //!   ([`hpfc_mapping::intern`]) and shared by every array, program,
 //!   and interpreter session; [`registry::PlanRegistry::resolve`] is
 //!   the one route from a pair to its artifact, and per-array plan
 //!   caches are thin views that seed from and publish to it;
-//! * [`symbolic::SymbolicPlan`] — plans symbolic in the processor
-//!   count: one parametric entry per interned `(format, format)` pair
-//!   (for every shape that admits one), instantiated in closed form at any
-//!   `P` at launch time, shrinking the registry to O(format pairs) and
-//!   turning a fleet re-provision (P=16 → P=64) into cheap
-//!   instantiations instead of a recompile;
+//! * [`symbolic::SymbolicPlan`] — a `(format, format)` pair with the
+//!   processor count left free, instantiated at any `P` to exactly the
+//!   artifact a direct compile produces (standalone: the registry does
+//!   not key by format pair);
 //! * [`fault::FaultPlan`] — deterministic fault injection
 //!   ([`Machine::with_faults`]), per-round validation
 //!   ([`Machine::with_validation`]), and the

@@ -126,14 +126,6 @@ pub struct NetStats {
     /// Registry lock acquisitions that recovered a poisoned shard lock
     /// (`Mutex::into_inner` instead of an `unwrap` panic).
     pub lock_poison_recoveries: u64,
-    /// Concrete artifacts materialized from a symbolic (P-free) plan:
-    /// a format-pair registry entry instantiated at a processor count
-    /// it had not seen before, instead of re-running the planner.
-    pub symbolic_instantiations: u64,
-    /// Mapping pairs the symbolic normalizer declined (replication,
-    /// constant alignments, multi-dimensional grids, degenerate
-    /// placements) — those fall back to concrete per-pair plan keys.
-    pub symbolic_declines: u64,
 }
 
 impl NetStats {
@@ -165,15 +157,13 @@ impl NetStats {
         self.group_rollbacks += o.group_rollbacks;
         self.quarantined_pairs += o.quarantined_pairs;
         self.lock_poison_recoveries += o.lock_poison_recoveries;
-        self.symbolic_instantiations += o.symbolic_instantiations;
-        self.symbolic_declines += o.symbolic_declines;
     }
 
-    /// Book one [`crate::PlanRegistry`] access: a hit or a miss, what
-    /// it evicted and recovered, and what the symbolic layer did. (A
-    /// miss that compiled is also a `plans_computed`; one that only
-    /// published — [`crate::PlanRegistry::adopt`] — is not, so the
-    /// caller adds that.)
+    /// Book one [`crate::PlanRegistry`] access: a hit or a miss, and
+    /// what it evicted and recovered. (A miss that compiled is also a
+    /// `plans_computed`; one that only published —
+    /// [`crate::PlanRegistry::adopt`] — is not, so the caller adds
+    /// that.)
     pub fn bill(&mut self, o: &crate::registry::Outcome) {
         if o.hit {
             self.registry_hits += 1;
@@ -182,8 +172,6 @@ impl NetStats {
         }
         self.registry_evictions += o.evicted;
         self.lock_poison_recoveries += o.lock_recoveries;
-        self.symbolic_instantiations += u64::from(o.instantiated);
-        self.symbolic_declines += u64::from(o.declined);
     }
 
     /// One-line human-readable digest (experiment drivers, examples).
@@ -243,13 +231,6 @@ impl NetStats {
                 self.group_rollbacks,
                 self.quarantined_pairs,
                 self.lock_poison_recoveries,
-            ));
-        }
-        let symbolic = self.symbolic_instantiations + self.symbolic_declines;
-        if symbolic > 0 {
-            s.push_str(&format!(
-                " | symbolic {} instantiated / {} declined",
-                self.symbolic_instantiations, self.symbolic_declines,
             ));
         }
         s
@@ -538,8 +519,6 @@ mod tests {
             group_rollbacks: base + 23,
             quarantined_pairs: base + 24,
             lock_poison_recoveries: base + 25,
-            symbolic_instantiations: base + 26,
-            symbolic_declines: base + 27,
         };
         let mut merged = mk(100);
         merged.merge(&mk(1000));
@@ -572,8 +551,6 @@ mod tests {
             group_rollbacks,
             quarantined_pairs,
             lock_poison_recoveries,
-            symbolic_instantiations,
-            symbolic_declines,
         } = merged;
         assert_eq!(messages, 101 + 1001);
         assert_eq!(bytes, 102 + 1002);
@@ -601,13 +578,11 @@ mod tests {
         assert_eq!(group_rollbacks, 123 + 1023);
         assert_eq!(quarantined_pairs, 124 + 1024);
         assert_eq!(lock_poison_recoveries, 125 + 1025);
-        assert_eq!(symbolic_instantiations, 126 + 1026);
-        assert_eq!(symbolic_declines, 127 + 1027);
         // With every counter nonzero, all conditional summary segments
         // print, and every u64 counter's value appears verbatim —
         // summary() cannot silently omit a field either.
         let s = mk(200).summary();
-        for v in 201..=227u64 {
+        for v in 201..=225u64 {
             assert!(s.contains(&v.to_string()), "summary misses {v}: {s}");
         }
         assert!(s.contains("200.5"), "summary misses time_us: {s}");

@@ -15,23 +15,23 @@
 //! [`PlanRegistry::resolve`] is the only route from a mapping pair to
 //! its artifact — lowering and [`crate::ArrayRt::planned`] both call
 //! it, and every [`crate::Machine`] has a registry to call it on. It
-//! is total: a shard hit, symbolic instantiation when the pair's shape
-//! admits it ([`crate::symbolic`]), otherwise compile-under-lock, with
-//! a panicking compile contained and the clean recompile published.
-//! The [`Outcome`] says which of those happened, and
+//! is total for every shape: a shard hit, otherwise compile-under-lock,
+//! with a panicking compile contained and the clean recompile
+//! published. The [`Outcome`] says which happened, and
 //! [`crate::NetStats::bill`] books it. [`PlanRegistry::adopt`]
 //! publishes an artifact compiled elsewhere. A registered artifact is
 //! never replaced.
 //!
 //! # Identity, not equality
 //!
-//! Entries are keyed by **mapping-pair identity**: the pointer of the
-//! hash-consed [`hpfc_mapping::intern`] pair (plus the element size,
-//! which the plan bakes into its schedule). Each entry's
-//! `PlannedRemap` holds a strong reference to its pair, so a key
-//! pointer can never dangle or be recycled while the entry lives; when
-//! an entry is evicted and the last plan drops, the pair dies with it
-//! and a later request re-interns and re-registers from scratch.
+//! Entries are keyed by **mapping-pair identity** — the one key of
+//! every artifact: the pointer of the hash-consed
+//! [`hpfc_mapping::intern`] pair (plus the element size, which the plan
+//! bakes into its schedule). Each entry's `PlannedRemap` holds a strong
+//! reference to its pair, so a key pointer can never dangle or be
+//! recycled while the entry lives; when an entry is evicted and the
+//! last plan drops, the pair dies with it and a later request
+//! re-interns and re-registers from scratch.
 //!
 //! # Concurrency and eviction
 //!
@@ -42,10 +42,11 @@
 //! pins `plans_computed == distinct pairs`, not `× sessions`. Lookups
 //! of a warm entry are allocation-free (stack-hashed key, in-place
 //! probe, `Arc` clone out), preserving the zero-allocation cached
-//! bounce pinned by the counting-allocator test. Every table — the
-//! shards, the groups, the symbolic format pairs — is bounded by the
-//! registry's cap through one LRU implementation, and every entry it pushes
-//! out is counted in [`PlanRegistry::evictions`].
+//! bounce pinned by the counting-allocator test. Both tables — the
+//! shards and the groups — are bounded by the registry's cap through
+//! one LRU implementation, so the cap bounds every resident artifact,
+//! and every entry it pushes out is counted in
+//! [`PlanRegistry::evictions`].
 //!
 //! # Corruption does not fan out
 //!
@@ -86,7 +87,6 @@ use hpfc_mapping::NormalizedMapping;
 use crate::group::PlannedGroup;
 use crate::redist::plan_redistribution;
 use crate::status::PlannedRemap;
-use crate::symbolic::SymbolicPlan;
 
 /// Lock shards of the process-wide registry.
 const GLOBAL_SHARDS: usize = 8;
@@ -99,19 +99,8 @@ const GLOBAL_CAP: usize = 4096;
 /// [`crate::NetStats::bill`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Outcome {
-    /// The artifact was served from the registry (no compilation): a
-    /// registered concrete entry or a known format pair.
+    /// The artifact was served from the registry (no compilation).
     pub hit: bool,
-    /// A known format pair materialized an instantiation point it had
-    /// not seen before — the cheap re-provisioning path. Never set
-    /// without `hit`: the first materialization of a fresh format pair
-    /// is an ordinary miss, so compile-once accounting reads the same
-    /// wherever the entry lands.
-    pub instantiated: bool,
-    /// [`PlanRegistry::resolve`] asked the symbolic layer and the
-    /// pair's shape declined (replication, constant alignments,
-    /// multi-dimensional grids or arrays): served on concrete keys.
-    pub declined: bool,
     /// How many LRU entries this access pushed out.
     pub evicted: u64,
     /// How many poisoned locks this access recovered via `into_inner`.
@@ -122,15 +111,10 @@ pub struct Outcome {
 /// the element size the plan was computed for.
 type PlanKey = (usize, u64);
 
-/// Key of one symbolic entry: the interned format pair's pointer plus
-/// the element size. Each [`SymbolicPlan`] holds its pair strongly, so
-/// — exactly as with [`PlanKey`] — the pointer cannot dangle or be
-/// recycled while the entry lives.
-type SymKey = (usize, u64);
-
 /// A map with least-recently-used eviction: the one bounded table
-/// behind the solo shards, the groups, the format pairs and each
-/// [`SymbolicPlan`]'s instantiation points. A hit is allocation-free.
+/// behind the solo shards, the groups and each
+/// [`crate::SymbolicPlan`]'s instantiation points. A hit is
+/// allocation-free.
 pub(crate) struct Lru<K, V> {
     map: HashMap<K, (u64, V)>,
     clock: u64,
@@ -175,10 +159,6 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
-
-    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
-        self.map.values().map(|(_, value)| value)
-    }
 }
 
 type Shard = Lru<PlanKey, Arc<PlannedRemap>>;
@@ -195,12 +175,6 @@ pub struct PlanRegistry {
     /// one unsharded table (groups are built cold, at lowering, so the
     /// boxed key is off the replay path).
     groups: Mutex<Lru<Box<[PlanKey]>, Arc<PlannedGroup>>>,
-    /// Parametric plans keyed by interned format pair (symbolic
-    /// keying), bounded by the registry's total cap like the shards: a
-    /// format carries its template's extent, so a stream of template
-    /// sizes is a stream of format pairs. One lock, not shards: a
-    /// materialization is sub-millisecond and one-time per point.
-    sym: Mutex<Lru<SymKey, Arc<SymbolicPlan>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -222,8 +196,7 @@ impl std::fmt::Debug for PlanRegistry {
 
 impl PlanRegistry {
     /// A registry with `shards` lock shards and room for `cap` solo
-    /// entries in total (each shard gets at least one slot); the same
-    /// total bounds the format-pair table.
+    /// entries in total (each shard gets at least one slot).
     pub fn new(shards: usize, cap: usize) -> PlanRegistry {
         let shards = shards.max(1);
         let shard_cap = cap.div_ceil(shards).max(1);
@@ -231,7 +204,6 @@ impl PlanRegistry {
             shards: (0..shards).map(|_| Mutex::default()).collect(),
             shard_cap,
             groups: Mutex::default(),
-            sym: Mutex::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -299,17 +271,17 @@ impl PlanRegistry {
 
     /// The artifact for `(src, dst)` at `elem_size` — the one route
     /// from a mapping pair to the code that moves it, total for every
-    /// shape. In order: a registered concrete artifact (seeded,
-    /// adopted, or compiled earlier) is served as-is; a shape the
-    /// symbolic layer admits is instantiated from its format pair's
-    /// parametric plan; anything else compiles
-    /// once under its shard lock. `force_panic` injects
-    /// [`crate::FaultKind::CompilePanic`] into that compile (and skips
-    /// the symbolic leg: the panic must unwind inside
-    /// compile-under-lock to exercise containment). A panicking
-    /// compile, injected or real, is contained — the shard lock is
-    /// released healthy — and recovered by a clean compile outside any
-    /// lock, published registry-wide.
+    /// shape. A registered artifact (seeded, adopted, or compiled
+    /// earlier) is served as-is (a *hit*, allocation-free); otherwise
+    /// the whole pipeline compiles once under the pair's shard lock and
+    /// is registered (a *miss*): a second session asking for the pair
+    /// waits there and then hits. `force_panic` injects
+    /// [`crate::FaultKind::CompilePanic`] into that compile. A
+    /// panicking compile, injected or real, is contained — the
+    /// `catch_unwind` stops it before it unwinds past the guard, so the
+    /// shard lock is released healthy and no miss is counted — and
+    /// recovered by a clean compile outside any lock, published
+    /// registry-wide.
     pub fn resolve(
         &self,
         src: &NormalizedMapping,
@@ -317,46 +289,41 @@ impl PlanRegistry {
         elem_size: u64,
         force_panic: bool,
     ) -> (Arc<PlannedRemap>, Outcome) {
-        let (found, mut out) = self.probe(src, dst, elem_size);
-        if let Some(planned) = found {
-            return (planned, out);
-        }
-        if !force_panic {
-            if let Some((planned, sym)) = self.get_or_instantiate(src, dst, elem_size) {
-                let lock_recoveries = out.lock_recoveries + sym.lock_recoveries;
-                return (planned, Outcome { lock_recoveries, ..sym });
+        let mut out = Outcome::default();
+        // Held across the compile: `plan_redistribution` re-interns the
+        // pair — a pure lookup, returning the pointer we key by.
+        let (_pair, key) = Self::key_for(src, dst, elem_size);
+        let mut shard = match self.lookup(key, &mut out) {
+            Ok(planned) => return (planned, out),
+            Err(shard) => shard,
+        };
+        let compiled = catch_unwind(AssertUnwindSafe(|| {
+            if force_panic {
+                std::panic::panic_any(crate::fault::InjectedPanic);
             }
-            out.declined = true;
-        }
-        let planned = self
-            .lookup_or_compile(src, dst, elem_size, force_panic, &mut out)
-            .unwrap_or_else(|_panic| {
-                let clean =
-                    Arc::new(PlannedRemap::compile(plan_redistribution(src, dst, elem_size)));
-                self.install(Arc::clone(&clean));
-                clean
-            });
+            Arc::new(PlannedRemap::compile(plan_redistribution(src, dst, elem_size)))
+        }));
+        let Ok(planned) = compiled else {
+            drop(shard);
+            let clean = Arc::new(PlannedRemap::compile(plan_redistribution(src, dst, elem_size)));
+            self.install(Arc::clone(&clean));
+            return (clean, out);
+        };
+        out.evicted = shard.insert(key, Arc::clone(&planned), self.shard_cap);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.evictions.fetch_add(out.evicted, Ordering::Relaxed);
         (planned, out)
     }
 
-    /// The concrete leg of [`PlanRegistry::resolve`] on its own: served
-    /// from the shards when present (a *hit*, allocation-free),
-    /// otherwise compiled once under the shard lock and registered (a
-    /// *miss*). Concurrent requests for the same cold pair serialize on
-    /// the shard and compile exactly once. A panicking compile is
-    /// re-raised *outside* the shard lock, so the registry stays
-    /// healthy for everyone else.
+    /// [`PlanRegistry::resolve`] without an injected panic: the name
+    /// the benchmark harness calls.
     pub fn get_or_compile(
         &self,
         src: &NormalizedMapping,
         dst: &NormalizedMapping,
         elem_size: u64,
     ) -> (Arc<PlannedRemap>, Outcome) {
-        let mut out = Outcome::default();
-        match self.lookup_or_compile(src, dst, elem_size, false, &mut out) {
-            Ok(planned) => (planned, out),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
+        self.resolve(src, dst, elem_size, false)
     }
 
     /// What is served for `key` without compiling: the shard's entry,
@@ -377,40 +344,6 @@ impl PlanRegistry {
         self.hits.fetch_add(1, Ordering::Relaxed);
         out.hit = true;
         Ok(found)
-    }
-
-    /// [`PlanRegistry::lookup`], then compile the whole pipeline under
-    /// the shard lock it left held: a second session asking for this
-    /// pair waits there and then hits. `Err` carries the caught panic
-    /// payload of a panicking compile (injected via `force_panic`, or
-    /// real): the `catch_unwind` stops it before it unwinds past the
-    /// guard, so the lock is never poisoned by a compile, nothing is
-    /// registered and no miss is counted.
-    fn lookup_or_compile(
-        &self,
-        src: &NormalizedMapping,
-        dst: &NormalizedMapping,
-        elem_size: u64,
-        force_panic: bool,
-        out: &mut Outcome,
-    ) -> Result<Arc<PlannedRemap>, Box<dyn std::any::Any + Send>> {
-        // Held across the compile: `plan_redistribution` re-interns the
-        // pair — a pure lookup, returning the pointer we key by.
-        let (_pair, key) = Self::key_for(src, dst, elem_size);
-        let mut shard = match self.lookup(key, out) {
-            Ok(planned) => return Ok(planned),
-            Err(shard) => shard,
-        };
-        let planned = catch_unwind(AssertUnwindSafe(|| {
-            if force_panic {
-                std::panic::panic_any(crate::fault::InjectedPanic);
-            }
-            Arc::new(PlannedRemap::compile(plan_redistribution(src, dst, elem_size)))
-        }))?;
-        out.evicted = shard.insert(key, Arc::clone(&planned), self.shard_cap);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.evictions.fetch_add(out.evicted, Ordering::Relaxed);
-        Ok(planned)
     }
 
     /// Publish an artifact compiled elsewhere (lowering, a seeded
@@ -445,10 +378,10 @@ impl PlanRegistry {
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
-    /// The first leg of [`PlanRegistry::resolve`] on its own: what the
-    /// concrete tables serve for `(src, dst)` at `elem_size` without
-    /// compiling — the shard's entry. A hit is counted; a miss bills **nothing** — the
-    /// leg that resolves it does the miss accounting.
+    /// What the registry serves for `(src, dst)` at `elem_size` without
+    /// compiling — the shard's entry. A hit is counted; a miss bills
+    /// **nothing**. The benchmark harness's first step; the library
+    /// calls [`PlanRegistry::resolve`].
     pub fn probe(
         &self,
         src: &NormalizedMapping,
@@ -461,74 +394,30 @@ impl PlanRegistry {
         (found, out)
     }
 
-    /// The symbolic leg of [`PlanRegistry::resolve`] on its own: both
-    /// mappings are reduced to their P-free residues
-    /// ([`hpfc_mapping::normalize_symbolic`]), the residue pair is
-    /// interned, and the per-format-pair [`SymbolicPlan`] — created on
-    /// first sight, served ever after — materializes the concrete
-    /// artifact at this exact `(p_src, p_dst, extent)` instantiation
-    /// point.
-    ///
-    /// `None` (a *decline*) when either mapping has no symbolic
-    /// residue, the extents differ, or the formats cannot be realized
-    /// at the requested point; nothing is billed and nothing is cached.
-    ///
-    /// Billing on success mirrors the concrete leg so compile-once
-    /// accounting holds wherever the entry lands: a fresh format pair
-    /// is a *miss*; a known pair is a *hit*, and if this call
-    /// materialized a new instantiation point, `instantiated` marks the
-    /// cheap cross-`P` path. Format pairs pushed out to keep the table
-    /// within the registry's cap, and points a plan pushed out to stay
-    /// within its own, are `evicted`.
+    /// Always `None`: the registry keys every artifact by its mapping
+    /// pair, and keeps no format-pair (P-free) table to instantiate
+    /// from. Kept for the benchmark harness, whose own resolution order
+    /// (`probe`, this, then [`PlanRegistry::get_or_compile`]) thereby
+    /// falls through to the library's.
     pub fn get_or_instantiate(
         &self,
-        src: &NormalizedMapping,
-        dst: &NormalizedMapping,
-        elem_size: u64,
+        _src: &NormalizedMapping,
+        _dst: &NormalizedMapping,
+        _elem_size: u64,
     ) -> Option<(Arc<PlannedRemap>, Outcome)> {
-        let (src_fmt, p_src) = hpfc_mapping::normalize_symbolic(src)?;
-        let (dst_fmt, p_dst) = hpfc_mapping::normalize_symbolic(dst)?;
-        if src.array_extents != dst.array_extents || src.array_extents.rank() != 1 {
-            return None;
-        }
-        let extent = src.array_extents.extent(0);
-        let formats = hpfc_mapping::format_pair(src_fmt, dst_fmt);
-        let key: SymKey = (Arc::as_ptr(&formats) as usize, elem_size);
-        let (mut sym, rec) = self.lock_recover(&self.sym);
-        let mut out = Outcome { lock_recoveries: rec, ..Default::default() };
-        let known = sym.touch(&key).cloned();
-        out.hit = known.is_some();
-        let plan = known.unwrap_or_else(|| Arc::new(SymbolicPlan::new(formats, elem_size)));
-        // Materialize under the table lock: the hit/miss decision and
-        // the artifact stay atomic, and the plan's eviction count moves
-        // only here. An unrealizable point registers nothing.
-        let evicted_before = plan.evictions();
-        let (planned, fresh) = plan.instantiate_planned(p_src, p_dst, extent)?;
-        out.evicted = plan.evictions() - evicted_before;
-        if out.hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            out.instantiated = fresh;
-        } else {
-            out.evicted += sym.insert(key, plan, self.shard_cap * self.shards.len());
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        self.evictions.fetch_add(out.evicted, Ordering::Relaxed);
-        Some((planned, out))
+        None
     }
 
-    /// Registered symbolic (format-pair) entries; compare
-    /// [`PlanRegistry::len`], which counts concrete per-mapping-pair
-    /// entries.
+    /// Always 0: no format-pair entries exist (see
+    /// [`PlanRegistry::get_or_instantiate`]). Kept for the benchmark
+    /// harness; [`PlanRegistry::len`] counts every artifact.
     pub fn sym_len(&self) -> usize {
-        self.lock_recover(&self.sym).0.len()
+        0
     }
 
-    /// Total concrete instantiation points resident across all symbolic
-    /// entries (each is one cached plan → schedule → program; at most
-    /// [`crate::symbolic::INSTANCE_CAP`] per entry, evictions counted
-    /// in [`PlanRegistry::evictions`]).
+    /// Always 0, like [`PlanRegistry::sym_len`].
     pub fn sym_instances(&self) -> usize {
-        self.lock_recover(&self.sym).0.values().map(|p| p.instances()).sum()
+        0
     }
 
     /// The shared directive-level group artifact for `members` (in
@@ -581,8 +470,8 @@ impl PlanRegistry {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Lifetime LRU eviction count, registry-wide (solo entries,
-    /// groups, symbolic format pairs and their instantiation points).
+    /// Lifetime LRU eviction count, registry-wide (solo entries and
+    /// groups).
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
@@ -680,17 +569,15 @@ mod tests {
         assert_eq!(reg.len(), 2);
     }
 
-    /// A stream of array extents `7000 + i` over one fixed template
-    /// (one format pair), or — `own_template` — each over a template of
-    /// its own extent (a format pair per extent).
-    fn cyclic3_to_cyclic(i: usize, own_template: bool) -> (NormalizedMapping, NormalizedMapping) {
+    /// A stream of array extents `7000 + i` over one fixed template:
+    /// one format pair, a distinct mapping pair per extent.
+    fn cyclic3_to_cyclic(i: usize) -> (NormalizedMapping, NormalizedMapping) {
         use hpfc_mapping::{
             Alignment, Distribution, Extents, GridId, Mapping, ProcGrid, Template, TemplateId,
         };
         let n = 7000 + i as u64;
         let at = |fmt: DimFormat| {
-            let shape = Extents::new(&[if own_template { n } else { 77_777 }]);
-            let t = Template { id: TemplateId(0), name: "T".into(), shape };
+            let t = Template { id: TemplateId(0), name: "T".into(), shape: Extents::new(&[77_777]) };
             let g = ProcGrid { id: GridId(0), name: "P".into(), shape: Extents::new(&[4]) };
             Mapping {
                 align: Alignment::identity(TemplateId(0), 1),
@@ -704,25 +591,27 @@ mod tests {
 
     #[test]
     fn symbolic_instances_are_bounded_and_their_evictions_counted() {
-        use crate::symbolic::INSTANCE_CAP;
         // One format pair, a stream of array extents, each resolved by
-        // a fresh array of one session: the session's books see every
-        // eviction the registry counts.
-        let reg = Arc::new(PlanRegistry::new(1, 64));
+        // a fresh array of one session: every extent is its own mapping
+        // pair, compiled once, and the cap bounds all of them — no
+        // instantiation point lives outside it. The session's books see
+        // every eviction the registry counts.
+        const CAP: usize = 4;
+        let reg = Arc::new(PlanRegistry::new(1, CAP));
         let mut machine = crate::Machine::new(4).with_registry(Arc::clone(&reg));
         let mut planned = |i: usize| {
-            let (s, d) = cyclic3_to_cyclic(i, false);
+            let (s, d) = cyclic3_to_cyclic(i);
             crate::ArrayRt::new("a", vec![s, d], 8).planned(&mut machine, 0, 1)
         };
         let first = planned(0);
-        for i in 1..10 * INSTANCE_CAP {
+        for i in 1..3 * CAP {
             planned(i);
-            assert!(reg.sym_instances() <= INSTANCE_CAP * reg.sym_len());
+            assert!(reg.len() + reg.sym_instances() <= CAP, "after {i}: {reg:?}");
         }
-        assert_eq!((reg.len(), reg.sym_len(), reg.sym_instances()), (0, 1, INSTANCE_CAP));
-        assert_eq!(reg.evictions(), (9 * INSTANCE_CAP) as u64);
-        // The evicted first point re-instantiates to an equal artifact;
-        // the Arc handed out before the eviction is untouched.
+        assert_eq!((reg.len(), reg.sym_len(), reg.sym_instances()), (CAP, 0, 0));
+        assert_eq!(reg.evictions(), 2 * CAP as u64);
+        // The evicted first pair recompiles to an equal artifact; the
+        // Arc handed out before the eviction is untouched.
         let again = planned(0);
         assert!(!Arc::ptr_eq(&first, &again));
         assert_eq!(first.program, again.program);
@@ -730,62 +619,59 @@ mod tests {
         assert!(first.program.as_ref().is_some_and(|p| p.integrity_ok()));
         let stats = machine.stats;
         assert_eq!(stats.registry_evictions, reg.evictions(), "{stats:?}");
-        assert_eq!((stats.registry_misses, stats.plans_computed), (1, 1), "{stats:?}");
-        assert_eq!(stats.symbolic_instantiations, (10 * INSTANCE_CAP) as u64, "{stats:?}");
+        let compiled = 3 * CAP as u64 + 1;
+        assert_eq!((stats.registry_misses, stats.plans_computed), (compiled, compiled), "{stats:?}");
     }
 
     #[test]
     fn resolve_keeps_both_tables_within_the_cap() {
-        // A format carries its template's extent, so every template
-        // size is a new format pair: the cap must bound that table too.
+        // Both tables — the shards and the groups — are bounded by the
+        // cap through one LRU: a stream of fresh pairs, each also built
+        // as a group of one, keeps each table at the cap, and every
+        // eviction is billed to the access that caused it.
         const CAP: usize = 4;
         let reg = PlanRegistry::new(1, CAP);
+        let groups = || reg.lock_recover(&reg.groups).0.len();
         let mut billed = 0;
         for i in 0..3 * CAP {
-            let (s, d) = cyclic3_to_cyclic(i, true);
-            let (_, out) = reg.resolve(&s, &d, 8, false);
-            assert!(!out.hit && !out.declined, "a fresh symbolic pair: {out:?}");
+            let (s, d) = cyclic3_to_cyclic(i);
+            let (member, out) = reg.resolve(&s, &d, 8, false);
+            assert!(!out.hit, "a fresh pair: {out:?}");
             billed += out.evicted;
-            assert!(reg.len() + reg.sym_len() <= CAP, "after {i}: {reg:?}, {}", reg.sym_len());
+            let (_, out) = reg.get_or_compile_group(vec![member]);
+            assert!(!out.hit, "a fresh group: {out:?}");
+            billed += out.evicted;
+            assert!(reg.len() <= CAP && groups() <= CAP, "after {i}: {reg:?}, {} groups", groups());
         }
-        assert_eq!((reg.len(), reg.sym_len(), reg.sym_instances()), (0, CAP, CAP));
-        assert_eq!((reg.evictions(), billed), (2 * CAP as u64, 2 * CAP as u64));
+        assert_eq!((reg.len(), groups()), (CAP, CAP));
+        assert_eq!((reg.evictions(), billed), (4 * CAP as u64, 4 * CAP as u64));
         // Least recently used first: the newest CAP pairs are resident.
-        let (s, d) = cyclic3_to_cyclic(3 * CAP - 1, true);
+        let (s, d) = cyclic3_to_cyclic(3 * CAP - 1);
         assert!(reg.resolve(&s, &d, 8, false).1.hit);
-        let (s, d) = cyclic3_to_cyclic(0, true);
+        let (s, d) = cyclic3_to_cyclic(0);
         assert!(!reg.resolve(&s, &d, 8, false).1.hit);
     }
 
     #[test]
-    fn resolve_picks_the_keying_from_the_shape() {
+    fn resolve_keys_every_shape_by_its_mapping_pair() {
         use hpfc_mapping::testing::mapping_2d;
         let reg = PlanRegistry::new(2, 64);
         let at = |p| {
             (mapping_1d(5101, p, DimFormat::Cyclic(Some(2))), mapping_1d(5101, p, DimFormat::Cyclic(None)))
         };
-        // Admitted: a plain miss on the format pair, then a hit; the
-        // same formats at another P are the cheap instantiation path.
-        let (src, dst) = at(4);
-        let (p, o) = reg.resolve(&src, &dst, 8, false);
-        assert_eq!(o, Outcome::default());
-        let (q, o) = reg.resolve(&src, &dst, 8, false);
-        assert_eq!(o, Outcome { hit: true, ..Outcome::default() });
-        assert!(Arc::ptr_eq(&p, &q));
-        let (src, dst) = at(8);
-        let (_, o) = reg.resolve(&src, &dst, 8, false);
-        assert_eq!(o, Outcome { hit: true, instantiated: true, ..Outcome::default() });
-        assert_eq!((reg.len(), reg.sym_len(), reg.sym_instances()), (0, 1, 2));
-        // Declined (a 2-D array): lands in the shards, compiled once.
         let row = mapping_2d(72, 4, vec![DimFormat::Block(None), DimFormat::Collapsed]);
         let col = mapping_2d(72, 4, vec![DimFormat::Collapsed, DimFormat::Block(None)]);
-        let (p, o) = reg.resolve(&row, &col, 8, false);
-        assert_eq!(o, Outcome { declined: true, ..Outcome::default() });
-        let (q, o) = reg.resolve(&row, &col, 8, false);
-        assert_eq!(o, Outcome { hit: true, ..Outcome::default() });
-        assert!(Arc::ptr_eq(&p, &q));
-        assert_eq!((reg.len(), reg.sym_len()), (1, 1));
-        assert_eq!((reg.hits(), reg.misses()), (3, 2));
+        // A 1-D pair at two processor counts and a 2-D pair: each is a
+        // miss, then a hit on the very same Arc. The same formats at
+        // another P are another mapping pair, compiled on their own.
+        for (src, dst) in [at(4), at(8), (row, col)] {
+            let (p, o) = reg.resolve(&src, &dst, 8, false);
+            assert_eq!(o, Outcome::default());
+            let (q, o) = reg.resolve(&src, &dst, 8, false);
+            assert_eq!(o, Outcome { hit: true, ..Outcome::default() });
+            assert!(Arc::ptr_eq(&p, &q));
+        }
+        assert_eq!((reg.len(), reg.hits(), reg.misses()), (3, 3, 3));
     }
 
     #[test]
@@ -847,7 +733,7 @@ mod tests {
         assert_eq!(out, Outcome::default(), "a miss, no lock recovered");
         assert!(clean.program.as_ref().is_some_and(|p| p.integrity_ok()));
         assert_eq!(reg.misses(), 0, "the panicked compile is not a miss; install counts nothing");
-        assert_eq!((reg.len(), reg.sym_len()), (1, 0), "published on the concrete keys");
+        assert_eq!(reg.len(), 1, "published registry-wide");
         // The shard lock survived the panicking compile: the next
         // access is a plain hit on the published artifact.
         let (served, out2) = reg.resolve(&src, &dst, 8, false);

@@ -1,36 +1,20 @@
-//! Symbolic plans: one parametric artifact per `(format, format)` pair,
-//! instantiated at launch time for any processor count.
+//! Symbolic plans: a `(format, format)` pair with the processor count
+//! left free, instantiated at any `P`.
 //!
-//! The planner is already symbolic in the array extent — its periodic
-//! descriptors are closed-form, so planning cost is flat in `n`. This
-//! module makes the *registry* symbolic in `P` as well. A
-//! [`SymbolicPlan`] pins the P-free residue of a mapping pair (two
+//! A [`SymbolicPlan`] pins the P-free residue of a mapping pair (two
 //! [`hpfc_mapping::SymbolicFormat`]s, hash-consed into one
-//! [`FormatPair`]) and materializes concrete artifacts on demand:
-//! [`SymbolicPlan::instantiate`] rebuilds both concrete mappings in
-//! closed form at the requested `(p_src, p_dst, extent)` and evaluates
-//! the closed-form planner pipeline (plan → caterpillar schedule →
-//! stride-encoded [`crate::CopyProgram`]) at that point, caching the
-//! result per instantiation point. Because the rebuilt mappings are
-//! *exactly* the mappings direct normalization produces (the symbolic
-//! normalizer round-trips before admitting a format), every
-//! instantiated artifact is byte-for-byte the artifact direct
-//! compilation produces — pinned by `tests/proptest_symbolic.rs`.
+//! [`FormatPair`]); [`SymbolicPlan::instantiate_planned`] rebuilds both
+//! concrete mappings in closed form at `(p_src, p_dst, extent)` and
+//! runs the ordinary pipeline (plan → caterpillar schedule →
+//! [`crate::CopyProgram`]) there, caching the result per point. The
+//! rebuilt mappings are *exactly* the directly normalized ones (the
+//! symbolic normalizer round-trips before admitting a format), so every
+//! artifact is byte-for-byte a direct compile — pinned by
+//! `tests/proptest_symbolic.rs`.
 //!
-//! What this buys (and is pinned by the re-provisioning test): the
-//! [`crate::PlanRegistry`] keyed this way holds **O(format pairs)**
-//! entries instead of O(mapping pairs), and re-provisioning a fleet
-//! from `P = 16` to `P = 64` re-instantiates the same entries —
-//! `NetStats::plans_computed` stays 0 on the second launch; the cost is
-//! one closed-form instantiation per new `P`, billed to
-//! `NetStats::symbolic_instantiations` instead.
-//!
-//! The layer is partial by design, and which keying serves a pair is
-//! decided by the pair's shape alone, inside
-//! [`crate::PlanRegistry::resolve`]: shapes the symbolic normalizer
-//! declines (replication, constant alignments, multi-dimensional
-//! grids) compile on the concrete per-mapping-pair keys, counted in
-//! `NetStats::symbolic_declines`.
+//! Instantiating is a full compile, so it buys nothing over compiling
+//! the concrete pair: the [`crate::PlanRegistry`] keys every artifact by
+//! its interned mapping pair and never consults this module.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -42,13 +26,9 @@ use crate::redist::{plan_redistribution, RedistPlan};
 use crate::registry::Lru;
 use crate::status::PlannedRemap;
 
-/// Most instantiation points one [`SymbolicPlan`] keeps resident. An
-/// instantiation is closed-form in the extent (sub-millisecond), so a
-/// point pushed out by a long stream of distinct extents costs little
-/// to rebuild — while keeping every one forever costs a plan, a
-/// schedule and a program each. A constant, not an option: 64 covers
-/// every launch shape of one format pair a service plausibly cycles
-/// through at once.
+/// Most instantiation points one [`SymbolicPlan`] keeps resident: each
+/// costs a plan, a schedule and a program, so a long stream of distinct
+/// extents must not keep every one forever.
 pub const INSTANCE_CAP: usize = 64;
 
 /// The instance cache: artifacts by instantiation point
@@ -57,8 +37,7 @@ type Instances = Lru<(u64, u64, u64), Arc<PlannedRemap>>;
 
 /// A parametric remap plan: a `(format, format)` pair with `P` left
 /// free, plus the cache of concrete artifacts it has been instantiated
-/// to. One `SymbolicPlan` serves a whole family of launches — every
-/// processor count, one registry entry.
+/// to: one `SymbolicPlan` serves every processor count of a family.
 pub struct SymbolicPlan {
     /// The interned P-free formats (source, destination).
     formats: FormatPair,
@@ -130,10 +109,9 @@ impl SymbolicPlan {
     }
 
     /// Materialize the concrete [`RedistPlan`] at `(p_src, p_dst,
-    /// extent)` — the launch-time instantiation of the ISSUE contract.
-    /// `None` when either format cannot be realized there (fewer than
-    /// two processors, alignment image out of bounds, or a placement
-    /// that degenerates to a single owner at that `P`).
+    /// extent)`. `None` when either format cannot be realized there
+    /// (fewer than two processors, alignment image out of bounds, or a
+    /// placement that degenerates to a single owner at that `P`).
     pub fn instantiate(&self, p_src: u64, p_dst: u64, extent: u64) -> Option<RedistPlan> {
         self.instantiate_planned(p_src, p_dst, extent).map(|(p, _)| p.plan.clone())
     }

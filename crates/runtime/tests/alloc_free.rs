@@ -290,9 +290,7 @@ fn steady_state_remap_allocates_nothing() {
     // was just removed). None of it may heap-allocate, and the data a
     // registry-served session produces must be byte-identical to a
     // session that never evicts its local view.
-    // A 64 x 64 array: the symbolic layer declines it, so this section
-    // measures the concrete shard path; section 8 measures the
-    // symbolic one.
+    // A 64 x 64 array; a 1-D pair takes the very same shard path.
     let registry = std::sync::Arc::new(PlanRegistry::new(4, 64));
     let src = mapping_2d(64, 4, vec![DimFormat::Block(None), DimFormat::Collapsed]);
     let dst = mapping_2d(64, 4, vec![DimFormat::Collapsed, DimFormat::Cyclic(Some(3))]);
@@ -313,7 +311,7 @@ fn steady_state_remap_allocates_nothing() {
             r.set(&second, 1.0);
         }
     }
-    assert_eq!((registry.len(), registry.sym_len()), (2, 0), "the shape lands in the shards");
+    assert_eq!(registry.len(), 2, "both directions are registered");
     let hits = machine.stats.registry_hits;
     for i in 0..10u64 {
         rt.set(&first, i as f64); // outside the measured window
@@ -335,7 +333,6 @@ fn steady_state_remap_allocates_nothing() {
     assert_eq!(machine.stats.registry_hits, hits + 20);
     assert_eq!(machine.stats.plans_computed, 2, "compiled once per direction, ever");
     assert_eq!(machine.stats.registry_misses, 2);
-    assert_eq!(machine.stats.symbolic_declines, 2, "asked once per compile, never per hit");
     assert_eq!(solo_machine.stats.plans_computed, 2, "the baseline session plans itself");
     // ...and the served artifact moves bytes identically to the
     // baseline's.
@@ -431,62 +428,7 @@ fn steady_state_remap_allocates_nothing() {
     assert_eq!(machine.stats.txn_rollbacks, 0, "the happy path never rolls back");
     assert_eq!(machine.stats.plans_computed, 2, "planned once per direction");
 
-    // --- 8. A SYMBOLIC registry-hit bounce is allocation-free too. ----
-    // Section 5 for a shape the symbolic layer admits: the local view
-    // is evicted before every measured remap, so each takes the full
-    // symbolic flow — probe the concrete tables (miss: under symbolic
-    // keying nothing was ever registered there), reduce both mappings
-    // to their P-free residues (pure stack arithmetic — the field-wise
-    // round-trip check in `normalize_symbolic` builds no mappings),
-    // intern the format pair (a live hit returns the existing Arc),
-    // lock the format-pair table, and serve the cached instantiation
-    // point out of the `SymbolicPlan`'s instance map (an Arc clone).
-    // The one-time costs — materializing the artifact at a new
-    // `(p_src, p_dst, extent)` point — happened in the warm-up, like
-    // the concrete scheme's compiles.
-    let registry = std::sync::Arc::new(PlanRegistry::new(4, 64));
-    let src = mk(n, 4, DimFormat::Block(None));
-    let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
-    let mut machine = Machine::new(4).with_registry(std::sync::Arc::clone(&registry));
-    let mut rt = ArrayRt::new("a", vec![src, dst], 8);
-    rt.current(&mut machine, 0).fill(|p| p[0] as f64);
-    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-    // Warm up: registers both format pairs and materializes their
-    // instantiation points, grows scratch, seeds locals.
-    for _ in 0..2 {
-        remap(&mut rt, &mut machine, 1, &keep, false);
-        rt.set(&[0], 1.0);
-        remap(&mut rt, &mut machine, 0, &keep, false);
-        rt.set(&[1], 1.0);
-    }
-    assert_eq!(
-        (registry.len(), registry.sym_len()),
-        (0, 2),
-        "symbolic keying holds both directions as format pairs"
-    );
-    let hits = machine.stats.registry_hits;
-    for i in 0..10u64 {
-        rt.set(&[0], i as f64); // outside the measured window
-        rt.plan_cache.remove(&(0, 1)); // evict: the symbolic table serves
-        let before = allocations();
-        remap(&mut rt, &mut machine, 1, &keep, false);
-        assert_eq!(allocations(), before, "symbolic-hit remap {i} ->1 allocated");
-        rt.set(&[1], i as f64);
-        rt.plan_cache.remove(&(1, 0));
-        let before = allocations();
-        remap(&mut rt, &mut machine, 0, &keep, false);
-        assert_eq!(allocations(), before, "symbolic-hit remap {i} ->0 allocated");
-    }
-    // Every measured remap was served by the symbolic table: a hit on
-    // the format pair, a cached instantiation point, zero new plans
-    // and zero fresh instantiations.
-    assert_eq!(machine.stats.registry_hits, hits + 20);
-    assert_eq!(machine.stats.plans_computed, 2, "compiled once per format pair, ever");
-    assert_eq!(machine.stats.registry_misses, 2);
-    assert_eq!(machine.stats.symbolic_instantiations, 0, "no new instantiation points");
-    assert_eq!(machine.stats.symbolic_declines, 0, "the shape is symbolic");
-
-    // --- 9. A bounce whose cleaning frees the source recycles storage. -
+    // --- 8. A bounce whose cleaning frees the source recycles storage. -
     // Fig. 20 with `M = {target}`: every remap allocates its target and
     // cleaning frees the source right after — the shape of every
     // in-program remap loop. The freed copy is parked and the next
@@ -518,7 +460,7 @@ fn steady_state_remap_allocates_nothing() {
     assert_eq!(machine.mem.peak, peak, "modeled memory is billed exactly as before");
     assert!((0..n).all(|i| rt.get(&[i]) == if i < 10 { -1.0 } else { i as f64 }));
 
-    // --- 10. A version's only O(extent) allocation is its data. -------
+    // --- 9. A version's only O(extent) allocation is its data. --------
     // Blocks address themselves through the mapping's closed-form
     // periodic sets, so CYCLIC(1) — where every owned index is its own
     // run — costs the data plus a few descriptors, not a second
@@ -534,7 +476,7 @@ fn steady_state_remap_allocates_nothing() {
         n * 8
     );
 
-    // --- 11. Compiling is flat in the extent. -------------------------
+    // --- 10. Compiling is flat in the extent. -------------------------
     // plan -> schedule -> program never lists a run of the innermost
     // dimension: BLOCK <-> CYCLIC(1) at n = 4Mi over 16 processors is
     // 4Mi single-element runs and compiles within a few descriptors per
@@ -557,7 +499,7 @@ fn steady_state_remap_allocates_nothing() {
         );
     }
 
-    // --- 12. A guarded group snapshots only what it will write. -------
+    // --- 11. A guarded group snapshots only what it will write. -------
     // Two 512 KiB arrays under Checksums validation, one remap directive
     // per hop: `a` is never written, so every hop of its is a live-copy
     // reuse; `b` is written after every hop, so it moves data — the
@@ -608,7 +550,7 @@ fn steady_state_remap_allocates_nothing() {
     assert_eq!(machine.stats.remaps_performed, performed + 8, "b moved data every hop");
     assert_eq!(machine.stats.group_rollbacks, 0);
 
-    // --- 13. A checksummed solo bounce is allocation-free too. --------
+    // --- 12. A checksummed solo bounce is allocation-free too. --------
     // Sections 6-7 pin the guarded path under `Counts`. Under
     // `Checksums` every unit is copied by the run kernel's copy-and-sum
     // (the source half of the checksum rides the copy) and summed back

@@ -4,7 +4,8 @@
 //! oracle, and the registry's accounting is pinned *exactly* — the
 //! whole process compiles one plan per distinct interned direction
 //! (never per session), hit/miss/eviction counters balance under a
-//! forced-eviction cap, and nothing deadlocks.
+//! forced-eviction cap, the cap bounds every resident artifact, and
+//! nothing deadlocks.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -28,25 +29,13 @@ fn mk1d(n: u64, p: u64, fmt: DimFormat) -> NormalizedMapping {
     hpfc_mapping::testing::mapping_1d(n, p, fmt)
 }
 
-/// The two shapes [`PlanRegistry::resolve`] tells apart: a 1-D pair
-/// the symbolic layer admits (its entries land in the format-pair
-/// table) and a 2-D array it declines (concrete shards). Every
-/// compile-once assertion below holds for both; only where the entries
-/// land differs, and that is decided by the shape.
+/// Two array shapes, a 1-D and a 2-D one: [`PlanRegistry::resolve`]
+/// keys both by their interned mapping pair, so every assertion below
+/// holds for both alike.
 #[derive(Clone, Copy, Debug)]
 enum Shape {
-    Symbolic,
-    Declined,
-}
-
-impl Shape {
-    /// `(len, sym_len)` of a registry holding `entries` of this shape.
-    fn landed(self, entries: usize) -> (usize, usize) {
-        match self {
-            Shape::Symbolic => (0, entries),
-            Shape::Declined => (entries, 0),
-        }
-    }
+    OneD,
+    TwoD,
 }
 
 /// `k` distinct (src, dst) pairs — distinct extents, so each interns to
@@ -57,11 +46,11 @@ fn pool(shape: Shape, k: usize) -> Vec<(NormalizedMapping, NormalizedMapping)> {
     use hpfc_mapping::testing::mapping_2d;
     (0..k)
         .map(|i| match shape {
-            Shape::Symbolic => {
+            Shape::OneD => {
                 let n = 3072 + 128 * i as u64;
                 (mk1d(n, 4, DimFormat::Block(None)), mk1d(n, 4, DimFormat::Cyclic(Some(3))))
             }
-            Shape::Declined => {
+            Shape::TwoD => {
                 let n = 56 + 4 * i as u64;
                 (
                     mapping_2d(n, 4, vec![DimFormat::Block(None), DimFormat::Collapsed]),
@@ -121,7 +110,7 @@ fn many_sessions_compile_once_per_distinct_pair() {
     const THREADS: usize = 4;
     const SESSIONS: usize = 3;
     const PAIRS: usize = 5;
-    for shape in [Shape::Symbolic, Shape::Declined] {
+    for shape in [Shape::OneD, Shape::TwoD] {
         let registry = Arc::new(PlanRegistry::new(4, 1024));
         let pairs = Arc::new(pool(shape, PAIRS));
         let handles: Vec<_> = (0..THREADS)
@@ -154,17 +143,7 @@ fn many_sessions_compile_once_per_distinct_pair() {
         let consultations = (THREADS * SESSIONS * 2) as u64;
         assert_eq!(total.registry_hits, consultations - 2 * PAIRS as u64, "{total:?}");
         assert_eq!(total.registry_evictions, 0, "a generous cap never evicts");
-        // The compile-once books above hold for BOTH shapes; only where
-        // the 2×PAIRS entries live differs. The pool's pairs stay
-        // distinct symbolically too: each extent gives `BLOCK` a different
-        // block size and the templates different extents.
-        assert_eq!((registry.len(), registry.sym_len()), shape.landed(2 * PAIRS), "{shape:?}");
-        // One decline per compile — and one more for every session that
-        // lost a race: declined, then served the winner's artifact.
-        match shape {
-            Shape::Symbolic => assert_eq!(total.symbolic_declines, 0),
-            Shape::Declined => assert!(total.symbolic_declines >= 2 * PAIRS as u64, "{total:?}"),
-        }
+        assert_eq!(registry.len(), 2 * PAIRS, "{shape:?}");
         assert_eq!((registry.hits(), registry.misses()), (total.registry_hits, total.registry_misses));
     }
 }
@@ -175,7 +154,7 @@ fn many_sessions_compile_once_per_distinct_pair() {
 /// same `Arc`s as the first session's.
 #[test]
 fn a_second_session_is_served_entirely_by_the_registry() {
-    for shape in [Shape::Symbolic, Shape::Declined] {
+    for shape in [Shape::OneD, Shape::TwoD] {
         let registry = Arc::new(PlanRegistry::new(2, 64));
         let pairs = pool(shape, 1);
         let (src, dst) = &pairs[0];
@@ -199,10 +178,10 @@ fn a_second_session_is_served_entirely_by_the_registry() {
 /// its pair — the first pulls both directions in (two misses, evicting
 /// the coldest resident artifacts), the second re-reads them while
 /// still resident (two hits). Every counter is pinned exactly, and
-/// identically for both tables: the one cap bounds each.
+/// identically for both shapes.
 #[test]
 fn eviction_counters_are_exact_under_a_tiny_cap() {
-    for shape in [Shape::Symbolic, Shape::Declined] {
+    for shape in [Shape::OneD, Shape::TwoD] {
         let registry = Arc::new(PlanRegistry::new(1, 2));
         let pairs = pool(shape, 3);
         const ROUNDS: usize = 3;
@@ -225,7 +204,7 @@ fn eviction_counters_are_exact_under_a_tiny_cap() {
         assert_eq!(total.registry_misses, 2 * sessions, "{total:?}");
         assert_eq!(total.registry_hits, 2 * sessions, "{total:?}");
         assert_eq!(total.registry_evictions, 2 * sessions - 2, "{total:?}");
-        assert_eq!((registry.len(), registry.sym_len()), shape.landed(2), "the cap bounds residency");
+        assert_eq!(registry.len(), 2, "the cap bounds residency");
         assert_eq!(registry.evictions(), total.registry_evictions);
     }
 }
@@ -238,7 +217,7 @@ fn eviction_counters_are_exact_under_a_tiny_cap() {
 /// sessions cross it without recovering again.
 #[test]
 fn a_poisoned_shard_lock_never_reaches_a_later_session() {
-    for shape in [Shape::Symbolic, Shape::Declined] {
+    for shape in [Shape::OneD, Shape::TwoD] {
         // One shard: every registry access crosses the poisoned lock.
         let registry = Arc::new(PlanRegistry::new(1, 64));
         let pairs = pool(shape, 1);
@@ -260,4 +239,30 @@ fn a_poisoned_shard_lock_never_reaches_a_later_session() {
         assert_eq!(s2.lock_poison_recoveries, 0, "the recovery healed the lock for good");
         assert_eq!(registry.lock_recoveries(), 1);
     }
+}
+
+/// The cap bounds every resident artifact, not a family of them: one
+/// `(format, format)` pair — `CYCLIC(4) -> CYCLIC` over one template —
+/// at 40 distinct processor counts is 40 mapping pairs, and a registry
+/// of two slots holds at most two of them, evicting exactly one per
+/// compile once full.
+#[test]
+fn one_format_pair_at_many_processor_counts_stays_within_the_cap() {
+    const N: u64 = 4096;
+    let registry = PlanRegistry::new(1, 2);
+    let counts: Vec<u64> = (2..42).collect();
+    for &p in &counts {
+        let (src, dst) = (mk1d(N, p, DimFormat::Cyclic(Some(4))), mk1d(N, p, DimFormat::Cyclic(None)));
+        let (planned, _) = registry.resolve(&src, &dst, 8, false);
+        assert!(planned.program.as_ref().is_some_and(|c| c.integrity_ok()), "P={p}");
+        assert!(
+            registry.len() + registry.sym_instances() <= 2,
+            "P={p}: {} resident, {} instantiation points",
+            registry.len(),
+            registry.sym_instances()
+        );
+    }
+    assert_eq!(registry.len(), 2);
+    assert_eq!(registry.misses(), counts.len() as u64, "every processor count compiles");
+    assert_eq!(registry.evictions(), counts.len() as u64 - 2);
 }

@@ -379,9 +379,8 @@ fn executor_reuse_across_runs_accumulates_stats() {
 
 /// One way to get a plan: lowering and a run-time local miss resolve a
 /// pair through the same registry function, so for every planned copy
-/// of a lowered program — a 1-D pair the symbolic layer admits, a 2-D
-/// one it declines — an array that was never seeded is handed the very
-/// `Arc` the program carries.
+/// of a lowered program — 1-D or 2-D — an array that was never seeded
+/// is handed the very `Arc` the program carries.
 #[test]
 fn lowering_and_the_runtime_resolve_to_the_same_artifact() {
     const BOUNCE_1D: &str = "\
