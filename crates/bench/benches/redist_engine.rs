@@ -64,16 +64,12 @@ fn bench_remap_loop_caching(c: &mut Criterion) {
     g.finish();
 }
 
-/// The restore-path payoff (Fig. 18, PR 4): a save/restore bounce
-/// around a call — remap to the callee's version, write there (staling
-/// the saved copy), restore to the saved tag. `cached` is the
-/// post-lowering behavior: the restore arm was planned at compile time
-/// and seeded into the cache, so the bounce is tag dispatch + compiled
-/// program replay. `lazy_plan_every_restore` models the pre-PR restore
-/// cost by evicting the restore direction from the plan cache before
-/// each bounce — what the first execution of every flow-dependent
-/// restore used to pay at run time (closed-form plan + caterpillar
-/// schedule + program compile).
+/// The restore path (Fig. 18): a save/restore bounce around a call —
+/// remap to the callee's version, write there (staling the saved
+/// copy), restore to the saved tag. `cached` is the post-lowering
+/// behavior: the restore arm was planned at compile time and seeded
+/// into the cache, so the bounce is tag dispatch + compiled program
+/// replay.
 fn bench_restore_bounce(c: &mut Criterion) {
     let n = 16384u64;
     let mut g = c.benchmark_group("redist/restore_bounce");
@@ -83,23 +79,17 @@ fn bench_restore_bounce(c: &mut Criterion) {
     let dummy: u32 = 1;
     let keep: BTreeSet<u32> = [saved, dummy].into_iter().collect();
 
-    let bounce = |evict_restore_plan: bool, b: &mut criterion::Bencher| {
+    g.bench_function("cached", |b| {
         let mut m = Machine::new(16);
         let mut rt = ArrayRt::new("a", vec![saved_m.clone(), dummy_m.clone()], 8);
         rt.current(&mut m, saved).fill(|p| p[0] as f64);
         b.iter(|| {
-            if evict_restore_plan {
-                rt.plan_cache.remove(&(dummy, saved));
-            }
             remap(&mut rt, &mut m, dummy, &keep, false);
             rt.set(&[0], 1.0); // the callee writes: the saved copy stales
             rt.try_restore(&mut m, saved, &keep, false).expect("restore");
             std::hint::black_box(&rt);
         })
-    };
-
-    g.bench_function("cached", |b| bounce(false, b));
-    g.bench_function("lazy_plan_every_restore", |b| bounce(true, b));
+    });
     g.finish();
 }
 

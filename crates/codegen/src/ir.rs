@@ -47,7 +47,7 @@ pub struct ArrayDecl {
 ///
 /// The attached [`PlannedRemap`] is the *same* plan + schedule +
 /// compiled [`hpfc_runtime::CopyProgram`] triple the runtime caches
-/// ([`hpfc_runtime::ArrayRt::plan_cache`]): the interpreter seeds the
+/// ([`hpfc_runtime::ArrayRt::planned`]): the interpreter seeds the
 /// per-array cache from these `Arc`s
 /// ([`hpfc_runtime::ArrayRt::seed_plan`]), so executing a lowered
 /// program replans **nothing** at run time and the rendered SPMD code,

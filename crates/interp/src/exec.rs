@@ -195,11 +195,7 @@ impl<'a> Executor<'a> {
         for (a, dense) in array_inputs {
             let decl = p.array(a);
             let rt = &mut frame.arrays[a.0 as usize];
-            let cur = rt.current(&mut self.machine, decl.entry_version);
-            let extents = cur.mapping.array_extents.clone();
-            for (i, pt) in extents.points().enumerate() {
-                cur.set(&pt, dense[i]);
-            }
+            rt.current(&mut self.machine, decl.entry_version).load_dense(dense);
         }
         self.exec_body(p, &mut frame, &p.body, depth)?;
         self.exec_body(p, &mut frame, &p.exit_block, depth)?;
@@ -503,11 +499,7 @@ impl<'a> Executor<'a> {
                 if let Some(dense) = callee_frame.results.remove(&cid) {
                     let rt = &mut frame.arrays[ca.0 as usize];
                     rt.invalidate_others();
-                    let cur = rt.current(&mut self.machine, 0);
-                    let extents = cur.mapping.array_extents.clone();
-                    for (i, pt) in extents.points().enumerate() {
-                        cur.set(&pt, dense[i]);
-                    }
+                    rt.current(&mut self.machine, 0).load_dense(dense);
                 }
             }
         } else {
@@ -519,21 +511,19 @@ impl<'a> Executor<'a> {
                     Intent::InOut => {
                         let rt = &mut frame.arrays[a.0 as usize];
                         rt.invalidate_others();
+                        // Every replica holds the same values, so each
+                        // held word is incremented where it lies.
                         let cur = rt.current(&mut self.machine, 0);
-                        let extents = cur.mapping.array_extents.clone();
-                        for pt in extents.points() {
-                            let v = cur.get(&pt);
-                            cur.set(&pt, v + 1.0);
+                        for block in cur.blocks.iter_mut().flatten() {
+                            block.data.iter_mut().for_each(|v| *v += 1.0);
                         }
                     }
                     Intent::Out => {
                         let rt = &mut frame.arrays[a.0 as usize];
                         rt.invalidate_others();
                         let cur = rt.current(&mut self.machine, 0);
-                        let extents = cur.mapping.array_extents.clone();
-                        for (i, pt) in extents.points().enumerate() {
-                            cur.set(&pt, i as f64);
-                        }
+                        let n = cur.mapping.array_extents.volume();
+                        cur.load_dense((0..n).map(|i| i as f64).collect());
                     }
                 }
             }

@@ -518,3 +518,85 @@ fn a_whole_array_read_in_a_scalar_assignment_is_a_typed_error() {
     // Used to panic in the evaluator.
     assert_interp_error("x = a", "whole-array `a` outside elementwise context");
 }
+
+/// Values handed over at a call boundary, both ways: an `in`, an
+/// `inout` and an `out` array dummy of a compiled callee, mapped
+/// `cyclic(3)` and `(block, *)` against the caller's `block` and
+/// `(*, block)`, then an interface-only callee with an `inout` and an
+/// `out` array. Every final element is checked against a hand-computed
+/// reference.
+#[test]
+fn call_hand_over_moves_every_element_both_ways() {
+    let src = "\
+subroutine top
+  real :: a(12), b(8, 6), c(12), d(12), e(8, 6)
+!hpf$ processors p(4)
+!hpf$ dynamic a, b, c, d, e
+!hpf$ distribute a(block) onto p
+!hpf$ distribute b(*, block) onto p
+!hpf$ distribute c(block) onto p
+!hpf$ distribute d(block) onto p
+!hpf$ distribute e(*, block) onto p
+  interface
+    subroutine work(x, y, z)
+      real :: x(12), y(8, 6), z(12)
+      intent(in) :: x
+      intent(inout) :: y
+      intent(out) :: z
+!hpf$ distribute x(cyclic(3)) onto p
+!hpf$ distribute y(block, *) onto p
+!hpf$ distribute z(cyclic(3)) onto p
+    end subroutine
+    subroutine ext(u, w)
+      real :: u(12), w(8, 6)
+      intent(inout) :: u
+      intent(out) :: w
+!hpf$ distribute u(cyclic(3)) onto p
+!hpf$ distribute w(block, *) onto p
+    end subroutine
+  end interface
+  do i = 1, 12
+    a(i) = 3 * i + 1
+  enddo
+  do i = 1, 8
+    do j = 1, 6
+      b(i, j) = 10 * i + j
+    enddo
+  enddo
+  call work(a, b, c)
+  do i = 1, 12
+    d(i) = i * i
+  enddo
+  call ext(d, e)
+end subroutine
+
+subroutine work(x, y, z)
+  real :: x(12), y(8, 6), z(12)
+  intent(in) :: x
+  intent(inout) :: y
+  intent(out) :: z
+!hpf$ processors p(4)
+!hpf$ distribute x(cyclic(3)) onto p
+!hpf$ distribute y(block, *) onto p
+!hpf$ distribute z(cyclic(3)) onto p
+  y = y * 2.0
+  y(2, 5) = x(7)
+  z = x + 0.5
+  z(12) = y(8, 6)
+end subroutine
+";
+    let r = run(src, &[]);
+    let a: Vec<f64> = (1..=12).map(|i| (3 * i + 1) as f64).collect();
+    assert_eq!(r.arrays["a"], a, "intent(in) leaves the actual as it was");
+    let mut b: Vec<f64> =
+        (1..=8).flat_map(|i| (1..=6).map(move |j| (2 * (10 * i + j)) as f64)).collect();
+    b[6 + 4] = a[6];
+    assert_eq!(r.arrays["b"], b, "intent(inout) comes back updated");
+    let mut c: Vec<f64> = a.iter().map(|x| x + 0.5).collect();
+    c[11] = b[47];
+    assert_eq!(r.arrays["c"], c, "intent(out) defines the actual");
+    let d: Vec<f64> = (1..=12).map(|i| (i * i + 1) as f64).collect();
+    assert_eq!(r.arrays["d"], d, "interface-only inout adds one");
+    let e: Vec<f64> = (0..48).map(|i| i as f64).collect();
+    assert_eq!(r.arrays["e"], e, "interface-only out writes the linear index");
+}

@@ -51,10 +51,8 @@
 //! never-on-the-wire copies). Within a round every processor has at
 //! most one partner, so the round's receivers are pairwise distinct —
 //! each destination block is written by exactly one unit. The guarded
-//! replay walks these rounds (they are its fault sites), and an
-//! explicit [`ExecMode::Parallel`] copy splits each round across scoped
-//! worker threads without locks or aliasing. A `Machine` never does:
-//! every remap it runs replays on one thread.
+//! replay walks these rounds on one thread (they are its fault sites);
+//! nothing replays them in parallel.
 //!
 //! Serial unguarded replay needs neither the wire order nor disjoint
 //! `&mut`s — every destination element is written by exactly one run —
@@ -74,16 +72,15 @@ use crate::redist::{DimContribution, RedistPlan};
 use crate::schedule::CommSchedule;
 use crate::store::VersionData;
 
-/// How a bare [`crate::VersionData::copy_values_from_program`] replay
-/// runs. Every remap a `Machine` runs is serial; this chooses only for
-/// the direct copy.
+/// The mode argument of a bare
+/// [`crate::VersionData::copy_values_from_program`]. It chooses nothing:
+/// every copy under a compiled program replays serially, on the calling
+/// thread, whatever the mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One thread replays every unit in order (allocation-free).
+    /// One thread replays every unit in the program's serial order.
     Serial,
-    /// Each round's units are split across this many scoped worker
-    /// threads (receivers within a round are disjoint, so no locks).
-    /// `Parallel(0 | 1)` degrades to [`ExecMode::Serial`].
+    /// Replays exactly like [`ExecMode::Serial`]; the count is ignored.
     Parallel(usize),
 }
 
@@ -183,8 +180,8 @@ const _: () = assert!(std::mem::size_of::<CopyUnit>() == 48);
 
 /// A compiled copy program: the executable form of one redistribution's
 /// data movement. Built once per (source, destination) version pair and
-/// cached in [`crate::ArrayRt::plan_cache`] (or attached at compile
-/// time by `hpfc-codegen`'s lowering), then replayed by
+/// cached per array ([`crate::ArrayRt::planned`]) or attached at compile
+/// time by `hpfc-codegen`'s lowering, then replayed by
 /// [`crate::VersionData::copy_values_from_program`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CopyProgram {
@@ -1038,9 +1035,9 @@ mod tests {
         let mut b = VersionData::new(dst, 8);
         b.copy_values_from_program(&a, &prog, ExecMode::Serial);
         assert_eq!(a.to_dense(), b.to_dense());
-        // Parallel replay writes the identical bytes.
+        // The table engine writes the identical bytes.
         let mut c = VersionData::new(b.mapping.clone(), 8);
-        c.copy_values_from_program(&a, &prog, ExecMode::Parallel(3));
+        c.copy_values_from(&a);
         assert_eq!(b, c);
     }
 
@@ -1103,26 +1100,20 @@ mod tests {
     }
 
     #[test]
-    fn threaded_replay_above_threshold_matches_serial() {
-        // Rounds of ~65k elements: well above the parallel replay's
-        // inline threshold (2^15 elements), so Parallel(3) really
-        // spawns scoped workers with split blocks.
+    fn large_round_replay_matches_tables() {
+        // Rounds of ~65k elements over blocks of 2^16: the serial walk
+        // sweeps every block in several tiles.
         let n = 1u64 << 18;
         let src = mk(n, 4, DimFormat::Block(None));
         let dst = mk(n, 4, DimFormat::Cyclic(Some(2)));
         let (plan, prog) = compiled(&src, &dst);
-        assert!(
-            prog.rounds.iter().any(|r| r.iter().map(|u| u.elements).sum::<u64>()
-                >= 1 << 15),
-            "test must cross the inline threshold"
-        );
         let mut a = VersionData::new(src, 8);
         a.fill(|p| (p[0] % 509) as f64);
-        let mut serial = VersionData::new(dst, 8);
-        serial.copy_values_from_program(&a, &prog, ExecMode::Serial);
-        let mut parallel = VersionData::new(serial.mapping.clone(), 8);
-        parallel.copy_values_from_program(&a, &prog, ExecMode::Parallel(3));
-        assert_eq!(serial, parallel);
+        let mut replayed = VersionData::new(dst, 8);
+        replayed.copy_values_from_program(&a, &prog, ExecMode::Serial);
+        let mut tables = VersionData::new(replayed.mapping.clone(), 8);
+        tables.copy_values_from(&a);
+        assert_eq!(replayed, tables);
         assert_eq!(prog.n_elements(), plan.local_elements + plan.remote_elements());
     }
 
@@ -1137,8 +1128,8 @@ mod tests {
 
     #[test]
     fn exec_mode_threads() {
-        // `Parallel(0 | 1)` is one thread, i.e. the serial replay; any
-        // larger worker count writes the same bytes.
+        // Every mode, whatever thread count it names, is the serial
+        // replay: it writes the table engine's bytes.
         let src = mk(4096, 4, DimFormat::Block(None));
         let dst = mk(4096, 4, DimFormat::Cyclic(Some(3)));
         let (_, prog) = compiled(&src, &dst);
@@ -1149,10 +1140,11 @@ mod tests {
             b.copy_values_from_program(&a, &prog, mode);
             b
         };
-        let serial = copy(ExecMode::Serial);
-        assert_eq!(serial.to_dense(), a.to_dense());
+        let mut tables = VersionData::new(dst.clone(), 8);
+        tables.copy_values_from(&a);
+        assert_eq!(copy(ExecMode::Serial), tables);
         for threads in [0, 1, 4] {
-            assert_eq!(copy(ExecMode::Parallel(threads)), serial, "Parallel({threads})");
+            assert_eq!(copy(ExecMode::Parallel(threads)), tables, "Parallel({threads})");
         }
     }
 
@@ -1208,14 +1200,14 @@ mod tests {
             prog.artifact_bytes(),
             flat_bytes
         );
-        // Replay delivers every element, identically in both engines.
+        // Replay delivers every element, identically to the table engine.
         let mut a = VersionData::new(src, 8);
         a.fill(|p| (p[0] % 1021) as f64);
         let mut b = VersionData::new(dst.clone(), 8);
         b.copy_values_from_program(&a, &prog, ExecMode::Serial);
         assert_eq!(a.to_dense(), b.to_dense());
         let mut d = VersionData::new(dst, 8);
-        d.copy_values_from_program(&a, &prog, ExecMode::Parallel(4));
+        d.copy_values_from(&a);
         assert_eq!(b, d);
     }
 

@@ -22,10 +22,11 @@
 //!   costs round by round;
 //! * [`exec::CopyProgram`] — the schedule's data movement compiled at
 //!   plan time to stride families plus residual `(src_pos, dst_pos,
-//!   len)` triples, replayed allocation-free and serially by every
-//!   remap through one run kernel whose loop is picked per family from
-//!   the run width (a bare copy may ask for per-round worker threads,
-//!   [`exec::ExecMode`]);
+//!   len)` triples, replayed allocation-free and serially through one
+//!   run kernel whose loop is picked per family from the run width — by
+//!   every remap, every bare copy, and every move of values in or out
+//!   of the machine ([`store::VersionData::to_dense`],
+//!   [`store::VersionData::load_dense`]);
 //! * [`group::PlannedGroup`] — several arrays remapped by one directive
 //!   (Fig. 3 template impact) merged into one aggregated schedule:
 //!   same-pair messages share rounds and wire buffers
@@ -33,7 +34,9 @@
 //!   [`group::try_remap_group`] replays the whole group round by round;
 //! * [`store::VersionData`] — actual per-processor storage of array
 //!   versions, so kernels can be executed end-to-end and checked for
-//!   distribution-independent results;
+//!   distribution-independent results; a dense row-major array is the
+//!   version of a one-processor mapping, so results leave and call
+//!   arguments enter by a remap;
 //! * [`status::ArrayRt`] — the per-array runtime descriptor of Sec. 5.1:
 //!   current-version *status*, per-version *live* flags, lazy
 //!   instantiation, guarded copies, liveness cleaning, and

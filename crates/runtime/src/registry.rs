@@ -483,8 +483,9 @@ impl PlanRegistry {
 
     /// Chaos hook: panic while holding the shard lock that owns
     /// `(src, dst, elem_size)`, poisoning that `Mutex` exactly as a
-    /// client panicking mid-critical-section would. Call it from a
-    /// scratch thread and join the (expected) panic; the next access to
+    /// client panicking mid-critical-section would. Call it under
+    /// `catch_unwind` (or on a scratch thread and join the expected
+    /// panic); the next access to
     /// the shard recovers via `into_inner` and is counted in
     /// [`PlanRegistry::lock_recoveries`].
     pub fn poison_shard_lock_for_tests(
@@ -707,10 +708,8 @@ mod tests {
         let reg = Arc::new(PlanRegistry::new(1, 64));
         let (src, dst) = pair_for(5077);
         let (p1, _) = reg.get_or_compile(&src, &dst, 8);
-        // Poison the (only) shard from a scratch thread.
-        let r2 = Arc::clone(&reg);
-        let (s2, d2) = (src.clone(), dst.clone());
-        let joined = std::thread::spawn(move || r2.poison_shard_lock_for_tests(&s2, &d2, 8)).join();
+        // Poison the (only) shard: a panic unwinding past the guard.
+        let joined = catch_unwind(AssertUnwindSafe(|| reg.poison_shard_lock_for_tests(&src, &dst, 8)));
         assert!(joined.is_err(), "the hook must panic while holding the lock");
         // The next access is served — no unwrap panic — and reports the
         // recovery both per-call and registry-wide.

@@ -14,9 +14,10 @@
 //! Three layers, each written once: [`replay`] (unguarded), one
 //! guarded round, and [`run`], the recovery ladder, which the one
 //! remap executor calls with each artifact's recompile. All three run
-//! on the calling thread: every remap a [`Machine`] runs replays
-//! serially. The one multi-threaded replay, [`replay_parallel`], serves
-//! an explicit [`crate::ExecMode::Parallel`] on the bare one-lane copy.
+//! on the calling thread: every copy under a compiled program — a remap
+//! a [`Machine`] runs, a bare copy whatever its [`crate::ExecMode`],
+//! and result extraction or hand-over ([`VersionData::to_dense`],
+//! [`VersionData::load_dense`]) — replays serially here.
 //!
 //! **Fault-site contract.** Every injected fault is decided at a site
 //! `(epoch, stream, round_no, attempt)`: the caller draws one `epoch`
@@ -387,103 +388,6 @@ fn serial_walk(prog: &CopyProgram, src: &VersionData, dst: &mut VersionData) {
     }
 }
 
-/// Below this many elements a round of [`replay_parallel`] replays
-/// inline — the scoped-thread spawns would cost more than the copy.
-const PARALLEL_THRESHOLD: u64 = 1 << 15;
-
-/// Whether a round of `total` elements replays inline: strictly below
-/// [`PARALLEL_THRESHOLD`], so a round of exactly threshold size spawns.
-#[inline]
-fn round_goes_inline(total: u64) -> bool {
-    total < PARALLEL_THRESHOLD
-}
-
-/// The explicit parallel replay of one program — what
-/// [`VersionData::copy_values_from_program`] runs under
-/// [`crate::ExecMode::Parallel`] with more than one thread (no remap a
-/// [`Machine`] runs takes it). Walks the local group, then the wire
-/// rounds in order; a round large enough to amortize the spawns is
-/// split across `threads` scoped workers, any other replays inline.
-pub(crate) fn replay_parallel(
-    prog: &CopyProgram,
-    src: &VersionData,
-    dst: &mut VersionData,
-    threads: usize,
-) {
-    for round in 0..=prog.rounds.len() {
-        let units = units_of(prog, round);
-        let weight: u64 = units.iter().map(|u| u.elements).sum();
-        if round_goes_inline(weight) {
-            for unit in units {
-                let (src_block, dst_block) = blocks_of(unit, src, dst);
-                replay_unit(prog, *unit, src_block, dst_block);
-            }
-        } else {
-            replay_chunked(prog, pair_round_units(units, src, dst), weight, threads);
-        }
-    }
-}
-
-/// One parallel-replay work item: the receiving block, the providing
-/// block and the unit.
-type PairedUnit<'a> = (&'a mut LocalBlock, &'a LocalBlock, CopyUnit);
-
-/// Pair a round's units with their receiving blocks in a single pass
-/// over the destination block table — valid because units are sorted
-/// by receiver and receivers within a round are distinct (the
-/// caterpillar contention-freedom), so every `&mut` handed out is
-/// unique.
-fn pair_round_units<'a>(
-    units: &[CopyUnit],
-    src: &'a VersionData,
-    dst: &'a mut VersionData,
-) -> Vec<PairedUnit<'a>> {
-    let mut paired = Vec::with_capacity(units.len());
-    let mut it = units.iter().peekable();
-    for (rank, slot) in dst.blocks.iter_mut().enumerate() {
-        match it.peek() {
-            Some(u) if u.receiver == rank as u64 => {
-                let db = slot.as_mut().expect("receiver allocates the data");
-                let sb = src.blocks[u.provider as usize]
-                    .as_ref()
-                    .expect("provider holds the data");
-                paired.push((db, sb, **u));
-                it.next();
-            }
-            Some(_) => {}
-            None => break,
-        }
-    }
-    debug_assert!(it.next().is_none(), "round receivers are sorted and distinct");
-    paired
-}
-
-/// Split paired units into contiguous chunks balanced by element count
-/// (`total` elements across `threads` workers) and replay each chunk
-/// on a scoped worker thread. Receivers are pairwise distinct across
-/// the whole `paired` list by construction, so no locks are needed.
-fn replay_chunked(prog: &CopyProgram, paired: Vec<PairedUnit<'_>>, total: u64, threads: usize) {
-    let target = total.div_ceil(threads as u64).max(1);
-    std::thread::scope(|scope| {
-        let mut rest = paired;
-        while !rest.is_empty() {
-            let mut weight = 0u64;
-            let mut take = 0usize;
-            while take < rest.len() && (take == 0 || weight < target) {
-                weight += rest[take].2.elements;
-                take += 1;
-            }
-            let tail = rest.split_off(take);
-            let chunk = std::mem::replace(&mut rest, tail);
-            scope.spawn(move || {
-                for (db, sb, unit) in chunk {
-                    replay_unit(prog, unit, sb, db);
-                }
-            });
-        }
-    });
-}
-
 /// Replay the part of one unit that falls into a window of the serial
 /// walk: of every family, the runs whose position on the windowed side
 /// (`by_dst`) lies in `lo..hi`; the residual triples — contiguous runs,
@@ -683,54 +587,32 @@ mod tests {
     }
 
     #[test]
-    fn inline_threshold_boundary_is_shared() {
-        // The parallel replay's inline-vs-spawn predicate: strictly
-        // below the threshold is inline, exactly the threshold is not.
-        assert!(round_goes_inline(PARALLEL_THRESHOLD - 1));
-        assert!(!round_goes_inline(PARALLEL_THRESHOLD));
-        assert!(!round_goes_inline(PARALLEL_THRESHOLD + 1));
-    }
-
-    #[test]
-    fn threshold_boundary_round_takes_the_same_engine_solo_and_group() {
-        // Solo: Block → Cyclic(n/4) on 2 ranks puts the local group AND
-        // the single caterpillar round at exactly PARALLEL_THRESHOLD
-        // elements — the boundary where the parallel replay spawns.
-        let n = 2 * PARALLEL_THRESHOLD;
-        let src = mk(n, 2, DimFormat::Block(None));
-        let dst = mk(n, 2, DimFormat::Cyclic(Some(n / 4)));
-        let plan = plan_redistribution(&src, &dst, 8);
-        let schedule = CommSchedule::from_plan(&plan);
-        let prog = crate::CopyProgram::try_compile(&plan, &schedule).expect("compiles");
-        for round in std::iter::once(&prog.local).chain(prog.rounds.iter()) {
-            let w: u64 = round.iter().map(|u| u.elements).sum();
-            assert_eq!(w, PARALLEL_THRESHOLD, "round sits exactly at the boundary");
-            assert!(!round_goes_inline(w), "a boundary round takes the parallel engine");
+    fn tile_boundary_blocks_replay_exactly_solo_and_group() {
+        // Solo: Block → Cyclic(n/4) on 2 ranks, with blocks of exactly
+        // SERIAL_TILE elements and of a few more. The serial walk
+        // replays the first in one pass and sweeps the second window by
+        // window; both write the table engine's bytes.
+        let tile = SERIAL_TILE as u64;
+        for n in [2 * tile, 2 * tile + 8] {
+            let src = mk(n, 2, DimFormat::Block(None));
+            let dst = mk(n, 2, DimFormat::Cyclic(Some(n / 4)));
+            let plan = plan_redistribution(&src, &dst, 8);
+            let schedule = CommSchedule::from_plan(&plan);
+            let prog = crate::CopyProgram::try_compile(&plan, &schedule).expect("compiles");
+            let mut a = VersionData::new(src, 8);
+            a.fill(|p| (p[0] % 8191) as f64);
+            let mut replayed = VersionData::new(dst.clone(), 8);
+            replayed.copy_values_from_program(&a, &prog, ExecMode::Serial);
+            let mut tables = VersionData::new(dst, 8);
+            tables.copy_values_from(&a);
+            assert!(replayed == tables, "n = {n}: replay matches the table engine");
         }
-        let mut a = VersionData::new(src, 8);
-        a.fill(|p| (p[0] % 8191) as f64);
-        let mut serial = VersionData::new(dst.clone(), 8);
-        serial.copy_values_from_program(&a, &prog, ExecMode::Serial);
-        let mut par = VersionData::new(dst, 8);
-        par.copy_values_from_program(&a, &prog, ExecMode::Parallel(4));
-        assert_eq!(serial, par);
 
-        // Group: two members at half the extent, so every *merged*
-        // round (local group and the wire round) also totals exactly
-        // PARALLEL_THRESHOLD — the machine's serial group replay moves
-        // both members exactly.
-        let gn = PARALLEL_THRESHOLD;
+        // Group: two members with tile-sized blocks — the machine's
+        // serial group replay moves both members exactly.
+        let gn = 2 * tile;
         let (mut machine, mut a, mut b, fwd, _back) =
             two_array_group(gn, 2, DimFormat::Block(None), DimFormat::Cyclic(Some(gn / 4)));
-        let gp = fwd.program.as_ref().expect("members compile");
-        for round in 0..=gp.n_rounds {
-            let w: u64 = gp
-                .members
-                .iter()
-                .map(|mp| units_of(mp, round).iter().map(|u| u.elements).sum::<u64>())
-                .sum();
-            assert_eq!(w, PARALLEL_THRESHOLD, "merged round sits exactly at the boundary");
-        }
         let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
         let skip = BTreeSet::new();
         {

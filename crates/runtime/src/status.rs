@@ -36,7 +36,7 @@ use crate::store::VersionData;
 /// later remap between the same pair (remap loops stop replanning —
 /// the mappings of a version never change, so the plan cannot either).
 /// Lowering (`hpfc-codegen`) builds the same triple at compile time
-/// and the interpreter seeds it into [`ArrayRt::plan_cache`] via
+/// and the interpreter seeds it into an array's plan cache via
 /// [`ArrayRt::seed_plan`], so executed programs never replan at all.
 #[derive(Debug, Clone)]
 pub struct PlannedRemap {
@@ -93,8 +93,8 @@ pub struct ArrayRt {
     /// Memoized plans + schedules keyed by (source, target) version —
     /// i.e. by (source, destination) mapping pair, since a version *is*
     /// its mapping. Shared by reference: cloning the descriptor does
-    /// not replan.
-    pub plan_cache: BTreeMap<(u32, u32), Arc<PlannedRemap>>,
+    /// not replan. Read through [`ArrayRt::planned`].
+    pub(crate) plan_cache: BTreeMap<(u32, u32), Arc<PlannedRemap>>,
     /// Freed-but-kept host storage, see [`ArrayRt::free_copy`].
     parked: Parked,
 }

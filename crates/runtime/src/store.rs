@@ -21,24 +21,27 @@
 //! The cached remap path goes further:
 //! [`VersionData::copy_values_from_program`] replays a compiled
 //! [`crate::CopyProgram`] whose positions were all resolved at plan
-//! time — zero allocations per copy, optionally parallel per
-//! caterpillar round (see [`crate::exec`] for the artifact; the one
-//! replay core interprets it).
+//! time — zero allocations per copy, on the calling thread (see
+//! [`crate::exec`] for the artifact; the one replay core interprets
+//! it).
 //!
-//! Every walk here over a compiled program's runs, and result
-//! extraction, goes through the crate's one run kernel (the private
-//! `runs` module): a set of equal runs in arithmetic progression, its
-//! loop picked once per set from the run width. Extraction
-//! ([`VersionData::to_dense`]) describes the innermost owned set of a
-//! canonical block as run families once per block and copies every
-//! local row through them — no per-element owner computation, no
-//! per-run seek. The rollback snapshot ([`TxnScratch`]) saves and
+//! Values enter and leave the machine the same way. A dense row-major
+//! array is the version of a one-processor mapping with every grid axis
+//! replicated, so extraction ([`VersionData::to_dense`]) and hand-over
+//! ([`VersionData::load_dense`]) are remaps between a version and that
+//! dense mapping: the shared registry's compiled program for the pair,
+//! replayed by the one serial walk, with no walk of their own.
+//!
+//! Every walk here over a compiled program's runs goes through the
+//! crate's one run kernel (the private `runs` module): a set of equal
+//! runs in arithmetic progression, its loop picked once per set from
+//! the run width. The rollback snapshot ([`TxnScratch`]) saves and
 //! restores a program's destination runs the same way. The table
 //! engine keeps its own run loop: it is the oracle replay is checked
 //! against.
 
 use hpfc_mapping::intervals::intersect_runs;
-use hpfc_mapping::{NormalizedMapping, PeriodicSet};
+use hpfc_mapping::{Extents, GridId, NormalizedMapping, PeriodicSet};
 
 use crate::replay::Lane;
 use crate::runs::{unit_sets, RunSet};
@@ -292,12 +295,10 @@ impl VersionData {
 
     /// Replay a compiled [`crate::CopyProgram`]: every position was
     /// resolved at plan time, so this is the run kernel over the
-    /// program's families and triples — zero heap allocations in
-    /// [`crate::ExecMode::Serial`], scoped worker threads per
-    /// caterpillar round in [`crate::ExecMode::Parallel`] (the only
-    /// multi-threaded replay in the crate: every remap a
-    /// [`crate::Machine`] runs is serial). Returns `(runs, elements)`
-    /// copied.
+    /// program's families and triples, on the calling thread, with zero
+    /// heap allocations. Every [`crate::ExecMode`] replays serially: the
+    /// argument is kept for existing callers and chooses nothing.
+    /// Returns `(runs, elements)` copied.
     ///
     /// Like [`VersionData::copy_values_from_plan`], this guards
     /// against mismatched inputs: a program compiled for a different
@@ -310,22 +311,15 @@ impl VersionData {
         &mut self,
         other: &VersionData,
         program: &crate::CopyProgram,
-        mode: crate::ExecMode,
+        _mode: crate::ExecMode,
     ) -> (u64, u64) {
         if !program.compiled_for(other, self) {
             return self.copy_values_from(other);
         }
-        match mode {
-            crate::ExecMode::Parallel(threads) if threads > 1 => {
-                crate::replay::replay_parallel(program, other, self, threads)
-            }
-            _ => {
-                let lane = &mut |visit: &mut dyn FnMut(&mut dyn Iterator<Item = Lane<'_>>)| {
-                    visit(&mut std::iter::once(Lane { at: 0, src: other, dst: &mut *self }))
-                };
-                crate::replay::replay(std::slice::from_ref(program), lane)
-            }
-        }
+        let lane = &mut |visit: &mut dyn FnMut(&mut dyn Iterator<Item = Lane<'_>>)| {
+            visit(&mut std::iter::once(Lane { at: 0, src: other, dst: &mut *self }))
+        };
+        crate::replay::replay(std::slice::from_ref(program), lane);
         (program.n_runs(), program.n_elements())
     }
 
@@ -393,76 +387,65 @@ impl VersionData {
     /// Gather the full array into a dense row-major vector (verification
     /// helper, and the interpreter's result-extraction path).
     ///
-    /// Walks each canonical block's storage directly — outer dimensions
-    /// index by index; the innermost owned set is described once per
-    /// block as run families ([`PeriodicSet::run_families`]: one
-    /// period's runs × a repeat count, each with a local and a global
-    /// step), and every local row is copied through them by the run
-    /// kernel — instead of routing every element through
-    /// [`VersionData::get`] (per-point owner computation plus a position
-    /// lookup per dimension). Extraction is O(runs) per local row with
-    /// no seek per run, and allocates nothing per element. Replicas
-    /// beyond the canonical one (coordinate 0 on replicated axes) hold
-    /// identical values by the storage invariants and are skipped.
+    /// Extraction is a remap: into the array's dense mapping (one
+    /// processor holding every element, row-major), through the
+    /// process-wide [`crate::PlanRegistry`]'s compiled program for the
+    /// pair and the one serial replay — billed to no
+    /// [`crate::Machine`]. Replicas beyond the one the plan reads from
+    /// hold identical values by the storage invariants.
     pub fn to_dense(&self) -> Vec<f64> {
         let ext = &self.mapping.array_extents;
-        let rank = ext.rank();
-        let mut out = vec![0.0; ext.volume() as usize];
-        if rank == 0 {
-            if !out.is_empty() {
-                out[0] = self.get(&[]);
-            }
-            return out;
-        }
-        // Dense row-major strides of the global array.
-        let mut stride = vec![1u64; rank];
-        for d in (0..rank - 1).rev() {
-            stride[d] = stride[d + 1] * ext.extent(d + 1);
-        }
-        for (r, block) in self.blocks.iter().enumerate() {
-            let Some(block) = block else { continue };
-            if block.data.is_empty() {
-                continue;
-            }
-            // Skip non-canonical replicas (identical contents).
-            let coords = self.mapping.grid_shape.delinearize(r as u64);
-            let canonical = self.mapping.axes.iter().enumerate().all(|(a, ax)| {
-                !matches!(ax.source, hpfc_mapping::DimSource::Replicated) || coords[a] == 0
-            });
-            if !canonical {
-                continue;
-            }
-            let ((inner, inner_len), outer) = block.dims.split_last().expect("rank >= 1");
-            // The innermost set's runs once per block, as run sets from
-            // local row position to global column.
-            let sets: Vec<RunSet> = inner
-                .run_families(0, inner.extent)
-                .into_iter()
-                .map(|f| {
-                    let at = inner.count_below(f.lo);
-                    let local_step =
-                        if f.count > 1 { inner.count_below(f.lo + f.step) - at } else { 0 };
-                    RunSet {
-                        src: at as usize,
-                        src_step: local_step as usize,
-                        dst: f.lo as usize,
-                        dst_step: f.step as usize,
-                        len: f.len as usize,
-                        count: f.count as usize,
-                    }
-                })
-                .collect();
-            let mut row_at = 0usize;
-            for_each_row(outer, |row| {
-                let base = row.iter().zip(&stride).map(|(g, s)| g * s).sum::<u64>() as usize;
-                for set in &sets {
-                    let set = RunSet { src: set.src + row_at, dst: set.dst + base, ..*set };
-                    set.copy(&block.data, &mut out);
-                }
-                row_at += inner_len;
-            });
-        }
-        out
+        let mut dense = dense_version(ext, self.elem_size, vec![0.0; ext.volume() as usize]);
+        dense.remap_from(self);
+        dense.blocks.pop().flatten().expect("the dense mapping's processor holds the array").data
+    }
+
+    /// Overwrite every element, on every replica, from a dense
+    /// row-major vector: the reverse remap of [`VersionData::to_dense`]
+    /// — how values are handed into a version from outside the machine.
+    ///
+    /// # Panics
+    ///
+    /// If `dense` does not hold exactly one value per element.
+    pub fn load_dense(&mut self, dense: Vec<f64>) {
+        let ext = &self.mapping.array_extents;
+        assert_eq!(dense.len() as u64, ext.volume(), "one dense value per element");
+        let src = dense_version(ext, self.elem_size, dense);
+        self.remap_from(&src);
+    }
+
+    /// Copy `src`, another version of the same array, into this one the
+    /// way a remap does: the process-wide registry's artifact for the
+    /// pair, replayed serially, or the table engine when the plan drives
+    /// no program.
+    fn remap_from(&mut self, src: &VersionData) {
+        let registry = crate::PlanRegistry::shared();
+        let (planned, _) = registry.resolve(&src.mapping, &self.mapping, self.elem_size, false);
+        match &planned.program {
+            Some(program) => self.copy_values_from_program(src, program, crate::ExecMode::Serial),
+            None => self.copy_values_from_plan(src, &planned.plan),
+        };
+    }
+}
+
+/// The dense mapping of an array of `extents`: one processor, every
+/// grid axis replicated, so its one block holds every element row-major.
+fn dense_mapping(extents: &Extents) -> NormalizedMapping {
+    NormalizedMapping::replicated(GridId(0), Extents::new(&[1]), extents.clone())
+}
+
+/// A version in the dense mapping of `extents` holding `data`.
+fn dense_version(extents: &Extents, elem_size: u64, data: Vec<f64>) -> VersionData {
+    let dims = (0..extents.rank())
+        .map(|d| {
+            let n = extents.extent(d);
+            (PeriodicSet::full(n), n as usize)
+        })
+        .collect();
+    VersionData {
+        mapping: dense_mapping(extents),
+        blocks: vec![Some(LocalBlock { dims, data })],
+        elem_size,
     }
 }
 

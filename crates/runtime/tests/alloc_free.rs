@@ -94,6 +94,20 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// `rt`'s state in a fresh descriptor whose local plan view holds only
+/// the remap into version `src`, so the next remap out of `src` misses
+/// locally and is served by the machine's registry. Seeding the other
+/// direction gives the view's map a node to insert into.
+fn view_without(mut rt: ArrayRt, machine: &mut Machine, src: u32) -> ArrayRt {
+    let back = rt.planned(machine, 1 - src, src);
+    let mut view = ArrayRt::new(rt.name.clone(), rt.mappings.clone(), rt.elem_size);
+    view.seed_plan(1 - src, src, back);
+    view.copies = std::mem::take(&mut rt.copies);
+    view.live = std::mem::take(&mut rt.live);
+    view.status = rt.status;
+    view
+}
+
 /// A machine on a registry of its own, so the exact
 /// `plans_computed` assertions of one section cannot be satisfied by
 /// another section's (or the process-wide registry's) registrations.
@@ -282,12 +296,13 @@ fn steady_state_remap_allocates_nothing() {
     assert_eq!(machine.stats.plans_computed, 0, "group members were precompiled");
 
     // --- 5. A registry-HIT bounce is allocation-free too. -------------
-    // The local plan-cache entry is evicted before every measured remap,
-    // so each one takes the full shared-service path: stack-hash the
-    // mapping pair, probe the interner (a hit returns an existing Arc),
-    // lock the registry shard, touch the LRU stamp, clone the artifact
-    // out, and re-seed the local view (BTreeMap leaf reuse — the key
-    // was just removed). None of it may heap-allocate, and the data a
+    // Every measured remap runs on a fresh descriptor whose local plan
+    // view lacks its direction (`view_without`), so each one takes the
+    // full shared-service path: stack-hash the mapping pair, probe the
+    // interner (a hit returns an existing Arc), lock the registry shard,
+    // touch the LRU stamp, clone the artifact out, and seed the local
+    // view (BTreeMap leaf reuse — the view already holds the other
+    // direction). None of it may heap-allocate, and the data a
     // registry-served session produces must be byte-identical to a
     // session that never evicts its local view.
     // A 64 x 64 array; a 1-D pair takes the very same shard path.
@@ -316,13 +331,13 @@ fn steady_state_remap_allocates_nothing() {
     for i in 0..10u64 {
         rt.set(&first, i as f64); // outside the measured window
         solo.set(&first, i as f64);
-        rt.plan_cache.remove(&(0, 1)); // evict the local view: the registry serves
+        rt = view_without(rt, &mut machine, 0); // the registry serves 0 -> 1
         let before = allocations();
         remap(&mut rt, &mut machine, 1, &keep, false);
         assert_eq!(allocations(), before, "registry-hit remap {i} ->1 allocated");
         rt.set(&second, i as f64);
         solo.set(&second, i as f64);
-        rt.plan_cache.remove(&(1, 0));
+        rt = view_without(rt, &mut machine, 1); // and 1 -> 0
         let before = allocations();
         remap(&mut rt, &mut machine, 0, &keep, false);
         assert_eq!(allocations(), before, "registry-hit remap {i} ->0 allocated");
@@ -401,7 +416,7 @@ fn steady_state_remap_allocates_nothing() {
     // every unit labelled Gather — otherwise this section silently degenerates
     // into another triple-path measurement.
     {
-        let cached = rt.plan_cache.get(&(0, 1)).expect("warmed");
+        let cached = rt.planned(&mut machine, 0, 1);
         let prog = cached.program.as_ref().expect("cyclic(1) compiles");
         assert!(!prog.fams.is_empty(), "stride families drive this shape");
         assert!(prog.runs.is_empty(), "no residual triples for cyclic(1)");
@@ -571,7 +586,7 @@ fn steady_state_remap_allocates_nothing() {
         rt.set(&[1], 1.0);
     }
     {
-        let cached = rt.plan_cache.get(&(0, 1)).expect("warmed");
+        let cached = rt.planned(&mut machine, 0, 1);
         let prog = cached.program.as_ref().expect("cyclic(4) compiles");
         assert!(
             !prog.fams.is_empty() && prog.fams.iter().all(|f| f.len == 4),

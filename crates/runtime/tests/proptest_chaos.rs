@@ -73,6 +73,16 @@ fn seeded_array(n: u64, p: u64) -> ArrayRt {
     rt
 }
 
+/// The artifact `rt`'s local plan view serves for `src -> dst`, read
+/// through a probe machine on an empty registry of its own, and pinned
+/// to come from the view.
+fn served(rt: &mut ArrayRt, src: u32, dst: u32) -> Arc<PlannedRemap> {
+    let mut probe = Machine::new(1).with_registry(Arc::new(PlanRegistry::new(1, 1)));
+    let planned = rt.planned(&mut probe, src, dst);
+    assert_eq!(probe.stats.plan_cache_hits, 1, "{src} -> {dst} is in the local view");
+    planned
+}
+
 /// Bounce `rt` between versions 0 and 1 `bounces` times, writing a
 /// fresh value after every hop (so every hop moves data), and return
 /// the expected final contents as a per-point oracle.
@@ -148,7 +158,7 @@ fn poisoned_cache_entries_are_recompiled_and_repaired() {
     let mut machine = isolated(4)
         .with_faults(FaultPlan::new(17, 100, &[FaultKind::PoisonProgram]));
     let mut rt = seeded_array(n, 4);
-    let seeded = rt.plan_cache.clone();
+    let seeded = [served(&mut rt, 0, 1), served(&mut rt, 1, 0)];
     let shadow = bounce_and_oracle(&mut machine, &mut rt, n, 4);
     assert_matches_oracle(&rt, &shadow, "poison@100");
     assert_eq!(machine.stats.faults_injected, 4, "each remap's entry was poisoned");
@@ -159,8 +169,9 @@ fn poisoned_cache_entries_are_recompiled_and_repaired() {
     assert_eq!(machine.stats.fallbacks_to_tables, 0);
     assert_eq!(machine.stats.rounds_retried, 0, "a fresh program replays cleanly");
     assert_eq!(machine.stats.plans_computed, 0, "repair recompiles, it never re-plans");
-    for (pair, served) in &rt.plan_cache {
-        assert!(Arc::ptr_eq(served, &seeded[pair]), "cache entry {pair:?} was rewritten");
+    for (src, seeded) in [0u32, 1].into_iter().zip(&seeded) {
+        let now = served(&mut rt, src, 1 - src);
+        assert!(Arc::ptr_eq(&now, seeded), "cache entry {src} -> {} was rewritten", 1 - src);
     }
 }
 
@@ -192,7 +203,7 @@ fn a_poisoned_replay_leaves_the_registry_untouched_for_a_second_session() {
         let shadow_a = bounce_and_oracle(&mut ma, &mut a, n, 2);
         assert_eq!(ma.stats.plans_computed, 2, "A planned both directions");
         assert_eq!(registry.len(), 2);
-        let registered = a.plan_cache.clone();
+        let registered = [served(&mut a, 0, 1), served(&mut a, 1, 0)];
 
         // One poisoned remap: the corrupt copy is caught by the
         // fingerprint and a recompiled program serves that replay.
@@ -212,8 +223,9 @@ fn a_poisoned_replay_leaves_the_registry_untouched_for_a_second_session() {
         assert_eq!((mb.stats.registry_misses, mb.stats.registry_hits), (0, 2), "{:?}", mb.stats);
         assert_eq!(mb.stats.faults_injected, 0);
         assert_eq!(mb.stats.programs_recompiled, 0, "B never saw the corrupt program");
-        for (pair, served) in &b.plan_cache {
-            assert!(Arc::ptr_eq(served, &registered[pair]), "B was served a rewritten {pair:?}");
+        for (src, registered) in [0u32, 1].into_iter().zip(&registered) {
+            let now = served(&mut b, src, 1 - src);
+            assert!(Arc::ptr_eq(&now, registered), "B was served a rewritten {src} -> {}", 1 - src);
         }
     }
 }

@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use hpfc_mapping::{DimFormat, NormalizedMapping};
-use hpfc_runtime::{ArrayRt, Machine, NetStats, PlanRegistry};
+use hpfc_runtime::{ArrayRt, Machine, NetStats, PlanRegistry, PlannedRemap};
 
 /// A remap that must succeed.
 fn remap(
@@ -67,6 +67,16 @@ fn pool(shape: Shape, k: usize) -> Vec<(NormalizedMapping, NormalizedMapping)> {
 /// Returns the session's stats for merging. The fresh local plan cache
 /// means exactly the first hop in each direction consults the
 /// registry; every later hop is a local cache hit.
+/// The artifact `rt`'s local plan view serves for `src -> dst`, read
+/// through a probe machine on an empty registry of its own, and pinned
+/// to come from the view.
+fn served(rt: &mut ArrayRt, src: u32, dst: u32) -> Arc<PlannedRemap> {
+    let mut probe = Machine::new(1).with_registry(Arc::new(PlanRegistry::new(1, 1)));
+    let planned = rt.planned(&mut probe, src, dst);
+    assert_eq!(probe.stats.plan_cache_hits, 1, "{src} -> {dst} is in the local view");
+    planned
+}
+
 fn run_session(
     registry: &Arc<PlanRegistry>,
     src: &NormalizedMapping,
@@ -158,16 +168,16 @@ fn a_second_session_is_served_entirely_by_the_registry() {
         let registry = Arc::new(PlanRegistry::new(2, 64));
         let pairs = pool(shape, 1);
         let (src, dst) = &pairs[0];
-        let (s1, rt1) = run_session(&registry, src, dst, 4);
+        let (s1, mut rt1) = run_session(&registry, src, dst, 4);
         assert_eq!((s1.plans_computed, s1.registry_misses, s1.registry_hits), (2, 2, 0), "{s1:?}");
-        let (s2, rt2) = run_session(&registry, src, dst, 4);
+        let (s2, mut rt2) = run_session(&registry, src, dst, 4);
         assert_eq!(s2.plans_computed, 0, "{s2:?}");
         assert_eq!((s2.registry_misses, s2.registry_hits), (0, 2), "{s2:?}");
         // Not equal artifacts — pointer-identical ones.
-        for key in [(0u32, 1u32), (1, 0)] {
+        for (s, d) in [(0u32, 1u32), (1, 0)] {
             assert!(
-                Arc::ptr_eq(&rt1.plan_cache[&key], &rt2.plan_cache[&key]),
-                "sessions must share one artifact for {key:?}"
+                Arc::ptr_eq(&served(&mut rt1, s, d), &served(&mut rt2, s, d)),
+                "sessions must share one artifact for {s} -> {d}"
             );
         }
     }
