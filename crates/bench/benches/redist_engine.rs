@@ -129,12 +129,15 @@ fn bench_fault_overhead(c: &mut Criterion) {
 }
 
 /// What the transaction costs. `txn_on_default` is the default machine
-/// (no faults, no validation): the snapshot is armed only on the
+/// (no faults, no validation): the rollback record is armed only on the
 /// guarded path, so this must be indistinguishable from the plain
 /// cached bounce — the transactional machinery is one branch here.
-/// `txn_on_counts` runs guarded AND armed: every bounce captures a
-/// rollback record (destination runs into the machine's reused scratch
-/// arena) and commits it — the true price of all-or-nothing remaps.
+/// `txn_on_counts` runs guarded AND armed: every bounce records the
+/// array state into the machine's reused scratch arena and, both copies
+/// staying allocated, stages its target — the replay writes the parked
+/// spare while the old buffer waits — then commits: the true price of
+/// all-or-nothing remaps. (`redist/fault_overhead`'s guarded bounces
+/// stage the same way.)
 fn bench_txn_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("redist/txn_overhead");
     g.bench_function("txn_on_default", |b| cached_bounce(ValidationLevel::Off, b));

@@ -449,8 +449,10 @@ impl CopyProgram {
         // table engine replaced by position recording — into families
         // plus an irregular residual, and partition units into the local
         // group and the schedule's rounds. Pairs come in (provider,
-        // receiver) order; re-sorting each group by receiver keeps the
-        // parallel executor's block walk a single pass.
+        // receiver) order; each round is re-sorted by receiver because
+        // the guarded round's truncation cut and corruption victim index
+        // its concatenated unit list in that order (the fault sites
+        // `fault_sites_are_pinned_for_solo_and_group_bounces` pins).
         let mut walk = CombinationWalk {
             per_dim,
             outer_runs: &outer_runs,

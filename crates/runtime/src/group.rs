@@ -12,11 +12,14 @@
 //! fewer whenever two members talk over the same pairs.
 //!
 //! Every remap statement runs through one private executor, Fig. 20
-//! applied per member: check each member's source copy, capture one
-//! rollback record per member, settle the members that move no data
-//! (status noop, partial-impact skip, live-copy reuse, dead values,
-//! first instantiation), move the rest as the lanes of one replay over
-//! one artifact, then roll every member back or clean every member. A
+//! applied per member: check each member's source copy, record each
+//! member's status, live flags and allocation, settle the members that
+//! move no data (status noop, partial-impact skip, live-copy reuse,
+//! dead values, first instantiation), move the rest as the lanes of one
+//! replay over one artifact — a guarded mover into an allocated copy
+//! writes a spare while the old buffer waits parked — then roll every
+//! member back (freeing fresh targets, swapping staged ones back) or
+//! clean every member. A
 //! solo remap ([`ArrayRt::try_remap_guarded`]) is a group of one whose
 //! artifact is its own [`PlannedRemap`]. [`try_remap_group`] hands over
 //! the directive's [`PlannedGroup`]: its members that copy out of their
@@ -34,8 +37,7 @@ use crate::machine::Machine;
 use crate::redist::RedistPlan;
 use crate::replay::Lane;
 use crate::schedule::CommSchedule;
-use crate::status::{version_pair, ArrayRt, PlannedRemap};
-use crate::store::TxnScratch;
+use crate::status::{version_pair, ArrayRt, PlannedRemap, TxnRecord};
 
 /// The compile-time artifact of one directive's remap group: the
 /// members' solo plans (shared `Arc`s with each member's own
@@ -199,7 +201,7 @@ fn settle_and_move(
     members: &mut [GroupMember<'_>],
     values_dead: bool,
     group: Option<&PlannedGroup>,
-    mut snaps: Option<&mut [TxnScratch]>,
+    mut snaps: Option<&mut [TxnRecord]>,
 ) -> Result<usize, ExecError> {
     // A member copies out of its status or not at all; the answer
     // depends on its own array's state, which only its commit moves.
@@ -215,9 +217,7 @@ fn settle_and_move(
         let snap = snaps.as_deref_mut().map(|s| std::slice::from_mut(&mut s[i]));
         let Some(src) = source(m) else {
             if let Some([snap]) = snap {
-                let rt = &m.rt;
-                let allocated = rt.copies[m.target as usize].is_some();
-                snap.capture(rt.status, &rt.live, allocated, None, None, None);
+                snap.capture(m.rt, m.target, false);
             }
             m.rt.settle(machine, m.target, m.skip_if_current);
             continue;
@@ -271,12 +271,13 @@ struct Artifact<'p> {
 
 /// Move the `members` that `rides` selects as the lanes of one replay
 /// of `artifact` (member `i` is lane `i`), each copying out of its
-/// status: capture its rollback record, allocate its target, book the
-/// wire of the rounds restricted to the lanes, replay, commit.
+/// status: record its rollback point, allocate its target (or, when
+/// guarded into an allocated copy, stage it), book the wire of the
+/// rounds restricted to the lanes, replay, commit.
 fn move_lanes(
     machine: &mut Machine,
     members: &mut [GroupMember<'_>],
-    mut snaps: Option<&mut [TxnScratch]>,
+    mut snaps: Option<&mut [TxnRecord]>,
     rides: &dyn Fn(&GroupMember<'_>) -> bool,
     artifact: Artifact<'_>,
     epoch: u64,
@@ -284,13 +285,16 @@ fn move_lanes(
     let Artifact { plans, schedule, programs: progs, recompile } = artifact;
     for (i, m) in members.iter_mut().enumerate().filter(|(_, m)| rides(m)) {
         let rt = &mut *m.rt;
-        let src = rt.status.expect("a copy moves out of the current version");
+        // Guarded into an allocated copy, the replay writes a spare.
+        let staged = snaps.is_some() && rt.copies[m.target as usize].is_some();
         if let Some(snap) = snaps.as_deref_mut().map(|s| &mut s[i]) {
-            let from = rt.copies[src as usize].as_ref();
-            let to = rt.copies[m.target as usize].as_ref();
-            snap.capture(rt.status, &rt.live, to.is_some(), from, to, progs.get(i));
+            snap.capture(rt, m.target, staged);
         }
-        rt.allocate_for(machine, m.target, progs.get(i));
+        if staged {
+            rt.stage_target(m.target, progs.get(i));
+        } else {
+            rt.allocate_for(machine, m.target, progs.get(i));
+        }
         machine.stats.remaps_performed += 1;
         machine.stats.local_elements += plans[i].plan.local_elements;
     }

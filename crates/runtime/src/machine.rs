@@ -325,10 +325,10 @@ pub struct Machine {
     pub registry: std::sync::Arc<crate::registry::PlanRegistry>,
     /// Reusable per-phase accounting buffers.
     scratch: PhaseScratch,
-    /// Reusable per-member rollback records of a remap statement
-    /// (capacity persists across remaps, keeping the armed snapshot
-    /// allocation-free).
-    pub(crate) txn_scratch: Vec<crate::store::TxnScratch>,
+    /// Reusable per-member rollback records of a remap statement: array
+    /// state only, no bytes (the live flags' capacity persists across
+    /// remaps, keeping the armed record allocation-free).
+    pub(crate) txn_scratch: Vec<crate::status::TxnRecord>,
     /// Monotonic counter handed to the fault plan: one epoch per
     /// data-moving remap, making injection deterministic per operation.
     fault_epoch: u64,

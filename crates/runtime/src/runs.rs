@@ -3,15 +3,12 @@
 //!
 //! A [`RunSet`] is `count` runs of `len` words in arithmetic progression
 //! on two sides — run `k` reads `src + k·src_step ..` and writes
-//! `dst + k·dst_step ..`. A [`crate::StrideFamily`] is one, a residual
-//! [`crate::CopyRun`] is one with `count = 1`, and a
-//! [`hpfc_mapping::RunFamily`] of an owned set is one whose local side
-//! steps by the words the set owns per repeat (result extraction).
+//! `dst + k·dst_step ..`. A [`crate::StrideFamily`] is one, and a
+//! residual [`crate::CopyRun`] is one with `count = 1`.
 //!
-//! Five operations walk a set: [`RunSet::copy`], [`RunSet::copy_sum`]
-//! (the guarded round's copy, summing the words it reads),
-//! [`RunSet::sum`], [`RunSet::save`] and [`RunSet::restore`] (the
-//! transactional snapshot). All five go through one `match` on `len`,
+//! Three operations walk a set: [`RunSet::copy`], [`RunSet::copy_sum`]
+//! (the guarded round's copy, summing the words it reads) and
+//! [`RunSet::sum`]. All three go through one `match` on `len`,
 //! taken once per set: widths 1, 2, 4 and 8 get a loop of their own in
 //! which every run is a fixed-size move — no `memcpy` call per run —
 //! and any other width moves each run with `copy_from_slice`. The
@@ -143,26 +140,6 @@ impl RunSet {
     pub(crate) fn sum(&self, dst: &[f64]) -> u64 {
         self.fold(0, |sum, _, d, w| add_bits(sum, &dst[d..d + w]))
     }
-
-    /// Append the words under the runs' written side to `words`, run by
-    /// run. `false` (and nothing appended) when a run reaches past the
-    /// end of `dst`.
-    pub(crate) fn save(&self, dst: &[f64], words: &mut Vec<f64>) -> bool {
-        let last = self.dst + self.count.saturating_sub(1) * self.dst_step;
-        if self.count > 0 && last + self.len > dst.len() {
-            return false;
-        }
-        words.reserve(self.count * self.len);
-        self.fold((), |(), _, d, w| words.extend_from_slice(&dst[d..d + w]));
-        true
-    }
-
-    /// Write back what [`RunSet::save`] appended — the first
-    /// `count · len` words of `words` — under the runs' written side of
-    /// `dst`.
-    pub(crate) fn restore(&self, words: &[f64], dst: &mut [f64]) {
-        RunSet { src: 0, src_step: self.len, ..*self }.copy(words, dst);
-    }
 }
 
 #[cfg(test)]
@@ -223,30 +200,9 @@ mod tests {
                         let written =
                             at.iter().fold(0u64, |a, &(_, d)| a.wrapping_add(base[d].to_bits()));
                         assert_eq!(set.sum(&base), written, "sum {what}");
-
-                        let mut saved = vec![-1.0];
-                        assert!(set.save(&base, &mut saved), "save {what}");
-                        let per_word: Vec<f64> = at.iter().map(|&(_, d)| base[d]).collect();
-                        assert_eq!(saved[1..], per_word[..], "save order {what}");
-                        let mut scribbled = base.clone();
-                        set.copy(&src, &mut scribbled);
-                        set.restore(&saved[1..], &mut scribbled);
-                        assert_eq!(scribbled, base, "save -> restore {what}");
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn save_refuses_a_run_past_the_end() {
-        let dst = words(20, 3);
-        let mut saved = Vec::new();
-        let over = RunSet { src: 0, src_step: 0, dst: 4, dst_step: 4, len: 4, count: 5 };
-        assert!(!over.save(&dst, &mut saved));
-        assert!(saved.is_empty(), "a refused save appends nothing");
-        assert!(RunSet { count: 4, ..over }.save(&dst, &mut saved));
-        assert_eq!(saved.len(), 16);
-        assert!(RunSet { count: 0, dst: 99, ..over }.save(&dst, &mut saved), "no runs, no reach");
     }
 }

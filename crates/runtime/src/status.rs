@@ -15,7 +15,9 @@
 //!
 //! *Modeled* memory (`Machine::mem`) follows Fig. 20 to the byte; *host*
 //! storage does not: a freed copy is parked for the next allocation of
-//! the same version (remap loops free and re-request the same shapes).
+//! the same version (remap loops free and re-request the same shapes),
+//! and a guarded remap into an allocated copy writes a spare while the
+//! old buffer waits parked, so its rollback is a swap.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -63,8 +65,9 @@ impl PlannedRemap {
     }
 }
 
-/// Host buffers of freed versions (index = version subscript). A clone
-/// starts with none: parked storage is not array state.
+/// Host buffers of freed versions and staged spares (index = version
+/// subscript). A clone starts with none: parked storage is not array
+/// state.
 #[derive(Debug)]
 struct Parked(Vec<Option<VersionData>>);
 
@@ -95,7 +98,8 @@ pub struct ArrayRt {
     /// its mapping. Shared by reference: cloning the descriptor does
     /// not replan. Read through [`ArrayRt::planned`].
     pub(crate) plan_cache: BTreeMap<(u32, u32), Arc<PlannedRemap>>,
-    /// Freed-but-kept host storage, see [`ArrayRt::free_copy`].
+    /// Freed-but-kept host storage and staged spares, see
+    /// [`ArrayRt::free_copy`] and [`ArrayRt::stage_target`].
     parked: Parked,
 }
 
@@ -207,17 +211,16 @@ impl ArrayRt {
         }
         let data = match self.parked.0[v as usize].take() {
             Some(mut data) => {
-                let overwritten = claim
-                    .is_some_and(|p| p.total_elements * data.elem_size == data.total_bytes());
-                if !overwritten {
+                if !overwrites(claim, &data) {
                     data.clear();
                 }
                 data
             }
             None => {
-                // Only a fresh buffer grows allocated + parked, so
-                // dropping the parked ones here keeps that sum under
-                // the high-water of `allocated_bytes()` alone.
+                // Besides a staged spare, only a fresh buffer grows
+                // allocated + parked, so dropping the parked ones here
+                // keeps that sum under the high-water of
+                // `allocated_bytes()` plus the spares.
                 self.release_parked();
                 VersionData::new(self.mappings[v as usize].clone(), self.elem_size)
             }
@@ -226,6 +229,29 @@ impl ArrayRt {
             machine.mem.alloc(r as usize, data.bytes_on(r));
         }
         self.copies[v as usize] = Some(data);
+    }
+
+    /// Stage version `v`'s allocated copy as the target of a guarded
+    /// replay: its buffer is parked untouched and the replay writes a
+    /// spare of the same layout — the parked spare if there is one, else
+    /// a fresh buffer — so a rollback is a swap
+    /// ([`ArrayRt::rollback_remap`]) and a commit leaves the old buffer
+    /// parked as the next spare. The spare is handed over as is when
+    /// `claim` provably overwrites every element, else the old words
+    /// are copied into it first.
+    pub(crate) fn stage_target(&mut self, v: u32, claim: Option<&CopyProgram>) {
+        let v = v as usize;
+        let old = self.copies[v].take().expect("a staged target is allocated");
+        let mut spare = self.parked.0[v]
+            .take()
+            .unwrap_or_else(|| VersionData::new(self.mappings[v].clone(), self.elem_size));
+        if !overwrites(claim, &spare) {
+            for (to, from) in spare.blocks.iter_mut().flatten().zip(old.blocks.iter().flatten()) {
+                to.data.copy_from_slice(&from.data);
+            }
+        }
+        self.parked.0[v] = Some(old);
+        self.copies[v] = Some(spare);
     }
 
     /// Free version `v`'s storage and clear its live flag: the modeled
@@ -280,13 +306,15 @@ impl ArrayRt {
     /// rewritten. With neither configured this is exactly the
     /// unguarded allocation-free path.
     ///
-    /// **Transactional**: on the guarded path a rollback record is
-    /// captured before the replay writes anything, and any terminal
-    /// error restores the destination version — status, live flags,
-    /// allocation, and bytes — to its exact pre-remap state
-    /// (`NetStats::txn_rollbacks`). The unguarded fast path needs no
-    /// snapshot: with no faults injected and no validation demanded,
-    /// its replay cannot fail after writes begin.
+    /// **Transactional**: on the guarded path the status, live flags
+    /// and allocation are recorded before the replay writes anything,
+    /// and an allocated target is staged — the replay writes a spare
+    /// while the untouched buffer waits parked. Any terminal error
+    /// restores the array to its exact pre-remap state
+    /// (`NetStats::txn_rollbacks`), bytes by swapping the buffer back.
+    /// The unguarded fast path stages nothing: with no faults injected
+    /// and no validation demanded, its replay cannot fail after writes
+    /// begin.
     pub fn try_remap_guarded(
         &mut self,
         machine: &mut Machine,
@@ -381,32 +409,27 @@ impl ArrayRt {
         }
     }
 
-    /// The array half of a transactional rollback: paired with the
-    /// byte restore in [`crate::store::TxnScratch`], it puts the array
-    /// back to the captured pre-remap state — bytes (or the freed
-    /// fresh allocation), live flags, and status. Idempotent via the
-    /// `captured` flag; a no-op if nothing was captured.
+    /// Put the array back to the state `record` captured before its
+    /// remap: a staged target's parked buffer swaps back in, a target
+    /// allocated by the remap is freed, and the live flags and status
+    /// are restored. A no-op if nothing was captured.
     pub(crate) fn rollback_remap(
         &mut self,
         machine: &mut Machine,
         target: u32,
-        snap: &mut crate::store::TxnScratch,
+        record: &mut TxnRecord,
     ) {
-        if !snap.captured {
+        if !std::mem::take(&mut record.captured) {
             return;
         }
-        if snap.target_preallocated {
-            if let Some(dst) = self.copies[target as usize].as_mut() {
-                snap.restore_bytes(dst);
-            }
-        } else {
-            // The target copy did not exist before the remap: undo the
-            // allocation (and its memory accounting) entirely.
+        if record.staged {
+            let v = target as usize;
+            std::mem::swap(&mut self.copies[v], &mut self.parked.0[v]);
+        } else if !record.allocated {
             self.free_copy(machine, target);
         }
-        self.live.copy_from_slice(&snap.live);
-        self.status = snap.status;
-        snap.captured = false;
+        self.live.copy_from_slice(&record.live);
+        self.status = record.status;
     }
 
     /// Fig. 18's restore, executed: remap back to the `saved` status
@@ -484,10 +507,48 @@ impl ArrayRt {
     }
 }
 
+/// Whether replaying `claim` provably writes every element of `data`.
+fn overwrites(claim: Option<&CopyProgram>, data: &VersionData) -> bool {
+    claim.is_some_and(|p| p.total_elements * data.elem_size == data.total_bytes())
+}
+
+/// The rollback record of one member of a guarded remap statement: the
+/// array state its remap may change. It holds no bytes — a target that
+/// was already allocated is staged ([`ArrayRt::stage_target`]), so its
+/// untouched buffer waits in the parked slot. Kept in the machine's
+/// scratch arena, so capturing reuses the live flags' capacity.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TxnRecord {
+    /// The array's status before the remap.
+    status: Option<u32>,
+    /// The live flags before the remap.
+    live: Vec<bool>,
+    /// Whether the target copy was allocated before the remap.
+    allocated: bool,
+    /// Whether the target copy was staged.
+    staged: bool,
+    /// Whether the record holds a capture; cleared by rollback and by
+    /// the commit path.
+    pub(crate) captured: bool,
+}
+
+impl TxnRecord {
+    /// Record `rt`'s state before its remap to `target`.
+    pub(crate) fn capture(&mut self, rt: &ArrayRt, target: u32, staged: bool) {
+        self.status = rt.status;
+        self.live.clear();
+        self.live.extend_from_slice(&rt.live);
+        self.allocated = rt.copies[target as usize].is_some();
+        self.staged = staged;
+        self.captured = true;
+    }
+}
+
 /// Version `src` for reading and version `dst` for writing, borrowed
 /// from one copies table at once. Both are allocated by the time a
 /// replay starts: the source was checked by [`ArrayRt::copy_source`],
-/// the target allocated by [`ArrayRt::allocate_for`].
+/// the target allocated by [`ArrayRt::allocate_for`] or staged by
+/// [`ArrayRt::stage_target`].
 pub(crate) fn version_pair(
     copies: &mut [Option<VersionData>],
     src: u32,

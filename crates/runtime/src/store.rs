@@ -32,19 +32,17 @@
 //! dense mapping: the shared registry's compiled program for the pair,
 //! replayed by the one serial walk, with no walk of their own.
 //!
-//! Every walk here over a compiled program's runs goes through the
-//! crate's one run kernel (the private `runs` module): a set of equal
-//! runs in arithmetic progression, its loop picked once per set from
-//! the run width. The rollback snapshot ([`TxnScratch`]) saves and
-//! restores a program's destination runs the same way. The table
-//! engine keeps its own run loop: it is the oracle replay is checked
-//! against.
+//! Every walk over a compiled program's runs goes through the crate's
+//! one run kernel (the private `runs` module): a set of equal runs in
+//! arithmetic progression, its loop picked once per set from the run
+//! width. The table engine keeps its own run loop: it is the oracle
+//! replay is checked against. A guarded remap's rollback copies no
+//! words at all: it swaps the target's buffers (see `ArrayRt`).
 
 use hpfc_mapping::intervals::intersect_runs;
 use hpfc_mapping::{Extents, GridId, NormalizedMapping, PeriodicSet};
 
 use crate::replay::Lane;
-use crate::runs::{unit_sets, RunSet};
 
 /// One processor's slice of a version.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,19 +132,6 @@ impl LocalBlock {
     }
 }
 
-/// Call `f` with every combination of the owned indices of `outer` (a
-/// block's dimensions but the last), in row-major order — one call per
-/// local row. Every set must be non-empty.
-fn for_each_row(outer: &[(PeriodicSet, usize)], mut f: impl FnMut(&[u64])) {
-    let mut row = BlockCursor::first(outer);
-    loop {
-        f(&row.point);
-        if !row.step(outer) {
-            return;
-        }
-    }
-}
-
 /// The distributed storage of one array version.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VersionData {
@@ -220,36 +205,23 @@ impl VersionData {
         }
     }
 
-    /// Fill from a function of the global point.
-    ///
-    /// Walks every block's local storage in order (sequential data
-    /// index, no per-element owner computation or position search).
-    /// Replicated blocks are each filled from the same function, so it
-    /// must be a pure function of the point — `impl Fn` (not `FnMut`)
-    /// makes stateful closures a compile error rather than a silent
-    /// replica-coherence bug.
+    /// Fill from a function of the global point: `f` is written into
+    /// the dense version's one block, walked in row-major order, and
+    /// handed over by the remap [`VersionData::load_dense`] makes — so
+    /// `f` runs once per element and every replica receives the same
+    /// value.
     pub fn fill(&mut self, f: impl Fn(&[u64]) -> f64) {
-        let rank = self.mapping.array_extents.rank();
-        let mut point = vec![0u64; rank];
-        for block in self.blocks.iter_mut().flatten() {
-            if block.data.is_empty() {
-                continue;
+        let ext = &self.mapping.array_extents;
+        let mut dense = dense_version(ext, self.elem_size, vec![0.0; ext.volume() as usize]);
+        let block = dense.blocks[0].as_mut().expect("the dense processor holds the array");
+        if !block.data.is_empty() {
+            let mut at = BlockCursor::first(&block.dims);
+            for cell in block.data.iter_mut() {
+                *cell = f(at.point());
+                at.step(&block.dims);
             }
-            let Some(((inner, _), outer)) = block.dims.split_last() else {
-                block.data[0] = f(&point); // rank 0
-                continue;
-            };
-            let mut cells = block.data.iter_mut();
-            for_each_row(outer, |row| {
-                point[..row.len()].copy_from_slice(row);
-                for (lo, hi) in inner.runs(0, inner.extent) {
-                    for g in lo..hi {
-                        point[row.len()] = g;
-                        *cells.next().expect("data spans the owned sets") = f(&point);
-                    }
-                }
-            });
         }
+        self.remap_from(&dense);
     }
 
     /// Copy all values from another version of the same array — the
@@ -446,133 +418,6 @@ fn dense_version(extents: &Extents, elem_size: u64, data: Vec<f64>) -> VersionDa
         mapping: dense_mapping(extents),
         blocks: vec![Some(LocalBlock { dims, data })],
         elem_size,
-    }
-}
-
-/// The rollback record of one transactional remap: everything needed to
-/// put the destination version back to its byte-identical pre-remap
-/// state when the recovery ladder is exhausted mid-write.
-///
-/// A replay only ever writes inside the compiled program's destination
-/// runs (every rung — the cached program, a recompiled one, a poisoned
-/// one whose `src_pos`es were zeroed, the corruption scribble, and the
-/// table engine's re-derived deliveries — targets the same destination
-/// positions), so the snapshot is bounded by the bytes the remap would
-/// move, not the array size. When no program can vouch for the write
-/// set (table-only entries, foreign programs), the full destination
-/// blocks are saved instead.
-///
-/// Lives in a per-[`crate::Machine`] scratch arena
-/// (`std::mem::take`/put-back around the replay): the vectors keep
-/// their capacity across remaps, so the armed snapshot allocates
-/// nothing in steady state on the compiled path.
-#[derive(Debug, Clone, Default)]
-pub struct TxnScratch {
-    /// The array's status before the remap.
-    pub(crate) status: Option<u32>,
-    /// The live flags before the remap.
-    pub(crate) live: Vec<bool>,
-    /// Whether the target copy existed before the remap — if not,
-    /// rollback frees it instead of restoring bytes.
-    pub(crate) target_preallocated: bool,
-    /// Strided capture entries: `(receiver rank, run set)` — one entry
-    /// per stride family or residual triple of the program, whose
-    /// written side is what was saved. One entry per family keeps the
-    /// capture metadata O(pairs) like the artifact itself.
-    ranges: Vec<(u64, RunSet)>,
-    /// The saved words, concatenated in `ranges` expansion order.
-    words: Vec<f64>,
-    /// Full-block fallback: `(rank, data)` clones of every destination
-    /// block (used when no compiled program bounds the write set).
-    full: Vec<(usize, Vec<f64>)>,
-    /// Whether this scratch currently holds a capture; cleared by
-    /// rollback and by the commit path.
-    pub(crate) captured: bool,
-}
-
-impl TxnScratch {
-    /// Record the rollback point: array state (`status`, `live`,
-    /// whether the target copy pre-existed) plus the destination bytes
-    /// the replay may overwrite. `program` (when compiled for exactly
-    /// this `(src, dst)` pair) bounds the byte snapshot to its
-    /// destination runs; otherwise the full destination blocks are
-    /// cloned.
-    pub(crate) fn capture(
-        &mut self,
-        status: Option<u32>,
-        live: &[bool],
-        target_preallocated: bool,
-        src: Option<&VersionData>,
-        dst: Option<&VersionData>,
-        program: Option<&crate::CopyProgram>,
-    ) {
-        self.status = status;
-        self.live.clear();
-        self.live.extend_from_slice(live);
-        self.target_preallocated = target_preallocated;
-        self.ranges.clear();
-        self.words.clear();
-        self.full.clear();
-        self.captured = true;
-        if !target_preallocated {
-            return; // rollback frees the fresh copy; no bytes to save
-        }
-        let Some(dst) = dst else { return };
-        if let (Some(p), Some(s)) = (program, src) {
-            if p.compiled_for(s, dst) && self.capture_runs(p, dst) {
-                return;
-            }
-            self.ranges.clear();
-            self.words.clear();
-        }
-        for (r, b) in dst.blocks.iter().enumerate() {
-            if let Some(b) = b {
-                self.full.push((r, b.data.clone()));
-            }
-        }
-    }
-
-    /// Save the words under every destination run of `p` — stride
-    /// families and residual triples alike. Returns `false` (caller
-    /// falls back to full blocks) if a referenced block is unallocated
-    /// or a run is out of bounds — states the guarded replay rejects
-    /// with a typed error before writing, but the snapshot must never
-    /// panic on them.
-    fn capture_runs(&mut self, p: &crate::CopyProgram, dst: &VersionData) -> bool {
-        for unit in p.local.iter().chain(p.rounds.iter().flatten()) {
-            let Some(block) = dst.blocks[unit.receiver as usize].as_ref() else {
-                return false;
-            };
-            let mut fits = true;
-            unit_sets(p, *unit, |set| {
-                fits = fits && set.save(&block.data, &mut self.words);
-                self.ranges.push((unit.receiver, set));
-            });
-            if !fits {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Write the saved destination bytes back (strided capture entries
-    /// or full blocks, whichever was captured), expanding each entry in
-    /// the order it was captured. Array-level state (`status`, `live`,
-    /// freeing a fresh copy) is the caller's half of the rollback — see
-    /// `ArrayRt::rollback_remap`.
-    pub(crate) fn restore_bytes(&self, dst: &mut VersionData) {
-        for (rank, data) in &self.full {
-            if let Some(b) = dst.blocks[*rank].as_mut() {
-                b.data.copy_from_slice(data);
-            }
-        }
-        let mut off = 0usize;
-        for (rank, set) in &self.ranges {
-            if let Some(b) = dst.blocks[*rank as usize].as_mut() {
-                set.restore(&self.words[off..], &mut b.data);
-            }
-            off += set.count * set.len;
-        }
     }
 }
 

@@ -359,12 +359,14 @@ fn steady_state_remap_allocates_nothing() {
 
     // --- 6. The transactional happy path is allocation-free too. ------
     // With a validation level configured the remap runs guarded and
-    // ARMED: a rollback record (status, live flags, the destination
-    // runs the compiled program will write) is captured into the
-    // machine's scratch arena before the replay and dropped on commit.
-    // Warm-up grows the scratch once per direction; after that every
-    // snapshot + commit cycle reuses its capacity — zero allocations
-    // per cached bounce, and the happy path never rolls back.
+    // ARMED: a rollback record (status, live flags, allocation) is
+    // captured into the machine's scratch arena before the replay, and
+    // the allocated target is staged — the replay writes the array's
+    // parked spare while the old buffer is parked in its place, to be
+    // the next spare after the commit. Warm-up grows the scratch and
+    // creates one spare per version; after that every record + stage +
+    // commit cycle reuses them — zero allocations per cached bounce,
+    // and the happy path never rolls back.
     let src = mk(n, 4, DimFormat::Block(None));
     let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
     let mut machine = isolated().with_validation(hpfc_runtime::ValidationLevel::Counts);
@@ -372,7 +374,7 @@ fn steady_state_remap_allocates_nothing() {
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     // Warm up: both copies allocated, both directions' programs cached,
-    // the snapshot scratch grown to both directions' run counts.
+    // the record scratch grown, a spare parked for each version.
     for _ in 0..2 {
         remap(&mut rt, &mut machine, 1, &keep, false);
         rt.set(&[0], 1.0);
@@ -398,7 +400,8 @@ fn steady_state_remap_allocates_nothing() {
     // cyclic(1) destinations compile to pure Gather stride families
     // (zero residual triples): the cached bounce exercises the family
     // walk in the replay, the per-unit run accounting, and — armed by
-    // the validation level — the strided TxnScratch capture. All of it
+    // the validation level — the staged spare, which this program
+    // overwrites whole, so it is handed over without a copy. All of it
     // must reuse warm capacity, exactly like the triple path above.
     let src = mk(n, 4, DimFormat::Block(None));
     let dst = mk(n, 4, DimFormat::Cyclic(None));
@@ -514,14 +517,14 @@ fn steady_state_remap_allocates_nothing() {
         );
     }
 
-    // --- 11. A guarded group snapshots only what it will write. -------
+    // --- 11. A guarded group copies no destination. --------------------
     // Two 512 KiB arrays under Checksums validation, one remap directive
     // per hop: `a` is never written, so every hop of its is a live-copy
     // reuse; `b` is written after every hop, so it moves data — the
-    // group's only mover. The rollback record of a member that moves no
-    // data is its status, live flags and allocation; the mover's is
-    // bounded by its program's destination runs. Neither is a clone of
-    // a destination copy.
+    // group's only mover. Every rollback record is status, live flags
+    // and allocation; the mover writes its staged spare, parked since
+    // the warm-up, and `a` is not staged at all. Neither clones a
+    // destination copy.
     let n = 1u64 << 16;
     let src = mk(n, 4, DimFormat::Block(None));
     let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
@@ -607,4 +610,40 @@ fn steady_state_remap_allocates_nothing() {
     assert_eq!(machine.stats.remaps_performed, performed + 20, "every bounce moved data");
     assert_eq!(machine.stats.rounds_retried, 0, "every checksum matched first time");
     assert_eq!(machine.stats.plans_computed, 2, "planned once per direction");
+
+    // --- 13. Rollback returns the staged spare to the pool. -----------
+    // A guarded remap into an allocated copy writes a spare while the
+    // old buffer waits parked; a forced exhaustion swaps the two back,
+    // so the spare is parked again, not dropped. Each measured remap is
+    // the heal right after such a rollback, in both directions: it
+    // stages out of the pool exactly like section 6, so nothing reaches
+    // the allocator.
+    let src = mk(n, 4, DimFormat::Block(None));
+    let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
+    let mut machine = isolated().with_validation(hpfc_runtime::ValidationLevel::Counts);
+    let mut rt = ArrayRt::new("a", vec![src, dst], 8);
+    rt.current(&mut machine, 0).fill(|p| p[0] as f64);
+    for _ in 0..2 {
+        remap(&mut rt, &mut machine, 1, &keep, false);
+        rt.set(&[0], 1.0);
+        remap(&mut rt, &mut machine, 0, &keep, false);
+        rt.set(&[1], 1.0);
+    }
+    let exhaust = hpfc_runtime::FaultPlan::new(97, 100, &[hpfc_runtime::FaultKind::Exhaust]);
+    let skip = BTreeSet::new();
+    for i in 0..4u64 {
+        for target in [1u32, 0] {
+            rt.set(&[i], i as f64); // stale the target: the remap moves data
+            machine.faults = Some(exhaust);
+            let failed = rt.try_remap_guarded(&mut machine, target, &keep, false, &skip);
+            assert!(failed.is_err(), "forced exhaustion {i} ->{target}");
+            machine.faults = None;
+            let before = allocations();
+            remap(&mut rt, &mut machine, target, &keep, false);
+            assert_eq!(allocations(), before, "healed remap {i} ->{target} allocated");
+        }
+    }
+    assert_eq!(machine.stats.txn_rollbacks, 8, "every exhaustion rolled a staged target back");
+    // The writes above put every touched element back to its index.
+    assert!((0..n).all(|i| rt.get(&[i]) == i as f64), "the healed remaps moved the data");
 }

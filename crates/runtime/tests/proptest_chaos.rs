@@ -153,7 +153,7 @@ fn corruption_at_moderate_rate_heals_by_retry() {
 /// themselves are never written: after the bounce each cache entry is
 /// the very `Arc` that was seeded.
 #[test]
-fn poisoned_cache_entries_are_recompiled_and_repaired() {
+fn poisoned_programs_are_recompiled_and_cache_entries_never_rewritten() {
     let n = 4096u64;
     let mut machine = isolated(4)
         .with_faults(FaultPlan::new(17, 100, &[FaultKind::PoisonProgram]));
@@ -585,11 +585,10 @@ fn exhaustion_rolls_a_solo_remap_back_to_its_pre_remap_state() {
 
 /// Rollback byte-identity when the destination is written through
 /// stride-family kernels, not flat triples: `cyclic(1)` destinations
-/// compile to pure Gather families (zero residual triples), so the
-/// transactional snapshot must capture — and the rollback must replay —
-/// strided destination runs. A scratch capture that only walked the
-/// residual triple list would restore nothing here and leave the
-/// partial write behind.
+/// compile to pure Gather families (zero residual triples), and the
+/// program overwrites every element, so the staged spare the replay
+/// writes is handed over without the old words — only the swap back to
+/// the parked buffer can restore the destination here.
 #[test]
 fn exhaustion_rolls_back_strided_kernel_destinations_byte_identically() {
     let n = 1u64 << 18;
@@ -601,7 +600,7 @@ fn exhaustion_rolls_back_strided_kernel_destinations_byte_identically() {
     // Pin the premise: both directions replay through stride families
     // exclusively — if the encoder ever left this shape to residual
     // triples, the test would silently stop covering the strided
-    // capture path.
+    // replay into a staged spare.
     for planned in [&fwd, &back] {
         let prog = planned.program.as_ref().expect("cyclic(1) bounce compiles");
         assert!(!prog.fams.is_empty(), "stride families drive this shape");
@@ -639,7 +638,7 @@ fn exhaustion_rolls_back_strided_kernel_destinations_byte_identically() {
 /// guarded path is a safety property, not an option: the "off"
 /// behaviour this test once contrasted it with no longer exists.)
 #[test]
-fn transactions_off_leaves_the_partial_write_behind() {
+fn exhaustion_restores_a_fully_stale_destination() {
     let n = 4096u64;
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     let mut machine = isolated(4);
@@ -772,6 +771,103 @@ fn a_failing_member_uncommits_its_already_replayed_sibling() {
         let want_b = if i == 5 { 123.0 } else { 2.0 * i as f64 };
         assert_eq!(b.get(&[i]), want_b);
     }
+}
+
+/// A rank-0 scalar pinned to cell `c` of an 8-cell BLOCK template over
+/// four processors: its plans compile no program (the table engine
+/// moves it), and cells 0 and 7 have different owners.
+fn scalar_at(c: i64) -> NormalizedMapping {
+    let t = Template { id: TemplateId(0), name: "T".into(), shape: Extents::new(&[8]) };
+    let g = ProcGrid { id: GridId(0), name: "P".into(), shape: Extents::new(&[4]) };
+    Mapping {
+        align: Alignment { template: TemplateId(0), targets: vec![AlignTarget::Constant(c)] },
+        dist: Distribution::new(GridId(0), vec![DimFormat::Block(None)]),
+    }
+    .normalize(&Extents::new(&[]), &t, &g)
+    .expect("rank-0 mapping is well-formed")
+}
+
+/// Group atomicity with a sibling that replayed into an allocated copy:
+/// the first mover writes a staged spare and commits as a group of one,
+/// then the second mover's ladder exhausts. Both come back
+/// byte-identical — the committed sibling by swapping its parked buffer
+/// back in, the failing one (a rank-0 scalar with no compiled program,
+/// so its spare was filled with the old words first) likewise. A third
+/// member settles by live-copy reuse while a spare sits parked for its
+/// target: it was not staged, so its buffers must not swap.
+#[test]
+fn a_failing_member_swaps_its_staged_sibling_back() {
+    let n = 4096u64;
+    let (src, dst) = (mk1d(n, 4, DimFormat::Block(None)), mk1d(n, 4, DimFormat::Cyclic(Some(3))));
+    let (s0, s1) = (scalar_at(0), scalar_at(7));
+    let solo = |s: &NormalizedMapping, d: &NormalizedMapping| {
+        Arc::new(PlannedRemap::compile(plan_redistribution(s, d, 8)))
+    };
+    let back =
+        PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src), solo(&s1, &s0)]);
+    assert!(back.members[2].program.is_none(), "the scalar's plan compiles no program");
+    assert!(back.program.is_none(), "so every mover is a group of one");
+    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    let skip = BTreeSet::new();
+    let mut machine = isolated(4).with_validation(ValidationLevel::Checksums);
+    let (mut c, mut a) = (seeded_array(n, 4), seeded_array(n, 4));
+    let mut s = ArrayRt::new("s", vec![s0, s1], 8);
+    c.current(&mut machine, 0).fill(|p| 3.0 * p[0] as f64);
+    a.current(&mut machine, 0).fill(|p| p[0] as f64);
+    s.current(&mut machine, 0).fill(|_| 42.0);
+    // c (epochs 0 and 1): 0 -> 1, a write, then 1 -> 0 staged — its old
+    // version-0 buffer stays parked — and back to 1 by live-copy reuse.
+    remap(&mut c, &mut machine, 1, &keep, false);
+    c.set(&[9], -9.0);
+    remap(&mut c, &mut machine, 0, &keep, false);
+    remap(&mut c, &mut machine, 1, &keep, false);
+    assert!(c.live[0] && c.live[1]);
+    // a and s (epochs 2 and 3) move to version 1 and are written there:
+    // both copies stay allocated and version 0 goes stale.
+    remap(&mut a, &mut machine, 1, &keep, false);
+    a.set(&[5], 123.0);
+    remap(&mut s, &mut machine, 1, &keep, false);
+    s.set(&[], 7.0);
+    assert!(a.copies[0].is_some() && !a.live[0] && s.copies[0].is_some() && !s.live[0]);
+    let pre_c = (c.status, c.live.clone(), c.copies.clone());
+    let pre_a = (a.status, a.live.clone(), a.copies.clone());
+    let pre_s = (s.status, s.live.clone(), s.copies.clone());
+    // Seed 1 at 50 % exhausts epoch 5 but not epoch 4: c reuses its
+    // live copy, a moves back on epoch 4 and commits, s exhausts.
+    machine = machine.with_faults(FaultPlan::new(1, 50, &[FaultKind::Exhaust]));
+    let (performed, reused) = (machine.stats.remaps_performed, machine.stats.remaps_reused_live);
+    let err = {
+        let mut members = [&mut c, &mut a, &mut s].map(|rt| GroupMember {
+            rt,
+            src: 1,
+            target: 0,
+            may_live: &keep,
+            skip_if_current: &skip,
+        });
+        try_remap_group(&mut machine, &mut members, &back).unwrap_err()
+    };
+    assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
+    assert_eq!(machine.stats.remaps_performed, performed + 2, "a and s moved data");
+    assert_eq!(machine.stats.remaps_reused_live, reused + 1, "c reused its live copy");
+    assert_eq!(machine.stats.faults_injected, 1, "only the second mover exhausted");
+    assert_eq!(machine.stats.group_rollbacks, 1);
+    assert_eq!((c.status, &c.live, &c.copies), (pre_c.0, &pre_c.1, &pre_c.2), "member c");
+    assert_eq!((a.status, &a.live, &a.copies), (pre_a.0, &pre_a.1, &pre_a.2), "member a");
+    assert_eq!((s.status, &s.live, &s.copies), (pre_s.0, &pre_s.1, &pre_s.2), "member s");
+    // All remain usable: the same directive completes without faults.
+    machine.faults = None;
+    let mut members = [&mut c, &mut a, &mut s].map(|rt| GroupMember {
+        rt,
+        src: 1,
+        target: 0,
+        may_live: &keep,
+        skip_if_current: &skip,
+    });
+    try_remap_group(&mut machine, &mut members, &back).expect("the group heals");
+    assert_eq!((c.status, a.status, s.status), (Some(0), Some(0), Some(0)));
+    assert_eq!(s.get(&[]), 7.0);
+    assert!((0..n).all(|i| a.get(&[i]) == if i == 5 { 123.0 } else { i as f64 }));
+    assert!((0..n).all(|i| c.get(&[i]) == if i == 9 { -9.0 } else { 3.0 * i as f64 }));
 }
 
 /// An injected compile panic unwinds inside the registry's
