@@ -1,20 +1,22 @@
 //! The static-program IR: the paper's "standard statically mapped HPF
 //! program with copies between differently mapped arrays" (Sec. 2).
 //!
-//! Two kinds of statement carry a compiled artifact next to their
-//! source form. A remapping carries its planned copies ([`SpmdCopy`]:
-//! plan, schedule and copy program, resolved at lowering time). A
-//! whole-array assignment carries its [`ElementKernel`]: because every
-//! reference is to a statically known version, the statement is an
-//! owner-computes zip over local blocks, and lowering flattens its
-//! right-hand side into the postfix program the interpreter runs tile
-//! by tile. The source expression stays on the statement for the
-//! renderer.
+//! Statements carry compiled artifacts next to their source form. A
+//! remapping carries its planned copies ([`SpmdCopy`]: plan, schedule
+//! and copy program, resolved at lowering time). Every expression a
+//! statement evaluates — right-hand side, subscripts, condition, loop
+//! bounds, call arguments — carries its [`ElementKernel`], a postfix
+//! program whose names lowering resolved to frame slots and array ids.
+//! Because every reference is to a statically known version, a
+//! whole-array assignment is an owner-computes zip over local blocks,
+//! run tile by tile; anything else is the same program at width 1. The
+//! source expressions stay on the statement for the renderer.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use hpfc_lang::ast::{BinOp, Expr, Intent, LValue, UnOp};
+use hpfc_lang::sema::{Intrinsic, RoutineUnit};
 use hpfc_mapping::{ArrayId, NormalizedMapping};
 use hpfc_runtime::{CommSchedule, PlannedGroup, PlannedRemap};
 
@@ -258,158 +260,231 @@ pub struct RemapGroupOp {
     pub planned: Arc<PlannedGroup>,
 }
 
-/// One step of an [`ElementKernel`]: the right-hand side of a
-/// whole-array assignment in postfix order, evaluated on a stack of
-/// tiles (one value per element of the tile).
-#[derive(Debug, Clone, PartialEq)]
+/// One step of an [`ElementKernel`], in postfix order, on a stack of
+/// tiles (a scalar expression is a tile of one). Names were resolved
+/// at lowering: the run time looks nothing up.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KernelOp {
     /// Push a literal.
     Const(f64),
-    /// Push a scalar variable (loop indices included; unset reads 0).
-    Scalar(String),
-    /// Push the whole-array operand [`ElementKernel::operands`]`[slot]`,
-    /// element for element.
-    Operand(usize),
+    /// Push scalar frame slot `.0` (unset reads 0).
+    Scalar(u32),
+    /// Push value `.0` of the kernel's uniform part.
+    Hoisted(usize),
+    /// Push array `.0` as a whole, element for element.
+    Operand(ArrayId),
+    /// Pop `rank` subscripts, push the element of `array` they name.
+    Elem {
+        /// The array.
+        array: ArrayId,
+        /// Subscripts on the stack.
+        rank: usize,
+    },
     /// Pop `r`, pop `l`, push `l op r`.
     Bin(BinOp),
     /// Pop `e`, push `op e`.
     Un(UnOp),
-    /// Pop `argc` arguments, push the intrinsic's value.
-    Call {
-        /// Intrinsic name (lower-cased).
-        name: String,
-        /// Number of arguments on the stack.
-        argc: usize,
-    },
-    /// Push a subscripted array reference, evaluated by the
-    /// interpreter's tree walker.
-    Leaf {
-        /// The reference (`name(subs)`).
-        expr: Expr,
-        /// Whether a subscript mentions a whole array (`b(b)`): the
-        /// reference then has one value per point. Otherwise it has one
-        /// value for the whole statement and is read **before** any
-        /// element is written — `a = a + a(8)` adds the old `a(8)`
-        /// everywhere (Fortran evaluates the right-hand side first).
-        per_point: bool,
-    },
+    /// Pop `.1` arguments, push the value of intrinsic `.0`.
+    Call(Intrinsic, usize),
 }
 
 impl KernelOp {
+    /// The array an [`KernelOp::Operand`] pushes.
+    pub fn operand(&self) -> Option<ArrayId> {
+        match *self {
+            KernelOp::Operand(a) => Some(a),
+            _ => None,
+        }
+    }
+
     /// Tiles the op takes off the stack before it pushes its one.
     pub fn pops(&self) -> usize {
-        match self {
+        match *self {
             KernelOp::Bin(_) => 2,
             KernelOp::Un(_) => 1,
-            KernelOp::Call { argc, .. } => *argc,
+            KernelOp::Elem { rank: n, .. } | KernelOp::Call(_, n) => n,
             _ => 0,
         }
     }
 }
 
-/// The compiled form of a whole-array assignment `lhs = rhs`.
+/// What lowering resolves names through: the routine's arrays, and the
+/// name of every frame slot (a new scalar name gets the next slot).
+pub struct Scope<'a> {
+    /// The routine.
+    pub unit: &'a RoutineUnit,
+    /// Frame slot names.
+    pub slots: &'a mut Vec<String>,
+}
+
+impl Scope<'_> {
+    /// The frame slot of scalar `name`.
+    pub fn slot(&mut self, name: &str) -> u32 {
+        let at = self.slots.iter().position(|n| n == name).unwrap_or_else(|| {
+            self.slots.push(name.to_string());
+            self.slots.len() - 1
+        });
+        at as u32
+    }
+}
+
+/// The compiled form of an expression: a postfix program whose first
+/// [`ElementKernel::uniform`] ops run once, at width 1, and the rest
+/// tile by tile over an assigned array, reading the uniform values as
+/// [`KernelOp::Hoisted`]. A scalar expression is all uniform part. A
+/// whole-array right-hand side hoists there every maximal subexpression
+/// that mentions no whole array, which is so read **before** any element
+/// is written: `a = a + a(8)` adds the old `a(8)` everywhere (Fortran
+/// evaluates the right-hand side first). Whether a whole-array operand
+/// conforms, and whether it is aligned, is decided when the statement
+/// runs; in scalar context a whole array is an error then.
 ///
 /// ```
-/// use hpfc_codegen::ir::{ElementKernel, KernelOp};
-/// use hpfc_lang::ast::{BinOp, Stmt};
+/// use hpfc_codegen::ir::{ElementKernel, KernelOp::*, Scope};
+/// use hpfc_lang::ast::{BinOp::*, Stmt};
 /// use hpfc_mapping::ArrayId;
 ///
-/// let src = "subroutine s\nreal :: a(8), b(8)\na = b * 2.0 + a(k)\nend";
-/// let ast = hpfc_lang::parse_program(src).unwrap();
-/// let Stmt::Assign { rhs, .. } = &ast.routines[0].body[0] else { unreachable!() };
-/// let ids = |n: &str| ["a", "b"].iter().position(|x| *x == n).map(|i| ArrayId(i as u32));
-/// let k = ElementKernel::compile(ArrayId(0), rhs, &ids);
-/// assert_eq!(k.operands, [ArrayId(1)]);
-/// assert_eq!(k.ops[..3], [KernelOp::Operand(0), KernelOp::Const(2.0), KernelOp::Bin(BinOp::Mul)]);
-/// // `a(k)` mentions no whole array: one value, read before the writes.
-/// assert!(matches!(k.ops[3], KernelOp::Leaf { per_point: false, .. }));
-/// assert_eq!(k.ops[4], KernelOp::Bin(BinOp::Add));
+/// let m = hpfc_lang::frontend("subroutine s\nreal :: a(8), b(8)\na = b * 2.0 + a(k)\nend").unwrap();
+/// let Stmt::Assign { rhs, .. } = &m.main().ast.body[0] else { unreachable!() };
+/// let mut slots = Vec::new();
+/// let k = ElementKernel::elementwise(ArrayId(0), rhs, &mut Scope { unit: m.main(), slots: &mut slots });
+/// assert_eq!(slots, ["k"]);
+/// // `2.0` and `a(k)` mention no whole array: one value each, read before the writes.
+/// assert_eq!(k.ops[..k.uniform], [Const(2.0), Scalar(0), Elem { array: ArrayId(0), rank: 1 }]);
+/// assert_eq!(k.ops[k.uniform..], [Operand(ArrayId(1)), Hoisted(0), Bin(Mul), Hoisted(1), Bin(Add)]);
 /// assert_eq!((k.depth, k.buffered), (2, false));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ElementKernel {
-    /// The postfix program; it leaves exactly one tile on the stack.
+    /// The postfix program: the uniform part, then the per-element part.
     pub ops: Vec<KernelOp>,
-    /// Every array the right-hand side references as a whole, inside
-    /// per-point leaves included. Each must have the left-hand side's
-    /// shape; which of them can be read as a slice of the same local
-    /// block is decided when the statement runs, by comparing current
-    /// mappings.
-    pub operands: Vec<ArrayId>,
-    /// Tiles the evaluation stack needs.
+    /// How many leading ops form the uniform part.
+    pub uniform: usize,
+    /// Every array referenced, in order of first mention: each needs a
+    /// current copy before the program runs.
+    pub arrays: Vec<ArrayId>,
+    /// Stack slots (tiles, in the per-element part) the program needs.
     pub depth: usize,
-    /// A per-point leaf references the left-hand side, so it may read
-    /// an element another point already wrote: the statement's values
-    /// are computed into a temporary before any is written.
+    /// The per-element part reads the assigned array at computed
+    /// subscripts (`a = a(b)`), so the values go to a temporary first.
     pub buffered: bool,
 }
 
 impl ElementKernel {
-    /// Compile `rhs` for an assignment to the whole of `lhs`;
-    /// `array_of` says which names are arrays.
-    pub fn compile(
-        lhs: ArrayId,
-        rhs: &Expr,
-        array_of: &dyn Fn(&str) -> Option<ArrayId>,
-    ) -> ElementKernel {
-        let mut k =
-            ElementKernel { ops: Vec::new(), operands: Vec::new(), depth: 0, buffered: false };
-        k.emit(rhs, lhs, array_of);
-        let mut sp = 0;
-        for op in &k.ops {
-            sp = sp + 1 - op.pops();
-            k.depth = k.depth.max(sp);
+    /// Compile `exprs` for scalar context: one value each, in order.
+    pub fn scalar<'e>(exprs: impl IntoIterator<Item = &'e Expr>, scope: &mut Scope<'_>) -> Self {
+        let mut k = ElementKernel::default();
+        for e in exprs {
+            k.emit(e, scope, None);
         }
-        k
+        k.finish(Vec::new())
     }
 
-    fn slot(&mut self, a: ArrayId) -> usize {
-        self.operands.iter().position(|x| *x == a).unwrap_or_else(|| {
-            self.operands.push(a);
-            self.operands.len() - 1
-        })
+    /// Compile `rhs` for an assignment to the whole of `lhs`.
+    pub fn elementwise(lhs: ArrayId, rhs: &Expr, scope: &mut Scope<'_>) -> Self {
+        let mut k = ElementKernel::default();
+        let mut per_element = Vec::new();
+        k.emit(rhs, scope, Some(&mut per_element));
+        k.buffered = per_element
+            .iter()
+            .any(|op| matches!(op, KernelOp::Elem { array, .. } if *array == lhs));
+        k.finish(per_element)
     }
 
-    fn emit(&mut self, e: &Expr, lhs: ArrayId, array_of: &dyn Fn(&str) -> Option<ArrayId>) {
+    /// The array, when the expression is a bare array name.
+    pub fn whole_array(&self) -> Option<ArrayId> {
+        match self.ops[..] {
+            [op] => op.operand(),
+            _ => None,
+        }
+    }
+
+    fn finish(mut self, per_element: Vec<KernelOp>) -> Self {
+        self.uniform = self.ops.len();
+        self.ops.extend(per_element);
+        let mut sp = 0;
+        for (i, op) in self.ops.iter().enumerate() {
+            if i == self.uniform {
+                sp = 0;
+            }
+            sp = sp + 1 - op.pops();
+            self.depth = self.depth.max(sp);
+        }
+        self
+    }
+
+    fn mention(&mut self, a: ArrayId) {
+        if !self.arrays.contains(&a) {
+            self.arrays.push(a);
+        }
+    }
+
+    /// Emit `e` into the uniform part, or into `per_element`, hoisting a
+    /// subexpression that mentions no whole array.
+    fn emit(
+        &mut self,
+        e: &Expr,
+        scope: &mut Scope<'_>,
+        mut per_element: Option<&mut Vec<KernelOp>>,
+    ) {
+        if let Some(out) = per_element.as_deref_mut() {
+            let mut whole = false;
+            e.for_each_ref(|n, subscripted| whole |= !subscripted && scope.unit.array(n).is_some());
+            if !whole {
+                let hoisted = out.iter().filter(|op| matches!(op, KernelOp::Hoisted(_))).count();
+                out.push(KernelOp::Hoisted(hoisted));
+                return self.emit(e, scope, None);
+            }
+        }
         let op = match e {
             Expr::Int(v, _) => KernelOp::Const(*v as f64),
             Expr::Real(v, _) => KernelOp::Const(*v),
-            Expr::Var(n, _) => match array_of(n) {
-                Some(a) => KernelOp::Operand(self.slot(a)),
-                None => KernelOp::Scalar(n.clone()),
-            },
-            Expr::Ref { name, subs, .. } if array_of(name).is_none() => {
-                for s in subs {
-                    self.emit(s, lhs, array_of);
+            Expr::Var(n, _) => match scope.unit.array(n) {
+                Some(a) => {
+                    self.mention(a);
+                    KernelOp::Operand(a)
                 }
-                KernelOp::Call { name: name.clone(), argc: subs.len() }
-            }
-            Expr::Ref { .. } => {
-                let (mut per_point, mut reads_lhs) = (false, false);
-                e.for_each_ref(|name, subscripted| {
-                    if let Some(a) = array_of(name) {
-                        reads_lhs |= a == lhs;
-                        if !subscripted {
-                            per_point = true;
-                            self.slot(a);
-                        }
-                    }
-                });
-                self.buffered |= per_point && reads_lhs;
-                KernelOp::Leaf { expr: e.clone(), per_point }
+                None => KernelOp::Scalar(scope.slot(n)),
+            },
+            Expr::Ref { name, subs, .. } => {
+                let op = if let Some(a) = scope.unit.array(name) {
+                    self.mention(a);
+                    KernelOp::Elem { array: a, rank: subs.len() }
+                } else if let Some(f) = Intrinsic::from_name(name) {
+                    KernelOp::Call(f, subs.len())
+                } else {
+                    // Sema rejects a subscripted name that is neither
+                    // (E010); lowering stays total.
+                    return per_element.unwrap_or(&mut self.ops).push(KernelOp::Const(f64::NAN));
+                };
+                for s in subs {
+                    self.emit(s, scope, per_element.as_deref_mut());
+                }
+                op
             }
             Expr::Bin { op, l, r, .. } => {
-                self.emit(l, lhs, array_of);
-                self.emit(r, lhs, array_of);
+                self.emit(l, scope, per_element.as_deref_mut());
+                self.emit(r, scope, per_element.as_deref_mut());
                 KernelOp::Bin(*op)
             }
             Expr::Un { op, e, .. } => {
-                self.emit(e, lhs, array_of);
+                self.emit(e, scope, per_element.as_deref_mut());
                 KernelOp::Un(*op)
             }
         };
-        self.ops.push(op);
+        per_element.unwrap_or(&mut self.ops).push(op);
     }
+}
+
+/// What the left-hand side of an assignment resolved to.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Target {
+    /// A scalar: its frame slot.
+    Scalar(u32),
+    /// One element of an array: `subs` leaves its subscripts.
+    Element(ArrayId, ElementKernel),
+    /// The whole array, element for element.
+    Whole(ArrayId),
 }
 
 /// A statement of the static program.
@@ -419,21 +494,23 @@ pub enum SStmt {
     /// compiler guarantees the current version at this point — recorded
     /// in `expected` and asserted by the interpreter).
     Assign {
-        /// Target.
+        /// Target (what the renderer prints).
         lhs: LValue,
         /// Source expression (what the renderer prints).
         rhs: Expr,
         /// Compiler-predicted (array, version) pairs at this reference.
         expected: Vec<(ArrayId, u32)>,
-        /// The compiled right-hand side when `lhs` is a whole array —
-        /// what the interpreter runs; `None` for scalar and element
-        /// assignments, which walk `rhs`.
-        kernel: Option<ElementKernel>,
+        /// What `lhs` resolved to.
+        target: Target,
+        /// The compiled right-hand side (elementwise for a whole array).
+        kernel: ElementKernel,
     },
     /// Conditional.
     If {
-        /// Condition.
+        /// Condition (what the renderer prints).
         cond: Expr,
+        /// The compiled condition.
+        test: ElementKernel,
         /// Then branch.
         then_body: Vec<SStmt>,
         /// Else branch.
@@ -443,12 +520,16 @@ pub enum SStmt {
     Do {
         /// Loop variable.
         var: String,
+        /// The loop variable's frame slot.
+        slot: u32,
         /// Lower bound.
         lo: Expr,
         /// Upper bound.
         hi: Expr,
         /// Step (default 1).
         step: Option<Expr>,
+        /// The compiled step (default `1`), lower and upper bound.
+        bounds: ElementKernel,
         /// Body.
         body: Vec<SStmt>,
     },
@@ -457,8 +538,10 @@ pub enum SStmt {
     Call {
         /// Callee name.
         name: String,
-        /// Actual arguments.
+        /// Actual arguments (what the renderer prints).
         args: Vec<Expr>,
+        /// The compiled arguments ([`ElementKernel::whole_array`]s too).
+        actuals: Vec<ElementKernel>,
         /// Mapped array arguments with their intents and the dummy
         /// version the callee sees.
         mapped: Vec<(ArrayId, Intent, u32)>,
@@ -493,8 +576,6 @@ pub enum SStmt {
 pub struct StaticProgram {
     /// Routine name.
     pub routine: String,
-    /// Scalar dummy argument names (arrays are in `arrays`).
-    pub params: Vec<String>,
     /// All arrays with their version tables.
     pub arrays: Vec<ArrayDecl>,
     /// Number of processors of the largest grid in use.
@@ -509,12 +590,20 @@ pub struct StaticProgram {
     /// All dummy argument names in positional order (scalars and
     /// arrays), for interprocedural argument binding.
     pub param_order: Vec<String>,
+    /// The scalar name of every frame slot ([`KernelOp::Scalar`]);
+    /// scalar dummies come first.
+    pub scalars: Vec<String>,
 }
 
 impl StaticProgram {
     /// Array declaration by id.
     pub fn array(&self, a: ArrayId) -> &ArrayDecl {
         &self.arrays[a.0 as usize]
+    }
+
+    /// The frame slot of scalar `name`, if the routine names it.
+    pub fn slot_of(&self, name: &str) -> Option<usize> {
+        self.scalars.iter().position(|n| n == name)
     }
 
     /// Visit every statement of the program (body and exit block, all

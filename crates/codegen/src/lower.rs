@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use hpfc_cfg::graph::{NodeId, NodeKind};
-use hpfc_lang::ast::{Directive, Stmt};
+use hpfc_lang::ast::{Directive, Expr, Stmt};
 use hpfc_lang::sema::RoutineUnit;
 use hpfc_lang::Span;
 use hpfc_mapping::ArrayId;
@@ -15,8 +15,8 @@ use hpfc_runtime::PlanRegistry;
 use std::sync::Arc;
 
 use crate::ir::{
-    ArrayDecl, ElementKernel, RemapGroupOp, RemapOp, RestoreArm, RestoreOp, SStmt, SpmdCopy,
-    StaticProgram,
+    ArrayDecl, ElementKernel, RemapGroupOp, RemapOp, RestoreArm, RestoreOp, SStmt, Scope, SpmdCopy,
+    StaticProgram, Target,
 };
 
 /// Static accounting of what lowering emitted — the compile-time side
@@ -103,6 +103,7 @@ pub fn lower_with(
     let elem_sizes: BTreeMap<ArrayId, u64> =
         unit.env.arrays().iter().map(|info| (info.id, info.elem_size)).collect();
     let mut lowerer = Lowerer {
+        slots: unit.ast.params.iter().filter(|p| unit.array(p).is_none()).cloned().collect(),
         unit,
         rg,
         directive_vertex,
@@ -128,7 +129,7 @@ pub fn lower_with(
         }
     }
     exit_block.push(SStmt::ExitCleanup);
-    let n_slots = lowerer.n_slots;
+    let (n_slots, scalars) = (lowerer.n_slots, lowerer.slots);
 
     // --- array declarations with version tables.
     let dummies: BTreeSet<ArrayId> =
@@ -158,24 +159,17 @@ pub fn lower_with(
     }
 
     let nprocs = unit.env.grids().iter().map(|g| g.nprocs()).max().unwrap_or(1);
-    let params: Vec<String> = unit
-        .ast
-        .params
-        .iter()
-        .filter(|p| unit.array(p).is_none())
-        .cloned()
-        .collect();
 
     (
         StaticProgram {
             routine: unit.name.clone(),
-            params,
             arrays,
             nprocs,
             body,
             exit_block,
             n_slots,
             param_order: unit.ast.params.clone(),
+            scalars,
         },
         stats,
     )
@@ -201,9 +195,16 @@ struct Lowerer<'a> {
     stats: &'a mut CodegenStats,
     n_slots: u32,
     group_remaps: bool,
+    /// The frame slot names handed out so far (see [`Scope`]).
+    slots: Vec<String>,
 }
 
 impl<'a> Lowerer<'a> {
+    /// Name resolution for this routine's expressions.
+    fn scope(&mut self) -> Scope<'_> {
+        Scope { unit: self.unit, slots: &mut self.slots }
+    }
+
     fn lower_body(&mut self, body: &[Stmt]) -> Vec<SStmt> {
         let mut out = Vec::new();
         for s in body {
@@ -213,14 +214,11 @@ impl<'a> Lowerer<'a> {
     }
 
     /// Plan, schedule, and compile the guarded copy arm for every
-    /// data-moving source version (`r ∈ reaching`, `r ≠ target`),
-    /// ordered by source version — shared by plain remaps and by each
-    /// arm of a flow-dependent restore. Every pair is resolved by the
-    /// process-wide plan registry, exactly as a run-time miss would be:
-    /// lowering the same mapping pair twice (two programs, or one
-    /// program recompiled) serves the registered artifact instead of
-    /// replanning, so the whole process holds one compiled pipeline per
-    /// distinct pair.
+    /// data-moving source version (`r ∈ reaching`, `r ≠ target`), in
+    /// source order — for plain remaps and each arm of a flow-dependent
+    /// restore. Every pair is resolved by the process-wide plan registry,
+    /// as a run-time miss would be, so the process holds one compiled
+    /// pipeline per distinct pair.
     fn planned_copies(&self, a: ArrayId, reaching: &BTreeSet<u32>, target: u32) -> Vec<SpmdCopy> {
         let elem = self.elem_sizes[&a];
         let dst = self.rg.versions.mapping_of(VersionId { array: a, index: target });
@@ -251,12 +249,9 @@ impl<'a> Lowerer<'a> {
                 let reaching: std::collections::BTreeSet<u32> =
                     label.reaching.iter().map(|x| x.index).collect();
                 let no_data = label.values_dead || label.use_info == UseInfo::D;
-                // Message-level lowering: one packed send/recv schedule
-                // per data-moving source version, planned *and compiled
-                // to an executable copy program* at compile time — the
-                // mapping pair is static, and the interpreter seeds the
-                // runtime plan cache from these Arcs instead of
-                // replanning.
+                // One packed send/recv schedule per data-moving source
+                // version, planned and compiled to a copy program now:
+                // the interpreter seeds its plan cache from these Arcs.
                 let copies = if no_data {
                     Vec::new()
                 } else {
@@ -322,11 +317,7 @@ impl<'a> Lowerer<'a> {
         const MAX_GROUP_MEMBERS: usize = 64;
         for (_, mut members) in buckets {
             while !members.is_empty() {
-                let rest = if members.len() > MAX_GROUP_MEMBERS {
-                    members.split_off(MAX_GROUP_MEMBERS)
-                } else {
-                    Vec::new()
-                };
+                let rest = members.split_off(members.len().min(MAX_GROUP_MEMBERS));
                 if members.len() < 2 {
                     solos.extend(members);
                 } else {
@@ -361,27 +352,43 @@ impl<'a> Lowerer<'a> {
                     })
                     .unwrap_or_default();
                 // A whole-array assignment is an elementwise zip over
-                // statically known versions: compile its right-hand side.
-                let kernel = match self.unit.array(&lhs.name) {
+                // statically known versions; anything else is scalar.
+                let scope = &mut self.scope();
+                let (target, kernel) = match scope.unit.array(&lhs.name) {
                     Some(a) if lhs.subs.is_empty() => {
-                        Some(ElementKernel::compile(a, rhs, &|n| self.unit.array(n)))
+                        (Target::Whole(a), ElementKernel::elementwise(a, rhs, scope))
                     }
-                    _ => None,
+                    Some(a) => (
+                        Target::Element(a, ElementKernel::scalar(&lhs.subs, scope)),
+                        ElementKernel::scalar([rhs], scope),
+                    ),
+                    None => {
+                        (Target::Scalar(scope.slot(&lhs.name)), ElementKernel::scalar([rhs], scope))
+                    }
                 };
-                out.push(SStmt::Assign { lhs: lhs.clone(), rhs: rhs.clone(), expected, kernel });
+                let (lhs, rhs) = (lhs.clone(), rhs.clone());
+                out.push(SStmt::Assign { lhs, rhs, expected, target, kernel });
             }
             Stmt::If { cond, then_body, else_body, .. } => {
+                let test = ElementKernel::scalar([cond], &mut self.scope());
                 let then_body = self.lower_body(then_body);
                 let else_body = self.lower_body(else_body);
-                out.push(SStmt::If { cond: cond.clone(), then_body, else_body });
+                out.push(SStmt::If { cond: cond.clone(), test, then_body, else_body });
             }
             Stmt::Do { var, lo, hi, step, body, .. } => {
+                let one = Expr::Int(1, lo.span());
+                let mut scope = self.scope();
+                let bounds =
+                    ElementKernel::scalar([step.as_ref().unwrap_or(&one), lo, hi], &mut scope);
+                let slot = scope.slot(var);
                 let body = self.lower_body(body);
                 out.push(SStmt::Do {
                     var: var.clone(),
+                    slot,
                     lo: lo.clone(),
                     hi: hi.clone(),
                     step: step.clone(),
+                    bounds,
                     body,
                 });
             }
@@ -419,7 +426,9 @@ impl<'a> Lowerer<'a> {
                         mapped.push((array, intent, v.index));
                     }
                 }
-                out.push(SStmt::Call { name: name.clone(), args: args.clone(), mapped });
+                let mut scope = self.scope();
+                let actuals = args.iter().map(|e| ElementKernel::scalar([e], &mut scope)).collect();
+                out.push(SStmt::Call { name: name.clone(), args: args.clone(), actuals, mapped });
                 // ArgOut restores.
                 for &vo in &group.arg_outs {
                     let NodeKind::ArgOut { array, .. } = *rg_kind(self.rg, vo) else { continue };
@@ -436,11 +445,8 @@ impl<'a> Lowerer<'a> {
                             }
                         }
                         Some(Leaving::Restore(set)) => {
-                            // Fig. 18, statically lowered: one compiled
-                            // arm per possible saved tag, each planned
-                            // from the versions reaching the ArgOut —
-                            // run time selects an arm by the tag and
-                            // never plans.
+                            // Fig. 18, statically lowered: one compiled arm
+                            // per possible saved tag; run time selects one.
                             let possible: BTreeSet<u32> =
                                 set.iter().map(|x| x.index).collect();
                             let reaching: BTreeSet<u32> =

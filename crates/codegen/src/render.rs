@@ -384,7 +384,7 @@ fn body_text(p: &StaticProgram, body: &[SStmt], depth: usize, out: &mut String) 
                 };
                 out.push_str(&format!("{pad}{}{subs} = {}\n", lhs.name, expr_to_string(rhs)));
             }
-            SStmt::If { cond, then_body, else_body } => {
+            SStmt::If { cond, then_body, else_body, .. } => {
                 out.push_str(&format!("{pad}if ({}) then\n", expr_to_string(cond)));
                 body_text(p, then_body, depth + 1, out);
                 if !else_body.is_empty() {
@@ -393,7 +393,7 @@ fn body_text(p: &StaticProgram, body: &[SStmt], depth: usize, out: &mut String) 
                 }
                 out.push_str(&format!("{pad}endif\n"));
             }
-            SStmt::Do { var, lo, hi, step, body } => {
+            SStmt::Do { var, lo, hi, step, body, .. } => {
                 let st = step
                     .as_ref()
                     .map(|e| format!(", {}", expr_to_string(e)))

@@ -73,3 +73,19 @@ fn an_out_of_bounds_subscript_exits_1() {
     assert_eq!(out.status.code(), Some(1), "a typed error, not a panic: {stderr}");
     assert!(stderr.contains("`a` (rank 1): subscript 1 is 20"), "{stderr}");
 }
+
+#[test]
+fn a_bad_intrinsic_call_exits_1_with_the_diagnostic() {
+    for (name, stmt, code) in [
+        ("arity_sqrt", "x = sqrt(1.0, 2.0)", "E022"),
+        ("arity_mod", "x = mod(5)", "E022"),
+        ("unknown_call", "x = foo(3)", "E010"),
+    ] {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.f"));
+        std::fs::write(&path, format!("subroutine s\n{stmt}\nend\n")).expect("writes the program");
+        let out = hpfcc(&["--run", path.to_str().expect("utf-8 path")]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stmt}: a diagnostic, not a panic: {stderr}");
+        assert!(stderr.contains(code), "{stmt}: {stderr}");
+    }
+}

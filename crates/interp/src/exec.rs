@@ -2,20 +2,21 @@
 //! simulated machine.
 //!
 //! Statements are dispatched here. Remaps, restores and calls drive
-//! `hpfc-runtime`; scalar and element assignments, conditions and loop
-//! bounds walk their expression tree ([`crate::eval`]); a whole-array
-//! assignment hands its compiled kernel to the tiled engine
-//! (the `kernel` module) and never visits a point unless an operand
-//! forces it to.
+//! `hpfc-runtime`; every expression a statement evaluates runs its
+//! compiled kernel through the one expression engine (the `kernel`
+//! module): at width 1 for scalars, elements, conditions, loop bounds
+//! and call arguments, tile by tile for a whole-array assignment, which
+//! never visits a point unless an operand forces it to. Scalars live in
+//! frame slots; names are looked up only on entry (scalar arguments) and
+//! exit ([`ExecResult::scalars`]).
 
 use std::collections::BTreeMap;
 
-use hpfc_codegen::ir::{SStmt, StaticProgram};
-use hpfc_lang::ast::{Expr, Intent};
+use hpfc_codegen::ir::{ElementKernel, SStmt, StaticProgram, Target};
+use hpfc_lang::ast::Intent;
 use hpfc_mapping::ArrayId;
-use hpfc_runtime::{ArrayRt, ExecError, Machine, NetStats};
+use hpfc_runtime::{ArrayRt, ExecError, GroupMember, Machine, NetStats};
 
-use crate::eval::EvalCtx;
 use crate::kernel;
 
 /// Execution options.
@@ -90,28 +91,23 @@ enum Flow {
 
 struct Frame {
     arrays: Vec<ArrayRt>,
-    names: BTreeMap<String, ArrayId>,
-    scalars: BTreeMap<String, f64>,
-    slots: Vec<Option<u32>>,
+    /// Scalar values by frame slot (unset reads 0), and which slots
+    /// were ever assigned.
+    scalars: Vec<f64>,
+    assigned: Vec<bool>,
+    /// The stack width-1 kernels run on.
+    stack: Vec<f64>,
+    /// Status save slots (Fig. 18).
+    saved: Vec<Option<u32>>,
     /// Final dense contents, snapshotted by ExitCleanup before local
     /// copies are freed.
     results: BTreeMap<ArrayId, Vec<f64>>,
 }
 
 impl Frame {
-    /// The tree walker over this frame, outside any elementwise context.
-    fn ctx(&self) -> EvalCtx<'_> {
-        EvalCtx { scalars: &self.scalars, arrays: &self.arrays, names: &self.names, point: None }
-    }
-
-    /// Assign a scalar; only the first assignment of a name allocates.
-    fn set_scalar(&mut self, name: &str, value: f64) {
-        match self.scalars.get_mut(name) {
-            Some(slot) => *slot = value,
-            None => {
-                self.scalars.insert(name.to_string(), value);
-            }
-        }
+    fn set_scalar(&mut self, slot: u32, value: f64) {
+        self.scalars[slot as usize] = value;
+        self.assigned[slot as usize] = true;
     }
 }
 
@@ -131,7 +127,12 @@ impl<'a> Executor<'a> {
                 inputs.insert(a.id, (0..n).map(|i| 1.0 + i as f64).collect());
             }
         }
-        let mut frame = self.run_frame(p, self.config.scalar_args.clone(), inputs, 0)?;
+        let args = self.config.scalar_args.clone();
+        let mut frame = self.run_frame(p, &args, inputs, 0)?;
+        let mut scalars = args;
+        for (slot, name) in p.scalars.iter().enumerate().filter(|(s, _)| frame.assigned[*s]) {
+            scalars.insert(name.clone(), frame.scalars[slot]);
+        }
         let mut arrays = BTreeMap::new();
         for decl in &p.arrays {
             let dense = frame.results.remove(&decl.id).unwrap_or_else(|| {
@@ -143,14 +144,14 @@ impl<'a> Executor<'a> {
             stats: self.machine.stats,
             peak_mem_bytes: self.machine.mem.max_peak(),
             arrays,
-            scalars: frame.scalars,
+            scalars,
         })
     }
 
     fn run_frame(
         &mut self,
         p: &StaticProgram,
-        scalars: BTreeMap<String, f64>,
+        scalars: &BTreeMap<String, f64>,
         array_inputs: BTreeMap<ArrayId, Vec<f64>>,
         depth: u32,
     ) -> Result<Frame, ExecError> {
@@ -165,23 +166,23 @@ impl<'a> Executor<'a> {
                 .iter()
                 .map(|a| ArrayRt::new(a.name.clone(), a.versions.clone(), a.elem_size))
                 .collect(),
-            names: p.arrays.iter().map(|a| (a.name.clone(), a.id)).collect(),
-            scalars,
-            slots: vec![None; p.n_slots as usize],
+            scalars: vec![0.0; p.scalars.len()],
+            assigned: vec![false; p.scalars.len()],
+            stack: Vec::new(),
+            saved: vec![None; p.n_slots as usize],
             results: BTreeMap::new(),
         };
-        // Seed every array's runtime plan cache from the compile-time
-        // plans lowering attached to the remap statements *and* the
-        // per-tag arms of flow-dependent restores: the executed
-        // schedule and copy program are the very objects codegen
-        // rendered (shared by Arc), and `NetStats::plans_computed`
-        // stays 0 for the whole lowered program — including Fig. 18
-        // save/restore paths, whose arms are selected by tag at run
-        // time but planned here, at compile time. Seeding goes through
-        // the machine's shared plan registry: the first session over a
-        // mapping pair publishes it, every later session adopts the
-        // registered artifact (`registry_hits`), so N concurrent
-        // interpreter sessions hold one artifact per distinct pair.
+        for (name, &v) in scalars {
+            if let Some(slot) = p.slot_of(name) {
+                frame.set_scalar(slot as u32, v);
+            }
+        }
+        // Seed every array's plan cache from the plans lowering attached
+        // to remaps and to the per-tag arms of Fig. 18 restores: the
+        // executed copy programs are the objects codegen rendered (shared
+        // by Arc), so `NetStats::plans_computed` stays 0. Seeding goes
+        // through the machine's shared plan registry, so concurrent
+        // sessions hold one artifact per distinct mapping pair.
         let machine = &mut self.machine;
         p.for_each_planned_copy(|array, target, copy| {
             frame.arrays[array.0 as usize].seed_plan_shared(
@@ -218,14 +219,19 @@ impl<'a> Executor<'a> {
         Ok(Flow::Normal)
     }
 
-    /// Make sure every array referenced by `e` has a current copy
-    /// (lazy instantiation for reads of never-touched arrays).
-    fn ensure_refs(&mut self, frame: &mut Frame, e: &Expr, expected: &[(ArrayId, u32)]) {
-        e.for_each_ref(|name, _| {
-            if let Some(&a) = frame.names.get(name) {
-                self.ensure_current(frame, a, expected);
-            }
-        });
+    /// Run a scalar-context kernel once every array it references has a
+    /// current copy (lazy instantiation for reads of never-touched
+    /// arrays): its values, one per expression.
+    fn values<'f>(
+        &mut self,
+        frame: &'f mut Frame,
+        k: &ElementKernel,
+        expected: &[(ArrayId, u32)],
+    ) -> Result<&'f [f64], ExecError> {
+        for &a in &k.arrays {
+            self.ensure_current(frame, a, expected);
+        }
+        kernel::values(k, &frame.arrays, &frame.scalars, &mut frame.stack)
     }
 
     /// Instantiate `a` in its predicted version if it was never touched.
@@ -248,54 +254,44 @@ impl<'a> Executor<'a> {
         depth: u32,
     ) -> Result<Flow, ExecError> {
         match s {
-            SStmt::Assign { lhs, rhs, expected, kernel } => {
-                self.ensure_refs(frame, rhs, expected);
-                for sub in &lhs.subs {
-                    self.ensure_refs(frame, sub, expected);
-                }
-                match frame.names.get(&lhs.name).copied() {
-                    Some(a) => {
-                        self.ensure_current(frame, a, expected);
-                        if let Some(kernel) = kernel {
-                            // Whole-array elementwise assignment: the
-                            // owner computes, block by block.
-                            let Frame { arrays, names, scalars, .. } = frame;
-                            kernel::run(arrays, names, scalars, a, kernel)?;
-                        } else {
-                            let (point, value) = {
-                                let ctx = frame.ctx();
-                                let point = ctx.point_of(&frame.arrays[a.0 as usize], &lhs.subs)?;
-                                (point, ctx.eval(rhs)?)
-                            };
-                            frame.arrays[a.0 as usize].set(&point, value);
-                        }
+            SStmt::Assign { expected, target, kernel, .. } => {
+                match target {
+                    Target::Scalar(slot) => {
+                        let value = self.values(frame, kernel, expected)?[0];
+                        frame.set_scalar(*slot, value);
                     }
-                    None => {
-                        let value = frame.ctx().eval(rhs)?;
-                        frame.set_scalar(&lhs.name, value);
+                    Target::Element(a, subs) => {
+                        for &x in kernel.arrays.iter().chain(&subs.arrays).chain([a]) {
+                            self.ensure_current(frame, x, expected);
+                        }
+                        let Frame { arrays, scalars, stack, .. } = frame;
+                        let subs = kernel::values(subs, arrays, scalars, stack)?;
+                        let rank = subs.len();
+                        let point = kernel::point_of(&arrays[a.0 as usize], rank, |d| subs[d])?;
+                        let value = kernel::values(kernel, arrays, scalars, stack)?[0];
+                        arrays[a.0 as usize].set(&point[..rank], value);
+                    }
+                    Target::Whole(a) => {
+                        // The owner computes, block by block.
+                        for &x in kernel.arrays.iter().chain([a]) {
+                            self.ensure_current(frame, x, expected);
+                        }
+                        let Frame { arrays, scalars, stack, .. } = frame;
+                        kernel::run(arrays, scalars, *a, kernel, stack)?;
                     }
                 }
                 Ok(Flow::Normal)
             }
-            SStmt::If { cond, then_body, else_body } => {
-                self.ensure_refs(frame, cond, &[]);
-                if frame.ctx().eval(cond)? != 0.0 {
+            SStmt::If { test, then_body, else_body, .. } => {
+                if self.values(frame, test, &[])?[0] != 0.0 {
                     self.exec_body(p, frame, then_body, depth)
                 } else {
                     self.exec_body(p, frame, else_body, depth)
                 }
             }
-            SStmt::Do { var, lo, hi, step, body } => {
-                self.ensure_refs(frame, lo, &[]);
-                self.ensure_refs(frame, hi, &[]);
-                let (lo_v, hi_v, step_v) = {
-                    let ctx = frame.ctx();
-                    let step = match step {
-                        Some(e) => ctx.eval(e)?,
-                        None => 1.0,
-                    };
-                    (ctx.eval(lo)?, ctx.eval(hi)?, step)
-                };
+            SStmt::Do { var, slot, bounds, body, .. } => {
+                let v = self.values(frame, bounds, &[])?;
+                let (step_v, lo_v, hi_v) = (v[0], v[1], v[2]);
                 if step_v == 0.0 {
                     return Err(ExecError::Interp {
                         what: format!("zero DO step for loop variable `{var}`"),
@@ -306,7 +302,7 @@ impl<'a> Executor<'a> {
                     if (step_v > 0.0 && i > hi_v) || (step_v < 0.0 && i < hi_v) {
                         break;
                     }
-                    frame.set_scalar(var, i);
+                    frame.set_scalar(*slot, i);
                     if let Flow::Return = self.exec_body(p, frame, body, depth)? {
                         return Ok(Flow::Return);
                     }
@@ -331,37 +327,26 @@ impl<'a> Executor<'a> {
                 Ok(Flow::Normal)
             }
             SStmt::RemapGroup(op) => {
-                // One directive's remap group: every member's solo plan
-                // is already seeded in its array's cache; the runtime
-                // moves the members whose state matches their planned
-                // copy over the merged schedule (coalesced same-pair
-                // wire messages, one latency per pair per round) and
-                // runs the rest as ordinary guarded no-op remaps. The
-                // group is atomic: a typed error means every member —
-                // including siblings that had already replayed — was
-                // rolled back to its pre-directive state.
-                {
-                    // Borrow each member's ArrayRt simultaneously —
-                    // member array ids are distinct and ascending.
-                    let mut rest: &mut [ArrayRt] = &mut frame.arrays;
-                    let mut base = 0usize;
-                    let mut members: Vec<hpfc_runtime::GroupMember<'_>> =
-                        Vec::with_capacity(op.members.len());
-                    for m in &op.members {
-                        let at = m.array.0 as usize - base;
-                        let (head, tail) = std::mem::take(&mut rest).split_at_mut(at + 1);
-                        rest = tail;
-                        base = m.array.0 as usize + 1;
-                        members.push(hpfc_runtime::GroupMember {
-                            rt: &mut head[at],
-                            src: m.copies[0].src,
-                            target: m.target,
-                            may_live: &m.may_live,
-                            skip_if_current: &m.skip_if_current,
-                        });
-                    }
-                    hpfc_runtime::try_remap_group(&mut self.machine, &mut members, &op.planned)?;
-                }
+                // One directive's remap group: members whose state matches
+                // their planned copy move over the merged schedule, the
+                // rest run as guarded no-op remaps. The group is atomic:
+                // a typed error means every member was rolled back.
+                // Member array ids are distinct and ascending: one pass
+                // borrows each member's ArrayRt.
+                let mut next = op.members.iter().peekable();
+                let mut members: Vec<_> = frame
+                    .arrays
+                    .iter_mut()
+                    .enumerate()
+                    .filter_map(|(i, rt)| {
+                        let m = next.next_if(|m| m.array.0 as usize == i)?;
+                        let (src, target) = (m.copies[0].src, m.target);
+                        let (may_live, skip_if_current) = (&m.may_live, &m.skip_if_current);
+                        Some(GroupMember { rt, src, target, may_live, skip_if_current })
+                    })
+                    .collect();
+                debug_assert_eq!(members.len(), op.members.len(), "members out of array order");
+                hpfc_runtime::try_remap_group(&mut self.machine, &mut members, &op.planned)?;
                 if self.config.evict_live_copies {
                     for m in &op.members {
                         self.evict_all(frame, m.array);
@@ -370,18 +355,15 @@ impl<'a> Executor<'a> {
                 Ok(Flow::Normal)
             }
             SStmt::SaveStatus { array, slot } => {
-                frame.slots[*slot as usize] = frame.arrays[array.0 as usize].status;
+                frame.saved[*slot as usize] = frame.arrays[array.0 as usize].status;
                 Ok(Flow::Normal)
             }
             SStmt::RestoreStatus(op) => {
-                if let Some(v) = frame.slots[op.slot as usize] {
+                if let Some(v) = frame.saved[op.slot as usize] {
                     // Dispatch on the live tag: the arm must have been
-                    // statically foreseen (its plans are already seeded
-                    // in the cache), and the currently live version
-                    // must be one of the arm's planned copy sources —
-                    // otherwise the compiler's reaching analysis was
-                    // violated and we fail loudly rather than plan
-                    // lazily.
+                    // foreseen and the live version must be one of its
+                    // planned sources, or the reaching analysis was
+                    // violated and we fail loudly rather than plan lazily.
                     let rt = &mut frame.arrays[op.array.0 as usize];
                     let arm = op.arm_for(v).ok_or_else(|| ExecError::Interp {
                         what: format!(
@@ -411,8 +393,8 @@ impl<'a> Executor<'a> {
                 }
                 Ok(Flow::Normal)
             }
-            SStmt::Call { name, args, mapped } => {
-                self.exec_call(p, frame, name, args, mapped, depth)?;
+            SStmt::Call { name, actuals, mapped, .. } => {
+                self.exec_call(frame, name, actuals, mapped, depth)?;
                 Ok(Flow::Normal)
             }
             SStmt::Return => Ok(Flow::Return),
@@ -452,10 +434,9 @@ impl<'a> Executor<'a> {
 
     fn exec_call(
         &mut self,
-        p: &StaticProgram,
         frame: &mut Frame,
         name: &str,
-        args: &[Expr],
+        actuals: &[ElementKernel],
         mapped: &[(ArrayId, Intent, u32)],
         depth: u32,
     ) -> Result<(), ExecError> {
@@ -466,34 +447,32 @@ impl<'a> Executor<'a> {
             let mut scalars = BTreeMap::new();
             let mut inputs: BTreeMap<ArrayId, Vec<f64>> = BTreeMap::new();
             let mut out_args: Vec<(ArrayId, ArrayId)> = Vec::new(); // (caller, callee)
-            for (pos, actual) in args.iter().enumerate() {
+            for (pos, actual) in actuals.iter().enumerate() {
                 let Some(pname) = callee.param_order.get(pos) else { continue };
                 match callee.arrays.iter().find(|a| &a.name == pname) {
                     Some(cdecl) => {
-                        if let Expr::Var(an, _) = actual {
-                            if let Some(&ca) = frame.names.get(an) {
-                                let intent = mapped
-                                    .iter()
-                                    .find(|(x, _, _)| *x == ca)
-                                    .map(|(_, i, _)| *i)
-                                    .unwrap_or(Intent::InOut);
-                                if intent != Intent::Out {
-                                    let rt = &mut frame.arrays[ca.0 as usize];
-                                    let cur = rt.current(&mut self.machine, 0);
-                                    inputs.insert(cdecl.id, cur.to_dense());
-                                }
-                                if intent != Intent::In {
-                                    out_args.push((ca, cdecl.id));
-                                }
+                        if let Some(ca) = actual.whole_array() {
+                            let intent = mapped
+                                .iter()
+                                .find(|(x, _, _)| *x == ca)
+                                .map(|(_, i, _)| *i)
+                                .unwrap_or(Intent::InOut);
+                            if intent != Intent::Out {
+                                let rt = &mut frame.arrays[ca.0 as usize];
+                                let cur = rt.current(&mut self.machine, 0);
+                                inputs.insert(cdecl.id, cur.to_dense());
+                            }
+                            if intent != Intent::In {
+                                out_args.push((ca, cdecl.id));
                             }
                         }
                     }
                     None => {
-                        scalars.insert(pname.clone(), frame.ctx().eval(actual)?);
+                        scalars.insert(pname.clone(), self.values(frame, actual, &[])?[0]);
                     }
                 }
             }
-            let mut callee_frame = self.run_frame(callee, scalars, inputs, depth + 1)?;
+            let mut callee_frame = self.run_frame(callee, &scalars, inputs, depth + 1)?;
             // Export inout/out results back through the dummy copy.
             for (ca, cid) in out_args {
                 if let Some(dense) = callee_frame.results.remove(&cid) {
@@ -504,7 +483,6 @@ impl<'a> Executor<'a> {
             }
         } else {
             // Interface-only callee: deterministic synthetic effect.
-            let _ = p;
             for &(a, intent, _dummy_version) in mapped {
                 match intent {
                     Intent::In => {}

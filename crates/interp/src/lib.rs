@@ -7,6 +7,9 @@
 //! correct *values* but without modelling compute-side communication.
 //! Every remapping, argument copy, status save/restore, liveness clean
 //! and eviction goes through `hpfc-runtime` and is accounted exactly.
+//! Every expression runs as the postfix program lowering compiled for
+//! it, through one engine (the private `kernel` module); the run time
+//! looks no name up.
 //!
 //! Calls execute the callee's own static program when the source module
 //! defines it (full interprocedural execution on the shared machine);
@@ -17,7 +20,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod eval;
 pub mod exec;
 mod kernel;
 

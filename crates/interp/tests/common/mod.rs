@@ -1,24 +1,116 @@
 //! The reference statement evaluator, test-side.
 //!
-//! Until the tiled engine (`hpfc_interp`'s `kernel` module) a
-//! whole-array assignment was executed point by point: walk
-//! `extents.points()`, evaluate the right-hand side tree at each point
-//! through [`EvalCtx`], collect a dense `values` vector, write it back
-//! through `fill` + `linearize`. [`assign_whole_array_per_point`] is
-//! that arm, moved here verbatim; [`run_oracle`] is the smallest driver
-//! that can execute a lowered program around it (assignments, `IF`,
-//! `DO`, remaps; no calls), so a test can run one program under the
-//! engine of record and under the old evaluator and demand the same
-//! bits.
+//! The library runs every expression as a compiled postfix program (the
+//! `kernel` module of `hpfc_interp`). This module keeps the tree walker
+//! that engine replaced, [`EvalCtx`], with its own copy of the operator
+//! semantics (`bin`, `un`, `intrinsic`), and the per-point whole-array
+//! arm that preceded the tiled engine: walk `extents.points()`,
+//! evaluate the right-hand side tree at each point, collect a dense
+//! `values` vector, write it back through `fill` + `linearize`
+//! ([`assign_whole_array_per_point`]). [`run_oracle`] is the smallest
+//! driver that can execute a lowered program around them (assignments,
+//! `IF`, `DO`, remaps; no calls), reading each statement's source
+//! expressions and resolving names itself, so a test can run one program
+//! under the engine of record and under code that engine does not share,
+//! and demand the same bits.
 
 use std::collections::BTreeMap;
 
 use hpfc::{ExecConfig, Machine, StaticProgram};
 use hpfc_codegen::ir::SStmt;
-use hpfc_interp::eval::EvalCtx;
-use hpfc_lang::ast::Expr;
+use hpfc_lang::ast::{BinOp, Expr, UnOp};
 use hpfc_mapping::ArrayId;
 use hpfc_runtime::ArrayRt;
+
+/// The tree walker: scalar bindings, array runtimes, and an optional
+/// current point for whole-array (elementwise) expressions.
+pub struct EvalCtx<'a> {
+    /// Scalar variables (loop indices included); unset reads 0.
+    pub scalars: &'a BTreeMap<String, f64>,
+    /// Array runtimes by id.
+    pub arrays: &'a [ArrayRt],
+    /// Name to array id.
+    pub names: &'a BTreeMap<String, ArrayId>,
+    /// The current point (zero-based) inside a whole-array assignment.
+    pub point: Option<&'a [u64]>,
+}
+
+impl EvalCtx<'_> {
+    /// The value of `e`. Out-of-range subscripts are clamped: the
+    /// oracle runs programs whose subscripts are in range.
+    pub fn eval(&self, e: &Expr) -> f64 {
+        match e {
+            Expr::Int(v, _) => *v as f64,
+            Expr::Real(v, _) => *v,
+            Expr::Var(n, _) => match (self.names.get(n), self.point) {
+                (Some(a), Some(p)) => self.arrays[a.0 as usize].get(p),
+                (Some(_), None) => panic!("whole-array `{n}` outside elementwise context"),
+                (None, _) => self.scalars.get(n).copied().unwrap_or(0.0),
+            },
+            Expr::Ref { name, subs, .. } => match self.names.get(name) {
+                Some(a) => self.arrays[a.0 as usize].get(&self.point_of(subs)),
+                None => {
+                    let v: Vec<f64> = subs.iter().map(|a| self.eval(a)).collect();
+                    intrinsic(name, &v)
+                }
+            },
+            Expr::Bin { op, l, r, .. } => bin(*op, self.eval(l), self.eval(r)),
+            Expr::Un { op, e, .. } => un(*op, self.eval(e)),
+        }
+    }
+
+    /// The zero-based point `subs` name.
+    pub fn point_of(&self, subs: &[Expr]) -> Vec<u64> {
+        subs.iter().map(|e| (self.eval(e) as i64 - 1).max(0) as u64).collect()
+    }
+}
+
+fn bin(op: BinOp, a: f64, b: f64) -> f64 {
+    let truth = |b: bool| if b { 1.0 } else { 0.0 };
+    match op {
+        BinOp::Add => a + b,
+        BinOp::Sub => a - b,
+        BinOp::Mul => a * b,
+        BinOp::Div => a / b,
+        BinOp::Pow => a.powf(b),
+        BinOp::Lt => truth(a < b),
+        BinOp::Gt => truth(a > b),
+        BinOp::Le => truth(a <= b),
+        BinOp::Ge => truth(a >= b),
+        BinOp::Eq => truth(a == b),
+        BinOp::Ne => truth(a != b),
+        BinOp::And => truth(a != 0.0 && b != 0.0),
+        BinOp::Or => truth(a != 0.0 || b != 0.0),
+    }
+}
+
+fn un(op: UnOp, a: f64) -> f64 {
+    match op {
+        UnOp::Neg => -a,
+        UnOp::Not => {
+            if a == 0.0 {
+                1.0
+            } else {
+                0.0
+            }
+        }
+    }
+}
+
+fn intrinsic(name: &str, v: &[f64]) -> f64 {
+    match (name, v.len()) {
+        ("sqrt", 1) => v[0].sqrt(),
+        ("abs", 1) => v[0].abs(),
+        ("sin", 1) => v[0].sin(),
+        ("cos", 1) => v[0].cos(),
+        ("exp", 1) => v[0].exp(),
+        ("real", 1) => v[0],
+        ("mod", 2) => v[0] % v[1],
+        ("min", _) => v.iter().copied().fold(f64::INFINITY, f64::min),
+        ("max", _) => v.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        _ => panic!("unknown intrinsic `{name}`"),
+    }
+}
 
 /// Final dense arrays and scalars of a run.
 pub type Values = (BTreeMap<String, Vec<f64>>, BTreeMap<String, f64>);
@@ -38,7 +130,7 @@ pub fn assign_whole_array_per_point(
         let ctx = EvalCtx { scalars, arrays, names, point: None };
         for pt in extents.points() {
             let c = EvalCtx { point: Some(&pt), ..ctx };
-            values.push(c.eval(rhs).expect("the oracle runs valid programs"));
+            values.push(c.eval(rhs));
         }
     }
     let rt = &mut arrays[a.0 as usize];
@@ -87,10 +179,12 @@ impl Oracle {
         });
     }
 
-    fn eval(&self, e: &Expr) -> f64 {
+    fn ctx(&self) -> EvalCtx<'_> {
         EvalCtx { scalars: &self.scalars, arrays: &self.arrays, names: &self.names, point: None }
-            .eval(e)
-            .expect("the oracle runs valid programs")
+    }
+
+    fn eval(&self, e: &Expr) -> f64 {
+        self.ctx().eval(e)
     }
 
     /// Returns `false` on `RETURN`.
@@ -118,11 +212,7 @@ impl Oracle {
                                 rhs,
                             );
                         } else {
-                            let point: Vec<u64> = lhs
-                                .subs
-                                .iter()
-                                .map(|e| (self.eval(e) as i64 - 1).max(0) as u64)
-                                .collect();
+                            let point = self.ctx().point_of(&lhs.subs);
                             let value = self.eval(rhs);
                             self.arrays[a.0 as usize].set(&point, value);
                         }
@@ -133,12 +223,15 @@ impl Oracle {
                     }
                 }
             }
-            SStmt::If { cond, then_body, else_body } => {
+            SStmt::If { cond, then_body, else_body, .. } => {
                 self.ensure_refs(cond, &[]);
                 let taken = if self.eval(cond) != 0.0 { then_body } else { else_body };
                 return self.body(taken);
             }
-            SStmt::Do { var, lo, hi, step, body } => {
+            SStmt::Do { var, lo, hi, step, body, .. } => {
+                for e in [Some(lo), Some(hi), step.as_ref()].into_iter().flatten() {
+                    self.ensure_refs(e, &[]);
+                }
                 let (lo, hi) = (self.eval(lo), self.eval(hi));
                 let step = step.as_ref().map_or(1.0, |e| self.eval(e));
                 assert!(step != 0.0, "zero DO step");

@@ -1,6 +1,7 @@
 //! The allocation contract of the statement engine: an aligned
-//! whole-array assignment allocates O(1) bytes — its tile stack and the
-//! resolved steps — however many elements it computes.
+//! whole-array assignment allocates O(1) bytes — its tile stack —
+//! however many elements it computes, and a scalar or element statement
+//! allocates nothing per execution.
 //!
 //! Pinned with a counting global allocator, in the style of
 //! `crates/runtime/tests/alloc_free.rs`: ONE `#[test]` (the counter is
@@ -9,7 +10,10 @@
 //! difference: the same routine with and without the statement, at two
 //! extents, each warmed by one statement-free execution first. The per-point evaluator this engine replaced allocated a
 //! dense `values` vector plus one point per element — 8 n bytes and n
-//! allocations more.
+//! allocations more. The statement path is pinned the same way: a `DO`
+//! loop of element and scalar statements allocates the same bytes at
+//! two trip counts. The tree walker it replaced allocated one point per
+//! element reference.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -81,6 +85,26 @@ fn execute_bytes(n: u64, statement: &str) -> u64 {
     bytes
 }
 
+/// Bytes `hpfc::execute` requests for a loop of `nt - 1` trips over
+/// element and scalar statements (the ADI sweep's inner statement).
+fn loop_bytes(nt: u64) -> u64 {
+    let src = "subroutine s(nt)\ninteger :: nt\nreal :: u(8, 64)\n!hpf$ processors p(4)\n\
+               !hpf$ distribute u(*, block) onto p\nu = 1.0\ns = 0.0\ndo j = 2, nt\n\
+               u(1, j) = u(1, j) + u(1, j - 1)\ns = s + u(1, j)\nenddo\nend";
+    let compiled = hpfc::compile(src, &CompileOptions::default()).expect("compiles");
+    let programs = compiled.programs();
+    let config = ExecConfig::default().with_scalar("nt", nt as f64);
+    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    COUNTED.with(|c| c.set(true));
+    let result = hpfc::execute(&programs, "s", config);
+    COUNTED.with(|c| c.set(false));
+    let bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    let result = result.expect("executes");
+    let sum: f64 = (2..=nt).map(|j| j as f64).sum();
+    assert_eq!(result.scalars["s"], sum, "wrong values");
+    bytes
+}
+
 #[test]
 fn an_aligned_whole_array_statement_allocates_o1_bytes() {
     let statement = "a = a + b * 2.0 - abs(0.5)";
@@ -96,4 +120,10 @@ fn an_aligned_whole_array_statement_allocates_o1_bytes() {
     let (small, large) = (cost(1 << 12), cost(1 << 20));
     assert!(large < 64 * 1024, "one statement over 2^20 elements allocated {large} B");
     assert_eq!(small, large, "the statement's allocations depend on the extent");
+
+    // The statement path: 2 and 62 trips (plus the untimed warm-up that
+    // compiles the extent's extraction artifact) request the same bytes.
+    loop_bytes(2);
+    let (few, many) = (loop_bytes(3), loop_bytes(63));
+    assert_eq!(few, many, "element and scalar statements allocate per execution");
 }

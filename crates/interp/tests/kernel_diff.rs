@@ -1,6 +1,7 @@
-//! The tiled statement engine against the per-point evaluator it
-//! replaced (`common::assign_whole_array_per_point`): same program,
-//! both engines, the same bits in every array and scalar.
+//! The statement engine against the tree walker and the per-point
+//! evaluator it replaced (`common`): same program, both engines, the
+//! same bits in every array and scalar — whole-array, element and
+//! scalar assignments, `IF` conditions and `DO` bounds alike.
 
 mod common;
 
@@ -89,7 +90,9 @@ fn expr(rng: &mut Rng, scope: &Scope<'_>, depth: usize, elementwise: bool) -> St
 /// cyclic / cyclic(k) / collapsed / replicated mappings (aligned to the
 /// first array or mapped on their own), some initialised element by
 /// element and some never touched, then whole-array statements — bare,
-/// inside `DO` loops, between `REDISTRIBUTE`s — and scalar assignments.
+/// inside `DO` loops whose bounds and step are expressions in `k`,
+/// between `REDISTRIBUTE`s — element assignments at clamped subscripts,
+/// `IF`s over scalars and elements, and scalar assignments.
 fn program(seed: u64) -> String {
     let rng = &mut Rng(seed);
     let all = ["a", "b", "c"];
@@ -148,8 +151,21 @@ fn program(seed: u64) -> String {
         let scope = Scope { arrays, shape: &shape, scalars };
         format!("{pad}{} = {}\n", rng.pick(arrays), expr(rng, &scope, 3, true))
     };
+    // One element, at subscripts computed from scalars and elements,
+    // assigned a value read from other elements.
+    let element = |rng: &mut Rng, scalars: &[&str], pad: &str| {
+        let scope = Scope { arrays, shape: &shape, scalars };
+        let subs: Vec<String> =
+            shape.iter().map(|&n| clamped(&expr(rng, &scope, 1, false), n)).collect();
+        let rhs = expr(rng, &scope, 2, false);
+        format!("{pad}{}({}) = {rhs}\n", rng.pick(arrays), subs.join(", "))
+    };
+    let statement = |rng: &mut Rng, scalars: &[&str], pad: &str| match rng.below(3) {
+        0 => element(rng, scalars, pad),
+        _ => assign(rng, scalars, pad),
+    };
     for _ in 0..2 + rng.below(5) {
-        match rng.below(6) {
+        match rng.below(8) {
             0 if !free.is_empty() => {
                 s += &format!("!hpf$ redistribute {}({}) onto p\n", rng.pick(&free), format(rng));
             }
@@ -157,13 +173,29 @@ fn program(seed: u64) -> String {
                 let scope = Scope { arrays, shape: &shape, scalars: &["k", "z", "x"] };
                 s += &format!("  x = {}\n", expr(rng, &scope, 2, false));
             }
+            // With k = 3 the bounds run 1..=4 down to 0 and the step is
+            // 1, 2 or -1: some loops never run.
             2 => {
-                s += &format!("  do m = 1, {}\n", 1 + rng.below(3));
+                let lo = rng.pick(&["1", "k - 2", "k", "2 * k - 5"]);
+                let hi = rng.pick(&["k", "k + 1", "2", "k - 3"]);
+                let step = rng.pick(&["", ", 1", ", k - 1", ", 2 - k"]);
+                s += &format!("  do m = {lo}, {hi}{step}\n");
                 for _ in 0..1 + rng.below(2) {
-                    s += &assign(rng, &["k", "z", "m"], "    ");
+                    s += &statement(rng, &["k", "z", "m"], "    ");
                 }
                 s += "  enddo\n";
             }
+            3 => {
+                let scope = Scope { arrays, shape: &shape, scalars: &["k", "z", "x"] };
+                s += &format!("  if ({}) then\n", expr(rng, &scope, 2, false));
+                s += &statement(rng, &["k", "z", "x"], "    ");
+                if rng.below(2) == 0 {
+                    s += "  else\n";
+                    s += &statement(rng, &["k", "z", "x"], "    ");
+                }
+                s += "  endif\n";
+            }
+            4 => s += &element(rng, &["k", "z", "x"], "  "),
             _ => s += &assign(rng, &["k", "z", "x"], "  "),
         }
     }
@@ -177,6 +209,42 @@ proptest! {
     fn random_whole_array_statements_match_the_per_point_evaluator(seed in 0u64..u64::MAX) {
         run_both(&program(seed), &[("k", 3.0)]);
     }
+}
+
+/// `x = src` in a routine with no arrays, under both engines: the
+/// engine's `x`.
+fn scalar_value(src: &str, scalars: &[(&str, f64)]) -> f64 {
+    let (_, values) = run_both(&format!("subroutine s(t)\n  x = {src}\nend subroutine\n"), scalars);
+    values["x"]
+}
+
+#[test]
+fn arithmetic_and_precedence() {
+    assert_eq!(scalar_value("1 + 2 * 3", &[]), 7.0);
+    assert_eq!(scalar_value("2 ** 3 ** 1", &[]), 8.0);
+    assert_eq!(scalar_value("-(4 - 6) / 2", &[]), 1.0);
+}
+
+#[test]
+fn comparisons_and_logic() {
+    assert_eq!(scalar_value("1 < 2 .and. 3 > 2", &[]), 1.0);
+    assert_eq!(scalar_value(".not. (1 == 1)", &[]), 0.0);
+    assert_eq!(scalar_value("2 /= 2 .or. 1 >= 1", &[]), 1.0);
+}
+
+#[test]
+fn scalar_lookup_with_default_zero() {
+    assert_eq!(scalar_value("t * 2", &[("t", 21.0)]), 42.0);
+    assert_eq!(scalar_value("unknown + 1", &[]), 1.0);
+}
+
+#[test]
+fn intrinsics() {
+    assert_eq!(scalar_value("sqrt(16.0)", &[]), 4.0);
+    assert_eq!(scalar_value("abs(-3.5)", &[]), 3.5);
+    assert_eq!(scalar_value("mod(7, 3)", &[]), 1.0);
+    assert_eq!(scalar_value("max(1, 5, 3)", &[]), 5.0);
+    assert_eq!(scalar_value("min(4, 2)", &[]), 2.0);
 }
 
 fn block_1d(n: u64, p: u64, body: &str) -> String {

@@ -420,6 +420,12 @@ impl Analyzer {
             self.err(codes::BAD_DIRECTIVE, span, "array extents must be constants");
             return;
         };
+        if shape.len() > MAX_RANK {
+            let what =
+                format!("`{}` has rank {}; at most {MAX_RANK} is allowed", e.name, shape.len());
+            self.err(codes::BAD_DIRECTIVE, span, what);
+            return;
+        }
         let elem = 8; // REAL and INTEGER both simulate as 8-byte cells.
         let id = self.env.add_array(&e.name, &shape, elem);
         self.symbols.insert(e.name.clone(), Symbol::Array(id));
@@ -594,8 +600,17 @@ impl Analyzer {
         for s in body {
             match s {
                 Stmt::Assign { lhs, rhs, span } => {
-                    let subs = (!lhs.subs.is_empty()).then_some(lhs.subs.len());
-                    self.check_ref(&lhs.name, subs, *span);
+                    let is_array = matches!(self.symbols.get(&lhs.name), Some(Symbol::Array(_)));
+                    if lhs.subs.is_empty() || is_array {
+                        let subs = (!lhs.subs.is_empty()).then_some(lhs.subs.len());
+                        self.check_ref(&lhs.name, subs, *span);
+                    } else {
+                        let what = format!(
+                            "`{}` is assigned with subscripts but is not an array",
+                            lhs.name
+                        );
+                        self.err(codes::UNRESOLVED, *span, what);
+                    }
                     for e in &lhs.subs {
                         self.check_expr(e);
                     }
@@ -763,15 +778,12 @@ impl Analyzer {
 
     /// A reference to `name` with `subs` subscripts (`None`: a bare
     /// name). An element reference must name every dimension of its
-    /// array: a count that differs from the rank is an error.
+    /// array: a count that differs from the rank is an error. A
+    /// subscripted name that is not an array calls an intrinsic, with
+    /// an argument count the intrinsic takes.
     fn check_ref(&mut self, name: &str, subs: Option<usize>, span: Span) {
-        match self.symbols.get(name) {
-            // Implicitly declare scalars on first use (Fortran style);
-            // arrays must be declared.
-            None => {
-                self.symbols.insert(name.to_string(), Symbol::Scalar(implicit_type(name)));
-            }
-            Some(Symbol::Array(a)) => {
+        match (self.symbols.get(name), subs) {
+            (Some(Symbol::Array(a)), _) => {
                 let rank = self.env.array(*a).extents.rank();
                 if let Some(n) = subs.filter(|&n| n != rank) {
                     self.err(
@@ -781,7 +793,25 @@ impl Analyzer {
                     );
                 }
             }
-            Some(_) => {}
+            (_, Some(n)) => match Intrinsic::from_name(name) {
+                Some(f) if f.takes(n) => {}
+                Some(_) => self.err(
+                    codes::BAD_CALL,
+                    span,
+                    format!("intrinsic `{name}` cannot take {n} argument(s)"),
+                ),
+                None => self.err(
+                    codes::UNRESOLVED,
+                    span,
+                    format!("`{name}` is subscripted but is neither an array nor an intrinsic"),
+                ),
+            },
+            // Implicitly declare scalars on first use (Fortran style);
+            // arrays must be declared.
+            (None, None) => {
+                self.symbols.insert(name.to_string(), Symbol::Scalar(implicit_type(name)));
+            }
+            (Some(_), None) => {}
         }
     }
 
@@ -789,17 +819,66 @@ impl Analyzer {
         let mut refs = Vec::new();
         e.visit_refs(&mut |name, subs, span| refs.push((name.to_string(), subs, span)));
         for (name, subs, span) in refs {
-            if is_intrinsic(&name) && subs.is_some() {
-                continue;
-            }
             self.check_ref(&name, subs, span);
         }
     }
 }
 
+/// The most dimensions an array may have (Fortran 90's limit): an
+/// element reference's subscripts fit a fixed-size point.
+pub const MAX_RANK: usize = 7;
+
+/// An intrinsic function an expression may call as `name(args)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Intrinsic {
+    /// `sqrt(x)`.
+    Sqrt,
+    /// `abs(x)`.
+    Abs,
+    /// `sin(x)`.
+    Sin,
+    /// `cos(x)`.
+    Cos,
+    /// `exp(x)`.
+    Exp,
+    /// `real(x)`: the value itself (every value is a real).
+    Real,
+    /// `mod(a, p)`: the remainder of `a / p`, with the sign of `a`.
+    Mod,
+    /// `min(x, …)`: the least of one or more arguments.
+    Min,
+    /// `max(x, …)`: the greatest of one or more arguments.
+    Max,
+}
+
+/// The one intrinsic table: name, function, fewest and most arguments.
+const INTRINSICS: [(&str, Intrinsic, usize, usize); 9] = [
+    ("sqrt", Intrinsic::Sqrt, 1, 1),
+    ("abs", Intrinsic::Abs, 1, 1),
+    ("sin", Intrinsic::Sin, 1, 1),
+    ("cos", Intrinsic::Cos, 1, 1),
+    ("exp", Intrinsic::Exp, 1, 1),
+    ("real", Intrinsic::Real, 1, 1),
+    ("mod", Intrinsic::Mod, 2, 2),
+    ("min", Intrinsic::Min, 1, usize::MAX),
+    ("max", Intrinsic::Max, 1, usize::MAX),
+];
+
+impl Intrinsic {
+    /// The intrinsic called `name`, if there is one.
+    pub fn from_name(name: &str) -> Option<Intrinsic> {
+        INTRINSICS.iter().find(|(n, ..)| *n == name).map(|&(_, f, ..)| f)
+    }
+
+    /// Whether a call may pass `argc` arguments.
+    pub fn takes(self, argc: usize) -> bool {
+        INTRINSICS.iter().any(|&(_, f, lo, hi)| f == self && (lo..=hi).contains(&argc))
+    }
+}
+
 /// Names treated as intrinsic functions in expressions.
 pub fn is_intrinsic(name: &str) -> bool {
-    matches!(name, "sqrt" | "abs" | "mod" | "min" | "max" | "sin" | "cos" | "exp" | "real")
+    Intrinsic::from_name(name).is_some()
 }
 
 fn const_dims(dims: &[Expr]) -> Option<Vec<u64>> {

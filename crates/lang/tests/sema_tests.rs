@@ -206,3 +206,34 @@ fn subscript_count_must_match_the_rank() {
     frontend("subroutine s\nreal :: a(8)\nreal :: b(4,4)\na = 1.0\nb(2,3) = a(4)\nend")
         .expect("rank-matched references pass sema");
 }
+
+#[test]
+fn an_intrinsic_called_with_the_wrong_arity_is_rejected() {
+    for (call, n) in [("sqrt(1.0, 2.0)", 2), ("mod(5)", 1), ("abs(1, 2, 3)", 3)] {
+        let errs = frontend(&format!("subroutine s\nx = {call}\nend")).unwrap_err();
+        assert_eq!(errs.len(), 1, "{call}: {errs:?}");
+        assert_eq!(errs[0].code, codes::BAD_CALL, "{call}: {errs:?}");
+        assert!(errs[0].message.contains(&format!("cannot take {n} argument")), "{errs:?}");
+    }
+    // Every arity the table allows passes.
+    frontend("subroutine s\nx = sqrt(4.0) + mod(5, 3) + min(1) + max(1, 2, 3)\nend")
+        .expect("well-formed intrinsic calls pass sema");
+}
+
+#[test]
+fn a_subscripted_name_that_is_neither_array_nor_intrinsic_is_rejected() {
+    for stmt in ["x = foo(3)", "k = 1\ny = k(2)", "foo(3) = 1.0", "y = 1 + g(p(1))"] {
+        let errs = frontend(&format!("subroutine s\n{stmt}\nend")).unwrap_err();
+        assert!(errs.iter().all(|e| e.code == codes::UNRESOLVED), "{stmt}: {errs:?}");
+        assert!(!errs.is_empty(), "{stmt}");
+    }
+    // An array named like an intrinsic is an array.
+    frontend("subroutine s\nreal :: max(4)\nx = max(2)\nend").expect("arrays come first");
+}
+
+#[test]
+fn an_array_of_more_than_seven_dimensions_is_rejected() {
+    let errs = frontend("subroutine s\nreal :: a(2,2,2,2,2,2,2,2)\nend").unwrap_err();
+    assert!(errs.iter().any(|e| e.code == codes::BAD_DIRECTIVE && e.message.contains("rank 8")));
+    frontend("subroutine s\nreal :: a(2,2,2,2,2,2,2)\na = 1.0\nend").expect("rank 7 is allowed");
+}

@@ -247,6 +247,28 @@ impl NormalizedMapping {
         self.locus(p).owner_ranks(&self.grid_shape)
     }
 
+    /// Call `f` with the row-major rank of every processor owning point
+    /// `p` — [`NormalizedMapping::owners`] without the `Vec`.
+    pub fn for_each_owner(&self, p: &[u64], mut f: impl FnMut(u64)) {
+        fn go(nm: &NormalizedMapping, p: &[u64], axis: usize, rank: u64, f: &mut impl FnMut(u64)) {
+            let Some(ax) = nm.axes.get(axis) else { return f(rank) };
+            let n = nm.grid_shape.extent(axis);
+            let coord = match ax.source {
+                DimSource::Replicated => {
+                    return (0..n).for_each(|c| go(nm, p, axis + 1, rank * n + c, f))
+                }
+                DimSource::FixedCoord(q) => q,
+                DimSource::ArrayAxis { dim, stride, offset } => {
+                    let t = stride * p[dim] as i64 + offset;
+                    debug_assert!(t >= 0, "alignment image validated non-negative");
+                    ax.layout.expect("axis source has layout").owner(t as u64)
+                }
+            };
+            go(nm, p, axis + 1, rank * n + coord, f)
+        }
+        go(self, p, 0, 0, &mut f)
+    }
+
     /// Whether the processor with row-major rank `rank` owns point `p`.
     pub fn is_owned(&self, p: &[u64], rank: u64) -> bool {
         let coords = self.grid_shape.delinearize(rank);
@@ -570,6 +592,12 @@ mod tests {
         let n = m.normalize(&Extents::new(&[8, 8]), &t, &g).unwrap();
         assert_eq!(n.owners(&[0, 0]).len(), 2);
         assert!(matches!(n.axes[1].source, DimSource::Replicated));
+        // The allocation-free enumeration visits the same ranks, in order.
+        for p in n.array_extents.points() {
+            let mut ranks = Vec::new();
+            n.for_each_owner(&p, |r| ranks.push(r));
+            assert_eq!(ranks, n.owners(&p), "{p:?}");
+        }
     }
 
     #[test]

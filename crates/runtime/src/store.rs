@@ -196,13 +196,14 @@ impl VersionData {
         block.data[block.position(point).expect("owned element")]
     }
 
-    /// Write an element (to every replica).
+    /// Write an element (to every replica); allocates nothing.
     pub fn set(&mut self, point: &[u64], value: f64) {
-        for owner in self.mapping.owners(point) {
-            let block = self.blocks[owner as usize].as_mut().expect("owner holds the element");
+        let blocks = &mut self.blocks;
+        self.mapping.for_each_owner(point, |owner| {
+            let block = blocks[owner as usize].as_mut().expect("owner holds the element");
             let pos = block.position(point).expect("owned element");
             block.data[pos] = value;
-        }
+        });
     }
 
     /// Fill from a function of the global point: `f` is written into
