@@ -89,8 +89,8 @@ pub struct SpmdCopy {
 }
 
 impl SpmdCopy {
-    /// The per-pair packed messages in caterpillar rounds, with the
-    /// per-dimension periodic descriptors driving each pack loop.
+    /// The per-pair packed messages in caterpillar rounds (each pair's
+    /// pack-loop descriptors are in `planned.plan`).
     pub fn schedule(&self) -> &CommSchedule {
         &self.planned.schedule
     }

@@ -3,13 +3,15 @@
 //! message-granularity SPMD: per (sender, receiver) pair a pack loop
 //! over the periodic intersection runs, one contiguous send/recv with a
 //! closed-form byte count, and the mirror unpack loop, ordered into
-//! contention-free caterpillar rounds.
+//! contention-free caterpillar rounds. The schedule says who sends how
+//! much to whom in which round; the loops read the pair's descriptors
+//! from the message's plan (`RedistPlan::pair_dims`).
 
 use std::collections::BTreeSet;
 
 use crate::ir::{RemapGroupOp, RemapOp, RestoreOp, SStmt, SpmdCopy, StaticProgram};
 use hpfc_lang::pretty::expr_to_string;
-use hpfc_runtime::PackedMessage;
+use hpfc_runtime::{PackedMessage, RedistPlan};
 
 /// Fig. 20: the runtime copy code of one remapping, as the paper's code
 /// generation phase would emit it — except that each guarded copy arm is
@@ -159,7 +161,7 @@ pub fn remap_group_text(p: &StaticProgram, op: &RemapGroupOp) -> String {
                     op.members[m.member].copies[0].src,
                     op.members[m.member].target,
                     m,
-                    sched.elem_size,
+                    &op.planned.members[m.member].plan,
                     8,
                 ));
             }
@@ -248,6 +250,7 @@ pub fn restore_text(p: &StaticProgram, op: &RestoreOp) -> String {
 pub fn spmd_copy_text(name: &str, target: u32, copy: &SpmdCopy, indent: usize) -> String {
     let pad = " ".repeat(indent);
     let sched = copy.schedule();
+    let plan = &copy.planned.plan;
     let r = copy.src;
     let mut s = String::new();
     s.push_str(&format!(
@@ -267,7 +270,7 @@ pub fn spmd_copy_text(name: &str, target: u32, copy: &SpmdCopy, indent: usize) -
     for (round_no, round) in sched.rounds.iter().enumerate() {
         s.push_str(&format!("{pad}  round {}:\n", round_no + 1));
         for &mi in round {
-            s.push_str(&message_text(name, r, target, &sched.messages[mi], sched.elem_size, indent + 4));
+            s.push_str(&message_text(name, r, target, &sched.messages[mi], plan, indent + 4));
         }
     }
     s.push_str(&format!("{pad}endif\n"));
@@ -275,9 +278,10 @@ pub fn spmd_copy_text(name: &str, target: u32, copy: &SpmdCopy, indent: usize) -
 }
 
 /// One packed point-to-point message: sender-side pack loop over the
-/// periodic intersection runs, a single contiguous send with its
-/// closed-form byte count, the matching recv, and the receiver-side
-/// unpack loop. Local buffer positions are closed-form
+/// periodic intersection runs of the pair's descriptors in `plan` (the
+/// message's plan, which also gives the element size), a single
+/// contiguous send with its closed-form byte count, the matching recv,
+/// and the receiver-side unpack loop. Local buffer positions are closed-form
 /// (`pos_v(g)` = owned indices of version `v` below `g`, i.e.
 /// `PeriodicSet::count_below`), so the loops are guard-free.
 fn message_text(
@@ -285,28 +289,28 @@ fn message_text(
     src: u32,
     dst: u32,
     m: &PackedMessage,
-    elem_size: u64,
+    plan: &RedistPlan,
     indent: usize,
 ) -> String {
     let pad = " ".repeat(indent);
-    let bytes = m.bytes(elem_size);
+    let bytes = m.bytes(plan.elem_size);
     let mut s = String::new();
     s.push_str(&format!(
         "{pad}p{} -> p{}: {} element(s), {} byte(s)\n",
         m.from, m.to, m.elements, bytes
     ));
-    if m.dims.is_empty() {
-        // Oracle-built schedule: sized message, no loop structure.
+    let Some(dims) = plan.pair_dims(m.from, m.to) else {
+        // Oracle-built plan: sized message, no loop structure.
         s.push_str(&format!("{pad}  send/recv opaque buffer ({bytes} bytes)\n"));
         return s;
-    }
-    let rank = m.dims.len();
+    };
+    let rank = dims.len();
     let last = rank - 1;
     // Loop headers: outer dimensions walk runs element by element, the
     // innermost dimension moves whole runs.
     let mut depth = indent + 2;
     let mut lines_open: Vec<String> = Vec::new();
-    for (d, dim) in m.dims.iter().enumerate() {
+    for (d, dim) in dims.iter().enumerate() {
         let pad_d = " ".repeat(depth);
         lines_open.push(format!(
             "{pad_d}do (lo{d}, hi{d}) in runs(d{d}: {} ∩ {})\n",

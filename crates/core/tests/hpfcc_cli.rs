@@ -89,3 +89,26 @@ fn a_bad_intrinsic_call_exits_1_with_the_diagnostic() {
         assert!(stderr.contains(code), "{stmt}: {stderr}");
     }
 }
+
+#[test]
+fn an_oversized_processor_grid_exits_1_with_the_diagnostic() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("huge_grid.f");
+    std::fs::write(
+        &path,
+        "subroutine s\nreal :: a(8)\n!hpf$ processors p(99999999999)\n\
+         !hpf$ distribute a(block) onto p\na = 1.0\nend\n",
+    )
+    .expect("writes the program");
+    // Under a 1 GiB address-space limit: were the grid accepted, the
+    // machine's per-rank state would abort the allocator, not exhaust
+    // the host.
+    let out = Command::new("sh")
+        .args(["-c", "ulimit -v 1048576 && exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_hpfcc"))
+        .args(["--run", path.to_str().expect("utf-8 path")])
+        .output()
+        .expect("hpfcc runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "a diagnostic, not an abort: {stderr}");
+    assert!(stderr.contains("E012") && stderr.contains("at most 1024"), "{stderr}");
+}

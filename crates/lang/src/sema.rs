@@ -389,6 +389,14 @@ impl Analyzer {
             self.err(codes::BAD_DIRECTIVE, span, "PROCESSORS extents must be constants");
             return;
         };
+        let volume = shape.iter().fold(1u64, |v, &e| v.saturating_mul(e));
+        if volume > MAX_GRID_VOLUME {
+            let what = format!(
+                "processor grid `{name}` has {volume} ranks; at most {MAX_GRID_VOLUME} are allowed"
+            );
+            self.err(codes::BAD_DIRECTIVE, span, what);
+            return;
+        }
         let id = self.env.add_grid(name, &shape);
         self.symbols.insert(name.to_string(), Symbol::Grid(id));
     }
@@ -827,6 +835,11 @@ impl Analyzer {
 /// The most dimensions an array may have (Fortran 90's limit): an
 /// element reference's subscripts fit a fixed-size point.
 pub const MAX_RANK: usize = 7;
+
+/// The most ranks a processor grid may have: the simulated machine
+/// holds per-rank state and the planner a dense sender × receiver count
+/// matrix (at most 1 Mi entries under this cap).
+pub const MAX_GRID_VOLUME: u64 = 1024;
 
 /// An intrinsic function an expression may call as `name(args)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

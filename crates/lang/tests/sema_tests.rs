@@ -144,6 +144,26 @@ fn block_smaller_than_extent_over_procs_is_rejected() {
 }
 
 #[test]
+fn processor_grids_beyond_1024_ranks_are_rejected() {
+    for grid in ["p(1025)", "p(5, 205)", "p(99999999999)", "p(4294967296, 4294967296)"] {
+        let src = format!("subroutine s\n!hpf$ processors {grid}\nreal :: a(8)\nend");
+        let errs = frontend(&src).unwrap_err();
+        assert!(
+            errs.iter().any(|e| e.code == codes::BAD_DIRECTIVE && e.message.contains("ranks")),
+            "{grid}: {errs:?}"
+        );
+    }
+    let accepted = [("p(1024)", "a(2048)", "block"), ("p(32, 32)", "a(64, 64)", "block, block")];
+    for (grid, array, dist) in accepted {
+        let src = format!(
+            "subroutine s\n!hpf$ processors {grid}\nreal :: {array}\n\
+             !hpf$ distribute a({dist}) onto p\nend"
+        );
+        assert!(frontend(&src).is_ok(), "{grid} is accepted");
+    }
+}
+
+#[test]
 fn unmapped_array_defaults_to_replicated() {
     let src = "subroutine s\n!hpf$ processors p(4)\nreal :: a(8)\nx = a(1)\nend";
     let m = frontend(src).unwrap();

@@ -64,8 +64,6 @@
 //! [`RunFamily`]: hpfc_mapping::RunFamily
 //! [`intersect_families`]: hpfc_mapping::intersect_families
 
-use std::collections::BTreeMap;
-
 use hpfc_mapping::intervals::{intersect_families, intersect_runs};
 
 use crate::redist::{DimContribution, RedistPlan};
@@ -386,9 +384,6 @@ impl CopyProgram {
         }
         let per_dim = &plan.dims;
 
-        // Message (from, to) -> caterpillar round, from the schedule.
-        let round_of: BTreeMap<(u64, u64), usize> = schedule.round_of_pairs().collect();
-
         // Per entry, the local extent of the owning block along that
         // dimension on each side: `|src_set|` / `|dst_set|`, the same
         // sets the storage layer's blocks address through.
@@ -493,8 +488,8 @@ impl CopyProgram {
             if provider == receiver {
                 local.push(unit);
             } else {
-                let r = *round_of
-                    .get(&(provider, receiver))
+                let r = schedule
+                    .round_of(provider, receiver)
                     .expect("every remote pair has a scheduled message");
                 rounds[r].push(unit);
             }

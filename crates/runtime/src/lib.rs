@@ -16,10 +16,12 @@
 //!   between any two composed mappings, with a brute-force enumeration
 //!   oracle for property testing;
 //! * [`schedule::CommSchedule`] — the plan lowered to message-level
-//!   SPMD structure: per (sender, receiver) pair a packed message with
-//!   per-dimension interval descriptors, ordered into contention-free
-//!   caterpillar rounds that [`machine::Machine::account_schedule`]
-//!   costs round by round;
+//!   SPMD structure: per (sender, receiver) pair one packed message of
+//!   the planned size, ordered into contention-free caterpillar rounds
+//!   (a pair's round is a closed formula of its ranks) that
+//!   [`machine::Machine::account_schedule`] costs round by round; the
+//!   pack/unpack descriptors stay in the plan
+//!   ([`redist::RedistPlan::pair_dims`]);
 //! * [`exec::CopyProgram`] — the schedule's data movement compiled at
 //!   plan time to stride families plus residual `(src_pos, dst_pos,
 //!   len)` triples, replayed allocation-free and serially through one
@@ -94,7 +96,7 @@ pub use group::{try_remap_group, GroupMember, PlannedGroup};
 pub use machine::{CostModel, Machine, NetStats};
 pub use redist::{plan_by_enumeration, plan_redistribution, RedistPlan, Transfer};
 pub use registry::PlanRegistry;
-pub use schedule::{CommSchedule, MsgDim, PackedMessage};
+pub use schedule::{CommSchedule, PackedMessage};
 pub use status::{ArrayRt, PlannedRemap};
 pub use store::VersionData;
 pub use symbolic::SymbolicPlan;

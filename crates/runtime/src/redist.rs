@@ -91,8 +91,9 @@ pub struct RedistPlan {
     pub local_elements: u64,
     /// Element size in bytes.
     pub elem_size: u64,
-    /// Per-dimension contribution tables (interval descriptors); empty
-    /// for oracle-built plans.
+    /// Per-dimension contribution tables (interval descriptors), each
+    /// sorted by its entries' `(src, dst)` coordinates; empty for
+    /// oracle-built plans.
     pub dims: Vec<Vec<DimContribution>>,
     /// The (source, destination) mapping pair this plan was computed
     /// for — the copy engine refuses to apply `dims` to any other pair.
@@ -133,6 +134,36 @@ impl RedistPlan {
     /// [`crate::Machine::account_phase`], without materializing them.
     pub fn phase_triples(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
         self.transfers.iter().map(|t| (t.from, t.to, t.elements * self.elem_size))
+    }
+
+    /// The per-dimension descriptors of the `(from, to)` pair's message:
+    /// along every array dimension, the one contribution entry whose
+    /// driven source and destination coordinates are those of the two
+    /// ranks. The message's elements are the product over dimensions of
+    /// `src_set ∩ dst_set` — what its pack and unpack loops walk — so
+    /// for a transfer the entries' counts multiply to its `elements`.
+    /// `None` for a plan without descriptors (the enumeration oracle, a
+    /// rank-0 scalar) or a pair that exchanges nothing along some
+    /// dimension.
+    pub fn pair_dims(&self, from: u64, to: u64) -> Option<Vec<&DimContribution>> {
+        let (src, dst) = self.mappings.as_deref()?;
+        if self.dims.is_empty() {
+            return None;
+        }
+        let s_coords = src.grid_shape.delinearize(from);
+        let d_coords = dst.grid_shape.delinearize(to);
+        self.dims
+            .iter()
+            .enumerate()
+            .map(|(d, entries)| {
+                let want = (
+                    src.axis_driven_by(d).map(|(ax, ..)| (ax, s_coords[ax])),
+                    dst.axis_driven_by(d).map(|(ax, ..)| (ax, d_coords[ax])),
+                );
+                let at = entries.binary_search_by_key(&want, |e| (e.src, e.dst)).ok()?;
+                Some(&entries[at])
+            })
+            .collect()
     }
 }
 
@@ -196,7 +227,9 @@ fn side_sets(nm: &NormalizedMapping, d: usize) -> Vec<(Option<(usize, u64)>, Per
 }
 
 /// Per-dimension contribution tables: for every array dimension, the
-/// non-empty (source coord, destination coord) interval intersections.
+/// non-empty (source coord, destination coord) interval intersections,
+/// in ascending `(src, dst)` order (the order
+/// [`RedistPlan::pair_dims`] searches).
 /// Each side's periodic sets are computed once per coordinate and
 /// shared across all coordinates of the other side.
 pub fn dim_contributions(

@@ -2,14 +2,15 @@
 //! granularity.
 //!
 //! A [`crate::RedistPlan`] says **how much** every processor pair
-//! exchanges; a [`CommSchedule`] additionally says **what each message
-//! looks like** — per (sender, receiver) pair, the per-dimension
-//! periodic interval descriptors whose intersection runs drive a
-//! guard-free pack loop on the sender and an unpack loop on the
-//! receiver — and **when** it goes on the wire: messages are ordered
-//! into *caterpillar* rounds (the round-robin tournament pairing), so
-//! every round is contention-free (each processor talks to at most one
-//! partner) instead of one undifferentiated BSP phase.
+//! exchanges and holds the per-dimension periodic interval descriptors
+//! whose intersection runs drive a pair's guard-free pack and unpack
+//! loops ([`crate::RedistPlan::pair_dims`] finds a pair's). A
+//! [`CommSchedule`] says **who sends how much to whom, and when**:
+//! messages are ordered into *caterpillar* rounds (the round-robin
+//! tournament pairing), so every round is contention-free (each
+//! processor talks to at most one partner) instead of one
+//! undifferentiated BSP phase. A pair's round is a closed formula of
+//! its two ranks ([`CommSchedule::round_of`]).
 //!
 //! A schedule can aggregate **several plans at once**
 //! ([`CommSchedule::from_plans`]): when one `distribute`/`align`
@@ -23,62 +24,31 @@
 //! The same structure serves two layers:
 //!
 //! * the code generator (`hpfc-codegen`'s `render`) prints a schedule
-//!   as readable pseudo-SPMD — packed send/recv loops instead of
-//!   whole-array copy statements;
+//!   as readable pseudo-SPMD — packed send/recv loops, read from each
+//!   message's plan, instead of whole-array copy statements;
 //! * the runtime ([`crate::ArrayRt::try_remap_guarded`], costing
 //!   [`CommSchedule::round_triples_of`] through
 //!   [`crate::Machine::account_phase`]) executes and costs exactly
 //!   the same rounds, so simulated timings and rendered code can never
 //!   disagree on who sends what to whom.
 
-use hpfc_mapping::{NormalizedMapping, PeriodicSet};
-
 use crate::machine::Machine;
 use crate::redist::RedistPlan;
 
-/// One array dimension of a packed message: the periodic index sets
-/// owned by the sender (under the source mapping) and by the receiver
-/// (under the destination mapping). The message's element set along
-/// this dimension is `src_set ∩ dst_set`; its maximal runs
-/// ([`hpfc_mapping::intersect_runs`]) are the units the pack/unpack
-/// loops copy, and local buffer positions come from
-/// [`PeriodicSet::count_below`] in closed form.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MsgDim {
-    /// Indices the sender owns along this dimension (full range when
-    /// the dimension does not drive the source side).
-    pub src_set: PeriodicSet,
-    /// Indices the receiver owns along this dimension.
-    pub dst_set: PeriodicSet,
-}
-
-impl MsgDim {
-    /// `|src_set ∩ dst_set|` — this dimension's factor of the message
-    /// element count, closed form.
-    pub fn count(&self) -> u64 {
-        self.src_set.intersect_count(&self.dst_set)
-    }
-}
-
-/// One packed point-to-point message: the sender walks the cartesian
-/// product of its per-dimension intersection runs, packs the elements
-/// into one contiguous buffer, and sends it; the receiver unpacks with
-/// the mirror loop. `elements` is the closed-form product of the
-/// per-dimension intersection counts, so the buffer size is known
-/// before any loop runs.
+/// One packed point-to-point message: the sender packs the pair's
+/// elements into one contiguous buffer and sends it; the receiver
+/// unpacks with the mirror loop. The loops follow the pair's
+/// per-dimension descriptors in the member plan
+/// ([`crate::RedistPlan::pair_dims`]); `elements` is their closed-form
+/// count, so the buffer size is known before any loop runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedMessage {
     /// Sender rank (row-major in the source grid).
     pub from: u64,
     /// Receiver rank (row-major in the destination grid).
     pub to: u64,
-    /// Total elements in the buffer (product over `dims` of
-    /// [`MsgDim::count`]).
+    /// Total elements in the buffer.
     pub elements: u64,
-    /// Per-array-dimension interval descriptors driving the pack and
-    /// unpack loops. Empty for schedules built from plans without
-    /// descriptors (the enumeration oracle).
-    pub dims: Vec<MsgDim>,
     /// Which member plan of a [`CommSchedule::from_plans`] aggregate
     /// this message belongs to (always 0 for single-plan schedules).
     /// Same-pair messages of different members share a round and a wire
@@ -121,19 +91,17 @@ pub struct CommSchedule {
     /// Number of member plans aggregated into this schedule (1 for
     /// [`CommSchedule::from_plan`]).
     pub n_members: usize,
+    /// Per circle-method round, its index in `rounds`; `None` for a
+    /// round no message travels in. There is one round fewer than
+    /// slots: the participating rank count, plus a bye slot when it is
+    /// odd.
+    kept: Vec<Option<usize>>,
 }
 
 impl CommSchedule {
-    /// Build the message-level schedule of a redistribution plan.
-    ///
-    /// For plans carrying per-dimension descriptors (every plan built by
-    /// [`crate::plan_redistribution`]), each remote transfer is resolved
-    /// back to its unique per-dimension descriptor combination — the
-    /// (sender coordinate, receiver coordinate) pair picks exactly one
-    /// [`crate::redist::DimContribution`] per dimension — so the message
-    /// loops are exact. Plans without descriptors (the enumeration
-    /// oracle) still get sized messages and caterpillar rounds, just no
-    /// loop structure.
+    /// Build the message-level schedule of a redistribution plan: one
+    /// message per remote transfer, in caterpillar rounds. Plans without
+    /// descriptors (the enumeration oracle) are scheduled alike.
     pub fn from_plan(plan: &RedistPlan) -> CommSchedule {
         CommSchedule::from_plans(&[plan])
     }
@@ -164,11 +132,16 @@ impl CommSchedule {
         let mut messages = Vec::with_capacity(plans.iter().map(|p| p.transfers.len()).sum());
         let mut local_elements = 0u64;
         for (member, plan) in plans.iter().enumerate() {
-            plan_messages(plan, member, &mut messages);
+            messages.extend(plan.transfers.iter().map(|t| PackedMessage {
+                from: t.from,
+                to: t.to,
+                elements: t.elements,
+                member,
+            }));
             local_elements += plan.local_elements;
         }
-        let rounds = caterpillar_rounds(&messages);
-        CommSchedule { elem_size, local_elements, messages, rounds, n_members: plans.len() }
+        let (rounds, kept) = caterpillar_rounds(&messages);
+        CommSchedule { elem_size, local_elements, messages, rounds, n_members: plans.len(), kept }
     }
 
     /// Number of wire rounds.
@@ -211,18 +184,19 @@ impl CommSchedule {
         RoundTriples { sched: self, idxs: &self.rounds[round], at: 0, included }
     }
 
-    /// Each message's (sender, receiver) pair with its caterpillar
-    /// round index — how [`crate::CopyProgram::try_compile`] assigns
-    /// compiled copy units to the round their message travels in.
-    /// Aggregated schedules yield a pair once per member; collecting
-    /// into a map collapses the duplicates (same pair ⇒ same round).
-    pub fn round_of_pairs(&self) -> impl Iterator<Item = ((u64, u64), usize)> + '_ {
-        self.rounds.iter().enumerate().flat_map(move |(r, round)| {
-            round.iter().map(move |&i| {
-                let m = &self.messages[i];
-                ((m.from, m.to), r)
-            })
-        })
+    /// The index in `rounds` of the round the `(from, to)` pair's
+    /// messages travel in — how [`crate::CopyProgram::try_compile`]
+    /// assigns compiled copy units to their wire round. O(1): the
+    /// circle-method formula, then the kept-round index. `None` when
+    /// `from == to`, when a rank lies beyond the schedule's slots, or
+    /// when the pair's round carries no message (a pair without a
+    /// message in a round that carries others gets that round).
+    pub fn round_of(&self, from: u64, to: u64) -> Option<usize> {
+        let slots = self.kept.len() as u64 + 1;
+        if from == to || from.max(to) >= slots {
+            return None;
+        }
+        self.kept[circle_round(slots, from, to)]
     }
 }
 
@@ -270,72 +244,6 @@ impl<F: Fn(usize) -> bool> Iterator for RoundTriples<'_, F> {
     }
 }
 
-/// Resolve one plan's transfers into [`PackedMessage`]s tagged with
-/// `member`, appending to `out` in `(from, to)` order (the transfer
-/// order).
-fn plan_messages(plan: &RedistPlan, member: usize, out: &mut Vec<PackedMessage>) {
-    let maps = plan.mappings.as_deref();
-    // Per-dimension entry index keyed by the (source, destination)
-    // coordinate pair, built once — resolving a transfer is then a
-    // lookup, not a scan of the P_src·P_dst contribution table.
-    let by_coords: Vec<DimIndex> = match maps {
-        Some(_) if !plan.dims.is_empty() => plan
-            .dims
-            .iter()
-            .map(|entries| {
-                entries.iter().enumerate().map(|(i, e)| ((e.src, e.dst), i)).collect()
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
-    out.extend(plan.transfers.iter().map(|t| {
-        let dims = match maps {
-            Some((src, dst)) if !plan.dims.is_empty() => {
-                message_dims(plan, &by_coords, src, dst, t.from, t.to)
-            }
-            _ => Vec::new(),
-        };
-        debug_assert!(
-            dims.is_empty() || dims.iter().map(MsgDim::count).product::<u64>() == t.elements,
-            "descriptor product disagrees with planned transfer size"
-        );
-        PackedMessage { from: t.from, to: t.to, elements: t.elements, dims, member }
-    }));
-}
-
-/// One dimension's contribution-entry index: entry position keyed by
-/// the (driven source axis/coord, driven destination axis/coord) pair.
-type DimIndex =
-    std::collections::BTreeMap<(Option<(usize, u64)>, Option<(usize, u64)>), usize>;
-
-/// Resolve the per-dimension descriptors of the `(from, to)` pair: for
-/// every array dimension, the contribution entry whose source/dest grid
-/// coordinates match the delinearized ranks. Exactly one entry matches
-/// per dimension (entries are keyed by coordinate pairs), so a remote
-/// transfer corresponds to a unique descriptor combination.
-fn message_dims(
-    plan: &RedistPlan,
-    by_coords: &[DimIndex],
-    src: &NormalizedMapping,
-    dst: &NormalizedMapping,
-    from: u64,
-    to: u64,
-) -> Vec<MsgDim> {
-    let s_coords = src.grid_shape.delinearize(from);
-    let d_coords = dst.grid_shape.delinearize(to);
-    let rank = src.array_extents.rank();
-    let mut dims = Vec::with_capacity(rank);
-    for (d, coords) in by_coords.iter().enumerate().take(rank) {
-        let want_src = src.axis_driven_by(d).map(|(ax, ..)| (ax, s_coords[ax]));
-        let want_dst = dst.axis_driven_by(d).map(|(ax, ..)| (ax, d_coords[ax]));
-        let entry = &plan.dims[d][*coords
-            .get(&(want_src, want_dst))
-            .expect("remote transfer implies a non-empty contribution per dimension")];
-        dims.push(MsgDim { src_set: entry.src_set.clone(), dst_set: entry.dst_set.clone() });
-    }
-    dims
-}
-
 /// Order messages into caterpillar rounds — the circle-method
 /// round-robin tournament over all participating ranks: one player is
 /// fixed, the rest rotate, and in each round every player meets exactly
@@ -344,35 +252,17 @@ fn message_dims(
 /// receives from more than one partner: the rounds are contention-free
 /// by construction, and [`Machine::account_schedule`] can cost each as
 /// an independent phase.
-fn caterpillar_rounds(messages: &[PackedMessage]) -> Vec<Vec<usize>> {
-    if messages.is_empty() {
-        return Vec::new();
-    }
+///
+/// Returns the non-empty rounds and each circle-method round's index
+/// among them.
+fn caterpillar_rounds(messages: &[PackedMessage]) -> (Vec<Vec<usize>>, Vec<Option<usize>>) {
     let n = messages.iter().map(|m| m.from.max(m.to) + 1).max().unwrap_or(0);
     // Even player count; odd counts get a bye slot. Messages are remote
-    // (`from != to`), so at least two ranks participate.
-    let m = if n % 2 == 0 { n } else { n + 1 };
-    debug_assert!(m >= 2, "remote messages imply at least two ranks");
-    // Circle method: position 0 is fixed, positions 1..m rotate.
-    let mut pos: Vec<u64> = (0..m).collect();
-    let n_rounds = (m - 1) as usize;
-    let mut round_of = std::collections::BTreeMap::new();
-    for r in 0..n_rounds {
-        for k in 0..(m / 2) as usize {
-            let (a, b) = (pos[k], pos[m as usize - 1 - k]);
-            round_of.insert((a.min(b), a.max(b)), r);
-        }
-        // Rotate everything but pos[0] one step.
-        let last = pos[m as usize - 1];
-        for i in (2..m as usize).rev() {
-            pos[i] = pos[i - 1];
-        }
-        pos[1] = last;
-    }
-    let mut rounds: Vec<Vec<usize>> = vec![Vec::new(); n_rounds];
+    // (`from != to`), so any message makes at least two slots.
+    let slots = n + n % 2;
+    let mut rounds: Vec<Vec<usize>> = vec![Vec::new(); slots.saturating_sub(1) as usize];
     for (i, msg) in messages.iter().enumerate() {
-        let key = (msg.from.min(msg.to), msg.from.max(msg.to));
-        rounds[round_of[&key]].push(i);
+        rounds[circle_round(slots, msg.from, msg.to)].push(i);
     }
     // Same-pair messages adjacent within a round (the coalescing
     // invariant of `CommSchedule::round_triples`); a no-op for
@@ -380,8 +270,35 @@ fn caterpillar_rounds(messages: &[PackedMessage]) -> Vec<Vec<usize>> {
     for round in &mut rounds {
         round.sort_by_key(|&i| (messages[i].from, messages[i].to, messages[i].member));
     }
+    let mut n_kept = 0;
+    let kept = rounds
+        .iter()
+        .map(|r| {
+            (!r.is_empty()).then(|| {
+                n_kept += 1;
+                n_kept - 1
+            })
+        })
+        .collect();
     rounds.retain(|r| !r.is_empty());
-    rounds
+    (rounds, kept)
+}
+
+/// The circle-method round in which ranks `a != b` meet among `slots`
+/// (even) players. Slot 0 is fixed and slots `1..slots` rotate one step
+/// per round, so in round `r` the player at rotating position `i` is
+/// `(i - 1 - r) mod (slots - 1) + 1`, and the positions facing each
+/// other sum to `slots - 1`. Hence rank 0 meets `b` in round
+/// `slots - 1 - b`, and two rotating ranks meet when
+/// `a + b + 2r ≡ 0 (mod slots - 1)`, i.e. in round
+/// `-(a + b) · slots/2 mod (slots - 1)` (`slots/2` inverts 2 modulo the
+/// odd `slots - 1`).
+fn circle_round(slots: u64, a: u64, b: u64) -> usize {
+    debug_assert!(a != b && a.max(b) < slots && slots.is_multiple_of(2));
+    let (a, b) = (a.min(b), a.max(b));
+    let n = slots - 1;
+    let r = if a == 0 { n - b } else { (n - (a + b) % n) % n * (slots / 2) % n };
+    r as usize
 }
 
 impl Machine {
@@ -404,10 +321,10 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::redist::plan_redistribution;
+    use crate::redist::{plan_redistribution, Transfer};
     use hpfc_mapping::{
-        Alignment, DimFormat, Distribution, Extents, GridId, Mapping, ProcGrid, Template,
-        TemplateId,
+        Alignment, DimFormat, Distribution, Extents, GridId, Mapping, NormalizedMapping,
+        ProcGrid, Template, TemplateId,
     };
 
     fn mk(n: u64, p: u64, fmt: DimFormat) -> NormalizedMapping {
@@ -432,7 +349,9 @@ mod tests {
         assert_eq!(s.local_elements, plan.local_elements);
         // Every message's descriptor product equals its element count.
         for m in &s.messages {
-            assert_eq!(m.dims.iter().map(MsgDim::count).product::<u64>(), m.elements);
+            let dims = plan.pair_dims(m.from, m.to).expect("planned pairs have descriptors");
+            let count: u64 = dims.iter().map(|e| e.src_set.intersect_count(&e.dst_set)).product();
+            assert_eq!(count, m.elements);
         }
     }
 
@@ -491,7 +410,122 @@ mod tests {
         let plan = crate::redist::plan_by_enumeration(&src, &dst, 8);
         let s = CommSchedule::from_plan(&plan);
         assert_eq!(s.messages.len() as u64, plan.total_messages());
-        assert!(s.messages.iter().all(|m| m.dims.is_empty()));
+        assert!(s.messages.iter().all(|m| plan.pair_dims(m.from, m.to).is_none()));
         assert!(!s.rounds.is_empty());
+    }
+
+    /// The circle-method table over `m` (even) slots, built by rotating
+    /// the players round by round — the construction the closed-form
+    /// [`circle_round`] replaces, kept as its oracle: the round of every
+    /// unordered pair.
+    fn rotation_table(m: u64) -> std::collections::BTreeMap<(u64, u64), usize> {
+        let mut pos: Vec<u64> = (0..m).collect();
+        let mut round_of = std::collections::BTreeMap::new();
+        for r in 0..(m - 1) as usize {
+            for k in 0..(m / 2) as usize {
+                let (a, b) = (pos[k], pos[m as usize - 1 - k]);
+                round_of.insert((a.min(b), a.max(b)), r);
+            }
+            // Rotate everything but pos[0] one step.
+            let last = pos[m as usize - 1];
+            for i in (2..m as usize).rev() {
+                pos[i] = pos[i - 1];
+            }
+            pos[1] = last;
+        }
+        round_of
+    }
+
+    /// The rounds of `messages` by the rotation `table` over `m` slots,
+    /// each `(from, to, member)`-sorted, empty ones dropped.
+    fn table_rounds(
+        table: &std::collections::BTreeMap<(u64, u64), usize>,
+        m: u64,
+        messages: &[PackedMessage],
+    ) -> Vec<Vec<usize>> {
+        let mut rounds: Vec<Vec<usize>> = vec![Vec::new(); m as usize - 1];
+        for (i, msg) in messages.iter().enumerate() {
+            rounds[table[&(msg.from.min(msg.to), msg.from.max(msg.to))]].push(i);
+        }
+        for round in &mut rounds {
+            round.sort_by_key(|&i| (messages[i].from, messages[i].to, messages[i].member));
+        }
+        rounds.retain(|r| !r.is_empty());
+        rounds
+    }
+
+    /// A descriptor-free plan with the given remote pairs (sorted, as
+    /// planned transfers are).
+    fn pairs_plan(mut pairs: Vec<(u64, u64)>) -> RedistPlan {
+        pairs.sort_unstable();
+        RedistPlan {
+            transfers: pairs
+                .into_iter()
+                .map(|(from, to)| Transfer { from, to, elements: 1 + (from ^ to) % 3 })
+                .collect(),
+            local_elements: 0,
+            elem_size: 8,
+            dims: Vec::new(),
+            mappings: None,
+        }
+    }
+
+    #[test]
+    fn formula_rounds_match_the_rotation_table() {
+        let mut dropped = 0;
+        // An odd rank count plays with a bye slot: one table serves it
+        // and the next even count.
+        let mut table = rotation_table(2);
+        for n in 2u64..=257 {
+            let m = n + n % 2;
+            if n % 2 == 1 {
+                table = rotation_table(m);
+            }
+            let all: Vec<(u64, u64)> =
+                (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))).collect();
+            // Both directions of a hashed sample of the pairs (and of
+            // `(0, n - 1)`, so that all `n` ranks take part): some rounds
+            // carry nothing.
+            let sample: Vec<(u64, u64)> = all
+                .iter()
+                .filter(|&&(a, b)| {
+                    b == n - 1 && a == 0
+                        || (a.wrapping_mul(0x9E37_79B9) ^ b.wrapping_mul(31)) % 7 == 0
+                })
+                .flat_map(|&(a, b)| [(a, b), (b, a)])
+                .collect();
+            // The last rank with its neighbour, and 0 with 1: at most
+            // two rounds of `n - 1` or `n` kept.
+            let mut sparse = vec![(n - 2, n - 1), (n - 1, n - 2)];
+            if n > 3 {
+                sparse.push((0, 1));
+            }
+            for pairs in [all, sample, sparse] {
+                let plan = pairs_plan(pairs);
+                let s = CommSchedule::from_plan(&plan);
+                assert_eq!(s.rounds, table_rounds(&table, m, &s.messages), "{n} ranks");
+                for (r, round) in s.rounds.iter().enumerate() {
+                    for &i in round {
+                        let m = &s.messages[i];
+                        assert_eq!(s.round_of(m.to, m.from), Some(r), "{n} ranks");
+                    }
+                }
+                dropped += s.kept.len() - s.n_rounds();
+            }
+        }
+        assert!(dropped > 0, "some sweeps drop empty rounds");
+    }
+
+    #[test]
+    fn merged_rounds_match_the_rotation_table() {
+        // Two members over overlapping pair sets: same-pair messages of
+        // both share one round, ordered by member.
+        let a = pairs_plan(vec![(0, 1), (1, 0), (2, 5), (3, 4)]);
+        let b = pairs_plan(vec![(0, 1), (2, 5), (4, 6), (6, 4)]);
+        let s = CommSchedule::from_plans(&[&a, &b]);
+        assert_eq!(s.rounds, table_rounds(&rotation_table(8), 8, &s.messages));
+        assert_eq!(s.round_of(5, 2), s.round_of(2, 5));
+        assert_eq!(s.round_of(3, 3), None);
+        assert_eq!(s.round_of(0, 8), None, "rank 8 is beyond the bye slot");
     }
 }

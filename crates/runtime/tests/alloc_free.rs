@@ -646,4 +646,27 @@ fn steady_state_remap_allocates_nothing() {
     assert_eq!(machine.stats.txn_rollbacks, 8, "every exhaustion rolled a staged target back");
     // The writes above put every touched element back to its index.
     assert!((0..n).all(|i| rt.get(&[i]) == i as f64), "the healed remaps moved the data");
+
+    // --- 14. A schedule is who sends how much to whom, and when. ------
+    // CYCLIC(4) -> BLOCK(n/64) over 64 processors is all-to-all: 4032
+    // messages in 63 rounds. Building the schedule sizes each message
+    // and computes its round by formula; it copies no interval
+    // descriptor (those stay in the plan) and keeps no table over rank
+    // pairs, so its bytes are a small constant per message: 48 B (the
+    // 32-byte message plus round indices), where copying each
+    // message's two descriptors cost 395 B.
+    let n = 1u64 << 16;
+    let src = mk(n, 64, DimFormat::Cyclic(Some(4)));
+    let dst = mk(n, 64, DimFormat::Block(Some(n / 64)));
+    let plan = plan_redistribution(&src, &dst, 8);
+    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let schedule = CommSchedule::from_plan(&plan);
+    let allocated = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    let n_msgs = schedule.messages.len() as u64;
+    assert_eq!((n_msgs, schedule.n_rounds()), (4032, 63));
+    assert!(
+        allocated <= 96 * n_msgs,
+        "scheduling {n_msgs} messages allocated {allocated} B ({} B/message)",
+        allocated / n_msgs
+    );
 }

@@ -3,13 +3,15 @@
 //! pair of well-formed mappings, and data movement must preserve array
 //! contents exactly.
 
+use std::collections::BTreeMap;
+
 use hpfc_mapping::{
     AlignTarget, Alignment, DimFormat, Distribution, Extents, GridId, Mapping, NormalizedMapping,
     ProcGrid, Template, TemplateId,
 };
 use hpfc_runtime::{
     plan_by_enumeration, plan_redistribution, CommSchedule, CopyProgram, ExecMode, Kernel, Machine,
-    MsgDim, RedistPlan, VersionData,
+    RedistPlan, VersionData,
 };
 use proptest::prelude::*;
 
@@ -379,8 +381,9 @@ proptest! {
     }
 
     /// The message-level schedule agrees with its plan message for
-    /// message (pairs, element counts, descriptor products) and its
-    /// caterpillar rounds partition the messages contention-free.
+    /// message (pairs, element counts, descriptor products), its
+    /// caterpillar rounds partition the messages contention-free, and
+    /// the compiled program puts every unit in its message's round.
     #[test]
     fn rich_schedule_matches_plan(
         src in rich_mapping_strategy(9, 7),
@@ -391,7 +394,11 @@ proptest! {
         prop_assert_eq!(s.messages.len() as u64, plan.total_messages());
         for (m, t) in s.messages.iter().zip(&plan.transfers) {
             prop_assert_eq!((m.from, m.to, m.elements), (t.from, t.to, t.elements));
-            prop_assert_eq!(m.dims.iter().map(MsgDim::count).product::<u64>(), m.elements);
+            let dims = plan.pair_dims(m.from, m.to).expect("planned pairs have descriptors");
+            prop_assert_eq!(dims.len(), src.array_extents.rank());
+            let count: u64 =
+                dims.iter().map(|e| e.src_set.intersect_count(&e.dst_set)).product();
+            prop_assert_eq!(count, m.elements);
         }
         // Rounds: every message exactly once, at most one partner per
         // rank per round.
@@ -409,6 +416,13 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&x| x));
+        // Every compiled unit of wire round `r` is a message of round
+        // `r`, carrying that pair's elements.
+        let program = CopyProgram::try_compile(&plan, &s).expect("rank >= 1 plans always compile");
+        prop_assert_eq!(program.rounds.len(), s.n_rounds());
+        for (r, units) in program.rounds.iter().enumerate() {
+            prop_assert_eq!(round_pair_elements(&s, r), unit_pair_elements(units), "round {}", r);
+        }
         // Costing the schedule books exactly the plan's traffic.
         let mut m = Machine::new(16);
         m.account_schedule(&s);
@@ -416,6 +430,26 @@ proptest! {
         prop_assert_eq!(m.stats.messages, plan.total_messages());
         prop_assert_eq!(m.stats.local_elements, plan.local_elements);
     }
+}
+
+/// The `(from, to)` pairs of wire round `r` with their elements summed
+/// over the round's messages (one per pair and member).
+fn round_pair_elements(s: &CommSchedule, r: usize) -> BTreeMap<(u64, u64), u64> {
+    let mut out = BTreeMap::new();
+    for &i in &s.rounds[r] {
+        let m = &s.messages[i];
+        *out.entry((m.from, m.to)).or_insert(0) += m.elements;
+    }
+    out
+}
+
+/// Compiled units by `(provider, receiver)` with their element counts.
+fn unit_pair_elements(units: &[hpfc_runtime::CopyUnit]) -> BTreeMap<(u64, u64), u64> {
+    let mut out = BTreeMap::new();
+    for u in units {
+        *out.entry((u.provider, u.receiver)).or_insert(0) += u.elements;
+    }
+    out
 }
 
 /// Whether every innermost-dimension entry of the plan has at most one

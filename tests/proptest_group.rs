@@ -15,7 +15,8 @@
 //!    the merged schedule's coalesced count;
 //! 4. contention-freedom of the merged rounds: each processor sends at
 //!    most one and receives at most one coalesced wire message per
-//!    round;
+//!    round, and every member's compiled units of round `r` are its
+//!    messages of round `r`, each matching its plan's descriptors;
 //! 5. the ungrouped baseline (one solo schedule per array) produces
 //!    identical values and payload bytes with at least as many wire
 //!    messages — grouping is a scheduling change, not a semantic one.
@@ -225,6 +226,36 @@ proptest! {
             }
             prop_assert!(sends.values().all(|&c| c <= 1), "round {} sender contention\n{}", r, src);
             prop_assert!(recvs.values().all(|&c| c <= 1), "round {} receiver contention\n{}", r, src);
+        }
+
+        // --- every member's compiled units of merged wire round `r` are
+        // that member's messages of round `r`, element for element, and
+        // each message's descriptors (read from its member plan, as the
+        // renderer reads them) multiply to its element count.
+        let program = op.planned.program.as_ref().expect("grouped members compile");
+        prop_assert_eq!(program.n_rounds, sched.n_rounds());
+        for (k, member) in program.members.iter().enumerate() {
+            prop_assert_eq!(member.rounds.len(), sched.n_rounds());
+            for (r, units) in member.rounds.iter().enumerate() {
+                let mut want: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+                for m in sched.rounds[r].iter().map(|&i| &sched.messages[i]) {
+                    if m.member == k {
+                        *want.entry((m.from, m.to)).or_insert(0) += m.elements;
+                    }
+                }
+                let mut got: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+                for u in units {
+                    *got.entry((u.provider, u.receiver)).or_insert(0) += u.elements;
+                }
+                prop_assert_eq!(got, want, "member {} round {}\n{}", k, r, src);
+            }
+        }
+        for m in &sched.messages {
+            let plan = &op.planned.members[m.member].plan;
+            let dims = plan.pair_dims(m.from, m.to).expect("planned pairs have descriptors");
+            let count: u64 =
+                dims.iter().map(|e| e.src_set.intersect_count(&e.dst_set)).product();
+            prop_assert_eq!(count, m.elements, "{}", src);
         }
 
         // --- execute.

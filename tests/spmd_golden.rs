@@ -6,6 +6,7 @@
 //! saved tag whose arms are the same packed send/recv loops.
 
 use hpfc::codegen::ir::{RemapGroupOp, RemapOp, RestoreOp, SStmt};
+use hpfc::runtime::{PackedMessage, RedistPlan};
 use hpfc::{compile, CompileOptions};
 
 /// A 2-D array aligned with stride 2 into a template, remapped from a
@@ -453,4 +454,50 @@ fn schedule_costing_matches_plan_message_for_message() {
     assert_eq!(m.stats.messages, plan.total_messages());
     assert_eq!(m.stats.bytes, plan.total_bytes());
     assert_eq!(m.stats.local_elements, plan.local_elements);
+}
+
+/// Every message of every remap of every figure program — plain remap
+/// arms, restore arms and merged groups, compiled with the default,
+/// naive and ungrouped options — finds one descriptor per dimension in
+/// its plan (the lookup the renderer prints the pack and unpack loops
+/// from), and their counts multiply to its element count. Rendering
+/// each program does not panic.
+#[test]
+fn every_figure_message_matches_its_plan_descriptors() {
+    let check = |plan: &RedistPlan, m: &PackedMessage, what: &str| {
+        let dims = plan
+            .pair_dims(m.from, m.to)
+            .unwrap_or_else(|| panic!("{what}: p{} -> p{} has no descriptors", m.from, m.to));
+        let count: u64 = dims.iter().map(|e| e.src_set.intersect_count(&e.dst_set)).product();
+        assert_eq!(count, m.elements, "{what}: p{} -> p{}", m.from, m.to);
+    };
+    let mut n_messages = 0;
+    for (name, src) in hpfc::figures::all() {
+        for (mode, opts) in [
+            ("default", CompileOptions::default()),
+            ("naive", CompileOptions::naive()),
+            ("ungrouped", CompileOptions::default().ungrouped()),
+        ] {
+            let compiled = compile(src, &opts).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+            for unit in compiled.units.values() {
+                let p = &unit.program;
+                let what = format!("{name} ({mode}) `{}`", p.routine);
+                p.for_each_planned_copy(|_, _, copy| {
+                    for m in &copy.schedule().messages {
+                        check(&copy.planned.plan, m, &what);
+                        n_messages += 1;
+                    }
+                });
+                p.for_each_stmt(|s| {
+                    if let SStmt::RemapGroup(g) = s {
+                        for m in &g.planned.schedule.messages {
+                            check(&g.planned.members[m.member].plan, m, &what);
+                        }
+                    }
+                });
+                assert!(!hpfc::codegen::render::program_text(p).is_empty(), "{what}");
+            }
+        }
+    }
+    assert!(n_messages > 0, "the figures move data");
 }
