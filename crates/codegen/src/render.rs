@@ -310,7 +310,7 @@ fn message_text(
     // innermost dimension moves whole runs.
     let mut depth = indent + 2;
     let mut lines_open: Vec<String> = Vec::new();
-    for (d, dim) in dims.iter().enumerate() {
+    for (d, dim) in dims.enumerate() {
         let pad_d = " ".repeat(depth);
         lines_open.push(format!(
             "{pad_d}do (lo{d}, hi{d}) in runs(d{d}: {} ∩ {})\n",

@@ -111,4 +111,7 @@ fn an_oversized_processor_grid_exits_1_with_the_diagnostic() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "a diagnostic, not an abort: {stderr}");
     assert!(stderr.contains("E012") && stderr.contains("at most 1024"), "{stderr}");
+    // One mistake, one diagnostic: the directive naming the rejected
+    // grid adds no "unknown processors grid" line.
+    assert_eq!(stderr.lines().count(), 1, "exactly one diagnostic line: {stderr}");
 }

@@ -160,6 +160,10 @@ struct Analyzer {
     /// implicit template).
     align: BTreeMap<ArrayId, Alignment>,
     dynamic: BTreeSet<String>,
+    /// Names whose declaration was rejected: they register no symbol,
+    /// and references to them report nothing more — one error per
+    /// mistake.
+    rejected: BTreeSet<String>,
     errs: Vec<Diagnostic>,
     default_grid: Option<GridId>,
 }
@@ -174,6 +178,7 @@ fn analyze_routine(
         template_dist: BTreeMap::new(),
         align: BTreeMap::new(),
         dynamic: BTreeSet::new(),
+        rejected: BTreeSet::new(),
         errs: Vec::new(),
     default_grid: None,
     };
@@ -217,7 +222,7 @@ fn analyze_routine(
         match d {
             Directive::Dynamic { names, span } => {
                 for n in names {
-                    if !a.symbols.contains_key(n) {
+                    if !a.symbols.contains_key(n) && !a.rejected.contains(n) {
                         a.err(codes::UNRESOLVED, *span, format!("unknown name `{n}` in DYNAMIC"));
                     }
                     a.dynamic.insert(n.clone());
@@ -380,13 +385,25 @@ impl Analyzer {
         self.errs.push(Diagnostic::error(code, span, msg));
     }
 
+    /// Report a rejected declaration of `name`, and silence every later
+    /// reference to it.
+    fn reject(&mut self, name: &str, span: Span, msg: impl Into<String>) {
+        self.err(codes::BAD_DIRECTIVE, span, msg);
+        self.rejected.insert(name.to_string());
+    }
+
+    /// Whether any of `names` was rejected at its declaration.
+    fn any_rejected<'n>(&self, mut names: impl Iterator<Item = &'n str>) -> bool {
+        names.any(|n| self.rejected.contains(n))
+    }
+
     fn declare_grid(&mut self, name: &str, dims: &[Expr], span: Span) {
         if self.symbols.contains_key(name) {
             self.err(codes::DUPLICATE, span, format!("`{name}` already declared"));
             return;
         }
         let Some(shape) = const_dims(dims) else {
-            self.err(codes::BAD_DIRECTIVE, span, "PROCESSORS extents must be constants");
+            self.reject(name, span, "PROCESSORS extents must be constants");
             return;
         };
         let volume = shape.iter().fold(1u64, |v, &e| v.saturating_mul(e));
@@ -394,7 +411,7 @@ impl Analyzer {
             let what = format!(
                 "processor grid `{name}` has {volume} ranks; at most {MAX_GRID_VOLUME} are allowed"
             );
-            self.err(codes::BAD_DIRECTIVE, span, what);
+            self.reject(name, span, what);
             return;
         }
         let id = self.env.add_grid(name, &shape);
@@ -407,7 +424,7 @@ impl Analyzer {
             return None;
         }
         let Some(shape) = const_dims(dims) else {
-            self.err(codes::BAD_DIRECTIVE, span, "TEMPLATE extents must be constants");
+            self.reject(name, span, "TEMPLATE extents must be constants");
             return None;
         };
         let id = self.env.add_template(name, &shape);
@@ -425,13 +442,13 @@ impl Analyzer {
             return;
         }
         let Some(shape) = const_dims(&e.dims) else {
-            self.err(codes::BAD_DIRECTIVE, span, "array extents must be constants");
+            self.reject(&e.name, span, "array extents must be constants");
             return;
         };
         if shape.len() > MAX_RANK {
             let what =
                 format!("`{}` has rank {}; at most {MAX_RANK} is allowed", e.name, shape.len());
-            self.err(codes::BAD_DIRECTIVE, span, what);
+            self.reject(&e.name, span, what);
             return;
         }
         let elem = 8; // REAL and INTEGER both simulate as 8-byte cells.
@@ -471,6 +488,9 @@ impl Analyzer {
     }
 
     fn apply_align(&mut self, spec: &AlignSpec, span: Span) {
+        if self.any_rejected(align_names(spec)) {
+            return;
+        }
         if let Some(list) = self.build_alignments(spec, span) {
             for (a, al) in list {
                 self.align.insert(a, al);
@@ -502,6 +522,9 @@ impl Analyzer {
         onto: Option<&str>,
         span: Span,
     ) {
+        if self.any_rejected([target].into_iter().chain(onto)) {
+            return;
+        }
         let Some(t) = self.target_template(target, span) else { return };
         match resolve_distribution(&self.env, &self.symbols, self.default_grid, t, formats, onto) {
             Ok(d) => {
@@ -608,7 +631,8 @@ impl Analyzer {
         for s in body {
             match s {
                 Stmt::Assign { lhs, rhs, span } => {
-                    let is_array = matches!(self.symbols.get(&lhs.name), Some(Symbol::Array(_)));
+                    let is_array = matches!(self.symbols.get(&lhs.name), Some(Symbol::Array(_)))
+                        || self.rejected.contains(&lhs.name);
                     if lhs.subs.is_empty() || is_array {
                         let subs = (!lhs.subs.is_empty()).then_some(lhs.subs.len());
                         self.check_ref(&lhs.name, subs, *span);
@@ -683,6 +707,7 @@ impl Analyzer {
             // reference of identical shape (the paper's scheme copies
             // whole arrays at call sites).
             match actual {
+                Expr::Var(n, _) if self.rejected.contains(n) => {}
                 Expr::Var(n, _) => match self.symbols.get(n) {
                     Some(Symbol::Array(a)) => {
                         let have = self.env.array(*a).extents.clone();
@@ -723,6 +748,9 @@ impl Analyzer {
 
     fn check_exec_directive(&mut self, d: &Directive) {
         match d {
+            Directive::Realign { spec, .. } if self.any_rejected(align_names(spec)) => {}
+            Directive::Redistribute { target, onto, .. }
+                if self.any_rejected([target.as_str()].into_iter().chain(onto.as_deref())) => {}
             Directive::Realign { spec, span } => {
                 let arrays: Vec<String> = match spec {
                     AlignSpec::Explicit { array, .. } => vec![array.clone()],
@@ -775,7 +803,8 @@ impl Analyzer {
             }
             Directive::Kill { names, span } => {
                 for n in names {
-                    if !matches!(self.symbols.get(n), Some(Symbol::Array(_))) {
+                    let known = matches!(self.symbols.get(n), Some(Symbol::Array(_)));
+                    if !known && !self.rejected.contains(n) {
                         self.err(codes::UNRESOLVED, *span, format!("unknown array `{n}` in KILL"));
                     }
                 }
@@ -790,6 +819,9 @@ impl Analyzer {
     /// subscripted name that is not an array calls an intrinsic, with
     /// an argument count the intrinsic takes.
     fn check_ref(&mut self, name: &str, subs: Option<usize>, span: Span) {
+        if self.rejected.contains(name) {
+            return;
+        }
         match (self.symbols.get(name), subs) {
             (Some(Symbol::Array(a)), _) => {
                 let rank = self.env.array(*a).extents.rank();
@@ -892,6 +924,16 @@ impl Intrinsic {
 /// Names treated as intrinsic functions in expressions.
 pub fn is_intrinsic(name: &str) -> bool {
     Intrinsic::from_name(name).is_some()
+}
+
+/// The names an ALIGN/REALIGN spec refers to: its target, then its
+/// arrays.
+fn align_names(spec: &AlignSpec) -> impl Iterator<Item = &str> {
+    let (target, arrays) = match spec {
+        AlignSpec::With { target, arrays } => (target, arrays.as_slice()),
+        AlignSpec::Explicit { array, target, .. } => (target, std::slice::from_ref(array)),
+    };
+    std::iter::once(target.as_str()).chain(arrays.iter().map(String::as_str))
 }
 
 fn const_dims(dims: &[Expr]) -> Option<Vec<u64>> {

@@ -163,6 +163,41 @@ fn processor_grids_beyond_1024_ranks_are_rejected() {
     }
 }
 
+/// A rejected declaration is one mistake: references to the name it
+/// failed to declare add no cascade error.
+#[test]
+fn a_rejected_declaration_reports_one_error() {
+    let cases = [
+        (
+            "grid",
+            "subroutine s\nreal :: a(8)\n!hpf$ processors p(99999999999)\n\
+             !hpf$ distribute a(block) onto p\n!hpf$ dynamic a\n\
+             !hpf$ redistribute a(cyclic) onto p\na = 1.0\nend",
+            "ranks",
+        ),
+        (
+            "template",
+            "subroutine s(n)\ninteger :: n\nreal :: a(8)\n!hpf$ template t(n)\n\
+             !hpf$ align a(i) with t(i)\n!hpf$ distribute t(block)\n!hpf$ dynamic t\n\
+             !hpf$ redistribute t(cyclic)\na = 1.0\nend",
+            "TEMPLATE extents",
+        ),
+        (
+            "array",
+            "subroutine s(n)\ninteger :: n\nreal :: a(n), b(8)\n!hpf$ distribute a(block)\n\
+             !hpf$ align b(i) with a(i)\n!hpf$ dynamic a\n!hpf$ realign b(i) with a(i)\n\
+             a = 1.0\na(2) = 2.0\nx = a(1) + b(1)\n!hpf$ kill a\nend",
+            "array extents",
+        ),
+    ];
+    for (what, src, message) in cases {
+        let errs = frontend(src).unwrap_err();
+        assert_eq!(errs.len(), 1, "{what}: {errs:?}");
+        assert_eq!(errs[0].code, codes::BAD_DIRECTIVE, "{what}: {errs:?}");
+        assert!(errs[0].message.contains(message), "{what}: {errs:?}");
+    }
+}
+
 #[test]
 fn unmapped_array_defaults_to_replicated() {
     let src = "subroutine s\n!hpf$ processors p(4)\nreal :: a(8)\nx = a(1)\nend";

@@ -145,26 +145,39 @@ impl RedistPlan {
     /// `None` for a plan without descriptors (the enumeration oracle, a
     /// rank-0 scalar) or a pair that exchanges nothing along some
     /// dimension.
-    pub fn pair_dims(&self, from: u64, to: u64) -> Option<Vec<&DimContribution>> {
+    ///
+    /// Allocates nothing: each driven coordinate is computed from the
+    /// rank, and the entries are handed back as an iterator in
+    /// dimension order.
+    pub fn pair_dims(
+        &self,
+        from: u64,
+        to: u64,
+    ) -> Option<impl ExactSizeIterator<Item = &DimContribution> + Clone + '_> {
         let (src, dst) = self.mappings.as_deref()?;
         if self.dims.is_empty() {
             return None;
         }
-        let s_coords = src.grid_shape.delinearize(from);
-        let d_coords = dst.grid_shape.delinearize(to);
-        self.dims
-            .iter()
-            .enumerate()
-            .map(|(d, entries)| {
-                let want = (
-                    src.axis_driven_by(d).map(|(ax, ..)| (ax, s_coords[ax])),
-                    dst.axis_driven_by(d).map(|(ax, ..)| (ax, d_coords[ax])),
-                );
-                let at = entries.binary_search_by_key(&want, |e| (e.src, e.dst)).ok()?;
-                Some(&entries[at])
-            })
-            .collect()
+        let entry = move |d: usize| -> Option<&DimContribution> {
+            let want = (driven_coord(src, d, from), driven_coord(dst, d, to));
+            let entries = &self.dims[d];
+            entries.binary_search_by_key(&want, |e| (e.src, e.dst)).ok().map(|at| &entries[at])
+        };
+        let rank = self.dims.len();
+        (0..rank).all(|d| entry(d).is_some()).then(move || {
+            (0..rank).map(move |d| entry(d).expect("every dimension was found"))
+        })
     }
+}
+
+/// The grid axis array dimension `d` drives under `nm`, and the
+/// coordinate along it of processor `rank` (row-major, last axis
+/// fastest); `None` when `d` drives no axis.
+fn driven_coord(nm: &NormalizedMapping, d: usize, rank: u64) -> Option<(usize, u64)> {
+    let (axis, ..) = nm.axis_driven_by(d)?;
+    let shape = &nm.grid_shape;
+    let below: u64 = (axis + 1..shape.rank()).map(|a| shape.extent(a)).product();
+    Some((axis, rank / below % shape.extent(axis)))
 }
 
 /// The canonical owner of a point under a mapping: its owner with

@@ -350,7 +350,7 @@ mod tests {
         // Every message's descriptor product equals its element count.
         for m in &s.messages {
             let dims = plan.pair_dims(m.from, m.to).expect("planned pairs have descriptors");
-            let count: u64 = dims.iter().map(|e| e.src_set.intersect_count(&e.dst_set)).product();
+            let count: u64 = dims.map(|e| e.src_set.intersect_count(&e.dst_set)).product();
             assert_eq!(count, m.elements);
         }
     }

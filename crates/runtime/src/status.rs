@@ -17,7 +17,11 @@
 //! storage does not: a freed copy is parked for the next allocation of
 //! the same version (remap loops free and re-request the same shapes),
 //! and a guarded remap into an allocated copy writes a spare while the
-//! old buffer waits parked, so its rollback is a swap.
+//! old buffer waits parked, so its rollback is a swap. What an array
+//! lets go of — parked buffers it releases, evicted copies, everything
+//! it holds when dropped — goes on to the process-wide pool of block
+//! buffers ([`crate::store`]), where the next routine's allocations
+//! find it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -30,7 +34,7 @@ use crate::group::GroupMember;
 use crate::machine::Machine;
 use crate::redist::RedistPlan;
 use crate::schedule::CommSchedule;
-use crate::store::VersionData;
+use crate::store::{overwrites, VersionData};
 
 /// A memoized redistribution: the closed-form plan, its message-level
 /// caterpillar schedule, and the compiled copy program — computed once
@@ -66,8 +70,9 @@ impl PlannedRemap {
 }
 
 /// Host buffers of freed versions and staged spares (index = version
-/// subscript). A clone starts with none: parked storage is not array
-/// state.
+/// subscript), kept for this array's next allocation of the same
+/// version; released, they go to the process-wide pool. A clone starts
+/// with none: parked storage is not array state.
 #[derive(Debug)]
 struct Parked(Vec<Option<VersionData>>);
 
@@ -211,18 +216,19 @@ impl ArrayRt {
         }
         let data = match self.parked.0[v as usize].take() {
             Some(mut data) => {
-                if !overwrites(claim, &data) {
+                if !overwrites(claim, data.stored_elements()) {
                     data.clear();
                 }
                 data
             }
             None => {
-                // Besides a staged spare, only a fresh buffer grows
-                // allocated + parked, so dropping the parked ones here
-                // keeps that sum under the high-water of
-                // `allocated_bytes()` plus the spares.
+                // Besides a staged spare, only a new buffer grows
+                // allocated + parked, so releasing the parked ones to
+                // the pool here keeps that sum under the high-water of
+                // `allocated_bytes()` plus the spares — and lets the
+                // new version reuse them when the lengths match.
                 self.release_parked();
-                VersionData::new(self.mappings[v as usize].clone(), self.elem_size)
+                VersionData::claimed(self.mappings[v as usize].clone(), self.elem_size, claim)
             }
         };
         for r in 0..machine.nprocs {
@@ -234,7 +240,7 @@ impl ArrayRt {
     /// Stage version `v`'s allocated copy as the target of a guarded
     /// replay: its buffer is parked untouched and the replay writes a
     /// spare of the same layout — the parked spare if there is one, else
-    /// a fresh buffer — so a rollback is a swap
+    /// a new one — so a rollback is a swap
     /// ([`ArrayRt::rollback_remap`]) and a commit leaves the old buffer
     /// parked as the next spare. The spare is handed over as is when
     /// `claim` provably overwrites every element, else the old words
@@ -244,8 +250,8 @@ impl ArrayRt {
         let old = self.copies[v].take().expect("a staged target is allocated");
         let mut spare = self.parked.0[v]
             .take()
-            .unwrap_or_else(|| VersionData::new(self.mappings[v].clone(), self.elem_size));
-        if !overwrites(claim, &spare) {
+            .unwrap_or_else(|| VersionData::claimed(self.mappings[v].clone(), self.elem_size, claim));
+        if !overwrites(claim, spare.stored_elements()) {
             for (to, from) in spare.blocks.iter_mut().flatten().zip(old.blocks.iter().flatten()) {
                 to.data.copy_from_slice(&from.data);
             }
@@ -267,16 +273,17 @@ impl ArrayRt {
         self.live[v as usize] = false;
     }
 
-    /// Drop every parked buffer — for callers that know no version will
-    /// be re-requested (routine exit).
+    /// Release every parked buffer to the process-wide pool (see
+    /// [`crate::store`]) — for callers that know no version of this
+    /// array will be re-requested (routine exit).
     pub fn release_parked(&mut self) {
         self.parked.0.fill(None);
     }
 
     /// Memory-pressure eviction (Sec. 5.2 end): drop a live, non-current
-    /// copy — its host storage really goes, nothing is parked; it will
-    /// be regenerated with communication if needed later. Returns
-    /// whether anything was evicted.
+    /// copy — nothing is parked, its host storage leaves the array for
+    /// the process-wide pool; it will be regenerated with communication
+    /// if needed later. Returns whether anything was evicted.
     pub fn evict(&mut self, machine: &mut Machine, v: u32) -> bool {
         if Some(v) == self.status || self.copies[v as usize].is_none() {
             return false;
@@ -505,11 +512,6 @@ impl ArrayRt {
     pub fn allocated_bytes(&self) -> u64 {
         self.copies.iter().flatten().map(|c| c.total_bytes()).sum()
     }
-}
-
-/// Whether replaying `claim` provably writes every element of `data`.
-fn overwrites(claim: Option<&CopyProgram>, data: &VersionData) -> bool {
-    claim.is_some_and(|p| p.total_elements * data.elem_size == data.total_bytes())
 }
 
 /// The rollback record of one member of a guarded remap statement: the

@@ -32,6 +32,19 @@
 //! dense mapping: the shared registry's compiled program for the pair,
 //! replayed by the one serial walk, with no walk of their own.
 //!
+//! Host buffers outlive the arrays that held them. A block of at least
+//! one page (`PAGE_WORDS` elements) draws its buffer from one
+//! process-wide pool of released buffers before it asks the allocator,
+//! and every such buffer the runtime lets go of — a dropped block of a
+//! freed, evicted, cleaned or temporary version — goes back to the pool
+//! (`LocalBlock`'s `Drop`). A warm routine therefore writes pages that
+//! are already mapped instead of faulting in fresh ones. The pool is
+//! bounded without a knob: a request that no pooled buffer serves first
+//! releases everything pooled, so pooled plus held words never exceed
+//! the high-water of held words. A pooled buffer is zero-filled on
+//! reuse unless the program that claims it provably overwrites every
+//! element; a fresh one stays lazily zeroed by the allocator.
+//!
 //! Every walk over a compiled program's runs goes through the crate's
 //! one run kernel (the private `runs` module): a set of equal runs in
 //! arithmetic progression, its loop picked once per set from the run
@@ -39,13 +52,122 @@
 //! replay is checked against. A guarded remap's rollback copies no
 //! words at all: it swaps the target's buffers (see `ArrayRt`).
 
+use std::sync::{Mutex, MutexGuard};
+
 use hpfc_mapping::intervals::intersect_runs;
 use hpfc_mapping::{Extents, GridId, NormalizedMapping, PeriodicSet};
 
+use crate::exec::CopyProgram;
 use crate::replay::Lane;
 
-/// One processor's slice of a version.
-#[derive(Debug, Clone, PartialEq)]
+/// The smallest buffer the pool keeps, in elements: one 4 KiB page of
+/// `f64`. A smaller buffer cannot fault more than once, and keeping it
+/// out stops tiny allocations from flushing the pool.
+const PAGE_WORDS: usize = 512;
+
+/// Released block buffers of at least [`PAGE_WORDS`] elements, shared
+/// by every array in the process, and the counts that bound them. All
+/// counts are in elements.
+struct Pool {
+    /// Buffers waiting for a block of their length.
+    free: Vec<Vec<f64>>,
+    /// Elements in `free`.
+    pooled: usize,
+    /// Elements in the page-sized buffers blocks hold now.
+    held: usize,
+    /// The most `held` has ever been.
+    high: usize,
+}
+
+static POOL: Mutex<Pool> = Mutex::new(Pool { free: Vec::new(), pooled: 0, held: 0, high: 0 });
+
+/// The pool, locked. A thread that panicked while holding the lock left
+/// the counts consistent (no update in here can panic half way), so a
+/// poisoned lock is recovered, as the registry's shard locks are.
+fn pool() -> MutexGuard<'static, Pool> {
+    POOL.lock().unwrap_or_else(|poisoned| {
+        POOL.clear_poison();
+        poisoned.into_inner()
+    })
+}
+
+/// A buffer of `len` elements for a block to hold: a pooled buffer of
+/// that length when there is one — zero-filled when `zero` — else a
+/// fresh zeroed one, after everything pooled has been released (so
+/// pooled + held stays under the high-water of held). The lock is never
+/// held while zeroing or freeing.
+fn take_buffer(len: usize, zero: bool) -> Vec<f64> {
+    if len < PAGE_WORDS {
+        return vec![0.0; len];
+    }
+    let flushed = {
+        let mut pool = pool();
+        pool.held += len;
+        if let Some(at) = pool.free.iter().position(|b| b.len() == len) {
+            pool.pooled -= len;
+            let mut buf = pool.free.swap_remove(at);
+            drop(pool);
+            if zero {
+                buf.fill(0.0);
+            }
+            return buf;
+        }
+        pool.high = pool.high.max(pool.held);
+        pool.pooled = 0;
+        std::mem::take(&mut pool.free)
+    };
+    drop(flushed);
+    vec![0.0; len]
+}
+
+/// Hand a buffer no block holds any more to the pool. `held` says
+/// whether a block held it (it came from [`take_buffer`]); a buffer
+/// from outside the runtime is kept only while pooled + held stays
+/// under the high-water, and freed otherwise.
+fn release_buffer(buf: Vec<f64>, held: bool) {
+    let len = buf.len();
+    if len < PAGE_WORDS {
+        return;
+    }
+    let mut pool = pool();
+    if held {
+        // Saturating: this runs in `Drop`, which must not panic.
+        pool.held = pool.held.saturating_sub(len);
+    } else if pool.pooled + pool.held + len > pool.high {
+        drop(pool);
+        return; // `buf` is freed here, outside the lock
+    }
+    pool.pooled += len;
+    pool.free.push(buf);
+}
+
+/// `buf`, which a block held, leaves the runtime for good (a dense
+/// result handed to the caller): it stops counting as held.
+fn detach_buffer(buf: &[f64]) {
+    if buf.len() >= PAGE_WORDS {
+        let mut pool = pool();
+        pool.held = pool.held.saturating_sub(buf.len());
+    }
+}
+
+/// `(pooled, held, high)`: the pool's counts, in elements, read under
+/// one lock.
+#[cfg(test)]
+pub(crate) fn pool_counts() -> (usize, usize, usize) {
+    let pool = pool();
+    (pool.pooled, pool.held, pool.high)
+}
+
+/// Whether replaying `claim` provably writes every one of `elements`
+/// stored elements (replicas count) — then storage it writes need not
+/// be zeroed first.
+pub(crate) fn overwrites(claim: Option<&CopyProgram>, elements: u64) -> bool {
+    claim.is_some_and(|p| p.total_elements == elements)
+}
+
+/// One processor's slice of a version. Its `data` keeps the length it
+/// was allocated with: dropping the block hands the buffer to the pool.
+#[derive(Debug, PartialEq)]
 pub struct LocalBlock {
     /// Per dimension, the owned global indices in closed form and their
     /// count (`set.count()`, cached: every position is a mixed-radix
@@ -53,6 +175,22 @@ pub struct LocalBlock {
     dims: Vec<(PeriodicSet, usize)>,
     /// Row-major element data over `dims`.
     pub data: Vec<f64>,
+}
+
+impl Clone for LocalBlock {
+    /// A copy in a buffer from the pool (every element is overwritten,
+    /// so a pooled buffer is not zeroed first).
+    fn clone(&self) -> Self {
+        let mut data = take_buffer(self.data.len(), false);
+        data.copy_from_slice(&self.data);
+        LocalBlock { dims: self.dims.clone(), data }
+    }
+}
+
+impl Drop for LocalBlock {
+    fn drop(&mut self) {
+        release_buffer(std::mem::take(&mut self.data), true);
+    }
 }
 
 impl LocalBlock {
@@ -146,6 +284,18 @@ pub struct VersionData {
 impl VersionData {
     /// Allocate (zero-filled) storage for `mapping`.
     pub fn new(mapping: NormalizedMapping, elem_size: u64) -> Self {
+        VersionData::claimed(mapping, elem_size, None)
+    }
+
+    /// Storage for `mapping` that a replay of `claim` is about to
+    /// write: zero-filled like [`VersionData::new`]'s, except that a
+    /// pooled buffer is handed over as is when `claim` provably
+    /// overwrites every element.
+    pub(crate) fn claimed(
+        mapping: NormalizedMapping,
+        elem_size: u64,
+        claim: Option<&CopyProgram>,
+    ) -> Self {
         let nprocs = mapping.grid_shape.volume();
         let rank = mapping.array_extents.rank();
         let mut blocks = Vec::with_capacity(nprocs as usize);
@@ -162,8 +312,13 @@ impl VersionData {
                     (set, len)
                 })
                 .collect();
-            let len: usize = dims.iter().map(|(_, len)| len).product();
-            blocks.push(Some(LocalBlock { dims, data: vec![0.0; len] }));
+            blocks.push(Some(LocalBlock { dims, data: Vec::new() }));
+        }
+        let len = |b: &LocalBlock| b.dims.iter().map(|(_, len)| len).product::<usize>();
+        let elements = blocks.iter().flatten().map(|b| len(b) as u64).sum();
+        let zero = !overwrites(claim, elements);
+        for block in blocks.iter_mut().flatten() {
+            block.data = take_buffer(len(block), zero);
         }
         VersionData { mapping, blocks, elem_size }
     }
@@ -182,6 +337,11 @@ impl VersionData {
             .as_ref()
             .map(|b| b.data.len() as u64 * self.elem_size)
             .unwrap_or(0)
+    }
+
+    /// Elements stored across all processors (replicas count).
+    pub(crate) fn stored_elements(&self) -> u64 {
+        self.blocks.iter().flatten().map(|b| b.data.len() as u64).sum()
     }
 
     /// Total bytes across all processors (replicas count).
@@ -213,7 +373,9 @@ impl VersionData {
     /// value.
     pub fn fill(&mut self, f: impl Fn(&[u64]) -> f64) {
         let ext = &self.mapping.array_extents;
-        let mut dense = dense_version(ext, self.elem_size, vec![0.0; ext.volume() as usize]);
+        // The walk below writes every element: a pooled buffer needs no zeroing.
+        let data = take_buffer(ext.volume() as usize, false);
+        let mut dense = dense_version(ext, self.elem_size, data);
         let block = dense.blocks[0].as_mut().expect("the dense processor holds the array");
         if !block.data.is_empty() {
             let mut at = BlockCursor::first(&block.dims);
@@ -365,12 +527,20 @@ impl VersionData {
     /// process-wide [`crate::PlanRegistry`]'s compiled program for the
     /// pair and the one serial replay — billed to no
     /// [`crate::Machine`]. Replicas beyond the one the plan reads from
-    /// hold identical values by the storage invariants.
+    /// hold identical values by the storage invariants. The returned
+    /// buffer is taken from the pool of released block buffers and
+    /// leaves the pool's books with the caller.
     pub fn to_dense(&self) -> Vec<f64> {
         let ext = &self.mapping.array_extents;
-        let mut dense = dense_version(ext, self.elem_size, vec![0.0; ext.volume() as usize]);
-        dense.remap_from(self);
-        dense.blocks.pop().flatten().expect("the dense mapping's processor holds the array").data
+        let mut dense = dense_version(ext, self.elem_size, Vec::new());
+        let planned = dense.planned_from(self);
+        let volume = ext.volume();
+        let zero = !overwrites(planned.program.as_ref(), volume);
+        dense.dense_block().data = take_buffer(volume as usize, zero);
+        dense.copy_planned(self, &planned);
+        let data = std::mem::take(&mut dense.dense_block().data);
+        detach_buffer(&data);
+        data
     }
 
     /// Overwrite every element, on every replica, from a dense
@@ -383,8 +553,11 @@ impl VersionData {
     pub fn load_dense(&mut self, dense: Vec<f64>) {
         let ext = &self.mapping.array_extents;
         assert_eq!(dense.len() as u64, ext.volume(), "one dense value per element");
-        let src = dense_version(ext, self.elem_size, dense);
+        let mut src = dense_version(ext, self.elem_size, dense);
         self.remap_from(&src);
+        // The caller's buffer was never held: the pool keeps it only
+        // under the high-water.
+        release_buffer(std::mem::take(&mut src.dense_block().data), false);
     }
 
     /// Copy `src`, another version of the same array, into this one the
@@ -392,12 +565,28 @@ impl VersionData {
     /// pair, replayed serially, or the table engine when the plan drives
     /// no program.
     fn remap_from(&mut self, src: &VersionData) {
+        let planned = self.planned_from(src);
+        self.copy_planned(src, &planned);
+    }
+
+    /// The process-wide registry's artifact for a copy from `src`.
+    fn planned_from(&self, src: &VersionData) -> std::sync::Arc<crate::PlannedRemap> {
         let registry = crate::PlanRegistry::shared();
-        let (planned, _) = registry.resolve(&src.mapping, &self.mapping, self.elem_size, false);
+        registry.resolve(&src.mapping, &self.mapping, self.elem_size, false).0
+    }
+
+    /// Copy `src` by `planned`: its program, or the table engine when
+    /// the plan drives none.
+    fn copy_planned(&mut self, src: &VersionData, planned: &crate::PlannedRemap) {
         match &planned.program {
             Some(program) => self.copy_values_from_program(src, program, crate::ExecMode::Serial),
             None => self.copy_values_from_plan(src, &planned.plan),
         };
+    }
+
+    /// The one block of a dense version.
+    fn dense_block(&mut self) -> &mut LocalBlock {
+        self.blocks[0].as_mut().expect("the dense mapping's processor holds the array")
     }
 }
 
@@ -503,6 +692,7 @@ fn copy_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpfc_mapping::testing::mapping_1d;
     use hpfc_mapping::{
         AlignTarget, Alignment, DimFormat, Distribution, Extents, GridId, Mapping, ProcGrid,
         Template, TemplateId,
@@ -603,6 +793,124 @@ mod tests {
         let full = 4 * 4 * 8;
         assert_eq!(v.total_bytes(), 4 * full);
         assert_eq!(v.get(&[1, 1]), 7.0);
+    }
+
+    /// A block of `len` elements and no dimensions, for pool tests.
+    fn block_of(len: usize) -> LocalBlock {
+        LocalBlock { dims: Vec::new(), data: take_buffer(len, true) }
+    }
+
+    #[test]
+    fn a_released_buffer_reads_zero_when_reused() {
+        let nm = mapping_1d(4096, 4, DimFormat::Block(None));
+        let mut reused = false;
+        // Tests on other threads may flush the pool in between; retry
+        // until a block really got a released buffer back.
+        for _ in 0..100 {
+            let mut garbage = VersionData::new(nm.clone(), 8);
+            let released: Vec<*const f64> =
+                garbage.blocks.iter().flatten().map(|b| b.data.as_ptr()).collect();
+            garbage.blocks.iter_mut().flatten().for_each(|b| b.data.fill(f64::NAN));
+            drop(garbage);
+            let v = VersionData::new(nm.clone(), 8);
+            assert!(v.blocks.iter().flatten().all(|b| b.data.iter().all(|&x| x == 0.0)));
+            if v.blocks.iter().flatten().any(|b| released.contains(&b.data.as_ptr())) {
+                reused = true;
+                break;
+            }
+        }
+        assert!(reused, "a released buffer was handed out again");
+    }
+
+    #[test]
+    fn an_overwriting_claim_on_a_pooled_buffer_matches_the_oracle() {
+        let n = 8192u64;
+        let src = mapping_1d(n, 4, DimFormat::Block(None));
+        let dst = mapping_1d(n, 4, DimFormat::Cyclic(Some(3)));
+        let planned = crate::PlannedRemap::compile(crate::plan_redistribution(&src, &dst, 8));
+        let program = planned.program.as_ref().expect("compiles");
+        let mut a = VersionData::new(src, 8);
+        a.fill(|p| 0.5 + p[0] as f64);
+        for _ in 0..10 {
+            let mut garbage = VersionData::new(dst.clone(), 8);
+            garbage.blocks.iter_mut().flatten().for_each(|b| b.data.fill(f64::NAN));
+            assert!(overwrites(Some(program), garbage.stored_elements()));
+            drop(garbage);
+            let mut b = VersionData::claimed(dst.clone(), 8, Some(program));
+            b.copy_values_from_program(&a, program, crate::ExecMode::Serial);
+            for i in 0..n {
+                assert_eq!(b.get(&[i]).to_bits(), a.get(&[i]).to_bits(), "element {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_and_held_never_exceed_the_high_water_of_held() {
+        let lens = [100, 511, 512, 700, 1024, 3000];
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % bound as u64) as usize
+        };
+        let mut blocks = Vec::new();
+        for step in 0..2000 {
+            match next(5) {
+                0 | 1 => blocks.push(block_of(lens[next(lens.len())])),
+                2 if !blocks.is_empty() => drop(blocks.swap_remove(next(blocks.len()))),
+                3 if !blocks.is_empty() => {
+                    // A dense result leaving the runtime.
+                    let mut b = blocks.swap_remove(next(blocks.len()));
+                    detach_buffer(&std::mem::take(&mut b.data));
+                }
+                _ => release_buffer(vec![1.0; lens[next(lens.len())]], false),
+            }
+            let (pooled, held, high) = pool_counts();
+            assert!(pooled + held <= high, "step {step}: {pooled} + {held} > {high}");
+        }
+    }
+
+    #[test]
+    fn two_threads_bounce_through_the_pool() {
+        use std::collections::BTreeSet;
+        let n = 1u64 << 13;
+        // Both threads start every round together, so their takes and
+        // releases interleave on the one pool lock.
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    let versions = vec![
+                        mapping_1d(n, 4, DimFormat::Block(None)),
+                        mapping_1d(n, 4, DimFormat::Cyclic(Some(4))),
+                    ];
+                    let (skip, keep0, keep1) =
+                        (BTreeSet::new(), BTreeSet::from([0u32]), BTreeSet::from([1u32]));
+                    let mut machine = crate::Machine::new(4);
+                    for round in 0..12u64 {
+                        barrier.wait();
+                        // A fresh array each round: its storage comes
+                        // from what the last one released.
+                        let mut rt = crate::ArrayRt::new("a", versions.clone(), 8);
+                        let value = |i: u64| (t * 1_000_000 + round * n + i) as f64;
+                        rt.current(&mut machine, 0).fill(|p| value(p[0]));
+                        for (target, keep) in [(1, &keep1), (0, &keep0), (1, &keep1)] {
+                            rt.try_remap_guarded(&mut machine, target, keep, false, &skip)
+                                .expect("a clean remap");
+                            rt.set(&[round], -value(round));
+                            let got = rt.copies[target as usize].as_ref().unwrap().to_dense();
+                            for (i, x) in got.iter().enumerate() {
+                                let i = i as u64;
+                                let want = if i == round { -value(i) } else { value(i) };
+                                assert_eq!(*x, want, "thread {t}, round {round}, element {i}");
+                            }
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

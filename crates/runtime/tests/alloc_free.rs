@@ -50,6 +50,8 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// Bytes requested by the counted allocations (a `realloc` counts its
 /// whole new size).
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+/// Counted allocations of a page (4 KiB) or more.
+static PAGE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 std::thread_local! {
     /// Set on the test thread only; allocator callbacks on other
@@ -63,6 +65,9 @@ fn count(bytes: usize) {
     if COUNTED.try_with(Cell::get).unwrap_or(false) {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+        if bytes >= 4096 {
+            PAGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -669,4 +674,41 @@ fn steady_state_remap_allocates_nothing() {
         "scheduling {n_msgs} messages allocated {allocated} B ({} B/message)",
         allocated / n_msgs
     );
+
+    // --- 15. A new array's storage comes from the pool. ---------------
+    // Host buffers outlive the array that held them: a dropped array's
+    // blocks of a page or more go to the process-wide pool, so a fresh
+    // array running the same BLOCK <-> CYCLIC(4) bounce takes them back
+    // and requests no page from the allocator — neither for the entry
+    // version nor for the remap target. Values are written element by
+    // element: a dense fill buffer has another length, and a request
+    // the pool cannot serve releases everything pooled.
+    let n = 1u64 << 14; // 8 pages per processor
+    let versions = vec![mk(n, 4, DimFormat::Block(None)), mk(n, 4, DimFormat::Cyclic(Some(4)))];
+    let mut machine = isolated();
+    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    let bounce = |machine: &mut Machine| {
+        let mut rt = ArrayRt::new("a", versions.clone(), 8);
+        rt.current(machine, 0);
+        for i in (0..n).step_by(97) {
+            rt.set(&[i], i as f64);
+        }
+        for (hop, target) in [1u32, 0, 1, 0].into_iter().enumerate() {
+            remap(&mut rt, machine, target, &keep, false);
+            rt.set(&[hop as u64], -1.0);
+        }
+        rt
+    };
+    drop(bounce(&mut machine));
+    let before = PAGE_ALLOCATIONS.load(Ordering::Relaxed);
+    let rt = bounce(&mut machine);
+    let paged = PAGE_ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(paged, 0, "the second array requested {paged} page-sized allocation(s)");
+    let want = |i: u64| match i {
+        0..4 => -1.0,
+        _ if i.is_multiple_of(97) => i as f64,
+        _ => 0.0,
+    };
+    assert!((0..n).all(|i| rt.get(&[i]) == want(i)), "the pooled bounce moved the data");
+    assert_eq!(machine.stats.remaps_performed, 8, "every hop moved data");
 }

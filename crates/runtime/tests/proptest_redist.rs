@@ -396,8 +396,7 @@ proptest! {
             prop_assert_eq!((m.from, m.to, m.elements), (t.from, t.to, t.elements));
             let dims = plan.pair_dims(m.from, m.to).expect("planned pairs have descriptors");
             prop_assert_eq!(dims.len(), src.array_extents.rank());
-            let count: u64 =
-                dims.iter().map(|e| e.src_set.intersect_count(&e.dst_set)).product();
+            let count: u64 = dims.map(|e| e.src_set.intersect_count(&e.dst_set)).product();
             prop_assert_eq!(count, m.elements);
         }
         // Rounds: every message exactly once, at most one partner per

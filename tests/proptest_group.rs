@@ -253,8 +253,7 @@ proptest! {
         for m in &sched.messages {
             let plan = &op.planned.members[m.member].plan;
             let dims = plan.pair_dims(m.from, m.to).expect("planned pairs have descriptors");
-            let count: u64 =
-                dims.iter().map(|e| e.src_set.intersect_count(&e.dst_set)).product();
+            let count: u64 = dims.map(|e| e.src_set.intersect_count(&e.dst_set)).product();
             prop_assert_eq!(count, m.elements, "{}", src);
         }
 

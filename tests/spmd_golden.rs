@@ -468,7 +468,7 @@ fn every_figure_message_matches_its_plan_descriptors() {
         let dims = plan
             .pair_dims(m.from, m.to)
             .unwrap_or_else(|| panic!("{what}: p{} -> p{} has no descriptors", m.from, m.to));
-        let count: u64 = dims.iter().map(|e| e.src_set.intersect_count(&e.dst_set)).product();
+        let count: u64 = dims.map(|e| e.src_set.intersect_count(&e.dst_set)).product();
         assert_eq!(count, m.elements, "{what}: p{} -> p{}", m.from, m.to);
     };
     let mut n_messages = 0;
