@@ -192,11 +192,12 @@ impl<'a> Executor<'a> {
                 std::sync::Arc::clone(&copy.planned),
             );
         });
-        // Dummy inputs arrive in the entry version.
+        // Dummy inputs arrive in the entry version, whose storage the
+        // load claims: it overwrites every element, so nothing is zeroed.
         for (a, dense) in array_inputs {
             let decl = p.array(a);
             let rt = &mut frame.arrays[a.0 as usize];
-            rt.current(&mut self.machine, decl.entry_version).load_dense(dense);
+            rt.load_dense(&mut self.machine, decl.entry_version, dense);
         }
         self.exec_body(p, &mut frame, &p.body, depth)?;
         self.exec_body(p, &mut frame, &p.exit_block, depth)?;
@@ -481,7 +482,7 @@ impl<'a> Executor<'a> {
                 if let Some(dense) = callee_frame.results.remove(&cid) {
                     let rt = &mut frame.arrays[ca.0 as usize];
                     rt.invalidate_others();
-                    rt.current(&mut self.machine, 0).load_dense(dense);
+                    rt.load_dense(&mut self.machine, 0, dense);
                 }
             }
         } else {
@@ -502,9 +503,8 @@ impl<'a> Executor<'a> {
                     Intent::Out => {
                         let rt = &mut frame.arrays[a.0 as usize];
                         rt.invalidate_others();
-                        let cur = rt.current(&mut self.machine, 0);
-                        let n = cur.mapping.array_extents.volume();
-                        cur.load_dense((0..n).map(|i| i as f64).collect());
+                        let n = rt.mappings[0].array_extents.volume();
+                        rt.load_dense(&mut self.machine, 0, (0..n).map(|i| i as f64).collect());
                     }
                 }
             }

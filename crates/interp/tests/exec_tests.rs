@@ -600,3 +600,22 @@ end subroutine
     let e: Vec<f64> = (0..48).map(|i| i as f64).collect();
     assert_eq!(r.arrays["e"], e, "interface-only out writes the linear index");
 }
+
+#[test]
+fn dummies_loaded_into_pooled_storage_read_no_stale_words() {
+    // A dummy's entry version is claimed by the load of its values, so a
+    // pooled buffer (blocks of 1024 and 4096 words here) is handed over
+    // without zeroing. The first run releases its blocks to the pool
+    // holding other values; the second takes them back and must agree
+    // with it value for value — under a cyclic entry mapping and a
+    // replicated one (no directive: every processor holds all of `b`).
+    let src = "subroutine s(a, b)\nreal :: a(4096), b(4096)\nintent(inout) :: a, b\n\
+               !hpf$ processors p(4)\n!hpf$ distribute a(cyclic) onto p\n\
+               a = 3.0 * a + 1.0\nb = b - 0.5\nend";
+    let first = run(src, &[]);
+    let second = run(src, &[]);
+    assert_eq!(first.arrays, second.arrays, "the second run read stale pooled words");
+    let input = |i: usize| 1.0 + i as f64;
+    assert!(first.arrays["a"].iter().enumerate().all(|(i, &v)| v == 3.0 * input(i) + 1.0));
+    assert!(first.arrays["b"].iter().enumerate().all(|(i, &v)| v == input(i) - 0.5));
+}

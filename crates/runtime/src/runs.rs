@@ -1,5 +1,6 @@
-//! The run kernel: the one loop every walk over a compiled program's
-//! runs goes through.
+//! The run kernel: the loops every walk over a compiled program's runs
+//! goes through — one run set at a time, or several of one shape at
+//! once (a deal).
 //!
 //! A [`RunSet`] is `count` runs of `len` words in arithmetic progression
 //! on two sides — run `k` reads `src + k·src_step ..` and writes
@@ -14,6 +15,21 @@
 //! and any other width moves each run with `copy_from_slice`. The
 //! table engine (`copy_runs` in `store.rs`) keeps its own loop: it is
 //! the independent oracle replay is checked against.
+//!
+//! The **deal** ([`deal_gather`], [`deal_scatter`]) walks several sets
+//! of one shape at once — the units of one strided-side block, which
+//! share a run count, a run width and the step of their strided side —
+//! row by row: row `k` of every stream before row `k + 1` of any. A
+//! gather reads one source block and writes one stream per receiver, a
+//! scatter reads one stream per provider and writes one destination
+//! block, so the strided block's row `k` — the words every stream's run
+//! `k` touches — is swept once per pass instead of once per stream. A
+//! pass serves at most [`DEAL_STREAMS`] streams; the stream count and
+//! the width are matched once per pass, so the per-row loop is unrolled
+//! over the streams, and each stream's contiguous side is cut out as
+//! one slice, so only the strided side is bounds-checked per run.
+
+use std::ops::Range;
 
 use crate::exec::{CopyProgram, CopyRun, CopyUnit, StrideFamily};
 
@@ -142,6 +158,138 @@ impl RunSet {
     }
 }
 
+/// Most streams one pass of a deal serves. The streams of a pass sit at
+/// one offset into blocks of one size, so their lines compete for the
+/// ways of the same L1 sets: one pass of sixteen 1-word streams
+/// measured about three times slower than two passes of eight.
+pub(crate) const DEAL_STREAMS: usize = 8;
+
+/// Rows `rows` of every set of a deal out of one source block, set `j`
+/// into `dsts[j]` (a gather). The sets share their width and their
+/// source step, and each writes one contiguous stream (`dst_step ==
+/// len`). Streams beyond [`DEAL_STREAMS`] take further passes over the
+/// same rows, which the first pass left in cache.
+pub(crate) fn deal_gather(
+    sets: &[RunSet],
+    src: &[f64],
+    dsts: &mut [&mut [f64]],
+    rows: Range<usize>,
+) {
+    assert_eq!(sets.len(), dsts.len(), "one destination per stream");
+    for (sets, dsts) in sets.chunks(DEAL_STREAMS).zip(dsts.chunks_mut(DEAL_STREAMS)) {
+        match sets.len() {
+            1 => gather::<1>(sets, src, dsts, rows.clone()),
+            2 => gather::<2>(sets, src, dsts, rows.clone()),
+            3 => gather::<3>(sets, src, dsts, rows.clone()),
+            4 => gather::<4>(sets, src, dsts, rows.clone()),
+            5 => gather::<5>(sets, src, dsts, rows.clone()),
+            6 => gather::<6>(sets, src, dsts, rows.clone()),
+            7 => gather::<7>(sets, src, dsts, rows.clone()),
+            _ => gather::<8>(sets, src, dsts, rows.clone()),
+        }
+    }
+}
+
+/// Rows `rows` of every set of a deal into one destination block, set
+/// `j` out of `srcs[j]` (a scatter). The sets share their width and
+/// their destination step, and each reads one contiguous stream
+/// (`src_step == len`).
+pub(crate) fn deal_scatter(sets: &[RunSet], srcs: &[&[f64]], dst: &mut [f64], rows: Range<usize>) {
+    assert_eq!(sets.len(), srcs.len(), "one source per stream");
+    for (sets, srcs) in sets.chunks(DEAL_STREAMS).zip(srcs.chunks(DEAL_STREAMS)) {
+        match sets.len() {
+            1 => scatter::<1>(sets, srcs, dst, rows.clone()),
+            2 => scatter::<2>(sets, srcs, dst, rows.clone()),
+            3 => scatter::<3>(sets, srcs, dst, rows.clone()),
+            4 => scatter::<4>(sets, srcs, dst, rows.clone()),
+            5 => scatter::<5>(sets, srcs, dst, rows.clone()),
+            6 => scatter::<6>(sets, srcs, dst, rows.clone()),
+            7 => scatter::<7>(sets, srcs, dst, rows.clone()),
+            _ => scatter::<8>(sets, srcs, dst, rows.clone()),
+        }
+    }
+}
+
+/// One gather pass over `M` streams: each stream's written words are
+/// cut out as one slice, so only the strided reads are bounds-checked.
+fn gather<const M: usize>(
+    sets: &[RunSet],
+    src: &[f64],
+    dsts: &mut [&mut [f64]],
+    rows: Range<usize>,
+) {
+    let sets: &[RunSet; M] = sets.try_into().expect("M streams");
+    let dsts: &mut [&mut [f64]; M] = dsts.try_into().expect("M destinations");
+    let (w, step, n) = (sets[0].len, sets[0].src_step, rows.len());
+    let mut outs: [&mut [f64]; M] = std::array::from_fn(|_| Default::default());
+    for ((out, dst), set) in outs.iter_mut().zip(dsts.iter_mut()).zip(sets) {
+        let shaped = set.len == w && set.src_step == step && set.dst_step == w;
+        assert!(shaped && rows.end <= set.count, "one shape, rows inside the set");
+        let at = set.dst + rows.start * w;
+        *out = &mut dst[at..at + n * w];
+    }
+    let bases: [usize; M] = std::array::from_fn(|j| sets[j].src + rows.start * step);
+    deal_rows::<M>(w, step, n, |j, i, row, w| {
+        let s = bases[j] + row;
+        outs[j][i..i + w].copy_from_slice(&src[s..s + w]);
+    });
+}
+
+/// One scatter pass over `M` streams: each stream's read words are cut
+/// out as one slice, so only the strided writes are bounds-checked.
+fn scatter<const M: usize>(sets: &[RunSet], srcs: &[&[f64]], dst: &mut [f64], rows: Range<usize>) {
+    let sets: &[RunSet; M] = sets.try_into().expect("M streams");
+    let (w, step, n) = (sets[0].len, sets[0].dst_step, rows.len());
+    let ins: [&[f64]; M] = std::array::from_fn(|j| {
+        let set = &sets[j];
+        let shaped = set.len == w && set.dst_step == step && set.src_step == w;
+        assert!(shaped && rows.end <= set.count, "one shape, rows inside the set");
+        let at = set.src + rows.start * w;
+        &srcs[j][at..at + n * w]
+    });
+    let bases: [usize; M] = std::array::from_fn(|j| sets[j].dst + rows.start * step);
+    deal_rows::<M>(w, step, n, |j, i, row, w| {
+        let d = bases[j] + row;
+        dst[d..d + w].copy_from_slice(&ins[j][i..i + w]);
+    });
+}
+
+/// Call `run(j, i, row, w)` for `n` rows of `M` streams of width `w`:
+/// row `k` sits `row = k·step` past each stream's strided base and
+/// `i = k·w` into its contiguous stream. The loop is chosen once from
+/// the width, the way [`RunSet::fold`] chooses: `w` is a constant in
+/// the arms for 1, 2 and 4.
+#[inline(always)]
+fn deal_rows<const M: usize>(
+    w: usize,
+    step: usize,
+    n: usize,
+    mut run: impl FnMut(usize, usize, usize, usize),
+) {
+    match w {
+        1 => deal_steps::<M>(1, step, n, &mut run),
+        2 => deal_steps::<M>(2, step, n, &mut run),
+        4 => deal_steps::<M>(4, step, n, &mut run),
+        w => deal_steps::<M>(w, step, n, &mut run),
+    }
+}
+
+#[inline(always)]
+fn deal_steps<const M: usize>(
+    w: usize,
+    step: usize,
+    n: usize,
+    run: &mut impl FnMut(usize, usize, usize, usize),
+) {
+    let mut row = 0;
+    for k in 0..n {
+        for j in 0..M {
+            run(j, k * w, row, w);
+        }
+        row += step;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,6 +348,76 @@ mod tests {
                         let written =
                             at.iter().fold(0u64, |a, &(_, d)| a.wrapping_add(base[d].to_bits()));
                         assert_eq!(set.sum(&base), written, "sum {what}");
+                    }
+                }
+            }
+        }
+
+        // The deal: k streams of one shape — 1 to 17, so a last pass
+        // holds fewer than DEAL_STREAMS — over all rows and over rows
+        // cut inside the sets, in both directions.
+        let count = 37;
+        for streams in 1..=17usize {
+            for len in [1usize, 2, 3, 4] {
+                for step in [streams * len, streams * len + 3] {
+                    // Stream `j` starts `j·len` into the strided side's
+                    // first row and `3·j + 1` into its own buffer.
+                    let gather: Vec<RunSet> = (0..streams)
+                        .map(|j| RunSet {
+                            src: 2 + j * len,
+                            src_step: step,
+                            dst: 1 + 3 * j,
+                            dst_step: len,
+                            len,
+                            count,
+                        })
+                        .collect();
+                    // The same streams the other way round.
+                    let scatter: Vec<RunSet> = gather
+                        .iter()
+                        .map(|g| RunSet {
+                            src: g.dst,
+                            src_step: len,
+                            dst: g.src,
+                            dst_step: step,
+                            ..*g
+                        })
+                        .collect();
+                    let strided = words(2 + streams * len + count * step, 17);
+                    let own: Vec<Vec<f64>> = (0..streams)
+                        .map(|j| words(1 + 3 * j + count * len, 91 + j as u64))
+                        .collect();
+                    for rows in [0..count, 5..23] {
+                        let what = format!("{streams} streams of {len}, step {step}, {rows:?}");
+                        let cut = |set: &RunSet| RunSet {
+                            src: set.src + rows.start * set.src_step,
+                            dst: set.dst + rows.start * set.dst_step,
+                            count: rows.len(),
+                            ..*set
+                        };
+
+                        let mut want = own.clone();
+                        for (j, set) in gather.iter().enumerate() {
+                            for (s, d) in positions(&cut(set)) {
+                                want[j][d] = strided[s];
+                            }
+                        }
+                        let mut got = own.clone();
+                        let mut dsts: Vec<&mut [f64]> =
+                            got.iter_mut().map(Vec::as_mut_slice).collect();
+                        deal_gather(&gather, &strided, &mut dsts, rows.clone());
+                        assert_eq!(got, want, "deal_gather, {what}");
+
+                        let mut want = strided.clone();
+                        for (j, set) in scatter.iter().enumerate() {
+                            for (s, d) in positions(&cut(set)) {
+                                want[d] = own[j][s];
+                            }
+                        }
+                        let mut got = strided.clone();
+                        let srcs: Vec<&[f64]> = own.iter().map(|v| &v[..]).collect();
+                        deal_scatter(&scatter, &srcs, &mut got, rows.clone());
+                        assert_eq!(got, want, "deal_scatter, {what}");
                     }
                 }
             }

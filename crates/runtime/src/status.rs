@@ -474,6 +474,19 @@ impl ArrayRt {
         self.copies[v as usize].as_mut().expect("status copy allocated")
     }
 
+    /// [`ArrayRt::current`], loaded from `dense` (one row-major value
+    /// per element, as [`VersionData::load_dense`] takes it) — how a
+    /// dummy's values arrive at frame entry. When this instantiates
+    /// version `v_default`, the load's program claims the storage, so a
+    /// pooled buffer is not zero-filled only to be overwritten.
+    pub fn load_dense(&mut self, machine: &mut Machine, v_default: u32, dense: Vec<f64>) {
+        if self.status.is_none() {
+            let loader = VersionData::loader(&self.mappings[v_default as usize], self.elem_size);
+            self.allocate_for(machine, v_default, loader.program.as_ref());
+        }
+        self.current(machine, v_default).load_dense(dense);
+    }
+
     /// Read one element through the current copy.
     pub fn get(&self, point: &[u64]) -> f64 {
         let v = self.status.expect("read of an array that was never defined");

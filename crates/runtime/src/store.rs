@@ -569,6 +569,16 @@ impl VersionData {
         self.copy_planned(src, &planned);
     }
 
+    /// The process-wide registry's artifact that loads a dense vector
+    /// into `mapping`: the copy [`VersionData::load_dense`] replays.
+    pub(crate) fn loader(
+        mapping: &NormalizedMapping,
+        elem_size: u64,
+    ) -> std::sync::Arc<crate::PlannedRemap> {
+        let dense = dense_mapping(&mapping.array_extents);
+        crate::PlanRegistry::shared().resolve(&dense, mapping, elem_size, false).0
+    }
+
     /// The process-wide registry's artifact for a copy from `src`.
     fn planned_from(&self, src: &VersionData) -> std::sync::Arc<crate::PlannedRemap> {
         let registry = crate::PlanRegistry::shared();

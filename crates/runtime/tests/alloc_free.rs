@@ -711,4 +711,38 @@ fn steady_state_remap_allocates_nothing() {
     };
     assert!((0..n).all(|i| rt.get(&[i]) == want(i)), "the pooled bounce moved the data");
     assert_eq!(machine.stats.remaps_performed, 8, "every hop moved data");
+
+    // --- 16. A dealt bounce is allocation-free too. --------------------
+    // BLOCK <-> CYCLIC(1) over 4 processors with blocks of 16 384
+    // elements, four of the deal's 4 096-element row groups: the serial
+    // walk replays every strided-side block as one deal, its four units
+    // per pass borrowed into fixed arrays — nothing is collected.
+    let n = 1u64 << 16;
+    let src = mk(n, 4, DimFormat::Block(None));
+    let dst = mk(n, 4, DimFormat::Cyclic(None));
+    let mut machine = isolated();
+    let mut rt = ArrayRt::new("a", vec![src, dst], 8);
+    rt.current(&mut machine, 0).fill(|p| p[0] as f64);
+    for _ in 0..2 {
+        remap(&mut rt, &mut machine, 1, &keep, false);
+        rt.set(&[0], 1.0);
+        remap(&mut rt, &mut machine, 0, &keep, false);
+        rt.set(&[1], 1.0);
+    }
+    for i in 0..10u64 {
+        rt.set(&[0], i as f64);
+        let before = allocations();
+        remap(&mut rt, &mut machine, 1, &keep, false);
+        assert_eq!(allocations(), before, "dealt remap {i} ->1 allocated");
+        rt.set(&[1], i as f64);
+        let before = allocations();
+        remap(&mut rt, &mut machine, 0, &keep, false);
+        assert_eq!(allocations(), before, "dealt remap {i} ->0 allocated");
+    }
+    assert_eq!(machine.stats.remaps_performed, 24, "every hop moved data");
+    let want = |i: u64| match i {
+        0 | 1 => 9.0,
+        _ => i as f64,
+    };
+    assert!((0..n).all(|i| rt.get(&[i]) == want(i)), "the dealt bounce moved the data");
 }
