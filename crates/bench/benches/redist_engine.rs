@@ -134,8 +134,9 @@ fn bench_fault_overhead(c: &mut Criterion) {
 /// cached bounce — the transactional machinery is one branch here.
 /// `txn_on_counts` runs guarded AND armed: every bounce records the
 /// array state into the machine's reused scratch arena and, both copies
-/// staying allocated, stages its target — the replay writes the parked
-/// spare while the old buffer waits — then commits: the true price of
+/// staying allocated, stages its target — the replay writes a spare
+/// drawn from the pool while the old copy waits in the record — then
+/// commits: the true price of
 /// all-or-nothing remaps. (`redist/fault_overhead`'s guarded bounces
 /// stage the same way.)
 fn bench_txn_overhead(c: &mut Criterion) {

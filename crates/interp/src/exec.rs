@@ -400,14 +400,8 @@ impl<'a> Executor<'a> {
             }
             SStmt::Return => Ok(Flow::Return),
             SStmt::ExitCleanup => {
-                // No version is re-requested past this point: parked
-                // host storage goes to the process-wide pool before the
-                // snapshots below allocate, and again once the last
-                // copies are freed. A snapshot reuses a pooled buffer of
-                // its length, and one the pool cannot serve releases
-                // everything pooled first, so pooled + held storage never
-                // passes the process's high-water of held storage.
-                frame.arrays.iter_mut().for_each(ArrayRt::release_parked);
+                // A freed copy goes to the process-wide pool as it is
+                // freed: there is nothing else to release.
                 for decl in &p.arrays {
                     let rt = &mut frame.arrays[decl.id.0 as usize];
                     // Snapshot final contents before freeing anything.
@@ -422,7 +416,6 @@ impl<'a> Executor<'a> {
                             rt.free_copy(&mut self.machine, v);
                         }
                     }
-                    rt.release_parked();
                 }
                 Ok(Flow::Normal)
             }

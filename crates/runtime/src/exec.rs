@@ -600,8 +600,8 @@ fn fit_u32(x: u64) -> Result<u32, CompileDecline> {
 /// `count` equal runs of one (provider, receiver) pair in arithmetic
 /// progression, in local positions: run `k` copies `len` elements from
 /// `src + k·src_step` to `dst + k·dst_step`. What the compiler records
-/// per innermost [`RunFamily`] and what the encoder consumes; a lone
-/// run has `count == 1` (its steps are not read).
+/// per innermost [`hpfc_mapping::RunFamily`] and what the encoder
+/// consumes; a lone run has `count == 1` (its steps are not read).
 #[derive(Debug, Clone, Copy)]
 struct Item {
     src: u64,

@@ -17,16 +17,16 @@
 //! move no data (status noop, partial-impact skip, live-copy reuse,
 //! dead values, first instantiation), move the rest as the lanes of one
 //! replay over one artifact — a guarded mover into an allocated copy
-//! writes a spare while the old buffer waits parked — then roll every
-//! member back (freeing fresh targets, swapping staged ones back) or
-//! clean every member. A
-//! solo remap ([`ArrayRt::try_remap_guarded`]) is a group of one whose
-//! artifact is its own [`PlannedRemap`]. [`try_remap_group`] hands over
-//! the directive's [`PlannedGroup`]: its members that copy out of their
+//! writes a pool draw while the old copy waits in its rollback record —
+//! then roll every member back (freeing fresh targets, swapping staged
+//! ones back) or clean every member. A solo remap
+//! ([`ArrayRt::try_remap_guarded`]) is a group of one whose artifact is
+//! its own [`PlannedRemap`]. [`try_remap_group`] hands over the
+//! directive's [`PlannedGroup`]: its members that copy out of their
 //! planned source are costed over the merged rounds
-//! ([`CommSchedule::round_triples_of`]) and replayed as the lanes of its
-//! [`GroupCopyProgram`]; below two such movers each mover is a group of
-//! one through its seeded solo artifact.
+//! ([`CommSchedule::round_triples_of`]) and replayed as the lanes of
+//! its [`GroupCopyProgram`]; below two such movers each mover is a
+//! group of one through its seeded solo artifact.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -289,10 +289,11 @@ fn move_lanes(
         let staged = snaps.is_some() && rt.copies[m.target as usize].is_some();
         if let Some(snap) = snaps.as_deref_mut().map(|s| &mut s[i]) {
             snap.capture(rt, m.target, staged);
+            if staged {
+                rt.stage_target(m.target, progs.get(i), snap);
+            }
         }
-        if staged {
-            rt.stage_target(m.target, progs.get(i));
-        } else {
+        if !staged {
             rt.allocate_for(machine, m.target, progs.get(i));
         }
         machine.stats.remaps_performed += 1;

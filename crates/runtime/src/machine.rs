@@ -326,8 +326,9 @@ pub struct Machine {
     /// Reusable per-phase accounting buffers.
     scratch: PhaseScratch,
     /// Reusable per-member rollback records of a remap statement: array
-    /// state only, no bytes (the live flags' capacity persists across
-    /// remaps, keeping the armed record allocation-free).
+    /// state and a staged-out copy, moved, never copied (the live flags'
+    /// capacity persists across remaps, keeping the armed record
+    /// allocation-free).
     pub(crate) txn_scratch: Vec<crate::status::TxnRecord>,
     /// Monotonic counter handed to the fault plan: one epoch per
     /// data-moving remap, making injection deterministic per operation.

@@ -14,14 +14,14 @@
 //! time and is regenerated (with communication) if needed again.
 //!
 //! *Modeled* memory (`Machine::mem`) follows Fig. 20 to the byte; *host*
-//! storage does not: a freed copy is parked for the next allocation of
-//! the same version (remap loops free and re-request the same shapes),
-//! and a guarded remap into an allocated copy writes a spare while the
-//! old buffer waits parked, so its rollback is a swap. What an array
-//! lets go of — parked buffers it releases, evicted copies, everything
-//! it holds when dropped — goes on to the process-wide pool of block
-//! buffers ([`crate::store`]), where the next routine's allocations
-//! find it.
+//! storage does not: an array holds nothing but its copies, and every
+//! copy it lets go of — freed, cleaned, evicted, or held when the array
+//! is dropped — goes whole to the process-wide pool ([`crate::store`]),
+//! where the next request for that version, by this array or another,
+//! takes it back (remap loops free and re-request the same shapes). A
+//! guarded remap into an allocated copy stages it: the copy moves into
+//! the member's rollback record and the replay writes a pool draw in
+//! its place, so a rollback is a swap.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -52,8 +52,9 @@ pub struct PlannedRemap {
     /// The plan lowered to per-pair packed messages in caterpillar
     /// rounds — what [`Machine::account_schedule`] costs.
     pub schedule: CommSchedule,
-    /// The executable form: precompiled `(src_pos, dst_pos, len)`
-    /// triples grouped by round, replayed allocation-free by
+    /// The executable form: stride-encoded run families plus residual
+    /// `(src_pos, dst_pos, len)` triples, in units grouped by round,
+    /// replayed allocation-free by
     /// [`VersionData::copy_values_from_program`]. `None` when the plan
     /// cannot drive a program (rank-0 scalars, `u32` position
     /// overflow) — the table engine is the fallback.
@@ -66,19 +67,6 @@ impl PlannedRemap {
         let schedule = CommSchedule::from_plan(&plan);
         let program = CopyProgram::try_compile(&plan, &schedule);
         PlannedRemap { plan, schedule, program }
-    }
-}
-
-/// Host buffers of freed versions and staged spares (index = version
-/// subscript), kept for this array's next allocation of the same
-/// version; released, they go to the process-wide pool. A clone starts
-/// with none: parked storage is not array state.
-#[derive(Debug)]
-struct Parked(Vec<Option<VersionData>>);
-
-impl Clone for Parked {
-    fn clone(&self) -> Self {
-        Parked(vec![None; self.0.len()])
     }
 }
 
@@ -103,9 +91,6 @@ pub struct ArrayRt {
     /// its mapping. Shared by reference: cloning the descriptor does
     /// not replan. Read through [`ArrayRt::planned`].
     pub(crate) plan_cache: BTreeMap<(u32, u32), Arc<PlannedRemap>>,
-    /// Freed-but-kept host storage and staged spares, see
-    /// [`ArrayRt::free_copy`] and [`ArrayRt::stage_target`].
-    parked: Parked,
 }
 
 impl ArrayRt {
@@ -120,7 +105,6 @@ impl ArrayRt {
             status: None,
             elem_size,
             plan_cache: BTreeMap::new(),
-            parked: Parked(vec![None; n]),
         }
     }
 
@@ -202,9 +186,8 @@ impl ArrayRt {
     }
 
     /// [`ArrayRt::ensure_allocated`] for the destination of a remap
-    /// that replays `claim`: a parked buffer of version `v` is taken
-    /// back, zeroed like a fresh one unless the program provably
-    /// overwrites every element.
+    /// that replays `claim`: pooled storage is zeroed like a fresh one
+    /// unless the program provably overwrites every element.
     pub(crate) fn allocate_for(
         &mut self,
         machine: &mut Machine,
@@ -214,23 +197,7 @@ impl ArrayRt {
         if self.copies[v as usize].is_some() {
             return;
         }
-        let data = match self.parked.0[v as usize].take() {
-            Some(mut data) => {
-                if !overwrites(claim, data.stored_elements()) {
-                    data.clear();
-                }
-                data
-            }
-            None => {
-                // Besides a staged spare, only a new buffer grows
-                // allocated + parked, so releasing the parked ones to
-                // the pool here keeps that sum under the high-water of
-                // `allocated_bytes()` plus the spares — and lets the
-                // new version reuse them when the lengths match.
-                self.release_parked();
-                VersionData::claimed(self.mappings[v as usize].clone(), self.elem_size, claim)
-            }
-        };
+        let data = VersionData::claimed(&self.mappings[v as usize], self.elem_size, claim);
         for r in 0..machine.nprocs {
             machine.mem.alloc(r as usize, data.bytes_on(r));
         }
@@ -238,58 +205,51 @@ impl ArrayRt {
     }
 
     /// Stage version `v`'s allocated copy as the target of a guarded
-    /// replay: its buffer is parked untouched and the replay writes a
-    /// spare of the same layout — the parked spare if there is one, else
-    /// a new one — so a rollback is a swap
-    /// ([`ArrayRt::rollback_remap`]) and a commit leaves the old buffer
-    /// parked as the next spare. The spare is handed over as is when
-    /// `claim` provably overwrites every element, else the old words
-    /// are copied into it first.
-    pub(crate) fn stage_target(&mut self, v: u32, claim: Option<&CopyProgram>) {
+    /// replay: the copy moves untouched into `record`, and the replay
+    /// writes a pool draw of its layout — as is when `claim` provably
+    /// overwrites every element, else holding the old words first — so
+    /// a rollback is a swap ([`ArrayRt::rollback_remap`]). The copy the
+    /// record kept from its last commit goes to the pool after the draw:
+    /// a bounce between two layouts then peaks at four versions, and the
+    /// pool's bound lets it keep a spare of the other layout.
+    pub(crate) fn stage_target(
+        &mut self,
+        v: u32,
+        claim: Option<&CopyProgram>,
+        record: &mut TxnRecord,
+    ) {
         let v = v as usize;
+        let mut spare = VersionData::claimed(&self.mappings[v], self.elem_size, claim);
         let old = self.copies[v].take().expect("a staged target is allocated");
-        let mut spare = self.parked.0[v]
-            .take()
-            .unwrap_or_else(|| VersionData::claimed(self.mappings[v].clone(), self.elem_size, claim));
-        if !overwrites(claim, spare.stored_elements()) {
+        if !overwrites(claim, old.stored_elements()) {
             for (to, from) in spare.blocks.iter_mut().flatten().zip(old.blocks.iter().flatten()) {
                 to.data.copy_from_slice(&from.data);
             }
         }
-        self.parked.0[v] = Some(old);
         self.copies[v] = Some(spare);
+        record.staged = Some(old);
     }
 
     /// Free version `v`'s storage and clear its live flag: the modeled
-    /// memory is billed as freed, the host buffer is parked for the
-    /// next allocation of `v`.
+    /// memory is billed as freed, the host storage goes to the pool.
     pub fn free_copy(&mut self, machine: &mut Machine, v: u32) {
         if let Some(data) = self.copies[v as usize].take() {
             for r in 0..machine.nprocs {
                 machine.mem.free(r as usize, data.bytes_on(r));
             }
-            self.parked.0[v as usize] = Some(data);
         }
         self.live[v as usize] = false;
     }
 
-    /// Release every parked buffer to the process-wide pool (see
-    /// [`crate::store`]) — for callers that know no version of this
-    /// array will be re-requested (routine exit).
-    pub fn release_parked(&mut self) {
-        self.parked.0.fill(None);
-    }
-
     /// Memory-pressure eviction (Sec. 5.2 end): drop a live, non-current
-    /// copy — nothing is parked, its host storage leaves the array for
-    /// the process-wide pool; it will be regenerated with communication
-    /// if needed later. Returns whether anything was evicted.
+    /// copy — its host storage goes to the process-wide pool; it will be
+    /// regenerated with communication if needed later. Returns whether
+    /// anything was evicted.
     pub fn evict(&mut self, machine: &mut Machine, v: u32) -> bool {
         if Some(v) == self.status || self.copies[v as usize].is_none() {
             return false;
         }
         self.free_copy(machine, v);
-        self.parked.0[v as usize] = None;
         true
     }
 
@@ -316,9 +276,9 @@ impl ArrayRt {
     /// **Transactional**: on the guarded path the status, live flags
     /// and allocation are recorded before the replay writes anything,
     /// and an allocated target is staged — the replay writes a spare
-    /// while the untouched buffer waits parked. Any terminal error
-    /// restores the array to its exact pre-remap state
-    /// (`NetStats::txn_rollbacks`), bytes by swapping the buffer back.
+    /// while the untouched copy waits in the rollback record. Any
+    /// terminal error restores the array to its exact pre-remap state
+    /// (`NetStats::txn_rollbacks`), bytes by swapping the copy back.
     /// The unguarded fast path stages nothing: with no faults injected
     /// and no validation demanded, its replay cannot fail after writes
     /// begin.
@@ -417,9 +377,9 @@ impl ArrayRt {
     }
 
     /// Put the array back to the state `record` captured before its
-    /// remap: a staged target's parked buffer swaps back in, a target
-    /// allocated by the remap is freed, and the live flags and status
-    /// are restored. A no-op if nothing was captured.
+    /// remap: a staged target's copy swaps back in (the spare goes to
+    /// the pool), a target allocated by the remap is freed, and the live
+    /// flags and status are restored. A no-op if nothing was captured.
     pub(crate) fn rollback_remap(
         &mut self,
         machine: &mut Machine,
@@ -429,9 +389,8 @@ impl ArrayRt {
         if !std::mem::take(&mut record.captured) {
             return;
         }
-        if record.staged {
-            let v = target as usize;
-            std::mem::swap(&mut self.copies[v], &mut self.parked.0[v]);
+        if let Some(old) = record.staged.take() {
+            self.copies[target as usize] = Some(old);
         } else if !record.allocated {
             self.free_copy(machine, target);
         }
@@ -528,10 +487,10 @@ impl ArrayRt {
 }
 
 /// The rollback record of one member of a guarded remap statement: the
-/// array state its remap may change. It holds no bytes — a target that
-/// was already allocated is staged ([`ArrayRt::stage_target`]), so its
-/// untouched buffer waits in the parked slot. Kept in the machine's
-/// scratch arena, so capturing reuses the live flags' capacity.
+/// array state its remap may change, and the staged-out target copy —
+/// owned, so a rollback moves it back and copies no bytes. Kept in the
+/// machine's scratch arena, so capturing reuses the live flags'
+/// capacity.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TxnRecord {
     /// The array's status before the remap.
@@ -540,21 +499,25 @@ pub(crate) struct TxnRecord {
     live: Vec<bool>,
     /// Whether the target copy was allocated before the remap.
     allocated: bool,
-    /// Whether the target copy was staged.
-    staged: bool,
+    /// The target copy this remap staged out ([`ArrayRt::stage_target`]);
+    /// after a commit, the one the record keeps until it stages the next.
+    staged: Option<VersionData>,
     /// Whether the record holds a capture; cleared by rollback and by
     /// the commit path.
     pub(crate) captured: bool,
 }
 
 impl TxnRecord {
-    /// Record `rt`'s state before its remap to `target`.
+    /// Record `rt`'s state before its remap to `target`. A member that
+    /// is not staged lets go of the copy kept from the last commit.
     pub(crate) fn capture(&mut self, rt: &ArrayRt, target: u32, staged: bool) {
         self.status = rt.status;
         self.live.clear();
         self.live.extend_from_slice(&rt.live);
         self.allocated = rt.copies[target as usize].is_some();
-        self.staged = staged;
+        if !staged {
+            self.staged = None;
+        }
         self.captured = true;
     }
 }
@@ -682,79 +645,104 @@ mod tests {
         assert_eq!(a.get(&[3]), 99.0);
     }
 
-    #[test]
-    fn cleaning_frees_copies_outside_may_live() {
-        let (mut m, mut a) = rt();
-        a.current(&mut m, 0);
-        // M = {1}: version 0 must be freed by the remapping.
-        remap(&mut a, &mut m, 1, &[1u32].into_iter().collect(), false);
-        assert!(a.copies[0].is_none());
-        assert!(!a.live[0]);
-        // Memory accounting went down to one copy.
-        let one_copy: u64 = a.allocated_bytes();
-        assert_eq!(one_copy, 16 * 8);
-        // The modeled books are those of a plain free (one 32-byte
-        // block per rank now, two at the peak); only the host buffer
-        // is kept back.
-        assert_eq!(m.mem.current, vec![32; 4]);
-        assert_eq!(m.mem.peak, vec![64; 4]);
-        assert!(a.parked.0[0].is_some());
+    /// An array of 4 096 elements over 4 processors in three layouts of
+    /// 1 024-element blocks: versions big enough for the pool.
+    fn pooled_rt() -> (Machine, ArrayRt) {
+        let versions = [DimFormat::Block(None), DimFormat::Cyclic(None), DimFormat::Cyclic(Some(2))];
+        (Machine::new(4), ArrayRt::new("a", versions.map(|f| mk(4096, 4, f)).to_vec(), 8))
+    }
+
+    /// Where version `v`'s rank-0 block keeps its words.
+    fn words_of(a: &ArrayRt, v: u32) -> *const f64 {
+        a.copies[v as usize].as_ref().expect("allocated").blocks[0].as_ref().unwrap().data.as_ptr()
+    }
+
+    /// Run `attempt` until it sees freed storage come back from the
+    /// pool: tests on other threads share the pool, and may take or
+    /// flush what an attempt released before it asks again.
+    fn until_recycled(mut attempt: impl FnMut() -> bool) {
+        assert!((0..100).any(|_| attempt()), "freed storage never came back from the pool");
     }
 
     #[test]
-    fn parked_storage_is_recycled_zeroed_and_never_cloned() {
-        let (mut m, mut a) = rt();
-        a.current(&mut m, 0).fill(|p| 1.0 + p[0] as f64);
-        remap(&mut a, &mut m, 1, &[1u32].into_iter().collect(), false);
-        let parked_at = a.parked.0[0].as_ref().expect("cleaning parked v0").blocks[0]
-            .as_ref()
-            .unwrap()
-            .data
-            .as_ptr();
-        // A clone shares nothing with the parked buffers.
-        let twin = a.clone();
-        assert!(twin.parked.0.iter().all(Option::is_none));
-        assert_eq!(twin.allocated_bytes(), a.allocated_bytes());
-        // A dead-values remap claims the parked buffer — the very same
-        // allocation — and must read zeros, like a fresh one.
-        remap(&mut a, &mut m, 0, &[0u32].into_iter().collect(), true);
-        let v0 = a.copies[0].as_ref().unwrap();
-        assert_eq!(v0.blocks[0].as_ref().unwrap().data.as_ptr(), parked_at);
-        assert!(v0.to_dense().iter().all(|&x| x == 0.0));
-        assert!(a.parked.0[0].is_none() && a.parked.0[1].is_some());
-        // A fresh allocation of a third version releases what is parked:
-        // allocated + parked never exceeds what was once allocated alone.
-        remap(&mut a, &mut m, 2, &[0u32, 2].into_iter().collect(), false);
-        assert!(a.parked.0.iter().all(Option::is_none));
-        assert_eq!(m.mem.current, vec![64; 4]);
-        assert_eq!(m.mem.peak, vec![64; 4]);
-        a.free_copy(&mut m, 0);
-        a.release_parked();
-        assert!(a.parked.0.iter().all(Option::is_none));
+    fn cleaning_frees_copies_outside_may_live() {
+        until_recycled(|| {
+            let (mut m, mut a) = pooled_rt();
+            a.current(&mut m, 0).fill(|p| 1.0 + p[0] as f64);
+            let freed = words_of(&a, 0);
+            // M = {1}: version 0 must be freed by the remapping.
+            remap(&mut a, &mut m, 1, &[1u32].into_iter().collect(), false);
+            assert!(a.copies[0].is_none());
+            assert!(!a.live[0]);
+            // Memory accounting went down to one copy; the modeled books
+            // are those of a plain free (one 8 KiB block per rank now,
+            // two at the peak).
+            assert_eq!(a.allocated_bytes(), 4096 * 8);
+            assert_eq!(m.mem.current, vec![8192; 4]);
+            assert_eq!(m.mem.peak, vec![16384; 4]);
+            // The host storage went to the pool: a dead-values remap
+            // back takes it — the very same allocation — and reads zeros.
+            remap(&mut a, &mut m, 0, &[0u32].into_iter().collect(), true);
+            assert!(a.copies[0].as_ref().unwrap().to_dense().iter().all(|&x| x == 0.0));
+            words_of(&a, 0) == freed
+        });
+    }
+
+    #[test]
+    fn pooled_storage_is_recycled_zeroed_and_never_cloned() {
+        let block = 1024 * 8;
+        until_recycled(|| {
+            let (mut m, mut a) = pooled_rt();
+            a.current(&mut m, 0).fill(|p| 1.0 + p[0] as f64);
+            remap(&mut a, &mut m, 1, &[1u32].into_iter().collect(), false);
+            // A clone shares no storage with the array.
+            let twin = a.clone();
+            assert_ne!(words_of(&twin, 1), words_of(&a, 1));
+            assert_eq!(twin.copies, a.copies);
+            assert_eq!(twin.allocated_bytes(), a.allocated_bytes());
+            drop(twin);
+            // Cleaning released version 1's storage; a dead-values remap
+            // claims pooled storage and must read zeros, like a fresh one.
+            let freed = words_of(&a, 1);
+            remap(&mut a, &mut m, 0, &[0u32].into_iter().collect(), true);
+            remap(&mut a, &mut m, 1, &[1u32].into_iter().collect(), true);
+            assert!(a.copies[1].as_ref().unwrap().to_dense().iter().all(|&x| x == 0.0));
+            let (pooled, held, high) = crate::store::pool_counts();
+            assert!(pooled + held <= high, "{pooled} + {held} > {high}");
+            // The modeled books are Fig. 20's, whatever the host reuses.
+            remap(&mut a, &mut m, 2, &[1u32, 2].into_iter().collect(), false);
+            assert_eq!(m.mem.current, vec![2 * block; 4]);
+            assert_eq!(m.mem.peak, vec![2 * block; 4]);
+            words_of(&a, 1) == freed
+        });
     }
 
     #[test]
     fn eviction_and_regeneration() {
-        let (mut m, mut a) = rt();
-        a.current(&mut m, 0).fill(|p| 2.0 * p[0] as f64);
-        let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-        remap(&mut a, &mut m, 1, &keep, false);
-        // Pressure: drop the live copy 0 — allocated and parked alike.
-        assert!(a.evict(&mut m, 0));
-        assert!(!a.live[0]);
-        assert!(a.copies[0].is_none() && a.parked.0[0].is_none());
-        assert_eq!(a.allocated_bytes(), 16 * 8);
-        assert_eq!(m.mem.current, vec![32; 4]);
-        // Status copy cannot be evicted.
-        assert!(!a.evict(&mut m, 1));
-        // Going back to 0 regenerates it with communication.
-        let performed = m.stats.remaps_performed;
-        remap(&mut a, &mut m, 0, &keep, false);
-        assert_eq!(m.stats.remaps_performed, performed + 1);
-        assert_eq!(a.get(&[7]), 14.0);
-        assert_eq!(a.allocated_bytes(), 2 * 16 * 8);
-        assert_eq!(m.mem.current, vec![64; 4]);
-        assert_eq!(m.mem.peak, vec![64; 4]);
+        until_recycled(|| {
+            let (mut m, mut a) = pooled_rt();
+            a.current(&mut m, 0).fill(|p| 2.0 * p[0] as f64);
+            let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+            remap(&mut a, &mut m, 1, &keep, false);
+            let evicted = words_of(&a, 0);
+            // Pressure: drop the live copy 0; its storage goes to the pool.
+            assert!(a.evict(&mut m, 0));
+            assert!(!a.live[0]);
+            assert!(a.copies[0].is_none());
+            assert_eq!(a.allocated_bytes(), 4096 * 8);
+            assert_eq!(m.mem.current, vec![8192; 4]);
+            // Status copy cannot be evicted.
+            assert!(!a.evict(&mut m, 1));
+            // Going back to 0 regenerates it with communication.
+            let performed = m.stats.remaps_performed;
+            remap(&mut a, &mut m, 0, &keep, false);
+            assert_eq!(m.stats.remaps_performed, performed + 1);
+            assert!((0..4096).all(|i| a.get(&[i]) == 2.0 * i as f64));
+            assert_eq!(a.allocated_bytes(), 2 * 4096 * 8);
+            assert_eq!(m.mem.current, vec![16384; 4]);
+            assert_eq!(m.mem.peak, vec![16384; 4]);
+            words_of(&a, 0) == evicted
+        });
     }
 
     #[test]

@@ -32,18 +32,18 @@
 //! dense mapping: the shared registry's compiled program for the pair,
 //! replayed by the one serial walk, with no walk of their own.
 //!
-//! Host buffers outlive the arrays that held them. A block of at least
-//! one page (`PAGE_WORDS` elements) draws its buffer from one
-//! process-wide pool of released buffers before it asks the allocator,
-//! and every such buffer the runtime lets go of — a dropped block of a
-//! freed, evicted, cleaned or temporary version — goes back to the pool
-//! (`LocalBlock`'s `Drop`). A warm routine therefore writes pages that
-//! are already mapped instead of faulting in fresh ones. The pool is
-//! bounded without a knob: a request that no pooled buffer serves first
-//! releases everything pooled, so pooled plus held words never exceed
-//! the high-water of held words. A pooled buffer is zero-filled on
-//! reuse unless the program that claims it provably overwrites every
-//! element; a fresh one stays lazily zeroed by the allocator.
+//! Storage outlives the arrays that held it. Every version the runtime
+//! lets go of — freed, evicted, cleaned, staged out or temporary — goes
+//! whole to one process-wide pool (`VersionData`'s `Drop`): buffers,
+//! block table and owned-set descriptors. A request takes a pooled
+//! version of an equal mapping as it is, else new descriptors whose
+//! blocks take pooled buffers of their lengths, so a warm routine writes
+//! pages that are already mapped and rebuilds nothing. A block that
+//! nothing pooled serves first releases everything pooled: pooled plus
+//! held elements never exceed the high-water of held elements, with no
+//! knob. Pooled storage is zero-filled unless the claiming program
+//! provably overwrites every element; versions under a page are never
+//! pooled.
 //!
 //! Every walk over a compiled program's runs goes through the crate's
 //! one run kernel (the private `runs` module): a set of equal runs in
@@ -55,25 +55,33 @@
 use std::sync::{Mutex, MutexGuard};
 
 use hpfc_mapping::intervals::intersect_runs;
-use hpfc_mapping::{Extents, GridId, NormalizedMapping, PeriodicSet};
+use hpfc_mapping::{DimSource, Extents, GridId, NormalizedMapping, PeriodicSet};
 
 use crate::exec::CopyProgram;
 use crate::replay::Lane;
 
-/// The smallest buffer the pool keeps, in elements: one 4 KiB page of
-/// `f64`. A smaller buffer cannot fault more than once, and keeping it
-/// out stops tiny allocations from flushing the pool.
+/// The smallest version the pool keeps, in stored elements: one 4 KiB
+/// page of `f64`. A smaller version cannot fault more than once, and
+/// keeping it out stops tiny allocations from flushing the pool.
 const PAGE_WORDS: usize = 512;
 
-/// Released block buffers of at least [`PAGE_WORDS`] elements, shared
+/// A version's storage outside any `VersionData` — in the pool, or being
+/// drawn: its block table and owned-set descriptors. It has no `Drop` of
+/// its own, so one the pool lets go of frees its storage.
+struct Pooled {
+    mapping: NormalizedMapping,
+    blocks: Vec<Option<LocalBlock>>,
+}
+
+/// Released versions of at least [`PAGE_WORDS`] stored elements, shared
 /// by every array in the process, and the counts that bound them. All
 /// counts are in elements.
 struct Pool {
-    /// Buffers waiting for a block of their length.
-    free: Vec<Vec<f64>>,
-    /// Elements in `free`.
+    /// Versions waiting for a request.
+    free: Vec<Pooled>,
+    /// Elements in the buffers of `free`.
     pooled: usize,
-    /// Elements in the page-sized buffers blocks hold now.
+    /// Elements in the versions of a page or more that are held now.
     held: usize,
     /// The most `held` has ever been.
     high: usize,
@@ -91,63 +99,81 @@ fn pool() -> MutexGuard<'static, Pool> {
     })
 }
 
-/// A buffer of `len` elements for a block to hold: a pooled buffer of
-/// that length when there is one — zero-filled when `zero` — else a
-/// fresh zeroed one, after everything pooled has been released (so
-/// pooled + held stays under the high-water of held). The lock is never
-/// held while zeroing or freeing.
-fn take_buffer(len: usize, zero: bool) -> Vec<f64> {
-    if len < PAGE_WORDS {
-        return vec![0.0; len];
-    }
-    let flushed = {
-        let mut pool = pool();
-        pool.held += len;
-        if let Some(at) = pool.free.iter().position(|b| b.len() == len) {
-            pool.pooled -= len;
-            let mut buf = pool.free.swap_remove(at);
-            drop(pool);
-            if zero {
-                buf.fill(0.0);
+/// A buffer of `len` elements out of any pooled version; a version left
+/// with no buffer leaves the pool.
+fn take_buffer(free: &mut Vec<Pooled>, len: usize) -> Option<Vec<f64>> {
+    for at in 0..free.len() {
+        if let Some(block) = free[at].blocks.iter_mut().flatten().find(|b| b.data.len() == len) {
+            let buf = std::mem::take(&mut block.data);
+            if free[at].blocks.iter().flatten().all(|b| b.data.is_empty()) {
+                free.swap_remove(at);
             }
-            return buf;
+            return Some(buf);
         }
-        pool.high = pool.high.max(pool.held);
-        pool.pooled = 0;
-        std::mem::take(&mut pool.free)
-    };
-    drop(flushed);
-    vec![0.0; len]
+    }
+    None
 }
 
-/// Hand a buffer no block holds any more to the pool. `held` says
-/// whether a block held it (it came from [`take_buffer`]); a buffer
-/// from outside the runtime is kept only while pooled + held stays
-/// under the high-water, and freed otherwise.
-fn release_buffer(buf: Vec<f64>, held: bool) {
-    let len = buf.len();
-    if len < PAGE_WORDS {
+/// Move `version`'s storage into the pool, leaving it empty. `held`
+/// says whether the pool counts it as held (it was drawn); storage from
+/// outside the runtime is kept only while pooled + held stays under the
+/// high-water, and freed otherwise, as is a version of less than a page.
+fn release(version: &mut VersionData, held: bool) {
+    let elements = version.stored_elements() as usize;
+    if elements < PAGE_WORDS {
         return;
     }
+    // A mapping over no grid and no extents owns no heap memory: the
+    // version keeps it in place of the one the pool takes.
+    let none = || Extents(Vec::new());
+    let empty = NormalizedMapping::replicated(GridId(0), none(), none());
+    let released = Pooled {
+        mapping: std::mem::replace(&mut version.mapping, empty),
+        blocks: std::mem::take(&mut version.blocks),
+    };
     let mut pool = pool();
     if held {
         // Saturating: this runs in `Drop`, which must not panic.
-        pool.held = pool.held.saturating_sub(len);
-    } else if pool.pooled + pool.held + len > pool.high {
+        pool.held = pool.held.saturating_sub(elements);
+    } else if pool.pooled + pool.held + elements > pool.high {
         drop(pool);
-        return; // `buf` is freed here, outside the lock
+        return; // `released` is freed here, outside the lock
     }
-    pool.pooled += len;
-    pool.free.push(buf);
+    pool.pooled += elements;
+    pool.free.push(released);
 }
 
-/// `buf`, which a block held, leaves the runtime for good (a dense
-/// result handed to the caller): it stops counting as held.
-fn detach_buffer(buf: &[f64]) {
-    if buf.len() >= PAGE_WORDS {
-        let mut pool = pool();
-        pool.held = pool.held.saturating_sub(buf.len());
-    }
+/// The blocks of a version of `mapping` — one for every processor that
+/// holds anything — without buffers.
+fn blocks_of(mapping: &NormalizedMapping) -> Vec<Option<LocalBlock>> {
+    let rank = mapping.array_extents.rank();
+    (0..mapping.grid_shape.volume())
+        .map(|r| {
+            let coords = mapping.grid_shape.delinearize(r);
+            let dims = mapping.holds_anything(&coords).then(|| {
+                (0..rank)
+                    .map(|d| {
+                        let set = mapping.owned_set_along(d, &coords);
+                        let len = set.count() as usize;
+                        (set, len)
+                    })
+                    .collect()
+            })?;
+            Some(LocalBlock { dims, data: Vec::new() })
+        })
+        .collect()
+}
+
+/// Elements a version of `mapping` stores (replicas count), without
+/// building it: every element once per coordinate of each replicated
+/// grid axis.
+fn stored_by(mapping: &NormalizedMapping) -> usize {
+    let replicated = mapping.axes.iter().enumerate();
+    let replicas = replicated
+        .filter(|(_, ax)| ax.source == DimSource::Replicated)
+        .map(|(axis, _)| mapping.grid_shape.extent(axis))
+        .product::<u64>();
+    (mapping.array_extents.volume() * replicas) as usize
 }
 
 /// `(pooled, held, high)`: the pool's counts, in elements, read under
@@ -166,7 +192,7 @@ pub(crate) fn overwrites(claim: Option<&CopyProgram>, elements: u64) -> bool {
 }
 
 /// One processor's slice of a version. Its `data` keeps the length it
-/// was allocated with: dropping the block hands the buffer to the pool.
+/// was allocated with: releasing the version hands the buffer on.
 #[derive(Debug, PartialEq)]
 pub struct LocalBlock {
     /// Per dimension, the owned global indices in closed form and their
@@ -177,23 +203,12 @@ pub struct LocalBlock {
     pub data: Vec<f64>,
 }
 
-impl Clone for LocalBlock {
-    /// A copy in a buffer from the pool (every element is overwritten,
-    /// so a pooled buffer is not zeroed first).
-    fn clone(&self) -> Self {
-        let mut data = take_buffer(self.data.len(), false);
-        data.copy_from_slice(&self.data);
-        LocalBlock { dims: self.dims.clone(), data }
-    }
-}
-
-impl Drop for LocalBlock {
-    fn drop(&mut self) {
-        release_buffer(std::mem::take(&mut self.data), true);
-    }
-}
-
 impl LocalBlock {
+    /// The elements the block holds: the product of its owned counts.
+    fn elements(&self) -> usize {
+        self.dims.iter().map(|(_, len)| len).product()
+    }
+
     /// Local position of a global point: per dimension, the number of
     /// owned indices below the coordinate. `None` if the block does not
     /// own the point.
@@ -270,8 +285,9 @@ impl LocalBlock {
     }
 }
 
-/// The distributed storage of one array version.
-#[derive(Debug, Clone, PartialEq)]
+/// The distributed storage of one array version. Dropping it hands the
+/// storage to the process-wide pool (see the module docs).
+#[derive(Debug, PartialEq)]
 pub struct VersionData {
     /// The placement this storage realizes.
     pub mapping: NormalizedMapping,
@@ -281,54 +297,95 @@ pub struct VersionData {
     pub elem_size: u64,
 }
 
+impl Clone for VersionData {
+    /// A copy in storage from the pool (every element is overwritten,
+    /// so pooled storage is not zeroed first).
+    fn clone(&self) -> Self {
+        let mut copy = VersionData::draw(&self.mapping, self.elem_size, self.stored_elements());
+        for (to, from) in copy.blocks.iter_mut().flatten().zip(self.blocks.iter().flatten()) {
+            to.data.copy_from_slice(&from.data);
+        }
+        copy
+    }
+}
+
+impl Drop for VersionData {
+    fn drop(&mut self) {
+        release(self, true);
+    }
+}
+
 impl VersionData {
     /// Allocate (zero-filled) storage for `mapping`.
     pub fn new(mapping: NormalizedMapping, elem_size: u64) -> Self {
-        VersionData::claimed(mapping, elem_size, None)
+        VersionData::draw(&mapping, elem_size, 0)
     }
 
     /// Storage for `mapping` that a replay of `claim` is about to
-    /// write: zero-filled like [`VersionData::new`]'s, except that a
-    /// pooled buffer is handed over as is when `claim` provably
+    /// write: zero-filled like [`VersionData::new`]'s, except that
+    /// pooled storage is handed over as is when `claim` provably
     /// overwrites every element.
     pub(crate) fn claimed(
-        mapping: NormalizedMapping,
+        mapping: &NormalizedMapping,
         elem_size: u64,
         claim: Option<&CopyProgram>,
     ) -> Self {
-        let nprocs = mapping.grid_shape.volume();
-        let rank = mapping.array_extents.rank();
-        let mut blocks = Vec::with_capacity(nprocs as usize);
-        for r in 0..nprocs {
-            let coords = mapping.grid_shape.delinearize(r);
-            if !mapping.holds_anything(&coords) {
-                blocks.push(None);
-                continue;
-            }
-            let dims: Vec<(PeriodicSet, usize)> = (0..rank)
-                .map(|d| {
-                    let set = mapping.owned_set_along(d, &coords);
-                    let len = set.count() as usize;
-                    (set, len)
-                })
-                .collect();
-            blocks.push(Some(LocalBlock { dims, data: Vec::new() }));
-        }
-        let len = |b: &LocalBlock| b.dims.iter().map(|(_, len)| len).product::<usize>();
-        let elements = blocks.iter().flatten().map(|b| len(b) as u64).sum();
-        let zero = !overwrites(claim, elements);
-        for block in blocks.iter_mut().flatten() {
-            block.data = take_buffer(len(block), zero);
-        }
-        VersionData { mapping, blocks, elem_size }
+        VersionData::draw(mapping, elem_size, claim.map_or(0, |p| p.total_elements))
     }
 
-    /// Zero every element — what [`VersionData::new`] hands out, for
-    /// storage that is being reused.
-    pub(crate) fn clear(&mut self) {
-        for block in self.blocks.iter_mut().flatten() {
-            block.data.fill(0.0);
+    /// Storage for `mapping` whose caller writes `written` elements: a
+    /// pooled version of an equal mapping, whole, else new descriptors
+    /// whose blocks take pooled buffers of their lengths, else fresh
+    /// ones. Pooled storage is zero-filled unless `written` covers
+    /// every stored element. The pool's lock is never held while zeroing
+    /// or freeing a buffer.
+    fn draw(mapping: &NormalizedMapping, elem_size: u64, written: u64) -> Self {
+        let elements = stored_by(mapping);
+        let descriptors = || Pooled { mapping: mapping.clone(), blocks: blocks_of(mapping) };
+        let mut flushed = Vec::new();
+        // Storage stays a `Pooled` while the lock is held: a panic there
+        // drops nothing that takes the lock again.
+        let Pooled { mapping, blocks } = if elements < PAGE_WORDS {
+            descriptors()
+        } else {
+            let mut pool = pool();
+            // Whole: every block still holds its buffer.
+            let whole = |p: &Pooled| p.blocks.iter().flatten().all(|b| b.data.len() == b.elements());
+            match pool.free.iter().position(|p| p.mapping == *mapping && whole(p)) {
+                Some(at) => {
+                    pool.held += elements;
+                    pool.pooled -= elements;
+                    pool.free.swap_remove(at)
+                }
+                None => {
+                    let mut shell = descriptors();
+                    pool.held += elements;
+                    for block in shell.blocks.iter_mut().flatten().filter(|b| b.elements() > 0) {
+                        let Some(buf) = take_buffer(&mut pool.free, block.elements()) else {
+                            pool.high = pool.high.max(pool.held);
+                            pool.pooled = 0;
+                            flushed = std::mem::take(&mut pool.free);
+                            break;
+                        };
+                        pool.pooled -= buf.len();
+                        block.data = buf;
+                    }
+                    shell
+                }
+            }
+        };
+        drop(flushed);
+        let mut version = VersionData { mapping, blocks, elem_size };
+        debug_assert_eq!(elements, version.blocks.iter().flatten().map(LocalBlock::elements).sum());
+        let zero = written != elements as u64;
+        for block in version.blocks.iter_mut().flatten() {
+            if block.data.len() != block.elements() {
+                block.data = vec![0.0; block.elements()];
+            } else if zero {
+                block.data.fill(0.0);
+            }
         }
+        version
     }
 
     /// Bytes allocated on processor `rank`.
@@ -373,10 +430,9 @@ impl VersionData {
     /// value.
     pub fn fill(&mut self, f: impl Fn(&[u64]) -> f64) {
         let ext = &self.mapping.array_extents;
-        // The walk below writes every element: a pooled buffer needs no zeroing.
-        let data = take_buffer(ext.volume() as usize, false);
-        let mut dense = dense_version(ext, self.elem_size, data);
-        let block = dense.blocks[0].as_mut().expect("the dense processor holds the array");
+        // The walk below writes every element: pooled storage needs no zeroing.
+        let mut dense = VersionData::draw(&dense_mapping(ext), self.elem_size, ext.volume());
+        let block = dense.dense_block();
         if !block.data.is_empty() {
             let mut at = BlockCursor::first(&block.dims);
             for cell in block.data.iter_mut() {
@@ -528,18 +584,21 @@ impl VersionData {
     /// pair and the one serial replay — billed to no
     /// [`crate::Machine`]. Replicas beyond the one the plan reads from
     /// hold identical values by the storage invariants. The returned
-    /// buffer is taken from the pool of released block buffers and
-    /// leaves the pool's books with the caller.
+    /// buffer is drawn from the pool and leaves the pool's books with
+    /// the caller.
     pub fn to_dense(&self) -> Vec<f64> {
-        let ext = &self.mapping.array_extents;
-        let mut dense = dense_version(ext, self.elem_size, Vec::new());
-        let planned = dense.planned_from(self);
-        let volume = ext.volume();
-        let zero = !overwrites(planned.program.as_ref(), volume);
-        dense.dense_block().data = take_buffer(volume as usize, zero);
+        let dense_map = dense_mapping(&self.mapping.array_extents);
+        let registry = crate::PlanRegistry::shared();
+        let planned = registry.resolve(&self.mapping, &dense_map, self.elem_size, false).0;
+        let written = planned.program.as_ref().map_or(0, |p| p.total_elements);
+        let mut dense = VersionData::draw(&dense_map, self.elem_size, written);
         dense.copy_planned(self, &planned);
         let data = std::mem::take(&mut dense.dense_block().data);
-        detach_buffer(&data);
+        // The result leaves the runtime: it stops counting as held.
+        if data.len() >= PAGE_WORDS {
+            let mut pool = pool();
+            pool.held = pool.held.saturating_sub(data.len());
+        }
         data
     }
 
@@ -553,11 +612,14 @@ impl VersionData {
     pub fn load_dense(&mut self, dense: Vec<f64>) {
         let ext = &self.mapping.array_extents;
         assert_eq!(dense.len() as u64, ext.volume(), "one dense value per element");
-        let mut src = dense_version(ext, self.elem_size, dense);
+        let mapping = dense_mapping(ext);
+        let blocks = blocks_of(&mapping);
+        let mut src = VersionData { mapping, blocks, elem_size: self.elem_size };
+        src.dense_block().data = dense;
         self.remap_from(&src);
         // The caller's buffer was never held: the pool keeps it only
         // under the high-water.
-        release_buffer(std::mem::take(&mut src.dense_block().data), false);
+        release(&mut src, false);
     }
 
     /// Copy `src`, another version of the same array, into this one the
@@ -565,7 +627,8 @@ impl VersionData {
     /// pair, replayed serially, or the table engine when the plan drives
     /// no program.
     fn remap_from(&mut self, src: &VersionData) {
-        let planned = self.planned_from(src);
+        let registry = crate::PlanRegistry::shared();
+        let planned = registry.resolve(&src.mapping, &self.mapping, self.elem_size, false).0;
         self.copy_planned(src, &planned);
     }
 
@@ -577,12 +640,6 @@ impl VersionData {
     ) -> std::sync::Arc<crate::PlannedRemap> {
         let dense = dense_mapping(&mapping.array_extents);
         crate::PlanRegistry::shared().resolve(&dense, mapping, elem_size, false).0
-    }
-
-    /// The process-wide registry's artifact for a copy from `src`.
-    fn planned_from(&self, src: &VersionData) -> std::sync::Arc<crate::PlannedRemap> {
-        let registry = crate::PlanRegistry::shared();
-        registry.resolve(&src.mapping, &self.mapping, self.elem_size, false).0
     }
 
     /// Copy `src` by `planned`: its program, or the table engine when
@@ -604,21 +661,6 @@ impl VersionData {
 /// grid axis replicated, so its one block holds every element row-major.
 fn dense_mapping(extents: &Extents) -> NormalizedMapping {
     NormalizedMapping::replicated(GridId(0), Extents::new(&[1]), extents.clone())
-}
-
-/// A version in the dense mapping of `extents` holding `data`.
-fn dense_version(extents: &Extents, elem_size: u64, data: Vec<f64>) -> VersionData {
-    let dims = (0..extents.rank())
-        .map(|d| {
-            let n = extents.extent(d);
-            (PeriodicSet::full(n), n as usize)
-        })
-        .collect();
-    VersionData {
-        mapping: dense_mapping(extents),
-        blocks: vec![Some(LocalBlock { dims, data })],
-        elem_size,
-    }
 }
 
 /// Copy every element of the cartesian product of `runs` from
@@ -805,11 +847,6 @@ mod tests {
         assert_eq!(v.get(&[1, 1]), 7.0);
     }
 
-    /// A block of `len` elements and no dimensions, for pool tests.
-    fn block_of(len: usize) -> LocalBlock {
-        LocalBlock { dims: Vec::new(), data: take_buffer(len, true) }
-    }
-
     #[test]
     fn a_released_buffer_reads_zero_when_reused() {
         let nm = mapping_1d(4096, 4, DimFormat::Block(None));
@@ -846,7 +883,7 @@ mod tests {
             garbage.blocks.iter_mut().flatten().for_each(|b| b.data.fill(f64::NAN));
             assert!(overwrites(Some(program), garbage.stored_elements()));
             drop(garbage);
-            let mut b = VersionData::claimed(dst.clone(), 8, Some(program));
+            let mut b = VersionData::claimed(&dst, 8, Some(program));
             b.copy_values_from_program(&a, program, crate::ExecMode::Serial);
             for i in 0..n {
                 assert_eq!(b.get(&[i]).to_bits(), a.get(&[i]).to_bits(), "element {i}");
@@ -856,7 +893,16 @@ mod tests {
 
     #[test]
     fn pooled_and_held_never_exceed_the_high_water_of_held() {
-        let lens = [100, 511, 512, 700, 1024, 3000];
+        // Two layouts of equal block lengths (a request for one is served
+        // by the other's buffers), one of other lengths, one below a page
+        // and one that reaches a page only through its replicas.
+        let mappings = [
+            mapping_1d(4096, 4, DimFormat::Block(None)),
+            mapping_1d(4096, 4, DimFormat::Cyclic(Some(4))),
+            mapping_1d(3000, 4, DimFormat::Block(None)),
+            mapping_1d(256, 4, DimFormat::Cyclic(None)),
+            NormalizedMapping::replicated(GridId(0), Extents::new(&[2]), Extents::new(&[300])),
+        ];
         let mut rng = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move |bound: usize| {
             rng ^= rng << 13;
@@ -864,20 +910,39 @@ mod tests {
             rng ^= rng << 17;
             (rng % bound as u64) as usize
         };
-        let mut blocks = Vec::new();
-        for step in 0..2000 {
-            match next(5) {
-                0 | 1 => blocks.push(block_of(lens[next(lens.len())])),
-                2 if !blocks.is_empty() => drop(blocks.swap_remove(next(blocks.len()))),
-                3 if !blocks.is_empty() => {
-                    // A dense result leaving the runtime.
-                    let mut b = blocks.swap_remove(next(blocks.len()));
-                    detach_buffer(&std::mem::take(&mut b.data));
-                }
-                _ => release_buffer(vec![1.0; lens[next(lens.len())]], false),
-            }
+        let bounded = |step: usize, what: &str| {
             let (pooled, held, high) = pool_counts();
-            assert!(pooled + held <= high, "step {step}: {pooled} + {held} > {high}");
+            assert!(pooled + held <= high, "step {step}, {what}: {pooled} + {held} > {high}");
+        };
+        let mut held: Vec<VersionData> = Vec::new();
+        for step in 0..1500 {
+            let pick = next(held.len().max(1));
+            match next(8) {
+                0 | 1 => held.push(VersionData::new(mappings[next(mappings.len())].clone(), 8)),
+                _ if held.is_empty() => continue,
+                2 => drop(held.swap_remove(pick)),
+                // A guarded stage: the copy steps aside, a spare of its
+                // layout is drawn; then commit or roll back.
+                3 | 4 => {
+                    let spare = VersionData::new(held[pick].mapping.clone(), 8);
+                    let staged = std::mem::replace(&mut held[pick], spare);
+                    bounded(step, "staged");
+                    if next(2) == 0 {
+                        drop(staged);
+                    } else {
+                        drop(std::mem::replace(&mut held[pick], staged));
+                    }
+                }
+                // A dense result leaving the runtime.
+                5 => drop(held[pick].to_dense()),
+                // A foreign dense buffer handed in.
+                6 => {
+                    let volume = held[pick].mapping.array_extents.volume() as usize;
+                    held[pick].load_dense(vec![1.0; volume]);
+                }
+                _ => held.push(held[pick].clone()),
+            }
+            bounded(step, "after");
         }
     }
 

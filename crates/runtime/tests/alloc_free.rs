@@ -366,12 +366,13 @@ fn steady_state_remap_allocates_nothing() {
     // With a validation level configured the remap runs guarded and
     // ARMED: a rollback record (status, live flags, allocation) is
     // captured into the machine's scratch arena before the replay, and
-    // the allocated target is staged — the replay writes the array's
-    // parked spare while the old buffer is parked in its place, to be
-    // the next spare after the commit. Warm-up grows the scratch and
-    // creates one spare per version; after that every record + stage +
-    // commit cycle reuses them — zero allocations per cached bounce,
-    // and the happy path never rolls back.
+    // the allocated target is staged — the old copy moves into the
+    // record and the replay writes a spare drawn whole from the pool,
+    // where the record's last staged-out copy goes once the draw is
+    // made. Warm-up grows the scratch and pools one spare per version;
+    // after that every record + stage + commit cycle reuses them — zero
+    // allocations per cached bounce, and the happy path never rolls
+    // back.
     let src = mk(n, 4, DimFormat::Block(None));
     let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
     let mut machine = isolated().with_validation(hpfc_runtime::ValidationLevel::Counts);
@@ -379,7 +380,7 @@ fn steady_state_remap_allocates_nothing() {
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     // Warm up: both copies allocated, both directions' programs cached,
-    // the record scratch grown, a spare parked for each version.
+    // the record scratch grown, a spare pooled for each version.
     for _ in 0..2 {
         remap(&mut rt, &mut machine, 1, &keep, false);
         rt.set(&[0], 1.0);
@@ -454,9 +455,10 @@ fn steady_state_remap_allocates_nothing() {
     // --- 8. A bounce whose cleaning frees the source recycles storage. -
     // Fig. 20 with `M = {target}`: every remap allocates its target and
     // cleaning frees the source right after — the shape of every
-    // in-program remap loop. The freed copy is parked and the next
-    // remap in that direction takes it back, so after one warm-up round
-    // trip `remap -> clean -> remap` never reaches the allocator:
+    // in-program remap loop. The freed copy goes whole to the pool and
+    // the next remap in that direction takes it back, so after one
+    // warm-up round trip `remap -> clean -> remap` never reaches the
+    // allocator:
     // neither for the data, nor for the owned-set descriptors, nor for
     // the block table. (Both cached programs overwrite every destination
     // element, so the recycled buffers are not even re-zeroed.)
@@ -527,7 +529,7 @@ fn steady_state_remap_allocates_nothing() {
     // per hop: `a` is never written, so every hop of its is a live-copy
     // reuse; `b` is written after every hop, so it moves data — the
     // group's only mover. Every rollback record is status, live flags
-    // and allocation; the mover writes its staged spare, parked since
+    // and allocation; the mover writes its staged spare, pooled since
     // the warm-up, and `a` is not staged at all. Neither clones a
     // destination copy.
     let n = 1u64 << 16;
@@ -618,11 +620,11 @@ fn steady_state_remap_allocates_nothing() {
 
     // --- 13. Rollback returns the staged spare to the pool. -----------
     // A guarded remap into an allocated copy writes a spare while the
-    // old buffer waits parked; a forced exhaustion swaps the two back,
-    // so the spare is parked again, not dropped. Each measured remap is
-    // the heal right after such a rollback, in both directions: it
-    // stages out of the pool exactly like section 6, so nothing reaches
-    // the allocator.
+    // old copy waits in the rollback record; a forced exhaustion swaps
+    // the two back, so the spare goes back to the pool. Each measured
+    // remap is the heal right after such a rollback, in both
+    // directions: it stages out of the pool exactly like section 6, so
+    // nothing reaches the allocator.
     let src = mk(n, 4, DimFormat::Block(None));
     let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
     let mut machine = isolated().with_validation(hpfc_runtime::ValidationLevel::Counts);
@@ -745,4 +747,35 @@ fn steady_state_remap_allocates_nothing() {
         _ => i as f64,
     };
     assert!((0..n).all(|i| rt.get(&[i]) == want(i)), "the dealt bounce moved the data");
+
+    // --- 17. Whole versions cross arrays. -------------------------------
+    // A released version goes to the pool whole: buffers, block table
+    // and owned-set descriptors. Array `a` runs a warm BLOCK <-> CYCLIC(4)
+    // bounce whose cleaning frees the source and is dropped; array `b`,
+    // over the same versions with its plans seeded outside the window,
+    // instantiates its entry version and bounces once without asking
+    // the allocator for anything, of any size: each request takes a
+    // version `a` released, as it is.
+    let n = 4096u64;
+    let versions = vec![mk(n, 4, DimFormat::Block(None)), mk(n, 4, DimFormat::Cyclic(Some(4)))];
+    let mut machine = isolated();
+    let mut a = ArrayRt::new("a", versions.clone(), 8);
+    a.current(&mut machine, 0).fill(|p| p[0] as f64);
+    for _ in 0..2 {
+        remap(&mut a, &mut machine, 1, &only1, false);
+        remap(&mut a, &mut machine, 0, &only0, false);
+    }
+    let mut b = ArrayRt::new("b", versions, 8);
+    for (s, d) in [(0u32, 1u32), (1, 0)] {
+        b.seed_plan(s, d, a.planned(&mut machine, s, d));
+    }
+    drop(a);
+    let performed = machine.stats.remaps_performed;
+    let before = allocations();
+    b.current(&mut machine, 0);
+    remap(&mut b, &mut machine, 1, &only1, false);
+    remap(&mut b, &mut machine, 0, &only0, false);
+    assert_eq!(allocations(), before, "a second array's versions allocated");
+    assert_eq!(machine.stats.remaps_performed, performed + 2, "both hops moved data");
+    assert!((0..n).all(|i| b.get(&[i]) == 0.0), "pooled storage reads as a fresh version");
 }

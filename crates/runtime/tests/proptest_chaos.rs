@@ -588,7 +588,7 @@ fn exhaustion_rolls_a_solo_remap_back_to_its_pre_remap_state() {
 /// compile to pure Gather families (zero residual triples), and the
 /// program overwrites every element, so the staged spare the replay
 /// writes is handed over without the old words — only the swap back to
-/// the parked buffer can restore the destination here.
+/// the staged-out copy can restore the destination here.
 #[test]
 fn exhaustion_rolls_back_strided_kernel_destinations_byte_identically() {
     let n = 1u64 << 18;
@@ -790,11 +790,12 @@ fn scalar_at(c: i64) -> NormalizedMapping {
 /// Group atomicity with a sibling that replayed into an allocated copy:
 /// the first mover writes a staged spare and commits as a group of one,
 /// then the second mover's ladder exhausts. Both come back
-/// byte-identical — the committed sibling by swapping its parked buffer
-/// back in, the failing one (a rank-0 scalar with no compiled program,
-/// so its spare was filled with the old words first) likewise. A third
-/// member settles by live-copy reuse while a spare sits parked for its
-/// target: it was not staged, so its buffers must not swap.
+/// byte-identical — the committed sibling by swapping its staged-out
+/// copy back in, the failing one (a rank-0 scalar with no compiled
+/// program, so its spare was filled with the old words first) likewise.
+/// A third member settles by live-copy reuse while its record keeps a
+/// copy staged out by an earlier commit: it was not staged, so its
+/// buffers must not swap.
 #[test]
 fn a_failing_member_swaps_its_staged_sibling_back() {
     let n = 4096u64;
@@ -816,7 +817,8 @@ fn a_failing_member_swaps_its_staged_sibling_back() {
     a.current(&mut machine, 0).fill(|p| p[0] as f64);
     s.current(&mut machine, 0).fill(|_| 42.0);
     // c (epochs 0 and 1): 0 -> 1, a write, then 1 -> 0 staged — its old
-    // version-0 buffer stays parked — and back to 1 by live-copy reuse.
+    // version-0 copy stays in its record — and back to 1 by live-copy
+    // reuse.
     remap(&mut c, &mut machine, 1, &keep, false);
     c.set(&[9], -9.0);
     remap(&mut c, &mut machine, 0, &keep, false);

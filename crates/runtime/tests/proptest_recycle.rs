@@ -8,11 +8,13 @@
 //!
 //! * one remap / write / clean / restore / evict / rollback / group
 //!   sequence is driven through a **recycling** session (the default:
-//!   freed copies are parked and handed back) and through a **fresh**
-//!   one whose parked buffers are released after every step, so each
-//!   allocation is a `VersionData::new` — per-point values, status and
-//!   live flags, `NetStats`, and `MemTracker` current/peak must agree
-//!   after every step;
+//!   freed copies go whole to the process-wide pool and are handed
+//!   back) and through a **poisoned** one, which drops NaN-filled
+//!   versions of all three mappings into the pool before every step, so
+//!   each allocation it makes reuses garbage — per-point values, status
+//!   and live flags, `NetStats`, and `MemTracker` current/peak must
+//!   agree after every step (a NaN anywhere fails the comparison, even
+//!   against itself);
 //! * every compiled program's serial order is a permutation of
 //!   `local ∪ rounds`, blocked by one side's rank, and its replay equals
 //!   the table engine and a per-point oracle, on a plan that equals
@@ -62,12 +64,12 @@ struct Session {
     machine: Machine,
     a: ArrayRt,
     b: ArrayRt,
-    /// `false`: parked buffers are released after every step.
-    recycle: bool,
+    /// Whether garbage is pooled before every step ([`Session::poison`]).
+    poisoned: bool,
 }
 
 impl Session {
-    fn new(versions: &[NormalizedMapping], recycle: bool) -> Session {
+    fn new(versions: &[NormalizedMapping], poisoned: bool) -> Session {
         let p = versions[0].grid_shape.volume();
         let registry = Arc::new(PlanRegistry::new(2, 64));
         let machine = Machine::new(p).with_registry(registry);
@@ -82,7 +84,16 @@ impl Session {
             }
         }
         let [a, b] = arrays;
-        Session { machine, a, b, recycle }
+        Session { machine, a, b, poisoned }
+    }
+
+    /// Drop a NaN-filled version of each mapping into the pool, where
+    /// this session's next allocations find them.
+    fn poison(&self) {
+        for mapping in &self.a.mappings {
+            let mut garbage = VersionData::new(mapping.clone(), 8);
+            garbage.blocks.iter_mut().flatten().for_each(|b| b.data.fill(f64::NAN));
+        }
     }
 
     /// Remap array `a`; every remap of the differential must succeed.
@@ -126,11 +137,10 @@ struct Observation {
 /// Apply `step` to both sessions and require identical observations.
 fn both(ctx: &str, what: &str, pair: &mut [Session; 2], step: impl Fn(&mut Session)) {
     for s in pair.iter_mut() {
-        step(s);
-        if !s.recycle {
-            s.a.release_parked();
-            s.b.release_parked();
+        if s.poisoned {
+            s.poison();
         }
+        step(s);
     }
     assert_eq!(pair[0].observe(), pair[1].observe(), "{ctx}: diverged after `{what}`");
 }
@@ -155,7 +165,7 @@ fn recycled_storage_is_indistinguishable_from_fresh() {
             let ctx = format!("{f0:?}<->{f1:?} at P={p}");
             let versions =
                 [mk1d(N, p, f0), mk1d(N, p, f1), mk1d(N, p, DimFormat::Cyclic(Some(4)))];
-            let pair = &mut [true, false].map(|r| Session::new(&versions, r));
+            let pair = &mut [false, true].map(|poisoned| Session::new(&versions, poisoned));
 
             both(&ctx, "instantiate", pair, |s| {
                 s.a.current(&mut s.machine, 0).fill(|pt| 1.0 + pt[0] as f64);
@@ -186,8 +196,8 @@ fn recycled_storage_is_indistinguishable_from_fresh() {
                 s.a.current(&mut s.machine, 1).fill(|pt| 7.0 * pt[0] as f64);
                 s.a.invalidate_others();
             });
-            // A third version: a fresh allocation, which releases
-            // what is parked.
+            // A third version: an allocation no copy of this array
+            // released.
             both(&ctx, "remap 1->2, clean 1", pair, |s| {
                 s.remap_a(2, &set_of(&[2]), false)
             });
@@ -231,7 +241,7 @@ fn recycled_storage_is_indistinguishable_from_fresh() {
                 s.remap_a(0, &set_of(&[0]), false)
             });
             // Group bounce: both members' targets are claimed from
-            // parked storage by their member programs.
+            // pooled storage by their member programs.
             let fwd = PlannedGroup::compile(vec![planned(&versions[0], &versions[1]); 2]);
             let back = PlannedGroup::compile(vec![planned(&versions[1], &versions[0]); 2]);
             both(&ctx, "group 0->1", pair, |s| group_remap(s, &fwd, 0, 1));
