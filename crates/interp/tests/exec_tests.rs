@@ -447,6 +447,24 @@ fn peak_memory_reflects_copies() {
 }
 
 #[test]
+fn a_remap_across_grids_of_different_sizes_bills_the_ranks_it_holds() {
+    // `a` moves from p(2) to q(4) and back; the machine has four ranks,
+    // so its p-versions hold no block on ranks 2 and 3. At the peak,
+    // rank 0 holds `a` on p (4 elements), `a` on q and `b` (2 each):
+    // 64 B.
+    let src = "subroutine s\nreal :: a(8), b(8)\n!hpf$ processors p(2)\n\
+               !hpf$ processors q(4)\n!hpf$ dynamic a\n!hpf$ distribute a(block) onto p\n\
+               !hpf$ distribute b(block) onto q\ndo i = 1, 8\n  a(i) = i\nenddo\nb = 1.0\n\
+               !hpf$ redistribute a(block) onto q\na = a + b\n\
+               !hpf$ redistribute a(block) onto p\na = a * 2.0\nend";
+    let r = run(src, &[]);
+    let want: Vec<f64> = (1..=8).map(|i| 2.0 * (i as f64 + 1.0)).collect();
+    assert_eq!(r.arrays["a"], want);
+    assert_eq!(r.stats.remaps_performed, 2, "both remaps moved data");
+    assert_eq!(r.peak_mem_bytes, 64);
+}
+
+#[test]
 fn a_second_interpreter_session_is_served_entirely_by_the_registry() {
     // Two independent interpreter sessions over one compiled program,
     // sharing one (isolated) plan registry. Lowering precompiled every

@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use hpfc_mapping::{
     AlignTarget, Alignment, ArrayId, DimFormat, Distribution, Extents, GridId, Mapping,
-    MappingEnv, TemplateId,
+    MappingEnv, MappingError, TemplateId,
 };
 
 use crate::ast::*;
@@ -164,6 +164,11 @@ struct Analyzer {
     /// and references to them report nothing more — one error per
     /// mistake.
     rejected: BTreeSet<String>,
+    /// Where arrays' alignments were set, in source order: each
+    /// declaration, then each ALIGN naming the array.
+    aligned_at: Vec<(ArrayId, Span)>,
+    /// Where templates' distributions were set, in source order.
+    distributed_at: Vec<(TemplateId, Span)>,
     errs: Vec<Diagnostic>,
     default_grid: Option<GridId>,
 }
@@ -179,8 +184,10 @@ fn analyze_routine(
         align: BTreeMap::new(),
         dynamic: BTreeSet::new(),
         rejected: BTreeSet::new(),
+        aligned_at: Vec::new(),
+        distributed_at: Vec::new(),
         errs: Vec::new(),
-    default_grid: None,
+        default_grid: None,
     };
 
     // Pass 1: grids and templates (so later directives can resolve them).
@@ -312,11 +319,21 @@ fn analyze_routine(
             )
         });
         let m = Mapping { align, dist };
-        // Validate now so later phases can unwrap.
+        // Validate now so later phases can unwrap; report at the
+        // directive that set the faulty half of the mapping.
         if let Err(e) = a.env.normalize(info.id, &m) {
+            let by_distribution = matches!(
+                e,
+                MappingError::MalformedDistribution { .. }
+                    | MappingError::BlockTooSmall { .. }
+                    | MappingError::GridRankMismatch { .. }
+            );
+            let dist_at = a.distributed_at.iter().rfind(|(d, _)| by_distribution && *d == t);
+            let align_at = a.aligned_at.iter().rfind(|(x, _)| *x == info.id);
+            let at = dist_at.map(|d| d.1).or(align_at.map(|x| x.1)).unwrap_or(ast.span);
             a.errs.push(Diagnostic::error(
                 codes::MAPPING,
-                ast.span,
+                at,
                 format!("initial mapping of `{}` is invalid: {e}", info.name),
             ));
         }
@@ -406,6 +423,10 @@ impl Analyzer {
             self.reject(name, span, "PROCESSORS extents must be constants");
             return;
         };
+        if shape.contains(&0) {
+            self.reject(name, span, format!("processor grid `{name}` has an extent of zero"));
+            return;
+        }
         let volume = shape.iter().fold(1u64, |v, &e| v.saturating_mul(e));
         if volume > MAX_GRID_VOLUME {
             let what = format!(
@@ -454,6 +475,7 @@ impl Analyzer {
         let elem = 8; // REAL and INTEGER both simulate as 8-byte cells.
         let id = self.env.add_array(&e.name, &shape, elem);
         self.symbols.insert(e.name.clone(), Symbol::Array(id));
+        self.aligned_at.push((id, span));
     }
 
     /// The template a mapping directive's target denotes: a declared
@@ -494,6 +516,7 @@ impl Analyzer {
         if let Some(list) = self.build_alignments(spec, span) {
             for (a, al) in list {
                 self.align.insert(a, al);
+                self.aligned_at.push((a, span));
             }
         }
     }
@@ -529,6 +552,7 @@ impl Analyzer {
         match resolve_distribution(&self.env, &self.symbols, self.default_grid, t, formats, onto) {
             Ok(d) => {
                 self.template_dist.insert(t, d);
+                self.distributed_at.push((t, span));
             }
             Err(msg) => self.err(codes::BAD_DIRECTIVE, span, msg),
         }
@@ -1095,18 +1119,19 @@ pub fn resolve_distribution(
         },
         None => default_grid.ok_or("no PROCESSORS grid declared")?,
     };
+    let size = |e: &Expr, what: &str| match e.const_u64() {
+        Some(0) => Err(format!("{what} size must be positive")),
+        Some(b) => Ok(b),
+        None => Err(format!("{what} size must be a constant")),
+    };
     let mut out = Vec::new();
     for f in formats {
         out.push(match f {
             DistFormatAst::Star => DimFormat::Collapsed,
             DistFormatAst::Block(None) => DimFormat::Block(None),
             DistFormatAst::Cyclic(None) => DimFormat::Cyclic(None),
-            DistFormatAst::Block(Some(e)) => DimFormat::Block(Some(
-                e.const_u64().ok_or("BLOCK size must be a constant")?,
-            )),
-            DistFormatAst::Cyclic(Some(e)) => DimFormat::Cyclic(Some(
-                e.const_u64().ok_or("CYCLIC size must be a constant")?,
-            )),
+            DistFormatAst::Block(Some(e)) => DimFormat::Block(Some(size(e, "BLOCK")?)),
+            DistFormatAst::Cyclic(Some(e)) => DimFormat::Cyclic(Some(size(e, "CYCLIC")?)),
         });
     }
     let d = Distribution::new(grid, out);

@@ -141,6 +141,8 @@ fn block_smaller_than_extent_over_procs_is_rejected() {
                !hpf$ distribute a(block(2)) onto p\nx = a(1)\nend";
     let errs = frontend(src).unwrap_err();
     assert!(errs.iter().any(|e| e.code == codes::MAPPING), "{errs:?}");
+    // Reported at the DISTRIBUTE that set the block, not the header.
+    assert_eq!(errs[0].span.line, 4, "{errs:?}");
 }
 
 #[test]
@@ -291,4 +293,60 @@ fn an_array_of_more_than_seven_dimensions_is_rejected() {
     let errs = frontend("subroutine s\nreal :: a(2,2,2,2,2,2,2,2)\nend").unwrap_err();
     assert!(errs.iter().any(|e| e.code == codes::BAD_DIRECTIVE && e.message.contains("rank 8")));
     frontend("subroutine s\nreal :: a(2,2,2,2,2,2,2)\na = 1.0\nend").expect("rank 7 is allowed");
+}
+
+/// An alignment that leaves its template is reported at the ALIGN, not
+/// at the routine header.
+#[test]
+fn an_alignment_beyond_its_template_is_reported_at_the_align() {
+    let src = "subroutine s\nreal :: a(8)\n!hpf$ processors p(2)\n!hpf$ template t(4)\n\
+               !hpf$ align a(i) with t(i)\n!hpf$ distribute t(block) onto p\na = 1.0\nend";
+    let errs = frontend(src).unwrap_err();
+    assert_eq!(errs.len(), 1, "{errs:?}");
+    assert_eq!(errs[0].code, codes::MAPPING, "{errs:?}");
+    assert_eq!(errs[0].span.line, 5, "{errs:?}");
+}
+
+/// A zero grid extent or a zero BLOCK/CYCLIC size is one mistake,
+/// reported once, at its own line.
+#[test]
+fn zero_grid_extents_and_block_sizes_are_rejected_at_their_line() {
+    let cases = [
+        (
+            "grid",
+            "subroutine s\nreal :: a(8)\n!hpf$ processors p(0)\n\
+             !hpf$ distribute a(block) onto p\na = 1.0\nend",
+            3,
+            "zero",
+        ),
+        (
+            "grid axis",
+            "subroutine s\nreal :: a(8, 8)\n!hpf$ processors p(2, 0)\n\
+             !hpf$ distribute a(block, block) onto p\na = 1.0\nend",
+            3,
+            "zero",
+        ),
+        (
+            "block",
+            "subroutine s\nreal :: a(8)\n!hpf$ processors p(2)\n\
+             !hpf$ distribute a(block(0)) onto p\na = 1.0\nend",
+            4,
+            "BLOCK size must be positive",
+        ),
+        (
+            "redistribute",
+            "subroutine s\nreal :: a(8)\n!hpf$ processors p(2)\n!hpf$ dynamic a\n\
+             !hpf$ distribute a(block) onto p\na = 1.0\n\
+             !hpf$ redistribute a(cyclic(0)) onto p\nx = a(1)\nend",
+            7,
+            "CYCLIC size must be positive",
+        ),
+    ];
+    for (what, src, line, message) in cases {
+        let errs = frontend(src).unwrap_err();
+        assert_eq!(errs.len(), 1, "{what}: {errs:?}");
+        assert_eq!(errs[0].code, codes::BAD_DIRECTIVE, "{what}: {errs:?}");
+        assert_eq!(errs[0].span.line, line, "{what}: {errs:?}");
+        assert!(errs[0].message.contains(message), "{what}: {errs:?}");
+    }
 }

@@ -198,7 +198,7 @@ impl ArrayRt {
             return;
         }
         let data = VersionData::claimed(&self.mappings[v as usize], self.elem_size, claim);
-        for r in 0..machine.nprocs {
+        for r in 0..data.blocks.len() as u64 {
             machine.mem.alloc(r as usize, data.bytes_on(r));
         }
         self.copies[v as usize] = Some(data);
@@ -234,7 +234,7 @@ impl ArrayRt {
     /// memory is billed as freed, the host storage goes to the pool.
     pub fn free_copy(&mut self, machine: &mut Machine, v: u32) {
         if let Some(data) = self.copies[v as usize].take() {
-            for r in 0..machine.nprocs {
+            for r in 0..data.blocks.len() as u64 {
                 machine.mem.free(r as usize, data.bytes_on(r));
             }
         }

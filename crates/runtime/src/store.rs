@@ -33,17 +33,15 @@
 //! replayed by the one serial walk, with no walk of their own.
 //!
 //! Storage outlives the arrays that held it. Every version the runtime
-//! lets go of — freed, evicted, cleaned, staged out or temporary — goes
-//! whole to one process-wide pool (`VersionData`'s `Drop`): buffers,
-//! block table and owned-set descriptors. A request takes a pooled
-//! version of an equal mapping as it is, else new descriptors whose
-//! blocks take pooled buffers of their lengths, so a warm routine writes
-//! pages that are already mapped and rebuilds nothing. A block that
-//! nothing pooled serves first releases everything pooled: pooled plus
-//! held elements never exceed the high-water of held elements, with no
-//! knob. Pooled storage is zero-filled unless the claiming program
-//! provably overwrites every element; versions under a page are never
-//! pooled.
+//! lets go of — freed, evicted, cleaned, staged out or temporary, of any
+//! size — goes whole to one process-wide pool (`VersionData`'s `Drop`):
+//! buffers, block table and owned-set descriptors. A request takes the
+//! most recently pooled version of an equal mapping as it is, so a warm
+//! routine writes pages that are already mapped and rebuilds nothing.
+//! A request nothing pooled serves first releases everything pooled:
+//! pooled plus held elements never exceed the high-water of held
+//! elements, with no knob. Pooled storage is zero-filled unless the
+//! claiming program provably overwrites every element.
 //!
 //! Every walk over a compiled program's runs goes through the crate's
 //! one run kernel (the private `runs` module): a set of equal runs in
@@ -60,11 +58,6 @@ use hpfc_mapping::{DimSource, Extents, GridId, NormalizedMapping, PeriodicSet};
 use crate::exec::CopyProgram;
 use crate::replay::Lane;
 
-/// The smallest version the pool keeps, in stored elements: one 4 KiB
-/// page of `f64`. A smaller version cannot fault more than once, and
-/// keeping it out stops tiny allocations from flushing the pool.
-const PAGE_WORDS: usize = 512;
-
 /// A version's storage outside any `VersionData` — in the pool, or being
 /// drawn: its block table and owned-set descriptors. It has no `Drop` of
 /// its own, so one the pool lets go of frees its storage.
@@ -73,15 +66,14 @@ struct Pooled {
     blocks: Vec<Option<LocalBlock>>,
 }
 
-/// Released versions of at least [`PAGE_WORDS`] stored elements, shared
-/// by every array in the process, and the counts that bound them. All
-/// counts are in elements.
+/// Released versions, shared by every array in the process, and the
+/// counts that bound them. All counts are in elements.
 struct Pool {
-    /// Versions waiting for a request.
+    /// Versions waiting for a request, the most recently released last.
     free: Vec<Pooled>,
     /// Elements in the buffers of `free`.
     pooled: usize,
-    /// Elements in the versions of a page or more that are held now.
+    /// Elements in the drawn versions that are held now.
     held: usize,
     /// The most `held` has ever been.
     high: usize,
@@ -99,28 +91,15 @@ fn pool() -> MutexGuard<'static, Pool> {
     })
 }
 
-/// A buffer of `len` elements out of any pooled version; a version left
-/// with no buffer leaves the pool.
-fn take_buffer(free: &mut Vec<Pooled>, len: usize) -> Option<Vec<f64>> {
-    for at in 0..free.len() {
-        if let Some(block) = free[at].blocks.iter_mut().flatten().find(|b| b.data.len() == len) {
-            let buf = std::mem::take(&mut block.data);
-            if free[at].blocks.iter().flatten().all(|b| b.data.is_empty()) {
-                free.swap_remove(at);
-            }
-            return Some(buf);
-        }
-    }
-    None
-}
-
 /// Move `version`'s storage into the pool, leaving it empty. `held`
 /// says whether the pool counts it as held (it was drawn); storage from
 /// outside the runtime is kept only while pooled + held stays under the
-/// high-water, and freed otherwise, as is a version of less than a page.
+/// high-water, and freed otherwise, as is a version with no stored
+/// elements (the shell [`VersionData::to_dense`] takes the buffer out
+/// of, or one released already).
 fn release(version: &mut VersionData, held: bool) {
     let elements = version.stored_elements() as usize;
-    if elements < PAGE_WORDS {
+    if elements == 0 {
         return;
     }
     // A mapping over no grid and no extents owns no heap memory: the
@@ -333,48 +312,33 @@ impl VersionData {
         VersionData::draw(mapping, elem_size, claim.map_or(0, |p| p.total_elements))
     }
 
-    /// Storage for `mapping` whose caller writes `written` elements: a
-    /// pooled version of an equal mapping, whole, else new descriptors
-    /// whose blocks take pooled buffers of their lengths, else fresh
-    /// ones. Pooled storage is zero-filled unless `written` covers
-    /// every stored element. The pool's lock is never held while zeroing
-    /// or freeing a buffer.
+    /// Storage for `mapping` whose caller writes `written` elements: the
+    /// most recently pooled version of an equal mapping, whole, else
+    /// fresh descriptors and buffers after everything pooled is
+    /// released. Pooled storage is zero-filled unless `written` covers
+    /// every stored element. The pool's lock is never held while
+    /// building, zeroing or freeing storage.
     fn draw(mapping: &NormalizedMapping, elem_size: u64, written: u64) -> Self {
         let elements = stored_by(mapping);
-        let descriptors = || Pooled { mapping: mapping.clone(), blocks: blocks_of(mapping) };
-        let mut flushed = Vec::new();
+        let mut pool = pool();
+        pool.held += elements;
         // Storage stays a `Pooled` while the lock is held: a panic there
         // drops nothing that takes the lock again.
-        let Pooled { mapping, blocks } = if elements < PAGE_WORDS {
-            descriptors()
+        let hit = pool.free.iter().rposition(|p| p.mapping == *mapping).map(|at| {
+            pool.pooled -= elements;
+            pool.free.remove(at)
+        });
+        let flushed = if hit.is_some() {
+            Vec::new()
         } else {
-            let mut pool = pool();
-            // Whole: every block still holds its buffer.
-            let whole = |p: &Pooled| p.blocks.iter().flatten().all(|b| b.data.len() == b.elements());
-            match pool.free.iter().position(|p| p.mapping == *mapping && whole(p)) {
-                Some(at) => {
-                    pool.held += elements;
-                    pool.pooled -= elements;
-                    pool.free.swap_remove(at)
-                }
-                None => {
-                    let mut shell = descriptors();
-                    pool.held += elements;
-                    for block in shell.blocks.iter_mut().flatten().filter(|b| b.elements() > 0) {
-                        let Some(buf) = take_buffer(&mut pool.free, block.elements()) else {
-                            pool.high = pool.high.max(pool.held);
-                            pool.pooled = 0;
-                            flushed = std::mem::take(&mut pool.free);
-                            break;
-                        };
-                        pool.pooled -= buf.len();
-                        block.data = buf;
-                    }
-                    shell
-                }
-            }
+            pool.high = pool.high.max(pool.held);
+            pool.pooled = 0;
+            std::mem::take(&mut pool.free)
         };
+        drop(pool);
         drop(flushed);
+        let Pooled { mapping, blocks } =
+            hit.unwrap_or_else(|| Pooled { mapping: mapping.clone(), blocks: blocks_of(mapping) });
         let mut version = VersionData { mapping, blocks, elem_size };
         debug_assert_eq!(elements, version.blocks.iter().flatten().map(LocalBlock::elements).sum());
         let zero = written != elements as u64;
@@ -595,10 +559,8 @@ impl VersionData {
         dense.copy_planned(self, &planned);
         let data = std::mem::take(&mut dense.dense_block().data);
         // The result leaves the runtime: it stops counting as held.
-        if data.len() >= PAGE_WORDS {
-            let mut pool = pool();
-            pool.held = pool.held.saturating_sub(data.len());
-        }
+        let mut pool = pool();
+        pool.held = pool.held.saturating_sub(data.len());
         data
     }
 
@@ -893,14 +855,15 @@ mod tests {
 
     #[test]
     fn pooled_and_held_never_exceed_the_high_water_of_held() {
-        // Two layouts of equal block lengths (a request for one is served
-        // by the other's buffers), one of other lengths, one below a page
-        // and one that reaches a page only through its replicas.
+        // Two layouts of equal block lengths (neither is served by the
+        // other's storage), one of other lengths, two below a page (64
+        // elements over 4 ranks is the smallest) and one replicated.
         let mappings = [
             mapping_1d(4096, 4, DimFormat::Block(None)),
             mapping_1d(4096, 4, DimFormat::Cyclic(Some(4))),
             mapping_1d(3000, 4, DimFormat::Block(None)),
             mapping_1d(256, 4, DimFormat::Cyclic(None)),
+            mapping_1d(64, 4, DimFormat::Block(None)),
             NormalizedMapping::replicated(GridId(0), Extents::new(&[2]), Extents::new(&[300])),
         ];
         let mut rng = 0x9E37_79B9_7F4A_7C15u64;

@@ -749,33 +749,37 @@ fn steady_state_remap_allocates_nothing() {
     assert!((0..n).all(|i| rt.get(&[i]) == want(i)), "the dealt bounce moved the data");
 
     // --- 17. Whole versions cross arrays. -------------------------------
-    // A released version goes to the pool whole: buffers, block table
-    // and owned-set descriptors. Array `a` runs a warm BLOCK <-> CYCLIC(4)
-    // bounce whose cleaning frees the source and is dropped; array `b`,
-    // over the same versions with its plans seeded outside the window,
-    // instantiates its entry version and bounces once without asking
-    // the allocator for anything, of any size: each request takes a
-    // version `a` released, as it is.
-    let n = 4096u64;
-    let versions = vec![mk(n, 4, DimFormat::Block(None)), mk(n, 4, DimFormat::Cyclic(Some(4)))];
-    let mut machine = isolated();
-    let mut a = ArrayRt::new("a", versions.clone(), 8);
-    a.current(&mut machine, 0).fill(|p| p[0] as f64);
-    for _ in 0..2 {
-        remap(&mut a, &mut machine, 1, &only1, false);
-        remap(&mut a, &mut machine, 0, &only0, false);
+    // A released version goes to the pool whole, whatever its size:
+    // buffers, block table and owned-set descriptors. Array `a` runs a
+    // warm BLOCK <-> CYCLIC(4) bounce whose cleaning frees the source and
+    // is dropped; array `b`, over the same versions with its plans seeded
+    // outside the window, instantiates its entry version and bounces once
+    // without asking the allocator for anything, of any size: each
+    // request takes a version `a` released, as it is. Once with blocks of
+    // two pages, once with blocks of 16 elements (64 over 4 ranks, far
+    // under a page).
+    for n in [4096u64, 64] {
+        let versions =
+            vec![mk(n, 4, DimFormat::Block(None)), mk(n, 4, DimFormat::Cyclic(Some(4)))];
+        let mut machine = isolated();
+        let mut a = ArrayRt::new("a", versions.clone(), 8);
+        a.current(&mut machine, 0).fill(|p| p[0] as f64);
+        for _ in 0..2 {
+            remap(&mut a, &mut machine, 1, &only1, false);
+            remap(&mut a, &mut machine, 0, &only0, false);
+        }
+        let mut b = ArrayRt::new("b", versions, 8);
+        for (s, d) in [(0u32, 1u32), (1, 0)] {
+            b.seed_plan(s, d, a.planned(&mut machine, s, d));
+        }
+        drop(a);
+        let performed = machine.stats.remaps_performed;
+        let before = allocations();
+        b.current(&mut machine, 0);
+        remap(&mut b, &mut machine, 1, &only1, false);
+        remap(&mut b, &mut machine, 0, &only0, false);
+        assert_eq!(allocations(), before, "n = {n}: a second array's versions allocated");
+        assert_eq!(machine.stats.remaps_performed, performed + 2, "n = {n}: both hops moved data");
+        assert!((0..n).all(|i| b.get(&[i]) == 0.0), "n = {n}: pooled storage reads as fresh");
     }
-    let mut b = ArrayRt::new("b", versions, 8);
-    for (s, d) in [(0u32, 1u32), (1, 0)] {
-        b.seed_plan(s, d, a.planned(&mut machine, s, d));
-    }
-    drop(a);
-    let performed = machine.stats.remaps_performed;
-    let before = allocations();
-    b.current(&mut machine, 0);
-    remap(&mut b, &mut machine, 1, &only1, false);
-    remap(&mut b, &mut machine, 0, &only0, false);
-    assert_eq!(allocations(), before, "a second array's versions allocated");
-    assert_eq!(machine.stats.remaps_performed, performed + 2, "both hops moved data");
-    assert!((0..n).all(|i| b.get(&[i]) == 0.0), "pooled storage reads as a fresh version");
 }
