@@ -448,6 +448,10 @@ impl Analyzer {
             self.reject(name, span, "TEMPLATE extents must be constants");
             return None;
         };
+        if shape.contains(&0) {
+            self.reject(name, span, format!("template `{name}` has an extent of zero"));
+            return None;
+        }
         let id = self.env.add_template(name, &shape);
         self.symbols.insert(name.to_string(), Symbol::Template(id));
         Some(id)
@@ -466,6 +470,10 @@ impl Analyzer {
             self.reject(&e.name, span, "array extents must be constants");
             return;
         };
+        if shape.contains(&0) {
+            self.reject(&e.name, span, format!("array `{}` has an extent of zero", e.name));
+            return;
+        }
         if shape.len() > MAX_RANK {
             let what =
                 format!("`{}` has rank {}; at most {MAX_RANK} is allowed", e.name, shape.len());

@@ -307,8 +307,8 @@ fn an_alignment_beyond_its_template_is_reported_at_the_align() {
     assert_eq!(errs[0].span.line, 5, "{errs:?}");
 }
 
-/// A zero grid extent or a zero BLOCK/CYCLIC size is one mistake,
-/// reported once, at its own line.
+/// A zero extent — of a grid, an array or a template — or a zero
+/// BLOCK/CYCLIC size is one mistake, reported once, at its own line.
 #[test]
 fn zero_grid_extents_and_block_sizes_are_rejected_at_their_line() {
     let cases = [
@@ -324,6 +324,20 @@ fn zero_grid_extents_and_block_sizes_are_rejected_at_their_line() {
             "subroutine s\nreal :: a(8, 8)\n!hpf$ processors p(2, 0)\n\
              !hpf$ distribute a(block, block) onto p\na = 1.0\nend",
             3,
+            "zero",
+        ),
+        (
+            "array",
+            "subroutine s\nreal :: a(0)\n!hpf$ processors p(4)\n\
+             !hpf$ distribute a(block) onto p\na = 1.0\nend",
+            2,
+            "zero",
+        ),
+        (
+            "template",
+            "subroutine s\nreal :: a(8)\n!hpf$ processors p(4)\n!hpf$ template t(0)\n\
+             !hpf$ align a(i) with t(i)\n!hpf$ distribute t(block) onto p\na = 1.0\nend",
+            4,
             "zero",
         ),
         (

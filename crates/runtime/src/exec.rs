@@ -1,11 +1,11 @@
 //! Compiled copy programs: the data-movement half of a remap, resolved
 //! once at plan time into stride-encoded run families
-//! ([`StrideFamily`]) plus an irregular residue of flat
-//! `(src_pos, dst_pos, len)` triples, each unit labelled with the
-//! [`Kernel`] shape it compiles to. This module is the *artifact* —
-//! its encoding, its compilation, its fingerprint; the one interpreter
-//! that replays it (allocation-free and serial on every `Machine`) is
-//! the crate's `replay` module.
+//! ([`StrideFamily`]), each unit labelled with the [`Kernel`] shape its
+//! families make. Every run lies in exactly one family: a run that no
+//! progression covers is a family of one. This module is the
+//! *artifact* — its encoding, its compilation, its fingerprint; the one
+//! interpreter that replays it (allocation-free and serial on every
+//! `Machine`) is the crate's `replay` module.
 //!
 //! # Before / after
 //!
@@ -29,20 +29,19 @@
 //!   ([`intersect_families`]: one period's runs × a repeat count, both
 //!   sides' local steps from two `count_below`s), not per run. A
 //!   streaming encoder turns each (provider, receiver) pair's items
-//!   into [`StrideFamily`]s plus residual [`CopyRun`]s — what the
-//!   merge-then-greedy passes over the listed runs would produce, byte
-//!   for byte, wherever a period holds one run; where it holds several,
-//!   one family per base run (after merging what is contiguous on both
-//!   sides), which is the smaller artifact — grouped into
-//!   per-(provider, receiver) [`CopyUnit`]s;
+//!   into [`StrideFamily`]s — what the merge-then-greedy passes over
+//!   the listed runs would produce, byte for byte, wherever a period
+//!   holds one run; where it holds several, one family per base run
+//!   (after merging what is contiguous on both sides), which is the
+//!   smaller artifact — grouped into per-(provider, receiver)
+//!   [`CopyUnit`]s;
 //! * **replay** ([`crate::VersionData::copy_values_from_program`],
-//!   every later copy): every family and residual triple goes through
-//!   one run kernel, whose loop is picked once per family from the run
-//!   width — fixed-size moves for runs of 1, 2, 4 and 8 words,
-//!   `copy_from_slice` for any other. No positions are recomputed,
-//!   nothing is allocated — the steady-state remap path performs zero
-//!   heap allocations (pinned by the counting-allocator test
-//!   `alloc_free.rs`).
+//!   every later copy): every family goes through one run kernel, whose
+//!   loop is picked once per family from the run width — fixed-size
+//!   moves for runs of 1, 2, 4 and 8 words, `copy_from_slice` for any
+//!   other. No positions are recomputed, nothing is allocated — the
+//!   steady-state remap path performs zero heap allocations (pinned by
+//!   the counting-allocator test `alloc_free.rs`).
 //!
 //! # Rounds
 //!
@@ -82,37 +81,24 @@ pub enum ExecMode {
     Parallel(usize),
 }
 
-/// One precompiled contiguous copy: `len` elements from local position
-/// `src_pos` of the provider's block to local position `dst_pos` of the
-/// receiver's block. Positions are `u32` deliberately — half the memory
-/// and twice the cache density of `usize` triples; blocks larger than
-/// `u32::MAX` elements make [`CopyProgram::try_compile`] decline (the
-/// table engine then serves as the fallback).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CopyRun {
-    /// Element offset in the provider's local data.
-    pub src_pos: u32,
-    /// Element offset in the receiver's local data.
-    pub dst_pos: u32,
-    /// Run length in elements.
-    pub len: u32,
-}
-
 /// A stride-encoded family of copy runs: `count` runs of `len`
 /// elements each, whose `(src_pos, dst_pos)` pairs form an arithmetic
 /// progression starting at `(src_base, dst_base)` with per-run steps
-/// `(src_step, dst_step)`. One 24-byte descriptor replaces `count`
-/// 12-byte triples — for a cyclic(1) destination (one triple per
-/// *element* in the flat encoding) the whole (provider, receiver) pair
-/// collapses to a single family, shrinking the n=4M artifact from
-/// O(n) triples to O(P_src × P_dst) descriptors.
+/// `(src_step, dst_step)`. One 24-byte descriptor stands for `count`
+/// runs — for a cyclic(1) destination (one run per *element*) the whole
+/// (provider, receiver) pair collapses to a single family, shrinking
+/// the n=4M artifact from O(n) runs to O(P_src × P_dst) descriptors. A
+/// run no progression covers is a lone run: `count == 1`, steps 0.
+/// Positions are `u32` deliberately — blocks larger than `u32::MAX`
+/// elements make [`CopyProgram::try_compile`] decline (the table engine
+/// then serves as the fallback).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StrideFamily {
     /// Element offset of the first run in the provider's local data.
     pub src_base: u32,
     /// Element offset of the first run in the receiver's local data.
     pub dst_base: u32,
-    /// Number of runs in the family (≥ `MIN_FAMILY`).
+    /// Number of runs in the family (≥ 1).
     pub count: u32,
     /// Source offset advance between consecutive runs.
     pub src_step: u32,
@@ -122,32 +108,31 @@ pub struct StrideFamily {
     pub len: u32,
 }
 
-/// The shape of a [`CopyUnit`]'s encoded runs — a label stamped at
-/// compile time, covered by the fingerprint and reported by traces.
-/// Replay does not dispatch on it: every unit's families and residual
-/// triples go through one run kernel, which picks its loop once per
-/// family (or triple) from the run width.
+/// The shape of a [`CopyUnit`]'s families — a label stamped at compile
+/// time, covered by the fingerprint and reported by traces. A family is
+/// a *progression* when it holds several runs, else a *lone run*.
+/// Replay does not dispatch on it: every family goes through one run
+/// kernel, which picks its loop once per family from the run width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// Exactly one contiguous residual run: the whole unit is one copy.
+    /// Exactly one lone run: the whole unit is one copy.
     Memcpy,
-    /// Families only, every run one element long (the cyclic(1)
+    /// Progressions only, every run one element long (the cyclic(1)
     /// shape): a gather/scatter of single words.
     Gather,
-    /// Families only, general run length.
+    /// Progressions only, general run length.
     Strided,
-    /// Residual triples only (or an empty unit).
+    /// Lone runs only, more than one (or an empty unit).
     Triples,
-    /// Both families and residual triples.
+    /// Both progressions and lone runs.
     Mixed,
 }
 
-/// All runs of one (provider, receiver) pair: `fams` and `runs` are
-/// half-open index ranges into [`CopyProgram::fams`] /
-/// [`CopyProgram::runs`], and `kernel` labels their shape. Local units
-/// have `provider == receiver` (the receiver already holds the elements
-/// under the source mapping); remote units correspond one-to-one to the
-/// schedule's packed messages.
+/// All runs of one (provider, receiver) pair: `fams` is a half-open
+/// index range into [`CopyProgram::fams`], and `kernel` labels its
+/// shape. Local units have `provider == receiver` (the receiver already
+/// holds the elements under the source mapping); remote units
+/// correspond one-to-one to the schedule's packed messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CopyUnit {
     /// Rank whose *source-version* block is read.
@@ -156,8 +141,6 @@ pub struct CopyUnit {
     pub receiver: u64,
     /// Half-open range into the program's stride-family list.
     pub fams: (u32, u32),
-    /// Half-open range into the program's residual flat run list.
-    pub runs: (u32, u32),
     /// The shape label chosen at compile time (not read by replay).
     pub kernel: Kernel,
     /// Total elements this unit moves (the load-balancing weight).
@@ -174,7 +157,7 @@ pub struct CopyUnit {
 pub const SERIAL_END: u16 = u16::MAX;
 
 // The links fit the padding behind `kernel`: the order costs no bytes.
-const _: () = assert!(std::mem::size_of::<CopyUnit>() == 48);
+const _: () = assert!(std::mem::size_of::<CopyUnit>() == 40);
 
 /// A compiled copy program: the executable form of one redistribution's
 /// data movement. Built once per (source, destination) version pair and
@@ -183,7 +166,7 @@ const _: () = assert!(std::mem::size_of::<CopyUnit>() == 48);
 /// [`crate::VersionData::copy_values_from_program`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CopyProgram {
-    /// The (source, destination) mapping pair the triples were
+    /// The (source, destination) mapping pair the families were
     /// compiled for — replay refuses to apply them to any other pair
     /// (precompiled positions are meaningless against different block
     /// layouts). The `Arc` is shared with
@@ -193,10 +176,6 @@ pub struct CopyProgram {
     pub mappings: std::sync::Arc<(hpfc_mapping::NormalizedMapping, hpfc_mapping::NormalizedMapping)>,
     /// Stride-encoded run families, unit `fams` ranges index this.
     pub fams: Vec<StrideFamily>,
-    /// Residual flat `(src_pos, dst_pos, len)` triples — only the
-    /// genuinely irregular remainder that no arithmetic progression
-    /// covers; unit `runs` ranges index this.
-    pub runs: Vec<CopyRun>,
     /// Local units (`provider == receiver`), sorted by receiver — one
     /// round-like group whose receivers are all distinct.
     pub local: Vec<CopyUnit>,
@@ -213,7 +192,7 @@ pub struct CopyProgram {
     /// Whether the serial walk is blocked by receiver (the destination
     /// is the strided side) rather than by provider.
     pub receiver_major: bool,
-    /// Integrity fingerprint over the triples and units, computed at
+    /// Integrity fingerprint over the families and units, computed at
     /// compile time. The guarded replay path recomputes it before
     /// trusting a cached program ([`CopyProgram::integrity_ok`]): a
     /// poisoned cache entry cannot keep its fingerprint consistent, so
@@ -249,19 +228,18 @@ impl std::fmt::Display for CompileDecline {
 }
 
 impl CopyProgram {
-    /// Number of precompiled runs: every run a stride family encodes
-    /// plus the residual triples — the same logical copy count the
-    /// pre-stride flat encoding stored (modulo contiguous coalescing).
+    /// Number of precompiled runs: every run a stride family encodes —
+    /// the logical copy count a flat run list would store (modulo
+    /// contiguous coalescing).
     pub fn n_runs(&self) -> u64 {
-        self.fams.iter().map(|f| f.count as u64).sum::<u64>() + self.runs.len() as u64
+        self.fams.iter().map(|f| f.count as u64).sum()
     }
 
     /// Bytes the compiled artifact's run encoding occupies — the
     /// cache-residency number the stride encoding exists to shrink
-    /// (families + residual triples + unit descriptors).
+    /// (families + unit descriptors).
     pub fn artifact_bytes(&self) -> usize {
         self.fams.len() * std::mem::size_of::<StrideFamily>()
-            + self.runs.len() * std::mem::size_of::<CopyRun>()
             + (self.local.len() + self.rounds.iter().map(Vec::len).sum::<usize>())
                 * std::mem::size_of::<CopyUnit>()
     }
@@ -309,11 +287,10 @@ impl CopyProgram {
     }
 
     /// Fingerprint of the program's executable content: every stride
-    /// family, every residual triple, every unit boundary (family and
-    /// run ranges, kernel tag, serial link), and the totals. Any
-    /// single-field corruption of a cached program changes the value,
-    /// and memory corruption cannot keep the stored fingerprint
-    /// consistent with recomputation.
+    /// family, every unit boundary (family range, kernel tag, serial
+    /// link), and the totals. Any single-field corruption of a cached
+    /// program changes the value, and memory corruption cannot keep the
+    /// stored fingerprint consistent with recomputation.
     fn content_fingerprint(&self) -> u64 {
         let link = |(group, index): (u16, u32)| ((group as u64) << 32) | index as u64;
         let mut h = 0xCBF2_9CE4_8422_2325u64;
@@ -325,16 +302,10 @@ impl CopyProgram {
             h = mix64(h ^ (((f.src_step as u64) << 32) | f.dst_step as u64));
             h = mix64(h ^ (((f.count as u64) << 32) | f.len as u64));
         }
-        h = mix64(h ^ self.runs.len() as u64);
-        for r in &self.runs {
-            h = mix64(h ^ (((r.src_pos as u64) << 32) | r.dst_pos as u64));
-            h = mix64(h ^ r.len as u64);
-        }
         h = mix64(h ^ self.rounds.len() as u64);
         for u in self.local.iter().chain(self.rounds.iter().flatten()) {
             h = mix64(h ^ (u.provider.rotate_left(32) ^ u.receiver));
             h = mix64(h ^ (((u.fams.0 as u64) << 32) | u.fams.1 as u64));
-            h = mix64(h ^ (((u.runs.0 as u64) << 32) | u.runs.1 as u64));
             h = mix64(h ^ u.elements);
             h = mix64(h ^ u.kernel as u64);
             h = mix64(h ^ link((u.next_group, u.next_index)));
@@ -372,7 +343,6 @@ impl CopyProgram {
             return Ok(CopyProgram {
                 mappings,
                 fams: Vec::new(),
-                runs: Vec::new(),
                 local: Vec::new(),
                 rounds,
                 total_elements: 0,
@@ -395,7 +365,7 @@ impl CopyProgram {
         // Decline closed-form first: every recorded position is a
         // prefix count into one rank's local block, bounded by that
         // rank's per-dim count product — so when any side's largest
-        // local volume exceeds the u32 triple format, some position
+        // local volume exceeds the u32 family format, some position
         // must overflow, and the program is refused in O(descriptor
         // entries). This pre-check, the encoder's emissions, the
         // unit-range assembly, and the stride-family counts all funnel
@@ -441,12 +411,12 @@ impl CopyProgram {
         combos.sort_unstable();
 
         // Assemble: stride-encode each pair's items — the copy of the
-        // table engine replaced by position recording — into families
-        // plus an irregular residual, and partition units into the local
-        // group and the schedule's rounds. Pairs come in (provider,
-        // receiver) order; each round is re-sorted by receiver because
-        // the guarded round's truncation cut and corruption victim index
-        // its concatenated unit list in that order (the fault sites
+        // table engine replaced by position recording — into families,
+        // and partition units into the local group and the schedule's
+        // rounds. Pairs come in (provider, receiver) order; each round
+        // is re-sorted by receiver because the guarded round's
+        // truncation cut and corruption victim index its concatenated
+        // unit list in that order (the fault sites
         // `fault_sites_are_pinned_for_solo_and_group_bounces` pins).
         let mut walk = CombinationWalk {
             per_dim,
@@ -457,30 +427,23 @@ impl CopyProgram {
             cur: vec![(0, 0); rank - 1],
         };
         let mut fams = Vec::new();
-        let mut runs = Vec::new();
         let mut local = Vec::new();
         let mut rounds: Vec<Vec<CopyUnit>> = vec![Vec::new(); schedule.rounds.len()];
         let mut total_elements = 0u64;
         for pair in combos.chunk_by(|a, b| a.0 == b.0) {
             let (provider, receiver) = pair[0].0;
-            let f_start = fit_u32(fams.len() as u64)?;
-            let r_start = fit_u32(runs.len() as u64)?;
-            let mut unit = UnitEncoder::new(&mut fams, &mut runs);
+            let start = fit_u32(fams.len() as u64)?;
+            let mut unit = UnitEncoder::new(&mut fams);
             for &(_, at) in pair {
                 walk.record(&picks[at..at + rank], &mut unit)?;
             }
             let elements = unit.finish()?;
-            let f_end = fit_u32(fams.len() as u64)?;
-            let r_end = fit_u32(runs.len() as u64)?;
             total_elements += elements;
-            let kernel =
-                choose_kernel(&fams[f_start as usize..], &runs[r_start as usize..]);
             let unit = CopyUnit {
                 provider,
                 receiver,
-                fams: (f_start, f_end),
-                runs: (r_start, r_end),
-                kernel,
+                fams: (start, fit_u32(fams.len() as u64)?),
+                kernel: choose_kernel(&fams[start as usize..]),
                 elements,
                 next_group: SERIAL_END,
                 next_index: 0,
@@ -509,7 +472,6 @@ impl CopyProgram {
         Ok(CopyProgram {
             mappings,
             fams,
-            runs,
             local,
             rounds,
             total_elements,
@@ -581,17 +543,10 @@ impl GroupCopyProgram {
     }
 }
 
-/// Fewest runs an arithmetic progression must cover before the encoder
-/// emits a [`StrideFamily`] instead of residual triples — below this a
-/// 24-byte descriptor plus loop control beats 12-byte triples by too
-/// little to matter.
-pub(crate) const MIN_FAMILY: usize = 4;
-
 /// The single u32-overflow gate of program compilation: every local
-/// position, run index, family index, and family count funnels through
-/// here, so any >4Gi shape declines via one
-/// [`CompileDecline::PositionOverflow`] path (the table engine's u64
-/// arithmetic is the fallback).
+/// position, family index, and family count funnels through here, so
+/// any >4Gi shape declines via one [`CompileDecline::PositionOverflow`]
+/// path (the table engine's u64 arithmetic is the fallback).
 #[inline]
 fn fit_u32(x: u64) -> Result<u32, CompileDecline> {
     u32::try_from(x).map_err(|_| CompileDecline::PositionOverflow)
@@ -722,26 +677,26 @@ fn regroup_bodies(items: &[Item], out: &mut Vec<Item>) {
 /// the pair's [`Item`]s in walk order, it emits exactly what the two
 /// passes over the expanded run list would — merge runs contiguous on
 /// BOTH sides (a unit-stride span is one memcpy at replay, however the
-/// walk sliced it), then greedily detect arithmetic progressions in
-/// `(src_pos, dst_pos)` of equal-length runs: ≥ [`MIN_FAMILY`] of them
-/// become a [`StrideFamily`], the genuinely irregular remainder stays
-/// explicit triples — but steps over an item's interior in O(1).
-/// Positions within one pair ascend within a combination, so steps are
-/// non-negative; where they jump backward the progression breaks.
+/// walk sliced it), then greedily extend arithmetic progressions in
+/// `(src_pos, dst_pos)` of equal-length runs, each maximal one a
+/// [`StrideFamily`] (a run no progression takes is a family of one) —
+/// but steps over an item's interior in O(1). Positions within one
+/// pair ascend within a combination, so steps are non-negative; where
+/// they jump backward the progression breaks.
 struct UnitEncoder<'a> {
     /// Pass 1: the last item pushed, whose last run may yet grow.
     pending: Option<Item>,
     /// Pass 2: the progression being extended (steps valid from 2 runs).
     open: Option<Item>,
-    /// The program's tables, which the unit's encoding is appended to.
+    /// The program's family table, which the unit's encoding is
+    /// appended to.
     fams: &'a mut Vec<StrideFamily>,
-    runs: &'a mut Vec<CopyRun>,
     elements: u64,
 }
 
 impl<'a> UnitEncoder<'a> {
-    fn new(fams: &'a mut Vec<StrideFamily>, runs: &'a mut Vec<CopyRun>) -> Self {
-        UnitEncoder { pending: None, open: None, fams, runs, elements: 0 }
+    fn new(fams: &'a mut Vec<StrideFamily>) -> Self {
+        UnitEncoder { pending: None, open: None, fams, elements: 0 }
     }
 
     /// Pass 1 over the next item of the stream.
@@ -797,70 +752,22 @@ impl<'a> UnitEncoder<'a> {
     }
 
     /// One greedy step: extend the open progression by the run, or
-    /// close it and open the next one.
+    /// close it — whatever its count — and open the next one.
     fn feed_run(&mut self, src: u64, dst: u64, len: u64) -> Result<(), CompileDecline> {
-        let Some(mut open) = self.open.take() else {
-            self.open = Some(Item::run(src, dst, len));
+        let run = Item::run(src, dst, len);
+        let Some(open) = self.open.as_mut() else {
+            self.open = Some(run);
             return Ok(());
         };
         let (last_src, last_dst) = open.at(open.count - 1);
-        let step = if len == open.len {
-            src.checked_sub(last_src).zip(dst.checked_sub(last_dst))
-        } else {
-            None
-        };
-        if open.count == 1 {
-            if let Some((src_step, dst_step)) = step {
-                self.open = Some(Item { count: 2, src_step, dst_step, ..open });
-                return Ok(());
+        let step = src.checked_sub(last_src).zip(dst.checked_sub(last_dst));
+        match step.filter(|_| len == open.len) {
+            Some((src_step, dst_step)) if open.count == 1 => {
+                *open = Item { count: 2, src_step, dst_step, ..*open }
             }
-        } else if step == Some((open.src_step, open.dst_step)) {
-            open.count += 1;
-            self.open = Some(open);
-            return Ok(());
-        } else if (open.count as usize) < MIN_FAMILY {
-            // Too short for a family: all but its last run are
-            // residual, and the last may start a progression with the
-            // new run.
-            for k in 0..open.count - 1 {
-                let (s, d) = open.at(k);
-                self.emit_run(s, d, open.len)?;
-            }
-            self.open = Some(Item::run(last_src, last_dst, open.len));
-            return self.feed_run(src, dst, len);
+            Some(step) if step == (open.src_step, open.dst_step) => open.count += 1,
+            _ => self.fams.push(family(std::mem::replace(open, run))?),
         }
-        self.close(open)?;
-        self.open = Some(Item::run(src, dst, len));
-        Ok(())
-    }
-
-    /// Emit a finished progression: a family, or residual triples below
-    /// [`MIN_FAMILY`].
-    fn close(&mut self, p: Item) -> Result<(), CompileDecline> {
-        if (p.count as usize) < MIN_FAMILY {
-            for k in 0..p.count {
-                let (s, d) = p.at(k);
-                self.emit_run(s, d, p.len)?;
-            }
-            return Ok(());
-        }
-        self.fams.push(StrideFamily {
-            src_base: fit_u32(p.src)?,
-            dst_base: fit_u32(p.dst)?,
-            count: fit_u32(p.count)?,
-            src_step: fit_u32(p.src_step)?,
-            dst_step: fit_u32(p.dst_step)?,
-            len: fit_u32(p.len)?,
-        });
-        Ok(())
-    }
-
-    fn emit_run(&mut self, src: u64, dst: u64, len: u64) -> Result<(), CompileDecline> {
-        self.runs.push(CopyRun {
-            src_pos: fit_u32(src)?,
-            dst_pos: fit_u32(dst)?,
-            len: fit_u32(len)?,
-        });
         Ok(())
     }
 
@@ -870,10 +777,23 @@ impl<'a> UnitEncoder<'a> {
             self.feed(p)?;
         }
         if let Some(open) = self.open.take() {
-            self.close(open)?;
+            self.fams.push(family(open)?);
         }
         Ok(self.elements)
     }
+}
+
+/// The [`StrideFamily`] of a finished progression (a lone run keeps
+/// the zero steps [`Item::run`] gave it).
+fn family(p: Item) -> Result<StrideFamily, CompileDecline> {
+    Ok(StrideFamily {
+        src_base: fit_u32(p.src)?,
+        dst_base: fit_u32(p.dst)?,
+        count: fit_u32(p.count)?,
+        src_step: fit_u32(p.src_step)?,
+        dst_step: fit_u32(p.dst_step)?,
+        len: fit_u32(p.len)?,
+    })
 }
 
 /// Thread the serial replay order through the units' `next_*` links;
@@ -882,7 +802,7 @@ impl<'a> UnitEncoder<'a> {
 /// provider-major for a strided source (gather), receiver-major for a
 /// strided destination (scatter) — so all units of one sparsely swept
 /// block are adjacent. Contiguous units sweep equal spans and take
-/// provider-major, the order of the family and run tables.
+/// provider-major, the order of the family table.
 /// O(units log units), independent of the extent.
 fn thread_serial_order(
     fams: &[StrideFamily],
@@ -918,16 +838,16 @@ fn thread_serial_order(
     Ok((next, receiver_major))
 }
 
-/// Label the shape of one unit's encoded runs.
-fn choose_kernel(fams: &[StrideFamily], runs: &[CopyRun]) -> Kernel {
-    match (fams.is_empty(), runs.is_empty()) {
-        // A unit-stride span coalesces to a single residual triple:
-        // the whole unit is one copy.
-        (true, false) if runs.len() == 1 => Kernel::Memcpy,
-        (true, _) => Kernel::Triples,
-        (false, true) if fams.iter().all(|f| f.len == 1) => Kernel::Gather,
-        (false, true) => Kernel::Strided,
-        (false, false) => Kernel::Mixed,
+/// Label one unit by its families: lone runs (`count == 1`) and
+/// progressions.
+fn choose_kernel(fams: &[StrideFamily]) -> Kernel {
+    let lone = fams.iter().filter(|f| f.count == 1).count();
+    match (lone, fams.len() - lone) {
+        (1, 0) => Kernel::Memcpy,
+        (_, 0) => Kernel::Triples,
+        (0, _) if fams.iter().all(|f| f.len == 1) => Kernel::Gather,
+        (0, _) => Kernel::Strided,
+        _ => Kernel::Mixed,
     }
 }
 
@@ -1078,10 +998,7 @@ mod tests {
         // The order rides in the unit descriptors: same artifact size,
         // and covered by the fingerprint.
         let units = gather.local.len() + gather.rounds.iter().map(Vec::len).sum::<usize>();
-        assert_eq!(
-            gather.artifact_bytes(),
-            gather.fams.len() * 24 + gather.runs.len() * 12 + units * 48
-        );
+        assert_eq!(gather.artifact_bytes(), gather.fams.len() * 24 + units * 40);
         // Whatever the order, the walk moves every element exactly once.
         let moved: u64 = gather.serial_order().map(|u| u.elements).sum();
         assert_eq!(moved, 4096);
@@ -1158,7 +1075,7 @@ mod tests {
         );
         // A single 6 Gi-element block: local positions exceed u32::MAX.
         // Declined closed-form from the descriptor counts — nothing
-        // here allocates 6 Gi of data or a single triple.
+        // here allocates 6 Gi of data or a single family.
         let n = 6u64 << 30;
         let src = mk(n, 1, DimFormat::Block(None));
         let dst = mk(n, 1, DimFormat::Cyclic(Some(3)));
@@ -1172,7 +1089,7 @@ mod tests {
 
     #[test]
     fn cyclic1_collapses_to_gather_families() {
-        // Block → Cyclic(1): the flat encoding stores one triple per
+        // Block → Cyclic(1): a flat encoding stores one run per
         // element; the stride encoder collapses every (provider,
         // receiver) pair to one gather family.
         let n = 1u64 << 18;
@@ -1180,17 +1097,17 @@ mod tests {
         let dst = mk(n, 16, DimFormat::Cyclic(None));
         let (_, prog) = compiled(&src, &dst);
         assert!(prog.fams.len() <= 16 * 16, "O(P_src × P_dst) descriptors");
-        assert!(prog.runs.is_empty(), "no irregular remainder in the cyclic(1) shape");
+        assert!(prog.fams.iter().all(|f| f.count > 1), "no lone run in the cyclic(1) shape");
         assert_eq!(prog.n_runs(), n, "still n logical single-element runs");
         for u in prog.local.iter().chain(prog.rounds.iter().flatten()) {
             assert_eq!(u.kernel, Kernel::Gather);
         }
-        // The acceptance bar: ≥100× smaller than the triple encoding,
-        // which stores every logical run as a 12-byte triple.
+        // The acceptance bar: ≥100× smaller than a flat encoding, which
+        // stores every logical run as a 12-byte (src, dst, len) triple.
         let moves = element_moves(&prog);
         assert_eq!(moves.len() as u64, n);
         let units = prog.local.len() + prog.rounds.iter().map(Vec::len).sum::<usize>();
-        let flat_bytes = prog.n_runs() as usize * 12 + units * 48;
+        let flat_bytes = prog.n_runs() as usize * 12 + units * 40;
         assert!(
             prog.artifact_bytes() * 100 <= flat_bytes,
             "strided artifact {}B vs flat {}B",
@@ -1275,15 +1192,15 @@ mod tests {
         b.copy_values_from_program(&a, &prog, ExecMode::Serial);
         assert_eq!(a.to_dense(), b.to_dense());
         // Block → block: each pair's contribution is contiguous on
-        // both sides, coalesces to one triple, and the whole unit is a
+        // both sides, coalesces to one lone run, and the whole unit is a
         // single memcpy.
         let src = mk(64, 4, DimFormat::Block(None));
         let dst = mk(64, 2, DimFormat::Block(None));
         let (_, prog) = compiled(&src, &dst);
-        assert!(prog.fams.is_empty());
+        assert!(prog.fams.iter().all(|f| (f.count, f.src_step, f.dst_step) == (1, 0, 0)));
         for u in prog.local.iter().chain(prog.rounds.iter().flatten()) {
             assert_eq!(u.kernel, Kernel::Memcpy);
-            assert_eq!(u.runs.1 - u.runs.0, 1);
+            assert_eq!(u.fams.1 - u.fams.0, 1);
         }
         let mut a = VersionData::new(src, 8);
         a.fill(|p| p[0] as f64);
@@ -1296,7 +1213,7 @@ mod tests {
     fn overflow_boundary_is_exact_and_unified() {
         // Exactly u32::MAX local elements: the largest block the u32
         // format admits. Compiles (closed-form, no data allocated) to
-        // a single coalesced memcpy triple.
+        // a single coalesced lone run.
         let n = u64::from(u32::MAX);
         let src = mk(n, 1, DimFormat::Block(None));
         let dst = mk(n, 1, DimFormat::Cyclic(Some(3)));
@@ -1346,10 +1263,11 @@ mod tests {
         let dst = mk(64, 4, DimFormat::Cyclic(Some(3)));
         let (_, mut prog) = compiled(&src, &dst);
         assert!(prog.integrity_ok());
-        let orig = prog.runs[0];
-        prog.runs[0].src_pos = prog.runs[0].src_pos.wrapping_add(1);
-        assert!(!prog.integrity_ok(), "a scribbled triple must be detected");
-        prog.runs[0] = orig;
+        let lone = prog.fams.iter().position(|f| f.count == 1).expect("clipped chunks run alone");
+        let orig = prog.fams[lone];
+        prog.fams[lone].src_base = orig.src_base.wrapping_add(1);
+        assert!(!prog.integrity_ok(), "a scribbled lone run must be detected");
+        prog.fams[lone] = orig;
         assert!(prog.integrity_ok());
         prog.fingerprint ^= 1;
         assert!(!prog.integrity_ok(), "a scribbled fingerprint must be detected");

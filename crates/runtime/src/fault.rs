@@ -20,7 +20,7 @@
 //! * **Detection** — per-round conservation counts (elements replayed
 //!   vs. schedule-planned), optional per-unit checksums over the copied
 //!   words ([`ValidationLevel::Checksums`]), and a compile-time
-//!   fingerprint over every cached program's triples
+//!   fingerprint over every cached program's families
 //!   ([`crate::CopyProgram::integrity_ok`]).
 //! * **Recovery** — one ladder behind every remap statement
 //!   (`try_remap_guarded` and `try_remap_group`): bounded retry of the
@@ -170,13 +170,11 @@ impl FaultPlan {
         if (h % 100) as u32 >= self.rate {
             return None;
         }
-        let enabled: Vec<FaultKind> =
-            FaultKind::WIRE.iter().copied().filter(|k| self.kinds & k.bit() != 0).collect();
-        if enabled.is_empty() {
-            return None;
-        }
-        let pick = ((h >> 32) as usize) % enabled.len();
-        Some((enabled[pick], h))
+        // The k-th enabled kind, picked without collecting: a healed
+        // fault allocates nothing.
+        let mut enabled = FaultKind::WIRE.into_iter().filter(|k| self.kinds & k.bit() != 0);
+        let pick = ((h >> 32) as usize).checked_rem(enabled.clone().count())?;
+        Some((enabled.nth(pick)?, h))
     }
 
     /// Whether this remap's served programs get poisoned (decided once
@@ -311,20 +309,17 @@ impl std::error::Error for ExecError {}
 pub struct InjectedPanic;
 
 /// Corrupt a compiled program in place — the `PoisonProgram` fault.
-/// Zeroing the source positions (family bases and residual triples
-/// alike) keeps every run in bounds (because `pos + extent <=
-/// block_len` implies the zero-based extent fits too) while changing
-/// what the program copies; the fingerprint catches it either way.
+/// Zeroing the families' source bases keeps every run in bounds
+/// (because `pos + extent <= block_len` implies the zero-based extent
+/// fits too) while changing what the program copies; the fingerprint
+/// catches it either way.
 pub(crate) fn poison_program(p: &mut CopyProgram) {
     for f in &mut p.fams {
         f.src_base = 0;
     }
-    for r in &mut p.runs {
-        r.src_pos = 0;
-    }
     if p.integrity_ok() {
         // Degenerate program unchanged by the scribble (e.g. every
-        // src_pos already 0): corrupt the fingerprint itself instead.
+        // src_base already 0): corrupt the fingerprint itself instead.
         p.fingerprint ^= 0x5A5A_5A5A;
     }
 }

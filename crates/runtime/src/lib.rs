@@ -23,8 +23,8 @@
 //!   pack/unpack descriptors stay in the plan
 //!   ([`redist::RedistPlan::pair_dims`]);
 //! * [`exec::CopyProgram`] — the schedule's data movement compiled at
-//!   plan time to stride families plus residual `(src_pos, dst_pos,
-//!   len)` triples, replayed allocation-free and serially through one
+//!   plan time to stride families (a run no progression covers is a
+//!   family of one), replayed allocation-free and serially through one
 //!   run kernel whose loop is picked per family from the run width — by
 //!   every remap, every bare copy, and every move of values in or out
 //!   of the machine ([`store::VersionData::to_dense`],
@@ -89,7 +89,7 @@ pub mod status;
 pub mod store;
 pub mod symbolic;
 
-pub use exec::{CompileDecline, CopyProgram, CopyRun, CopyUnit, ExecMode, GroupCopyProgram, Kernel,
+pub use exec::{CompileDecline, CopyProgram, CopyUnit, ExecMode, GroupCopyProgram, Kernel,
               StrideFamily};
 pub use fault::{ExecError, FaultKind, FaultPlan, ValidationLevel};
 pub use group::{try_remap_group, GroupMember, PlannedGroup};

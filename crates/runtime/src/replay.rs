@@ -106,6 +106,11 @@ fn weigh(progs: &[CopyProgram], lanes: &mut Lanes<'_>, round: usize) -> (usize, 
     (units, elements)
 }
 
+/// The families of one unit.
+fn fams_of<'p>(prog: &'p CopyProgram, unit: &CopyUnit) -> &'p [StrideFamily] {
+    &prog.fams[unit.fams.0 as usize..unit.fams.1 as usize]
+}
+
 /// The blocks one unit reads and writes.
 fn blocks_of<'v>(
     unit: &CopyUnit,
@@ -434,20 +439,20 @@ struct Deal<'p> {
 
 /// The [`Deal`] of the strided-side block starting at `first`, or `None`
 /// when the block is swept tile by tile. A block is dealt when it spans
-/// more than a row group and every unit of it is one stride family (no
-/// residual triples) of one run count, one strided-side step and one
-/// run width narrower than a cache line, with its runs adjacent on the
-/// other side (one contiguous stream per unit). Each such unit reads or
-/// writes a word or a few out of every line of the block, so replaying
+/// more than a row group and every unit of it is one stride family of
+/// one run count, one strided-side step and one run width narrower than
+/// a cache line, with its runs adjacent on the other side (one
+/// contiguous stream per unit). Each such unit reads or writes a word
+/// or a few out of every line of the block, so replaying
 /// the units one by one fetches each line once per unit; wider runs use
 /// whole lines and gain nothing.
 fn deal_shape<'p>(prog: &'p CopyProgram, first: &'p CopyUnit, span: usize) -> Option<Deal<'p>> {
     if span <= DEAL_ROW_GROUP {
         return None;
     }
-    let family = |u: &CopyUnit| {
-        let single = u.fams.1 == u.fams.0 + 1 && u.runs.0 == u.runs.1;
-        single.then(|| &prog.fams[u.fams.0 as usize])
+    let family = |u: &CopyUnit| match fams_of(prog, u) {
+        [f] => Some(f),
+        _ => None,
     };
     // (strided-side step, contiguous-side step) of a family.
     let steps = |f: &StrideFamily| match prog.receiver_major {
@@ -546,8 +551,8 @@ fn deal_pass(
 
 /// Replay the part of one unit that falls into a window of the serial
 /// walk: of every family, the runs whose position on the windowed side
-/// (`by_dst`) lies in `lo..hi`; the residual triples — contiguous runs,
-/// which gain nothing from tiling — ride with the first window.
+/// (`by_dst`) lies in `lo..hi` — a lone run in the window that holds
+/// its start.
 #[inline]
 fn replay_unit_window(
     prog: &CopyProgram,
@@ -556,7 +561,7 @@ fn replay_unit_window(
     dst: &mut LocalBlock,
     (by_dst, lo, hi): (bool, usize, usize),
 ) {
-    for f in &prog.fams[unit.fams.0 as usize..unit.fams.1 as usize] {
+    for f in fams_of(prog, &unit) {
         let (base, step) = if by_dst { (f.dst_base, f.dst_step) } else { (f.src_base, f.src_step) };
         // Runs `k0..k1` start inside the window.
         let runs_below = |pos: usize| {
@@ -575,16 +580,11 @@ fn replay_unit_window(
             window.copy(&src.data, &mut dst.data);
         }
     }
-    if lo == 0 {
-        for r in &prog.runs[unit.runs.0 as usize..unit.runs.1 as usize] {
-            RunSet::from(r).copy(&src.data, &mut dst.data);
-        }
-    }
 }
 
-/// Replay one unit: every run set of it (families, then residual
-/// triples) through the run kernel, which picks its loop once per set
-/// from the run width. The unit's [`crate::Kernel`] label is not read.
+/// Replay one unit: every family of it through the run kernel, which
+/// picks its loop once per family from the run width. The unit's
+/// [`crate::Kernel`] label is not read.
 #[inline]
 fn replay_unit(prog: &CopyProgram, unit: CopyUnit, src: &LocalBlock, dst: &mut LocalBlock) {
     unit_sets(prog, unit, |set| set.copy(&src.data, &mut dst.data));
@@ -605,13 +605,10 @@ fn replay_unit_sum(
 }
 
 /// Number of logical copy runs one unit performs: every run its
-/// stride families encode plus its residual triples — the per-unit
-/// slice of [`CopyProgram::n_runs`], used by the guarded replay's
-/// accounting.
+/// families encode — the per-unit slice of [`CopyProgram::n_runs`],
+/// used by the guarded replay's accounting.
 fn unit_n_runs(prog: &CopyProgram, unit: CopyUnit) -> u64 {
-    let (flo, fhi) = unit.fams;
-    prog.fams[flo as usize..fhi as usize].iter().map(|f| f.count as u64).sum::<u64>()
-        + (unit.runs.1 - unit.runs.0) as u64
+    fams_of(prog, &unit).iter().map(|f| f.count as u64).sum()
 }
 
 /// Sum of the words one unit wrote into its receiver block, as raw
@@ -629,15 +626,8 @@ fn unit_sum(prog: &CopyProgram, unit: CopyUnit, dst: &LocalBlock) -> u64 {
 /// Flip one bit of the first word a unit delivered — the
 /// `CorruptRound` fault's scribble (a unit without runs is left alone).
 fn flip_unit_word(prog: &CopyProgram, unit: CopyUnit, dst: &mut LocalBlock) {
-    let first_family = prog.fams[unit.fams.0 as usize..unit.fams.1 as usize]
-        .iter()
-        .find(|f| f.count > 0 && f.len > 0)
-        .map(|f| f.dst_base);
-    let first_run = prog.runs[unit.runs.0 as usize..unit.runs.1 as usize]
-        .iter()
-        .find(|r| r.len > 0)
-        .map(|r| r.dst_pos);
-    if let Some(d) = first_family.or(first_run) {
+    let first = fams_of(prog, &unit).iter().find(|f| f.count > 0 && f.len > 0);
+    if let Some(&StrideFamily { dst_base: d, .. }) = first {
         dst.data[d as usize] = f64::from_bits(dst.data[d as usize].to_bits() ^ 1);
     }
 }
@@ -702,25 +692,22 @@ mod tests {
     #[test]
     fn corruption_is_detected_with_the_source_sum_fused_into_the_copy() {
         // The victim is a unit of 1-word runs, of 4-word runs, and with a
-        // residual triple. The extent cuts a cyclic(4) chunk, so the
-        // 4-word program also carries clipped residual runs.
+        // lone run. The extent cuts a cyclic(4) chunk, so the 4-word
+        // program also carries clipped runs, each a family of one.
         let (n, p) = (4 * 4 * 16 + 6, 4);
         let src = mk(n, p, DimFormat::Block(None));
         type Shape = fn(&CopyProgram, &CopyUnit) -> bool;
         let one_word: Shape = |prog, u| {
-            let fams = &prog.fams[u.fams.0 as usize..u.fams.1 as usize];
-            !fams.is_empty() && fams.iter().all(|f| f.len == 1) && u.runs.0 == u.runs.1
+            let fams = fams_of(prog, u);
+            !fams.is_empty() && fams.iter().all(|f| f.len == 1 && f.count > 1)
         };
         let four_words: Shape = |prog, u| {
-            let fams = &prog.fams[u.fams.0 as usize..u.fams.1 as usize];
-            !fams.is_empty() && fams.iter().all(|f| f.len == 4) && u.runs.0 == u.runs.1
+            let fams = fams_of(prog, u);
+            !fams.is_empty() && fams.iter().all(|f| f.len == 4 && f.count > 1)
         };
-        let residual: Shape = |_, u| u.runs.0 < u.runs.1;
-        let cases = [
-            (1, one_word, "1-word runs"),
-            (4, four_words, "4-word runs"),
-            (4, residual, "a residual triple"),
-        ];
+        let lone: Shape = |prog, u| fams_of(prog, u).iter().any(|f| f.count == 1);
+        let cases =
+            [(1, one_word, "1-word runs"), (4, four_words, "4-word runs"), (4, lone, "a lone run")];
         for (k, shape, what) in cases {
             let dst = mk(n, p, DimFormat::Cyclic(Some(k)));
             let plan = plan_redistribution(&src, &dst, 8);
@@ -833,15 +820,16 @@ mod tests {
             let (prog, a, b) = compiled(from, to);
             assert_eq!(census(&prog, &a, &b), (16, 0), "block <-> cyclic(1) deals every block");
         }
-        // One residual triple in the first block's first unit: that
-        // block is swept, the other fifteen still dealt.
+        // A lone run beside the first block's first family: that block
+        // is swept, the other fifteen still dealt.
         let (mut prog, a, b) = compiled(&block, &cyclic);
-        let end = prog.runs.len() as u32;
-        prog.runs.push(crate::CopyRun { src_pos: 0, dst_pos: 0, len: 1 });
         let (g, i) = prog.serial_head;
         let head = if g == 0 { &mut prog.local } else { &mut prog.rounds[g as usize - 1] };
-        head[i as usize].runs = (end, end + 1);
-        assert_eq!(census(&prog, &a, &b), (15, 1), "a block with a residual run is swept");
+        let (first, end) = (head[i as usize].fams.0 as usize, prog.fams.len() as u32);
+        head[i as usize].fams = (end, end + 2);
+        let lone = StrideFamily { count: 1, src_step: 0, dst_step: 0, ..prog.fams[first] };
+        prog.fams.extend([prog.fams[first], lone]);
+        assert_eq!(census(&prog, &a, &b), (15, 1), "a block with a lone run is swept");
         // ... but not at one row group: nothing to re-read.
         let small = 16 * DEAL_ROW_GROUP as u64;
         let from = mk(small, 16, DimFormat::Block(None));

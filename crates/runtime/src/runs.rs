@@ -4,8 +4,9 @@
 //!
 //! A [`RunSet`] is `count` runs of `len` words in arithmetic progression
 //! on two sides — run `k` reads `src + k·src_step ..` and writes
-//! `dst + k·dst_step ..`. A [`crate::StrideFamily`] is one, and a
-//! residual [`crate::CopyRun`] is one with `count = 1`.
+//! `dst + k·dst_step ..`: the `usize` view of a [`crate::StrideFamily`]
+//! (a lone run is one with `count = 1`), which the loops below index
+//! with.
 //!
 //! Three operations walk a set: [`RunSet::copy`], [`RunSet::copy_sum`]
 //! (the guarded round's copy, summing the words it reads) and
@@ -31,7 +32,7 @@
 
 use std::ops::Range;
 
-use crate::exec::{CopyProgram, CopyRun, CopyUnit, StrideFamily};
+use crate::exec::{CopyProgram, CopyUnit, StrideFamily};
 
 /// `count` runs of `len` words: run `k` reads `src + k·src_step` and
 /// writes `dst + k·dst_step`. A step is not read when `count <= 1`.
@@ -64,22 +65,11 @@ impl From<&StrideFamily> for RunSet {
     }
 }
 
-impl From<&CopyRun> for RunSet {
-    fn from(r: &CopyRun) -> RunSet {
-        let (src, dst, len) = (r.src_pos as usize, r.dst_pos as usize, r.len as usize);
-        RunSet { src, src_step: 0, dst, dst_step: 0, len, count: 1 }
-    }
-}
-
-/// Call `each` with every run set of one unit of `prog`: its stride
-/// families, then its residual triples.
+/// Call `each` with the run set of every family of one unit of `prog`.
 #[inline]
 pub(crate) fn unit_sets(prog: &CopyProgram, unit: CopyUnit, mut each: impl FnMut(RunSet)) {
     for f in &prog.fams[unit.fams.0 as usize..unit.fams.1 as usize] {
         each(f.into());
-    }
-    for r in &prog.runs[unit.runs.0 as usize..unit.runs.1 as usize] {
-        each(r.into());
     }
 }
 

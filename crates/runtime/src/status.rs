@@ -52,8 +52,8 @@ pub struct PlannedRemap {
     /// The plan lowered to per-pair packed messages in caterpillar
     /// rounds — what [`Machine::account_schedule`] costs.
     pub schedule: CommSchedule,
-    /// The executable form: stride-encoded run families plus residual
-    /// `(src_pos, dst_pos, len)` triples, in units grouped by round,
+    /// The executable form: stride-encoded run families, in units
+    /// grouped by round,
     /// replayed allocation-free by
     /// [`VersionData::copy_values_from_program`]. `None` when the plan
     /// cannot drive a program (rank-0 scalars, `u32` position

@@ -450,7 +450,7 @@ impl VersionData {
 
     /// Replay a compiled [`crate::CopyProgram`]: every position was
     /// resolved at plan time, so this is the run kernel over the
-    /// program's families and triples, on the calling thread, with zero
+    /// program's families, on the calling thread, with zero
     /// heap allocations. Every [`crate::ExecMode`] replays serially: the
     /// argument is kept for existing callers and chooses nothing.
     /// Returns `(runs, elements)` copied.

@@ -3,7 +3,7 @@
 //! After the first remap in each direction has populated the plan
 //! cache, a remap bounce must perform **no heap allocation at all** in
 //! the data-movement path: the cached [`hpfc_runtime::CopyProgram`] is
-//! replayed triple by triple, schedule accounting runs in the machine's
+//! replayed family by family, schedule accounting runs in the machine's
 //! reusable scratch arena, and the cache lookup hands out an `Arc`
 //! clone (a refcount bump, not an allocation).
 //!
@@ -124,13 +124,13 @@ fn isolated() -> Machine {
 #[test]
 fn steady_state_remap_allocates_nothing() {
     COUNTED.with(|c| c.set(true));
-    // The zero-allocation contract below holds for the DISABLED
-    // fault/validation configuration — the default. With a FaultPlan or
-    // a validation level configured, remaps take the guarded recovery
-    // path instead, which may allocate (checksum walks, recompiles,
-    // table fallbacks) by design. Pin the precondition so a future
-    // default change trips loudly here rather than silently weakening
-    // the measured windows.
+    // Fault injection and validation default off, so a remap takes the
+    // unguarded replay unless a section arms them. The guarded path
+    // allocates nothing either — sections 6, 7 and 12 pin its counted
+    // and checksummed rounds, 12 its healed wire faults — but a
+    // recompile or a table fallback may allocate by design. Pin the
+    // precondition so a future default change trips loudly here rather
+    // than silently changing what the measured windows cover.
     {
         let m = Machine::new(4);
         assert!(m.faults.is_none(), "fault injection must default off");
@@ -404,11 +404,11 @@ fn steady_state_remap_allocates_nothing() {
 
     // --- 7. Strided-kernel replay is allocation-free too. -------------
     // cyclic(1) destinations compile to pure Gather stride families
-    // (zero residual triples): the cached bounce exercises the family
+    // (no lone run): the cached bounce exercises the family
     // walk in the replay, the per-unit run accounting, and — armed by
     // the validation level — the staged spare, which this program
     // overwrites whole, so it is handed over without a copy. All of it
-    // must reuse warm capacity, exactly like the triple path above.
+    // must reuse warm capacity, exactly like the bounce above.
     let src = mk(n, 4, DimFormat::Block(None));
     let dst = mk(n, 4, DimFormat::Cyclic(None));
     let mut machine = isolated().with_validation(hpfc_runtime::ValidationLevel::Counts);
@@ -423,12 +423,12 @@ fn steady_state_remap_allocates_nothing() {
     }
     // Pin the premise: the cached forward program really is family-only,
     // every unit labelled Gather — otherwise this section silently degenerates
-    // into another triple-path measurement.
+    // into another measurement of short runs.
     {
         let cached = rt.planned(&mut machine, 0, 1);
         let prog = cached.program.as_ref().expect("cyclic(1) compiles");
         assert!(!prog.fams.is_empty(), "stride families drive this shape");
-        assert!(prog.runs.is_empty(), "no residual triples for cyclic(1)");
+        assert!(prog.fams.iter().all(|f| f.count > 1), "no lone run for cyclic(1)");
         assert!(
             prog.local.iter().chain(prog.rounds.iter().flatten()).all(|u| matches!(
                 u.kernel,
@@ -581,7 +581,9 @@ fn steady_state_remap_allocates_nothing() {
     // (the source half of the checksum rides the copy) and summed back
     // out of destination memory: block <-> cyclic(4) replays 4-word
     // runs, one of the kernel's fixed-width loops. None of it may
-    // allocate once the scratch has grown.
+    // allocate once the scratch has grown. A second pass arms a plan of
+    // wire faults: deciding a corrupted, truncated or dropped round and
+    // healing it by a retry of the round allocates nothing either.
     let n = 4096u64;
     let src = mk(n, 4, DimFormat::Block(None));
     let dst = mk(n, 4, DimFormat::Cyclic(Some(4)));
@@ -603,19 +605,28 @@ fn steady_state_remap_allocates_nothing() {
             "the forward program replays 4-word stride families"
         );
     }
-    let performed = machine.stats.remaps_performed;
-    for i in 0..10u64 {
-        rt.set(&[0], i as f64); // outside the measured window
-        let before = allocations();
-        remap(&mut rt, &mut machine, 1, &keep, false);
-        assert_eq!(allocations(), before, "checksummed remap {i} ->1 allocated");
-        rt.set(&[1], i as f64);
-        let before = allocations();
-        remap(&mut rt, &mut machine, 0, &keep, false);
-        assert_eq!(allocations(), before, "checksummed remap {i} ->0 allocated");
+    use hpfc_runtime::FaultKind::{CorruptRound, DropRound, TruncateRound};
+    let wire = hpfc_runtime::FaultPlan::new(7, 20, &[CorruptRound, TruncateRound, DropRound]);
+    for faults in [None, Some(wire)] {
+        machine.faults = faults;
+        let performed = machine.stats.remaps_performed;
+        for i in 0..10u64 {
+            rt.set(&[0], i as f64); // outside the measured window
+            let before = allocations();
+            remap(&mut rt, &mut machine, 1, &keep, false);
+            assert_eq!(allocations(), before, "checksummed remap {i} ->1 allocated: {faults:?}");
+            rt.set(&[1], i as f64);
+            let before = allocations();
+            remap(&mut rt, &mut machine, 0, &keep, false);
+            assert_eq!(allocations(), before, "checksummed remap {i} ->0 allocated: {faults:?}");
+        }
+        assert_eq!(machine.stats.remaps_performed, performed + 20, "every bounce moved data");
+        if faults.is_none() {
+            assert_eq!(machine.stats.rounds_retried, 0, "every checksum matched first time");
+        }
     }
-    assert_eq!(machine.stats.remaps_performed, performed + 20, "every bounce moved data");
-    assert_eq!(machine.stats.rounds_retried, 0, "every checksum matched first time");
+    assert!(machine.stats.rounds_retried > 0, "wire faults fired and retries healed them");
+    assert_eq!(machine.stats.programs_recompiled, 0, "every faulted round healed by a retry");
     assert_eq!(machine.stats.plans_computed, 2, "planned once per direction");
 
     // --- 13. Rollback returns the staged spare to the pool. -----------

@@ -9,57 +9,65 @@ use std::collections::BTreeMap;
 
 use hpfc_mapping::intersect_runs;
 use hpfc_runtime::redist::{for_each_pair_combination, DimContribution};
-use hpfc_runtime::{CopyProgram, CopyRun, RedistPlan, StrideFamily};
+use hpfc_runtime::{CopyProgram, Kernel, RedistPlan, StrideFamily};
+
+/// One `(src_pos, dst_pos, len)` run, as the reference lists them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    src_pos: u32,
+    dst_pos: u32,
+    len: u32,
+}
 
 /// One unit's element moves `(provider, receiver, src_pos, dst_pos)`,
 /// appended to `out`.
 fn push_moves(
     (provider, receiver): (u64, u64),
     fams: &[StrideFamily],
-    runs: &[CopyRun],
     out: &mut Vec<(u64, u64, u32, u32)>,
 ) {
-    let mut run = |src: u32, dst: u32, len: u32| {
-        out.extend((0..len).map(|i| (provider, receiver, src + i, dst + i)));
-    };
     for f in fams {
         for k in 0..f.count {
-            run(f.src_base + k * f.src_step, f.dst_base + k * f.dst_step, f.len);
+            let (src, dst) = (f.src_base + k * f.src_step, f.dst_base + k * f.dst_step);
+            out.extend((0..f.len).map(|i| (provider, receiver, src + i, dst + i)));
         }
-    }
-    for r in runs {
-        run(r.src_pos, r.dst_pos, r.len);
     }
 }
 
 /// Every element move `(provider, receiver, src_pos, dst_pos)` a
-/// program stands for, sorted — the flat meaning of its families and
-/// residual triples, whatever order and grouping encode it.
+/// program stands for, sorted — the flat meaning of its families,
+/// whatever order and grouping encode it.
 pub fn element_moves(prog: &CopyProgram) -> Vec<(u64, u64, u32, u32)> {
     let mut out = Vec::with_capacity(prog.n_elements() as usize);
     for u in prog.local.iter().chain(prog.rounds.iter().flatten()) {
-        push_moves(
-            (u.provider, u.receiver),
-            &prog.fams[u.fams.0 as usize..u.fams.1 as usize],
-            &prog.runs[u.runs.0 as usize..u.runs.1 as usize],
-            &mut out,
-        );
+        let fams = &prog.fams[u.fams.0 as usize..u.fams.1 as usize];
+        push_moves((u.provider, u.receiver), fams, &mut out);
     }
     out.sort_unstable();
     out
 }
 
 /// One (provider, receiver) pair as the reference compile encodes it.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReferenceUnit {
     pub fams: Vec<StrideFamily>,
-    pub runs: Vec<CopyRun>,
 }
 
-impl ReferenceUnit {
-    /// A unit the library stamps `Kernel::Memcpy`: one contiguous run.
-    pub fn is_memcpy(&self) -> bool {
-        self.fams.is_empty() && self.runs.len() == 1
+/// The label of one unit's shape, by its families' run counts: one lone
+/// run is a memcpy; lone runs only (or none at all), triples;
+/// progressions only, a gather when every run is one word, else
+/// strided; both, mixed.
+pub fn kernel_of(fams: &[StrideFamily]) -> Kernel {
+    let progressions = fams.iter().filter(|f| f.count > 1).count();
+    if progressions == 0 {
+        return if fams.len() == 1 { Kernel::Memcpy } else { Kernel::Triples };
+    }
+    if progressions < fams.len() {
+        Kernel::Mixed
+    } else if fams.iter().any(|f| f.len != 1) {
+        Kernel::Strided
+    } else {
+        Kernel::Gather
     }
 }
 
@@ -81,7 +89,7 @@ pub fn reference_units(plan: &RedistPlan) -> BTreeMap<(u64, u64), ReferenceUnit>
             entries.iter().map(|e| intersect_runs(&e.src_set, &e.dst_set, 0, n).collect()).collect()
         })
         .collect();
-    let mut acc: BTreeMap<(u64, u64), Vec<CopyRun>> = BTreeMap::new();
+    let mut acc: BTreeMap<(u64, u64), Vec<Run>> = BTreeMap::new();
     for_each_pair_combination(src, dst, per_dim, |provider, to, idx| {
         let entries: Vec<&DimContribution> = (0..rank).map(|d| &per_dim[d][idx[d]]).collect();
         let runs: Vec<&[(u64, u64)]> =
@@ -90,20 +98,14 @@ pub fn reference_units(plan: &RedistPlan) -> BTreeMap<(u64, u64), ReferenceUnit>
         let d_len: Vec<u64> = entries.iter().map(|e| e.dst_set.count()).collect();
         record_combination(&runs, &entries, &s_len, &d_len, acc.entry((provider, to)).or_default());
     });
-    acc.into_iter()
-        .map(|(pair, rs)| {
-            let mut unit = ReferenceUnit::default();
-            encode_runs(rs, &mut unit.fams, &mut unit.runs);
-            (pair, unit)
-        })
-        .collect()
+    acc.into_iter().map(|(pair, rs)| (pair, ReferenceUnit { fams: encode_runs(rs) })).collect()
 }
 
 /// Sorted element moves of a reference compile.
 pub fn reference_moves(units: &BTreeMap<(u64, u64), ReferenceUnit>) -> Vec<(u64, u64, u32, u32)> {
     let mut out = Vec::new();
     for (&pair, u) in units {
-        push_moves(pair, &u.fams, &u.runs, &mut out);
+        push_moves(pair, &u.fams, &mut out);
     }
     out.sort_unstable();
     out
@@ -114,16 +116,9 @@ pub fn reference_bytes(units: &BTreeMap<(u64, u64), ReferenceUnit>) -> usize {
     use std::mem::size_of;
     units
         .values()
-        .map(|u| {
-            u.fams.len() * size_of::<StrideFamily>()
-                + u.runs.len() * size_of::<CopyRun>()
-                + size_of::<hpfc_runtime::CopyUnit>()
-        })
+        .map(|u| u.fams.len() * size_of::<StrideFamily>() + size_of::<hpfc_runtime::CopyUnit>())
         .sum()
 }
-
-/// Fewest runs of a progression the encoder turns into a family.
-const MIN_FAMILY: usize = 4;
 
 /// The `(src_pos, dst_pos, len)` triples of one descriptor combination:
 /// outer dimensions one global index at a time, one triple per
@@ -133,13 +128,13 @@ fn record_combination(
     entries: &[&DimContribution],
     s_len: &[u64],
     d_len: &[u64],
-    out: &mut Vec<CopyRun>,
+    out: &mut Vec<Run>,
 ) {
     let rank = runs_by_dim.len();
     let last = rank - 1;
     let e_last = entries[last];
     let mut push = |s_at: u64, d_at: u64, len: u64| {
-        out.push(CopyRun {
+        out.push(Run {
             src_pos: u32::try_from(s_at).expect("test shapes fit u32"),
             dst_pos: u32::try_from(d_at).expect("test shapes fit u32"),
             len: u32::try_from(len).expect("test shapes fit u32"),
@@ -181,12 +176,13 @@ fn record_combination(
     }
 }
 
-/// Stride-encode one pair's triples: coalesce adjacent
-/// contiguous-in-both runs, then greedily detect arithmetic
-/// progressions in `(src_pos, dst_pos)` of equal-length runs; ≥
-/// `MIN_FAMILY` of them become a family, the rest stay triples.
-fn encode_runs(rs: Vec<CopyRun>, fams: &mut Vec<StrideFamily>, runs: &mut Vec<CopyRun>) {
-    let mut co: Vec<CopyRun> = Vec::with_capacity(rs.len());
+/// Stride-encode one pair's runs: coalesce adjacent
+/// contiguous-in-both runs, then cut the list greedily into maximal
+/// arithmetic progressions in `(src_pos, dst_pos)` of equal-length
+/// runs — each one family, a run that starts no progression included
+/// (`count` 1, steps 0).
+fn encode_runs(rs: Vec<Run>) -> Vec<StrideFamily> {
+    let mut co: Vec<Run> = Vec::with_capacity(rs.len());
     for r in rs {
         match co.last_mut() {
             Some(last)
@@ -197,44 +193,35 @@ fn encode_runs(rs: Vec<CopyRun>, fams: &mut Vec<StrideFamily>, runs: &mut Vec<Co
             _ => co.push(r),
         }
     }
+    // The step from run `j` to run `j + 1`, when they may share a
+    // progression (equal lengths, neither side stepping backward).
+    let step = |j: usize| -> Option<(u32, u32)> {
+        let (a, b) = (co[j], *co.get(j + 1)?);
+        if a.len != b.len {
+            return None;
+        }
+        Some((b.src_pos.checked_sub(a.src_pos)?, b.dst_pos.checked_sub(a.dst_pos)?))
+    };
+    let mut fams = Vec::new();
     let mut i = 0usize;
     while i < co.len() {
+        let (src_step, dst_step) = step(i).unwrap_or((0, 0));
         let mut j = i;
-        let mut src_step = 0u32;
-        let mut dst_step = 0u32;
-        if let Some(next) = co.get(i + 1) {
-            if next.len == co[i].len {
-                if let (Some(ss), Some(ds)) = (
-                    next.src_pos.checked_sub(co[i].src_pos),
-                    next.dst_pos.checked_sub(co[i].dst_pos),
-                ) {
-                    src_step = ss;
-                    dst_step = ds;
-                    j = i + 1;
-                    while j + 1 < co.len()
-                        && co[j + 1].len == co[i].len
-                        && co[j + 1].src_pos.checked_sub(co[j].src_pos) == Some(src_step)
-                        && co[j + 1].dst_pos.checked_sub(co[j].dst_pos) == Some(dst_step)
-                    {
-                        j += 1;
-                    }
-                }
+        if step(i).is_some() {
+            j += 1;
+            while step(j) == Some((src_step, dst_step)) {
+                j += 1;
             }
         }
-        let count = j - i + 1;
-        if count >= MIN_FAMILY {
-            fams.push(StrideFamily {
-                src_base: co[i].src_pos,
-                dst_base: co[i].dst_pos,
-                count: u32::try_from(count).expect("test shapes fit u32"),
-                src_step,
-                dst_step,
-                len: co[i].len,
-            });
-            i = j + 1;
-        } else {
-            runs.push(co[i]);
-            i += 1;
-        }
+        fams.push(StrideFamily {
+            src_base: co[i].src_pos,
+            dst_base: co[i].dst_pos,
+            count: u32::try_from(j - i + 1).expect("test shapes fit u32"),
+            src_step,
+            dst_step,
+            len: co[i].len,
+        });
+        i = j + 1;
     }
+    fams
 }

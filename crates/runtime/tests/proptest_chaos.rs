@@ -584,8 +584,8 @@ fn exhaustion_rolls_a_solo_remap_back_to_its_pre_remap_state() {
 }
 
 /// Rollback byte-identity when the destination is written through
-/// stride-family kernels, not flat triples: `cyclic(1)` destinations
-/// compile to pure Gather families (zero residual triples), and the
+/// stride-family kernels of many runs: `cyclic(1)` destinations
+/// compile to pure Gather families (no lone run), and the
 /// program overwrites every element, so the staged spare the replay
 /// writes is handed over without the old words — only the swap back to
 /// the staged-out copy can restore the destination here.
@@ -598,13 +598,13 @@ fn exhaustion_rolls_back_strided_kernel_destinations_byte_identically() {
     let fwd = Arc::new(PlannedRemap::compile(plan_redistribution(&src, &dst, 8)));
     let back = Arc::new(PlannedRemap::compile(plan_redistribution(&dst, &src, 8)));
     // Pin the premise: both directions replay through stride families
-    // exclusively — if the encoder ever left this shape to residual
-    // triples, the test would silently stop covering the strided
+    // exclusively — if the encoder ever left this shape to lone
+    // runs, the test would silently stop covering the strided
     // replay into a staged spare.
     for planned in [&fwd, &back] {
         let prog = planned.program.as_ref().expect("cyclic(1) bounce compiles");
         assert!(!prog.fams.is_empty(), "stride families drive this shape");
-        assert!(prog.runs.is_empty(), "no residual triples for cyclic(1)");
+        assert!(prog.fams.iter().all(|f| f.count > 1), "no lone run for cyclic(1)");
     }
     let mut machine = isolated(4);
     let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);

@@ -469,11 +469,12 @@ fn one_run_per_period(plan: &RedistPlan) -> bool {
 
 /// The closed-form compile of `src → dst` against the test-side
 /// reference (every run materialised, then stride-encoded): the same
-/// element moves per unit, an artifact no larger, every reference
-/// memcpy still a memcpy, the identical encoding (hence fingerprint
-/// input) wherever the reference's run order is the compile's, and a
-/// replay that equals the table engine.
-fn check_against_reference(src: &NormalizedMapping, dst: &NormalizedMapping) {
+/// element moves per unit, an artifact no larger, every unit labelled
+/// as the reference classifies its families (every reference memcpy
+/// still a memcpy), the identical encoding (hence fingerprint input and
+/// label) wherever the reference's run order is the compile's, and a
+/// replay that equals the table engine. Returns the units' labels.
+fn check_against_reference(src: &NormalizedMapping, dst: &NormalizedMapping) -> Vec<Kernel> {
     let plan = plan_redistribution(src, dst, 8);
     let schedule = CommSchedule::from_plan(&plan);
     let prog = CopyProgram::try_compile(&plan, &schedule).expect("rank >= 1 plans compile");
@@ -488,19 +489,21 @@ fn check_against_reference(src: &NormalizedMapping, dst: &NormalizedMapping) {
         common::reference_bytes(&reference)
     );
     let identical = one_run_per_period(&plan);
-    let mut units = 0;
+    let mut labels = Vec::new();
     for u in prog.local.iter().chain(prog.rounds.iter().flatten()) {
         let r = &reference[&(u.provider, u.receiver)];
-        units += 1;
-        if r.is_memcpy() {
-            assert_eq!(u.kernel, Kernel::Memcpy, "unit {}->{}: {ctx}", u.provider, u.receiver);
+        labels.push(u.kernel);
+        let fams = &prog.fams[u.fams.0 as usize..u.fams.1 as usize];
+        let what = format!("unit {}->{}: {ctx}", u.provider, u.receiver);
+        assert_eq!(u.kernel, common::kernel_of(fams), "{what}");
+        if common::kernel_of(&r.fams) == Kernel::Memcpy {
+            assert_eq!(u.kernel, Kernel::Memcpy, "{what}");
         }
         if identical {
-            assert_eq!(&prog.fams[u.fams.0 as usize..u.fams.1 as usize], &r.fams[..], "{ctx}");
-            assert_eq!(&prog.runs[u.runs.0 as usize..u.runs.1 as usize], &r.runs[..], "{ctx}");
+            assert_eq!(fams, &r.fams[..], "{what}");
         }
     }
-    assert_eq!(units, reference.len(), "{ctx}");
+    assert_eq!(labels.len(), reference.len(), "{ctx}");
     let mut a = VersionData::new(src.clone(), 8);
     a.fill(|p| (p.iter().fold(7, |h, &x| h * 131 + x) % 8191) as f64);
     let mut tables = VersionData::new(dst.clone(), 8);
@@ -508,15 +511,25 @@ fn check_against_reference(src: &NormalizedMapping, dst: &NormalizedMapping) {
     let mut b = VersionData::new(dst.clone(), 8);
     b.copy_values_from_program(&a, &prog, ExecMode::Serial);
     assert_eq!(b, tables, "{ctx}");
+    labels
 }
 
 /// The reference differential over a fixed sweep (the proptest shim
 /// replays the same 64 cases every run): every 1-D format pair at
 /// process counts and extents that cut periods short, repeat them, and
 /// leave tails — and 2-D pairs whose rows repeat the innermost items.
+/// Between them the units carry all five labels.
 #[test]
 fn program_matches_reference_compile_over_a_sweep() {
     use hpfc_mapping::testing::{mapping_1d, mapping_2d};
+    let mut seen: Vec<Kernel> = Vec::new();
+    let mut check = |src: &NormalizedMapping, dst: &NormalizedMapping| {
+        for k in check_against_reference(src, dst) {
+            if !seen.contains(&k) {
+                seen.push(k);
+            }
+        }
+    };
     let fmts = [
         DimFormat::Block(None),
         DimFormat::Cyclic(None),
@@ -529,7 +542,7 @@ fn program_matches_reference_compile_over_a_sweep() {
         for fd in &fmts {
             for (ps, pd) in [(2, 2), (2, 4), (3, 4), (4, 3), (4, 4), (7, 5), (8, 16)] {
                 for n in [1, 5, 60, 61, 257, 1024, 4099] {
-                    check_against_reference(&mapping_1d(n, ps, *fs), &mapping_1d(n, pd, *fd));
+                    check(&mapping_1d(n, ps, *fs), &mapping_1d(n, pd, *fd));
                 }
             }
         }
@@ -539,12 +552,13 @@ fn program_matches_reference_compile_over_a_sweep() {
     for f in &fmts[1..5] {
         for g in &fmts[..5] {
             for (n, p) in [(24, 3), (65, 4)] {
-                check_against_reference(&mapping_2d(n, p, row(*f)), &mapping_2d(n, p, col(*g)));
-                check_against_reference(&mapping_2d(n, p, col(*f)), &mapping_2d(n, p, col(*g)));
-                check_against_reference(&mapping_2d(n, p, col(*f)), &mapping_2d(n, p, row(*g)));
+                check(&mapping_2d(n, p, row(*f)), &mapping_2d(n, p, col(*g)));
+                check(&mapping_2d(n, p, col(*f)), &mapping_2d(n, p, col(*g)));
+                check(&mapping_2d(n, p, col(*f)), &mapping_2d(n, p, row(*g)));
             }
         }
     }
+    assert_eq!(seen.len(), 5, "the sweep labels units {seen:?}");
 }
 
 /// A deterministic sweep used as a regression anchor: BLOCK→CYCLIC over

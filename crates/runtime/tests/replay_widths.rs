@@ -6,12 +6,17 @@
 //! families of `k`-word runs — each width the run kernel gives a loop
 //! of its own, and 3 which it does not. Every extent is off a multiple
 //! of `k·P`, so blocks start and end inside a cyclic chunk: the
-//! programs carry clipped head and tail runs, residual triples among
-//! them. The largest extent puts a block beyond the serial walk's
-//! 32768-element tile, so the windowed replay runs too.
+//! programs carry clipped head and tail runs, lone runs (families of
+//! one) among them. The largest extent puts a block beyond the serial
+//! walk's 32768-element tile, so the windowed replay runs too — and a
+//! lone run at the end of such a block replays in a window after the
+//! first, the one that holds it.
 
 use hpfc_mapping::{testing::mapping_1d as mk, DimFormat};
 use hpfc_runtime::{plan_redistribution, CommSchedule, CopyProgram, ExecMode, VersionData};
+
+/// Elements of the strided side one pass of the serial walk sweeps.
+const SERIAL_TILE: u32 = 32768;
 
 /// The value every source element starts with.
 fn value(p: &[u64]) -> f64 {
@@ -20,7 +25,7 @@ fn value(p: &[u64]) -> f64 {
 
 #[test]
 fn every_run_width_replays_like_the_table_engine_and_per_point_get() {
-    let mut residual_programs = 0;
+    let (mut lone_programs, mut late_lone_programs) = (0, 0);
     for k in [1u64, 2, 3, 4, 8] {
         let shapes = [(5 * 4 * k * 4 + 2 * k + 1, 4u64), (37 * 3 * k + k / 2 + 2, 3), (70_001, 2)];
         for (n, p) in shapes {
@@ -32,9 +37,12 @@ fn every_run_width_replays_like_the_table_engine_and_per_point_get() {
                 let plan = plan_redistribution(from, to, 8);
                 let prog = CopyProgram::try_compile(&plan, &CommSchedule::from_plan(&plan))
                     .unwrap_or_else(|| panic!("{what}: compiles"));
-                if !prog.runs.is_empty() {
-                    residual_programs += 1;
-                }
+                // The lone runs, by position on the side the walk tiles.
+                let lone: Vec<u32> = (prog.fams.iter().filter(|f| f.count == 1))
+                    .map(|f| if prog.receiver_major { f.dst_base } else { f.src_base })
+                    .collect();
+                lone_programs += usize::from(!lone.is_empty());
+                late_lone_programs += usize::from(lone.iter().any(|&at| at >= SERIAL_TILE));
                 assert!(
                     prog.fams.iter().any(|f| f.len as u64 == k),
                     "{what}: a family of {k}-word runs is replayed"
@@ -52,5 +60,6 @@ fn every_run_width_replays_like_the_table_engine_and_per_point_get() {
             }
         }
     }
-    assert!(residual_programs > 0, "some program replays residual triples");
+    assert!(lone_programs > 0, "some program replays lone runs");
+    assert!(late_lone_programs > 0, "some lone run replays in a window after the first");
 }
