@@ -10,7 +10,15 @@
 //! Sampling is deterministic: every test derives its RNG seed from the
 //! test name and case index (splitmix64), so failures are reproducible
 //! run-over-run without a persistence file. There is no shrinking; the
-//! failing input is printed instead.
+//! failing case is reported instead — its index and seed, whether the
+//! body failed a `prop_assert!` or panicked.
+//!
+//! Two environment variables widen the search, for test runs only:
+//! `HPFC_PROPTEST_SEED` (any string; a number is used as is, anything
+//! else is hashed) is mixed into every test's seed, so each value
+//! explores different inputs, and `HPFC_PROPTEST_CASES` (a count)
+//! replaces every block's configured number of cases. Unset, both leave
+//! the name-derived inputs and the configured counts as they are.
 
 use std::fmt::Debug;
 use std::rc::Rc;
@@ -41,6 +49,58 @@ impl TestRng {
     /// Uniform in `[0, bound)`; `bound` must be non-zero.
     pub fn below(&mut self, bound: u64) -> u64 {
         self.next_u64() % bound
+    }
+}
+
+/// The seed a test runs under: [`seed_from_name`], with
+/// `HPFC_PROPTEST_SEED` (when set) mixed in.
+pub fn test_seed(name: &str) -> u64 {
+    match std::env::var("HPFC_PROPTEST_SEED") {
+        Ok(extra) => {
+            let extra = extra.trim().parse().unwrap_or_else(|_| seed_from_name(&extra));
+            seed_from_name(name) ^ TestRng::for_case(extra, 0).next_u64()
+        }
+        Err(_) => seed_from_name(name),
+    }
+}
+
+/// The number of cases a block runs: `HPFC_PROPTEST_CASES` when set,
+/// else the block's configured `cases`.
+pub fn cases(configured: u32) -> u32 {
+    match std::env::var("HPFC_PROPTEST_CASES") {
+        Ok(n) => n.trim().parse().unwrap_or_else(|_| {
+            panic!("HPFC_PROPTEST_CASES must be a case count, got {n:?}")
+        }),
+        Err(_) => configured,
+    }
+}
+
+/// Reports the running case if the test body panics: dropped while
+/// unwinding, it prints the case's index and seeds.
+#[doc(hidden)]
+pub struct CaseReport {
+    /// The test's name.
+    pub test: &'static str,
+    /// The test's seed ([`test_seed`]).
+    pub seed: u64,
+    /// The running case.
+    pub case: u64,
+}
+
+impl Drop for CaseReport {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            use std::io::Write;
+            let extra = std::env::var("HPFC_PROPTEST_SEED").unwrap_or_else(|_| "unset".into());
+            // Ignored on error: a panic here, while unwinding, would abort.
+            let _ = writeln!(
+                std::io::stderr(),
+                "proptest {} failed at case {} (test seed {:#x}, HPFC_PROPTEST_SEED {extra})",
+                self.test,
+                self.case,
+                self.seed
+            );
+        }
     }
 }
 
@@ -416,8 +476,9 @@ macro_rules! __proptest_items {
         $(#[$meta])*
         fn $name() {
             let config: $crate::ProptestConfig = $cfg;
-            let seed = $crate::seed_from_name(concat!(module_path!(), "::", stringify!($name)));
-            for case in 0..config.cases as u64 {
+            let seed = $crate::test_seed(concat!(module_path!(), "::", stringify!($name)));
+            for case in 0..$crate::cases(config.cases) as u64 {
+                let _report = $crate::CaseReport { test: stringify!($name), seed, case };
                 let mut rng = $crate::TestRng::for_case(seed, case);
                 $(
                     let $pat = $crate::Strategy::sample(&($strat), &mut rng);
@@ -428,7 +489,7 @@ macro_rules! __proptest_items {
                     ::std::result::Result::Ok(())
                 })();
                 if let ::std::result::Result::Err(e) = result {
-                    panic!("proptest {} failed at case {}:\n{}", stringify!($name), case, e);
+                    panic!("proptest {} failed:\n{}", stringify!($name), e);
                 }
             }
         }

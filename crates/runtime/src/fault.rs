@@ -326,6 +326,7 @@ pub(crate) fn poison_program(p: &mut CopyProgram) {
 
 /// Per-round facts the retry ladder needs to pick applicable faults
 /// and validate conservation.
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RoundCtx {
     /// Planned elements of the round (sum of its units' elements).
     pub expected: u64,
@@ -338,29 +339,34 @@ pub(crate) struct RoundCtx {
 /// Bound on replay attempts per round (1 initial + 3 retries).
 const MAX_ROUND_ATTEMPTS: u32 = 4;
 
-/// Is `kind` a fault that can physically happen to this round? (Wire
-/// loss needs something on the wire.)
-fn applicable(kind: FaultKind, ctx: &RoundCtx) -> bool {
-    match kind {
-        FaultKind::CorruptRound | FaultKind::TruncateRound | FaultKind::DropRound => {
-            ctx.expected > 0 && ctx.units > 0
-        }
-        // Decided per remap (not per round), so never drawn here.
-        FaultKind::PoisonProgram | FaultKind::CompilePanic | FaultKind::Exhaust => false,
-    }
+/// The wire fault, if any, drawn for this round at `(epoch, stream,
+/// round_no, attempt)` — a pure function of the site, so every round's
+/// attempt 0 can be decided before the replay writes anything. Wire
+/// loss needs something on the wire.
+pub(crate) fn decide(
+    machine: &Machine,
+    ctx: &RoundCtx,
+    epoch: u64,
+    stream: u32,
+    attempt: u32,
+) -> Option<(FaultKind, u64)> {
+    let fault = machine.faults.as_ref()?.round_fault(epoch, stream, ctx.round_no, attempt);
+    fault.filter(|_| ctx.expected > 0 && ctx.units > 0)
 }
 
-/// The per-round rungs of the recovery ladder: decide an injected
-/// fault, run the round through `replay` (which reports the elements it
-/// replayed, or `None` when the round failed its checksums or
-/// panicked), validate counts, and on failure retry (bounded).
-/// `Err(())` means the round is stuck (the caller escalates: recompile,
-/// then the table engine).
+/// The per-round rungs of the recovery ladder: count the round's
+/// injected faults, validate what each attempt replayed — `first` for
+/// attempt 0, which the caller ran for every round in one walk, and
+/// `replay` for each retry (the elements it replayed, or `None` when
+/// the attempt failed its checksums or panicked) — and on failure retry
+/// (bounded). `Err(())` means the round is stuck (the caller escalates:
+/// recompile, then the table engine).
 pub(crate) fn run_round_ladder(
     machine: &mut Machine,
     ctx: &RoundCtx,
     epoch: u64,
     stream: u32,
+    first: Option<u64>,
     mut replay: impl FnMut(bool, Option<(FaultKind, u64)>) -> Option<u64>,
 ) -> Result<(), ()> {
     let checksums = machine.validation == ValidationLevel::Checksums;
@@ -373,15 +379,11 @@ pub(crate) fn run_round_ladder(
         if attempt > 0 {
             machine.stats.rounds_retried += 1;
         }
-        let fault = machine
-            .faults
-            .as_ref()
-            .and_then(|f| f.round_fault(epoch, stream, ctx.round_no, attempt))
-            .filter(|(k, _)| applicable(*k, ctx));
+        let fault = decide(machine, ctx, epoch, stream, attempt);
         if fault.is_some() {
             machine.stats.faults_injected += 1;
         }
-        let replayed = replay(checksums, fault);
+        let replayed = if attempt == 0 { first } else { replay(checksums, fault) };
         if !exhaust && replayed.is_some_and(|elements| !counts || elements == ctx.expected) {
             return Ok(());
         }

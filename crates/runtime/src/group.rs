@@ -299,6 +299,9 @@ fn move_lanes(
         machine.stats.remaps_performed += 1;
         machine.stats.local_elements += plans[i].plan.local_elements;
     }
+    // Retired copies reach the pool only now: a member's copy of the
+    // other layout cannot flush the spare a sibling is about to draw.
+    snaps.iter_mut().flat_map(|s| s.iter_mut()).for_each(|s| s.retired = None);
     let all = members.iter().all(rides);
     for r in 0..schedule.rounds.len() {
         machine.account_phase(schedule.round_triples_of(r, |i| all || rides(&members[i])));

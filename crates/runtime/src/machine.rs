@@ -330,6 +330,9 @@ pub struct Machine {
     /// capacity persists across remaps, keeping the armed record
     /// allocation-free).
     pub(crate) txn_scratch: Vec<crate::status::TxnRecord>,
+    /// Reusable per-round tallies of a guarded replay, grown once to the
+    /// round count: the guarded path allocates nothing either.
+    pub(crate) round_tallies: Vec<crate::replay::RoundTally>,
     /// Monotonic counter handed to the fault plan: one epoch per
     /// data-moving remap, making injection deterministic per operation.
     fault_epoch: u64,
@@ -348,6 +351,7 @@ impl Machine {
             registry: std::sync::Arc::clone(crate::registry::PlanRegistry::shared()),
             scratch: PhaseScratch::default(),
             txn_scratch: Vec::new(),
+            round_tallies: Vec::new(),
             fault_epoch: 0,
         }
     }

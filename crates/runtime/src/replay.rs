@@ -11,8 +11,8 @@
 //! case; a coalesced remap group ([`crate::try_remap_group`]) is its
 //! movers' lanes, in member order.
 //!
-//! Three layers, each written once: [`replay`] (unguarded), one
-//! guarded round, and [`run`], the recovery ladder, which the one
+//! Three layers, each written once: [`replay`] (unguarded), the
+//! guarded rounds, and [`run`], the recovery ladder, which the one
 //! remap executor calls with each artifact's recompile. All three run
 //! on the calling thread: every copy under a compiled program — a remap
 //! a [`Machine`] runs, a bare copy whatever its [`crate::ExecMode`],
@@ -29,8 +29,10 @@
 //! [`crate::runs::deal_scatter`]), so each line of the strided block is
 //! fetched once per row group instead of once per unit. Every other
 //! block is swept in L2-sized tiles, unit by unit. The guarded replay
-//! keeps round order and copies unit by unit: it checks each unit's
-//! checksum right after its copy.
+//! runs attempt 0 of every round in one pass over the same order, whole
+//! unit by whole unit (no deal, no tile), summing each unit right after
+//! its copy; it validates round by round, and retries a round in round
+//! order.
 //!
 //! **Fault-site contract.** Every injected fault is decided at a site
 //! `(epoch, stream, round_no, attempt)`: the caller draws one `epoch`
@@ -38,15 +40,18 @@
 //! [`run`]; `stream` is 0 for the served programs and 1 for the
 //! re-replay after a recompile; `round_no` 0 is the local group and
 //! `r + 1` wire round `r`, rounds without units are skipped and draw
-//! nothing; `attempt` counts retries of one round. For a fixed
-//! [`crate::FaultPlan`] the recovery counters in [`crate::NetStats`]
-//! are therefore a pure function of the remap sequence.
+//! nothing; `attempt` counts retries of one round. Every round's attempt
+//! 0 is decided before the pass writes anything, and faults are counted
+//! round by round up to the first stuck round, as if the rounds ran one
+//! after another. For a fixed [`crate::FaultPlan`] the recovery counters
+//! in [`crate::NetStats`] are therefore a pure function of the remap
+//! sequence.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::exec::{CopyProgram, CopyUnit, StrideFamily};
-use crate::fault::{poison_program, run_round_ladder, ExecError, FaultKind, RoundCtx};
+use crate::fault::{decide, poison_program, run_round_ladder, ExecError, FaultKind, RoundCtx};
 use crate::machine::Machine;
 use crate::runs::{deal_gather, deal_scatter, unit_sets, RunSet, DEAL_STREAMS};
 use crate::status::PlannedRemap;
@@ -85,27 +90,6 @@ fn n_rounds(progs: &[CopyProgram]) -> usize {
     1 + progs.iter().map(|p| p.rounds.len()).max().unwrap_or(0)
 }
 
-/// The next lane's share of a prefix of the round's concatenated unit
-/// list: up to `left` of `units`, with `left` reduced by what was taken.
-fn head<'u>(units: &'u [CopyUnit], left: &mut usize) -> &'u [CopyUnit] {
-    let take = units.len().min(*left);
-    *left -= take;
-    &units[..take]
-}
-
-/// `(units, elements)` of one round's concatenated unit list.
-fn weigh(progs: &[CopyProgram], lanes: &mut Lanes<'_>, round: usize) -> (usize, u64) {
-    let (mut units, mut elements) = (0usize, 0u64);
-    lanes(&mut |each| {
-        for lane in each {
-            let round_units = units_of(&progs[lane.at], round);
-            units += round_units.len();
-            elements += round_units.iter().map(|u| u.elements).sum::<u64>();
-        }
-    });
-    (units, elements)
-}
-
 /// The families of one unit.
 fn fams_of<'p>(prog: &'p CopyProgram, unit: &CopyUnit) -> &'p [StrideFamily] {
     &prog.fams[unit.fams.0 as usize..unit.fams.1 as usize]
@@ -134,75 +118,128 @@ pub(crate) fn replay(progs: &[CopyProgram], lanes: &mut Lanes<'_>) {
     });
 }
 
-/// One attempt at one round under the guarded regime, on the calling
-/// thread. Wire-loss faults apply to the round's **concatenated** unit
-/// list (lanes in order, units in program order): a drop replays none
-/// of it, a truncation its first half, and corruption picks its victim
-/// by global index — so a fault can land on any lane, exactly like a
-/// fault on the shared wire buffer. One pass copies each unit — under
-/// checksums summing the words it reads as it copies them, the way a
-/// sender sums what it sends — scribbles the victim, sums the words
-/// written back out of destination memory and tallies what each lane
-/// received (units of a round write disjoint words of versions they do
-/// not read, so checking a unit right after its copy is the same as
-/// checking the whole round after it). Returns the elements
-/// replayed, or `None` when the checksums disagree or the copy
-/// panicked; `delivered` receives the attempt's `(runs, bytes)`.
+/// One round's slot in a guarded replay: the round's concatenated unit
+/// list (lanes in order, units in program order) and what one attempt
+/// at it delivers. Wire-loss faults apply to that list, like a fault on
+/// the shared wire buffer: a drop replays none of it, a truncation its
+/// first half, and corruption picks its victim by index, on any lane.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RoundTally {
+    /// The round's unit count, planned elements and number.
+    ctx: RoundCtx,
+    /// Units of the lanes walked so far: a lane's offset into the list.
+    base: usize,
+    /// Units at or past `cut` are not replayed; `victim` is scribbled.
+    cut: usize,
+    victim: Option<usize>,
+    /// The attempt's elements, runs and bytes, and the wrapping sums of
+    /// the words it read and wrote (under checksums).
+    elements: u64,
+    runs: u64,
+    bytes: u64,
+    read: u64,
+    written: u64,
+}
+
+impl RoundTally {
+    /// Start an attempt under `fault`.
+    fn arm(&mut self, fault: Option<(FaultKind, u64)>) {
+        let units = self.ctx.units;
+        (self.cut, self.victim) = match fault {
+            Some((FaultKind::DropRound, _)) => (0, None),
+            Some((FaultKind::TruncateRound, _)) => (units / 2, None),
+            Some((FaultKind::CorruptRound, salt)) => (units, Some((salt % units as u64) as usize)),
+            _ => (units, None),
+        };
+        (self.elements, self.runs, self.bytes, self.read, self.written) = (0, 0, 0, 0, 0);
+    }
+}
+
+/// One unit of a guarded attempt, `at` its index in its round's list:
+/// the one step of the walk and of a retry. Copies the unit (under
+/// checksums summing the words it reads, as a sender sums what it
+/// sends), scribbles it if it is the victim, and sums the words written
+/// back out of destination memory (each is written by one unit only).
+fn guarded_unit(
+    prog: &CopyProgram,
+    (unit, at): (&CopyUnit, usize),
+    t: &mut RoundTally,
+    checksums: bool,
+    src: &VersionData,
+    dst: &mut VersionData,
+) {
+    if at >= t.cut {
+        return;
+    }
+    t.bytes += unit.elements * dst.elem_size;
+    let (src_block, dst_block) = blocks_of(unit, src, dst);
+    if checksums {
+        t.read = t.read.wrapping_add(replay_unit_sum(prog, *unit, src_block, dst_block));
+    } else {
+        replay_unit(prog, *unit, src_block, dst_block);
+    }
+    if t.victim == Some(at) {
+        flip_unit_word(prog, *unit, dst_block);
+    }
+    t.runs += unit_n_runs(prog, *unit);
+    t.elements += unit.elements;
+    if checksums {
+        t.written = t.written.wrapping_add(unit_sum(prog, *unit, dst_block));
+    }
+}
+
+/// Attempt 0 of every round at once, in each lane's blocked serial
+/// order ([`CopyProgram::serial_head`]), whole unit by whole unit: a
+/// unit's `(group, index)` link names its round and, past the earlier
+/// lanes' units, its place in the round's list.
+fn walk(progs: &[CopyProgram], lanes: &mut Lanes<'_>, tallies: &mut [RoundTally], sums: bool) {
+    lanes(&mut |each| {
+        for lane in each {
+            let prog = &progs[lane.at];
+            let mut link = prog.serial_head;
+            while let Some(unit) = prog.unit_at(link) {
+                let t = &mut tallies[link.0 as usize];
+                guarded_unit(prog, (unit, t.base + link.1 as usize), t, sums, lane.src, lane.dst);
+                link = (unit.next_group, unit.next_index);
+            }
+            for (round, t) in tallies.iter_mut().enumerate() {
+                t.base += units_of(prog, round).len();
+            }
+        }
+    })
+}
+
+/// A retry of one round under `fault`, in round order. Returns the
+/// elements replayed, or `None` when the checksums disagree or the copy
+/// panicked.
 fn replay_round(
     progs: &[CopyProgram],
     lanes: &mut Lanes<'_>,
-    ctx: &RoundCtx,
+    (round, t): (usize, &mut RoundTally),
     checksums: bool,
     fault: Option<(FaultKind, u64)>,
-    delivered: &mut (u64, u64),
 ) -> Option<u64> {
-    let round = ctx.round_no as usize;
-    let cut = match fault {
-        Some((FaultKind::DropRound, _)) => 0,
-        Some((FaultKind::TruncateRound, _)) => ctx.units / 2,
-        _ => ctx.units,
-    };
-    let victim = match fault {
-        Some((FaultKind::CorruptRound, salt)) => Some((salt % ctx.units as u64) as usize),
-        _ => None,
-    };
-    let (mut read, mut written, mut replayed) = (0u64, 0u64, 0u64);
-    *delivered = (0, 0);
+    t.arm(fault);
     catch_unwind(AssertUnwindSafe(|| {
         lanes(&mut |each| {
-            let (mut left, mut seen) = (cut, 0usize);
+            let mut at = 0;
             for lane in each {
                 let prog = &progs[lane.at];
-                let mut elements = 0u64;
-                for unit in head(units_of(prog, round), &mut left) {
-                    let (src_block, dst_block) = blocks_of(unit, lane.src, lane.dst);
-                    if checksums {
-                        let sent = replay_unit_sum(prog, *unit, src_block, dst_block);
-                        read = read.wrapping_add(sent);
-                    } else {
-                        replay_unit(prog, *unit, src_block, dst_block);
-                    }
-                    if victim == Some(seen) {
-                        flip_unit_word(prog, *unit, dst_block);
-                    }
-                    seen += 1;
-                    delivered.0 += unit_n_runs(prog, *unit);
-                    elements += unit.elements;
-                    if checksums {
-                        written = written.wrapping_add(unit_sum(prog, *unit, dst_block));
-                    }
+                for unit in units_of(prog, round) {
+                    guarded_unit(prog, (unit, at), t, checksums, lane.src, lane.dst);
+                    at += 1;
                 }
-                delivered.1 += elements * lane.dst.elem_size;
-                replayed += elements;
             }
         })
     }))
     .ok()?;
-    (read == written).then_some(replayed)
+    (t.read == t.written).then_some(t.elements)
 }
 
-/// Every round of the program set under the guarded regime, each
-/// through the shared retry ladder. `stream` separates the
+/// Every round of the program set under the guarded regime: decide
+/// every round's attempt-0 fault, run all those attempts in one
+/// [`walk`], then validate round by round, each through the shared
+/// retry ladder, up to the first stuck round. `stream` separates the
 /// fault-decision stream of the served programs from a recompiled
 /// set's, so a full re-replay rolls fresh decisions. The returned
 /// `(runs, bytes)` count only the authoritative (final successful)
@@ -214,21 +251,36 @@ fn replay_rounds(
     epoch: u64,
     stream: u32,
 ) -> Result<(u64, u64), ()> {
-    let mut total = (0u64, 0u64);
-    for round in 0..n_rounds(progs) {
-        let (units, expected) = weigh(progs, lanes, round);
-        if units == 0 {
-            continue;
+    let sums = machine.validation == crate::ValidationLevel::Checksums;
+    let mut tallies = std::mem::take(&mut machine.round_tallies);
+    tallies.clear();
+    tallies.resize(n_rounds(progs), RoundTally::default());
+    lanes(&mut |each| {
+        for lane in each {
+            for (round, t) in tallies.iter_mut().enumerate() {
+                let units = units_of(&progs[lane.at], round);
+                t.ctx.round_no = round as u32;
+                t.ctx.units += units.len();
+                t.ctx.expected += units.iter().map(|u| u.elements).sum::<u64>();
+            }
         }
-        let ctx = RoundCtx { expected, units, round_no: round as u32 };
-        let mut delivered = (0u64, 0u64);
-        run_round_ladder(machine, &ctx, epoch, stream, |checksums, fault| {
-            replay_round(progs, lanes, &ctx, checksums, fault, &mut delivered)
-        })?;
-        total.0 += delivered.0;
-        total.1 += delivered.1;
+    });
+    for t in tallies.iter_mut() {
+        t.arm(decide(machine, &t.ctx, epoch, stream, 0));
     }
-    Ok(total)
+    // A panic fails attempt 0 of every round: none is validated yet.
+    let walked = catch_unwind(AssertUnwindSafe(|| walk(progs, lanes, &mut tallies, sums))).is_ok();
+    let total = tallies.iter_mut().enumerate().filter(|(_, t)| t.ctx.units > 0).try_fold(
+        (0, 0),
+        |(runs, bytes), (round, t)| {
+            let (ctx, first) = (t.ctx, (walked && t.read == t.written).then_some(t.elements));
+            let retry = |sums, fault| replay_round(progs, lanes, (round, &mut *t), sums, fault);
+            run_round_ladder(machine, &ctx, epoch, stream, first, retry)?;
+            Ok((runs + t.runs, bytes + t.bytes))
+        },
+    );
+    machine.round_tallies = tallies;
+    total
 }
 
 /// What replaying `progs` over the lanes delivers — `(runs, bytes)` —
@@ -667,24 +719,27 @@ mod tests {
         };
         let mut attempts = Vec::new();
         for round in 0..n_rounds(progs) {
-            let (units, expected) = weigh(progs, lanes, round);
-            if units == 0 {
+            let units = units_of(prog, round);
+            let expected = units.iter().map(|u| u.elements).sum();
+            let ctx = RoundCtx { expected, units: units.len(), round_no: round as u32 };
+            if ctx.units == 0 {
                 continue;
             }
-            let ctx = RoundCtx { expected, units, round_no: round as u32 };
-            let mut delivered = (0, 0);
-            run_round_ladder(&mut machine, &ctx, 0, 0, |checksums, drawn| {
+            let mut t = RoundTally { ctx, ..RoundTally::default() };
+            // The salt selects the victim by index, modulo the units.
+            let fault = (round == round_no).then_some((FaultKind::CorruptRound, victim as u64));
+            let first = replay_round(progs, lanes, (round, &mut t), true, fault);
+            let mut seen = vec![first];
+            run_round_ladder(&mut machine, &ctx, 0, 0, first, |checksums, drawn| {
                 assert!(checksums && drawn.is_none(), "validation only, no fault plan");
-                if round != round_no {
-                    return replay_round(progs, lanes, &ctx, checksums, None, &mut delivered);
-                }
-                // The salt selects the victim by index, modulo the units.
-                let fault = attempts.is_empty().then_some((FaultKind::CorruptRound, victim as u64));
-                let got = replay_round(progs, lanes, &ctx, checksums, fault, &mut delivered);
-                attempts.push(got);
+                let got = replay_round(progs, lanes, (round, &mut t), checksums, None);
+                seen.push(got);
                 got
             })
             .expect("a retried round heals");
+            if round == round_no {
+                attempts = seen;
+            }
         }
         (attempts, machine.stats.rounds_retried)
     }
@@ -732,6 +787,79 @@ mod tests {
             oracle.copy_values_from(&a);
             assert!(b == oracle, "{what}: healed to the table engine's copy");
         }
+    }
+
+    #[test]
+    fn walked_faults_land_on_their_rounds_across_lanes() {
+        // Two movers of one group: `a` goes block -> cyclic(n / 8), which
+        // reaches two ranks from each, `b` block -> cyclic(1), which
+        // reaches all four. A wire round holds fewer units of `a` than
+        // of `b`, so a truncation's cut — half the round's concatenated
+        // list — falls inside `b`'s units.
+        use crate::FaultKind::{CorruptRound, TruncateRound};
+        let (n, p) = (256u64, 4u64);
+        let block = mk(n, p, DimFormat::Block(None));
+        let targets = [mk(n, p, DimFormat::Cyclic(Some(n / 8))), mk(n, p, DimFormat::Cyclic(None))];
+        let pair = |d: &NormalizedMapping| {
+            Arc::new(crate::PlannedRemap::compile(plan_redistribution(&block, d, 8)))
+        };
+        let group = PlannedGroup::compile(targets.iter().map(pair).collect());
+        let progs = &group.program.as_ref().expect("both members compile").members;
+        let units = |r: usize| progs.iter().map(|prog| units_of(prog, r).len()).sum::<usize>();
+        let lane_a = |r: usize| units_of(&progs[0], r).len();
+        // The attempt-0 decisions of the group's epoch (the machine's
+        // first data-moving remap) on the served programs' stream.
+        let first = |plan: &crate::FaultPlan, r: usize| {
+            plan.round_fault(0, 0, r as u32, 0).filter(|_| units(r) > 0).map(|(k, _)| k)
+        };
+        let rounds = 0..n_rounds(progs);
+        let plan = (0..10_000)
+            .map(|seed| crate::FaultPlan::new(seed, 30, &[CorruptRound, TruncateRound]))
+            .find(|plan| {
+                let cut_in_b = rounds.clone().any(|r| {
+                    first(plan, r) == Some(TruncateRound) && units(r) / 2 > lane_a(r)
+                });
+                let corrupt = rounds.clone().any(|r| first(plan, r) == Some(CorruptRound));
+                let heals = rounds.clone().all(|r| {
+                    (0..4).any(|attempt| plan.round_fault(0, 0, r as u32, attempt).is_none())
+                });
+                cut_in_b && corrupt && heals
+            })
+            .expect("a seed truncates inside the second lane and corrupts another round");
+        // Under checksums every wire fault is caught, so each faulted
+        // attempt of a round is followed by one retry, until a clean one.
+        let mut want = (0u64, 0u64);
+        for r in rounds.filter(|&r| units(r) > 0) {
+            let faulted =
+                (0..4).take_while(|&k| plan.round_fault(0, 0, r as u32, k).is_some()).count();
+            want.0 += faulted as u64;
+            want.1 += faulted as u64;
+        }
+
+        let mut machine = Machine::new(p)
+            .with_validation(crate::ValidationLevel::Checksums)
+            .with_faults(plan);
+        let [mut a, mut b] = [0.0, 1000.0].map(|shift| {
+            let to = targets[(shift > 0.0) as usize].clone();
+            let mut rt = ArrayRt::new("a", vec![block.clone(), to], 8);
+            rt.current(&mut machine, 0).fill(|q| shift + q[0] as f64);
+            rt
+        });
+        let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+        let skip = BTreeSet::new();
+        let mut members = [
+            GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+            GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+        ];
+        assert_eq!(try_remap_group(&mut machine, &mut members, &group).expect("healed"), 2);
+        for (rt, to) in [&a, &b].into_iter().zip(&targets) {
+            let mut tables = VersionData::new(to.clone(), 8);
+            tables.copy_values_from(rt.copies[0].as_ref().expect("the source stays live"));
+            assert!(*rt.copies[1].as_ref().unwrap() == tables, "the table engine's bytes");
+        }
+        let s = &machine.stats;
+        assert_eq!((s.faults_injected, s.rounds_retried), want, "one retry per faulted attempt");
+        assert_eq!((s.programs_recompiled, s.fallbacks_to_tables), (0, 0), "retries healed");
     }
 
     #[test]

@@ -209,9 +209,10 @@ impl ArrayRt {
     /// writes a pool draw of its layout — as is when `claim` provably
     /// overwrites every element, else holding the old words first — so
     /// a rollback is a swap ([`ArrayRt::rollback_remap`]). The copy the
-    /// record kept from its last commit goes to the pool after the draw:
-    /// a bounce between two layouts then peaks at four versions, and the
-    /// pool's bound lets it keep a spare of the other layout.
+    /// record kept from its last commit is retired, and goes to the pool
+    /// once every member of the statement has drawn: a bounce between two
+    /// layouts then peaks at four versions per member, and the pool's
+    /// bound lets it keep each member a spare of the other layout.
     pub(crate) fn stage_target(
         &mut self,
         v: u32,
@@ -227,7 +228,7 @@ impl ArrayRt {
             }
         }
         self.copies[v] = Some(spare);
-        record.staged = Some(old);
+        record.retired = record.staged.replace(old);
     }
 
     /// Free version `v`'s storage and clear its live flag: the modeled
@@ -502,6 +503,8 @@ pub(crate) struct TxnRecord {
     /// The target copy this remap staged out ([`ArrayRt::stage_target`]);
     /// after a commit, the one the record keeps until it stages the next.
     staged: Option<VersionData>,
+    /// The copy kept from the last commit, until every member has drawn.
+    pub(crate) retired: Option<VersionData>,
     /// Whether the record holds a capture; cleared by rollback and by
     /// the commit path.
     pub(crate) captured: bool,
@@ -509,14 +512,14 @@ pub(crate) struct TxnRecord {
 
 impl TxnRecord {
     /// Record `rt`'s state before its remap to `target`. A member that
-    /// is not staged lets go of the copy kept from the last commit.
+    /// is not staged retires the copy kept from the last commit.
     pub(crate) fn capture(&mut self, rt: &ArrayRt, target: u32, staged: bool) {
         self.status = rt.status;
         self.live.clear();
         self.live.extend_from_slice(&rt.live);
         self.allocated = rt.copies[target as usize].is_some();
         if !staged {
-            self.staged = None;
+            self.retired = self.staged.take();
         }
         self.captured = true;
     }

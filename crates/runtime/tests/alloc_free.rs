@@ -127,8 +127,9 @@ fn steady_state_remap_allocates_nothing() {
     // Fault injection and validation default off, so a remap takes the
     // unguarded replay unless a section arms them. The guarded path
     // allocates nothing either — sections 6, 7 and 12 pin its counted
-    // and checksummed rounds, 12 its healed wire faults — but a
-    // recompile or a table fallback may allocate by design. Pin the
+    // and checksummed rounds, 12 and 18 its healed wire faults, solo
+    // and in a group — but a recompile or a table fallback may
+    // allocate by design. Pin the
     // precondition so a future default change trips loudly here rather
     // than silently changing what the measured windows cover.
     {
@@ -792,5 +793,62 @@ fn steady_state_remap_allocates_nothing() {
         assert_eq!(allocations(), before, "n = {n}: a second array's versions allocated");
         assert_eq!(machine.stats.remaps_performed, performed + 2, "n = {n}: both hops moved data");
         assert!((0..n).all(|i| b.get(&[i]) == 0.0), "n = {n}: pooled storage reads as fresh");
+    }
+
+    // --- 18. A faulted guarded group bounce is allocation-free too. ----
+    // Two movers of one coalesced group under `Checksums` and section
+    // 12's plan of wire faults: attempt 0 of every round runs in one
+    // walk of both lanes, its per-round tallies (one slot per round,
+    // both lanes' units in it) live in the machine's scratch, and a
+    // faulted round is retried in round order. Once the scratch has
+    // grown, neither the walk, nor the retries, nor the rollback records
+    // of the two staged targets may allocate — and a member's retired
+    // copy reaches the pool only after its sibling drew its spare.
+    let n = 4096u64;
+    let src = mk(n, 4, DimFormat::Block(None));
+    let dst = mk(n, 4, DimFormat::Cyclic(Some(4)));
+    let mut machine = isolated()
+        .with_validation(hpfc_runtime::ValidationLevel::Checksums)
+        .with_faults(wire);
+    let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
+    let mut b = ArrayRt::new("b", vec![src.clone(), dst.clone()], 8);
+    a.current(&mut machine, 0).fill(|p| p[0] as f64);
+    b.current(&mut machine, 0).fill(|p| 2.0 * p[0] as f64);
+    let solo = |s: &_, d: &_| {
+        std::sync::Arc::new(PlannedRemap::compile(plan_redistribution(s, d, 8)))
+    };
+    let fwd = PlannedGroup::compile(vec![solo(&src, &dst), solo(&src, &dst)]);
+    let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
+    let hop = |machine: &mut Machine, a: &mut ArrayRt, b: &mut ArrayRt, i: u64, (s, t)| {
+        a.set(&[i], -(i as f64)); // outside the measured window
+        b.set(&[i], 1000.0 + i as f64);
+        let planned = if s == 0 { &fwd } else { &back };
+        let mut members = [
+            GroupMember { rt: &mut *a, src: s, target: t, may_live: &keep, skip_if_current: &skip },
+            GroupMember { rt: &mut *b, src: s, target: t, may_live: &keep, skip_if_current: &skip },
+        ];
+        let before = allocations();
+        assert_eq!(try_remap_group(machine, &mut members, planned).expect("healed"), 2);
+        allocations() - before
+    };
+    for i in 0..2 {
+        hop(&mut machine, &mut a, &mut b, i, (0u32, 1u32));
+        hop(&mut machine, &mut a, &mut b, i, (1, 0));
+    }
+    let (coalesced, retried) = (machine.stats.remap_groups_coalesced, machine.stats.rounds_retried);
+    for i in 2..12u64 {
+        for dir in [(0u32, 1u32), (1, 0)] {
+            let allocated = hop(&mut machine, &mut a, &mut b, i, dir);
+            assert_eq!(allocated, 0, "faulted guarded group hop {i} {dir:?} allocated");
+        }
+    }
+    assert_eq!(machine.stats.remap_groups_coalesced, coalesced + 20, "both members moved together");
+    assert!(machine.stats.rounds_retried > retried, "wire faults fired and retries healed them");
+    assert_eq!(machine.stats.programs_recompiled, 0, "every faulted round healed by a retry");
+    assert_eq!(machine.stats.fallbacks_to_tables, 0, "no lane fell back to the table engine");
+    for i in 0..n {
+        let x = i as f64;
+        let want = if i < 12 { (-x, 1000.0 + x) } else { (x, 2.0 * x) };
+        assert_eq!((a.get(&[i]), b.get(&[i])), want, "element {i} after the faulted bounce");
     }
 }
